@@ -34,8 +34,6 @@ from .figures import FIGURE_CASES, run_figure_case
 from .geodesics import (
     AlphaPhaseChart,
     GeodesicPath,
-    _alpha_values,
-    _phase_mix,
     alpha_geodesic_coeff_path,
     ldg_residual,
     path_length,
@@ -100,12 +98,11 @@ def _random_phase_pair(rng, grid: FrequencyGrid, max_delta: float = 3.0):
     return psi1, psi2
 
 
-def _dip_width(alpha1: float, alpha2: float, delta: float) -> float:
+def _dip_width(geo) -> float:
     """Parameter-width of the attenuation dip, used to budget RK4 steps."""
-    k1 = (alpha2 - alpha1) ** 2 + 4.0 * alpha1 * alpha2 * math.sin(0.5 * delta) ** 2
-    if k1 <= 0.0:
+    if geo.k1 <= 0.0:
         return 1.0
-    return max(alpha1 * alpha2 * abs(math.sin(delta)) / k1, 1e-4)
+    return max(geo.alpha1 * geo.alpha2 * abs(math.sin(geo.delta)) / geo.k1, 1e-4)
 
 
 def _plateau_criterion(cid: int, case: str, expected: float, tolerance: float) -> CriterionResult:
@@ -226,13 +223,11 @@ def criterion_6(seed, scale: str) -> CriterionResult:
         a1, a2 = _random_alpha(rng), _random_alpha(rng)
         psi1, psi2 = _random_phase_pair(rng, grid)
         geo = solve_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0)
-        width = _dip_width(a1, a2, geo.delta)
+        width = _dip_width(geo)
         n_steps = int(min(max(4000, 25.0 / width), 40000))
         shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0, n_steps=n_steps)
-        alphas = _alpha_values(geo, shot.sigmas)
-        mix = _phase_mix(geo, shot.sigmas)
-        psis = geo.psi1[np.newaxis, :] + mix[:, np.newaxis] * geo.dpsi[np.newaxis, :]
-        worst_alpha = max(worst_alpha, float(np.max(np.abs(shot.coords[:, 0] - alphas))))
+        psis = geo.psi1 + geo.phase_mix_at(shot.sigmas)[:, np.newaxis] * geo.dpsi
+        worst_alpha = max(worst_alpha, float(np.max(np.abs(shot.coords[:, 0] - geo.alpha_at(shot.sigmas)))))
         worst_psi = max(worst_psi, float(np.max(np.abs(shot.coords[:, 1:] - psis))))
         shot_len = path_length(AlphaPhaseChart(noise, rho0), shot, n_quad=8)
         worst_len = max(worst_len, abs(shot_len - geo.length) / geo.length)
@@ -398,10 +393,10 @@ def criterion_11(seed, scale: str) -> CriterionResult:
     root_k = math.sqrt(geo.K)
     worst = 0.0
     for sigma in np.linspace(0.0, 1.0, 41):
-        alpha = math.sqrt(geo.k1 * (sigma + geo.k2) ** 2 + geo.K / geo.k1)
+        alpha = float(geo.alpha_at(sigma))
         d_alpha = geo.k1 * (sigma + geo.k2) / alpha
         mix_rate = root_k / (geo.delta * alpha**2)
-        xi = np.concatenate([[alpha], coeffs1 + _mix_value(geo, sigma) * dc])
+        xi = np.concatenate([[alpha], coeffs1 + float(geo.phase_mix_at(sigma)) * dc])
         xi_dot = np.concatenate([[d_alpha], mix_rate * dc])
         speed = path_speed(model, xi, xi_dot, grid, noise)
         worst = max(worst, abs(speed / geo.speed - 1.0))
@@ -413,10 +408,6 @@ def criterion_11(seed, scale: str) -> CriterionResult:
         tolerance=1e-8,
         passed=worst <= 1e-8,
     )
-
-
-def _mix_value(geo, sigma: float) -> float:
-    return float(_phase_mix(geo, np.asarray([float(sigma)]))[0])
 
 
 def criterion_12(seed, scale: str) -> CriterionResult:

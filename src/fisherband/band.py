@@ -7,7 +7,8 @@ a centred circularly symmetric complex Gaussian with known power gamma0(nu),
 independent across bins.  This module holds the containers for that picture
 (grid, noise, magnitude/phase spectrum, complex observation), the phase
 wrapping convention, the Gaussian log-likelihood and a seeded sampler, plus
-flat CSV/JSON serialization.
+flat CSV/JSON serialization, the validated magnitude ``Template`` and the
+``scaled_chord`` form shared by every distance.
 
 All containers are immutable (frozen dataclasses with read-only arrays), so
 every operation in the package is a pure function safe for concurrent use.
@@ -18,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +32,7 @@ __all__ = [
     "NoiseProfile",
     "Observation",
     "SignalSpectrum",
+    "Template",
     "band_energy",
     "band_from_json",
     "band_to_json",
@@ -40,6 +42,7 @@ __all__ = [
     "phase_rms_diff",
     "sample_observation",
     "save_band_csv",
+    "scaled_chord",
     "wrap_phase",
 ]
 
@@ -171,6 +174,10 @@ class NoiseProfile:
             raise ValueError("noise profile is empty")
         if not np.all(np.isfinite(gamma0)) or np.any(gamma0 <= 0.0):
             raise ValueError("gamma0 must be strictly positive and finite")
+        with np.errstate(over="ignore"):
+            overflow = not np.all(np.isfinite(self.weights))
+        if overflow:
+            raise ValueError("gamma0 is so small that the weights 2/gamma0 overflow")
 
     @classmethod
     def flat(cls, value: float, n_freqs: int) -> "NoiseProfile":
@@ -272,13 +279,72 @@ def sample_observation(spectrum: SignalSpectrum, noise: NoiseProfile, seed) -> O
     return Observation(spectrum.to_complex() + noise_values)
 
 
-def band_energy(noise: NoiseProfile, rho0) -> float:
-    """Band-weighted template energy: sum of (2/gamma0) * rho0^2."""
+def _template_weights(noise: NoiseProfile, rho0) -> tuple[np.ndarray, np.ndarray]:
     rho0 = np.asarray(rho0, dtype=float)
     _check_aligned(noise.n_freqs, len(rho0))
     if not np.all(np.isfinite(rho0)) or np.any(rho0 < 0.0):
         raise ValueError("rho0 must be finite and non-negative")
-    return float(np.sum(noise.weights * rho0**2))
+    return rho0, noise.weights * rho0**2
+
+
+def band_energy(noise: NoiseProfile, rho0) -> float:
+    """Band-weighted template energy: sum of (2/gamma0) * rho0^2."""
+    return float(np.sum(_template_weights(noise, rho0)[1]))
+
+
+@dataclass(frozen=True)
+class Template:
+    """A magnitude template rho0 validated against a noise profile.
+
+    Holds the per-bin weights ``(2/gamma0) rho0^2`` and their sum, the band
+    energy ``omega0``, which must be positive.  Every known-magnitude closed
+    form depends on the template only through these.
+    """
+
+    noise: NoiseProfile
+    rho0: np.ndarray
+    weights: np.ndarray = field(init=False, repr=False)
+    omega0: float = field(init=False)
+
+    def __post_init__(self):
+        rho0, weights = _template_weights(self.noise, _readonly(self.rho0))
+        weights.flags.writeable = False
+        omega0 = float(np.sum(weights))
+        if not omega0 > 0.0:
+            if np.any(rho0 > 0.0):
+                raise ValueError("template energy must be positive, but (2/gamma0) rho0^2 underflows to zero")
+            raise ValueError("template energy must be positive")
+        object.__setattr__(self, "rho0", rho0)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "omega0", omega0)
+
+    @property
+    def n_freqs(self) -> int:
+        return len(self.rho0)
+
+    def phase_gap(self, psi1, psi2) -> tuple[np.ndarray, float]:
+        """Wrapped per-bin phase difference ``dpsi`` and its weighted RMS ``delta``."""
+        psi1 = np.asarray(psi1, dtype=float)
+        psi2 = np.asarray(psi2, dtype=float)
+        _check_aligned(len(psi1), len(psi2), self.n_freqs)
+        dpsi = wrap_phase(psi2 - psi1)
+        return dpsi, float(np.sqrt(np.sum(self.weights * dpsi**2) / self.omega0))
+
+
+def scaled_chord(a1, a2, h) -> tuple:
+    """Squared chord ``(a2 - a1)^2 + 4 a1 a2 h`` as ``(c, e)``, worth ``c * 4**e``.
+
+    ``a1, a2 >= 0`` are attenuations or per-bin magnitudes (scalars or arrays)
+    and ``h = sin^2(angle / 2)``.  They are scaled by the exact power of two
+    that brings the largest into [0.5, 1), so ``ldexp(sqrt(weight * c), e)``
+    neither overflows nor underflows while the distance is a finite double,
+    and in range equals the unscaled half-angle form bit for bit.
+    """
+    e = math.frexp(np.maximum(a1, a2).max())[1]
+    a1 = np.ldexp(a1, -e)
+    a2 = np.ldexp(a2, -e)
+    d = a2 - a1
+    return d * d + 4.0 * a1 * a2 * h, e
 
 
 def phase_rms_diff(psi1, psi2, noise: NoiseProfile, rho0) -> float:
@@ -286,15 +352,7 @@ def phase_rms_diff(psi1, psi2, noise: NoiseProfile, rho0) -> float:
 
     The difference is wrapped bin by bin before squaring, hence the bound.
     """
-    psi1 = np.asarray(psi1, dtype=float)
-    psi2 = np.asarray(psi2, dtype=float)
-    rho0 = np.asarray(rho0, dtype=float)
-    _check_aligned(len(psi1), len(psi2), noise.n_freqs, len(rho0))
-    omega0 = band_energy(noise, rho0)
-    if omega0 <= 0.0:
-        raise ValueError("template energy must be positive")
-    dpsi = wrap_phase(psi2 - psi1)
-    return float(np.sqrt(np.sum(noise.weights * rho0**2 * dpsi**2) / omega0))
+    return Template(noise, rho0).phase_gap(psi1, psi2)[1]
 
 
 # -- serialization ----------------------------------------------------------

@@ -14,15 +14,16 @@ attenuations and the weighted RMS wrapped phase difference delta:
 The submanifold distance always dominates the full one (it is an equality
 exactly for frequency-constant phase differences), their ratio tends to a
 universal plateau for fast phase variation, and both scale linearly with the
-template level (square root of the signal-to-noise ratio).  All quadratic
-forms are evaluated in half-angle form to avoid cancellation between nearby
-endpoints.
+template level (square root of the signal-to-noise ratio).  Every quadratic
+form goes through :func:`~fisherband.band.scaled_chord`, in half-angle form
+and scaled by a power of two, so nearby endpoints do not cancel and the
+distances stay homogeneous over the whole double range.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,8 +32,8 @@ from .band import (
     FrequencyGrid,
     NoiseProfile,
     SignalSpectrum,
-    band_energy,
-    phase_rms_diff,
+    Template,
+    scaled_chord,
     wrap_phase,
 )
 
@@ -49,9 +50,21 @@ __all__ = [
 ]
 
 
-def _chord_sq(a1: float, a2: float, half_sine_sq: float) -> float:
-    """Stable ``a1^2 + a2^2 - 2 a1 a2 (1 - 2 h)`` with h = sin^2(angle/2)."""
-    return (a2 - a1) ** 2 + 4.0 * a1 * a2 * half_sine_sq
+def _known_mag_pair(alpha1, alpha2, psi1, psi2, grid: FrequencyGrid, noise: NoiseProfile, rho0):
+    """Validated template, wrapped phase gap and its RMS for one endpoint pair."""
+    if not (alpha1 > 0.0 and alpha2 > 0.0):
+        raise ValueError("endpoint attenuations must be positive")
+    template = Template(noise, rho0)
+    if grid.n_freqs != template.n_freqs:
+        raise ValueError("misaligned band inputs")
+    dpsi, delta = template.phase_gap(psi1, psi2)
+    return template, dpsi, delta
+
+
+def _chord_distance(omega0: float, alpha1: float, alpha2: float, h: float) -> float:
+    """``sqrt(omega0) * chord`` for half-angle sine square h."""
+    c, e = scaled_chord(alpha1, alpha2, h)
+    return math.ldexp(math.sqrt(omega0 * c), e)
 
 
 def distance_full(s1: SignalSpectrum, s2: SignalSpectrum, noise: NoiseProfile) -> float:
@@ -62,9 +75,9 @@ def distance_full(s1: SignalSpectrum, s2: SignalSpectrum, noise: NoiseProfile) -
     """
     if not (s1.n_freqs == s2.n_freqs == noise.n_freqs):
         raise ValueError("misaligned spectra or noise profile")
-    half = np.sin(0.5 * wrap_phase(s2.psi - s1.psi)) ** 2
-    terms = (s2.rho - s1.rho) ** 2 + 4.0 * s1.rho * s2.rho * half
-    return float(np.sqrt(np.sum(noise.weights * terms)))
+    half = np.sin(0.5 * wrap_phase(s2.psi - s1.psi))
+    c, e = scaled_chord(s1.rho, s2.rho, half * half)
+    return math.ldexp(math.sqrt(float(np.sum(noise.weights * c))), e)
 
 
 def distance_full_embedding(s1: SignalSpectrum, s2: SignalSpectrum, noise: NoiseProfile) -> float:
@@ -85,12 +98,9 @@ def distance_alpha(
     ``sqrt(omega0) * sqrt(alpha2^2 + alpha1^2 - 2 alpha1 alpha2 cos delta)``
     with delta the weighted RMS wrapped phase difference.
     """
-    if not (alpha1 > 0.0 and alpha2 > 0.0):
-        raise ValueError("endpoint attenuations must be positive")
-    _check_band(psi1, psi2, grid, noise, rho0)
-    omega0 = band_energy(noise, rho0)
-    delta = phase_rms_diff(psi1, psi2, noise, rho0)
-    return math.sqrt(omega0 * _chord_sq(alpha1, alpha2, math.sin(0.5 * delta) ** 2))
+    template, _, delta = _known_mag_pair(alpha1, alpha2, psi1, psi2, grid, noise, rho0)
+    half = math.sin(0.5 * delta)
+    return _chord_distance(template.omega0, alpha1, alpha2, half * half)
 
 
 def distance_full_known_mag(
@@ -102,17 +112,10 @@ def distance_full_known_mag(
     is the template-weighted mean of cos(dpsi); equals :func:`distance_full`
     on the induced spectra.
     """
-    if not (alpha1 > 0.0 and alpha2 > 0.0):
-        raise ValueError("endpoint attenuations must be positive")
-    psi1, psi2, rho0 = _check_band(psi1, psi2, grid, noise, rho0)
-    omega0 = band_energy(noise, rho0)
-    if omega0 <= 0.0:
-        raise ValueError("template energy must be positive")
-    dpsi = wrap_phase(psi2 - psi1)
-    w = noise.weights * rho0**2
-    # (1 - C) as a weighted mean of 2 sin^2(dpsi/2): stable near C = 1
-    one_minus_c = float(np.sum(w * 2.0 * np.sin(0.5 * dpsi) ** 2) / omega0)
-    return math.sqrt(omega0 * _chord_sq(alpha1, alpha2, 0.5 * one_minus_c))
+    template, dpsi, _ = _known_mag_pair(alpha1, alpha2, psi1, psi2, grid, noise, rho0)
+    # (1 - C) / 2 as a weighted mean of sin^2(dpsi/2): stable near C = 1
+    h = float(np.sum(template.weights * np.sin(0.5 * dpsi) ** 2) / template.omega0)
+    return _chord_distance(template.omega0, alpha1, alpha2, h)
 
 
 def small_phase_equivalent(
@@ -124,13 +127,9 @@ def small_phase_equivalent(
     gamma = alpha2/alpha1 and SNR1 = omega0 * alpha1^2; both exact distances
     divided by this tend to one as the phase differences shrink.
     """
-    if not (alpha1 > 0.0 and alpha2 > 0.0):
-        raise ValueError("endpoint attenuations must be positive")
-    _check_band(psi1, psi2, grid, noise, rho0)
-    omega0 = band_energy(noise, rho0)
-    delta = phase_rms_diff(psi1, psi2, noise, rho0)
+    template, _, delta = _known_mag_pair(alpha1, alpha2, psi1, psi2, grid, noise, rho0)
     gamma = alpha2 / alpha1
-    snr1 = omega0 * alpha1**2
+    snr1 = template.omega0 * alpha1**2
     return math.sqrt(snr1 * ((gamma - 1.0) ** 2 + gamma * delta**2))
 
 
@@ -151,9 +150,7 @@ def large_phase_limits(gamma_ratio: float, snr1: float) -> tuple[float, float]:
     return full, sub
 
 
-def ratio_time_delay(
-    gamma_ratio: float, dpsi0: float, dtau_times_B: float, nu0_over_B: float, n_freqs: int
-) -> float:
+def ratio_time_delay(gamma_ratio: float, dpsi0: float, dtau_times_B, nu0_over_B: float, n_freqs: int):
     """Submanifold-to-full distance ratio for time-delayed replicas.
 
     Assumes a constant per-bin signal-to-noise ratio and the linear phase law
@@ -165,22 +162,25 @@ def ratio_time_delay(
         den = g^2 + 1 - 2 g sinc(B dtau) cos(dpsi0 - 2 pi nu0 dtau)
 
     At coincident endpoints (the 0/0 corner) the small-phase limit gives 1.
+    ``dtau_times_B`` may be an array: a scalar returns a float, an array
+    returns the array of ratios.
     """
     if n_freqs < 1:
         raise ValueError("n_freqs must be at least 1")
     if gamma_ratio <= 0.0:
         raise ValueError("gamma_ratio must be positive")
     g = float(gamma_ratio)
+    dtau = np.asarray(dtau_times_B, dtype=float)
     # bin centres expressed as nu/B so only dimensionless products appear
     positions = nu0_over_B - 0.5 + (np.arange(n_freqs) + 0.5) / n_freqs
-    dpsi = wrap_phase(dpsi0 - 2.0 * np.pi * positions * dtau_times_B)
-    rms = math.sqrt(float(np.mean(dpsi**2)))
-    num = (g - 1.0) ** 2 + 4.0 * g * math.sin(0.5 * rms) ** 2
-    mean_cos = float(np.sinc(dtau_times_B)) * math.cos(dpsi0 - 2.0 * math.pi * nu0_over_B * dtau_times_B)
-    den = g**2 + 1.0 - 2.0 * g * mean_cos
-    if den <= 0.0:
-        return 1.0
-    return math.sqrt(num / den)
+    dpsi = wrap_phase(dpsi0 - 2.0 * np.pi * positions * dtau[..., np.newaxis])
+    half = np.sin(0.5 * np.sqrt(np.mean(dpsi**2, axis=-1)))
+    c, e = scaled_chord(1.0, g, half * half)
+    mean_cos = np.sinc(dtau) * np.cos(dpsi0 - 2.0 * math.pi * nu0_over_B * dtau)
+    den = g * g + 1.0 - 2.0 * g * mean_cos
+    positive = den > 0.0
+    ratio = np.where(positive, np.sqrt(np.ldexp(c, 2 * e) / np.where(positive, den, 1.0)), 1.0)
+    return float(ratio) if ratio.ndim == 0 else ratio
 
 
 @dataclass(frozen=True)
@@ -208,23 +208,12 @@ class DistanceReport:
                 raise ValueError("submanifold distance fell below the full distance")
 
     def to_json_dict(self) -> dict:
-        return {
-            "d_full": self.d_full,
-            "d_alpha": self.d_alpha,
-            "omega0": self.omega0,
-            "snr1": self.snr1,
-            "gamma_ratio": self.gamma_ratio,
-            "delta": self.delta,
-            "ratio": self.ratio,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _fit_attenuation(rho: np.ndarray, rho0: np.ndarray) -> float:
-    """Least-squares scale of rho against the template, with residual gate."""
-    denom = float(np.dot(rho0, rho0))
-    if denom <= 0.0:
-        raise ChartMismatchError("template magnitude is identically zero")
-    alpha = float(np.dot(rho, rho0)) / denom
+    """Least-squares scale of rho against a validated template, with residual gate."""
+    alpha = float(np.dot(rho, rho0)) / float(np.dot(rho0, rho0))
     scale = float(np.linalg.norm(rho))
     resid = float(np.linalg.norm(rho - alpha * rho0))
     if resid > 1e-9 * max(scale, 1e-300):
@@ -246,30 +235,20 @@ def report(
     d_full = distance_full(s1, s2, noise)
     if rho0 is None:
         return DistanceReport(d_full=d_full)
-    rho0 = np.asarray(rho0, dtype=float)
-    if not (s1.n_freqs == s2.n_freqs == noise.n_freqs == len(rho0)):
-        raise ValueError("misaligned band inputs")
-    alpha1 = _fit_attenuation(s1.rho, rho0)
-    alpha2 = _fit_attenuation(s2.rho, rho0)
-    omega0 = band_energy(noise, rho0)
-    delta = phase_rms_diff(s1.psi, s2.psi, noise, rho0)
-    d_alpha = math.sqrt(omega0 * _chord_sq(alpha1, alpha2, math.sin(0.5 * delta) ** 2))
+    template = Template(noise, rho0)
+    alpha1 = _fit_attenuation(s1.rho, template.rho0)
+    alpha2 = _fit_attenuation(s2.rho, template.rho0)
+    _, delta = template.phase_gap(s1.psi, s2.psi)
+    half = math.sin(0.5 * delta)
+    d_alpha = _chord_distance(template.omega0, alpha1, alpha2, half * half)
     ratio = d_alpha / d_full if d_full > 0.0 else None
     return DistanceReport(
         d_full=d_full,
         d_alpha=d_alpha,
-        omega0=omega0,
-        snr1=omega0 * alpha1**2,
+        omega0=template.omega0,
+        snr1=template.omega0 * alpha1**2,
         gamma_ratio=alpha2 / alpha1,
         delta=delta,
         ratio=ratio,
     )
 
-
-def _check_band(psi1, psi2, grid: FrequencyGrid, noise: NoiseProfile, rho0):
-    psi1 = np.asarray(psi1, dtype=float)
-    psi2 = np.asarray(psi2, dtype=float)
-    rho0 = np.asarray(rho0, dtype=float)
-    if not (len(psi1) == len(psi2) == len(rho0) == grid.n_freqs == noise.n_freqs):
-        raise ValueError("misaligned band inputs")
-    return psi1, psi2, rho0

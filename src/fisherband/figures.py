@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .band import NoiseProfile, build_grid, wrap_phase
+from .band import build_grid, scaled_chord, wrap_phase
 from .distances import ratio_time_delay
 
 __all__ = [
@@ -88,21 +88,20 @@ def run_figure_case(config: ExperimentConfig) -> np.ndarray:
     grid = build_grid(config.nu0, config.bandwidth_B, config.n_freqs)
     g = config.gamma_ratio
     btaus = sweep_points(config)
+    # first, so its (points x bins) temporaries are freed before the sweep's
+    ratio = ratio_time_delay(g, config.dpsi0, btaus, config.nu0 / config.bandwidth_B, config.n_freqs)
     dtaus = btaus / config.bandwidth_B
 
     # wrapped linear phase differences, one row per sweep point
     dpsi = wrap_phase(config.dpsi0 - 2.0 * np.pi * dtaus[:, np.newaxis] * grid.freqs[np.newaxis, :])
-    mean_one_minus_cos = np.mean(2.0 * np.sin(0.5 * dpsi) ** 2, axis=1)
-    delta = np.sqrt(np.mean(dpsi**2, axis=1))
+    # (1 - mean cos) / 2 is the mean of sin^2(dpsi/2)
+    half_full = np.mean(np.sin(0.5 * dpsi) ** 2, axis=1)
+    half_alpha = np.sin(0.5 * np.sqrt(np.mean(dpsi**2, axis=1))) ** 2
 
-    d_full = np.sqrt(config.snr1 * ((g - 1.0) ** 2 + 2.0 * g * mean_one_minus_cos))
-    d_alpha = np.sqrt(config.snr1 * ((g - 1.0) ** 2 + 4.0 * g * np.sin(0.5 * delta) ** 2))
-    ratio = np.asarray(
-        [
-            ratio_time_delay(g, config.dpsi0, bt, config.nu0 / config.bandwidth_B, config.n_freqs)
-            for bt in btaus
-        ]
-    )
+    c_full, e = scaled_chord(1.0, g, half_full)
+    c_alpha, _ = scaled_chord(1.0, g, half_alpha)
+    d_full = np.ldexp(np.sqrt(config.snr1 * c_full), e)
+    d_alpha = np.ldexp(np.sqrt(config.snr1 * c_alpha), e)
     rows = np.column_stack([btaus, d_full, d_alpha, ratio])
     if config.output_path is not None:
         write_figure_csv(config.output_path, rows)
@@ -116,7 +115,3 @@ def write_figure_csv(path, rows: np.ndarray) -> None:
         for row in rows:
             writer.writerow([repr(float(v)) for v in row])
 
-
-def noise_for_config(config: ExperimentConfig) -> NoiseProfile:
-    """Flat unit-per-bin-SNR noise used by the sweep (gamma0 = 2, rho0 = 1)."""
-    return NoiseProfile.flat(2.0, config.n_freqs)

@@ -35,15 +35,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .band import (
     ConvergenceError,
     FrequencyGrid,
     NoiseProfile,
     SignalSpectrum,
-    band_energy,
-    phase_rms_diff,
+    Template,
+    scaled_chord,
     wrap_phase,
 )
 from .metric import fisher_matrix
@@ -113,10 +112,6 @@ class EmbeddingChart:
         self.noise = noise
         self._w = np.repeat(noise.weights, 2)
 
-    @property
-    def dim(self) -> int:
-        return 2 * self.noise.n_freqs
-
     def speed(self, coords, vel) -> np.ndarray:
         vel = np.asarray(vel, dtype=float)
         return np.sum(self._w * vel**2, axis=-1)
@@ -126,14 +121,11 @@ class AlphaPhaseChart:
     """Known-magnitude submanifold chart: (alpha, unwrapped phase per bin)."""
 
     def __init__(self, noise: NoiseProfile, rho0):
+        template = Template(noise, rho0)
         self.noise = noise
-        self.rho0 = np.asarray(rho0, dtype=float)
-        self._w = noise.weights * self.rho0**2
-        self.omega0 = band_energy(noise, self.rho0)
-
-    @property
-    def dim(self) -> int:
-        return 1 + self.noise.n_freqs
+        self.rho0 = template.rho0
+        self._w = template.weights
+        self.omega0 = template.omega0
 
     def speed(self, coords, vel) -> np.ndarray:
         coords = np.asarray(coords, dtype=float)
@@ -151,10 +143,6 @@ class ModelChart:
         self.model = model
         self.grid = grid
         self.noise = noise
-
-    @property
-    def dim(self) -> int:
-        return self.model.n_params
 
     def speed(self, coords, vel) -> np.ndarray:
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
@@ -239,9 +227,32 @@ class AlphaGeodesic:
         if self.K < 0.0:
             raise ValueError("K must be non-negative")
         for sigma, target in ((0.0, self.alpha1), (1.0, self.alpha2)):
-            got = _alpha_values(self, np.asarray([sigma]))[0]
+            got = float(self.alpha_at(sigma))
             if abs(got - target) > 1e-10 * max(target, 1.0):
                 raise ValueError("boundary attenuations are not reproduced")
+
+    def alpha_at(self, sigmas) -> np.ndarray:
+        """Attenuation alpha(s) at each curve parameter in ``sigmas``."""
+        sigmas = np.asarray(sigmas, dtype=float)
+        if self.k1 == 0.0:
+            return np.full_like(sigmas, self.alpha1)
+        shifted = sigmas + self.k2
+        return np.sqrt(self.k1 * (shifted * shifted) + self.K / self.k1)
+
+    def phase_mix_at(self, sigmas) -> np.ndarray:
+        """Fraction of the per-bin phase advance completed at each sigma: the
+        normalized arctan flow, or for K = 0 (delta = pi) a step at the
+        attenuation's zero crossing (1/2 exactly at the crossing)."""
+        sigmas = np.asarray(sigmas, dtype=float)
+        if self.delta <= 0.0 or self.k1 == 0.0:
+            return np.zeros_like(sigmas)
+        if self.K > 0.0:
+            root_k = math.sqrt(self.K)
+            start = math.atan2(self.k1 * self.k2, root_k)
+            angles = np.arctan2(self.k1 * (sigmas + self.k2), root_k)
+            return (angles - start) / self.delta
+        crossing = -self.k2
+        return np.where(sigmas < crossing, 0.0, np.where(sigmas > crossing, 1.0, 0.5))
 
     @property
     def length(self) -> float:
@@ -304,24 +315,21 @@ def solve_alpha_geodesic(
         raise ValueError("endpoint attenuations must be positive")
     psi1 = wrap_phase(np.asarray(psi1, dtype=float))
     psi2 = wrap_phase(np.asarray(psi2, dtype=float))
-    rho0 = np.asarray(rho0, dtype=float)
-    if not (len(psi1) == len(psi2) == len(rho0) == grid.n_freqs == noise.n_freqs):
+    template = Template(noise, rho0)
+    if grid.n_freqs != template.n_freqs:
         raise ValueError("misaligned band inputs")
-    omega0 = band_energy(noise, rho0)
-    if omega0 <= 0.0:
-        raise ValueError("template energy must be positive")
-    delta = phase_rms_diff(psi1, psi2, noise, rho0)
-    dpsi = wrap_phase(psi2 - psi1)
+    dpsi, delta = template.phase_gap(psi1, psi2)
 
     half = math.sin(0.5 * delta)
-    # half-angle form: no cancellation for nearby endpoints
-    k1 = (alpha2 - alpha1) ** 2 + 4.0 * alpha1 * alpha2 * half**2
+    h = half * half
+    scaled, e = scaled_chord(alpha1, alpha2, h)
+    k1 = math.ldexp(scaled, 2 * e)
     K = (alpha1 * alpha2 * math.sin(delta)) ** 2
     if k1 == 0.0:
         # coincident endpoints: the constant path
         k2 = 0.0
     else:
-        k2 = -alpha1 * ((alpha1 - alpha2) + 2.0 * alpha2 * half**2) / k1
+        k2 = -alpha1 * ((alpha1 - alpha2) + 2.0 * alpha2 * h) / k1
     if delta > 0.0 and K > 0.0:
         c = math.sqrt(K) * dpsi / delta
     else:
@@ -343,34 +351,8 @@ def solve_alpha_geodesic(
         c=c,
         psi1=psi1,
         dpsi=dpsi,
-        omega0=omega0,
+        omega0=template.omega0,
         degenerate=degenerate,
-    )
-
-
-def _alpha_values(geo: AlphaGeodesic, sigmas: np.ndarray) -> np.ndarray:
-    if geo.k1 == 0.0:
-        return np.full_like(sigmas, geo.alpha1)
-    return np.sqrt(geo.k1 * (sigmas + geo.k2) ** 2 + geo.K / geo.k1)
-
-
-def _phase_mix(geo: AlphaGeodesic, sigmas: np.ndarray) -> np.ndarray:
-    """Fraction of the per-bin phase advance completed by each sigma.
-
-    For K > 0 this is the normalized arctan flow; in the degenerate K = 0,
-    delta = pi limit the whole advance happens at the interior zero crossing
-    of the attenuation (value 1/2 exactly at the crossing).
-    """
-    if geo.delta <= 0.0 or geo.k1 == 0.0:
-        return np.zeros_like(sigmas)
-    if geo.K > 0.0:
-        root_k = math.sqrt(geo.K)
-        start = math.atan2(geo.k1 * geo.k2, root_k)
-        angles = np.arctan2(geo.k1 * (sigmas + geo.k2), root_k)
-        return (angles - start) / geo.delta
-    crossing = -geo.k2
-    return np.where(
-        sigmas < crossing, 0.0, np.where(sigmas > crossing, 1.0, 0.5)
     )
 
 
@@ -379,10 +361,8 @@ def eval_alpha_geodesic(geo: AlphaGeodesic, sigma: float) -> tuple[float, np.nda
     sigma = float(sigma)
     if not 0.0 <= sigma <= 1.0:
         raise ValueError("sigma must lie in [0, 1]")
-    s = np.asarray([sigma])
-    alpha = float(_alpha_values(geo, s)[0])
-    mix = float(_phase_mix(geo, s)[0])
-    psi = wrap_phase(geo.psi1 + mix * geo.dpsi)
+    alpha = float(geo.alpha_at(sigma))
+    psi = wrap_phase(geo.psi1 + float(geo.phase_mix_at(sigma)) * geo.dpsi)
     return alpha, psi
 
 
@@ -416,12 +396,8 @@ def sample_alpha_geodesic(geo: AlphaGeodesic, n_nodes: int = 201, spacing: str =
         if filtered[-1] < 1.0:
             filtered[-1] = 1.0
         sigmas = np.asarray(filtered)
-    alphas = _alpha_values(geo, sigmas)
-    mix = _phase_mix(geo, sigmas)
-    coords = np.empty((len(sigmas), 1 + len(geo.psi1)))
-    coords[:, 0] = alphas
-    coords[:, 1:] = geo.psi1[np.newaxis, :] + mix[:, np.newaxis] * geo.dpsi[np.newaxis, :]
-    return GeodesicPath(sigmas, coords)
+    mix = geo.phase_mix_at(sigmas)[:, np.newaxis]
+    return GeodesicPath(sigmas, np.column_stack([geo.alpha_at(sigmas), geo.psi1 + mix * geo.dpsi]))
 
 
 def alpha_geodesic_coeff_path(geo: AlphaGeodesic, coeffs1, coeffs2, n_nodes: int = 101) -> GeodesicPath:
@@ -437,12 +413,8 @@ def alpha_geodesic_coeff_path(geo: AlphaGeodesic, coeffs1, coeffs2, n_nodes: int
     if coeffs1.shape != coeffs2.shape:
         raise ValueError("coefficient vectors differ in shape")
     sigmas = np.linspace(0.0, 1.0, n_nodes)
-    alphas = _alpha_values(geo, sigmas)
-    mix = _phase_mix(geo, sigmas)
-    coords = np.empty((n_nodes, 1 + len(coeffs1)))
-    coords[:, 0] = alphas
-    coords[:, 1:] = coeffs1[np.newaxis, :] + mix[:, np.newaxis] * (coeffs2 - coeffs1)[np.newaxis, :]
-    return GeodesicPath(sigmas, coords)
+    mix = geo.phase_mix_at(sigmas)[:, np.newaxis]
+    return GeodesicPath(sigmas, np.column_stack([geo.alpha_at(sigmas), coeffs1 + mix * (coeffs2 - coeffs1)]))
 
 
 def save_path_csv(path_or_buf, path: GeodesicPath) -> None:
@@ -528,9 +500,7 @@ def shoot_alpha_geodesic(
         raise ValueError("endpoint attenuations must be positive")
     psi1 = wrap_phase(np.asarray(psi1, dtype=float))
     psi2 = wrap_phase(np.asarray(psi2, dtype=float))
-    rho0 = np.asarray(rho0, dtype=float)
-    delta = phase_rms_diff(psi1, psi2, noise, rho0)
-    dpsi = wrap_phase(psi2 - psi1)
+    dpsi, delta = Template(noise, rho0).phase_gap(psi1, psi2)
     K = (alpha1 * alpha2 * math.sin(delta)) ** 2
     c = math.sqrt(K) * dpsi / delta if delta > 0.0 else np.zeros_like(dpsi)
 
@@ -613,10 +583,7 @@ def shoot_alpha_geodesic(
         raise ConvergenceError("polished shooting lost the endpoint attenuation")
 
     sigmas = np.linspace(0.0, 1.0, n_steps + 1)
-    coords = np.empty((n_steps + 1, 1 + len(psi1)))
-    coords[:, 0] = alphas
-    coords[:, 1:] = psi1[np.newaxis, :] + thetas[:, np.newaxis] * c[np.newaxis, :]
-    return GeodesicPath(sigmas, coords)
+    return GeodesicPath(sigmas, np.column_stack([alphas, psi1 + thetas[:, np.newaxis] * c]))
 
 
 # -- path functionals --------------------------------------------------------
@@ -636,6 +603,9 @@ def path_length(chart, path: GeodesicPath, n_quad: int = 64) -> float:
         raise ValueError("too few nodes")
     sigmas, coords = path.sigmas, path.coords
     if path.n_nodes >= 4:
+        # imported here: scipy.interpolate dominates the package import time
+        from scipy.interpolate import CubicSpline
+
         spline = CubicSpline(sigmas, coords, axis=0)
         position = spline
         velocity = spline.derivative()

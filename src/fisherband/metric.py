@@ -247,10 +247,6 @@ def christoffel(
     model: ParametricSignalModel, xi, grid: FrequencyGrid, noise: NoiseProfile
 ) -> ChristoffelTensor:
     """Analytic first-kind symbols from the four non-zero index families."""
-    if not model.analytic_second_partials:
-        raise ValueError(
-            "model lacks analytic second partials; use christoffel_fd instead"
-        )
     phi, varphi, rho, mag_jac, phase_jac = _chart_data(model, xi, grid, noise)
     mag_hess = np.asarray(model.magnitude_hessian(phi, grid), dtype=float)
     phase_hess = np.asarray(model.phase_hessian(varphi, grid), dtype=float)

@@ -32,10 +32,6 @@ class ParametricSignalModel(abc.ABC):
     metric vanish because of that split.
     """
 
-    #: models that cannot supply exact second partials set this to False and
-    #: callers fall back to finite differences of the metric
-    analytic_second_partials: bool = True
-
     @property
     @abc.abstractmethod
     def n_mag_params(self) -> int: ...

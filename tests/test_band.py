@@ -11,6 +11,7 @@ from fisherband import (
     NoiseProfile,
     Observation,
     SignalSpectrum,
+    Template,
     band_energy,
     band_from_json,
     band_to_json,
@@ -20,6 +21,7 @@ from fisherband import (
     phase_rms_diff,
     sample_observation,
     save_band_csv,
+    scaled_chord,
     wrap_phase,
 )
 
@@ -252,6 +254,78 @@ class TestBandHelpers:
         noise = NoiseProfile.flat(1.0, 2)
         with pytest.raises(ValueError):
             phase_rms_diff([0.0, 0.0], [1.0, 1.0], noise, [0.0, 0.0])
+
+    def test_band_energy_accepts_zero_template(self):
+        assert band_energy(NoiseProfile.flat(1.0, 3), np.zeros(3)) == 0.0
+
+    def test_tiny_noise_power_names_weight_overflow(self):
+        with pytest.raises(ValueError, match="2/gamma0 overflow"):
+            NoiseProfile.flat(1e-320, 4)
+
+
+class TestTemplate:
+    def _pair(self, n=12, seed=3):
+        rng = np.random.default_rng(seed)
+        return NoiseProfile(rng.uniform(0.5, 2.0, n)), rng.uniform(0.1, 2.0, n), rng
+
+    def test_weights_and_energy_match_the_band_helpers(self):
+        noise, rho0, _ = self._pair()
+        template = Template(noise, rho0)
+        assert np.array_equal(template.weights, noise.weights * rho0**2)
+        assert template.omega0 == band_energy(noise, rho0)
+        assert not template.weights.flags.writeable and not template.rho0.flags.writeable
+
+    def test_phase_gap_matches_phase_rms_diff(self):
+        noise, rho0, rng = self._pair()
+        psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, 12))
+        psi2 = wrap_phase(rng.uniform(-np.pi, np.pi, 12))
+        dpsi, delta = Template(noise, rho0).phase_gap(psi1, psi2)
+        assert np.array_equal(dpsi, wrap_phase(psi2 - psi1))
+        assert delta == phase_rms_diff(psi1, psi2, noise, rho0)
+
+    @pytest.mark.parametrize(
+        "rho0,fragment",
+        [
+            ([1.0, 2.0], "misaligned"),
+            ([1.0, -1.0, 1.0], "non-negative"),
+            ([1.0, np.inf, 1.0], "finite"),
+            ([0.0, 0.0, 0.0], "must be positive"),
+            ([1e-200, 1e-200, 1e-200], "underflows"),
+        ],
+    )
+    def test_validation(self, rho0, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            Template(NoiseProfile.flat(1.0, 3), rho0)
+
+    def test_phase_gap_rejects_misaligned_phases(self):
+        noise, rho0, _ = self._pair(4)
+        with pytest.raises(ValueError, match="misaligned"):
+            Template(noise, rho0).phase_gap(np.zeros(4), np.zeros(3))
+
+
+class TestScaledChord:
+    def test_equals_unscaled_form_in_range(self):
+        rng = np.random.default_rng(11)
+        a1 = np.exp(rng.uniform(-5.0, 5.0, 1000))
+        a2 = np.exp(rng.uniform(-5.0, 5.0, 1000))
+        h = rng.uniform(0.0, 1.0, 1000)
+        for x1, x2, y in zip(a1, a2, h):
+            c, e = scaled_chord(float(x1), float(x2), float(y))
+            d = x2 - x1
+            assert math.ldexp(c, 2 * e) == d * d + 4.0 * x1 * x2 * y
+
+    def test_extreme_scales_stay_finite(self):
+        for scale in (1e-300, 1e-200, 1e155, 1e300):
+            c, e = scaled_chord(scale, 3.0 * scale, 0.25)
+            # (3 - 1)^2 + 4 * 3 * 0.25 = 7 times scale^2
+            assert math.ldexp(math.sqrt(c), e) == pytest.approx(math.sqrt(7.0) * scale, rel=1e-15)
+
+    def test_arrays_share_one_exponent(self):
+        rho1 = np.array([1e150, 0.0, 3e149])
+        rho2 = np.array([2e150, 1e140, 3e149])
+        c, e = scaled_chord(rho1, rho2, np.array([0.0, 0.5, 1.0]))
+        assert e == math.frexp(2e150)[1]
+        np.testing.assert_allclose(np.ldexp(c, 2 * e) / 1e300, [1.0, 1e-20, 0.36], rtol=1e-14)
 
 
 class TestSerialization:

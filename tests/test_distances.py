@@ -242,7 +242,77 @@ class TestLargePhaseLimits:
         assert s2 == pytest.approx(3.0 * s1, rel=1e-15)
 
 
+def _round26(x):
+    """x rounded to 26 significant bits, so a product of two such is exact."""
+    mant, exp = math.frexp(x)
+    return math.ldexp(round(math.ldexp(mant, 26)), exp - 26)
+
+
+def _within_ulps(got, want, n_ulps=4):
+    return abs(got - want) <= n_ulps * math.ulp(want)
+
+
+def _full(rho1, rho2, psi1, psi2, noise):
+    return distance_full(SignalSpectrum(rho1, psi1), SignalSpectrum(rho2, psi2), noise)
+
+
+class TestHomogeneity:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=16),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.floats(min_value=-150.0, max_value=150.0),
+    )
+    def test_degree_one_in_the_attenuations(self, n, seed, log10_scale):
+        rng = np.random.default_rng(seed)
+        grid = build_grid(0.25, 0.4, n)
+        noise = NoiseProfile(rng.uniform(0.5, 2.0, n))
+        rho0 = rng.uniform(0.1, 2.0, n)
+        psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, n))
+        psi2 = wrap_phase(rng.uniform(-np.pi, np.pi, n))
+        # 26-bit factors keep every scaled input exact, so only the
+        # distances' own rounding is compared
+        c = _round26(10.0**log10_scale)
+        a1, a2 = (_round26(float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))) for _ in range(2))
+        mag1, mag2 = (np.array([_round26(v) for v in rng.uniform(0.0, 3.0, n)]) for _ in range(2))
+        for func in (distance_alpha, distance_full_known_mag):
+            base = func(a1, a2, psi1, psi2, grid, noise, rho0)
+            scaled = func(c * a1, c * a2, psi1, psi2, grid, noise, rho0)
+            assert 0.0 < scaled < math.inf
+            assert _within_ulps(scaled, c * base)
+        base = _full(mag1, mag2, psi1, psi2, noise)
+        scaled = _full(c * mag1, c * mag2, psi1, psi2, noise)
+        assert 0.0 < scaled < math.inf
+        assert _within_ulps(scaled, c * base)
+        d_alpha = distance_alpha(c * a1, c * a2, psi1, psi2, grid, noise, rho0)
+        d_full = _full(c * a1 * rho0, c * a2 * rho0, psi1, psi2, noise)
+        assert d_alpha >= d_full - 4 * math.ulp(d_full)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e155, 1e160, 1e300])
+    def test_extreme_scales(self, scale):
+        grid, noise, rho0, rng = _band(8, seed=21)
+        psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, 8))
+        psi2 = wrap_phase(rng.uniform(-np.pi, np.pi, 8))
+        for func in (distance_alpha, distance_full_known_mag):
+            unit = func(1.0, 2.0, psi1, psi2, grid, noise, rho0)
+            scaled = func(scale, 2.0 * scale, psi1, psi2, grid, noise, rho0)
+            assert scaled == pytest.approx(scale * unit, rel=1e-15, abs=0.0)
+        unit = _full(rho0, 2.0 * rho0, psi1, psi2, noise)
+        scaled = _full(scale * rho0, 2.0 * scale * rho0, psi1, psi2, noise)
+        assert scaled == pytest.approx(scale * unit, rel=1e-14, abs=0.0)
+
+
 class TestRatioTimeDelay:
+    def test_array_matches_scalar_calls(self):
+        btaus = np.concatenate([[0.0], np.geomspace(2e-3, 20.0, 150)])
+        for gamma, dpsi0 in ((1.0, 0.0), (10.0, 0.0), (1.0, math.pi / 2)):
+            batch = ratio_time_delay(gamma, dpsi0, btaus, 0.5, 1000)
+            assert batch.shape == btaus.shape
+            for bt, ratio in zip(btaus, batch):
+                single = ratio_time_delay(gamma, dpsi0, float(bt), 0.5, 1000)
+                assert isinstance(single, float)
+                assert _within_ulps(ratio, single, 1)
+
     def test_zero_delay_is_one(self):
         for dpsi0 in (0.0, 0.4, -2.0):
             for gamma in (1.0, 3.0):
@@ -273,6 +343,13 @@ class TestReport:
         grid, noise, rho0, rng = _band(6, seed=16)
         rep = report(_random_spectrum(rng, 6), _random_spectrum(rng, 6), noise)
         assert rep.d_alpha is None and rep.ratio is None and rep.omega0 is None
+
+    def test_underflowing_template_energy_named(self):
+        noise = NoiseProfile.flat(1.0, 4)
+        tiny = np.full(4, 1e-200)
+        spec = SignalSpectrum(tiny, np.zeros(4))
+        with pytest.raises(ValueError, match="underflows"):
+            report(spec, spec, noise, rho0=tiny)
 
     def test_chart_mismatch_raises(self):
         grid, noise, rho0, rng = _band(6, seed=17)

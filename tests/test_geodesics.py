@@ -27,7 +27,6 @@ from fisherband import (
     straight_line_geodesic,
     wrap_phase,
 )
-from fisherband.geodesics import _alpha_values, _phase_mix
 
 
 def _band(n, seed=0, bandwidth=0.4):
@@ -166,6 +165,18 @@ class TestEvalAlphaGeodesic:
         assert alpha == pytest.approx(math.sqrt(0.5), rel=1e-14)
         np.testing.assert_allclose(phases, math.pi / 4, rtol=1e-12)
 
+    def test_public_evaluators_agree_with_eval(self):
+        grid, noise, rho0, rng = _band(6, seed=31)
+        psi1, psi2 = _phase_pair(rng, 6, 2.0)
+        geo = solve_alpha_geodesic(0.7, 1.6, psi1, psi2, grid, noise, rho0)
+        sigmas = np.linspace(0.0, 1.0, 11)
+        for sigma, alpha, mix in zip(sigmas, geo.alpha_at(sigmas), geo.phase_mix_at(sigmas)):
+            got_alpha, got_psi = eval_alpha_geodesic(geo, sigma)
+            assert got_alpha == alpha
+            np.testing.assert_array_equal(got_psi, wrap_phase(geo.psi1 + mix * geo.dpsi))
+        assert geo.phase_mix_at(0.0) == 0.0
+        assert geo.phase_mix_at(1.0) == pytest.approx(1.0, rel=1e-12)
+
     def test_sigma_domain(self):
         grid, noise, rho0, _ = _band(4)
         geo = solve_alpha_geodesic(1.0, 2.0, np.zeros(4), np.zeros(4), grid, noise, rho0)
@@ -181,9 +192,9 @@ class TestEvalAlphaGeodesic:
         geo = solve_alpha_geodesic(0.8, 1.9, psi1, psi2, grid, noise, rho0)
         h = 1e-6
         for sigma in (0.12, 0.5, 0.83):
-            a_mid = _alpha_values(geo, np.asarray([sigma]))[0]
-            mix_plus = _phase_mix(geo, np.asarray([sigma + h]))[0]
-            mix_minus = _phase_mix(geo, np.asarray([sigma - h]))[0]
+            a_mid = geo.alpha_at(sigma)
+            mix_plus = geo.phase_mix_at(sigma + h)
+            mix_minus = geo.phase_mix_at(sigma - h)
             dpsi_dsigma = (mix_plus - mix_minus) / (2 * h) * geo.dpsi
             np.testing.assert_allclose(a_mid**2 * dpsi_dsigma, geo.c, rtol=1e-7, atol=1e-10)
 
@@ -239,9 +250,9 @@ class TestShooting:
         psi2 = np.full(6, math.pi / 2)
         geo = solve_alpha_geodesic(1.0, 1.0, psi1, psi2, grid, noise, rho0)
         shot = shoot_alpha_geodesic(1.0, 1.0, psi1, psi2, grid, noise, rho0, n_steps=500)
-        alphas = _alpha_values(geo, shot.sigmas)
+        alphas = geo.alpha_at(shot.sigmas)
         np.testing.assert_allclose(shot.coords[:, 0], alphas, atol=1e-6)
-        mix = _phase_mix(geo, shot.sigmas)
+        mix = geo.phase_mix_at(shot.sigmas)
         np.testing.assert_allclose(
             shot.coords[:, 1:], geo.psi1 + mix[:, None] * geo.dpsi, atol=1e-6
         )
@@ -256,7 +267,7 @@ class TestShooting:
         width = max(a1 * a2 * abs(math.sin(geo.delta)) / geo.k1, 1e-4)
         n_steps = int(min(max(2000, 25.0 / width), 40000))
         shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0, n_steps=n_steps)
-        alphas = _alpha_values(geo, shot.sigmas)
+        alphas = geo.alpha_at(shot.sigmas)
         assert np.max(np.abs(shot.coords[:, 0] - alphas)) < 1e-6
         length = path_length(AlphaPhaseChart(noise, rho0), shot, n_quad=8)
         assert length == pytest.approx(geo.length, rel=1e-6)
@@ -280,8 +291,8 @@ class TestPathLength:
         geo = solve_alpha_geodesic(0.9, 1.4, psi1, psi2, grid, noise, rho0)
         sig = np.linspace(0.0, 1.0, 401)
         warped = sig**2 * (3 - 2 * sig)  # smooth monotone [0,1] -> [0,1]
-        alphas = _alpha_values(geo, warped)
-        mix = _phase_mix(geo, warped)
+        alphas = geo.alpha_at(warped)
+        mix = geo.phase_mix_at(warped)
         coords = np.hstack([alphas[:, None], geo.psi1 + mix[:, None] * geo.dpsi])
         warped_path = GeodesicPath(sig, coords)
         chart = AlphaPhaseChart(noise, rho0)
@@ -396,4 +407,4 @@ class TestGeodesicPathContainer:
             geo = solve_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0)
             assert geo.delta < math.pi
             sigmas = np.linspace(0.0, 1.0, 101)
-            assert np.all(_alpha_values(geo, sigmas) > 0.0)
+            assert np.all(geo.alpha_at(sigmas) > 0.0)

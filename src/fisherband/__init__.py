@@ -8,131 +8,15 @@ full band manifold and on the known-magnitude submanifold, and verifies
 every closed form against an independent numerical oracle.
 """
 
-from .band import (
-    ChartMismatchError,
-    ConvergenceError,
-    FrequencyGrid,
-    NoiseProfile,
-    Observation,
-    SignalSpectrum,
-    Template,
-    band_energy,
-    band_from_json,
-    band_to_json,
-    build_grid,
-    load_band_csv,
-    log_likelihood,
-    phase_rms_diff,
-    sample_observation,
-    save_band_csv,
-    scaled_chord,
-    wrap_phase,
-)
-from .distances import (
-    DistanceReport,
-    distance_alpha,
-    distance_full,
-    distance_full_embedding,
-    distance_full_known_mag,
-    large_phase_limits,
-    ratio_time_delay,
-    report,
-    small_phase_equivalent,
-)
-from .figures import FIGURE_CASES, ExperimentConfig, run_figure_case, sweep_points, write_figure_csv
-from .geodesics import (
-    AlphaGeodesic,
-    AlphaPhaseChart,
-    DegenerateGeodesicWarning,
-    EmbeddingChart,
-    GeodesicPath,
-    LdgResidual,
-    ModelChart,
-    alpha_geodesic_coeff_path,
-    embedding_coords,
-    eval_alpha_geodesic,
-    ldg_residual,
-    path_length,
-    sample_alpha_geodesic,
-    save_path_csv,
-    shoot_alpha_geodesic,
-    solve_alpha_geodesic,
-    spectrum_from_embedding,
-    straight_line_geodesic,
-)
-from .metric import (
-    ChristoffelTensor,
-    FisherMatrix,
-    christoffel,
-    christoffel_fd,
-    fisher_matrix,
-    monte_carlo_fisher,
-    path_speed,
-)
-from .models import FreeSpectrumModel, KnownMagnitudeModel, ParametricSignalModel, eval_model
+# Each module's __all__ is its public surface; the package re-exports them all.
+from . import band, distances, figures, geodesics, metric, models
+from .band import *  # noqa: F403
+from .distances import *  # noqa: F403
+from .figures import *  # noqa: F403
+from .geodesics import *  # noqa: F403
+from .metric import *  # noqa: F403
+from .models import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphaGeodesic",
-    "AlphaPhaseChart",
-    "ChartMismatchError",
-    "ChristoffelTensor",
-    "ConvergenceError",
-    "DegenerateGeodesicWarning",
-    "DistanceReport",
-    "EmbeddingChart",
-    "ExperimentConfig",
-    "FIGURE_CASES",
-    "FisherMatrix",
-    "FreeSpectrumModel",
-    "FrequencyGrid",
-    "GeodesicPath",
-    "KnownMagnitudeModel",
-    "LdgResidual",
-    "ModelChart",
-    "NoiseProfile",
-    "Observation",
-    "ParametricSignalModel",
-    "SignalSpectrum",
-    "Template",
-    "alpha_geodesic_coeff_path",
-    "band_energy",
-    "band_from_json",
-    "band_to_json",
-    "build_grid",
-    "christoffel",
-    "christoffel_fd",
-    "distance_alpha",
-    "distance_full",
-    "distance_full_embedding",
-    "distance_full_known_mag",
-    "embedding_coords",
-    "eval_alpha_geodesic",
-    "eval_model",
-    "fisher_matrix",
-    "large_phase_limits",
-    "ldg_residual",
-    "load_band_csv",
-    "log_likelihood",
-    "monte_carlo_fisher",
-    "path_length",
-    "path_speed",
-    "phase_rms_diff",
-    "ratio_time_delay",
-    "report",
-    "run_figure_case",
-    "sample_alpha_geodesic",
-    "sample_observation",
-    "save_band_csv",
-    "save_path_csv",
-    "scaled_chord",
-    "shoot_alpha_geodesic",
-    "small_phase_equivalent",
-    "solve_alpha_geodesic",
-    "spectrum_from_embedding",
-    "straight_line_geodesic",
-    "sweep_points",
-    "wrap_phase",
-    "write_figure_csv",
-]
+__all__ = sorted(band.__all__ + distances.__all__ + figures.__all__ + geodesics.__all__ + metric.__all__ + models.__all__)

@@ -322,13 +322,22 @@ class Template:
     def n_freqs(self) -> int:
         return len(self.rho0)
 
-    def phase_gap(self, psi1, psi2) -> tuple[np.ndarray, float]:
-        """Wrapped per-bin phase difference ``dpsi`` and its weighted RMS ``delta``."""
+    def mean(self, values):
+        """Template-weighted mean over the last (bin) axis: ``sum(weights * values) / omega0``."""
+        return (self.weights * values).sum(axis=-1) / self.omega0
+
+    def phase_gap(self, psi1, psi2) -> tuple[np.ndarray, float | np.ndarray]:
+        """Wrapped per-bin phase difference ``dpsi`` and its weighted RMS ``delta``.
+
+        Bins run along the last axis and leading axes broadcast, one ``delta``
+        per row; a one-dimensional pair gives a float ``delta``.
+        """
         psi1 = np.asarray(psi1, dtype=float)
         psi2 = np.asarray(psi2, dtype=float)
-        _check_aligned(len(psi1), len(psi2), self.n_freqs)
+        _check_aligned(psi1.shape[-1], psi2.shape[-1], self.n_freqs)
         dpsi = wrap_phase(psi2 - psi1)
-        return dpsi, float(np.sqrt(np.sum(self.weights * dpsi**2) / self.omega0))
+        delta = np.sqrt(self.mean(dpsi * dpsi))
+        return dpsi, float(delta) if delta.ndim == 0 else delta
 
 
 def scaled_chord(a1, a2, h) -> tuple:
@@ -339,8 +348,15 @@ def scaled_chord(a1, a2, h) -> tuple:
     that brings the largest into [0.5, 1), so ``ldexp(sqrt(weight * c), e)``
     neither overflows nor underflows while the distance is a finite double,
     and in range equals the unscaled half-angle form bit for bit.
+
+    The exponent is taken per row.  Scalars and one-dimensional ``a1, a2``
+    (the bins of one spectrum) are one row with one int ``e``; from two
+    dimensions on, each leading index is a row over the last axis and ``e``
+    keeps that axis with length one, so rows of different scales do not
+    share an exponent.
     """
-    e = math.frexp(np.maximum(a1, a2).max())[1]
+    top = np.maximum(a1, a2)
+    e = math.frexp(top.max())[1] if top.ndim < 2 else np.frexp(top.max(axis=-1, keepdims=True))[1]
     a1 = np.ldexp(a1, -e)
     a2 = np.ldexp(a2, -e)
     d = a2 - a1

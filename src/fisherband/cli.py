@@ -27,13 +27,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from .acceptance import run_acceptance_suite
-from .band import NoiseProfile, build_grid, wrap_phase
-from .distances import report
+from .band import NoiseProfile, Template, build_grid, wrap_phase
+from .distances import DistanceReport, known_mag_distances
 from .figures import FIGURE_CASES, ExperimentConfig, run_figure_case, write_figure_csv
 from .geodesics import solve_alpha_geodesic
 from .metric import christoffel, fisher_matrix
@@ -160,9 +162,11 @@ def _cmd_inspect(args) -> int:
     else:
         psi1 = eval_model(models[0], models[0].xi, grid).psi
         psi2 = eval_model(models[1], models[1].xi, grid).psi
-        geo = solve_alpha_geodesic(
-            models[0].alpha, models[1].alpha, psi1, psi2, grid, noise, rho0
-        )
+        try:
+            geo = solve_alpha_geodesic(models[0].alpha, models[1].alpha, psi1, psi2, grid, noise, rho0)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         payload = geo.to_json_dict()
     text = json.dumps(payload, indent=2)
     if args.output:
@@ -174,8 +178,11 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
-def _parse_coeffs(cell: str) -> np.ndarray:
-    return np.asarray([float(part) for part in cell.split(";")], dtype=float)
+# Rows x bins per block of the distance pass; it bounds the pass's temporaries,
+# so peak memory does not grow with the number of rows.
+BUDGET = 8192
+
+PAIR_COLUMNS = ["alpha1", "phase_coeffs1", "alpha2", "phase_coeffs2"]
 
 
 def _cmd_distance(args) -> int:
@@ -188,61 +195,78 @@ def _cmd_distance(args) -> int:
     else:
         grid, noise, rho0 = _default_context()
     try:
+        template = Template(noise, rho0)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
         with open(args.pairs) as handle:
             reader = csv.DictReader(handle)
-            required = {"alpha1", "phase_coeffs1", "alpha2", "phase_coeffs2"}
-            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-                print(
-                    f"error: pairs CSV must have columns {sorted(required)}", file=sys.stderr
-                )
+            if reader.fieldnames is None or not set(PAIR_COLUMNS).issubset(reader.fieldnames):
+                print(f"error: pairs CSV must have columns {sorted(PAIR_COLUMNS)}", file=sys.stderr)
                 return 2
             pairs = list(reader)
     except OSError as exc:
         print(f"error: cannot read pairs CSV: {exc}", file=sys.stderr)
         return 2
 
-    out_rows = []
+    # every row is checked before any is evaluated, as a known-magnitude model would check it
+    n = grid.n_freqs
+    alphas, runs, flat = [], [], []
     for k, row in enumerate(pairs):
         try:
-            spectra = []
-            for side in ("1", "2"):
-                model = KnownMagnitudeModel(
-                    rho0,
-                    alpha=float(row[f"alpha{side}"]),
-                    phase_coeffs=wrap_first(_parse_coeffs(row[f"phase_coeffs{side}"])),
-                )
-                spectra.append(eval_model(model, model.xi, grid))
+            for side in "12":
+                alpha = float(row["alpha" + side])
+                # a short row leaves its missing cells None
+                coeffs = [float(part) for part in (row["phase_coeffs" + side] or "").split(";")]
+                if not (alpha > 0.0 and math.isfinite(alpha)):
+                    raise ValueError("alpha must be positive")
+                if not all(map(math.isfinite, coeffs)):
+                    raise ValueError("phase coefficients must be finite")
+                if len(coeffs) > n:
+                    raise ValueError("phase polynomial degree exceeds n_freqs - 1")
+                alphas.append(alpha)
+                runs.append(len(coeffs))
+                flat += coeffs
         except (TypeError, ValueError) as exc:
             print(f"error: bad pair on row {k + 1}: {exc}", file=sys.stderr)
             return 2
-        rep = report(spectra[0], spectra[1], noise, rho0=rho0)
-        out_rows.append(
-            {
-                "alpha1": row["alpha1"],
-                "phase_coeffs1": row["phase_coeffs1"],
-                "alpha2": row["alpha2"],
-                "phase_coeffs2": row["phase_coeffs2"],
-                **{k: ("" if v is None else repr(v)) for k, v in rep.to_json_dict().items()},
-            }
-        )
+    # coefficients held flat, one (row, side) run after another
+    alphas = np.reshape(alphas, (-1, 2))
+    flat, runs = np.asarray(flat, dtype=float), np.asarray(runs, dtype=int)
+    ends = np.cumsum(runs)
+    starts = ends - runs
+    flat[starts] = wrap_phase(flat[starts])
+
+    results = np.empty((len(alphas), 3))
+    step = max(1, BUDGET // n)
+    for lo in range(0, len(alphas), step):
+        hi = min(lo + step, len(alphas))
+        # zero-padded coefficients: Horner with trailing zeros is bit-identical to the row's own call
+        part = runs[2 * lo:2 * hi]
+        block = np.zeros((len(part), part.max()))
+        block[np.arange(part.max()) < part[:, np.newaxis]] = flat[starts[2 * lo]:ends[2 * hi - 1]]
+        with np.errstate(over="ignore", invalid="ignore"):  # a row that overflows is named below
+            phases = np.polynomial.polynomial.polyval(grid.freqs, block.T).reshape(hi - lo, 2, n)
+        finite = np.isfinite(phases).all(axis=(1, 2))
+        if not finite.all():
+            k = lo + int(np.argmin(finite)) + 1
+            print(f"error: bad pair on row {k}: phase polynomial is not finite on the grid", file=sys.stderr)
+            return 2
+        psi = wrap_phase(phases)
+        dpsi, _ = template.phase_gap(psi[:, 0], psi[:, 1])
+        results[lo:hi] = np.column_stack(known_mag_distances(template, alphas[lo:hi, 0], alphas[lo:hi, 1], dpsi))
+
     out = args.output or "distance_reports.csv"
-    fieldnames = list(out_rows[0].keys()) if out_rows else [
-        "alpha1", "phase_coeffs1", "alpha2", "phase_coeffs2",
-        "d_full", "d_alpha", "omega0", "snr1", "gamma_ratio", "delta", "ratio",
-    ]
     with open(out, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(out_rows)
-    print(f"wrote {len(out_rows)} reports to {out}")
+        writer = csv.writer(handle)
+        writer.writerow(PAIR_COLUMNS + [f.name for f in fields(DistanceReport)])
+        for row, (a1, a2), (d_full, d_alpha, delta) in zip(pairs, alphas.tolist(), results.tolist()):
+            rep = DistanceReport.known_mag(d_full, d_alpha, delta, template.omega0, a1, a2)
+            cells = ["" if v is None else repr(v) for v in rep.to_json_dict().values()]
+            writer.writerow([row[c] for c in PAIR_COLUMNS] + cells)
+    print(f"wrote {len(pairs)} reports to {out}")
     return 0
-
-
-def wrap_first(coeffs: np.ndarray) -> np.ndarray:
-    """Wrap the constant phase coefficient into its admissible interval."""
-    out = np.array(coeffs, dtype=float)
-    out[0] = wrap_phase(out[0])
-    return out
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,7 +17,9 @@ universal plateau for fast phase variation, and both scale linearly with the
 template level (square root of the signal-to-noise ratio).  Every quadratic
 form goes through :func:`~fisherband.band.scaled_chord`, in half-angle form
 and scaled by a power of two, so nearby endpoints do not cancel and the
-distances stay homogeneous over the whole double range.
+distances stay homogeneous over the whole double range.  Both known-magnitude
+distances come from one batched kernel, :func:`known_mag_distances`; the
+scalar functions and :func:`report` are views of it.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
     "distance_full",
     "distance_full_embedding",
     "distance_full_known_mag",
+    "known_mag_distances",
     "large_phase_limits",
     "ratio_time_delay",
     "report",
@@ -50,21 +53,42 @@ __all__ = [
 ]
 
 
-def _known_mag_pair(alpha1, alpha2, psi1, psi2, grid: FrequencyGrid, noise: NoiseProfile, rho0):
-    """Validated template, wrapped phase gap and its RMS for one endpoint pair."""
-    if not (alpha1 > 0.0 and alpha2 > 0.0):
+def known_mag_distances(template: Template, alpha1, alpha2, dpsi):
+    """Both known-magnitude distances of a batch of endpoint pairs: the kernel.
+
+    ``alpha1`` and ``alpha2`` are scalars or of shape ``(P,)``; ``dpsi``
+    holds the wrapped per-bin phase differences, shape ``(..., n)``.  Returns
+    ``(d_full, d_alpha, delta)``, one value per row: ``sqrt(omega0)`` times
+    the chord of :func:`~fisherband.band.scaled_chord` with ``h`` the
+    template-weighted mean of ``sin^2(dpsi/2)`` (full manifold) or
+    ``sin^2(delta/2)`` (submanifold), and the weighted RMS ``delta``.  Each
+    row is scaled by its own power of two, so every row equals its scalar
+    call however the scales in the batch differ.
+    """
+    alpha1 = np.asarray(alpha1, dtype=float)
+    alpha2 = np.asarray(alpha2, dtype=float)
+    if not ((alpha1 > 0.0).all() and (alpha2 > 0.0).all()):
         raise ValueError("endpoint attenuations must be positive")
+    dpsi = np.asarray(dpsi, dtype=float)
+    if dpsi.shape[-1] != template.n_freqs:
+        raise ValueError("misaligned band inputs")
+    half = np.sin(0.5 * dpsi)
+    delta = np.sqrt(template.mean(dpsi * dpsi))
+    half_delta = np.sin(0.5 * delta)
+    # (1 - C) / 2 as a weighted mean of sin^2(dpsi/2): stable near C = 1
+    h = np.stack([template.mean(half * half), half_delta * half_delta], axis=-1)
+    c, e = scaled_chord(alpha1[..., np.newaxis], alpha2[..., np.newaxis], h)
+    d = np.ldexp(np.sqrt(template.omega0 * c), e)
+    return d[..., 0], d[..., 1], delta
+
+
+def _pair(alpha1, alpha2, psi1, psi2, grid: FrequencyGrid, noise: NoiseProfile, rho0):
+    """The template and the kernel's ``d_full, d_alpha, delta`` for one endpoint pair."""
     template = Template(noise, rho0)
     if grid.n_freqs != template.n_freqs:
         raise ValueError("misaligned band inputs")
-    dpsi, delta = template.phase_gap(psi1, psi2)
-    return template, dpsi, delta
-
-
-def _chord_distance(omega0: float, alpha1: float, alpha2: float, h: float) -> float:
-    """``sqrt(omega0) * chord`` for half-angle sine square h."""
-    c, e = scaled_chord(alpha1, alpha2, h)
-    return math.ldexp(math.sqrt(omega0 * c), e)
+    dpsi, _ = template.phase_gap(psi1, psi2)
+    return (template, *map(float, known_mag_distances(template, alpha1, alpha2, dpsi)))
 
 
 def distance_full(s1: SignalSpectrum, s2: SignalSpectrum, noise: NoiseProfile) -> float:
@@ -98,9 +122,8 @@ def distance_alpha(
     ``sqrt(omega0) * sqrt(alpha2^2 + alpha1^2 - 2 alpha1 alpha2 cos delta)``
     with delta the weighted RMS wrapped phase difference.
     """
-    template, _, delta = _known_mag_pair(alpha1, alpha2, psi1, psi2, grid, noise, rho0)
-    half = math.sin(0.5 * delta)
-    return _chord_distance(template.omega0, alpha1, alpha2, half * half)
+    _, _, d_alpha, _ = _pair(alpha1, alpha2, psi1, psi2, grid, noise, rho0)
+    return d_alpha
 
 
 def distance_full_known_mag(
@@ -112,10 +135,8 @@ def distance_full_known_mag(
     is the template-weighted mean of cos(dpsi); equals :func:`distance_full`
     on the induced spectra.
     """
-    template, dpsi, _ = _known_mag_pair(alpha1, alpha2, psi1, psi2, grid, noise, rho0)
-    # (1 - C) / 2 as a weighted mean of sin^2(dpsi/2): stable near C = 1
-    h = float(np.sum(template.weights * np.sin(0.5 * dpsi) ** 2) / template.omega0)
-    return _chord_distance(template.omega0, alpha1, alpha2, h)
+    _, d_full, _, _ = _pair(alpha1, alpha2, psi1, psi2, grid, noise, rho0)
+    return d_full
 
 
 def small_phase_equivalent(
@@ -125,12 +146,13 @@ def small_phase_equivalent(
 
     ``sqrt(SNR1) * sqrt((gamma - 1)^2 + gamma * delta^2)`` with
     gamma = alpha2/alpha1 and SNR1 = omega0 * alpha1^2; both exact distances
-    divided by this tend to one as the phase differences shrink.
+    divided by this tend to one as the phase differences shrink.  Evaluated
+    as ``sqrt(omega0)`` times the chord with ``h = (delta/2)^2``, the limit of
+    ``sin^2(delta/2)``, so it is homogeneous of degree one in the attenuations.
     """
-    template, _, delta = _known_mag_pair(alpha1, alpha2, psi1, psi2, grid, noise, rho0)
-    gamma = alpha2 / alpha1
-    snr1 = template.omega0 * alpha1**2
-    return math.sqrt(snr1 * ((gamma - 1.0) ** 2 + gamma * delta**2))
+    template, _, _, delta = _pair(alpha1, alpha2, psi1, psi2, grid, noise, rho0)
+    c, e = scaled_chord(alpha1, alpha2, (0.5 * delta) ** 2)
+    return float(np.ldexp(math.sqrt(template.omega0 * c), e))
 
 
 def large_phase_limits(gamma_ratio: float, snr1: float) -> tuple[float, float]:
@@ -207,12 +229,32 @@ class DistanceReport:
             if self.d_alpha < self.d_full - 1e-12 * (1.0 + self.d_full):
                 raise ValueError("submanifold distance fell below the full distance")
 
+    @classmethod
+    def known_mag(cls, d_full, d_alpha, delta, omega0, alpha1, alpha2) -> "DistanceReport":
+        """Report of a known-magnitude pair from the kernel's outputs.
+
+        ``snr1 = omega0 alpha1^2`` is formed on the mantissa of ``alpha1``, so
+        it is inf only when its value exceeds the double range.
+        """
+        mant, e = math.frexp(alpha1)
+        with np.errstate(over="ignore"):
+            snr1 = float(np.ldexp(omega0 * (mant * mant), 2 * e))
+        ratio = d_alpha / d_full if d_full > 0.0 else None
+        return cls(d_full=d_full, d_alpha=d_alpha, omega0=omega0, snr1=snr1,
+                   gamma_ratio=alpha2 / alpha1, delta=delta, ratio=ratio)
+
     def to_json_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _fit_attenuation(rho: np.ndarray, rho0: np.ndarray) -> float:
-    """Least-squares scale of rho against a validated template, with residual gate."""
+    """Least-squares scale of rho against a validated template, with residual gate.
+
+    rho is first scaled by the power of two of its largest bin (exactly), so
+    the norms of the gate do not overflow for any finite magnitude.
+    """
+    e = math.frexp(float(np.max(rho)))[1]
+    rho = np.ldexp(rho, -e)
     alpha = float(np.dot(rho, rho0)) / float(np.dot(rho0, rho0))
     scale = float(np.linalg.norm(rho))
     resid = float(np.linalg.norm(rho - alpha * rho0))
@@ -220,7 +262,9 @@ def _fit_attenuation(rho: np.ndarray, rho0: np.ndarray) -> float:
         raise ChartMismatchError("magnitude is not proportional to the template")
     if alpha <= 0.0:
         raise ChartMismatchError("fitted attenuation is not positive")
-    return alpha
+    if math.frexp(alpha)[1] + e > 1024:
+        raise ValueError("fitted attenuation exceeds the double range")
+    return math.ldexp(alpha, e)
 
 
 def report(
@@ -238,17 +282,6 @@ def report(
     template = Template(noise, rho0)
     alpha1 = _fit_attenuation(s1.rho, template.rho0)
     alpha2 = _fit_attenuation(s2.rho, template.rho0)
-    _, delta = template.phase_gap(s1.psi, s2.psi)
-    half = math.sin(0.5 * delta)
-    d_alpha = _chord_distance(template.omega0, alpha1, alpha2, half * half)
-    ratio = d_alpha / d_full if d_full > 0.0 else None
-    return DistanceReport(
-        d_full=d_full,
-        d_alpha=d_alpha,
-        omega0=template.omega0,
-        snr1=template.omega0 * alpha1**2,
-        gamma_ratio=alpha2 / alpha1,
-        delta=delta,
-        ratio=ratio,
-    )
-
+    dpsi, _ = template.phase_gap(s1.psi, s2.psi)
+    _, d_alpha, delta = known_mag_distances(template, alpha1, alpha2, dpsi)
+    return DistanceReport.known_mag(d_full, float(d_alpha), float(delta), template.omega0, alpha1, alpha2)

@@ -42,9 +42,9 @@ from .band import (
     NoiseProfile,
     SignalSpectrum,
     Template,
-    scaled_chord,
     wrap_phase,
 )
+from .distances import known_mag_distances
 from .metric import fisher_matrix
 from .models import ParametricSignalModel
 
@@ -311,19 +311,18 @@ def solve_alpha_geodesic(
     in [0, pi].  ``delta = pi`` yields the degenerate solution whose
     attenuation touches zero inside (0, 1); it is returned with a warning.
     """
-    if not (alpha1 > 0.0 and alpha2 > 0.0):
-        raise ValueError("endpoint attenuations must be positive")
     psi1 = wrap_phase(np.asarray(psi1, dtype=float))
     psi2 = wrap_phase(np.asarray(psi2, dtype=float))
     template = Template(noise, rho0)
     if grid.n_freqs != template.n_freqs:
         raise ValueError("misaligned band inputs")
-    dpsi, delta = template.phase_gap(psi1, psi2)
+    dpsi, _ = template.phase_gap(psi1, psi2)
+    _, length, delta = map(float, known_mag_distances(template, alpha1, alpha2, dpsi))
 
+    # k1 is the squared chord: the squared speed length^2 in units of omega0
+    k1 = length * (length / template.omega0)
     half = math.sin(0.5 * delta)
     h = half * half
-    scaled, e = scaled_chord(alpha1, alpha2, h)
-    k1 = math.ldexp(scaled, 2 * e)
     K = (alpha1 * alpha2 * math.sin(delta)) ** 2
     if k1 == 0.0:
         # coincident endpoints: the constant path

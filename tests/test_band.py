@@ -297,6 +297,18 @@ class TestTemplate:
         with pytest.raises(ValueError, match=fragment):
             Template(NoiseProfile.flat(1.0, 3), rho0)
 
+    def test_phase_gap_broadcasts_over_rows(self):
+        noise, rho0, rng = self._pair()
+        psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, (3, 12)))
+        psi2 = wrap_phase(rng.uniform(-np.pi, np.pi, (3, 12)))
+        template = Template(noise, rho0)
+        dpsi, delta = template.phase_gap(psi1, psi2)
+        assert dpsi.shape == (3, 12) and delta.shape == (3,)
+        for k in range(3):
+            row_dpsi, row_delta = template.phase_gap(psi1[k], psi2[k])
+            assert isinstance(row_delta, float)
+            assert np.array_equal(dpsi[k], row_dpsi) and delta[k] == row_delta
+
     def test_phase_gap_rejects_misaligned_phases(self):
         noise, rho0, _ = self._pair(4)
         with pytest.raises(ValueError, match="misaligned"):
@@ -326,6 +338,17 @@ class TestScaledChord:
         c, e = scaled_chord(rho1, rho2, np.array([0.0, 0.5, 1.0]))
         assert e == math.frexp(2e150)[1]
         np.testing.assert_allclose(np.ldexp(c, 2 * e) / 1e300, [1.0, 1e-20, 0.36], rtol=1e-14)
+
+
+    def test_rows_take_their_own_exponent(self):
+        scales = np.array([[1e-200], [1.0], [1e200]])
+        h = np.array([[0.0, 0.25], [0.5, 0.75], [1.0, 0.125]])
+        c, e = scaled_chord(scales, 3.0 * scales, h)
+        assert c.shape == (3, 2) and e.shape == (3, 1)
+        for k, scale in enumerate(scales[:, 0]):
+            for j in range(2):
+                row_c, row_e = scaled_chord(float(scale), 3.0 * float(scale), float(h[k, j]))
+                assert c[k, j] == row_c and e[k, 0] == row_e
 
 
 class TestSerialization:

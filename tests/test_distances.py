@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,14 +12,17 @@ from fisherband import (
     ChartMismatchError,
     NoiseProfile,
     SignalSpectrum,
+    Template,
     band_energy,
     build_grid,
     distance_alpha,
     distance_full,
     distance_full_embedding,
     distance_full_known_mag,
+    known_mag_distances,
     large_phase_limits,
     path_length,
+    phase_rms_diff,
     ratio_time_delay,
     report,
     sample_alpha_geodesic,
@@ -293,13 +298,71 @@ class TestHomogeneity:
         grid, noise, rho0, rng = _band(8, seed=21)
         psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, 8))
         psi2 = wrap_phase(rng.uniform(-np.pi, np.pi, 8))
-        for func in (distance_alpha, distance_full_known_mag):
+        for func in (distance_alpha, distance_full_known_mag, small_phase_equivalent):
             unit = func(1.0, 2.0, psi1, psi2, grid, noise, rho0)
             scaled = func(scale, 2.0 * scale, psi1, psi2, grid, noise, rho0)
             assert scaled == pytest.approx(scale * unit, rel=1e-15, abs=0.0)
         unit = _full(rho0, 2.0 * rho0, psi1, psi2, noise)
         scaled = _full(scale * rho0, 2.0 * scale * rho0, psi1, psi2, noise)
         assert scaled == pytest.approx(scale * unit, rel=1e-14, abs=0.0)
+        base = report(SignalSpectrum(rho0, psi1), SignalSpectrum(2.0 * rho0, psi2), noise, rho0=rho0)
+        rep = report(SignalSpectrum(scale * rho0, psi1), SignalSpectrum(2.0 * scale * rho0, psi2), noise, rho0=rho0)
+        assert rep.d_alpha == pytest.approx(scale * base.d_alpha, rel=1e-14, abs=0.0)
+        assert rep.ratio == pytest.approx(base.ratio, rel=1e-12)
+        assert rep.gamma_ratio == pytest.approx(2.0, rel=1e-14)
+        # snr1 is inf only where omega0 * alpha1^2 exceeds the double range
+        exact = Fraction(rep.omega0) * Fraction(scale) ** 2
+        if exact > sys.float_info.max:
+            assert rep.snr1 == math.inf
+        else:
+            assert rep.snr1 == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+
+
+class TestKnownMagKernel:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=16),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.lists(st.sampled_from([1e-200, 1.0, 1e200]), min_size=6, max_size=6),
+    )
+    def test_rows_equal_scalar_calls(self, n, n_rows, seed, scales):
+        rng = np.random.default_rng(seed)
+        grid = build_grid(0.25, 0.4, n)
+        noise = NoiseProfile(rng.uniform(0.5, 2.0, n))
+        rho0 = rng.uniform(0.1, 2.0, n)
+        psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, (n_rows, n)))
+        psi2 = wrap_phase(rng.uniform(-np.pi, np.pi, (n_rows, n)))
+        # a batch that mixes scales 1e-200, 1 and 1e200 across its rows
+        a1 = np.array(scales[:n_rows]) * rng.uniform(0.1, 10.0, n_rows)
+        a2 = a1 * rng.uniform(0.1, 10.0, n_rows)
+        template = Template(noise, rho0)
+        dpsi, _ = template.phase_gap(psi1, psi2)
+        d_full, d_alpha, delta = known_mag_distances(template, a1, a2, dpsi)
+        assert d_full.shape == d_alpha.shape == delta.shape == (n_rows,)
+        for k in range(n_rows):
+            args = (float(a1[k]), float(a2[k]), psi1[k], psi2[k], grid, noise, rho0)
+            assert _within_ulps(d_full[k], distance_full_known_mag(*args), 1)
+            assert _within_ulps(d_alpha[k], distance_alpha(*args), 1)
+            assert _within_ulps(delta[k], phase_rms_diff(psi1[k], psi2[k], noise, rho0), 1)
+            assert 0.0 < d_full[k] <= d_alpha[k] * (1.0 + 1e-15) < math.inf
+
+    def test_scalar_attenuations_broadcast_over_rows(self):
+        grid, noise, rho0, rng = _band(5, seed=22)
+        dpsi = wrap_phase(rng.uniform(-np.pi, np.pi, (4, 5)))
+        template = Template(noise, rho0)
+        batch = known_mag_distances(template, 0.7, 1.9, dpsi)
+        for k in range(4):
+            single = known_mag_distances(template, 0.7, 1.9, dpsi[k])
+            assert all(b[k] == v for b, v in zip(batch, single))
+
+    @pytest.mark.parametrize(
+        "alpha1,width,fragment", [(0.0, 5, "positive"), (np.array([1.0, -1.0]), 5, "positive"), (1.0, 4, "misaligned")]
+    )
+    def test_validation(self, alpha1, width, fragment):
+        grid, noise, rho0, _ = _band(5, seed=23)
+        with pytest.raises(ValueError, match=fragment):
+            known_mag_distances(Template(noise, rho0), alpha1, 1.0, np.zeros((2, width)))
 
 
 class TestRatioTimeDelay:
@@ -357,6 +420,20 @@ class TestReport:
         good = SignalSpectrum(2.0 * rho0, np.zeros(6))
         with pytest.raises(ChartMismatchError):
             report(good, bad, noise, rho0=rho0)
+
+    def test_chart_mismatch_raises_beyond_squared_overflow(self):
+        # the norms of the residual gate would overflow to inf at this scale
+        grid, noise, rho0, rng = _band(6, seed=24)
+        good = SignalSpectrum(1e140 * rho0, np.zeros(6))
+        bad = SignalSpectrum(1e160 * (rho0 + rng.uniform(0.1, 0.2, 6)), np.zeros(6))
+        with pytest.raises(ChartMismatchError, match="not proportional"):
+            report(good, bad, noise, rho0=rho0)
+
+    def test_attenuation_beyond_double_range_named(self):
+        noise, tiny = NoiseProfile.flat(1.0, 4), np.full(4, 1e-10)
+        s1, s2 = SignalSpectrum(np.full(4, 1e300), np.zeros(4)), SignalSpectrum(np.full(4, 2e300), np.zeros(4))
+        with pytest.raises(ValueError, match="exceeds the double range"):
+            report(s1, s2, noise, rho0=tiny)
 
     def test_homothety(self):
         grid, noise, rho0, rng = _band(12, seed=18)

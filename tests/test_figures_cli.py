@@ -7,6 +7,7 @@ import pytest
 
 from fisherband import (
     FIGURE_CASES,
+    DistanceReport,
     ExperimentConfig,
     NoiseProfile,
     SignalSpectrum,
@@ -18,7 +19,7 @@ from fisherband import (
     wrap_phase,
     write_figure_csv,
 )
-from fisherband.cli import ModelFileError, load_model_file, main
+from fisherband.cli import PAIR_COLUMNS, ModelFileError, load_model_file, main
 from fisherband.figures import FIGURE_CSV_HEADER
 
 
@@ -280,6 +281,58 @@ class TestCli:
         rep = report(s1, s2, noise, rho0=rho0)
         assert float(rows[0]["d_full"]) == pytest.approx(rep.d_full, rel=1e-15)
         assert float(rows[0]["d_alpha"]) == pytest.approx(rep.d_alpha, rel=1e-15)
+
+    def test_distance_header_only(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("alpha1,phase_coeffs1,alpha2,phase_coeffs2\n")
+        out = tmp_path / "reports.csv"
+        assert main(["distance", str(pairs), "--output", str(out)]) == 0
+        header = PAIR_COLUMNS + list(DistanceReport(d_full=0.0).to_json_dict())
+        assert out.read_text().splitlines() == [",".join(header)]
+
+    @pytest.mark.parametrize(
+        "bad_row,fragment",
+        [
+            ("0.0,0.0,1.0,0.0", "alpha must be positive"),
+            ("1.0,0.0;nan,1.0,0.0", "phase coefficients must be finite"),
+            ("1.0,0.0,1.0,0;1;2;3;4;5;6", "degree exceeds"),
+            ("1.0,0.0,1.0", "could not convert"),
+            ("1.0,0.0;1.7e308;1.7e308,1.0,0.0", "not finite on the grid"),
+        ],
+    )
+    def test_distance_bad_row_named(self, model_file, tmp_path, capsys, bad_row, fragment):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("alpha1,phase_coeffs1,alpha2,phase_coeffs2\n1.0,0.0,2.0,0.5\n" + bad_row + "\n")
+        out = tmp_path / "reports.csv"
+        assert main(["distance", str(pairs), "--model", str(model_file), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bad pair on row 2" in err and fragment in err
+        assert not out.exists()
+
+    def test_distance_extreme_attenuations(self, model_file, tmp_path, capsys):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("alpha1,phase_coeffs1,alpha2,phase_coeffs2\n1e160,0.2;1.0,2e160,0.6;2.5\n1.0,0.2;1.0,2.0,0.6;2.5\n")
+        out = tmp_path / "reports.csv"
+        assert main(["distance", str(pairs), "--model", str(model_file), "--output", str(out)]) == 0
+        with open(out) as handle:
+            huge, unit = list(csv.DictReader(handle))
+        for key in ("d_full", "d_alpha"):
+            assert float(huge[key]) == pytest.approx(1e160 * float(unit[key]), rel=1e-14)
+        assert float(huge["snr1"]) == math.inf  # omega0 * 1e320 exceeds the double range
+
+    @pytest.mark.parametrize("argv", [["inspect", "geodesic"], ["distance", "pairs.csv", "--model"]])
+    def test_zero_energy_template_is_an_error(self, tmp_path, monkeypatch, capsys, argv):
+        payload = {
+            "grid": {"nu0": 0.25, "bandwidth_B": 0.4, "n_freqs": 3},
+            "noise": {"gamma0": 2.0},
+            "rho0": 0.0,
+            "endpoints": [{"alpha": 1.0, "phase_coeffs": [0.0]}, {"alpha": 2.0, "phase_coeffs": [0.5]}],
+        }
+        (tmp_path / "model.json").write_text(json.dumps(payload))
+        (tmp_path / "pairs.csv").write_text("alpha1,phase_coeffs1,alpha2,phase_coeffs2\n1.0,0.0,2.0,0.5\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["model.json"]) == 2
+        assert "error: template energy must be positive" in capsys.readouterr().err
 
     def test_distance_bad_header(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.csv"

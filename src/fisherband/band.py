@@ -307,9 +307,12 @@ class Template:
     omega0: float = field(init=False)
 
     def __post_init__(self):
-        rho0, weights = _template_weights(self.noise, _readonly(self.rho0))
+        with np.errstate(over="ignore"):
+            rho0, weights = _template_weights(self.noise, _readonly(self.rho0))
+            omega0 = float(np.sum(weights))
         weights.flags.writeable = False
-        omega0 = float(np.sum(weights))
+        if not math.isfinite(omega0):
+            raise ValueError("template weights overflow: (2/gamma0) rho0^2 or their sum omega0 is not finite")
         if not omega0 > 0.0:
             if np.any(rho0 > 0.0):
                 raise ValueError("template energy must be positive, but (2/gamma0) rho0^2 underflows to zero")

@@ -434,37 +434,60 @@ def save_path_csv(path_or_buf, path: GeodesicPath) -> None:
 # -- shooting oracle ---------------------------------------------------------
 
 
-def _integrate_alpha_ode(alpha1: float, slope: float, K: float, n_steps: int):
-    """Fixed-step RK4 for (alpha' = v, v' = K/alpha^3, theta' = 1/alpha^2).
+def _rk4_alpha_end(alpha1: float, slope: float, K: float, n_steps: int):
+    """Fixed-step RK4 for (alpha' = v, v' = K/alpha^3): the final alpha only.
 
-    Returns the per-step arrays (alpha, theta); non-finite blow-ups abort
-    with None so the shooting loop can back off.
+    ``_rk4_alpha_path``'s arithmetic without theta, so bit for bit its last
+    alpha; a non-finite or non-positive alpha aborts with None.
     """
     h = 1.0 / n_steps
-    alphas = np.empty(n_steps + 1)
-    thetas = np.empty(n_steps + 1)
+    hh = 0.5 * h
+    inf = math.inf
+    a, v = float(alpha1), float(slope)
+    for _ in range(n_steps):
+        if not (0.0 < a < inf and -inf < v < inf):
+            return None
+        dv1 = K / a**3
+        a2, v2 = a + hh * v, v + hh * dv1
+        dv2 = K / a2**3
+        a3, v3 = a + hh * v2, v + hh * dv2
+        dv3 = K / a3**3
+        a4, v4 = a + h * v3, v + h * dv3
+        dv4 = K / a4**3
+        a += h * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
+        v += h * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4) / 6.0
+    return a if 0.0 < a < inf else None
+
+
+def _rk4_alpha_path(alpha1: float, slope: float, K: float, n_steps: int):
+    """Fixed-step RK4 for (alpha' = v, v' = K/alpha^3, theta' = 1/alpha^2).
+
+    Returns the per-step arrays (alpha, theta), or (None, None) where
+    ``_rk4_alpha_end`` returns None.
+    """
+    h = 1.0 / n_steps
+    hh = 0.5 * h
+    inf = math.inf
     a, v, theta = float(alpha1), float(slope), 0.0
-    alphas[0] = a
-    thetas[0] = theta
-
-    def rhs(a, v):
-        return v, K / a**3, 1.0 / a**2
-
-    for step in range(1, n_steps + 1):
-        if not (a > 0.0 and math.isfinite(a) and math.isfinite(v)):
+    alphas, thetas = [a], [theta]
+    for _ in range(n_steps):
+        if not (0.0 < a < inf and -inf < v < inf):
             return None, None
-        da1, dv1, dt1 = rhs(a, v)
-        da2, dv2, dt2 = rhs(a + 0.5 * h * da1, v + 0.5 * h * dv1)
-        da3, dv3, dt3 = rhs(a + 0.5 * h * da2, v + 0.5 * h * dv2)
-        da4, dv4, dt4 = rhs(a + h * da3, v + h * dv3)
-        a += h * (da1 + 2.0 * da2 + 2.0 * da3 + da4) / 6.0
+        dv1, dt1 = K / a**3, 1.0 / a**2
+        a2, v2 = a + hh * v, v + hh * dv1
+        dv2, dt2 = K / a2**3, 1.0 / a2**2
+        a3, v3 = a + hh * v2, v + hh * dv2
+        dv3, dt3 = K / a3**3, 1.0 / a3**2
+        a4, v4 = a + h * v3, v + h * dv3
+        dv4, dt4 = K / a4**3, 1.0 / a4**2
+        a += h * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
         v += h * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4) / 6.0
         theta += h * (dt1 + 2.0 * dt2 + 2.0 * dt3 + dt4) / 6.0
-        alphas[step] = a
-        thetas[step] = theta
-    if not (math.isfinite(a) and a > 0.0):
+        alphas.append(a)
+        thetas.append(theta)
+    if not 0.0 < a < inf:
         return None, None
-    return alphas, thetas
+    return np.array(alphas), np.array(thetas)
 
 
 def shoot_alpha_geodesic(
@@ -506,31 +529,29 @@ def shoot_alpha_geodesic(
     tol = 1e-9
 
     def miss(slope):
-        alphas, thetas = _integrate_alpha_ode(alpha1, slope, K, n_steps)
-        if alphas is None:
-            return None, None, None
-        return alphas[-1] - alpha2, alphas, thetas
+        end = _rk4_alpha_end(alpha1, slope, K, n_steps)
+        return None if end is None else end - alpha2
 
     def secant(s0, s1):
-        f0, _, _ = miss(s0)
-        f1, a1, t1 = miss(s1)
+        f0, f1 = miss(s0), miss(s1)
         for _ in range(100):
             if f1 is not None and abs(f1) < tol:
-                return s1, a1, t1
+                alphas, thetas = _rk4_alpha_path(alpha1, s1, K, n_steps)
+                return s1, alphas, thetas
             if f0 is None:
                 # previous point blew up; walk away from it
                 s0, f0 = s1, f1
                 s1 = s1 + 0.5 * (1.0 + abs(s1))
-                f1, a1, t1 = miss(s1)
+                f1 = miss(s1)
                 continue
             if f1 is None or f1 == f0:
                 s1 = 0.5 * (s0 + s1)
-                f1, a1, t1 = miss(s1)
+                f1 = miss(s1)
                 continue
             s_next = s1 - f1 * (s1 - s0) / (f1 - f0)
             s0, f0 = s1, f1
             s1 = s_next
-            f1, a1, t1 = miss(s1)
+            f1 = miss(s1)
         raise ConvergenceError("shooting failed to reach the endpoint in 100 iterations")
 
     root_k = math.sqrt(K)
@@ -539,26 +560,23 @@ def shoot_alpha_geodesic(
     def advance_gap(thetas):
         return root_k * thetas[-1] - delta
 
-    def polish(slope):
+    def polish(s):
         # Newton on the phase advance with a finite-difference derivative
-        s = slope
-        result = miss(s)
         for _ in range(50):
-            f_val, alphas, thetas = result
-            if f_val is None:
+            alphas, thetas = _rk4_alpha_path(alpha1, s, K, n_steps)
+            if alphas is None:
                 return None
             gap = advance_gap(thetas)
             if abs(gap) <= 0.01 * phase_tol:
                 return s, alphas, thetas
             h = 1e-7 * (1.0 + abs(s))
-            bumped = miss(s + h)
-            if bumped[0] is None:
+            bumped = _rk4_alpha_path(alpha1, s + h, K, n_steps)[1]
+            if bumped is None:
                 return None
-            rate = (advance_gap(bumped[2]) - gap) / h
+            rate = (advance_gap(bumped) - gap) / h
             if rate == 0.0 or not math.isfinite(rate):
                 return None
             s = s - gap / rate
-            result = miss(s)
         return None
 
     s0 = alpha2 - alpha1

@@ -32,6 +32,9 @@ __all__ = [
     "path_speed",
 ]
 
+# byte budget of one Monte Carlo sample chunk
+_MC_CHUNK_BYTES = 32 * 2**20
+
 
 @dataclass(frozen=True)
 class FisherMatrix:
@@ -202,9 +205,11 @@ def monte_carlo_fisher(
 
     Observations are drawn at ``xi`` and the score uses the model's analytic
     partials, so the expectation over the noise is the only stochastic
-    element.  Sampling is chunked with a fixed chunk size from a single
-    generator stream, which makes the reduction order (and hence the result)
-    deterministic for a given seed.
+    element.  Samples are drawn from a single generator stream in chunks of
+    at most 8192 rows whose size follows from ``n_freqs`` and ``n_params``
+    under a fixed byte budget, and each chunk adds the Gram sums of its
+    scores and their squares; the reduction order (and hence the result)
+    is deterministic for a given seed and model size.
 
     Returns the dense N x N estimate; with ``return_stderr=True`` also the
     per-entry standard error of the mean.
@@ -221,7 +226,9 @@ def monte_carlo_fisher(
     scale = np.sqrt(0.5 * noise.gamma0)
 
     rng = np.random.default_rng(seed)
-    chunk = 8192
+    # bytes per sample row: 64 per bin (draws, complex noise, temporaries)
+    # and 32 per parameter (complex score, real score, its square)
+    chunk = max(1, min(8192, _MC_CHUNK_BYTES // (64 * grid.n_freqs + 32 * n_params)))
     acc = np.zeros((n_params, n_params))
     acc_sq = np.zeros((n_params, n_params))
     remaining = int(n_samples)
@@ -231,9 +238,10 @@ def monte_carlo_fisher(
         noise_draw = scale * (z[:, 0] + 1j * z[:, 1])
         # score_i = sum_nu (2/gamma0) Re{ n* ds/dxi^i }
         scores = (noise_draw.conj() @ (d_sig * w).T).real
-        outer = np.einsum("si,sj->sij", scores, scores)
-        acc += outer.sum(axis=0)
-        acc_sq += (outer**2).sum(axis=0)
+        squares = scores * scores
+        # Gram sums of the score outer products and of their squares
+        acc += scores.T @ scores
+        acc_sq += squares.T @ squares
         remaining -= m
     estimate = acc / n_samples
     if not return_stderr:

@@ -16,6 +16,7 @@ from fisherband import (
     band_from_json,
     band_to_json,
     build_grid,
+    distance_alpha,
     load_band_csv,
     log_likelihood,
     phase_rms_diff,
@@ -296,6 +297,21 @@ class TestTemplate:
     def test_validation(self, rho0, fragment):
         with pytest.raises(ValueError, match=fragment):
             Template(NoiseProfile.flat(1.0, 3), rho0)
+
+    @pytest.mark.parametrize(
+        "gamma0,rho0",
+        [
+            (1.0, [1e160, 1e160, 1e160, 1e160]),  # each weight overflows
+            (2.0, [1.2e154, 1.2e154, 1.2e154, 1.2e154]),  # finite weights, their sum overflows
+        ],
+    )
+    def test_overflow_named(self, gamma0, rho0):
+        noise = NoiseProfile.flat(gamma0, 4)
+        with pytest.raises(ValueError, match="overflow"):
+            Template(noise, rho0)
+        grid = build_grid(0.25, 0.4, 4)
+        with pytest.raises(ValueError, match="overflow"):
+            distance_alpha(1.0, 2.0, np.zeros(4), np.full(4, 0.5), grid, noise, np.asarray(rho0))
 
     def test_phase_gap_broadcasts_over_rows(self):
         noise, rho0, rng = self._pair()

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fisherband import (
     AlphaPhaseChart,
+    ConvergenceError,
     DegenerateGeodesicWarning,
     EmbeddingChart,
     FreeSpectrumModel,
@@ -13,6 +16,7 @@ from fisherband import (
     ModelChart,
     NoiseProfile,
     SignalSpectrum,
+    Template,
     alpha_geodesic_coeff_path,
     band_energy,
     build_grid,
@@ -27,6 +31,7 @@ from fisherband import (
     straight_line_geodesic,
     wrap_phase,
 )
+from fisherband.geodesics import _rk4_alpha_end, _rk4_alpha_path
 
 
 def _band(n, seed=0, bandwidth=0.4):
@@ -44,6 +49,109 @@ def _phase_pair(rng, n, amplitude, mode="uniform"):
     else:
         dpsi = rng.uniform(-amplitude, amplitude, n)
     return psi1, wrap_phase(psi1 + dpsi)
+
+
+def _textbook_rk4(alpha1, slope, K, n_steps):
+    """Reference RK4 for (alpha' = v, v' = K/alpha^3, theta' = 1/alpha^2):
+    one ``rhs()`` call per stage, per-step arrays, None on a blow-up."""
+    h = 1.0 / n_steps
+    alphas = np.empty(n_steps + 1)
+    thetas = np.empty(n_steps + 1)
+    a, v, theta = float(alpha1), float(slope), 0.0
+    alphas[0] = a
+    thetas[0] = theta
+
+    def rhs(a, v):
+        return v, K / a**3, 1.0 / a**2
+
+    for step in range(1, n_steps + 1):
+        if not (a > 0.0 and math.isfinite(a) and math.isfinite(v)):
+            return None, None
+        da1, dv1, dt1 = rhs(a, v)
+        da2, dv2, dt2 = rhs(a + 0.5 * h * da1, v + 0.5 * h * dv1)
+        da3, dv3, dt3 = rhs(a + 0.5 * h * da2, v + 0.5 * h * dv2)
+        da4, dv4, dt4 = rhs(a + h * da3, v + h * dv3)
+        a += h * (da1 + 2.0 * da2 + 2.0 * da3 + da4) / 6.0
+        v += h * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4) / 6.0
+        theta += h * (dt1 + 2.0 * dt2 + 2.0 * dt3 + dt4) / 6.0
+        alphas[step] = a
+        thetas[step] = theta
+    if not (math.isfinite(a) and a > 0.0):
+        return None, None
+    return alphas, thetas
+
+
+def _textbook_shoot(alpha1, alpha2, psi1, psi2, noise, rho0, n_steps):
+    """The shooting oracle's secant, mirrored restart and polish, every trial
+    slope integrated in full by ``_textbook_rk4``.  Returns the path
+    coordinates and the refinements taken."""
+    psi1, psi2 = wrap_phase(psi1), wrap_phase(psi2)
+    dpsi, delta = Template(noise, rho0).phase_gap(psi1, psi2)
+    K = (alpha1 * alpha2 * math.sin(delta)) ** 2
+    c = math.sqrt(K) * dpsi / delta
+    root_k = math.sqrt(K)
+    phase_tol = 1e-6 * (1.0 + delta)
+    route = []
+
+    def run(slope):
+        alphas, thetas = _textbook_rk4(alpha1, slope, K, n_steps)
+        return (None, None, None) if alphas is None else (alphas[-1] - alpha2, alphas, thetas)
+
+    def gap(thetas):
+        return root_k * thetas[-1] - delta
+
+    def secant(s0, s1):
+        f0, _, _ = run(s0)
+        f1, a1, t1 = run(s1)
+        for _ in range(100):
+            if f1 is not None and abs(f1) < 1e-9:
+                return s1, a1, t1
+            if f0 is None:
+                s0, f0 = s1, f1
+                s1 = s1 + 0.5 * (1.0 + abs(s1))
+            elif f1 is None or f1 == f0:
+                s1 = 0.5 * (s0 + s1)
+            else:
+                s0, s1, f0 = s1, s1 - f1 * (s1 - s0) / (f1 - f0), f1
+            f1, a1, t1 = run(s1)
+        raise ConvergenceError("no root")
+
+    def polish(s):
+        f, alphas, thetas = run(s)
+        for _ in range(50):
+            if f is None:
+                return None
+            g = gap(thetas)
+            if abs(g) <= 0.01 * phase_tol:
+                return s, alphas, thetas
+            h = 1e-7 * (1.0 + abs(s))
+            bumped = run(s + h)
+            if bumped[0] is None:
+                return None
+            rate = (gap(bumped[2]) - g) / h
+            if rate == 0.0 or not math.isfinite(rate):
+                return None
+            s = s - g / rate
+            f, alphas, thetas = run(s)
+        return None
+
+    s0 = alpha2 - alpha1
+    slope, alphas, thetas = secant(s0, s0 + 0.25 * (1.0 + abs(s0)))
+    if abs(gap(thetas)) > phase_tol:
+        mirrored = -2.0 * alpha1 - slope
+        try:
+            other = secant(mirrored, mirrored - 0.25 * (1.0 + abs(mirrored)))
+        except ConvergenceError:
+            other = None
+        if other is not None and abs(gap(other[2])) < abs(gap(thetas)):
+            slope, alphas, thetas = other
+            route.append("mirrored")
+    if abs(gap(thetas)) > phase_tol:
+        polished = polish(slope)
+        if polished is not None:
+            slope, alphas, thetas = polished
+            route.append("polished")
+    return np.column_stack([alphas, psi1 + thetas[:, np.newaxis] * c]), route
 
 
 class TestStraightLine:
@@ -271,6 +379,44 @@ class TestShooting:
         assert np.max(np.abs(shot.coords[:, 0] - alphas)) < 1e-6
         length = path_length(AlphaPhaseChart(noise, rho0), shot, n_quad=8)
         assert length == pytest.approx(geo.length, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "a1,a2,amplitude,route",
+        [
+            (0.8, 2.0, 0.7, []),
+            (1.0, 1.0, 2.5, ["mirrored"]),
+            (0.5, 2.0, 1.571, ["mirrored", "polished"]),
+        ],
+    )
+    def test_matches_textbook_rk4_bitwise(self, a1, a2, amplitude, route):
+        grid = build_grid(0.25, 0.4, 4)
+        rng = np.random.default_rng(0)
+        noise = NoiseProfile(rng.uniform(0.5, 2.0, 4))
+        rho0 = rng.uniform(0.2, 2.0, 4)
+        psi1 = np.linspace(-1.0, 1.0, 4)
+        psi2 = psi1 + amplitude * np.array([1.0, -1.0, 1.0, -1.0])
+        expected, taken = _textbook_shoot(a1, a2, psi1, psi2, noise, rho0, 400)
+        assert taken == route
+        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0, n_steps=400)
+        np.testing.assert_array_equal(shot.coords, expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(min_value=0.01, max_value=100.0),
+        st.floats(min_value=-100.0, max_value=100.0),
+        st.floats(min_value=0.0, max_value=100.0),
+        st.integers(min_value=1, max_value=300),
+    )
+    def test_endpoint_run_is_last_recorded_alpha(self, alpha1, slope, K, n_steps):
+        end = _rk4_alpha_end(alpha1, slope, K, n_steps)
+        alphas, thetas = _rk4_alpha_path(alpha1, slope, K, n_steps)
+        ref_alphas, ref_thetas = _textbook_rk4(alpha1, slope, K, n_steps)
+        if end is None:
+            assert alphas is None and thetas is None and ref_alphas is None
+        else:
+            assert end == alphas[-1]
+            np.testing.assert_array_equal(alphas, ref_alphas)
+            np.testing.assert_array_equal(thetas, ref_thetas)
 
     def test_step_floor(self):
         grid, noise, rho0, _ = _band(4)

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from fisherband import (
+    FreeSpectrumModel,
     KnownMagnitudeModel,
     NoiseProfile,
     band_energy,
@@ -210,6 +212,49 @@ class TestMonteCarloFisher:
         a = monte_carlo_fisher(model, model.xi, grid, noise, 2000, seed=11)
         b = monte_carlo_fisher(model, model.xi, grid, noise, 2000, seed=11)
         np.testing.assert_array_equal(a, b)
+
+    def test_gram_sums_match_outer_product_reference(self):
+        # 10000 samples: one full 8192-row chunk and a partial one
+        rng = np.random.default_rng(31)
+        model, grid, noise = _random_known_mag(rng, n_bins=5, n_phase=3)
+        n_samples = 10_000
+        est, se = monte_carlo_fisher(model, model.xi, grid, noise, n_samples, seed=9, return_stderr=True)
+        # reference: every draw at once from the same stream, then the mean
+        # of the per-sample score outer products
+        phi, varphi = model.split(model.xi)
+        rho = model.magnitude(phi, grid)
+        carrier = np.exp(1j * model.phase_unwrapped(varphi, grid))
+        d_sig = np.vstack(
+            [model.magnitude_jacobian(phi, grid) * carrier, 1j * rho * model.phase_jacobian(varphi, grid) * carrier]
+        )
+        z = np.random.default_rng(9).standard_normal((n_samples, 2, grid.n_freqs))
+        noise_draw = np.sqrt(0.5 * noise.gamma0) * (z[:, 0] + 1j * z[:, 1])
+        scores = (noise_draw.conj() @ (d_sig * noise.weights).T).real
+        outer = np.einsum("si,sj->sij", scores, scores)
+        ref_est = outer.mean(axis=0)
+        ref_se = np.sqrt(np.maximum((outer**2).mean(axis=0) - ref_est**2, 0.0) / n_samples)
+        for got, ref in ((est, ref_est), (se, ref_se)):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+            assert np.array_equal(got, got.T)
+
+    def test_memory_stays_within_chunk_budget(self):
+        # 256 parameters: one outer-product tensor of 2000 samples alone is
+        # 1 GiB; 9000 samples in 8192-row chunks would peak at about 80 MiB
+        n = 128
+        grid = build_grid(0.25, 0.4, n)
+        noise = NoiseProfile.flat(1.0, n)
+        model = FreeSpectrumModel(n)
+        rng = np.random.default_rng(4)
+        xi = np.concatenate([rng.uniform(0.5, 2.0, n), rng.uniform(-3.0, 3.0, n)])
+        for n_samples in (2000, 9000):
+            tracemalloc.start()
+            try:
+                est = monte_carlo_fisher(model, xi, grid, noise, n_samples, seed=2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert est.shape == (2 * n, 2 * n)
+            assert peak < 48 * 2**20
 
     def test_sample_floor(self):
         grid = build_grid(0.25, 0.2, 2)

@@ -100,9 +100,9 @@ def _random_phase_pair(rng, grid: FrequencyGrid, max_delta: float = 3.0):
 
 def _dip_width(geo) -> float:
     """Parameter-width of the attenuation dip, used to budget RK4 steps."""
-    if geo.k1 <= 0.0:
+    if geo.chord <= 0.0:
         return 1.0
-    return max(geo.alpha1 * geo.alpha2 * abs(math.sin(geo.delta)) / geo.k1, 1e-4)
+    return max(geo.moment / geo.chord, 1e-4)
 
 
 def _plateau_criterion(cid: int, case: str, expected: float, tolerance: float) -> CriterionResult:

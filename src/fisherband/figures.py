@@ -47,14 +47,20 @@ class ExperimentConfig:
 
     def __post_init__(self):
         lo, hi, n_points = self.btau_sweep
+        numbers = (self.dpsi0, self.gamma_ratio, self.snr1, lo, hi)
+        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in numbers):
+            raise ValueError("dpsi0, gamma_ratio, snr1 and the sweep bounds must be finite numbers")
+        if not isinstance(self.n_freqs, int):
+            raise ValueError("n_freqs must be a whole number")
         if lo < 0.0 or hi <= lo:
             raise ValueError("sweep bounds must satisfy 0 <= min < max")
-        if n_points < 2:
-            raise ValueError("sweep needs at least two points")
+        if not isinstance(n_points, int) or n_points < 2:
+            raise ValueError("sweep needs a whole number of points, at least two")
         if self.gamma_ratio <= 0.0:
             raise ValueError("gamma_ratio must be positive")
         if self.snr1 <= 0.0:
             raise ValueError("snr1 must be positive")
+        build_grid(self.nu0, self.bandwidth_B, self.n_freqs)  # the band's own checks
 
 
 FIGURE_CASES = {

@@ -19,6 +19,9 @@ wrapped phase difference delta:
     K  = (alpha1 alpha2 sin delta)^2
     c(nu) = sqrt(K) * dpsi(nu) / delta.
 
+``AlphaGeodesic`` alone derives them from the boundary data, in power-of-two
+units, so the closed form is homogeneous over the whole double range.
+
 Integrating the phase equation gives an arctan flow, implemented here and
 validated against a fixed-step RK4 shooting integrator of the same ODE
 system.  The module also evaluates the geodesic-equation residual of an
@@ -32,7 +35,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,9 +45,9 @@ from .band import (
     NoiseProfile,
     SignalSpectrum,
     Template,
+    scaled_chord,
     wrap_phase,
 )
-from .distances import known_mag_distances
 from .metric import fisher_matrix
 from .models import ParametricSignalModel
 
@@ -194,70 +197,109 @@ def straight_line_geodesic(mu1: SignalSpectrum, mu2: SignalSpectrum, n_nodes: in
 class AlphaGeodesic:
     """Closed-form geodesic of the known-magnitude submanifold.
 
-    ``alpha(s) = sqrt(k1 (s + k2)^2 + K/k1)`` runs from alpha1 to alpha2;
-    each bin's unwrapped phase advances by an arctan flow with per-bin
-    constant ``c``.  ``delta`` is the weighted RMS wrapped phase difference
-    of the endpoints, ``dpsi`` the wrapped per-bin difference, and ``psi1``
-    the wrapped start phases.  ``degenerate`` marks the antipodal case
+    Built from the boundary data alone: the endpoint attenuations, the
+    weighted RMS wrapped phase difference ``delta``, the wrapped start phases
+    ``psi1``, the wrapped per-bin difference ``dpsi`` and the band energy
+    ``omega0``.  ``alpha(s) = sqrt(k1 (s + k2)^2 + K/k1)`` runs from alpha1 to
+    alpha2; each bin's unwrapped phase advances by an arctan flow with per-bin
+    constant ``c``.  The constants are held in power-of-two units: with the
+    attenuations scaled by ``2**-scale`` (the exponent of ``scaled_chord``),
+    ``chord`` is k1 and ``moment = a1 a2 |sin delta|`` is sqrt(K), so every
+    evaluation is homogeneous over the double range; ``k1``, ``K`` and ``c``
+    read them in natural units.  ``degenerate`` marks the antipodal case
     delta = pi where the attenuation touches zero inside the path and the
     phase advance concentrates at the crossing.
     """
 
     alpha1: float
     alpha2: float
-    k1: float
-    k2: float
-    K: float
     delta: float
-    c: np.ndarray
     psi1: np.ndarray
     dpsi: np.ndarray
     omega0: float
-    degenerate: bool = False
+    chord: float = field(init=False)
+    k2: float = field(init=False)
+    moment: float = field(init=False)
+    scale: int = field(init=False)
 
     def __post_init__(self):
-        for name in ("c", "psi1", "dpsi"):
+        for name in ("psi1", "dpsi"):
             arr = np.array(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if not (self.alpha1 > 0.0 and self.alpha2 > 0.0):
-            raise ValueError("endpoint attenuations must be positive")
+        if not (0.0 < self.alpha1 < math.inf and 0.0 < self.alpha2 < math.inf):
+            raise ValueError("endpoint attenuations must be positive and finite")
         if not 0.0 <= self.delta <= np.pi + 1e-12:
             raise ValueError("delta must lie in [0, pi]")
-        if self.K < 0.0:
-            raise ValueError("K must be non-negative")
-        for sigma, target in ((0.0, self.alpha1), (1.0, self.alpha2)):
-            got = float(self.alpha_at(sigma))
-            if abs(got - target) > 1e-10 * max(target, 1.0):
-                raise ValueError("boundary attenuations are not reproduced")
+        half = np.sin(0.5 * self.delta)
+        h = float(half * half)
+        chord, scale = scaled_chord(self.alpha1, self.alpha2, h)
+        object.__setattr__(self, "chord", float(chord))
+        object.__setattr__(self, "scale", scale)
+        a1, a2 = self._scaled_ends()
+        # coincident endpoints (chord 0): the constant path
+        object.__setattr__(self, "k2", -a1 * ((a1 - a2) + 2.0 * a2 * h) / self.chord if self.chord > 0.0 else 0.0)
+        object.__setattr__(self, "moment", a1 * a2 * abs(math.sin(self.delta)))
+
+    def _scaled_ends(self) -> tuple[float, float]:
+        return math.ldexp(self.alpha1, -self.scale), math.ldexp(self.alpha2, -self.scale)
+
+    def _natural(self, value, degree: int):
+        """A scaled constant of the given degree in the attenuations, in natural
+        units: inf or 0 only when its own value leaves the double range."""
+        with np.errstate(over="ignore", under="ignore"):
+            return np.ldexp(value, degree * self.scale)
+
+    def _flow_angles(self) -> tuple[float, float]:
+        """Arctan flow angles ``atan2(chord (s + k2), moment)`` at s = 0 and s = 1."""
+        return tuple(math.atan2(self.chord * shift, self.moment) for shift in (self.k2, 1.0 + self.k2))
+
+    @property
+    def k1(self) -> float:
+        """Squared chord of the endpoints: the squared speed in units of omega0."""
+        return float(self._natural(self.chord, 2))
+
+    @property
+    def K(self) -> float:
+        """Constant of the attenuation equation alpha'' = K / alpha^3."""
+        return float(self._natural(self.moment * self.moment, 4))
+
+    @property
+    def c(self) -> np.ndarray:
+        """Per-bin constants of the phase equation psi' = c / alpha^2."""
+        if self.delta > 0.0 and self.moment > 0.0:
+            return self._natural(self.moment * self.dpsi / self.delta, 2)
+        return np.zeros_like(self.dpsi)
+
+    @property
+    def degenerate(self) -> bool:
+        return bool(self.delta > 0.0 and (self.moment <= 0.0 or math.pi - self.delta < 1e-9))
 
     def alpha_at(self, sigmas) -> np.ndarray:
         """Attenuation alpha(s) at each curve parameter in ``sigmas``."""
         sigmas = np.asarray(sigmas, dtype=float)
-        if self.k1 == 0.0:
+        if self.chord == 0.0:
             return np.full_like(sigmas, self.alpha1)
         shifted = sigmas + self.k2
-        return np.sqrt(self.k1 * (shifted * shifted) + self.K / self.k1)
+        return self._natural(np.sqrt(self.chord * (shifted * shifted) + self.moment * self.moment / self.chord), 1)
 
     def phase_mix_at(self, sigmas) -> np.ndarray:
         """Fraction of the per-bin phase advance completed at each sigma: the
         normalized arctan flow, or for K = 0 (delta = pi) a step at the
         attenuation's zero crossing (1/2 exactly at the crossing)."""
         sigmas = np.asarray(sigmas, dtype=float)
-        if self.delta <= 0.0 or self.k1 == 0.0:
+        if self.delta <= 0.0 or self.chord == 0.0:
             return np.zeros_like(sigmas)
-        if self.K > 0.0:
-            root_k = math.sqrt(self.K)
-            start = math.atan2(self.k1 * self.k2, root_k)
-            angles = np.arctan2(self.k1 * (sigmas + self.k2), root_k)
-            return (angles - start) / self.delta
+        if self.moment > 0.0:
+            angles = np.arctan2(self.chord * (sigmas + self.k2), self.moment)
+            return (angles - self._flow_angles()[0]) / self.delta
         crossing = -self.k2
         return np.where(sigmas < crossing, 0.0, np.where(sigmas > crossing, 1.0, 0.5))
 
     @property
     def length(self) -> float:
         """Geodesic length sqrt(omega0 * k1)."""
-        return math.sqrt(self.omega0 * self.k1)
+        return float(self._natural(np.sqrt(self.omega0 * self.chord), 1))
 
     @property
     def speed(self) -> float:
@@ -269,30 +311,28 @@ class AlphaGeodesic:
 
         ``tan^2(delta) (a1^2 + a2^2 - k1)^2 + (a2^2 - a1^2 - k1)^2
         - 4 a1^2 k1`` vanishes for the exact constants; meaningless at the
-        tan pole delta = pi/2.
+        tan pole delta = pi/2.  Evaluated in the scaled units, of degree 4.
         """
         t2 = math.tan(self.delta) ** 2
-        a1s, a2s = self.alpha1**2, self.alpha2**2
-        return (
-            t2 * (a1s + a2s - self.k1) ** 2
-            + (a2s - a1s - self.k1) ** 2
-            - 4.0 * a1s * self.k1
-        )
+        a1, a2 = self._scaled_ends()
+        a1s, a2s = a1**2, a2**2
+        r = t2 * (a1s + a2s - self.chord) ** 2 + (a2s - a1s - self.chord) ** 2 - 4.0 * a1s * self.chord
+        return float(self._natural(r, 4))
 
     def to_json_dict(self) -> dict:
-        return {
-            "alpha1": self.alpha1,
-            "alpha2": self.alpha2,
-            "k1": self.k1,
-            "k2": self.k2,
-            "K": self.K,
-            "delta": self.delta,
-            "omega0": self.omega0,
-            "degenerate": self.degenerate,
-            "c": self.c.tolist(),
-            "psi1": self.psi1.tolist(),
-            "dpsi": self.dpsi.tolist(),
-        }
+        names = ("alpha1", "alpha2", "k1", "k2", "K", "delta", "omega0", "degenerate", "c", "psi1", "dpsi")
+        return {name: np.asarray(getattr(self, name)).tolist() for name in names}
+
+
+def _boundary_geodesic(alpha1, alpha2, psi1, psi2, grid: FrequencyGrid, noise: NoiseProfile, rho0) -> AlphaGeodesic:
+    """The closed-form geodesic of the boundary data, phases wrapped bin by bin."""
+    psi1 = wrap_phase(np.asarray(psi1, dtype=float))
+    psi2 = wrap_phase(np.asarray(psi2, dtype=float))
+    template = Template(noise, rho0)
+    if grid.n_freqs != template.n_freqs:
+        raise ValueError("misaligned band inputs")
+    dpsi, delta = template.phase_gap(psi1, psi2)
+    return AlphaGeodesic(float(alpha1), float(alpha2), delta, psi1, dpsi, template.omega0)
 
 
 def solve_alpha_geodesic(
@@ -311,48 +351,14 @@ def solve_alpha_geodesic(
     in [0, pi].  ``delta = pi`` yields the degenerate solution whose
     attenuation touches zero inside (0, 1); it is returned with a warning.
     """
-    psi1 = wrap_phase(np.asarray(psi1, dtype=float))
-    psi2 = wrap_phase(np.asarray(psi2, dtype=float))
-    template = Template(noise, rho0)
-    if grid.n_freqs != template.n_freqs:
-        raise ValueError("misaligned band inputs")
-    dpsi, _ = template.phase_gap(psi1, psi2)
-    _, length, delta = map(float, known_mag_distances(template, alpha1, alpha2, dpsi))
-
-    # k1 is the squared chord: the squared speed length^2 in units of omega0
-    k1 = length * (length / template.omega0)
-    half = math.sin(0.5 * delta)
-    h = half * half
-    K = (alpha1 * alpha2 * math.sin(delta)) ** 2
-    if k1 == 0.0:
-        # coincident endpoints: the constant path
-        k2 = 0.0
-    else:
-        k2 = -alpha1 * ((alpha1 - alpha2) + 2.0 * alpha2 * h) / k1
-    if delta > 0.0 and K > 0.0:
-        c = math.sqrt(K) * dpsi / delta
-    else:
-        c = np.zeros_like(dpsi)
-    degenerate = bool(delta > 0.0 and (K <= 0.0 or math.pi - delta < 1e-9))
-    if degenerate:
+    geo = _boundary_geodesic(alpha1, alpha2, psi1, psi2, grid, noise, rho0)
+    if geo.degenerate:
         warnings.warn(
             "antipodal phase difference: attenuation touches zero inside the path",
             DegenerateGeodesicWarning,
             stacklevel=2,
         )
-    return AlphaGeodesic(
-        alpha1=float(alpha1),
-        alpha2=float(alpha2),
-        k1=k1,
-        k2=k2,
-        K=K,
-        delta=delta,
-        c=c,
-        psi1=psi1,
-        dpsi=dpsi,
-        omega0=template.omega0,
-        degenerate=degenerate,
-    )
+    return geo
 
 
 def eval_alpha_geodesic(geo: AlphaGeodesic, sigma: float) -> tuple[float, np.ndarray]:
@@ -378,14 +384,11 @@ def sample_alpha_geodesic(geo: AlphaGeodesic, n_nodes: int = 201, spacing: str =
     if spacing not in ("auto", "uniform"):
         raise ValueError("spacing must be 'auto' or 'uniform'")
     uniform = np.linspace(0.0, 1.0, n_nodes)
-    if spacing == "uniform" or geo.K <= 0.0 or geo.k1 == 0.0:
+    if spacing == "uniform" or geo.moment <= 0.0 or geo.chord == 0.0:
         sigmas = uniform
     else:
-        root_k = math.sqrt(geo.K)
-        theta0 = math.atan2(geo.k1 * geo.k2, root_k)
-        theta1 = math.atan2(geo.k1 * (1.0 + geo.k2), root_k)
-        thetas = np.linspace(theta0, theta1, n_nodes)[1:-1]
-        angled = np.tan(thetas) * root_k / geo.k1 - geo.k2
+        thetas = np.linspace(*geo._flow_angles(), n_nodes)[1:-1]
+        angled = np.tan(thetas) * geo.moment / geo.chord - geo.k2
         merged = np.unique(np.concatenate([uniform, np.clip(angled, 0.0, 1.0)]))
         # drop near-coincident knots that would ill-condition the spline
         filtered = [0.0]
@@ -502,9 +505,10 @@ def shoot_alpha_geodesic(
 ) -> GeodesicPath:
     """Numerical boundary-value geodesic by RK4 integration plus shooting.
 
-    The ODE constants K and c come from the boundary data (K from the
-    endpoint attenuations and delta, c parallel to the wrapped phase
-    differences); the single remaining unknown, the initial attenuation
+    The ODE constants K and c are read, in natural units, from the
+    ``AlphaGeodesic`` of the boundary data (K from the endpoint attenuations
+    and delta, c parallel to the wrapped phase differences), not its closed
+    form path; the single remaining unknown, the initial attenuation
     slope, is found by secant iteration on the endpoint miss
     ``alpha(1) - alpha2`` to 1e-9.  The integrated phases reaching psi2 is
     then a genuine check of the constants rather than an enforced condition.
@@ -518,14 +522,8 @@ def shoot_alpha_geodesic(
     """
     if n_steps < 100:
         raise ValueError("n_steps must be at least 100")
-    if not (alpha1 > 0.0 and alpha2 > 0.0):
-        raise ValueError("endpoint attenuations must be positive")
-    psi1 = wrap_phase(np.asarray(psi1, dtype=float))
-    psi2 = wrap_phase(np.asarray(psi2, dtype=float))
-    dpsi, delta = Template(noise, rho0).phase_gap(psi1, psi2)
-    K = (alpha1 * alpha2 * math.sin(delta)) ** 2
-    c = math.sqrt(K) * dpsi / delta if delta > 0.0 else np.zeros_like(dpsi)
-
+    geo = _boundary_geodesic(alpha1, alpha2, psi1, psi2, grid, noise, rho0)
+    alpha1, alpha2, delta, K = geo.alpha1, geo.alpha2, geo.delta, geo.K
     tol = 1e-9
 
     def miss(slope):
@@ -554,7 +552,8 @@ def shoot_alpha_geodesic(
             f1 = miss(s1)
         raise ConvergenceError("shooting failed to reach the endpoint in 100 iterations")
 
-    root_k = math.sqrt(K)
+    # root of K in natural units: the integrated phase advance must reach delta
+    root_k = math.ldexp(geo.moment, 2 * geo.scale)
     phase_tol = 1e-6 * (1.0 + delta)
 
     def advance_gap(thetas):
@@ -600,7 +599,7 @@ def shoot_alpha_geodesic(
         raise ConvergenceError("polished shooting lost the endpoint attenuation")
 
     sigmas = np.linspace(0.0, 1.0, n_steps + 1)
-    return GeodesicPath(sigmas, np.column_stack([alphas, psi1 + thetas[:, np.newaxis] * c]))
+    return GeodesicPath(sigmas, np.column_stack([alphas, geo.psi1 + thetas[:, np.newaxis] * geo.c]))
 
 
 # -- path functionals --------------------------------------------------------

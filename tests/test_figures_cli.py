@@ -218,6 +218,26 @@ class TestCli:
         assert main(["figure", str(cfg_path), "--output", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 12  # header + zero + 10 points
 
+    @pytest.mark.parametrize(
+        "override, fragment",
+        [
+            ({"n_freqs": 0}, "n_freqs must be at least 1"),
+            ({"n_freqs": 2.5}, "n_freqs must be a whole number"),
+            ({"bandwidth_B": 0.8}, "band start"),
+            ({"btau_sweep": [0, 20, 400.5]}, "whole number of points"),
+            ({"dpsi0": "x"}, "finite numbers"),
+            ({"gamma_ratio": float("nan")}, "finite numbers"),
+        ],
+    )
+    def test_figure_bad_config_named(self, tmp_path, capsys, override, fragment):
+        cfg = {"bandwidth_B": 0.5, "dpsi0": 0.0, "gamma_ratio": 1.0, "n_freqs": 50, "btau_sweep": [0.0, 5.0, 10]}
+        cfg.update(override)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["figure", str(cfg_path), "--output", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad figure config:") and fragment in err
+
     def test_figure_unknown_case(self, capsys):
         assert main(["figure", "no-such-case"]) == 2
         assert "neither a known case" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from fisherband import (
     alpha_geodesic_coeff_path,
     band_energy,
     build_grid,
+    distance_alpha,
     distance_full_embedding,
     eval_alpha_geodesic,
     ldg_residual,
@@ -554,3 +556,95 @@ class TestGeodesicPathContainer:
             assert geo.delta < math.pi
             sigmas = np.linspace(0.0, 1.0, 101)
             assert np.all(geo.alpha_at(sigmas) > 0.0)
+
+
+class TestScaledConstants:
+    """The closed form is held in power-of-two units, so it is homogeneous over
+    the double range and its length is the kernel's ``distance_alpha``."""
+
+    @staticmethod
+    def _instance(seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 17))
+        grid = build_grid(0.25, 0.4, n)
+        noise = NoiseProfile(rng.uniform(0.5, 2.0, n))
+        rho0 = rng.uniform(0.2, 2.0, n)
+        a1, a2 = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 2))
+        # amplitudes below pi keep delta off the antipodal warning
+        psi1, psi2 = _phase_pair(rng, n, rng.uniform(0.0, 3.0))
+        return float(a1), float(a2), psi1, psi2, grid, noise, rho0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=-1000, max_value=1000))
+    def test_bitwise_homogeneous_over_powers_of_two(self, seed, k):
+        a1, a2, *band = self._instance(seed)
+        sigmas = np.linspace(0.0, 1.0, 17)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            unit = solve_alpha_geodesic(a1, a2, *band)
+            scaled = solve_alpha_geodesic(math.ldexp(a1, k), math.ldexp(a2, k), *band)
+            assert scaled.length == math.ldexp(unit.length, k)
+            np.testing.assert_array_equal(scaled.alpha_at(sigmas), np.ldexp(unit.alpha_at(sigmas), k))
+            np.testing.assert_array_equal(scaled.phase_mix_at(sigmas), unit.phase_mix_at(sigmas))
+            np.testing.assert_array_equal(sample_alpha_geodesic(scaled).sigmas, sample_alpha_geodesic(unit).sigmas)
+
+    def test_length_is_distance_alpha(self):
+        for seed in range(1000):
+            a1, a2, psi1, psi2, grid, noise, rho0 = self._instance(seed)
+            geo = solve_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0)
+            assert geo.length == distance_alpha(a1, a2, psi1, psi2, grid, noise, rho0)
+
+    @pytest.mark.parametrize("scale", [1e-110, 1e103, 1e200])
+    def test_extreme_scales(self, scale):
+        grid, noise, rho0, rng = _band(6, seed=41)
+        psi1, psi2 = _phase_pair(rng, 6, 1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            geo = solve_alpha_geodesic(scale, 2.0 * scale, psi1, psi2, grid, noise, rho0)
+            path = sample_alpha_geodesic(geo)
+        assert not geo.degenerate
+        assert 0.0 < geo.length < math.inf
+        assert geo.length == distance_alpha(scale, 2.0 * scale, psi1, psi2, grid, noise, rho0)
+        assert np.all(np.isfinite(path.coords)) and np.all(path.coords[:, 0] > 0.0)
+
+    def test_natural_constants_leave_the_range_alone(self):
+        # k1 ~ alpha^2 and K ~ alpha^4 read inf or 0 only once their own value does
+        grid, noise, rho0, rng = _band(4, seed=42)
+        psi1, psi2 = _phase_pair(rng, 4, 1.0)
+        big = solve_alpha_geodesic(1e100, 2e100, psi1, psi2, grid, noise, rho0)
+        assert 0.0 < big.k1 < math.inf and big.K == math.inf
+        assert np.all(np.isfinite(big.c)) and np.all(np.abs(big.c) > 0.0)
+        small = solve_alpha_geodesic(1e-100, 2e-100, psi1, psi2, grid, noise, rho0)
+        assert 0.0 < small.k1 and small.K == 0.0 and not small.degenerate
+
+
+class TestBvpResidual:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=-250, max_value=250))
+    def test_degree_four_in_the_attenuations(self, seed, k):
+        a1, a2, *band = TestScaledConstants._instance(seed)
+        unit = solve_alpha_geodesic(a1, a2, *band).bvp_residual()
+        scaled = solve_alpha_geodesic(math.ldexp(a1, k), math.ldexp(a2, k), *band).bvp_residual()
+        assert scaled == math.ldexp(unit, 4 * k)
+
+    def test_unit_scale_is_the_natural_formula(self):
+        grid, noise, rho0, rng = _band(8, seed=43)
+        for _ in range(50):
+            # the larger attenuation in [0.5, 1): the scaled units are the natural ones
+            a1, a2 = rng.uniform(0.5, 1.0), rng.uniform(0.05, 0.5)
+            psi1, psi2 = _phase_pair(rng, 8, rng.uniform(0.05, 3.0))
+            geo = solve_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0)
+            t2, k1 = math.tan(geo.delta) ** 2, geo.k1
+            natural = t2 * (a1**2 + a2**2 - k1) ** 2 + (a2**2 - a1**2 - k1) ** 2 - 4.0 * a1**2 * k1
+            assert geo.bvp_residual() == natural
+
+    def test_beyond_squared_overflow(self):
+        # Python-float squares of these attenuations overflow
+        grid, noise, rho0, rng = _band(6, seed=44)
+        psi1, psi2 = _phase_pair(rng, 6, 1.0)
+        unit = solve_alpha_geodesic(1.0, 2.0, psi1, psi2, grid, noise, rho0).bvp_residual()
+        assert unit != 0.0
+        # 2**2120 times a rounding-level residual leaves the double range
+        residual = solve_alpha_geodesic(2.0**530, 2.0**531, psi1, psi2, grid, noise, rho0).bvp_residual()
+        assert residual == math.copysign(math.inf, unit)
+        assert not math.isnan(solve_alpha_geodesic(1e160, 2e160, psi1, psi2, grid, noise, rho0).bvp_residual())

@@ -111,9 +111,16 @@ class GeodesicPath:
 class EmbeddingChart:
     """Flat chart of the full band manifold: interleaved (Re, Im) per bin."""
 
+    # ``path_length``'s reduced form: no head columns, every column of degree 1
+    _n_head = 0
+    _amplitudes = slice(None)
+
     def __init__(self, noise: NoiseProfile):
         self.noise = noise
         self._w = np.repeat(noise.weights, 2)
+
+    def _flat_speed(self, head, head_vel, block_sq) -> np.ndarray:
+        return block_sq
 
     def speed(self, coords, vel) -> np.ndarray:
         vel = np.asarray(vel, dtype=float)
@@ -123,6 +130,10 @@ class EmbeddingChart:
 class AlphaPhaseChart:
     """Known-magnitude submanifold chart: (alpha, unwrapped phase per bin)."""
 
+    # ``path_length``'s reduced form: head column alpha, the only one of degree 1
+    _n_head = 1
+    _amplitudes = slice(0, 1)
+
     def __init__(self, noise: NoiseProfile, rho0):
         template = Template(noise, rho0)
         self.noise = noise
@@ -130,13 +141,14 @@ class AlphaPhaseChart:
         self._w = template.weights
         self.omega0 = template.omega0
 
+    def _flat_speed(self, head, head_vel, block_sq) -> np.ndarray:
+        """Speed from the head columns and the weighted squared phase velocity."""
+        return self.omega0 * head_vel[..., 0] ** 2 + head[..., 0] ** 2 * block_sq
+
     def speed(self, coords, vel) -> np.ndarray:
         coords = np.asarray(coords, dtype=float)
         vel = np.asarray(vel, dtype=float)
-        alpha = coords[..., 0]
-        mag_term = self.omega0 * vel[..., 0] ** 2
-        phase_term = alpha**2 * np.sum(self._w * vel[..., 1:] ** 2, axis=-1)
-        return mag_term + phase_term
+        return self._flat_speed(coords, vel, np.sum(self._w * vel[..., 1:] ** 2, axis=-1))
 
 
 class ModelChart:
@@ -325,13 +337,16 @@ class AlphaGeodesic:
 
 
 def _boundary_geodesic(alpha1, alpha2, psi1, psi2, grid: FrequencyGrid, noise: NoiseProfile, rho0) -> AlphaGeodesic:
-    """The closed-form geodesic of the boundary data, phases wrapped bin by bin."""
-    psi1 = wrap_phase(np.asarray(psi1, dtype=float))
-    psi2 = wrap_phase(np.asarray(psi2, dtype=float))
+    """The closed-form geodesic of the boundary data.
+
+    ``dpsi`` and ``delta`` are ``Template.phase_gap`` of the raw phases, as in
+    ``distance_alpha``; only the start phases are wrapped.
+    """
     template = Template(noise, rho0)
     if grid.n_freqs != template.n_freqs:
         raise ValueError("misaligned band inputs")
     dpsi, delta = template.phase_gap(psi1, psi2)
+    psi1 = wrap_phase(np.asarray(psi1, dtype=float))
     return AlphaGeodesic(float(alpha1), float(alpha2), delta, psi1, dpsi, template.omega0)
 
 
@@ -346,8 +361,8 @@ def solve_alpha_geodesic(
 ) -> AlphaGeodesic:
     """Boundary-value geodesic between two points of the submanifold.
 
-    Phases are wrapped bin by bin before taking differences, so the path
-    follows the short way around each phase circle; ``delta`` therefore lands
+    Per-bin phase differences are wrapped (as in ``distance_alpha``), so the
+    path follows the short way around each phase circle; ``delta`` therefore lands
     in [0, pi].  ``delta = pi`` yields the degenerate solution whose
     attenuation touches zero inside (0, 1); it is returned with a warning.
     """
@@ -493,64 +508,51 @@ def _rk4_alpha_path(alpha1: float, slope: float, K: float, n_steps: int):
     return np.array(alphas), np.array(thetas)
 
 
-def shoot_alpha_geodesic(
-    alpha1: float,
-    alpha2: float,
-    psi1,
-    psi2,
-    grid: FrequencyGrid,
-    noise: NoiseProfile,
-    rho0,
-    n_steps: int = 400,
-) -> GeodesicPath:
-    """Numerical boundary-value geodesic by RK4 integration plus shooting.
-
-    The ODE constants K and c are read, in natural units, from the
-    ``AlphaGeodesic`` of the boundary data (K from the endpoint attenuations
-    and delta, c parallel to the wrapped phase differences), not its closed
-    form path; the single remaining unknown, the initial attenuation
-    slope, is found by secant iteration on the endpoint miss
-    ``alpha(1) - alpha2`` to 1e-9.  The integrated phases reaching psi2 is
-    then a genuine check of the constants rather than an enforced condition.
-    Two refinements keep that check honest: a mismatch after convergence
-    triggers one mirrored restart to pick the other root of the endpoint
-    equation (phase advances beyond pi/2 need the initially-descending
-    branch), and near the tangency between the two roots, where the endpoint
-    miss alone leaves the slope poorly determined, the slope is polished
-    against the phase-advance equation (which is well conditioned exactly
-    there, and moves the endpoint miss only to second order).
-    """
-    if n_steps < 100:
-        raise ValueError("n_steps must be at least 100")
-    geo = _boundary_geodesic(alpha1, alpha2, psi1, psi2, grid, noise, rho0)
+def _shoot(geo: AlphaGeodesic, n_steps: int):
+    """Slope search of ``shoot_alpha_geodesic``: the recorded (alpha, theta)."""
     alpha1, alpha2, delta, K = geo.alpha1, geo.alpha2, geo.delta, geo.K
     tol = 1e-9
 
-    def miss(slope):
-        end = _rk4_alpha_end(alpha1, slope, K, n_steps)
+    def miss(slope, steps):
+        end = _rk4_alpha_end(alpha1, slope, K, steps)
         return None if end is None else end - alpha2
 
-    def secant(s0, s1):
-        f0, f1 = miss(s0), miss(s1)
+    def secant(s0, f0, s1, steps):
+        """A slope whose ``steps``-step run ends within tol of alpha2, from
+        the trials s0 (with its miss f0) and s1."""
+        f1 = miss(s1, steps)
         for _ in range(100):
             if f1 is not None and abs(f1) < tol:
-                alphas, thetas = _rk4_alpha_path(alpha1, s1, K, n_steps)
-                return s1, alphas, thetas
+                return s1
             if f0 is None:
                 # previous point blew up; walk away from it
                 s0, f0 = s1, f1
                 s1 = s1 + 0.5 * (1.0 + abs(s1))
-                f1 = miss(s1)
+                f1 = miss(s1, steps)
                 continue
             if f1 is None or f1 == f0:
                 s1 = 0.5 * (s0 + s1)
-                f1 = miss(s1)
+                f1 = miss(s1, steps)
                 continue
             s_next = s1 - f1 * (s1 - s0) / (f1 - f0)
             s0, f0 = s1, f1
             s1 = s_next
-            f1 = miss(s1)
+            f1 = miss(s1, steps)
         raise ConvergenceError("shooting failed to reach the endpoint in 100 iterations")
+
+    def converge(steps):
+        """The secant from the slope it finds on an eighth of the steps while
+        that keeps 100 (else from the chord slope); a start that already hits
+        is kept."""
+        s0 = converge(steps // 8) if steps // 8 >= 100 else alpha2 - alpha1
+        f0 = miss(s0, steps)
+        if f0 is not None and abs(f0) < tol:
+            return s0
+        return secant(s0, f0, s0 + 0.25 * (1.0 + abs(s0)), steps)
+
+    def record(slope):
+        alphas, thetas = _rk4_alpha_path(alpha1, slope, K, n_steps)
+        return slope, alphas, thetas
 
     # root of K in natural units: the integrated phase advance must reach delta
     root_k = math.ldexp(geo.moment, 2 * geo.scale)
@@ -578,13 +580,13 @@ def shoot_alpha_geodesic(
             s = s - gap / rate
         return None
 
-    s0 = alpha2 - alpha1
-    slope, alphas, thetas = secant(s0, s0 + 0.25 * (1.0 + abs(s0)))
+    slope, alphas, thetas = record(converge(n_steps))
     if abs(advance_gap(thetas)) > phase_tol:
         # wrong root: reflect the slope about the endpoint-miss minimum
         mirrored = -2.0 * alpha1 - slope
         try:
-            other = secant(mirrored, mirrored - 0.25 * (1.0 + abs(mirrored)))
+            away = mirrored - 0.25 * (1.0 + abs(mirrored))
+            other = record(secant(mirrored, miss(mirrored, n_steps), away, n_steps))
         except ConvergenceError:
             other = None
         if other is not None and abs(advance_gap(other[2])) < abs(advance_gap(thetas)):
@@ -597,12 +599,87 @@ def shoot_alpha_geodesic(
         raise ConvergenceError("shooting converged to a path violating the phase advance")
     if abs(alphas[-1] - alpha2) > 1e-9 * (1.0 + alpha2):
         raise ConvergenceError("polished shooting lost the endpoint attenuation")
+    return alphas, thetas
 
+
+def shoot_alpha_geodesic(
+    alpha1: float,
+    alpha2: float,
+    psi1,
+    psi2,
+    grid: FrequencyGrid,
+    noise: NoiseProfile,
+    rho0,
+    n_steps: int = 400,
+) -> GeodesicPath:
+    """Numerical boundary-value geodesic by RK4 integration plus shooting.
+
+    The ODE constants K and c are read, in natural units, from the
+    ``AlphaGeodesic`` of the boundary data (K from the endpoint attenuations
+    and delta, c parallel to the wrapped phase differences), not its closed
+    form path; the single remaining unknown, the initial attenuation
+    slope, is found by secant iteration on the endpoint miss
+    ``alpha(1) - alpha2`` to 1e-9.  The secant starts from the slope it
+    converges to on ``n_steps // 8`` steps when that is at least 100 (and so
+    on recursively), else from the chord slope ``alpha2 - alpha1``; it never
+    reads the closed form.  The integrated phases reaching psi2 is
+    then a genuine check of the constants rather than an enforced condition.
+    Two refinements keep that check honest: a mismatch after convergence
+    triggers one mirrored restart to pick the other root of the endpoint
+    equation (phase advances beyond pi/2 need the initially-descending
+    branch), and near the tangency between the two roots, where the endpoint
+    miss alone leaves the slope poorly determined, the slope is polished
+    against the phase-advance equation (which is well conditioned exactly
+    there, and moves the endpoint miss only to second order).
+
+    Every recorded path is the plain RK4 run of its slope.  The tolerances
+    are absolute and the RK4 stages cube alpha in Python floats, so the
+    oracle supports attenuations of about 1e-7 to 1e6; outside, it raises
+    ``ConvergenceError``, also where the float arithmetic overflows or
+    divides by an underflowed cube.
+    """
+    if n_steps < 100:
+        raise ValueError("n_steps must be at least 100")
+    geo = _boundary_geodesic(alpha1, alpha2, psi1, psi2, grid, noise, rho0)
+    try:
+        alphas, thetas = _shoot(geo, n_steps)
+    except (OverflowError, ZeroDivisionError) as err:
+        raise ConvergenceError(
+            f"shooting left the float range at attenuations ({geo.alpha1!r}, {geo.alpha2!r}): "
+            f"the RK4 oracle supports attenuations of about 1e-7 to 1e6 ({err})"
+        ) from err
     sigmas = np.linspace(0.0, 1.0, n_steps + 1)
     return GeodesicPath(sigmas, np.column_stack([alphas, geo.psi1 + thetas[:, np.newaxis] * geo.c]))
 
 
 # -- path functionals --------------------------------------------------------
+
+
+def _flat_reduction(chart, coords):
+    """A flat chart's path in reduced coordinates, for ``path_length``.
+
+    The chart's degree-1 columns are scaled by the exact power of two
+    ``2**-exponent`` that brings their largest magnitude into [0.5, 1), so
+    the speed scales by ``4**-exponent``.  The centred block after the head
+    columns is projected onto its affine span (SVD, rank by numpy's
+    ``matrix_rank`` rule, at least one column): its velocity is ``v_r B`` in
+    the reduced coordinates ``v_r``, so its weighted squared speed is
+    ``v_r^T G v_r`` with ``G = B diag(w) B^T``.  A spline is linear in its
+    data, so splining the head and reduced columns gives the same integral.
+    Returns ``(reduced, exponent, G)``.
+    """
+    coords = np.array(coords, dtype=float)
+    if not np.all(np.isfinite(coords)):
+        raise ValueError("path coordinates must be finite")
+    amplitudes = coords[:, chart._amplitudes]
+    exponent = math.frexp(float(np.max(np.abs(amplitudes))))[1]
+    coords[:, chart._amplitudes] = np.ldexp(amplitudes, -exponent)
+    head, block = coords[:, : chart._n_head], coords[:, chart._n_head :]
+    centred = block - np.mean(block, axis=0)
+    u, s, vt = np.linalg.svd(centred, full_matrices=False)
+    rank = max(int(np.sum(s > s[0] * max(centred.shape) * np.finfo(float).eps)), 1)
+    basis = vt[:rank]
+    return np.column_stack([head, u[:, :rank] * s[:rank]]), exponent, (basis * chart._w) @ basis.T
 
 
 def path_length(chart, path: GeodesicPath, n_quad: int = 64) -> float:
@@ -611,13 +688,21 @@ def path_length(chart, path: GeodesicPath, n_quad: int = 64) -> float:
     Coordinates are interpolated with a cubic spline in sigma (piecewise
     linear below four nodes) and integrated with an ``n_quad``-point
     Gauss-Legendre rule on every inter-node interval, so the result is
-    reparametrization invariant up to interpolation error.
+    reparametrization invariant up to interpolation error.  On the flat
+    charts (``AlphaPhaseChart``, ``EmbeddingChart``) the spline runs through
+    reduced coordinates (see ``_flat_reduction``): a path whose phases move
+    along one direction splines two columns, and the length is homogeneous
+    of degree 1 in the attenuation (every column of the embedding) over the
+    double range.  Any other chart's ``speed`` sees every column.
     """
     if n_quad < 8:
         raise ValueError("n_quad must be at least 8")
     if path.n_nodes < 2:
         raise ValueError("too few nodes")
     sigmas, coords = path.sigmas, path.coords
+    flat = isinstance(chart, (AlphaPhaseChart, EmbeddingChart))
+    if flat:
+        coords, exponent, gram = _flat_reduction(chart, coords)
     if path.n_nodes >= 4:
         # imported here: scipy.interpolate dominates the package import time
         from scipy.interpolate import CubicSpline
@@ -641,9 +726,21 @@ def path_length(chart, path: GeodesicPath, n_quad: int = 64) -> float:
     # all quadrature points of all intervals at once
     t = (starts[:, np.newaxis] + halves[:, np.newaxis] * (nodes[np.newaxis, :] + 1.0)).ravel()
     scale = np.repeat(halves, n_quad) * np.tile(weights, len(starts))
-    speeds = np.asarray(chart.speed(position(t), velocity(t)), dtype=float)
+    if flat:
+        h = chart._n_head
+        vel = velocity(t)
+        reduced = vel[:, h:]
+        block_sq = np.sum((reduced @ gram) * reduced, axis=-1)
+        speeds = chart._flat_speed(position(t)[:, :h], vel[:, :h], block_sq)
+    else:
+        speeds = np.asarray(chart.speed(position(t), velocity(t)), dtype=float)
     speeds = np.maximum(speeds, 0.0)
-    return float(np.sum(scale * np.sqrt(speeds)))
+    length = float(np.sum(scale * np.sqrt(speeds)))
+    if not flat:
+        return length
+    with np.errstate(over="ignore"):
+        # inf only when the length itself leaves the double range
+        return float(np.ldexp(length, exponent))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fisherband import (
@@ -648,3 +648,257 @@ class TestBvpResidual:
         residual = solve_alpha_geodesic(2.0**530, 2.0**531, psi1, psi2, grid, noise, rho0).bvp_residual()
         assert residual == math.copysign(math.inf, unit)
         assert not math.isnan(solve_alpha_geodesic(1e160, 2e160, psi1, psi2, grid, noise, rho0).bvp_residual())
+
+
+def _dense_length(chart, path, n_quad):
+    """Dense reference quadrature: every coordinate column splined and
+    handed to ``chart.speed``."""
+    from scipy.interpolate import CubicSpline
+
+    sigmas, coords = path.sigmas, path.coords
+    if path.n_nodes >= 4:
+        spline = CubicSpline(sigmas, coords, axis=0)
+        position, velocity = spline, spline.derivative()
+    else:
+        def position(t):
+            return np.stack([np.interp(t, sigmas, coords[:, d]) for d in range(coords.shape[1])], axis=-1)
+
+        def velocity(t):
+            idx = np.clip(np.searchsorted(sigmas, t, side="right") - 1, 0, path.n_nodes - 2)
+            return (coords[idx + 1] - coords[idx]) / (sigmas[idx + 1] - sigmas[idx])[:, np.newaxis]
+
+    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+    halves = 0.5 * np.diff(sigmas)
+    t = (sigmas[:-1, np.newaxis] + halves[:, np.newaxis] * (nodes[np.newaxis, :] + 1.0)).ravel()
+    scale = np.repeat(halves, n_quad) * np.tile(weights, len(halves))
+    speeds = np.maximum(np.asarray(chart.speed(position(t), velocity(t)), dtype=float), 0.0)
+    return float(np.sum(scale * np.sqrt(speeds)))
+
+
+class TestReducedPathLength:
+    """The flat charts spline reduced coordinates; splines are linear in their
+    data, so the length is the dense one up to rounding."""
+
+    @staticmethod
+    def _geodesic(seed):
+        grid, noise, rho0, rng = _band(6, seed=seed)
+        psi1, psi2 = _phase_pair(rng, 6, 1.5)
+        return grid, noise, rho0, solve_alpha_geodesic(0.9, 1.4, psi1, psi2, grid, noise, rho0)
+
+    def _check(self, chart, path, n_quad=8):
+        reduced = path_length(chart, path, n_quad=n_quad)
+        assert reduced == pytest.approx(_dense_length(chart, path, n_quad), rel=1e-12, abs=0.0)
+
+    def test_closed_form_sample(self):
+        _, noise, rho0, geo = self._geodesic(51)
+        self._check(AlphaPhaseChart(noise, rho0), sample_alpha_geodesic(geo, n_nodes=257), n_quad=16)
+
+    def test_rk4_shot(self):
+        grid, noise, rho0, rng = _band(5, seed=52)
+        psi1, psi2 = _phase_pair(rng, 5, 1.2)
+        shot = shoot_alpha_geodesic(0.7, 1.9, psi1, psi2, grid, noise, rho0, n_steps=2000)
+        self._check(AlphaPhaseChart(noise, rho0), shot)
+
+    def test_embedding_straight_line(self):
+        rng = np.random.default_rng(53)
+        noise = NoiseProfile(rng.uniform(0.5, 2.0, 7))
+        mu1 = SignalSpectrum(rng.uniform(0.5, 2.0, 7), rng.uniform(-np.pi, np.pi, 7))
+        mu2 = SignalSpectrum(rng.uniform(0.5, 2.0, 7), rng.uniform(-np.pi, np.pi, 7))
+        self._check(EmbeddingChart(noise), straight_line_geodesic(mu1, mu2, n_nodes=33))
+
+    def test_warped_path(self):
+        _, noise, rho0, geo = self._geodesic(54)
+        sig = np.linspace(0.0, 1.0, 101)
+        warped = sig**2 * (3 - 2 * sig)
+        coords = np.column_stack([geo.alpha_at(warped), geo.psi1 + geo.phase_mix_at(warped)[:, None] * geo.dpsi])
+        self._check(AlphaPhaseChart(noise, rho0), GeodesicPath(sig, coords), n_quad=16)
+
+    @pytest.mark.parametrize("n_nodes", [3, 40])
+    def test_full_rank_phase_block(self, n_nodes):
+        # more nodes than bins: a random phase block has rank n, no reduction
+        _, noise, rho0, rng = _band(6, seed=55)
+        coords = np.column_stack([rng.uniform(0.5, 2.0, n_nodes), rng.uniform(-3.0, 3.0, (n_nodes, 6))])
+        path = GeodesicPath(np.linspace(0.0, 1.0, n_nodes), coords)
+        self._check(AlphaPhaseChart(noise, rho0), path)
+        embedding = EmbeddingChart(NoiseProfile(rng.uniform(0.5, 2.0, 3)))
+        self._check(embedding, GeodesicPath(path.sigmas, coords[:, 1:]))
+
+    def test_model_chart_is_dense(self):
+        grid, noise, rho0, _ = _band(6, seed=56)
+        coeffs1, coeffs2 = np.array([0.1, 0.5]), np.array([0.4, 1.5])
+        psi1 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs1))
+        psi2 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs2))
+        geo = solve_alpha_geodesic(1.0, 1.8, psi1, psi2, grid, noise, rho0)
+        chart = ModelChart(KnownMagnitudeModel(rho0, alpha=1.0, phase_coeffs=coeffs1), grid, noise)
+        for n_nodes in (3, 41):
+            path = alpha_geodesic_coeff_path(geo, coeffs1, coeffs2, n_nodes=n_nodes)
+            assert path_length(chart, path, n_quad=8) == _dense_length(chart, path, 8)
+
+    def test_non_finite_path_named(self):
+        noise = NoiseProfile.flat(1.0, 2)
+        coords = np.array([[1.0, 0.0, 0.0], [np.inf, 0.1, 0.2], [1.0, 0.2, 0.4]])
+        with pytest.raises(ValueError, match="finite"):
+            path_length(AlphaPhaseChart(noise, np.ones(2)), GeodesicPath(np.linspace(0.0, 1.0, 3), coords))
+
+
+class TestPathLengthHomogeneity:
+    """Degree 1 in the attenuation (every embedding column) over the double
+    range: the degree-1 columns are scaled by an exact power of two."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=-1000, max_value=1000))
+    @example(-660)
+    @example(600)
+    def test_closed_form_path(self, k):
+        grid, noise, rho0, geo = TestReducedPathLength._geodesic(57)
+        chart = AlphaPhaseChart(noise, rho0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            unit = solve_alpha_geodesic(1.0, 2.0, geo.psi1, geo.psi1 + geo.dpsi, grid, noise, rho0)
+            scaled = solve_alpha_geodesic(2.0**k, 2.0 ** (k + 1), geo.psi1, geo.psi1 + geo.dpsi, grid, noise, rho0)
+            length = path_length(chart, sample_alpha_geodesic(scaled, n_nodes=33), n_quad=8)
+            assert length == math.ldexp(path_length(chart, sample_alpha_geodesic(unit, n_nodes=33), n_quad=8), k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=-1000, max_value=1000))
+    def test_embedding_path(self, k):
+        rng = np.random.default_rng(58)
+        noise = NoiseProfile(rng.uniform(0.5, 2.0, 5))
+        mu1 = SignalSpectrum(rng.uniform(0.5, 2.0, 5), rng.uniform(-np.pi, np.pi, 5))
+        mu2 = SignalSpectrum(rng.uniform(0.5, 2.0, 5), rng.uniform(-np.pi, np.pi, 5))
+        path = straight_line_geodesic(mu1, mu2, n_nodes=17)
+        chart = EmbeddingChart(noise)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = path_length(chart, GeodesicPath(path.sigmas, np.ldexp(path.coords, k)), n_quad=8)
+            assert scaled == math.ldexp(path_length(chart, path, n_quad=8), k)
+
+
+def _textbook_coarse_to_fine(alpha1, alpha2, psi1, psi2, noise, rho0, n_steps):
+    """``_textbook_shoot`` with the coarse-to-fine start: the secant starts
+    from the slope the same secant finds on ``n_steps // 8`` steps (recursively,
+    while that is at least 100; the chord slope otherwise) and keeps a start
+    that already hits.  Every trial slope is integrated in full by
+    ``_textbook_rk4``.  Returns the path coordinates and the refinements
+    taken."""
+    dpsi, delta = Template(noise, rho0).phase_gap(psi1, psi2)
+    K = (alpha1 * alpha2 * math.sin(delta)) ** 2
+    c = math.sqrt(K) * dpsi / delta
+    root_k = math.sqrt(K)
+    phase_tol = 1e-6 * (1.0 + delta)
+    route = []
+
+    def run(slope, steps):
+        alphas, thetas = _textbook_rk4(alpha1, slope, K, steps)
+        return (None, None, None) if alphas is None else (alphas[-1] - alpha2, alphas, thetas)
+
+    def gap(thetas):
+        return root_k * thetas[-1] - delta
+
+    def secant(s0, f0, s1, steps):
+        f1, a1, t1 = run(s1, steps)
+        for _ in range(100):
+            if f1 is not None and abs(f1) < 1e-9:
+                return s1, a1, t1
+            if f0 is None:
+                s0, f0 = s1, f1
+                s1 = s1 + 0.5 * (1.0 + abs(s1))
+            elif f1 is None or f1 == f0:
+                s1 = 0.5 * (s0 + s1)
+            else:
+                s0, s1, f0 = s1, s1 - f1 * (s1 - s0) / (f1 - f0), f1
+            f1, a1, t1 = run(s1, steps)
+        raise ConvergenceError("no root")
+
+    def converge(steps):
+        s0 = converge(steps // 8)[0] if steps // 8 >= 100 else alpha2 - alpha1
+        f0, a0, t0 = run(s0, steps)
+        if f0 is not None and abs(f0) < 1e-9:
+            route.append(f"start hit at {steps}")
+            return s0, a0, t0
+        return secant(s0, f0, s0 + 0.25 * (1.0 + abs(s0)), steps)
+
+    def polish(s):
+        f, alphas, thetas = run(s, n_steps)
+        for _ in range(50):
+            if f is None:
+                return None
+            g = gap(thetas)
+            if abs(g) <= 0.01 * phase_tol:
+                return s, alphas, thetas
+            h = 1e-7 * (1.0 + abs(s))
+            bumped = run(s + h, n_steps)
+            if bumped[0] is None:
+                return None
+            rate = (gap(bumped[2]) - g) / h
+            if rate == 0.0 or not math.isfinite(rate):
+                return None
+            s = s - g / rate
+            f, alphas, thetas = run(s, n_steps)
+        return None
+
+    slope, alphas, thetas = converge(n_steps)
+    if abs(gap(thetas)) > phase_tol:
+        mirrored = -2.0 * alpha1 - slope
+        try:
+            other = secant(mirrored, run(mirrored, n_steps)[0], mirrored - 0.25 * (1.0 + abs(mirrored)), n_steps)
+        except ConvergenceError:
+            other = None
+        if other is not None and abs(gap(other[2])) < abs(gap(thetas)):
+            slope, alphas, thetas = other
+            route.append("mirrored")
+    if abs(gap(thetas)) > phase_tol:
+        polished = polish(slope)
+        if polished is not None:
+            slope, alphas, thetas = polished
+            route.append("polished")
+    return np.column_stack([alphas, wrap_phase(psi1) + thetas[:, np.newaxis] * c]), route
+
+
+class TestCoarseToFineShooting:
+    @pytest.mark.parametrize(
+        "n_steps,a1,a2,amplitude,route",
+        [
+            (4000, 0.3, 3.0, 0.9, []),
+            (4000, 0.8, 2.0, 0.7, ["start hit at 4000"]),
+            (4000, 0.5, 2.0, 1.571, ["mirrored"]),
+            (40000, 0.5, 2.0, 1.2, ["start hit at 5000", "start hit at 40000"]),
+            (40000, 1.0, 1.0, 2.5, ["start hit at 5000", "start hit at 40000", "mirrored"]),
+        ],
+    )
+    def test_matches_textbook_rk4_bitwise(self, n_steps, a1, a2, amplitude, route):
+        grid = build_grid(0.25, 0.4, 4)
+        rng = np.random.default_rng(0)
+        noise = NoiseProfile(rng.uniform(0.5, 2.0, 4))
+        rho0 = rng.uniform(0.2, 2.0, 4)
+        psi1 = np.linspace(-1.0, 1.0, 4)
+        psi2 = psi1 + amplitude * np.array([1.0, -1.0, 1.0, -1.0])
+        expected, taken = _textbook_coarse_to_fine(a1, a2, psi1, psi2, noise, rho0, n_steps)
+        assert taken == route
+        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0, n_steps=n_steps)
+        np.testing.assert_array_equal(shot.coords, expected)
+
+    @pytest.mark.parametrize(
+        "alpha1,alpha2,cause",
+        [(1.0, 1e103, OverflowError), (1e-110, 2e-110, ZeroDivisionError)],
+    )
+    def test_out_of_range_names_the_range(self, alpha1, alpha2, cause):
+        grid = build_grid(0.25, 0.4, 4)
+        noise = NoiseProfile.flat(1.0, 4)
+        with pytest.raises(ConvergenceError, match="supports attenuations of about 1e-7 to 1e6") as info:
+            shoot_alpha_geodesic(alpha1, alpha2, np.zeros(4), np.full(4, 0.5), grid, noise, np.ones(4), n_steps=100)
+        assert isinstance(info.value.__cause__, cause)
+
+
+class TestOneWrapRule:
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_length_is_distance_alpha_on_unwrapped_phases(self, seed):
+        a1, a2, psi1, _, grid, noise, rho0 = TestScaledConstants._instance(seed)
+        psi1 = 3.0 * psi1
+        psi2 = psi1 + np.random.default_rng(seed).uniform(-3.3, 3.3, len(psi1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateGeodesicWarning)
+            geo = solve_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0)
+        assert geo.length == distance_alpha(a1, a2, psi1, psi2, grid, noise, rho0)
+        np.testing.assert_array_equal(geo.psi1, wrap_phase(psi1))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -49,14 +49,25 @@ __all__ = ["CriterionResult", "run_acceptance_suite", "CRITERIA"]
 
 @dataclass
 class CriterionResult:
+    """One verdict; it passes when ``|measured - expected| <= tolerance``,
+    which a NaN measurement never satisfies."""
+
     cid: int
     name: str
     measured: float
     expected: float
     tolerance: float
-    passed: bool
+    passed: bool = field(init=False)
     seconds: float = 0.0
     detail: str = ""
+
+    def __post_init__(self):
+        self.passed = bool(abs(self.measured - self.expected) <= self.tolerance)
+
+
+def _worst(cid: int, name: str, errors, tolerance: float, detail: str = "") -> CriterionResult:
+    """Result measuring the largest error against zero; ``np.max`` passes a NaN on."""
+    return CriterionResult(cid, name, float(np.max(errors)), 0.0, tolerance, detail=detail)
 
 
 def _rng(seed, cid: int) -> np.random.Generator:
@@ -108,16 +119,8 @@ def _dip_width(geo) -> float:
 def _plateau_criterion(cid: int, case: str, expected: float, tolerance: float) -> CriterionResult:
     rows = run_figure_case(FIGURE_CASES[case])
     window = rows[(rows[:, 0] >= 10.0) & (rows[:, 0] <= 20.0)]
-    measured = float(np.mean(window[:, 3]))
-    return CriterionResult(
-        cid=cid,
-        name=f"delay-sweep plateau ({case})",
-        measured=measured,
-        expected=expected,
-        tolerance=tolerance,
-        passed=abs(measured - expected) <= tolerance,
-        detail=f"{len(window)} sweep points in the averaging window",
-    )
+    return CriterionResult(cid, f"delay-sweep plateau ({case})", float(np.mean(window[:, 3])), expected,
+                           tolerance, detail=f"{len(window)} sweep points in the averaging window")
 
 
 def criterion_1(seed, scale: str) -> CriterionResult:
@@ -128,70 +131,57 @@ def criterion_1(seed, scale: str) -> CriterionResult:
 
 def criterion_2(seed, scale: str) -> CriterionResult:
     return _plateau_criterion(
-        2,
-        "wideband-gain10",
-        math.sqrt(1.0 - (20.0 / 101.0) * math.cos(math.pi / math.sqrt(3.0))),
-        0.01,
+        2, "wideband-gain10", math.sqrt(1.0 - (20.0 / 101.0) * math.cos(math.pi / math.sqrt(3.0))), 0.01
     )
+
+
+def _both_distances(a1, a2, psi1, psi2, grid, noise, rho0) -> tuple[float, float]:
+    """``distance_full`` between the spectra ``a rho0`` with phases ``psi``, and
+    ``distance_alpha`` of the same endpoint pair."""
+    d_full = distance_full(SignalSpectrum(a1 * rho0, psi1), SignalSpectrum(a2 * rho0, psi2), noise)
+    return d_full, distance_alpha(a1, a2, psi1, psi2, grid, noise, rho0)
 
 
 def criterion_3(seed, scale: str) -> CriterionResult:
     rng = _rng(seed, 3)
     n_cases = 1000 if scale == "full" else 200
-    violations = 0
-    worst = -np.inf
+    gaps = []
     for _ in range(n_cases):
         grid, noise, rho0 = _random_band(rng, 4, 64)
         a1, a2 = _random_alpha(rng), _random_alpha(rng)
         psi1 = _random_poly_phases(rng, grid)
         psi2 = _random_poly_phases(rng, grid)
-        s1 = SignalSpectrum(a1 * rho0, psi1)
-        s2 = SignalSpectrum(a2 * rho0, psi2)
-        d_full = distance_full(s1, s2, noise)
-        d_sub = distance_alpha(a1, a2, psi1, psi2, grid, noise, rho0)
-        gap = d_full - d_sub - 1e-12 * (1.0 + d_full)
-        worst = max(worst, gap)
-        if gap > 0.0:
-            violations += 1
+        d_full, d_sub = _both_distances(a1, a2, psi1, psi2, grid, noise, rho0)
+        gaps.append(d_full - d_sub - 1e-12 * (1.0 + d_full))
+    gaps = np.array(gaps)
     return CriterionResult(
-        cid=3,
-        name="submanifold distance dominates the full distance",
-        measured=float(violations),
-        expected=0.0,
-        tolerance=0.0,
-        passed=violations == 0,
-        detail=f"worst signed slack {worst:.3e} over {n_cases} instances",
+        3,
+        "submanifold distance dominates the full distance",
+        float(np.count_nonzero(~(gaps <= 0.0))),  # a NaN gap is a violation too
+        0.0,
+        0.0,
+        detail=f"worst signed slack {np.max(gaps):.3e} over {n_cases} instances",
     )
 
 
 def criterion_4(seed, scale: str) -> CriterionResult:
     rng = _rng(seed, 4)
-    worst = 0.0
+    errors = []
     for _ in range(100):
         grid, noise, rho0 = _random_band(rng, 4, 64)
         a1, a2 = _random_alpha(rng), _random_alpha(rng)
         psi1 = _random_poly_phases(rng, grid)
         shift = float(rng.uniform(-np.pi, np.pi))
         psi2 = wrap_phase(psi1 + shift)
-        s1 = SignalSpectrum(a1 * rho0, psi1)
-        s2 = SignalSpectrum(a2 * rho0, psi2)
-        d_full = distance_full(s1, s2, noise)
-        d_sub = distance_alpha(a1, a2, psi1, psi2, grid, noise, rho0)
-        worst = max(worst, abs(d_sub - d_full) / (1.0 + d_full))
-    return CriterionResult(
-        cid=4,
-        name="constant phase difference makes both distances equal",
-        measured=worst,
-        expected=0.0,
-        tolerance=1e-12,
-        passed=worst <= 1e-12,
-    )
+        d_full, d_sub = _both_distances(a1, a2, psi1, psi2, grid, noise, rho0)
+        errors.append(abs(d_sub - d_full) / (1.0 + d_full))
+    return _worst(4, "constant phase difference makes both distances equal", errors, 1e-12)
 
 
 def criterion_5(seed, scale: str) -> CriterionResult:
     rng = _rng(seed, 5)
     n_cases = 100 if scale == "full" else 20
-    worst = 0.0
+    errors = []
     for _ in range(n_cases):
         grid, noise, rho0 = _random_band(rng, 8, 32)
         a1, a2 = _random_alpha(rng), _random_alpha(rng)
@@ -200,14 +190,12 @@ def criterion_5(seed, scale: str) -> CriterionResult:
         path = sample_alpha_geodesic(geo, n_nodes=257)
         length = path_length(AlphaPhaseChart(noise, rho0), path, n_quad=16)
         d_sub = distance_alpha(a1, a2, psi1, psi2, grid, noise, rho0)
-        worst = max(worst, abs(length - d_sub) / d_sub)
-    return CriterionResult(
-        cid=5,
-        name="closed-form length equals quadrature along the geodesic",
-        measured=worst,
-        expected=0.0,
-        tolerance=1e-8,
-        passed=worst <= 1e-8,
+        errors.append(abs(length - d_sub) / d_sub)
+    return _worst(
+        5,
+        "closed-form length equals quadrature along the geodesic",
+        errors,
+        1e-8,
         detail=f"{n_cases} instances, 257-node adaptive sampling",
     )
 
@@ -215,9 +203,7 @@ def criterion_5(seed, scale: str) -> CriterionResult:
 def criterion_6(seed, scale: str) -> CriterionResult:
     rng = _rng(seed, 6)
     n_cases = 50 if scale == "full" else 10
-    worst_alpha = 0.0
-    worst_psi = 0.0
-    worst_len = 0.0
+    gaps = []  # (alpha, phase, relative length) per instance
     for _ in range(n_cases):
         grid, noise, rho0 = _random_band(rng, 4, 16)
         a1, a2 = _random_alpha(rng), _random_alpha(rng)
@@ -227,18 +213,18 @@ def criterion_6(seed, scale: str) -> CriterionResult:
         n_steps = int(min(max(4000, 25.0 / width), 40000))
         shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0, n_steps=n_steps)
         psis = geo.psi1 + geo.phase_mix_at(shot.sigmas)[:, np.newaxis] * geo.dpsi
-        worst_alpha = max(worst_alpha, float(np.max(np.abs(shot.coords[:, 0] - geo.alpha_at(shot.sigmas)))))
-        worst_psi = max(worst_psi, float(np.max(np.abs(shot.coords[:, 1:] - psis))))
         shot_len = path_length(AlphaPhaseChart(noise, rho0), shot, n_quad=8)
-        worst_len = max(worst_len, abs(shot_len - geo.length) / geo.length)
-    measured = max(worst_alpha, worst_len)
-    return CriterionResult(
-        cid=6,
-        name="closed form matches the RK4 shooting oracle",
-        measured=measured,
-        expected=0.0,
-        tolerance=1e-6,
-        passed=measured <= 1e-6,
+        gaps.append((
+            np.max(np.abs(shot.coords[:, 0] - geo.alpha_at(shot.sigmas))),
+            np.max(np.abs(shot.coords[:, 1:] - psis)),
+            abs(shot_len - geo.length) / geo.length,
+        ))
+    worst_alpha, worst_psi, worst_len = np.max(gaps, axis=0)
+    return _worst(
+        6,
+        "closed form matches the RK4 shooting oracle",
+        [worst_alpha, worst_len],
+        1e-6,
         detail=(
             f"max |alpha| gap {worst_alpha:.2e}, max phase gap {worst_psi:.2e}, "
             f"max length gap {worst_len:.2e} over {n_cases} instances"
@@ -248,7 +234,7 @@ def criterion_6(seed, scale: str) -> CriterionResult:
 
 def criterion_7(seed, scale: str) -> CriterionResult:
     rng = _rng(seed, 7)
-    worst = 0.0
+    errors = []
     for _ in range(1000):
         grid, noise, _ = _random_band(rng, 4, 64)
         n = grid.n_freqs
@@ -256,15 +242,8 @@ def criterion_7(seed, scale: str) -> CriterionResult:
         s2 = SignalSpectrum(rng.uniform(0.0, 3.0, n), wrap_phase(rng.uniform(-np.pi, np.pi, n)))
         polar = distance_full(s1, s2, noise)
         embedded = distance_full_embedding(s1, s2, noise)
-        worst = max(worst, abs(polar - embedded) / max(polar, 1e-300))
-    return CriterionResult(
-        cid=7,
-        name="polar and embedding evaluations of the full distance agree",
-        measured=worst,
-        expected=0.0,
-        tolerance=1e-12,
-        passed=worst <= 1e-12,
-    )
+        errors.append(abs(polar - embedded) / max(polar, 1e-300))
+    return _worst(7, "polar and embedding evaluations of the full distance agree", errors, 1e-12)
 
 
 def _random_small_model(rng):
@@ -283,7 +262,7 @@ def criterion_8(seed, scale: str) -> CriterionResult:
     rng = _rng(seed, 8)
     n_models = 10 if scale == "full" else 3
     n_samples = 100_000 if scale == "full" else 20_000
-    worst = 0.0
+    errors = []
     for k in range(n_models):
         model, grid, noise = _random_small_model(rng)
         xi = model.xi
@@ -291,57 +270,52 @@ def criterion_8(seed, scale: str) -> CriterionResult:
         estimate, stderr = monte_carlo_fisher(
             model, xi, grid, noise, n_samples, seed=[int(seed), 8, k], return_stderr=True
         )
-        sigmas = np.abs(estimate - analytic) / np.maximum(stderr, 1e-300)
-        worst = max(worst, float(np.max(sigmas)))
-    return CriterionResult(
-        cid=8,
-        name="Monte Carlo score outer products reproduce the metric",
-        measured=worst,
-        expected=0.0,
-        tolerance=4.0,
-        passed=worst <= 4.0,
+        errors.append(np.max(np.abs(estimate - analytic) / np.maximum(stderr, 1e-300)))
+    return _worst(
+        8,
+        "Monte Carlo score outer products reproduce the metric",
+        errors,
+        4.0,
         detail=f"worst entry deviation in standard errors, {n_models} models x {n_samples} samples",
     )
 
 
 def criterion_9(seed, scale: str) -> CriterionResult:
     rng = _rng(seed, 9)
-    worst = 0.0
+    errors = []
     for _ in range(20):
         model, grid, noise = _random_small_model(rng)
         xi = model.xi
         exact = christoffel(model, xi, grid, noise).values
         approx = christoffel_fd(model, xi, grid, noise).values
-        worst = max(worst, float(np.max(np.abs(approx - exact) / (1.0 + np.abs(exact)))))
-    return CriterionResult(
-        cid=9,
-        name="analytic connection symbols match finite differences",
-        measured=worst,
-        expected=0.0,
-        tolerance=1e-5,
-        passed=worst <= 1e-5,
+        errors.append(np.max(np.abs(approx - exact) / (1.0 + np.abs(exact))))
+    return _worst(
+        9,
+        "analytic connection symbols match finite differences",
+        errors,
+        1e-5,
         detail="structural zeros are enforced exactly at construction",
     )
 
 
 def _ldg_instance():
-    """Fixed moderate instance whose coefficient differences never wrap."""
+    """Fixed moderate instance whose coefficient differences never wrap: its
+    band, closed-form geodesic, model at the start, and endpoint coefficients."""
     grid = build_grid(0.25, 0.4, 16)
     noise = NoiseProfile(np.linspace(0.8, 1.4, 16))
     rho0 = np.linspace(0.6, 1.5, 16)
     coeffs1 = np.array([0.3, 1.0, -0.5])
     coeffs2 = np.array([0.7, 2.2, 0.3])
-    alpha1, alpha2 = 1.0, 1.6
-    return grid, noise, rho0, alpha1, alpha2, coeffs1, coeffs2
+    psi1 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs1))
+    psi2 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs2))
+    geo = solve_alpha_geodesic(1.0, 1.6, psi1, psi2, grid, noise, rho0)
+    model = KnownMagnitudeModel(rho0, alpha=1.0, phase_coeffs=coeffs1)
+    return grid, noise, geo, model, coeffs1, coeffs2
 
 
 def _ldg_scaled_residual(n_nodes: int) -> float:
-    grid, noise, rho0, a1, a2, coeffs1, coeffs2 = _ldg_instance()
-    psi1 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs1))
-    psi2 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs2))
-    geo = solve_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0)
+    grid, noise, geo, model, coeffs1, coeffs2 = _ldg_instance()
     path = alpha_geodesic_coeff_path(geo, coeffs1, coeffs2, n_nodes=n_nodes)
-    model = KnownMagnitudeModel(rho0, alpha=a1, phase_coeffs=coeffs1)
     return ldg_residual(model, path, grid, noise).max_scaled
 
 
@@ -368,14 +342,13 @@ def criterion_10(seed, scale: str) -> CriterionResult:
     order_ok = res_fine > 0.0 and res_coarse / res_fine >= 3.5
     control = _line_reparam_residual()
     threshold = 1e-4
-    passed = res_coarse <= threshold and order_ok and control > 10.0 * threshold
+    # the residual counts only while it refines at second order and the control stays far above it
     return CriterionResult(
-        cid=10,
-        name="geodesic-equation residual vanishes on the closed form",
-        measured=res_coarse,
-        expected=0.0,
-        tolerance=threshold,
-        passed=passed,
+        10,
+        "geodesic-equation residual vanishes on the closed form",
+        res_coarse if order_ok and control > 10.0 * threshold else math.inf,
+        0.0,
+        threshold,
         detail=(
             f"refined residual {res_fine:.3e} (ratio {res_coarse / max(res_fine, 1e-300):.1f}), "
             f"reparametrized-line control {control:.3e}"
@@ -384,14 +357,10 @@ def criterion_10(seed, scale: str) -> CriterionResult:
 
 
 def criterion_11(seed, scale: str) -> CriterionResult:
-    grid, noise, rho0, a1, a2, coeffs1, coeffs2 = _ldg_instance()
-    psi1 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs1))
-    psi2 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs2))
-    geo = solve_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0)
-    model = KnownMagnitudeModel(rho0, alpha=a1, phase_coeffs=coeffs1)
+    grid, noise, geo, model, coeffs1, coeffs2 = _ldg_instance()
     dc = coeffs2 - coeffs1
     root_k = math.sqrt(geo.K)
-    worst = 0.0
+    errors = []
     for sigma in np.linspace(0.0, 1.0, 41):
         alpha = float(geo.alpha_at(sigma))
         d_alpha = geo.k1 * (sigma + geo.k2) / alpha
@@ -399,15 +368,8 @@ def criterion_11(seed, scale: str) -> CriterionResult:
         xi = np.concatenate([[alpha], coeffs1 + float(geo.phase_mix_at(sigma)) * dc])
         xi_dot = np.concatenate([[d_alpha], mix_rate * dc])
         speed = path_speed(model, xi, xi_dot, grid, noise)
-        worst = max(worst, abs(speed / geo.speed - 1.0))
-    return CriterionResult(
-        cid=11,
-        name="geodesic speed is constant and equals the length squared",
-        measured=worst,
-        expected=0.0,
-        tolerance=1e-8,
-        passed=worst <= 1e-8,
-    )
+        errors.append(abs(speed / geo.speed - 1.0))
+    return _worst(11, "geodesic speed is constant and equals the length squared", errors, 1e-8)
 
 
 def criterion_12(seed, scale: str) -> CriterionResult:
@@ -422,19 +384,13 @@ def criterion_12(seed, scale: str) -> CriterionResult:
     a2 = gamma * a1
     psi1 = np.zeros(n)
     psi2 = wrap_phase(rng.uniform(-np.pi, np.pi, n))
-    s1 = SignalSpectrum(a1 * rho0, psi1)
-    s2 = SignalSpectrum(a2 * rho0, psi2)
-    d_full = distance_full(s1, s2, noise)
-    d_sub = distance_alpha(a1, a2, psi1, psi2, grid, noise, rho0)
+    d_full, d_sub = _both_distances(a1, a2, psi1, psi2, grid, noise, rho0)
     lim_full, lim_sub = large_phase_limits(gamma, 1.0)
-    measured = max(abs(d_full / lim_full - 1.0), abs(d_sub / lim_sub - 1.0))
-    return CriterionResult(
-        cid=12,
-        name="equidistributed phases reach the large-variation limits",
-        measured=measured,
-        expected=0.0,
-        tolerance=0.03,
-        passed=measured <= 0.03,
+    return _worst(
+        12,
+        "equidistributed phases reach the large-variation limits",
+        [abs(d_full / lim_full - 1.0), abs(d_sub / lim_sub - 1.0)],
+        0.03,
         detail=f"d_full {d_full:.4f} vs {lim_full:.4f}; d_alpha {d_sub:.4f} vs {lim_sub:.4f}",
     )
 
@@ -445,45 +401,17 @@ def criterion_13(seed, scale: str) -> CriterionResult:
     a1, a2 = 0.8, 1.6
     psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, grid.n_freqs))
     psi2 = wrap_phase(rng.uniform(-np.pi, np.pi, grid.n_freqs))
-    worst = 0.0
+    errors = []
     for c in (4.0, 3.7):
-        base_full = distance_full(
-            SignalSpectrum(a1 * rho0, psi1), SignalSpectrum(a2 * rho0, psi2), noise
-        )
-        scaled_full = distance_full(
-            SignalSpectrum(a1 * (c * rho0), psi1), SignalSpectrum(a2 * (c * rho0), psi2), noise
-        )
-        base_sub = distance_alpha(a1, a2, psi1, psi2, grid, noise, rho0)
-        scaled_sub = distance_alpha(a1, a2, psi1, psi2, grid, noise, c * rho0)
-        worst = max(
-            worst,
-            abs(scaled_full / (c * base_full) - 1.0),
-            abs(scaled_sub / (c * base_sub) - 1.0),
-        )
-    return CriterionResult(
-        cid=13,
-        name="template scaling multiplies both distances exactly",
-        measured=worst,
-        expected=0.0,
-        tolerance=1e-15,
-        passed=worst <= 1e-15,
-    )
+        base_full, base_sub = _both_distances(a1, a2, psi1, psi2, grid, noise, rho0)
+        scaled_full, scaled_sub = _both_distances(a1, a2, psi1, psi2, grid, noise, c * rho0)
+        errors += [abs(scaled_full / (c * base_full) - 1.0), abs(scaled_sub / (c * base_sub) - 1.0)]
+    return _worst(13, "template scaling multiplies both distances exactly", errors, 1e-15)
 
 
 CRITERIA = [
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-    criterion_11,
-    criterion_12,
-    criterion_13,
+    criterion_1, criterion_2, criterion_3, criterion_4, criterion_5, criterion_6, criterion_7,
+    criterion_8, criterion_9, criterion_10, criterion_11, criterion_12, criterion_13,
 ]
 
 

@@ -95,12 +95,16 @@ def distance_full(s1: SignalSpectrum, s2: SignalSpectrum, noise: NoiseProfile) -
     """Distance on the full band manifold, polar form.
 
     ``sqrt(sum (2/gamma0) [rho2^2 + rho1^2 - 2 rho1 rho2 cos(psi2 - psi1)])``,
-    evaluated per bin in half-angle form.
+    evaluated per bin in half-angle form.  The power-of-two scale comes from
+    the bins whose chord is not zero, so a large bin that is equal at both
+    ends cannot push a small bin that moves below the double range.
     """
     if not (s1.n_freqs == s2.n_freqs == noise.n_freqs):
         raise ValueError("misaligned spectra or noise profile")
     half = np.sin(0.5 * wrap_phase(s2.psi - s1.psi))
-    c, e = scaled_chord(s1.rho, s2.rho, half * half)
+    h = half * half
+    moving = (s1.rho != s2.rho) | ((h > 0.0) & (s1.rho > 0.0))
+    c, e = scaled_chord(np.where(moving, s1.rho, 0.0), np.where(moving, s2.rho, 0.0), h)
     return math.ldexp(math.sqrt(float(np.sum(noise.weights * c))), e)
 
 

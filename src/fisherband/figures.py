@@ -6,7 +6,8 @@ the delay-bandwidth product ``B * dtau``.  Per sweep point the phase law is
 submanifold distances (exact grid sums, unit reference SNR) and their
 sinc-approximated ratio.  The per-bin signal-to-noise ratio is held constant
 across the band (gamma0 = 2, rho0 = 1), which makes all weighted means plain
-means.
+means; the distances come from
+:func:`~fisherband.distances.known_mag_distances` on that flat template.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .band import build_grid, scaled_chord, wrap_phase
-from .distances import ratio_time_delay
+from .band import NoiseProfile, Template, build_grid, wrap_phase
+from .distances import known_mag_distances, ratio_time_delay
 
 __all__ = [
     "FIGURE_CASES",
@@ -87,27 +88,23 @@ def run_figure_case(config: ExperimentConfig) -> np.ndarray:
     """Rows (b_dtau, d_full, d_alpha, ratio) for one sweep case.
 
     Distances are the exact constant-per-bin-SNR grid sums at the reference
-    SNR; the ratio column is the sinc-form approximation of
+    SNR, with ``alpha1 = sqrt(snr1 / omega0)`` and ``alpha2 = gamma_ratio *
+    alpha1``; the ratio column is the sinc-form approximation of
     :func:`ratio_time_delay`.  Output is deterministic.  When the config
     carries an output path the rows are also written there as CSV.
     """
-    grid = build_grid(config.nu0, config.bandwidth_B, config.n_freqs)
-    g = config.gamma_ratio
+    n = config.n_freqs
+    grid = build_grid(config.nu0, config.bandwidth_B, n)
+    template = Template(NoiseProfile.flat(2.0, n), np.ones(n))
+    alpha1 = math.sqrt(config.snr1 / template.omega0)
     btaus = sweep_points(config)
     # first, so its (points x bins) temporaries are freed before the sweep's
-    ratio = ratio_time_delay(g, config.dpsi0, btaus, config.nu0 / config.bandwidth_B, config.n_freqs)
+    ratio = ratio_time_delay(config.gamma_ratio, config.dpsi0, btaus, config.nu0 / config.bandwidth_B, n)
     dtaus = btaus / config.bandwidth_B
 
     # wrapped linear phase differences, one row per sweep point
     dpsi = wrap_phase(config.dpsi0 - 2.0 * np.pi * dtaus[:, np.newaxis] * grid.freqs[np.newaxis, :])
-    # (1 - mean cos) / 2 is the mean of sin^2(dpsi/2)
-    half_full = np.mean(np.sin(0.5 * dpsi) ** 2, axis=1)
-    half_alpha = np.sin(0.5 * np.sqrt(np.mean(dpsi**2, axis=1))) ** 2
-
-    c_full, e = scaled_chord(1.0, g, half_full)
-    c_alpha, _ = scaled_chord(1.0, g, half_alpha)
-    d_full = np.ldexp(np.sqrt(config.snr1 * c_full), e)
-    d_alpha = np.ldexp(np.sqrt(config.snr1 * c_alpha), e)
+    d_full, d_alpha, _ = known_mag_distances(template, alpha1, config.gamma_ratio * alpha1, dpsi)
     rows = np.column_stack([btaus, d_full, d_alpha, ratio])
     if config.output_path is not None:
         write_figure_csv(config.output_path, rows)

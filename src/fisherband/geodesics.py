@@ -48,7 +48,7 @@ from .band import (
     scaled_chord,
     wrap_phase,
 )
-from .metric import fisher_matrix
+from .metric import path_speed
 from .models import ParametricSignalModel
 
 __all__ = [
@@ -162,11 +162,7 @@ class ModelChart:
     def speed(self, coords, vel) -> np.ndarray:
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
         vel = np.atleast_2d(np.asarray(vel, dtype=float))
-        p = self.model.n_mag_params
-        out = np.empty(len(coords))
-        for row, (x, v) in enumerate(zip(coords, vel)):
-            fm = fisher_matrix(self.model, x, self.grid, self.noise)
-            out[row] = v[:p] @ fm.mag_block @ v[:p] + v[p:] @ fm.phase_block @ v[p:]
+        out = np.array([path_speed(self.model, x, v, self.grid, self.noise) for x, v in zip(coords, vel)])
         return out if out.size > 1 else out[0]
 
 

@@ -4,9 +4,12 @@ One test per criterion so failures are individually visible; each prints a
 PASS/FAIL line with the measured value against its pinned tolerance.
 """
 
+import math
+
 import pytest
 
-from fisherband.acceptance import CRITERIA, run_acceptance_suite
+from fisherband import acceptance
+from fisherband.acceptance import CRITERIA, CriterionResult, run_acceptance_suite
 
 SEED = 0
 
@@ -29,3 +32,30 @@ def test_suite_verdict_shape():
     assert [c["cid"] for c in verdict["criteria"]] == list(range(1, 14))
     for entry in verdict["criteria"]:
         assert {"cid", "name", "measured", "expected", "tolerance", "passed", "seconds"} <= set(entry)
+
+
+def test_nan_measurement_fails():
+    result = CriterionResult(cid=0, name="probe", measured=math.nan, expected=0.0, tolerance=1.0)
+    assert result.passed is False
+
+
+def test_nan_path_length_fails_criterion_5(monkeypatch):
+    monkeypatch.setattr(acceptance, "path_length", lambda *args, **kwargs: math.nan)
+    result = acceptance.criterion_5(SEED, "smoke")
+    assert not result.passed, result
+
+
+@pytest.mark.parametrize("criterion", [acceptance.criterion_3, acceptance.criterion_4], ids=lambda c: c.__name__)
+def test_one_nan_distance_alpha_fails(criterion, monkeypatch):
+    # only the second call answers NaN; every other instance is a correct one
+    calls = []
+    real = acceptance.distance_alpha
+
+    def one_nan(*args, **kwargs):
+        calls.append(None)
+        return math.nan if len(calls) == 2 else real(*args, **kwargs)
+
+    monkeypatch.setattr(acceptance, "distance_alpha", one_nan)
+    result = criterion(SEED, "smoke")
+    assert len(calls) > 2
+    assert not result.passed, result

@@ -99,6 +99,17 @@ class TestDistanceFull:
             dac = distance_full(a, c, noise)
             assert dac <= dab + dbc + 1e-12
 
+    @pytest.mark.parametrize("swap", [False, True], ids=["forward", "swapped"])
+    @pytest.mark.parametrize("order", [1, -1], ids=["bins", "reversed-bins"])
+    def test_mixed_scale_bins(self, swap, order):
+        # a huge bin that does not move must not flush a tiny bin that does to zero
+        s1 = SignalSpectrum([1e200, 1e-200][::order], [0.0, 0.0])
+        s2 = SignalSpectrum([1e200, 2e-200][::order], [0.0, 0.0])
+        if swap:
+            s1, s2 = s2, s1
+        want = math.sqrt(2.0) * (2e-200 - 1e-200)
+        assert distance_full(s1, s2, NoiseProfile.flat(1.0, 2)) == pytest.approx(want, rel=1e-15, abs=0.0)
+
 
 class TestDistanceAlpha:
     def test_equal_phases_collapse_to_difference(self):

@@ -449,32 +449,42 @@ def save_path_csv(path_or_buf, path: GeodesicPath) -> None:
 
 
 def _rk4_alpha_end(alpha1: float, slope: float, K: float, n_steps: int):
-    """Fixed-step RK4 for (alpha' = v, v' = K/alpha^3): the final alpha only.
+    """Fixed-step RK4 for (alpha' = v, v' = K/alpha^3, theta' = 1/alpha^2):
+    the final (alpha, theta) only.
 
-    ``_rk4_alpha_path``'s arithmetic without theta, so bit for bit its last
-    alpha; a non-finite or non-positive alpha aborts with None.
+    ``_rk4_alpha_path``'s arithmetic without the records, so bit for bit its
+    last row; a non-finite or non-positive alpha, or a stage on alpha = 0,
+    aborts with None.
     """
     h = 1.0 / n_steps
     hh = 0.5 * h
     inf = math.inf
-    a, v = float(alpha1), float(slope)
-    for _ in range(n_steps):
-        if not (0.0 < a < inf and -inf < v < inf):
-            return None
-        dv1 = K / a**3
-        a2, v2 = a + hh * v, v + hh * dv1
-        dv2 = K / a2**3
-        a3, v3 = a + hh * v2, v + hh * dv2
-        dv3 = K / a3**3
-        a4, v4 = a + h * v3, v + h * dv3
-        dv4 = K / a4**3
-        a += h * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
-        v += h * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4) / 6.0
-    return a if 0.0 < a < inf else None
+    a, v, theta = float(alpha1), float(slope), 0.0
+    try:
+        for _ in range(n_steps):
+            if not (0.0 < a < inf and -inf < v < inf):
+                return None
+            q1 = 1.0 / (a * a)
+            dv1 = K * q1 / a
+            a2, v2 = a + hh * v, v + hh * dv1
+            q2 = 1.0 / (a2 * a2)
+            dv2 = K * q2 / a2
+            a3, v3 = a + hh * v2, v + hh * dv2
+            q3 = 1.0 / (a3 * a3)
+            dv3 = K * q3 / a3
+            a4, v4 = a + h * v3, v + h * dv3
+            q4 = 1.0 / (a4 * a4)
+            dv4 = K * q4 / a4
+            a += h * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
+            v += h * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4) / 6.0
+            theta += h * (q1 + 2.0 * q2 + 2.0 * q3 + q4) / 6.0
+    except ZeroDivisionError:
+        return None
+    return (a, theta) if 0.0 < a < inf else None
 
 
 def _rk4_alpha_path(alpha1: float, slope: float, K: float, n_steps: int):
-    """Fixed-step RK4 for (alpha' = v, v' = K/alpha^3, theta' = 1/alpha^2).
+    """``_rk4_alpha_end`` recording every step.
 
     Returns the per-step arrays (alpha, theta), or (None, None) where
     ``_rk4_alpha_end`` returns None.
@@ -484,38 +494,55 @@ def _rk4_alpha_path(alpha1: float, slope: float, K: float, n_steps: int):
     inf = math.inf
     a, v, theta = float(alpha1), float(slope), 0.0
     alphas, thetas = [a], [theta]
-    for _ in range(n_steps):
-        if not (0.0 < a < inf and -inf < v < inf):
-            return None, None
-        dv1, dt1 = K / a**3, 1.0 / a**2
-        a2, v2 = a + hh * v, v + hh * dv1
-        dv2, dt2 = K / a2**3, 1.0 / a2**2
-        a3, v3 = a + hh * v2, v + hh * dv2
-        dv3, dt3 = K / a3**3, 1.0 / a3**2
-        a4, v4 = a + h * v3, v + h * dv3
-        dv4, dt4 = K / a4**3, 1.0 / a4**2
-        a += h * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
-        v += h * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4) / 6.0
-        theta += h * (dt1 + 2.0 * dt2 + 2.0 * dt3 + dt4) / 6.0
-        alphas.append(a)
-        thetas.append(theta)
+    try:
+        for _ in range(n_steps):
+            if not (0.0 < a < inf and -inf < v < inf):
+                return None, None
+            q1 = 1.0 / (a * a)
+            dv1 = K * q1 / a
+            a2, v2 = a + hh * v, v + hh * dv1
+            q2 = 1.0 / (a2 * a2)
+            dv2 = K * q2 / a2
+            a3, v3 = a + hh * v2, v + hh * dv2
+            q3 = 1.0 / (a3 * a3)
+            dv3 = K * q3 / a3
+            a4, v4 = a + h * v3, v + h * dv3
+            q4 = 1.0 / (a4 * a4)
+            dv4 = K * q4 / a4
+            a += h * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
+            v += h * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4) / 6.0
+            theta += h * (q1 + 2.0 * q2 + 2.0 * q3 + q4) / 6.0
+            alphas.append(a)
+            thetas.append(theta)
+    except ZeroDivisionError:
+        return None, None
     if not 0.0 < a < inf:
         return None, None
     return np.array(alphas), np.array(thetas)
 
 
 def _shoot(geo: AlphaGeodesic, n_steps: int):
-    """Slope search of ``shoot_alpha_geodesic``: the recorded (alpha, theta)."""
-    alpha1, alpha2, delta, K = geo.alpha1, geo.alpha2, geo.delta, geo.K
-    tol = 1e-9
+    """Slope search of ``shoot_alpha_geodesic``, in ``geo``'s scaled units:
+    the recorded alpha and phase advance ``sqrt(K) theta``."""
+    alpha1, alpha2 = geo._scaled_ends()
+    root_k, delta = geo.moment, geo.delta
+    K = root_k * root_k
+    x2 = alpha2 * math.cos(delta)
+    tol = 1e-10
 
     def miss(slope, steps):
         end = _rk4_alpha_end(alpha1, slope, K, steps)
-        return None if end is None else end - alpha2
+        return None if end is None else end[0] * math.cos(root_k * end[1]) - x2
 
-    def secant(s0, f0, s1, steps):
-        """A slope whose ``steps``-step run ends within tol of alpha2, from
-        the trials s0 (with its miss f0) and s1."""
+    def converge(steps):
+        """A slope whose ``steps``-step run ends within tol of x2: the secant
+        from the slope it finds on an eighth of the steps while that keeps 100
+        (else from the chord slope); a start that already hits is kept."""
+        s0 = converge(steps // 8) if steps // 8 >= 100 else alpha2 - alpha1
+        f0 = miss(s0, steps)
+        if f0 is not None and abs(f0) < tol:
+            return s0
+        s1 = s0 + 0.25 * (1.0 + abs(s0))
         f1 = miss(s1, steps)
         for _ in range(100):
             if f1 is not None and abs(f1) < tol:
@@ -524,78 +551,18 @@ def _shoot(geo: AlphaGeodesic, n_steps: int):
                 # previous point blew up; walk away from it
                 s0, f0 = s1, f1
                 s1 = s1 + 0.5 * (1.0 + abs(s1))
-                f1 = miss(s1, steps)
-                continue
-            if f1 is None or f1 == f0:
+            elif f1 is None or f1 == f0:
                 s1 = 0.5 * (s0 + s1)
-                f1 = miss(s1, steps)
-                continue
-            s_next = s1 - f1 * (s1 - s0) / (f1 - f0)
-            s0, f0 = s1, f1
-            s1 = s_next
+            else:
+                s0, s1, f0 = s1, s1 - f1 * (s1 - s0) / (f1 - f0), f1
             f1 = miss(s1, steps)
         raise ConvergenceError("shooting failed to reach the endpoint in 100 iterations")
 
-    def converge(steps):
-        """The secant from the slope it finds on an eighth of the steps while
-        that keeps 100 (else from the chord slope); a start that already hits
-        is kept."""
-        s0 = converge(steps // 8) if steps // 8 >= 100 else alpha2 - alpha1
-        f0 = miss(s0, steps)
-        if f0 is not None and abs(f0) < tol:
-            return s0
-        return secant(s0, f0, s0 + 0.25 * (1.0 + abs(s0)), steps)
-
-    def record(slope):
-        alphas, thetas = _rk4_alpha_path(alpha1, slope, K, n_steps)
-        return slope, alphas, thetas
-
-    # root of K in natural units: the integrated phase advance must reach delta
-    root_k = math.ldexp(geo.moment, 2 * geo.scale)
-    phase_tol = 1e-6 * (1.0 + delta)
-
-    def advance_gap(thetas):
-        return root_k * thetas[-1] - delta
-
-    def polish(s):
-        # Newton on the phase advance with a finite-difference derivative
-        for _ in range(50):
-            alphas, thetas = _rk4_alpha_path(alpha1, s, K, n_steps)
-            if alphas is None:
-                return None
-            gap = advance_gap(thetas)
-            if abs(gap) <= 0.01 * phase_tol:
-                return s, alphas, thetas
-            h = 1e-7 * (1.0 + abs(s))
-            bumped = _rk4_alpha_path(alpha1, s + h, K, n_steps)[1]
-            if bumped is None:
-                return None
-            rate = (advance_gap(bumped) - gap) / h
-            if rate == 0.0 or not math.isfinite(rate):
-                return None
-            s = s - gap / rate
-        return None
-
-    slope, alphas, thetas = record(converge(n_steps))
-    if abs(advance_gap(thetas)) > phase_tol:
-        # wrong root: reflect the slope about the endpoint-miss minimum
-        mirrored = -2.0 * alpha1 - slope
-        try:
-            away = mirrored - 0.25 * (1.0 + abs(mirrored))
-            other = record(secant(mirrored, miss(mirrored, n_steps), away, n_steps))
-        except ConvergenceError:
-            other = None
-        if other is not None and abs(advance_gap(other[2])) < abs(advance_gap(thetas)):
-            slope, alphas, thetas = other
-    if abs(advance_gap(thetas)) > phase_tol:
-        polished = polish(slope)
-        if polished is not None:
-            slope, alphas, thetas = polished
-    if abs(advance_gap(thetas)) > phase_tol:
-        raise ConvergenceError("shooting converged to a path violating the phase advance")
-    if abs(alphas[-1] - alpha2) > 1e-9 * (1.0 + alpha2):
-        raise ConvergenceError("polished shooting lost the endpoint attenuation")
-    return alphas, thetas
+    alphas, thetas = _rk4_alpha_path(alpha1, converge(n_steps), K, n_steps)
+    advances = root_k * thetas
+    if abs(alphas[-1] * math.sin(advances[-1]) - alpha2 * math.sin(delta)) > 1e-6:
+        raise ConvergenceError("shooting reached alpha2 cos(delta) but not alpha2 sin(delta): K misses the ends")
+    return alphas, advances
 
 
 def shoot_alpha_geodesic(
@@ -610,42 +577,35 @@ def shoot_alpha_geodesic(
 ) -> GeodesicPath:
     """Numerical boundary-value geodesic by RK4 integration plus shooting.
 
-    The ODE constants K and c are read, in natural units, from the
-    ``AlphaGeodesic`` of the boundary data (K from the endpoint attenuations
-    and delta, c parallel to the wrapped phase differences), not its closed
-    form path; the single remaining unknown, the initial attenuation
-    slope, is found by secant iteration on the endpoint miss
-    ``alpha(1) - alpha2`` to 1e-9.  The secant starts from the slope it
+    The ODE constants, K and the per-bin ``c = sqrt(K) dpsi / delta``, are
+    taken from the ``AlphaGeodesic`` of the boundary data, not from its
+    closed-form path, and the ODE is integrated in its power-of-two units
+    (the larger attenuation in [0.5, 1)).  In the plane with polar
+    coordinates (alpha, phi), phi = sqrt(K) theta the phase advance, the ODE
+    is free motion along a straight line: a path from (alpha1, 0) with
+    initial slope v ends at ``x = alpha cos phi = alpha1 + v`` and at
+    ``y = alpha sin phi = sqrt(K) / alpha1`` whatever v is.  So the single
+    unknown, v, is found by secant iteration on the miss
+    ``x(1) - alpha2 cos delta`` to 1e-10; for the exact ODE it is affine in
+    v, with one well-conditioned root.  The secant starts from the slope it
     converges to on ``n_steps // 8`` steps when that is at least 100 (and so
     on recursively), else from the chord slope ``alpha2 - alpha1``; it never
-    reads the closed form.  The integrated phases reaching psi2 is
-    then a genuine check of the constants rather than an enforced condition.
-    Two refinements keep that check honest: a mismatch after convergence
-    triggers one mirrored restart to pick the other root of the endpoint
-    equation (phase advances beyond pi/2 need the initially-descending
-    branch), and near the tangency between the two roots, where the endpoint
-    miss alone leaves the slope poorly determined, the slope is polished
-    against the phase-advance equation (which is well conditioned exactly
-    there, and moves the endpoint miss only to second order).
+    reads the closed form.  ``y(1)`` reaching ``alpha2 sin delta`` (to 1e-6)
+    is then a genuine check of K rather than an enforced condition; a path
+    that misses it raises ``ConvergenceError``.
 
-    Every recorded path is the plain RK4 run of its slope.  The tolerances
-    are absolute and the RK4 stages cube alpha in Python floats, so the
-    oracle supports attenuations of about 1e-7 to 1e6; outside, it raises
-    ``ConvergenceError``, also where the float arithmetic overflows or
-    divides by an underflowed cube.
+    Every recorded path is the plain RK4 run of its slope, and the result is
+    homogeneous: attenuations scaled by a power of two scale the returned
+    alpha by it exactly and leave the phases bit for bit.
     """
     if n_steps < 100:
         raise ValueError("n_steps must be at least 100")
     geo = _boundary_geodesic(alpha1, alpha2, psi1, psi2, grid, noise, rho0)
-    try:
-        alphas, thetas = _shoot(geo, n_steps)
-    except (OverflowError, ZeroDivisionError) as err:
-        raise ConvergenceError(
-            f"shooting left the float range at attenuations ({geo.alpha1!r}, {geo.alpha2!r}): "
-            f"the RK4 oracle supports attenuations of about 1e-7 to 1e6 ({err})"
-        ) from err
-    sigmas = np.linspace(0.0, 1.0, n_steps + 1)
-    return GeodesicPath(sigmas, np.column_stack([alphas, geo.psi1 + thetas[:, np.newaxis] * geo.c]))
+    alphas, advances = _shoot(geo, n_steps)
+    # the fraction of each bin's phase difference covered is the advance over delta
+    mix = advances / geo.delta if geo.delta > 0.0 else np.zeros_like(advances)
+    phases = geo.psi1 + mix[:, np.newaxis] * geo.dpsi
+    return GeodesicPath(np.linspace(0.0, 1.0, n_steps + 1), np.column_stack([np.ldexp(alphas, geo.scale), phases]))
 
 
 # -- path functionals --------------------------------------------------------
@@ -757,7 +717,8 @@ class LdgResidual:
 
     @property
     def max_scaled(self) -> float:
-        worst = max(float(np.max(np.abs(self.mag))), float(np.max(np.abs(self.phase))))
+        # one np.max over both arrays, which passes a NaN on
+        worst = float(np.max(np.abs(np.hstack([self.mag, self.phase]))))
         return worst / self.speed_scale if self.speed_scale > 0.0 else worst
 
 

@@ -4,8 +4,10 @@ One test per criterion so failures are individually visible; each prints a
 PASS/FAIL line with the measured value against its pinned tolerance.
 """
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from fisherband import acceptance
@@ -58,4 +60,16 @@ def test_one_nan_distance_alpha_fails(criterion, monkeypatch):
     monkeypatch.setattr(acceptance, "distance_alpha", one_nan)
     result = criterion(SEED, "smoke")
     assert len(calls) > 2
+    assert not result.passed, result
+
+
+def test_nan_phase_residual_fails_criterion_10(monkeypatch):
+    real = acceptance.ldg_residual
+
+    def nan_phase(*args, **kwargs):
+        res = real(*args, **kwargs)
+        return dataclasses.replace(res, phase=np.full_like(res.phase, math.nan))
+
+    monkeypatch.setattr(acceptance, "ldg_residual", nan_phase)
+    result = acceptance.criterion_10(SEED, "smoke")
     assert not result.passed, result

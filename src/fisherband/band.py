@@ -74,10 +74,27 @@ def wrap_phase(theta):
     if not np.all(np.isfinite(arr)):
         raise ValueError("wrap_phase requires finite angles")
     # round-half-even keeps +pi fixed; the two corrections settle the
-    # boundary so the result is always in (-pi, pi].
-    w = arr - TWO_PI * np.round(arr / TWO_PI)
-    w = np.where(w <= -np.pi, w + TWO_PI, w)
-    w = np.where(w > np.pi, w - TWO_PI, w)
+    # boundary, where alone they fire
+    w = np.divide(arr, TWO_PI, out=np.empty(arr.shape))
+    np.round(w, out=w)
+    np.multiply(w, TWO_PI, out=w)
+    np.subtract(arr, w, out=w)
+    low = w <= -np.pi
+    corrected = bool(low.any())
+    if corrected:
+        w[low] += TWO_PI
+    high = w > np.pi
+    if high.any():
+        corrected = True
+        w[high] -= TWO_PI
+    if corrected:
+        # from |theta| ~ 1e17 on, the rounded multiple of 2 pi can be off by
+        # more than the corrections settle; reduce what is left by fmod
+        out = (w <= -np.pi) | (w > np.pi)
+        if out.any():
+            rest = np.remainder(arr[out], TWO_PI)
+            rest[rest > np.pi] -= TWO_PI
+            w[out] = rest
     if np.ndim(theta) == 0:
         return float(w)
     return w

@@ -33,6 +33,7 @@ that returned curves are geodesics and rejects non-affine reparametrizations.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -530,23 +531,31 @@ def _shoot(geo: AlphaGeodesic, n_steps: int):
     x2 = alpha2 * math.cos(delta)
     tol = 1e-10
 
-    def miss(slope, steps):
-        end = _rk4_alpha_end(alpha1, slope, K, steps)
-        return None if end is None else end[0] * math.cos(root_k * end[1]) - x2
+    def trial(slope, steps):
+        """The miss of ``slope`` on ``steps`` steps, and at ``n_steps`` its
+        recorded run (None on coarser levels, which keep only the end)."""
+        if steps < n_steps:
+            end, run = _rk4_alpha_end(alpha1, slope, K, steps), None
+        else:
+            run = _rk4_alpha_path(alpha1, slope, K, steps)
+            end = None if run[0] is None else (float(run[0][-1]), float(run[1][-1]))
+        return (None if end is None else end[0] * math.cos(root_k * end[1]) - x2), run
 
     def converge(steps):
-        """A slope whose ``steps``-step run ends within tol of x2: the secant
-        from the slope it finds on an eighth of the steps while that keeps 100
-        (else from the chord slope); a start that already hits is kept."""
-        s0 = converge(steps // 8) if steps // 8 >= 100 else alpha2 - alpha1
-        f0 = miss(s0, steps)
+        """A slope whose ``steps``-step run ends within tol of x2, and that
+        run: the secant from the slope it finds on an eighth of the steps
+        while that keeps 100 (else from the chord slope); a start that
+        already hits is kept.  The first step is Newton's on the free-motion
+        derivative dx(1)/dv = 1."""
+        s0 = converge(steps // 8)[0] if steps // 8 >= 100 else alpha2 - alpha1
+        f0, run = trial(s0, steps)
         if f0 is not None and abs(f0) < tol:
-            return s0
-        s1 = s0 + 0.25 * (1.0 + abs(s0))
-        f1 = miss(s1, steps)
+            return s0, run
+        s1 = s0 + 0.25 * (1.0 + abs(s0)) if f0 is None else s0 - f0
+        f1, run = trial(s1, steps)
         for _ in range(100):
             if f1 is not None and abs(f1) < tol:
-                return s1
+                return s1, run
             if f0 is None:
                 # previous point blew up; walk away from it
                 s0, f0 = s1, f1
@@ -555,10 +564,11 @@ def _shoot(geo: AlphaGeodesic, n_steps: int):
                 s1 = 0.5 * (s0 + s1)
             else:
                 s0, s1, f0 = s1, s1 - f1 * (s1 - s0) / (f1 - f0), f1
-            f1 = miss(s1, steps)
+            f1, run = trial(s1, steps)
         raise ConvergenceError("shooting failed to reach the endpoint in 100 iterations")
 
-    alphas, thetas = _rk4_alpha_path(alpha1, converge(n_steps), K, n_steps)
+    # the kept slope's run is its trial at n_steps, so no slope is integrated twice
+    alphas, thetas = converge(n_steps)[1]
     advances = root_k * thetas
     if abs(alphas[-1] * math.sin(advances[-1]) - alpha2 * math.sin(delta)) > 1e-6:
         raise ConvergenceError("shooting reached alpha2 cos(delta) but not alpha2 sin(delta): K misses the ends")
@@ -590,9 +600,11 @@ def shoot_alpha_geodesic(
     v, with one well-conditioned root.  The secant starts from the slope it
     converges to on ``n_steps // 8`` steps when that is at least 100 (and so
     on recursively), else from the chord slope ``alpha2 - alpha1``; it never
-    reads the closed form.  ``y(1)`` reaching ``alpha2 sin delta`` (to 1e-6)
-    is then a genuine check of K rather than an enforced condition; a path
-    that misses it raises ``ConvergenceError``.
+    reads the closed form.  Its first step is Newton's on ``dx(1)/dv = 1``,
+    and the accepted trial's run is the returned path.  ``y(1)`` reaching
+    ``alpha2 sin delta`` (to 1e-6) is then a genuine check of K rather than
+    an enforced condition; a path that misses it raises
+    ``ConvergenceError``.
 
     Every recorded path is the plain RK4 run of its slope, and the result is
     homogeneous: attenuations scaled by a power of two scale the returned
@@ -638,6 +650,15 @@ def _flat_reduction(chart, coords):
     return np.column_stack([head, u[:, :rank] * s[:rank]]), exponent, (basis * chart._w) @ basis.T
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n_quad: int):
+    """The ``n_quad``-point Gauss-Legendre rule on [-1, 1], read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def path_length(chart, path: GeodesicPath, n_quad: int = 64) -> float:
     """Length of a sampled path: quadrature of sqrt(speed) along a spline.
 
@@ -676,7 +697,7 @@ def path_length(chart, path: GeodesicPath, n_quad: int = 64) -> float:
             seg = (coords[idx + 1] - coords[idx]) / (sigmas[idx + 1] - sigmas[idx])[:, np.newaxis]
             return seg
 
-    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+    nodes, weights = _gauss_legendre(n_quad)
     starts = sigmas[:-1]
     halves = 0.5 * np.diff(sigmas)
     # all quadrature points of all intervals at once

@@ -1,9 +1,10 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fisherband import (
@@ -80,6 +81,45 @@ class TestWrapPhase:
         assert arr.shape == thetas.shape
         for t, w in zip(thetas, arr):
             assert wrap_phase(float(t)) == w
+
+    @staticmethod
+    def _legacy(theta):
+        # the rounding formula with its two boundary corrections, which alone
+        # reduced angles up to about 1e17
+        w = theta - 2 * np.pi * np.round(theta / (2 * np.pi))
+        w = np.where(w <= -np.pi, w + 2 * np.pi, w)
+        return np.where(w > np.pi, w - 2 * np.pi, w)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=1e15, max_value=1.7e308), st.sampled_from([-1.0, 1.0]))
+    @example(1.7e308, 1.0)
+    @example(1e21, -1.0)
+    def test_huge_angles_in_range_without_warnings(self, magnitude, sign):
+        theta = sign * magnitude
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = wrap_phase(theta)
+            arr = wrap_phase(np.array([theta, -theta, 1.0]))
+        assert -math.pi < w <= math.pi
+        assert np.all((arr > -math.pi) & (arr <= math.pi))
+        assert arr[0] == w and arr[2] == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.floats(min_value=-1e15, max_value=1e15, exclude_min=True, exclude_max=True), min_size=1, max_size=20
+        ),
+        st.lists(st.floats(min_value=1e15, max_value=1.7e308), max_size=5),
+    )
+    @example([0.5, -3.0 * math.pi, 1e14], [1.7e308])
+    def test_bitwise_below_1e15_beside_huge(self, small, huge):
+        # the fallback for huge angles leaves every other element of the
+        # same array bit for bit as the rounding formula had it
+        thetas = np.array(small + huge)
+        w = wrap_phase(thetas)
+        np.testing.assert_array_equal(w[: len(small)], self._legacy(np.array(small)))
+        assert np.all((w > -math.pi) & (w <= math.pi))
+        assert wrap_phase(thetas[0]) == self._legacy(thetas[0])
 
 
 class TestGrid:

@@ -34,6 +34,7 @@ from fisherband import (
     straight_line_geodesic,
     wrap_phase,
 )
+from fisherband import geodesics
 from fisherband.geodesics import _rk4_alpha_end, _rk4_alpha_path
 
 
@@ -116,7 +117,7 @@ def _textbook_shoot(alpha1, alpha2, psi1, psi2, noise, rho0, n_steps):
         if f0 is not None and abs(f0) < 1e-10:
             route.append(f"start hit at {steps}")
             return s0, alphas, thetas
-        s1 = s0 + 0.25 * (1.0 + abs(s0))
+        s1 = s0 + 0.25 * (1.0 + abs(s0)) if f0 is None else s0 - f0
         f1, alphas, thetas = run(s1, steps)
         for _ in range(100):
             if f1 is not None and abs(f1) < 1e-10:
@@ -820,6 +821,40 @@ class TestCoarseToFineShooting:
         scaled = shoot_alpha_geodesic(math.ldexp(0.3, k), math.ldexp(1.7, k), *band, n_steps=100)
         np.testing.assert_array_equal(scaled.coords[:, 0], np.ldexp(unit.coords[:, 0], k))
         np.testing.assert_array_equal(scaled.coords[:, 1:], unit.coords[:, 1:])
+
+    @pytest.mark.parametrize(
+        "n_steps,a1,a2,amplitude",
+        [(400, 0.8, 2.0, 0.7), (400, 0.8, 2.0, 0.0), (4000, 0.3, 3.0, 0.9), (4000, 1.0, 1.0, 2.5)],
+    )
+    def test_no_slope_integrated_twice(self, monkeypatch, n_steps, a1, a2, amplitude):
+        # counting wrappers: every RK4 run at the requested step count, and
+        # the step counts of the end-only runs
+        recorded, ends = [], []
+
+        def path(alpha1, slope, K, steps):
+            run = _rk4_alpha_path(alpha1, slope, K, steps)
+            recorded.append((float(slope), steps, run))
+            return run
+
+        def end(alpha1, slope, K, steps):
+            ends.append((float(slope), steps))
+            return _rk4_alpha_end(alpha1, slope, K, steps)
+
+        monkeypatch.setattr(geodesics, "_rk4_alpha_path", path)
+        monkeypatch.setattr(geodesics, "_rk4_alpha_end", end)
+        grid, noise, rho0, _ = _band(4, seed=7)
+        psi1 = np.linspace(-1.0, 1.0, 4)
+        psi2 = psi1 + amplitude * np.array([1.0, -1.0, 1.0, -1.0])
+        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0, n_steps=n_steps)
+        full = [slope for slope, steps in ends if steps == n_steps]
+        full += [slope for slope, steps, _ in recorded if steps == n_steps]
+        assert len(full) == len(set(full))
+        # the returned path is the last recorded run, in natural units
+        alphas, thetas = recorded[-1][2]
+        geo = solve_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0)
+        np.testing.assert_array_equal(shot.coords[:, 0], np.ldexp(alphas, geo.scale))
+        mix = geo.moment * thetas / geo.delta if geo.delta > 0.0 else np.zeros_like(thetas)
+        np.testing.assert_array_equal(shot.coords[:, 1:], geo.psi1 + mix[:, np.newaxis] * geo.dpsi)
 
     @pytest.mark.parametrize("alpha1,alpha2", [(1e-110, 2e-110), (1e103, 2e103)])
     def test_extreme_scales(self, alpha1, alpha2):

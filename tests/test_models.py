@@ -43,6 +43,14 @@ class TestKnownMagnitudeModel:
         assert spec.psi[1] == pytest.approx(math.pi, abs=1e-12)
         assert -math.pi < spec.psi[1] <= math.pi
 
+    def test_huge_phase_coefficient(self):
+        # a 1e21 delay coefficient wraps instead of failing the phase check
+        grid = build_grid(0.25, 0.4, 16)
+        model = KnownMagnitudeModel(np.ones(16), alpha=1.0, phase_coeffs=[0.0, 1e21])
+        spec = eval_model(model, model.xi, grid)
+        assert np.all((spec.psi > -math.pi) & (spec.psi <= math.pi))
+        np.testing.assert_array_equal(spec.rho, np.ones(16))
+
     def test_magnitude_is_exact_scaling(self, grid8):
         rho0 = np.linspace(0.2, 1.9, 8)
         model = KnownMagnitudeModel(rho0, alpha=1.7, phase_coeffs=[0.1, 2.0])

@@ -89,7 +89,7 @@ def wrap_phase(theta):
         w[high] -= TWO_PI
     if corrected:
         # from |theta| ~ 1e17 on, the rounded multiple of 2 pi can be off by
-        # more than the corrections settle; reduce what is left by fmod
+        # more than the corrections settle; reduce what is left by np.remainder
         out = (w <= -np.pi) | (w > np.pi)
         if out.any():
             rest = np.remainder(arr[out], TWO_PI)

@@ -23,11 +23,11 @@ wrapped phase difference delta:
 units, so the closed form is homogeneous over the whole double range.
 
 Integrating the phase equation gives an arctan flow, implemented here and
-validated against a fixed-step RK4 shooting integrator of the same ODE
-system.  The module also evaluates the geodesic-equation residual of an
-arbitrary sampled path (two weighted frequency sums pairing the spectral
-accelerations with the parameter gradients), which independently certifies
-that returned curves are geodesics and rejects non-affine reparametrizations.
+validated against fixed-step RK4 shooting from the free-motion slope.  The
+module also evaluates the geodesic-equation residual of an arbitrary sampled
+path (two weighted frequency sums pairing the spectral accelerations with
+the parameter gradients), which independently certifies that returned
+curves are geodesics and rejects non-affine reparametrizations.
 """
 
 from __future__ import annotations
@@ -449,46 +449,12 @@ def save_path_csv(path_or_buf, path: GeodesicPath) -> None:
 # -- shooting oracle ---------------------------------------------------------
 
 
-def _rk4_alpha_end(alpha1: float, slope: float, K: float, n_steps: int):
-    """Fixed-step RK4 for (alpha' = v, v' = K/alpha^3, theta' = 1/alpha^2):
-    the final (alpha, theta) only.
-
-    ``_rk4_alpha_path``'s arithmetic without the records, so bit for bit its
-    last row; a non-finite or non-positive alpha, or a stage on alpha = 0,
-    aborts with None.
-    """
-    h = 1.0 / n_steps
-    hh = 0.5 * h
-    inf = math.inf
-    a, v, theta = float(alpha1), float(slope), 0.0
-    try:
-        for _ in range(n_steps):
-            if not (0.0 < a < inf and -inf < v < inf):
-                return None
-            q1 = 1.0 / (a * a)
-            dv1 = K * q1 / a
-            a2, v2 = a + hh * v, v + hh * dv1
-            q2 = 1.0 / (a2 * a2)
-            dv2 = K * q2 / a2
-            a3, v3 = a + hh * v2, v + hh * dv2
-            q3 = 1.0 / (a3 * a3)
-            dv3 = K * q3 / a3
-            a4, v4 = a + h * v3, v + h * dv3
-            q4 = 1.0 / (a4 * a4)
-            dv4 = K * q4 / a4
-            a += h * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
-            v += h * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4) / 6.0
-            theta += h * (q1 + 2.0 * q2 + 2.0 * q3 + q4) / 6.0
-    except ZeroDivisionError:
-        return None
-    return (a, theta) if 0.0 < a < inf else None
-
-
 def _rk4_alpha_path(alpha1: float, slope: float, K: float, n_steps: int):
-    """``_rk4_alpha_end`` recording every step.
+    """Fixed-step RK4 for (alpha' = v, v' = K/alpha^3, theta' = 1/alpha^2),
+    recording every step.
 
-    Returns the per-step arrays (alpha, theta), or (None, None) where
-    ``_rk4_alpha_end`` returns None.
+    Returns the per-step arrays (alpha, theta), or (None, None) when alpha
+    turns non-finite or non-positive, or a stage lands on alpha = 0.
     """
     h = 1.0 / n_steps
     hh = 0.5 * h
@@ -531,31 +497,26 @@ def _shoot(geo: AlphaGeodesic, n_steps: int):
     x2 = alpha2 * math.cos(delta)
     tol = 1e-10
 
-    def trial(slope, steps):
-        """The miss of ``slope`` on ``steps`` steps, and at ``n_steps`` its
-        recorded run (None on coarser levels, which keep only the end)."""
-        if steps < n_steps:
-            end, run = _rk4_alpha_end(alpha1, slope, K, steps), None
-        else:
-            run = _rk4_alpha_path(alpha1, slope, K, steps)
-            end = None if run[0] is None else (float(run[0][-1]), float(run[1][-1]))
-        return (None if end is None else end[0] * math.cos(root_k * end[1]) - x2), run
+    def trial(slope):
+        """The miss of ``slope``'s run at x2 (None on a blow-up), and the run."""
+        alphas, thetas = run = _rk4_alpha_path(alpha1, slope, K, n_steps)
+        return (None if alphas is None else float(alphas[-1]) * math.cos(root_k * float(thetas[-1])) - x2), run
 
-    def converge(steps):
-        """A slope whose ``steps``-step run ends within tol of x2, and that
-        run: the secant from the slope it finds on an eighth of the steps
-        while that keeps 100 (else from the chord slope); a start that
-        already hits is kept.  The first step is Newton's on the free-motion
-        derivative dx(1)/dv = 1."""
-        s0 = converge(steps // 8)[0] if steps // 8 >= 100 else alpha2 - alpha1
-        f0, run = trial(s0, steps)
-        if f0 is not None and abs(f0) < tol:
-            return s0, run
+    def failure(what):
+        # chord 0 (coincident ends) is the constant path, which the start hits
+        dip = f"an attenuation dip moment/chord = {geo.moment / geo.chord:.1e} wide"
+        return ConvergenceError(f"shooting {what} at step 1/n_steps = {1.0 / n_steps:.1e}, against {dip}")
+
+    # the free-motion slope: x(1) = alpha1 + v up to RK4 error
+    s0 = x2 - alpha1
+    f0, run = trial(s0)
+    if not (f0 is not None and abs(f0) < tol):
+        # the first step is Newton's on dx(1)/dv = 1
         s1 = s0 + 0.25 * (1.0 + abs(s0)) if f0 is None else s0 - f0
-        f1, run = trial(s1, steps)
+        f1, run = trial(s1)
         for _ in range(100):
             if f1 is not None and abs(f1) < tol:
-                return s1, run
+                break
             if f0 is None:
                 # previous point blew up; walk away from it
                 s0, f0 = s1, f1
@@ -564,14 +525,14 @@ def _shoot(geo: AlphaGeodesic, n_steps: int):
                 s1 = 0.5 * (s0 + s1)
             else:
                 s0, s1, f0 = s1, s1 - f1 * (s1 - s0) / (f1 - f0), f1
-            f1, run = trial(s1, steps)
-        raise ConvergenceError("shooting failed to reach the endpoint in 100 iterations")
-
-    # the kept slope's run is its trial at n_steps, so no slope is integrated twice
-    alphas, thetas = converge(n_steps)[1]
+            f1, run = trial(s1)
+        else:
+            raise failure("failed to reach alpha2 cos(delta) in 100 iterations")
+    # the accepted trial's run is the path, so no slope is integrated twice
+    alphas, thetas = run
     advances = root_k * thetas
     if abs(alphas[-1] * math.sin(advances[-1]) - alpha2 * math.sin(delta)) > 1e-6:
-        raise ConvergenceError("shooting reached alpha2 cos(delta) but not alpha2 sin(delta): K misses the ends")
+        raise failure("reached alpha2 cos(delta), but RK4 error missed alpha2 sin(delta)")
     return alphas, advances
 
 
@@ -597,14 +558,17 @@ def shoot_alpha_geodesic(
     ``y = alpha sin phi = sqrt(K) / alpha1`` whatever v is.  So the single
     unknown, v, is found by secant iteration on the miss
     ``x(1) - alpha2 cos delta`` to 1e-10; for the exact ODE it is affine in
-    v, with one well-conditioned root.  The secant starts from the slope it
-    converges to on ``n_steps // 8`` steps when that is at least 100 (and so
-    on recursively), else from the chord slope ``alpha2 - alpha1``; it never
-    reads the closed form.  Its first step is Newton's on ``dx(1)/dv = 1``,
-    and the accepted trial's run is the returned path.  ``y(1)`` reaching
-    ``alpha2 sin delta`` (to 1e-6) is then a genuine check of K rather than
-    an enforced condition; a path that misses it raises
-    ``ConvergenceError``.
+    v, with one well-conditioned root.  The secant runs at ``n_steps``
+    steps and starts from that root of the exact ODE, the free-motion slope
+    ``alpha2 cos delta - alpha1``, which reads only the boundary data of its
+    target, never the closed form's k1 or k2.  Its first step is Newton's on
+    ``dx(1)/dv = 1``, and the accepted trial's run is the returned path.
+    ``y(1)`` reaching ``alpha2 sin delta`` (to 1e-6) is then a genuine check
+    of K and of the RK4 run, not an enforced condition.  A secant that does
+    not converge in 100 iterations, or a run that misses ``y(1)``, raises
+    ``ConvergenceError`` naming the step ``1/n_steps`` and the width
+    ``moment / chord`` of the attenuation dip: near delta = pi the dip
+    narrows to a step or less and RK4 cannot follow it.
 
     Every recorded path is the plain RK4 run of its slope, and the result is
     homogeneous: attenuations scaled by a power of two scale the returned

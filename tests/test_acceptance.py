@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from fisherband import acceptance
+from fisherband import acceptance, geodesics
 from fisherband.acceptance import CRITERIA, CriterionResult, run_acceptance_suite
 
 SEED = 0
@@ -34,6 +34,20 @@ def test_suite_verdict_shape():
     assert [c["cid"] for c in verdict["criteria"]] == list(range(1, 14))
     for entry in verdict["criteria"]:
         assert {"cid", "name", "measured", "expected", "tolerance", "passed", "seconds"} <= set(entry)
+
+
+def test_criterion_6_smoke_one_rk4_run_per_instance(monkeypatch):
+    # each of the ten instances is hit by its free-motion start at 4000 steps
+    runs = []
+    real = geodesics._rk4_alpha_path
+
+    def counted(alpha1, slope, K, n_steps):
+        runs.append(n_steps)
+        return real(alpha1, slope, K, n_steps)
+
+    monkeypatch.setattr(geodesics, "_rk4_alpha_path", counted)
+    assert acceptance.criterion_6(SEED, "smoke").passed
+    assert runs == [4000] * 10
 
 
 def test_nan_measurement_fails():

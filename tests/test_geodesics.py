@@ -35,7 +35,7 @@ from fisherband import (
     wrap_phase,
 )
 from fisherband import geodesics
-from fisherband.geodesics import _rk4_alpha_end, _rk4_alpha_path
+from fisherband.geodesics import _rk4_alpha_path
 
 
 def _band(n, seed=0, bandwidth=0.4):
@@ -94,9 +94,9 @@ def _textbook_shoot(alpha1, alpha2, psi1, psi2, noise, rho0, n_steps):
     """The shooting oracle with every trial slope integrated in full by
     ``_textbook_rk4``, in the closed form's power-of-two units: the secant on
     ``x(1) = alpha(1) cos(sqrt(K) theta(1))`` against ``alpha2 cos delta``,
-    started from its own solve on ``n_steps // 8`` steps (recursively, while
-    that is at least 100; the chord slope otherwise), keeping a start that
-    already hits.  Returns the path coordinates and the starts that hit."""
+    started from the free-motion slope ``alpha2 cos delta - alpha1`` and
+    keeping a start that already hits.  Returns the path coordinates and the
+    starts that hit."""
     # the unit brings the larger attenuation into [0.5, 1)
     scale = math.frexp(max(alpha1, alpha2))[1]
     a1, a2 = math.ldexp(alpha1, -scale), math.ldexp(alpha2, -scale)
@@ -105,23 +105,23 @@ def _textbook_shoot(alpha1, alpha2, psi1, psi2, noise, rho0, n_steps):
     K = root_k * root_k
     route = []
 
-    def run(slope, steps):
-        alphas, thetas = _textbook_rk4(a1, slope, K, steps)
+    def run(slope):
+        alphas, thetas = _textbook_rk4(a1, slope, K, n_steps)
         if alphas is None:
             return None, None, None
         return alphas[-1] * math.cos(root_k * thetas[-1]) - a2 * math.cos(delta), alphas, thetas
 
-    def converge(steps):
-        s0 = converge(steps // 8)[0] if steps // 8 >= 100 else a2 - a1
-        f0, alphas, thetas = run(s0, steps)
+    def converge():
+        s0 = a2 * math.cos(delta) - a1
+        f0, alphas, thetas = run(s0)
         if f0 is not None and abs(f0) < 1e-10:
-            route.append(f"start hit at {steps}")
-            return s0, alphas, thetas
+            route.append(f"start hit at {n_steps}")
+            return alphas, thetas
         s1 = s0 + 0.25 * (1.0 + abs(s0)) if f0 is None else s0 - f0
-        f1, alphas, thetas = run(s1, steps)
+        f1, alphas, thetas = run(s1)
         for _ in range(100):
             if f1 is not None and abs(f1) < 1e-10:
-                return s1, alphas, thetas
+                return alphas, thetas
             if f0 is None:
                 s0, f0 = s1, f1
                 s1 = s1 + 0.5 * (1.0 + abs(s1))
@@ -129,10 +129,10 @@ def _textbook_shoot(alpha1, alpha2, psi1, psi2, noise, rho0, n_steps):
                 s1 = 0.5 * (s0 + s1)
             else:
                 s0, s1, f0 = s1, s1 - f1 * (s1 - s0) / (f1 - f0), f1
-            f1, alphas, thetas = run(s1, steps)
+            f1, alphas, thetas = run(s1)
         raise ConvergenceError("no root")
 
-    _, alphas, thetas = converge(n_steps)
+    alphas, thetas = converge()
     assert abs(alphas[-1] * math.sin(root_k * thetas[-1]) - a2 * math.sin(delta)) <= 1e-6
     mix = root_k * thetas / delta if delta > 0.0 else np.zeros_like(thetas)
     phases = wrap_phase(psi1) + mix[:, np.newaxis] * dpsi
@@ -368,9 +368,9 @@ class TestShooting:
     @pytest.mark.parametrize(
         "a1,a2,amplitude,route",
         [
-            (0.8, 2.0, 0.7, []),
+            (0.8, 2.0, 0.7, ["start hit at 400"]),
             (1.0, 1.0, 2.5, []),
-            (0.5, 2.0, 1.571, []),
+            (0.5, 2.0, 1.571, ["start hit at 400"]),
             (0.8, 2.0, 0.0, ["start hit at 400"]),
         ],
     )
@@ -396,13 +396,11 @@ class TestShooting:
     # a stage lands on alpha = 0 exactly
     @example(0.01, -1.0, 0.0, 50)
     def test_endpoint_run_is_last_recorded_alpha(self, alpha1, slope, K, n_steps):
-        end = _rk4_alpha_end(alpha1, slope, K, n_steps)
         alphas, thetas = _rk4_alpha_path(alpha1, slope, K, n_steps)
         ref_alphas, ref_thetas = _textbook_rk4(alpha1, slope, K, n_steps)
-        if end is None:
-            assert alphas is None and thetas is None and ref_alphas is None
+        if ref_alphas is None:
+            assert alphas is None and thetas is None and ref_thetas is None
         else:
-            assert end == (alphas[-1], thetas[-1]) == (ref_alphas[-1], ref_thetas[-1])
             np.testing.assert_array_equal(alphas, ref_alphas)
             np.testing.assert_array_equal(thetas, ref_thetas)
 
@@ -779,11 +777,11 @@ class TestCoarseToFineShooting:
     @pytest.mark.parametrize(
         "n_steps,a1,a2,amplitude,route",
         [
-            (4000, 0.3, 3.0, 0.9, []),
+            (4000, 0.3, 3.0, 0.9, ["start hit at 4000"]),
             (4000, 0.8, 2.0, 0.7, ["start hit at 4000"]),
             (4000, 0.5, 2.0, 1.571, ["start hit at 4000"]),
-            (40000, 0.5, 2.0, 1.2, ["start hit at 5000", "start hit at 40000"]),
-            (40000, 1.0, 1.0, 2.5, ["start hit at 5000", "start hit at 40000"]),
+            (40000, 0.5, 2.0, 1.2, ["start hit at 40000"]),
+            (40000, 1.0, 1.0, 2.5, ["start hit at 40000"]),
         ],
     )
     def test_matches_textbook_rk4_bitwise(self, n_steps, a1, a2, amplitude, route):
@@ -827,28 +825,22 @@ class TestCoarseToFineShooting:
         [(400, 0.8, 2.0, 0.7), (400, 0.8, 2.0, 0.0), (4000, 0.3, 3.0, 0.9), (4000, 1.0, 1.0, 2.5)],
     )
     def test_no_slope_integrated_twice(self, monkeypatch, n_steps, a1, a2, amplitude):
-        # counting wrappers: every RK4 run at the requested step count, and
-        # the step counts of the end-only runs
-        recorded, ends = [], []
+        # a counting wrapper around the one RK4 loop
+        recorded = []
 
         def path(alpha1, slope, K, steps):
             run = _rk4_alpha_path(alpha1, slope, K, steps)
             recorded.append((float(slope), steps, run))
             return run
 
-        def end(alpha1, slope, K, steps):
-            ends.append((float(slope), steps))
-            return _rk4_alpha_end(alpha1, slope, K, steps)
-
         monkeypatch.setattr(geodesics, "_rk4_alpha_path", path)
-        monkeypatch.setattr(geodesics, "_rk4_alpha_end", end)
         grid, noise, rho0, _ = _band(4, seed=7)
         psi1 = np.linspace(-1.0, 1.0, 4)
         psi2 = psi1 + amplitude * np.array([1.0, -1.0, 1.0, -1.0])
         shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0, n_steps=n_steps)
-        full = [slope for slope, steps in ends if steps == n_steps]
-        full += [slope for slope, steps, _ in recorded if steps == n_steps]
-        assert len(full) == len(set(full))
+        assert {steps for _, steps, _ in recorded} == {n_steps}
+        slopes = [slope for slope, _, _ in recorded]
+        assert len(slopes) == len(set(slopes))
         # the returned path is the last recorded run, in natural units
         alphas, thetas = recorded[-1][2]
         geo = solve_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0)
@@ -865,6 +857,38 @@ class TestCoarseToFineShooting:
         shot = shoot_alpha_geodesic(alpha1, alpha2, psi1, psi2, grid, noise, np.ones(4), n_steps=100)
         gap = np.max(np.abs(shot.coords[:, 0] - geo.alpha_at(shot.sigmas)))
         assert gap <= 1e-9 * alpha2
+
+
+def _antipodal_band(delta):
+    """Flat 4-bin band, endpoints (1, 1.5), a phase gap of ``delta`` in every bin."""
+    grid = build_grid(0.25, 0.4, 4)
+    return 1.0, 1.5, np.zeros(4), np.full(4, delta), grid, NoiseProfile.flat(1.0, 4), np.ones(4)
+
+
+class TestNearAntipodalShooting:
+    @pytest.mark.parametrize("gap,n_steps", [(1e-2, 4000), (1e-3, 40000)])
+    def test_stays_on_the_closed_form(self, gap, n_steps):
+        a1, a2, psi1, psi2, grid, noise, rho0 = _antipodal_band(math.pi - gap)
+        geo = solve_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0)
+        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0, n_steps=n_steps)
+        # criterion 6's two gaps and tolerance
+        assert np.max(np.abs(shot.coords[:, 0] - geo.alpha_at(shot.sigmas))) <= 1e-6
+        length = path_length(AlphaPhaseChart(noise, rho0), shot, n_quad=8)
+        assert abs(length - geo.length) / geo.length <= 1e-6
+
+    @pytest.mark.parametrize(
+        "delta,n_steps", [(math.pi - 1e-4, 4000), (math.pi - 1e-4, 40000), (math.pi, 4000)]
+    )
+    def test_failure_names_step_and_dip_width(self, delta, n_steps):
+        a1, a2, psi1, psi2, grid, noise, rho0 = _antipodal_band(delta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateGeodesicWarning)
+            geo = solve_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0)
+        with pytest.raises(ConvergenceError) as failure:
+            shoot_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0, n_steps=n_steps)
+        message = str(failure.value)
+        assert f"step 1/n_steps = {1.0 / n_steps:.1e}" in message
+        assert f"moment/chord = {geo.moment / geo.chord:.1e}" in message
 
 
 class TestOneWrapRule:

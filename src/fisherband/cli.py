@@ -39,7 +39,7 @@ from .distances import DistanceReport, known_mag_distances
 from .figures import FIGURE_CASES, ExperimentConfig, run_figure_case, write_figure_csv
 from .geodesics import solve_alpha_geodesic
 from .metric import christoffel, fisher_matrix
-from .models import KnownMagnitudeModel, eval_model
+from .models import KnownMagnitudeModel
 
 
 class ModelFileError(ValueError):
@@ -160,8 +160,7 @@ def _cmd_inspect(args) -> int:
     elif args.subject == "christoffel":
         payload = christoffel(first, first.xi, grid, noise).to_json_dict()
     else:
-        psi1 = eval_model(models[0], models[0].xi, grid).psi
-        psi2 = eval_model(models[1], models[1].xi, grid).psi
+        psi1, psi2 = (m.phase_unwrapped(m.phase_coeffs, grid) for m in models)
         try:
             geo = solve_alpha_geodesic(models[0].alpha, models[1].alpha, psi1, psi2, grid, noise, rho0)
         except ValueError as exc:
@@ -212,7 +211,7 @@ def _cmd_distance(args) -> int:
 
     # every row is checked before any is evaluated, as a known-magnitude model would check it
     n = grid.n_freqs
-    alphas, runs, flat = [], [], []
+    alphas, coeff_lists = [], []
     for k, row in enumerate(pairs):
         try:
             for side in "12":
@@ -226,35 +225,31 @@ def _cmd_distance(args) -> int:
                 if len(coeffs) > n:
                     raise ValueError("phase polynomial degree exceeds n_freqs - 1")
                 alphas.append(alpha)
-                runs.append(len(coeffs))
-                flat += coeffs
+                coeff_lists.append(coeffs)
         except (TypeError, ValueError) as exc:
             print(f"error: bad pair on row {k + 1}: {exc}", file=sys.stderr)
             return 2
-    # coefficients held flat, one (row, side) run after another
     alphas = np.reshape(alphas, (-1, 2))
-    flat, runs = np.asarray(flat, dtype=float), np.asarray(runs, dtype=int)
-    ends = np.cumsum(runs)
-    starts = ends - runs
-    flat[starts] = wrap_phase(flat[starts])
 
     results = np.empty((len(alphas), 3))
     step = max(1, BUDGET // n)
     for lo in range(0, len(alphas), step):
         hi = min(lo + step, len(alphas))
         # zero-padded coefficients: Horner with trailing zeros is bit-identical to the row's own call
-        part = runs[2 * lo:2 * hi]
-        block = np.zeros((len(part), part.max()))
-        block[np.arange(part.max()) < part[:, np.newaxis]] = flat[starts[2 * lo]:ends[2 * hi - 1]]
+        part = coeff_lists[2 * lo:2 * hi]
+        block = np.zeros((len(part), max(map(len, part))))
+        for j, coeffs in enumerate(part):
+            block[j, :len(coeffs)] = coeffs
+        # constant terms in (-pi, pi], as a KnownMagnitudeModel holds them
+        block[:, 0] = wrap_phase(block[:, 0])
         with np.errstate(over="ignore", invalid="ignore"):  # a row that overflows is named below
             phases = np.polynomial.polynomial.polyval(grid.freqs, block.T).reshape(hi - lo, 2, n)
-        finite = np.isfinite(phases).all(axis=(1, 2))
+            finite = np.isfinite(phases[:, 1] - phases[:, 0]).all(axis=1)
         if not finite.all():
             k = lo + int(np.argmin(finite)) + 1
-            print(f"error: bad pair on row {k}: phase polynomial is not finite on the grid", file=sys.stderr)
+            print(f"error: bad pair on row {k}: phases or their gap not finite on the grid", file=sys.stderr)
             return 2
-        psi = wrap_phase(phases)
-        dpsi, _ = template.phase_gap(psi[:, 0], psi[:, 1])
+        dpsi, _ = template.phase_gap(phases[:, 0], phases[:, 1])
         results[lo:hi] = np.column_stack(known_mag_distances(template, alphas[lo:hi, 0], alphas[lo:hi, 1], dpsi))
 
     out = args.output or "distance_reports.csv"

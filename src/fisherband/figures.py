@@ -90,8 +90,9 @@ def run_figure_case(config: ExperimentConfig) -> np.ndarray:
     Distances are the exact constant-per-bin-SNR grid sums at the reference
     SNR, with ``alpha1 = sqrt(snr1 / omega0)`` and ``alpha2 = gamma_ratio *
     alpha1``; the ratio column is the sinc-form approximation of
-    :func:`ratio_time_delay`.  Output is deterministic.  When the config
-    carries an output path the rows are also written there as CSV.
+    :func:`ratio_time_delay`.  Output is deterministic, and nothing is
+    written: the ``figure`` command writes the rows to its ``--output``, else
+    the config's ``output_path``, else ``figure_<case>.csv``.
     """
     n = config.n_freqs
     grid = build_grid(config.nu0, config.bandwidth_B, n)
@@ -105,10 +106,7 @@ def run_figure_case(config: ExperimentConfig) -> np.ndarray:
     # wrapped linear phase differences, one row per sweep point
     dpsi = wrap_phase(config.dpsi0 - 2.0 * np.pi * dtaus[:, np.newaxis] * grid.freqs[np.newaxis, :])
     d_full, d_alpha, _ = known_mag_distances(template, alpha1, config.gamma_ratio * alpha1, dpsi)
-    rows = np.column_stack([btaus, d_full, d_alpha, ratio])
-    if config.output_path is not None:
-        write_figure_csv(config.output_path, rows)
-    return rows
+    return np.column_stack([btaus, d_full, d_alpha, ratio])
 
 
 def write_figure_csv(path, rows: np.ndarray) -> None:

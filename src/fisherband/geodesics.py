@@ -601,6 +601,9 @@ def _flat_reduction(chart, coords):
     Returns ``(reduced, exponent, G)``.
     """
     coords = np.array(coords, dtype=float)
+    expected = chart._n_head + len(chart._w)
+    if coords.shape[1] != expected:
+        raise ValueError(f"path has {coords.shape[1]} coordinates per node, the chart takes {expected}")
     if not np.all(np.isfinite(coords)):
         raise ValueError("path coordinates must be finite")
     amplitudes = coords[:, chart._amplitudes]
@@ -638,8 +641,6 @@ def path_length(chart, path: GeodesicPath, n_quad: int = 64) -> float:
     """
     if n_quad < 8:
         raise ValueError("n_quad must be at least 8")
-    if path.n_nodes < 2:
-        raise ValueError("too few nodes")
     sigmas, coords = path.sigmas, path.coords
     flat = isinstance(chart, (AlphaPhaseChart, EmbeddingChart))
     if flat:

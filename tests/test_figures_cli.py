@@ -9,12 +9,16 @@ from fisherband import (
     FIGURE_CASES,
     DistanceReport,
     ExperimentConfig,
+    KnownMagnitudeModel,
     NoiseProfile,
     SignalSpectrum,
     build_grid,
     distance_alpha,
     distance_full,
+    distance_full_known_mag,
+    phase_rms_diff,
     run_figure_case,
+    solve_alpha_geodesic,
     sweep_points,
     wrap_phase,
     write_figure_csv,
@@ -369,3 +373,90 @@ class TestCli:
         assert len(verdict["criteria"]) == 13
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 13
+
+
+class TestCliOnLibraryRoutes:
+    """Each command is one library route plus I/O: its numbers are the library's, bit for bit."""
+
+    def test_distance_rows_equal_scalar_functions(self, model_file, tmp_path):
+        rng = np.random.default_rng(11)
+        sides = [(float(rng.uniform(0.1, 10.0)), rng.uniform(-60.0, 60.0, int(rng.integers(1, 5)))) for _ in range(80)]
+        pairs = tmp_path / "pairs.csv"
+        lines = [",".join(PAIR_COLUMNS)]
+        for (a1, c1), (a2, c2) in zip(sides[::2], sides[1::2]):
+            lines.append(f"{a1!r},{';'.join(map(repr, c1.tolist()))},{a2!r},{';'.join(map(repr, c2.tolist()))}")
+        pairs.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "reports.csv"
+        assert main(["distance", str(pairs), "--model", str(model_file), "--output", str(out)]) == 0
+        with open(out) as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 40
+        grid, noise, rho0, _ = load_model_file(model_file)
+
+        def phases(alpha, coeffs):
+            coeffs = np.concatenate([[wrap_phase(coeffs[0])], coeffs[1:]])
+            model = KnownMagnitudeModel(rho0, alpha=alpha, phase_coeffs=coeffs)
+            return model.phase_unwrapped(model.phase_coeffs, grid)
+
+        wrapped_any = False
+        for row, (a1, c1), (a2, c2) in zip(rows, sides[::2], sides[1::2]):
+            psi1, psi2 = phases(a1, c1), phases(a2, c2)
+            wrapped_any |= bool(np.any(np.abs(psi2 - psi1) > math.pi))
+            assert float(row["d_alpha"]) == distance_alpha(a1, a2, psi1, psi2, grid, noise, rho0)
+            assert float(row["d_full"]) == distance_full_known_mag(a1, a2, psi1, psi2, grid, noise, rho0)
+            assert float(row["delta"]) == phase_rms_diff(psi1, psi2, noise, rho0)
+        assert wrapped_any
+
+    def test_figure_output_is_the_only_file(self, tmp_path, monkeypatch, capsys):
+        cfg = {
+            "case_name": "tiny",
+            "bandwidth_B": 0.5,
+            "dpsi0": 0.0,
+            "gamma_ratio": 1.0,
+            "n_freqs": 50,
+            "btau_sweep": [0.0, 5.0, 10],
+            "output_path": "from_config.csv",
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        monkeypatch.chdir(tmp_path)
+        assert main(["figure", "cfg.json", "--output", "from_cli.csv"]) == 0
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["from_cli.csv"]
+        assert capsys.readouterr().out == "wrote 11 rows to from_cli.csv\n"
+
+    def test_inspect_geodesic_on_unwrapped_phases(self, tmp_path, capsys):
+        payload = {
+            "grid": {"nu0": 0.25, "bandwidth_B": 0.4, "n_freqs": 6},
+            "noise": {"gamma0": [1.0, 1.1, 1.2, 1.3, 1.4, 1.5]},
+            "rho0": [1.0, 0.9, 0.8, 0.7, 0.6, 0.5],
+            "endpoints": [
+                {"alpha": 1.0, "phase_coeffs": [0.2, 30.0]},
+                {"alpha": 1.5, "phase_coeffs": [0.6, -25.0]},
+            ],
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        assert main(["inspect", "geodesic", str(path)]) == 0
+        dumped = json.loads(capsys.readouterr().out)
+        grid, noise, rho0, models = load_model_file(path)
+        psi1, psi2 = (m.phase_unwrapped(m.phase_coeffs, grid) for m in models)
+        geo = solve_alpha_geodesic(1.0, 1.5, psi1, psi2, grid, noise, rho0)
+        assert dumped["delta"] == geo.delta
+        assert dumped["k1"] == geo.k1
+        assert dumped["dpsi"] == geo.dpsi.tolist()
+
+    def test_distance_overflowing_phase_gap_named(self, tmp_path, capsys):
+        # each side's phase is finite, their difference is not: the library route would raise
+        payload = {
+            "grid": {"nu0": 10.0, "bandwidth_B": 1.0, "n_freqs": 4},
+            "noise": {"gamma0": 2.0},
+            "rho0": 1.0,
+            "endpoints": [{"alpha": 1.0, "phase_coeffs": [0.0]}, {"alpha": 1.0, "phase_coeffs": [0.0]}],
+        }
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("alpha1,phase_coeffs1,alpha2,phase_coeffs2\n1.0,0.0,2.0,0.5\n1.0,0.0;1e307,1.0,0.0;-1e307\n")
+        out = tmp_path / "reports.csv"
+        assert main(["distance", str(pairs), "--model", str(model), "--output", str(out)]) == 2
+        assert "bad pair on row 2: phases or their gap not finite on the grid" in capsys.readouterr().err
+        assert not out.exists()

@@ -903,3 +903,19 @@ class TestOneWrapRule:
             geo = solve_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0)
         assert geo.length == distance_alpha(a1, a2, psi1, psi2, grid, noise, rho0)
         np.testing.assert_array_equal(geo.psi1, wrap_phase(psi1))
+
+
+class TestPathChartMismatch:
+    @pytest.mark.parametrize(
+        "chart, n_columns, expected",
+        [
+            (AlphaPhaseChart(NoiseProfile.flat(1.0, 1), np.ones(1)), 6, 2),
+            (AlphaPhaseChart(NoiseProfile.flat(1.0, 3), np.ones(3)), 6, 4),
+            (EmbeddingChart(NoiseProfile.flat(1.0, 3)), 5, 6),
+        ],
+    )
+    def test_coordinate_count_named(self, chart, n_columns, expected):
+        coords = np.linspace(0.5, 1.5, 5 * n_columns).reshape(5, n_columns)
+        path = GeodesicPath(np.linspace(0.0, 1.0, 5), coords)
+        with pytest.raises(ValueError, match=f"path has {n_columns} coordinates per node, the chart takes {expected}"):
+            path_length(chart, path, n_quad=8)

@@ -355,7 +355,11 @@ class Template:
         psi1 = np.asarray(psi1, dtype=float)
         psi2 = np.asarray(psi2, dtype=float)
         _check_aligned(psi1.shape[-1], psi2.shape[-1], self.n_freqs)
-        dpsi = wrap_phase(psi2 - psi1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap = psi2 - psi1
+        if not np.isfinite(gap).all():
+            raise ValueError("phase gap psi2 - psi1 is not finite")
+        dpsi = wrap_phase(gap)
         delta = np.sqrt(self.mean(dpsi * dpsi))
         return dpsi, float(delta) if delta.ndim == 0 else delta
 

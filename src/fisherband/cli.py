@@ -20,6 +20,10 @@ A model file is JSON of the form::
 
 All configuration is explicit; no environment variables are consulted and
 every output is deterministic given the arguments.
+
+Exit codes: 0 on success, 1 when ``accept`` finds a failing criterion, and 2
+on any named error (bad input, a failed check, an unwritable output), which
+``main`` alone reports as one ``error: <cause>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -100,10 +104,7 @@ def load_model_file(path):
 
 
 def _default_context():
-    grid = build_grid(0.25, 0.5, 1000)
-    noise = NoiseProfile.flat(2.0, 1000)
-    rho0 = np.ones(1000)
-    return grid, noise, rho0
+    return build_grid(0.25, 0.5, 1000), NoiseProfile.flat(2.0, 1000), np.ones(1000)
 
 
 def _cmd_figure(args) -> int:
@@ -112,18 +113,15 @@ def _cmd_figure(args) -> int:
     else:
         try:
             with open(args.case) as handle:
-                payload = json.load(handle)
-            payload.setdefault("case_name", args.case)
+                payload = {"case_name": args.case, **json.load(handle)}
             if "btau_sweep" in payload:
                 payload["btau_sweep"] = tuple(payload["btau_sweep"])
             config = ExperimentConfig(**payload)
-        except OSError:
+        except OSError as exc:
             known = ", ".join(sorted(FIGURE_CASES))
-            print(f"error: '{args.case}' is neither a known case ({known}) nor a readable config file", file=sys.stderr)
-            return 2
-        except (TypeError, ValueError, json.JSONDecodeError) as exc:
-            print(f"error: bad figure config: {exc}", file=sys.stderr)
-            return 2
+            raise ValueError(f"'{args.case}' is neither a known case ({known}) nor a readable config file") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad figure config: {exc}") from exc
     rows = run_figure_case(config)
     out = args.output or config.output_path or f"figure_{config.case_name}.csv"
     write_figure_csv(out, rows)
@@ -149,11 +147,7 @@ def _cmd_accept(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    try:
-        grid, noise, rho0, models = load_model_file(args.model_file)
-    except ModelFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    grid, noise, rho0, models = load_model_file(args.model_file)
     first = models[0]
     if args.subject == "metric":
         payload = fisher_matrix(first, first.xi, grid, noise).to_json_dict()
@@ -161,12 +155,7 @@ def _cmd_inspect(args) -> int:
         payload = christoffel(first, first.xi, grid, noise).to_json_dict()
     else:
         psi1, psi2 = (m.phase_unwrapped(m.phase_coeffs, grid) for m in models)
-        try:
-            geo = solve_alpha_geodesic(models[0].alpha, models[1].alpha, psi1, psi2, grid, noise, rho0)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        payload = geo.to_json_dict()
+        payload = solve_alpha_geodesic(models[0].alpha, models[1].alpha, psi1, psi2, grid, noise, rho0).to_json_dict()
     text = json.dumps(payload, indent=2)
     if args.output:
         with open(args.output, "w") as handle:
@@ -186,28 +175,15 @@ PAIR_COLUMNS = ["alpha1", "phase_coeffs1", "alpha2", "phase_coeffs2"]
 
 def _cmd_distance(args) -> int:
     if args.model:
-        try:
-            grid, noise, rho0, _ = load_model_file(args.model)
-        except ModelFileError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        grid, noise, rho0, _ = load_model_file(args.model)
     else:
         grid, noise, rho0 = _default_context()
-    try:
-        template = Template(noise, rho0)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        with open(args.pairs) as handle:
-            reader = csv.DictReader(handle)
-            if reader.fieldnames is None or not set(PAIR_COLUMNS).issubset(reader.fieldnames):
-                print(f"error: pairs CSV must have columns {sorted(PAIR_COLUMNS)}", file=sys.stderr)
-                return 2
-            pairs = list(reader)
-    except OSError as exc:
-        print(f"error: cannot read pairs CSV: {exc}", file=sys.stderr)
-        return 2
+    template = Template(noise, rho0)
+    with open(args.pairs) as handle:
+        reader = csv.DictReader(handle)
+        if reader.fieldnames is None or not set(PAIR_COLUMNS).issubset(reader.fieldnames):
+            raise ValueError(f"pairs CSV must have columns {sorted(PAIR_COLUMNS)}")
+        pairs = list(reader)
 
     # every row is checked before any is evaluated, as a known-magnitude model would check it
     n = grid.n_freqs
@@ -227,8 +203,7 @@ def _cmd_distance(args) -> int:
                 alphas.append(alpha)
                 coeff_lists.append(coeffs)
         except (TypeError, ValueError) as exc:
-            print(f"error: bad pair on row {k + 1}: {exc}", file=sys.stderr)
-            return 2
+            raise ValueError(f"bad pair on row {k + 1}: {exc}") from exc
     alphas = np.reshape(alphas, (-1, 2))
 
     results = np.empty((len(alphas), 3))
@@ -247,8 +222,7 @@ def _cmd_distance(args) -> int:
             finite = np.isfinite(phases[:, 1] - phases[:, 0]).all(axis=1)
         if not finite.all():
             k = lo + int(np.argmin(finite)) + 1
-            print(f"error: bad pair on row {k}: phases or their gap not finite on the grid", file=sys.stderr)
-            return 2
+            raise ValueError(f"bad pair on row {k}: phases or their gap not finite on the grid")
         dpsi, _ = template.phase_gap(phases[:, 0], phases[:, 1])
         results[lo:hi] = np.column_stack(known_mag_distances(template, alphas[lo:hi, 0], alphas[lo:hi, 1], dpsi))
 
@@ -298,7 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

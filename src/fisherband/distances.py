@@ -115,7 +115,10 @@ def distance_full_embedding(s1: SignalSpectrum, s2: SignalSpectrum, noise: Noise
     if not (s1.n_freqs == s2.n_freqs == noise.n_freqs):
         raise ValueError("misaligned spectra or noise profile")
     diff = s2.to_complex() - s1.to_complex()
-    return float(np.sqrt(np.sum(noise.weights * (diff.real**2 + diff.imag**2))))
+    # scaled by a power of two so that squares neither overflow nor underflow
+    e = math.frexp(float(np.max(np.maximum(np.abs(diff.real), np.abs(diff.imag)))))[1]
+    re, im = np.ldexp(diff.real, -e), np.ldexp(diff.imag, -e)
+    return math.ldexp(math.sqrt(float(np.sum(noise.weights * (re * re + im * im)))), e)
 
 
 def distance_alpha(

@@ -24,6 +24,7 @@ from fisherband import (
     sample_observation,
     save_band_csv,
     scaled_chord,
+    solve_alpha_geodesic,
     wrap_phase,
 )
 
@@ -369,6 +370,25 @@ class TestTemplate:
         noise, rho0, _ = self._pair(4)
         with pytest.raises(ValueError, match="misaligned"):
             Template(noise, rho0).phase_gap(np.zeros(4), np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda grid, noise, rho0, p1, p2: Template(noise, rho0).phase_gap(p1, p2),
+            lambda grid, noise, rho0, p1, p2: distance_alpha(1.0, 1.0, p1, p2, grid, noise, rho0),
+            lambda grid, noise, rho0, p1, p2: solve_alpha_geodesic(1.0, 1.0, p1, p2, grid, noise, rho0),
+        ],
+        ids=["phase_gap", "distance_alpha", "solve_alpha_geodesic"],
+    )
+    def test_overflowing_phase_gap_named(self, call):
+        # each phase is finite, their difference is not
+        grid = build_grid(10.0, 1.0, 4)
+        psi1 = np.polynomial.polynomial.polyval(grid.freqs, [0.0, 1e307])
+        assert np.isfinite(psi1).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"phase gap psi2 - psi1 is not finite"):
+                call(grid, NoiseProfile.flat(2.0, 4), np.ones(4), psi1, -psi1)
 
 
 class TestScaledChord:

@@ -110,6 +110,23 @@ class TestDistanceFull:
         want = math.sqrt(2.0) * (2e-200 - 1e-200)
         assert distance_full(s1, s2, NoiseProfile.flat(1.0, 2)) == pytest.approx(want, rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize(
+        "s1,s2",
+        [
+            # a huge bin that does not move beside a tiny bin that does
+            (SignalSpectrum([1e200, 1e-200], [0.0, 0.0]), SignalSpectrum([1e200, 2e-200], [0.0, 0.0])),
+            # squares of the differences overflow
+            (SignalSpectrum([1e160, 5e159], [0.1, 0.3]), SignalSpectrum([2e160, 7e159], [1.0, -0.3])),
+        ],
+        ids=["mixed-scale", "overflowing-squares"],
+    )
+    def test_embedding_oracle_covers_extreme_scales(self, s1, s2):
+        # the oracle is no weaker than the closed form it checks
+        noise = NoiseProfile.flat(2.0, 2)
+        want = distance_full(s1, s2, noise)
+        assert 0.0 < want < math.inf
+        assert distance_full_embedding(s1, s2, noise) == pytest.approx(want, rel=1e-15, abs=0.0)
+
 
 class TestDistanceAlpha:
     def test_equal_phases_collapse_to_difference(self):

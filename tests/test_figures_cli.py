@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import pathlib
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import fisherband
 from fisherband import (
     FIGURE_CASES,
     DistanceReport,
@@ -25,6 +30,8 @@ from fisherband import (
 )
 from fisherband.cli import PAIR_COLUMNS, ModelFileError, load_model_file, main
 from fisherband.figures import FIGURE_CSV_HEADER
+
+SRC_DIR = pathlib.Path(fisherband.__file__).parent.parent
 
 
 class TestExperimentConfig:
@@ -460,3 +467,57 @@ class TestCliOnLibraryRoutes:
         assert main(["distance", str(pairs), "--model", str(model), "--output", str(out)]) == 2
         assert "bad pair on row 2: phases or their gap not finite on the grid" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestOneErrorExit:
+    """Every failure of every command is one ``error: <cause>`` line on stderr and exit code 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure", "wideband-equal"],
+            ["accept", "--scale", "smoke"],
+            ["inspect", "metric", "MODEL"],
+            ["distance", "PAIRS", "--model", "MODEL"],
+        ],
+        ids=["figure", "accept", "inspect", "distance"],
+    )
+    def test_missing_output_directory_named(self, model_file, tmp_path, capsys, argv):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("alpha1,phase_coeffs1,alpha2,phase_coeffs2\n1.0,0.0,2.0,0.5\n")
+        out = tmp_path / "missing_dir" / "out.csv"
+        argv = [{"MODEL": str(model_file), "PAIRS": str(pairs)}.get(a, a) for a in argv]
+        assert main(argv + ["--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out) in err and "Traceback" not in err
+        assert not out.parent.exists()
+
+    def test_distance_missing_pairs_csv_named(self, tmp_path, capsys):
+        missing = tmp_path / "no_such_pairs.csv"
+        out = tmp_path / "reports.csv"
+        assert main(["distance", str(missing), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+        assert not out.exists()
+
+    def test_inspect_geodesic_overflowing_phase_gap_named(self, tmp_path, capsys):
+        payload = {
+            "grid": {"nu0": 10.0, "bandwidth_B": 1.0, "n_freqs": 4},
+            "noise": {"gamma0": 2.0},
+            "rho0": 1.0,
+            "endpoints": [{"alpha": 1.0, "phase_coeffs": [0.0, 1e307]}, {"alpha": 1.0, "phase_coeffs": [0.0, -1e307]}],
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["inspect", "geodesic", str(path)]) == 2
+        assert capsys.readouterr().err == "error: phase gap psi2 - psi1 is not finite\n"
+
+    def test_console_entry_point_prints_no_traceback(self, tmp_path, model_file):
+        out = tmp_path / "missing_dir" / "dump.json"
+        argv = [sys.executable, "-m", "fisherband.cli", "inspect", "metric", str(model_file), "--output", str(out)]
+        done = subprocess.run(argv, capture_output=True, text=True, cwd=SRC_DIR)
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr

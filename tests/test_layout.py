@@ -29,3 +29,25 @@ def test_import_does_not_load_scipy_interpolate():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=PACKAGE_DIR.parent
     )
     assert out.stdout.strip() == "False"
+
+
+
+def test_cli_reports_errors_only_in_main():
+    tree = ast.parse((PACKAGE_DIR / "cli.py").read_text())
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+    def to_stderr(node):
+        return [
+            k for k in ast.walk(node) if isinstance(k, ast.keyword) and k.arg == "file" and ast.unparse(k.value) == "sys.stderr"
+        ]
+
+    assert len(to_stderr(tree)) == len(to_stderr(functions["main"])) == 1
+    # no command picks its own error exit
+    returns_two = [
+        name
+        for name, func in functions.items()
+        if name.startswith("_cmd_")
+        for node in ast.walk(func)
+        if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant) and node.value.value == 2
+    ]
+    assert returns_two == []

@@ -103,10 +103,6 @@ def load_model_file(path):
     return grid, noise, rho0, models
 
 
-def _default_context():
-    return build_grid(0.25, 0.5, 1000), NoiseProfile.flat(2.0, 1000), np.ones(1000)
-
-
 def _cmd_figure(args) -> int:
     if args.case in FIGURE_CASES:
         config = FIGURE_CASES[args.case]
@@ -177,7 +173,7 @@ def _cmd_distance(args) -> int:
     if args.model:
         grid, noise, rho0, _ = load_model_file(args.model)
     else:
-        grid, noise, rho0 = _default_context()
+        grid, noise, rho0 = build_grid(0.25, 0.5, 1000), NoiseProfile.flat(2.0, 1000), np.ones(1000)
     template = Template(noise, rho0)
     with open(args.pairs) as handle:
         reader = csv.DictReader(handle)

@@ -267,9 +267,7 @@ def criterion_8(seed, scale: str) -> CriterionResult:
         model, grid, noise = _random_small_model(rng)
         xi = model.xi
         analytic = fisher_matrix(model, xi, grid, noise).full()
-        estimate, stderr = monte_carlo_fisher(
-            model, xi, grid, noise, n_samples, seed=[int(seed), 8, k], return_stderr=True
-        )
+        estimate, stderr = monte_carlo_fisher(model, xi, grid, noise, n_samples, seed=[int(seed), 8, k])
         errors.append(np.max(np.abs(estimate - analytic) / np.maximum(stderr, 1e-300)))
     return _worst(
         8,

@@ -44,6 +44,7 @@ __all__ = [
     "save_band_csv",
     "scaled_chord",
     "wrap_phase",
+    "write_csv",
 ]
 
 
@@ -137,7 +138,7 @@ class FrequencyGrid:
             raise ValueError("freqs are not centred on nu0")
 
     @classmethod
-    def from_freqs(cls, freqs, bandwidth_B: float | None = None) -> "FrequencyGrid":
+    def from_freqs(cls, freqs) -> "FrequencyGrid":
         """Rebuild a grid from its frequency list, inferring the metadata.
 
         For a single-bin grid the bandwidth is not recoverable from the list;
@@ -148,12 +149,8 @@ class FrequencyGrid:
         if n == 0:
             raise ValueError("empty frequency list")
         nu0 = 0.5 * (float(freqs[0]) + float(freqs[-1]))
-        if bandwidth_B is None:
-            if n > 1:
-                bandwidth_B = (float(freqs[-1]) - float(freqs[0])) / (n - 1) * n
-            else:
-                bandwidth_B = nu0
-        return cls(nu0, float(bandwidth_B), n, freqs)
+        bandwidth_B = (float(freqs[-1]) - float(freqs[0])) / (n - 1) * n if n > 1 else nu0
+        return cls(nu0, bandwidth_B, n, freqs)
 
     @property
     def spacing(self) -> float:
@@ -398,26 +395,24 @@ def phase_rms_diff(psi1, psi2, noise: NoiseProfile, rho0) -> float:
 # -- serialization ----------------------------------------------------------
 #
 # Flat CSV columns: nu, gamma0, rho, psi (one row per bin).  The JSON form
-# mirrors the container fields.  Floats are written with repr, which
-# round-trips IEEE doubles exactly (17 significant digits suffice).
+# mirrors the container fields.
 
 _CSV_HEADER = ["nu", "gamma0", "rho", "psi"]
 
 
-def save_band_csv(path, grid: FrequencyGrid, noise: NoiseProfile, spectrum: SignalSpectrum) -> None:
-    _check_aligned(grid.n_freqs, noise.n_freqs, spectrum.n_freqs)
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows of floats as CSV, each cell as ``repr(float)``,
+    which round-trips IEEE doubles exactly (17 significant digits suffice)."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(_CSV_HEADER)
-        for k in range(grid.n_freqs):
-            writer.writerow(
-                [
-                    repr(float(grid.freqs[k])),
-                    repr(float(noise.gamma0[k])),
-                    repr(float(spectrum.rho[k])),
-                    repr(float(spectrum.psi[k])),
-                ]
-            )
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) for v in row])
+
+
+def save_band_csv(path, grid: FrequencyGrid, noise: NoiseProfile, spectrum: SignalSpectrum) -> None:
+    _check_aligned(grid.n_freqs, noise.n_freqs, spectrum.n_freqs)
+    write_csv(path, _CSV_HEADER, np.column_stack([grid.freqs, noise.gamma0, spectrum.rho, spectrum.psi]))
 
 
 def load_band_csv(path) -> tuple[FrequencyGrid, NoiseProfile, SignalSpectrum]:

@@ -12,13 +12,12 @@ means; the distances come from
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .band import NoiseProfile, Template, build_grid, wrap_phase
+from .band import NoiseProfile, Template, build_grid, wrap_phase, write_csv
 from .distances import known_mag_distances, ratio_time_delay
 
 __all__ = [
@@ -110,9 +109,5 @@ def run_figure_case(config: ExperimentConfig) -> np.ndarray:
 
 
 def write_figure_csv(path, rows: np.ndarray) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(FIGURE_CSV_HEADER.split(","))
-        for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
+    write_csv(path, FIGURE_CSV_HEADER.split(","), rows)
 

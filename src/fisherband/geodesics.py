@@ -32,7 +32,6 @@ curves are geodesics and rejects non-affine reparametrizations.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import warnings
@@ -48,6 +47,7 @@ from .band import (
     Template,
     scaled_chord,
     wrap_phase,
+    write_csv,
 )
 from .metric import path_speed
 from .models import ParametricSignalModel
@@ -289,8 +289,8 @@ class AlphaGeodesic:
         sigmas = np.asarray(sigmas, dtype=float)
         if self.chord == 0.0:
             return np.full_like(sigmas, self.alpha1)
-        shifted = sigmas + self.k2
-        return self._natural(np.sqrt(self.chord * (shifted * shifted) + self.moment * self.moment / self.chord), 1)
+        # hypot, so the small end is not squared below the double range
+        return self._natural(np.hypot(self.chord * (sigmas + self.k2), self.moment) / math.sqrt(self.chord), 1)
 
     def phase_mix_at(self, sigmas) -> np.ndarray:
         """Fraction of the per-bin phase advance completed at each sigma: the
@@ -383,20 +383,17 @@ def eval_alpha_geodesic(geo: AlphaGeodesic, sigma: float) -> tuple[float, np.nda
     return alpha, psi
 
 
-def sample_alpha_geodesic(geo: AlphaGeodesic, n_nodes: int = 201, spacing: str = "auto") -> GeodesicPath:
+def sample_alpha_geodesic(geo: AlphaGeodesic, n_nodes: int = 201) -> GeodesicPath:
     """Sample the geodesic as a path in the (alpha, unwrapped phase) chart.
 
-    ``spacing="uniform"`` places nodes uniformly in sigma.  ``"auto"`` mixes
-    uniform nodes with nodes uniform in the phase-advance angle, which
-    clusters samples around the attenuation dip of nearly-antipodal endpoint
-    pairs where the curve is sharpest.
+    Nodes uniform in sigma are mixed with nodes uniform in the phase-advance
+    angle, which clusters samples around the attenuation dip of
+    nearly-antipodal endpoint pairs where the curve is sharpest.
     """
     if n_nodes < 2:
         raise ValueError("n_nodes must be at least 2")
-    if spacing not in ("auto", "uniform"):
-        raise ValueError("spacing must be 'auto' or 'uniform'")
     uniform = np.linspace(0.0, 1.0, n_nodes)
-    if spacing == "uniform" or geo.moment <= 0.0 or geo.chord == 0.0:
+    if geo.moment <= 0.0 or geo.chord == 0.0:
         sigmas = uniform
     else:
         thetas = np.linspace(*geo._flow_angles(), n_nodes)[1:-1]
@@ -439,11 +436,7 @@ def save_path_csv(path_or_buf, path: GeodesicPath) -> None:
     """
     n_phases = path.coords.shape[1] - 1
     header = ["sigma", "alpha"] + [f"psi_{k + 1}" for k in range(n_phases)]
-    with open(path_or_buf, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for sigma, row in zip(path.sigmas, path.coords):
-            writer.writerow([repr(float(sigma))] + [repr(float(v)) for v in row])
+    write_csv(path_or_buf, header, np.column_stack([path.sigmas, path.coords]))
 
 
 # -- shooting oracle ---------------------------------------------------------

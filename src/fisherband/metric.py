@@ -34,6 +34,8 @@ __all__ = [
 
 # byte budget of one Monte Carlo sample chunk
 _MC_CHUNK_BYTES = 32 * 2**20
+# relative step of the finite-difference connection oracle
+_FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -199,8 +201,7 @@ def monte_carlo_fisher(
     noise: NoiseProfile,
     n_samples: int,
     seed,
-    return_stderr: bool = False,
-):
+) -> tuple[np.ndarray, np.ndarray]:
     """Estimate the information matrix as the mean score outer product.
 
     Observations are drawn at ``xi`` and the score uses the model's analytic
@@ -211,8 +212,8 @@ def monte_carlo_fisher(
     scores and their squares; the reduction order (and hence the result)
     is deterministic for a given seed and model size.
 
-    Returns the dense N x N estimate; with ``return_stderr=True`` also the
-    per-entry standard error of the mean.
+    Returns the dense N x N estimate and the per-entry standard error of
+    the mean.
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be at least 1000")
@@ -244,8 +245,6 @@ def monte_carlo_fisher(
         acc_sq += squares.T @ squares
         remaining -= m
     estimate = acc / n_samples
-    if not return_stderr:
-        return estimate
     variance = np.maximum(acc_sq / n_samples - estimate**2, 0.0)
     stderr = np.sqrt(variance / n_samples)
     return estimate, stderr
@@ -280,24 +279,18 @@ def christoffel(
 
 
 def christoffel_fd(
-    model: ParametricSignalModel,
-    xi,
-    grid: FrequencyGrid,
-    noise: NoiseProfile,
-    step: float = 1e-5,
+    model: ParametricSignalModel, xi, grid: FrequencyGrid, noise: NoiseProfile
 ) -> ChristoffelTensor:
     """First-kind symbols from central differences of the metric.
 
     Independent of the closed-form families above; used as an oracle.  The
-    per-coordinate step is ``step * (1 + |xi^i|)``.
+    per-coordinate step is ``_FD_STEP * (1 + |xi^i|)``.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
     xi = np.asarray(xi, dtype=float)
     n = model.n_params
     grads = np.empty((n, n, n))
     for i in range(n):
-        h = step * (1.0 + abs(float(xi[i])))
+        h = _FD_STEP * (1.0 + abs(float(xi[i])))
         if h == 0.0 or not np.isfinite(h):
             raise ValueError("finite-difference step underflow")
         hi = np.zeros(n)

@@ -55,6 +55,13 @@ def _phase_pair(rng, n, amplitude, mode="uniform"):
     return psi1, wrap_phase(psi1 + dpsi)
 
 
+def _uniform_path(geo, n_nodes):
+    """The closed-form geodesic on nodes uniform in sigma."""
+    sigmas = np.linspace(0.0, 1.0, n_nodes)
+    mix = geo.phase_mix_at(sigmas)[:, np.newaxis]
+    return GeodesicPath(sigmas, np.column_stack([geo.alpha_at(sigmas), geo.psi1 + mix * geo.dpsi]))
+
+
 def _textbook_rk4(alpha1, slope, K, n_steps):
     """Reference RK4 for (alpha' = v, v' = K/alpha^3, theta' = 1/alpha^2):
     one ``rhs()`` call per stage, per-step arrays, None on a blow-up or on a
@@ -295,7 +302,7 @@ class TestEvalAlphaGeodesic:
         grid, noise, rho0, rng = _band(8, seed=8)
         psi1, psi2 = _phase_pair(rng, 8, 2.5)
         geo = solve_alpha_geodesic(0.5, 3.0, psi1, psi2, grid, noise, rho0)
-        path = sample_alpha_geodesic(geo, n_nodes=2001, spacing="uniform")
+        path = _uniform_path(geo, 2001)
         d_coords = np.diff(path.coords, axis=0) / np.diff(path.sigmas)[:, None]
         mid = 0.5 * (path.coords[1:] + path.coords[:-1])
         chart = AlphaPhaseChart(noise, rho0)
@@ -524,7 +531,7 @@ class TestGeodesicPathContainer:
         grid, noise, rho0, rng = _band(3, seed=21)
         psi1, psi2 = _phase_pair(rng, 3, 1.0)
         geo = solve_alpha_geodesic(1.0, 2.0, psi1, psi2, grid, noise, rho0)
-        path = sample_alpha_geodesic(geo, n_nodes=9, spacing="uniform")
+        path = _uniform_path(geo, 9)
         out = tmp_path / "path.csv"
         save_path_csv(out, path)
         lines = out.read_text().splitlines()
@@ -575,6 +582,22 @@ class TestScaledConstants:
             np.testing.assert_array_equal(scaled.alpha_at(sigmas), np.ldexp(unit.alpha_at(sigmas), k))
             np.testing.assert_array_equal(scaled.phase_mix_at(sigmas), unit.phase_mix_at(sigmas))
             np.testing.assert_array_equal(sample_alpha_geodesic(scaled).sigmas, sample_alpha_geodesic(unit).sigmas)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=1000))
+    @example(513)
+    @example(1000)
+    def test_both_ends_exact_down_to_2_to_the_minus_1000(self, k):
+        # the small end squared underflows from alpha1 = 2**-513 alpha2 on; hypot keeps it
+        alpha1 = math.ldexp(1.0, -k)
+        grid = build_grid(0.25, 0.4, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            geo = solve_alpha_geodesic(alpha1, 1.0, np.zeros(4), np.ones(4), grid, NoiseProfile.flat(1.0, 4), np.ones(4))
+            start, end = geo.alpha_at([0.0, 1.0])
+        assert geo.delta == 1.0
+        assert abs(start - alpha1) <= 4.0 * math.ulp(alpha1)
+        assert abs(end - 1.0) <= 4.0 * math.ulp(1.0)
 
     def test_length_is_distance_alpha(self):
         for seed in range(1000):

@@ -180,7 +180,7 @@ class TestMonteCarloFisher:
         grid = build_grid(0.25, 0.1, 1)
         noise = NoiseProfile.flat(1.0, 1)
         model = KnownMagnitudeModel(np.ones(1), alpha=1.0, phase_coeffs=[0.5])
-        est, se = monte_carlo_fisher(model, model.xi, grid, noise, 100_000, seed=7, return_stderr=True)
+        est, se = monte_carlo_fisher(model, model.xi, grid, noise, 100_000, seed=7)
         assert abs(est[0, 0] - 2.0) < 4.0 * se[0, 0]
         # cross block is zero in expectation
         assert abs(est[0, 1]) < 4.0 * se[0, 1]
@@ -189,18 +189,14 @@ class TestMonteCarloFisher:
         rng = np.random.default_rng(21)
         model, grid, noise = _random_known_mag(rng, n_bins=4, n_phase=3)
         analytic = fisher_matrix(model, model.xi, grid, noise).full()
-        est, se = monte_carlo_fisher(model, model.xi, grid, noise, 60_000, seed=5, return_stderr=True)
+        est, se = monte_carlo_fisher(model, model.xi, grid, noise, 60_000, seed=5)
         assert np.all(np.abs(est - analytic) <= 4.0 * np.maximum(se, 1e-300))
 
     def test_noise_doubling_halves_diagonal(self):
         grid = build_grid(0.25, 0.2, 2)
         model = KnownMagnitudeModel(np.ones(2), alpha=1.0, phase_coeffs=[0.0])
-        base, se = monte_carlo_fisher(
-            model, model.xi, grid, NoiseProfile.flat(1.0, 2), 50_000, seed=3, return_stderr=True
-        )
-        half, se2 = monte_carlo_fisher(
-            model, model.xi, grid, NoiseProfile.flat(2.0, 2), 50_000, seed=4, return_stderr=True
-        )
+        base, se = monte_carlo_fisher(model, model.xi, grid, NoiseProfile.flat(1.0, 2), 50_000, seed=3)
+        half, se2 = monte_carlo_fisher(model, model.xi, grid, NoiseProfile.flat(2.0, 2), 50_000, seed=4)
         for k in range(2):
             bound = 4.0 * math.hypot(se[k, k] / 2.0, se2[k, k])
             assert abs(half[k, k] - base[k, k] / 2.0) < bound
@@ -209,16 +205,17 @@ class TestMonteCarloFisher:
         grid = build_grid(0.25, 0.2, 2)
         noise = NoiseProfile.flat(1.0, 2)
         model = KnownMagnitudeModel(np.ones(2), alpha=1.0, phase_coeffs=[0.0])
-        a = monte_carlo_fisher(model, model.xi, grid, noise, 2000, seed=11)
-        b = monte_carlo_fisher(model, model.xi, grid, noise, 2000, seed=11)
+        a, a_se = monte_carlo_fisher(model, model.xi, grid, noise, 2000, seed=11)
+        b, b_se = monte_carlo_fisher(model, model.xi, grid, noise, 2000, seed=11)
         np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a_se, b_se)
 
     def test_gram_sums_match_outer_product_reference(self):
         # 10000 samples: one full 8192-row chunk and a partial one
         rng = np.random.default_rng(31)
         model, grid, noise = _random_known_mag(rng, n_bins=5, n_phase=3)
         n_samples = 10_000
-        est, se = monte_carlo_fisher(model, model.xi, grid, noise, n_samples, seed=9, return_stderr=True)
+        est, se = monte_carlo_fisher(model, model.xi, grid, noise, n_samples, seed=9)
         # reference: every draw at once from the same stream, then the mean
         # of the per-sample score outer products
         phi, varphi = model.split(model.xi)
@@ -249,7 +246,7 @@ class TestMonteCarloFisher:
         for n_samples in (2000, 9000):
             tracemalloc.start()
             try:
-                est = monte_carlo_fisher(model, xi, grid, noise, n_samples, seed=2)
+                est, _ = monte_carlo_fisher(model, xi, grid, noise, n_samples, seed=2)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -341,11 +338,22 @@ class TestChristoffel:
         approx = christoffel_fd(model, model.xi, grid, noise).values
         assert np.array_equal(approx, approx.transpose(1, 0, 2))
 
-    def test_bad_step_rejected(self):
-        rng = np.random.default_rng(3)
-        model, grid, noise = _random_known_mag(rng)
-        with pytest.raises(ValueError):
-            christoffel_fd(model, model.xi, grid, noise, step=0.0)
+    @pytest.mark.parametrize("n_bins", [1, 3, 6])
+    def test_free_spectrum_matches_fd_mixed_families_only(self, n_bins):
+        # rho and psi per bin: both second-partial families vanish, so only the
+        # mixed families, one bin's w rho each, are non-zero
+        rng = np.random.default_rng(40 + n_bins)
+        grid = build_grid(0.25, 0.3, n_bins)
+        noise = NoiseProfile(rng.uniform(0.5, 2.0, n_bins))
+        model = FreeSpectrumModel(n_bins)
+        xi = np.concatenate([rng.uniform(0.5, 2.0, n_bins), rng.uniform(-3.0, 3.0, n_bins)])
+        exact = christoffel(model, xi, grid, noise).values
+        approx = christoffel_fd(model, xi, grid, noise).values
+        assert np.max(np.abs(approx - exact)) <= 1e-10 * np.max(np.abs(exact))
+        p = n_bins
+        assert not exact[:p, :p, :p].any() and not exact[p:, p:, p:].any()
+        for block in (exact[p:, p:, :p], exact[p:, :p, p:], exact[:p, p:, p:]):
+            np.testing.assert_array_equal(np.abs(block).sum(axis=(0, 1)), noise.weights * xi[:p])
 
 
 class TestPathSpeed:

@@ -7,8 +7,9 @@ a centred circularly symmetric complex Gaussian with known power gamma0(nu),
 independent across bins.  This module holds the containers for that picture
 (grid, noise, magnitude/phase spectrum, complex observation), the phase
 wrapping convention, the Gaussian log-likelihood and a seeded sampler, plus
-flat CSV/JSON serialization, the validated magnitude ``Template`` and the
-``scaled_chord`` form shared by every distance.
+flat CSV/JSON serialization, the validated magnitude ``Template``, the
+``scaled_chord`` form shared by every distance, and the one check of each
+band-level rule: lengths, attenuations, read-only arrays and ``unscale``.
 
 All containers are immutable (frozen dataclasses with read-only arrays), so
 every operation in the package is a pure function safe for concurrent use.
@@ -37,12 +38,16 @@ __all__ = [
     "band_from_json",
     "band_to_json",
     "build_grid",
+    "check_aligned",
+    "check_attenuation",
     "load_band_csv",
     "log_likelihood",
     "phase_rms_diff",
+    "readonly",
     "sample_observation",
     "save_band_csv",
     "scaled_chord",
+    "unscale",
     "wrap_phase",
     "write_csv",
 ]
@@ -56,12 +61,40 @@ class ConvergenceError(RuntimeError):
     """An iterative solver failed to reach its tolerance."""
 
 
-def _readonly(values, dtype=float) -> np.ndarray:
+def readonly(values, dtype=float, one_dim: bool = True) -> np.ndarray:
+    """A read-only copy of ``values``, required one-dimensional unless ``one_dim`` is False."""
     out = np.array(values, dtype=dtype)
-    if out.ndim != 1:
+    if one_dim and out.ndim != 1:
         raise ValueError("expected a one-dimensional sequence")
     out.flags.writeable = False
     return out
+
+
+def check_aligned(**lengths: int) -> int:
+    """The common length of the named band inputs; a mismatch names each one's length."""
+    if len(set(lengths.values())) != 1:
+        raise ValueError("misaligned band lengths: " + ", ".join(f"{k} {n}" for k, n in lengths.items()))
+    return next(iter(lengths.values()))
+
+
+def check_attenuation(*alphas) -> None:
+    """Reject attenuations (scalars or arrays) not positive and finite; a float skips numpy's per-call cost."""
+    for a in alphas:
+        if not (0.0 < a < math.inf if isinstance(a, float)
+                else ((np.asarray(a) > 0.0) & (np.asarray(a) < math.inf)).all()):
+            raise ValueError("alpha must be positive and finite")
+
+
+def unscale(value, e):
+    """``value * 2**e``, the exit from power-of-two units: inf or 0 only when the
+    value itself leaves the double range, and never a warning or an exception."""
+    if isinstance(value, float) and isinstance(e, int):
+        try:
+            return math.ldexp(value, e)
+        except OverflowError:
+            return math.copysign(math.inf, value)
+    with np.errstate(over="ignore", under="ignore"):
+        return np.ldexp(value, e)
 
 
 def wrap_phase(theta):
@@ -116,12 +149,11 @@ class FrequencyGrid:
     freqs: np.ndarray
 
     def __post_init__(self):
-        freqs = _readonly(self.freqs)
+        freqs = readonly(self.freqs)
         object.__setattr__(self, "freqs", freqs)
         if self.n_freqs < 1:
             raise ValueError("n_freqs must be at least 1")
-        if len(freqs) != self.n_freqs:
-            raise ValueError("freqs length does not match n_freqs")
+        check_aligned(freqs=len(freqs), n_freqs=self.n_freqs)
         if self.bandwidth_B <= 0.0 or not math.isfinite(self.bandwidth_B):
             raise ValueError("bandwidth_B must be positive and finite")
         if not np.all(np.isfinite(freqs)) or freqs[0] <= 0.0:
@@ -182,7 +214,7 @@ class NoiseProfile:
     gamma0: np.ndarray
 
     def __post_init__(self):
-        gamma0 = _readonly(self.gamma0)
+        gamma0 = readonly(self.gamma0)
         object.__setattr__(self, "gamma0", gamma0)
         if len(gamma0) < 1:
             raise ValueError("noise profile is empty")
@@ -215,12 +247,11 @@ class SignalSpectrum:
     psi: np.ndarray
 
     def __post_init__(self):
-        rho = _readonly(self.rho)
-        psi = _readonly(self.psi)
+        rho = readonly(self.rho)
+        psi = readonly(self.psi)
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "psi", psi)
-        if len(rho) != len(psi):
-            raise ValueError("rho and psi lengths differ")
+        check_aligned(rho=len(rho), psi=len(psi))
         if not np.all(np.isfinite(rho)) or np.any(rho < 0.0):
             raise ValueError("rho must be finite and non-negative")
         if not np.all(np.isfinite(psi)):
@@ -248,10 +279,7 @@ class Observation:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=complex)
-        if values.ndim != 1:
-            raise ValueError("expected a one-dimensional sequence")
-        values.flags.writeable = False
+        values = readonly(self.values, dtype=complex)
         object.__setattr__(self, "values", values)
         if not np.all(np.isfinite(values)):
             raise ValueError("observation values must be finite")
@@ -261,18 +289,12 @@ class Observation:
         return len(self.values)
 
 
-def _check_aligned(*lengths: int) -> int:
-    if len(set(lengths)) != 1:
-        raise ValueError(f"misaligned band lengths: {lengths}")
-    return lengths[0]
-
-
 def log_likelihood(obs: Observation, spectrum: SignalSpectrum, noise: NoiseProfile) -> float:
     """Log-density of an observation under the circular complex Gaussian law.
 
     Sum over bins of ``-ln(pi * gamma0) - |x - rho * exp(i psi)|^2 / gamma0``.
     """
-    _check_aligned(obs.n_freqs, spectrum.n_freqs, noise.n_freqs)
+    check_aligned(obs=obs.n_freqs, spectrum=spectrum.n_freqs, noise=noise.n_freqs)
     resid = obs.values - spectrum.to_complex()
     quad = (resid.real**2 + resid.imag**2) / noise.gamma0
     return float(np.sum(-np.log(np.pi * noise.gamma0) - quad))
@@ -285,7 +307,7 @@ def sample_observation(spectrum: SignalSpectrum, noise: NoiseProfile, seed) -> O
     variance gamma0/2, so E n = 0, E|n|^2 = gamma0 and E n^2 = 0.  Bitwise
     reproducible for equal seeds.
     """
-    n = _check_aligned(spectrum.n_freqs, noise.n_freqs)
+    n = check_aligned(spectrum=spectrum.n_freqs, noise=noise.n_freqs)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, 2))
     scale = np.sqrt(0.5 * noise.gamma0)
@@ -295,7 +317,7 @@ def sample_observation(spectrum: SignalSpectrum, noise: NoiseProfile, seed) -> O
 
 def _template_weights(noise: NoiseProfile, rho0) -> tuple[np.ndarray, np.ndarray]:
     rho0 = np.asarray(rho0, dtype=float)
-    _check_aligned(noise.n_freqs, len(rho0))
+    check_aligned(noise=noise.n_freqs, rho0=len(rho0))
     if not np.all(np.isfinite(rho0)) or np.any(rho0 < 0.0):
         raise ValueError("rho0 must be finite and non-negative")
     return rho0, noise.weights * rho0**2
@@ -322,9 +344,8 @@ class Template:
 
     def __post_init__(self):
         with np.errstate(over="ignore"):
-            rho0, weights = _template_weights(self.noise, _readonly(self.rho0))
+            rho0, weights = _template_weights(self.noise, readonly(self.rho0))
             omega0 = float(np.sum(weights))
-        weights.flags.writeable = False
         if not math.isfinite(omega0):
             raise ValueError("template weights overflow: (2/gamma0) rho0^2 or their sum omega0 is not finite")
         if not omega0 > 0.0:
@@ -332,7 +353,7 @@ class Template:
                 raise ValueError("template energy must be positive, but (2/gamma0) rho0^2 underflows to zero")
             raise ValueError("template energy must be positive")
         object.__setattr__(self, "rho0", rho0)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights", readonly(weights))
         object.__setattr__(self, "omega0", omega0)
 
     @property
@@ -351,7 +372,7 @@ class Template:
         """
         psi1 = np.asarray(psi1, dtype=float)
         psi2 = np.asarray(psi2, dtype=float)
-        _check_aligned(psi1.shape[-1], psi2.shape[-1], self.n_freqs)
+        check_aligned(psi1=psi1.shape[-1], psi2=psi2.shape[-1], template=self.n_freqs)
         with np.errstate(over="ignore", invalid="ignore"):
             gap = psi2 - psi1
         if not np.isfinite(gap).all():
@@ -411,7 +432,7 @@ def write_csv(path, header, rows) -> None:
 
 
 def save_band_csv(path, grid: FrequencyGrid, noise: NoiseProfile, spectrum: SignalSpectrum) -> None:
-    _check_aligned(grid.n_freqs, noise.n_freqs, spectrum.n_freqs)
+    check_aligned(grid=grid.n_freqs, noise=noise.n_freqs, spectrum=spectrum.n_freqs)
     write_csv(path, _CSV_HEADER, np.column_stack([grid.freqs, noise.gamma0, spectrum.rho, spectrum.psi]))
 
 
@@ -435,7 +456,7 @@ def load_band_csv(path) -> tuple[FrequencyGrid, NoiseProfile, SignalSpectrum]:
 
 
 def band_to_json(grid: FrequencyGrid, noise: NoiseProfile, spectrum: SignalSpectrum) -> str:
-    _check_aligned(grid.n_freqs, noise.n_freqs, spectrum.n_freqs)
+    check_aligned(grid=grid.n_freqs, noise=noise.n_freqs, spectrum=spectrum.n_freqs)
     payload = {
         "grid": {
             "nu0": grid.nu0,

@@ -194,7 +194,7 @@ def _cmd_distance(args) -> int:
                 # a short row leaves its missing cells None
                 coeffs = [float(part) for part in (row["phase_coeffs" + side] or "").split(";")]
                 if not (alpha > 0.0 and math.isfinite(alpha)):
-                    raise ValueError("alpha must be positive")
+                    raise ValueError("alpha must be positive and finite")
                 if not all(map(math.isfinite, coeffs)):
                     raise ValueError("phase coefficients must be finite")
                 if len(coeffs) > n:

@@ -35,7 +35,10 @@ from .band import (
     NoiseProfile,
     SignalSpectrum,
     Template,
+    check_aligned,
+    check_attenuation,
     scaled_chord,
+    unscale,
     wrap_phase,
 )
 
@@ -65,28 +68,25 @@ def known_mag_distances(template: Template, alpha1, alpha2, dpsi):
     row is scaled by its own power of two, so every row equals its scalar
     call however the scales in the batch differ.
     """
+    check_attenuation(alpha1, alpha2)
     alpha1 = np.asarray(alpha1, dtype=float)
     alpha2 = np.asarray(alpha2, dtype=float)
-    if not ((alpha1 > 0.0).all() and (alpha2 > 0.0).all()):
-        raise ValueError("endpoint attenuations must be positive")
     dpsi = np.asarray(dpsi, dtype=float)
-    if dpsi.shape[-1] != template.n_freqs:
-        raise ValueError("misaligned band inputs")
+    check_aligned(dpsi=dpsi.shape[-1], template=template.n_freqs)
     half = np.sin(0.5 * dpsi)
     delta = np.sqrt(template.mean(dpsi * dpsi))
     half_delta = np.sin(0.5 * delta)
     # (1 - C) / 2 as a weighted mean of sin^2(dpsi/2): stable near C = 1
     h = np.stack([template.mean(half * half), half_delta * half_delta], axis=-1)
     c, e = scaled_chord(alpha1[..., np.newaxis], alpha2[..., np.newaxis], h)
-    d = np.ldexp(np.sqrt(template.omega0 * c), e)
+    d = unscale(np.sqrt(template.omega0 * c), e)
     return d[..., 0], d[..., 1], delta
 
 
 def _pair(alpha1, alpha2, psi1, psi2, grid: FrequencyGrid, noise: NoiseProfile, rho0):
     """The template and the kernel's ``d_full, d_alpha, delta`` for one endpoint pair."""
     template = Template(noise, rho0)
-    if grid.n_freqs != template.n_freqs:
-        raise ValueError("misaligned band inputs")
+    check_aligned(grid=grid.n_freqs, noise=noise.n_freqs, rho0=template.n_freqs)
     dpsi, _ = template.phase_gap(psi1, psi2)
     return (template, *map(float, known_mag_distances(template, alpha1, alpha2, dpsi)))
 
@@ -99,26 +99,24 @@ def distance_full(s1: SignalSpectrum, s2: SignalSpectrum, noise: NoiseProfile) -
     the bins whose chord is not zero, so a large bin that is equal at both
     ends cannot push a small bin that moves below the double range.
     """
-    if not (s1.n_freqs == s2.n_freqs == noise.n_freqs):
-        raise ValueError("misaligned spectra or noise profile")
+    check_aligned(s1=s1.n_freqs, s2=s2.n_freqs, noise=noise.n_freqs)
     half = np.sin(0.5 * wrap_phase(s2.psi - s1.psi))
     h = half * half
     moving = (s1.rho != s2.rho) | ((h > 0.0) & (s1.rho > 0.0))
     c, e = scaled_chord(np.where(moving, s1.rho, 0.0), np.where(moving, s2.rho, 0.0), h)
-    return math.ldexp(math.sqrt(float(np.sum(noise.weights * c))), e)
+    return unscale(math.sqrt(float(np.sum(noise.weights * c))), e)
 
 
 def distance_full_embedding(s1: SignalSpectrum, s2: SignalSpectrum, noise: NoiseProfile) -> float:
     """Same distance through the real (Re, Im) embedding: the Mahalanobis
     form with the diagonal noise covariance.  Kept as an independent
     evaluation route for cross-checks."""
-    if not (s1.n_freqs == s2.n_freqs == noise.n_freqs):
-        raise ValueError("misaligned spectra or noise profile")
+    check_aligned(s1=s1.n_freqs, s2=s2.n_freqs, noise=noise.n_freqs)
     diff = s2.to_complex() - s1.to_complex()
     # scaled by a power of two so that squares neither overflow nor underflow
     e = math.frexp(float(np.max(np.maximum(np.abs(diff.real), np.abs(diff.imag)))))[1]
     re, im = np.ldexp(diff.real, -e), np.ldexp(diff.imag, -e)
-    return math.ldexp(math.sqrt(float(np.sum(noise.weights * (re * re + im * im)))), e)
+    return unscale(math.sqrt(float(np.sum(noise.weights * (re * re + im * im)))), e)
 
 
 def distance_alpha(
@@ -159,7 +157,7 @@ def small_phase_equivalent(
     """
     template, _, _, delta = _pair(alpha1, alpha2, psi1, psi2, grid, noise, rho0)
     c, e = scaled_chord(alpha1, alpha2, (0.5 * delta) ** 2)
-    return float(np.ldexp(math.sqrt(template.omega0 * c), e))
+    return unscale(math.sqrt(template.omega0 * c), e)
 
 
 def large_phase_limits(gamma_ratio: float, snr1: float) -> tuple[float, float]:
@@ -208,7 +206,7 @@ def ratio_time_delay(gamma_ratio: float, dpsi0: float, dtau_times_B, nu0_over_B:
     mean_cos = np.sinc(dtau) * np.cos(dpsi0 - 2.0 * math.pi * nu0_over_B * dtau)
     den = g * g + 1.0 - 2.0 * g * mean_cos
     positive = den > 0.0
-    ratio = np.where(positive, np.sqrt(np.ldexp(c, 2 * e) / np.where(positive, den, 1.0)), 1.0)
+    ratio = np.where(positive, np.sqrt(unscale(c, 2 * e) / np.where(positive, den, 1.0)), 1.0)
     return float(ratio) if ratio.ndim == 0 else ratio
 
 
@@ -218,7 +216,8 @@ class DistanceReport:
 
     Fields tied to the known-magnitude chart (everything except ``d_full``)
     are None when no template was supplied.  ``ratio`` is additionally None
-    for coincident endpoints, where it is a 0/0.
+    for coincident endpoints, where it is a 0/0, and when both distances
+    overflow, where it is inf/inf.
     """
 
     d_full: float
@@ -244,10 +243,8 @@ class DistanceReport:
         it is inf only when its value exceeds the double range.
         """
         mant, e = math.frexp(alpha1)
-        with np.errstate(over="ignore"):
-            snr1 = float(np.ldexp(omega0 * (mant * mant), 2 * e))
-        ratio = d_alpha / d_full if d_full > 0.0 else None
-        return cls(d_full=d_full, d_alpha=d_alpha, omega0=omega0, snr1=snr1,
+        ratio = d_alpha / d_full if 0.0 < d_full < math.inf else None
+        return cls(d_full=d_full, d_alpha=d_alpha, omega0=omega0, snr1=unscale(omega0 * (mant * mant), 2 * e),
                    gamma_ratio=alpha2 / alpha1, delta=delta, ratio=ratio)
 
     def to_json_dict(self) -> dict:

@@ -45,7 +45,11 @@ from .band import (
     NoiseProfile,
     SignalSpectrum,
     Template,
+    check_aligned,
+    check_attenuation,
+    readonly,
     scaled_chord,
+    unscale,
     wrap_phase,
     write_csv,
 )
@@ -86,10 +90,8 @@ class GeodesicPath:
     coords: np.ndarray
 
     def __post_init__(self):
-        sigmas = np.array(self.sigmas, dtype=float)
-        coords = np.array(self.coords, dtype=float)
-        sigmas.flags.writeable = False
-        coords.flags.writeable = False
+        sigmas = readonly(self.sigmas, one_dim=False)
+        coords = readonly(self.coords, one_dim=False)
         object.__setattr__(self, "sigmas", sigmas)
         object.__setattr__(self, "coords", coords)
         if sigmas.ndim != 1 or coords.ndim != 2 or coords.shape[0] != len(sigmas):
@@ -188,8 +190,7 @@ def straight_line_geodesic(mu1: SignalSpectrum, mu2: SignalSpectrum, n_nodes: in
     This is the geodesic of the full band manifold; converting any node back
     to a spectrum is ``spectrum_from_embedding(path.coords[j])``.
     """
-    if mu1.n_freqs != mu2.n_freqs:
-        raise ValueError("spectra are misaligned")
+    check_aligned(mu1=mu1.n_freqs, mu2=mu2.n_freqs)
     if n_nodes < 2:
         raise ValueError("n_nodes must be at least 2")
     x1 = embedding_coords(mu1)
@@ -233,11 +234,8 @@ class AlphaGeodesic:
 
     def __post_init__(self):
         for name in ("psi1", "dpsi"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if not (0.0 < self.alpha1 < math.inf and 0.0 < self.alpha2 < math.inf):
-            raise ValueError("endpoint attenuations must be positive and finite")
+            object.__setattr__(self, name, readonly(getattr(self, name)))
+        check_attenuation(self.alpha1, self.alpha2)
         if not 0.0 <= self.delta <= np.pi + 1e-12:
             raise ValueError("delta must lie in [0, pi]")
         half = np.sin(0.5 * self.delta)
@@ -253,12 +251,6 @@ class AlphaGeodesic:
     def _scaled_ends(self) -> tuple[float, float]:
         return math.ldexp(self.alpha1, -self.scale), math.ldexp(self.alpha2, -self.scale)
 
-    def _natural(self, value, degree: int):
-        """A scaled constant of the given degree in the attenuations, in natural
-        units: inf or 0 only when its own value leaves the double range."""
-        with np.errstate(over="ignore", under="ignore"):
-            return np.ldexp(value, degree * self.scale)
-
     def _flow_angles(self) -> tuple[float, float]:
         """Arctan flow angles ``atan2(chord (s + k2), moment)`` at s = 0 and s = 1."""
         return tuple(math.atan2(self.chord * shift, self.moment) for shift in (self.k2, 1.0 + self.k2))
@@ -266,18 +258,18 @@ class AlphaGeodesic:
     @property
     def k1(self) -> float:
         """Squared chord of the endpoints: the squared speed in units of omega0."""
-        return float(self._natural(self.chord, 2))
+        return unscale(self.chord, 2 * self.scale)
 
     @property
     def K(self) -> float:
         """Constant of the attenuation equation alpha'' = K / alpha^3."""
-        return float(self._natural(self.moment * self.moment, 4))
+        return unscale(self.moment * self.moment, 4 * self.scale)
 
     @property
     def c(self) -> np.ndarray:
         """Per-bin constants of the phase equation psi' = c / alpha^2."""
         if self.delta > 0.0 and self.moment > 0.0:
-            return self._natural(self.moment * self.dpsi / self.delta, 2)
+            return unscale(self.moment * self.dpsi / self.delta, 2 * self.scale)
         return np.zeros_like(self.dpsi)
 
     @property
@@ -290,7 +282,7 @@ class AlphaGeodesic:
         if self.chord == 0.0:
             return np.full_like(sigmas, self.alpha1)
         # hypot, so the small end is not squared below the double range
-        return self._natural(np.hypot(self.chord * (sigmas + self.k2), self.moment) / math.sqrt(self.chord), 1)
+        return unscale(np.hypot(self.chord * (sigmas + self.k2), self.moment) / math.sqrt(self.chord), self.scale)
 
     def phase_mix_at(self, sigmas) -> np.ndarray:
         """Fraction of the per-bin phase advance completed at each sigma: the
@@ -308,7 +300,7 @@ class AlphaGeodesic:
     @property
     def length(self) -> float:
         """Geodesic length sqrt(omega0 * k1)."""
-        return float(self._natural(np.sqrt(self.omega0 * self.chord), 1))
+        return unscale(math.sqrt(self.omega0 * self.chord), self.scale)
 
     @property
     def speed(self) -> float:
@@ -326,7 +318,7 @@ class AlphaGeodesic:
         a1, a2 = self._scaled_ends()
         a1s, a2s = a1**2, a2**2
         r = t2 * (a1s + a2s - self.chord) ** 2 + (a2s - a1s - self.chord) ** 2 - 4.0 * a1s * self.chord
-        return float(self._natural(r, 4))
+        return unscale(r, 4 * self.scale)
 
     def to_json_dict(self) -> dict:
         names = ("alpha1", "alpha2", "k1", "k2", "K", "delta", "omega0", "degenerate", "c", "psi1", "dpsi")
@@ -340,8 +332,7 @@ def _boundary_geodesic(alpha1, alpha2, psi1, psi2, grid: FrequencyGrid, noise: N
     ``distance_alpha``; only the start phases are wrapped.
     """
     template = Template(noise, rho0)
-    if grid.n_freqs != template.n_freqs:
-        raise ValueError("misaligned band inputs")
+    check_aligned(grid=grid.n_freqs, noise=noise.n_freqs, rho0=template.n_freqs)
     dpsi, delta = template.phase_gap(psi1, psi2)
     psi1 = wrap_phase(np.asarray(psi1, dtype=float))
     return AlphaGeodesic(float(alpha1), float(alpha2), delta, psi1, dpsi, template.omega0)
@@ -428,15 +419,15 @@ def alpha_geodesic_coeff_path(geo: AlphaGeodesic, coeffs1, coeffs2, n_nodes: int
     return GeodesicPath(sigmas, np.column_stack([geo.alpha_at(sigmas), coeffs1 + mix * (coeffs2 - coeffs1)]))
 
 
-def save_path_csv(path_or_buf, path: GeodesicPath) -> None:
+def save_path_csv(path, curve: GeodesicPath) -> None:
     """Write an attenuation-chart path as CSV for plotting.
 
     Columns: ``sigma, alpha, psi_1 .. psi_N`` (one row per node); floats use
     repr so the file round-trips exactly.
     """
-    n_phases = path.coords.shape[1] - 1
+    n_phases = curve.coords.shape[1] - 1
     header = ["sigma", "alpha"] + [f"psi_{k + 1}" for k in range(n_phases)]
-    write_csv(path_or_buf, header, np.column_stack([path.sigmas, path.coords]))
+    write_csv(path, header, np.column_stack([curve.sigmas, curve.coords]))
 
 
 # -- shooting oracle ---------------------------------------------------------
@@ -613,10 +604,7 @@ def _flat_reduction(chart, coords):
 @functools.lru_cache(maxsize=8)
 def _gauss_legendre(n_quad: int):
     """The ``n_quad``-point Gauss-Legendre rule on [-1, 1], read-only."""
-    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
+    return tuple(map(readonly, np.polynomial.legendre.leggauss(n_quad)))
 
 
 def path_length(chart, path: GeodesicPath, n_quad: int = 64) -> float:
@@ -671,11 +659,7 @@ def path_length(chart, path: GeodesicPath, n_quad: int = 64) -> float:
         speeds = np.asarray(chart.speed(position(t), velocity(t)), dtype=float)
     speeds = np.maximum(speeds, 0.0)
     length = float(np.sum(scale * np.sqrt(speeds)))
-    if not flat:
-        return length
-    with np.errstate(over="ignore"):
-        # inf only when the length itself leaves the double range
-        return float(np.ldexp(length, exponent))
+    return unscale(length, exponent) if flat else length
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .band import FrequencyGrid, NoiseProfile
+from .band import FrequencyGrid, NoiseProfile, check_aligned, readonly
 from .models import ParametricSignalModel
 
 __all__ = [
@@ -47,8 +47,7 @@ class FisherMatrix:
 
     def __post_init__(self):
         for name in ("mag_block", "phase_block"):
-            block = np.array(getattr(self, name), dtype=float)
-            block.flags.writeable = False
+            block = readonly(getattr(self, name), one_dim=False)
             object.__setattr__(self, name, block)
             if block.ndim != 2 or block.shape[0] != block.shape[1]:
                 raise ValueError(f"{name} must be square")
@@ -107,8 +106,7 @@ class ChristoffelTensor:
     validate: bool = True
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        values.flags.writeable = False
+        values = readonly(self.values, one_dim=False)
         object.__setattr__(self, "values", values)
         n = values.shape[0]
         if values.shape != (n, n, n):
@@ -156,8 +154,7 @@ def structural_mask(n_params: int, n_mag_params: int) -> np.ndarray:
 
 
 def _chart_data(model: ParametricSignalModel, xi, grid: FrequencyGrid, noise: NoiseProfile):
-    if grid.n_freqs != noise.n_freqs:
-        raise ValueError("grid and noise profile are misaligned")
+    check_aligned(grid=grid.n_freqs, noise=noise.n_freqs)
     phi, varphi = model.split(xi)
     rho = np.asarray(model.magnitude(phi, grid), dtype=float)
     mag_jac = np.asarray(model.magnitude_jacobian(phi, grid), dtype=float)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .band import FrequencyGrid, SignalSpectrum, wrap_phase
+from .band import FrequencyGrid, SignalSpectrum, check_aligned, check_attenuation, readonly, wrap_phase
 
 __all__ = [
     "FreeSpectrumModel",
@@ -97,16 +97,13 @@ class KnownMagnitudeModel(ParametricSignalModel):
     phase_coeffs: np.ndarray = field(default_factory=lambda: np.zeros(1))
 
     def __post_init__(self):
-        rho0 = np.array(self.rho0, dtype=float)
-        coeffs = np.atleast_1d(np.array(self.phase_coeffs, dtype=float))
-        rho0.flags.writeable = False
-        coeffs.flags.writeable = False
+        rho0 = readonly(self.rho0)
+        coeffs = readonly(np.atleast_1d(self.phase_coeffs))
         object.__setattr__(self, "rho0", rho0)
         object.__setattr__(self, "phase_coeffs", coeffs)
         if not np.all(np.isfinite(rho0)) or np.any(rho0 < 0.0):
             raise ValueError("rho0 must be finite and non-negative")
-        if not (self.alpha > 0.0 and np.isfinite(self.alpha)):
-            raise ValueError("alpha must be positive")
+        check_attenuation(self.alpha)
         if len(coeffs) < 1:
             raise ValueError("at least the constant phase coefficient is required")
         if not np.all(np.isfinite(coeffs)):
@@ -130,14 +127,12 @@ class KnownMagnitudeModel(ParametricSignalModel):
         return np.concatenate(([self.alpha], self.phase_coeffs))
 
     def _check_grid(self, grid: FrequencyGrid) -> None:
-        if grid.n_freqs != len(self.rho0):
-            raise ValueError("rho0 is not aligned with the grid")
+        check_aligned(grid=grid.n_freqs, rho0=len(self.rho0))
 
     def magnitude(self, phi, grid: FrequencyGrid) -> np.ndarray:
         self._check_grid(grid)
         alpha = float(np.asarray(phi, dtype=float).reshape(()))
-        if not (alpha > 0.0):
-            raise ValueError("alpha must be positive")
+        check_attenuation(alpha)
         return alpha * self.rho0
 
     def phase_unwrapped(self, varphi, grid: FrequencyGrid) -> np.ndarray:
@@ -189,8 +184,7 @@ class FreeSpectrumModel(ParametricSignalModel):
         return self.n_bins
 
     def _check_grid(self, grid: FrequencyGrid) -> None:
-        if grid.n_freqs != self.n_bins:
-            raise ValueError("grid size does not match n_bins")
+        check_aligned(grid=grid.n_freqs, n_bins=self.n_bins)
 
     def magnitude(self, phi, grid: FrequencyGrid) -> np.ndarray:
         self._check_grid(grid)

@@ -8,7 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fisherband import (
+    FreeSpectrumModel,
     FrequencyGrid,
+    KnownMagnitudeModel,
     NoiseProfile,
     Observation,
     SignalSpectrum,
@@ -18,13 +20,20 @@ from fisherband import (
     band_to_json,
     build_grid,
     distance_alpha,
+    distance_full,
+    distance_full_embedding,
+    fisher_matrix,
+    known_mag_distances,
     load_band_csv,
     log_likelihood,
     phase_rms_diff,
+    readonly,
     sample_observation,
     save_band_csv,
     scaled_chord,
     solve_alpha_geodesic,
+    straight_line_geodesic,
+    unscale,
     wrap_phase,
 )
 
@@ -475,3 +484,74 @@ class TestSerialization:
         np.testing.assert_array_equal(noise2.gamma0, noise.gamma0)
         np.testing.assert_array_equal(spec2.rho, spec.rho)
         np.testing.assert_array_equal(spec2.psi, spec.psi)
+
+
+class TestBandRules:
+    """Each band-level rule has one owner in ``band``, which every module calls."""
+
+    @pytest.mark.parametrize(
+        "call,lengths",
+        [
+            (lambda g5, n4, s4, s5: known_mag_distances(Template(n4, np.ones(4)), 1.0, 1.0, np.zeros(5)),
+             "dpsi 5, template 4"),
+            (lambda g5, n4, s4, s5: distance_alpha(1.0, 1.0, np.zeros(4), np.zeros(4), g5, n4, np.ones(4)),
+             "grid 5, noise 4, rho0 4"),
+            (lambda g5, n4, s4, s5: distance_full(s4, s5, n4), "s1 4, s2 5, noise 4"),
+            (lambda g5, n4, s4, s5: distance_full_embedding(s4, s5, n4), "s1 4, s2 5, noise 4"),
+            (lambda g5, n4, s4, s5: straight_line_geodesic(s4, s5), "mu1 4, mu2 5"),
+            (lambda g5, n4, s4, s5: solve_alpha_geodesic(1.0, 1.0, np.zeros(4), np.zeros(4), g5, n4, np.ones(4)),
+             "grid 5, noise 4, rho0 4"),
+            (lambda g5, n4, s4, s5: fisher_matrix(KnownMagnitudeModel(np.ones(5)), [1.0, 0.0], g5, n4),
+             "grid 5, noise 4"),
+            (lambda g5, n4, s4, s5: KnownMagnitudeModel(np.ones(4)).magnitude([1.0], g5), "grid 5, rho0 4"),
+            (lambda g5, n4, s4, s5: FreeSpectrumModel(4).magnitude(np.ones(4), g5), "grid 5, n_bins 4"),
+        ],
+        ids=["kernel", "distance_alpha", "distance_full", "distance_full_embedding", "straight_line_geodesic",
+             "solve_alpha_geodesic", "fisher_matrix", "KnownMagnitudeModel", "FreeSpectrumModel"],
+    )
+    def test_misaligned_lengths_name_every_input(self, call, lengths):
+        s4, s5 = SignalSpectrum(np.ones(4), np.zeros(4)), SignalSpectrum(np.ones(5), np.zeros(5))
+        with pytest.raises(ValueError, match=f"^misaligned band lengths: {lengths}$"):
+            call(build_grid(0.25, 0.4, 5), NoiseProfile.flat(1.0, 4), s4, s5)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda grid, a: distance_alpha(a, 1.0, np.zeros(3), np.ones(3), grid, NoiseProfile.flat(1.0, 3), np.ones(3)),
+            lambda grid, a: KnownMagnitudeModel(np.ones(3), alpha=a),
+            lambda grid, a: KnownMagnitudeModel(np.ones(3)).magnitude([a], grid),
+            lambda grid, a: solve_alpha_geodesic(1.0, a, np.zeros(3), np.ones(3), grid, NoiseProfile.flat(1.0, 3), np.ones(3)),
+        ],
+        ids=["distance_alpha", "KnownMagnitudeModel", "magnitude", "solve_alpha_geodesic"],
+    )
+    def test_attenuations_must_be_positive_and_finite(self, call, bad):
+        with pytest.raises(ValueError, match="^alpha must be positive and finite$"):
+            call(build_grid(0.25, 0.4, 3), bad)
+
+    @pytest.mark.parametrize(
+        "value,e,expected",
+        [
+            (0.75, 3, 6.0),
+            (0.75, 1024, 1.5 * 2.0**1023),
+            (0.75, 1025, math.inf),
+            (-0.75, 1025, -math.inf),
+            (0.75, -1075, 0.0),
+            (0.5, -1073, 2.0**-1074),
+            (np.array([0.75, -0.5]), 1025, np.array([math.inf, -math.inf])),
+            (np.array([[0.75], [0.75]]), np.array([[2], [-1080]]), np.array([[3.0], [0.0]])),
+        ],
+    )
+    def test_unscale_leaves_the_range_only_with_the_value(self, value, e, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = unscale(value, e)
+        assert np.array_equal(out, expected)
+
+    def test_readonly_copies_and_checks_the_dimension_on_request(self):
+        source = np.zeros((2, 2))
+        out = readonly(source, one_dim=False)
+        source[0, 0] = 1.0
+        assert out[0, 0] == 0.0 and not out.flags.writeable
+        with pytest.raises(ValueError, match="one-dimensional"):
+            readonly(source)

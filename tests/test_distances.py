@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +39,16 @@ def _band(n, seed=0):
     noise = NoiseProfile(rng.uniform(0.5, 2.0, n))
     rho0 = rng.uniform(0.1, 2.0, n)
     return grid, noise, rho0, rng
+
+
+def _beyond_the_range():
+    """Spectra at alpha 1e308 and 1 on a template of peak 1, with their known-magnitude arguments."""
+    grid, noise, rho0, rng = _band(8, seed=25)
+    rho0 = rho0 / rho0.max()
+    assert math.sqrt(Template(noise, rho0).omega0) > 2.0
+    psi1, psi2 = (wrap_phase(rng.uniform(-np.pi, np.pi, 8)) for _ in range(2))
+    s1, s2 = SignalSpectrum(1e308 * rho0, psi1), SignalSpectrum(rho0, psi2)
+    return s1, s2, noise, (1e308, 1.0, psi1, psi2, grid, noise, rho0)
 
 
 def _random_spectrum(rng, n):
@@ -345,6 +356,28 @@ class TestHomogeneity:
         else:
             assert rep.snr1 == pytest.approx(float(exact), rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s1, s2, noise, ends: distance_full(s1, s2, noise),
+            lambda s1, s2, noise, ends: distance_full_embedding(s1, s2, noise),
+            lambda s1, s2, noise, ends: report(s1, s2, noise, rho0=ends[-1]).d_alpha,
+            lambda s1, s2, noise, ends: report(s1, s2, noise, rho0=ends[-1]).d_full,
+            lambda s1, s2, noise, ends: distance_alpha(*ends),
+            lambda s1, s2, noise, ends: distance_full_known_mag(*ends),
+            lambda s1, s2, noise, ends: small_phase_equivalent(*ends),
+            lambda s1, s2, noise, ends: known_mag_distances(Template(noise, ends[-1]), 1e308, 1.0, s2.psi - s1.psi)[1],
+        ],
+        ids=["distance_full", "distance_full_embedding", "report.d_alpha", "report.d_full", "distance_alpha",
+             "distance_full_known_mag", "small_phase_equivalent", "known_mag_distances"],
+    )
+    def test_leaving_the_double_range_is_inf(self, call):
+        # alpha1 = 1e308 against alpha2 = 1: every distance is about sqrt(omega0) 1e308 > 1.8e308
+        s1, s2, noise, ends = _beyond_the_range()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert call(s1, s2, noise, ends) == math.inf
+
 
 class TestKnownMagKernel:
     @settings(max_examples=100, deadline=None)
@@ -385,7 +418,14 @@ class TestKnownMagKernel:
             assert all(b[k] == v for b, v in zip(batch, single))
 
     @pytest.mark.parametrize(
-        "alpha1,width,fragment", [(0.0, 5, "positive"), (np.array([1.0, -1.0]), 5, "positive"), (1.0, 4, "misaligned")]
+        "alpha1,width,fragment",
+        [
+            (0.0, 5, "positive"),
+            (np.array([1.0, -1.0]), 5, "positive"),
+            (1.0, 4, "misaligned"),
+            (math.inf, 5, "alpha must be positive and finite"),
+            (np.array([1.0, math.nan]), 5, "alpha must be positive and finite"),
+        ],
     )
     def test_validation(self, alpha1, width, fragment):
         grid, noise, rho0, _ = _band(5, seed=23)
@@ -429,6 +469,11 @@ class TestReport:
         assert rep.d_alpha == 0.0
         assert rep.ratio is None
         assert rep.gamma_ratio == pytest.approx(1.0)
+
+    def test_overflowing_distances_have_no_ratio(self):
+        s1, s2, noise, ends = _beyond_the_range()
+        rep = report(s1, s2, noise, rho0=ends[-1])
+        assert rep.d_full == rep.d_alpha == rep.snr1 == math.inf and rep.ratio is None
 
     def test_without_template(self):
         grid, noise, rho0, rng = _band(6, seed=16)

@@ -325,6 +325,7 @@ class TestCli:
         "bad_row,fragment",
         [
             ("0.0,0.0,1.0,0.0", "alpha must be positive"),
+            ("inf,0.0,1.0,0.0", "alpha must be positive and finite"),
             ("1.0,0.0;nan,1.0,0.0", "phase coefficients must be finite"),
             ("1.0,0.0,1.0,0;1;2;3;4;5;6", "degree exceeds"),
             ("1.0,0.0,1.0", "could not convert"),
@@ -342,14 +343,20 @@ class TestCli:
 
     def test_distance_extreme_attenuations(self, model_file, tmp_path, capsys):
         pairs = tmp_path / "pairs.csv"
-        pairs.write_text("alpha1,phase_coeffs1,alpha2,phase_coeffs2\n1e160,0.2;1.0,2e160,0.6;2.5\n1.0,0.2;1.0,2.0,0.6;2.5\n")
+        pairs.write_text(
+            "alpha1,phase_coeffs1,alpha2,phase_coeffs2\n1e160,0.2;1.0,2e160,0.6;2.5\n1.0,0.2;1.0,2.0,0.6;2.5\n1e308,0,1,1\n"
+        )
         out = tmp_path / "reports.csv"
-        assert main(["distance", str(pairs), "--model", str(model_file), "--output", str(out)]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["distance", str(pairs), "--model", str(model_file), "--output", str(out)]) == 0
         with open(out) as handle:
-            huge, unit = list(csv.DictReader(handle))
+            huge, unit, beyond = list(csv.DictReader(handle))
         for key in ("d_full", "d_alpha"):
             assert float(huge[key]) == pytest.approx(1e160 * float(unit[key]), rel=1e-14)
         assert float(huge["snr1"]) == math.inf  # omega0 * 1e320 exceeds the double range
+        # distances beyond the double range are inf, and their inf/inf ratio is left empty
+        assert beyond["d_full"] == beyond["d_alpha"] == "inf" and beyond["ratio"] == ""
 
     @pytest.mark.parametrize("argv", [["inspect", "geodesic"], ["distance", "pairs.csv", "--model"]])
     def test_zero_energy_template_is_an_error(self, tmp_path, monkeypatch, capsys, argv):

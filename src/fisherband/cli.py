@@ -38,7 +38,7 @@ from dataclasses import fields
 import numpy as np
 
 from .acceptance import run_acceptance_suite
-from .band import NoiseProfile, Template, build_grid, wrap_phase
+from .band import NoiseProfile, Template, build_grid, check_attenuation, wrap_phase
 from .distances import DistanceReport, known_mag_distances
 from .figures import FIGURE_CASES, ExperimentConfig, run_figure_case, write_figure_csv
 from .geodesics import solve_alpha_geodesic
@@ -193,8 +193,7 @@ def _cmd_distance(args) -> int:
                 alpha = float(row["alpha" + side])
                 # a short row leaves its missing cells None
                 coeffs = [float(part) for part in (row["phase_coeffs" + side] or "").split(";")]
-                if not (alpha > 0.0 and math.isfinite(alpha)):
-                    raise ValueError("alpha must be positive and finite")
+                check_attenuation(alpha)
                 if not all(map(math.isfinite, coeffs)):
                     raise ValueError("phase coefficients must be finite")
                 if len(coeffs) > n:

@@ -204,9 +204,10 @@ def ratio_time_delay(gamma_ratio: float, dpsi0: float, dtau_times_B, nu0_over_B:
     half = np.sin(0.5 * np.sqrt(np.mean(dpsi**2, axis=-1)))
     c, e = scaled_chord(1.0, g, half * half)
     mean_cos = np.sinc(dtau) * np.cos(dpsi0 - 2.0 * math.pi * nu0_over_B * dtau)
-    den = g * g + 1.0 - 2.0 * g * mean_cos
+    gs, one = math.ldexp(g, -e), math.ldexp(1.0, -e)  # den in the chord's units: the ratio stays in them
+    den = gs * gs + one * one - 2.0 * gs * one * mean_cos
     positive = den > 0.0
-    ratio = np.where(positive, np.sqrt(unscale(c, 2 * e) / np.where(positive, den, 1.0)), 1.0)
+    ratio = np.where(positive, np.sqrt(c / np.where(positive, den, 1.0)), 1.0)
     return float(ratio) if ratio.ndim == 0 else ratio
 
 

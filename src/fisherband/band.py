@@ -9,7 +9,8 @@ independent across bins.  This module holds the containers for that picture
 wrapping convention, the Gaussian log-likelihood and a seeded sampler, plus
 flat CSV/JSON serialization, the validated magnitude ``Template``, the
 ``scaled_chord`` form shared by every distance, and the one check of each
-band-level rule: lengths, attenuations, read-only arrays and ``unscale``.
+band-level rule: lengths, attenuations, read-only arrays, ``unscale`` and the
+row blocks of a batched pass.
 
 All containers are immutable (frozen dataclasses with read-only arrays), so
 every operation in the package is a pure function safe for concurrent use.
@@ -27,6 +28,7 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 __all__ = [
+    "BLOCK",
     "ChartMismatchError",
     "ConvergenceError",
     "FrequencyGrid",
@@ -44,6 +46,7 @@ __all__ = [
     "log_likelihood",
     "phase_rms_diff",
     "readonly",
+    "row_blocks",
     "sample_observation",
     "save_band_csv",
     "scaled_chord",
@@ -77,6 +80,19 @@ def check_aligned(**lengths: int) -> int:
     return next(iter(lengths.values()))
 
 
+# Rows x bins per block of a batched pass over (rows x bins) arrays.  A block's
+# temporaries hold at most 8192 doubles (64 KiB) each, or one row where a row is
+# longer, so they stay in a core's cache and peak memory does not grow with the
+# number of rows.
+BLOCK = 8192
+
+
+def row_blocks(n_rows: int, n_bins: int) -> list[slice]:
+    """Slices of at most ``max(1, BLOCK // n_bins)`` rows covering ``range(n_rows)`` in order."""
+    step = max(1, BLOCK // n_bins)
+    return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
+
 def check_attenuation(*alphas) -> None:
     """Reject attenuations (scalars or arrays) not positive and finite; a float skips numpy's per-call cost."""
     for a in alphas:
@@ -105,30 +121,29 @@ def wrap_phase(theta):
     Scalars return a float, arrays return an array.
     """
     arr = np.asarray(theta, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    lo, hi = (arr.min(), arr.max()) if arr.size else (0.0, 0.0)
+    if not (math.isfinite(lo) and math.isfinite(hi)):  # a NaN propagates through min and max
         raise ValueError("wrap_phase requires finite angles")
-    # round-half-even keeps +pi fixed; the two corrections settle the
-    # boundary, where alone they fire
-    w = np.divide(arr, TWO_PI, out=np.empty(arr.shape))
-    np.round(w, out=w)
-    np.multiply(w, TWO_PI, out=w)
-    np.subtract(arr, w, out=w)
-    low = w <= -np.pi
-    corrected = bool(low.any())
-    if corrected:
-        w[low] += TWO_PI
-    high = w > np.pi
-    if high.any():
-        corrected = True
-        w[high] -= TWO_PI
-    if corrected:
-        # from |theta| ~ 1e17 on, the rounded multiple of 2 pi can be off by
-        # more than the corrections settle; reduce what is left by np.remainder
-        out = (w <= -np.pi) | (w > np.pi)
-        if out.any():
-            rest = np.remainder(arr[out], TWO_PI)
-            rest[rest > np.pi] -= TWO_PI
-            w[out] = rest
+    if -np.pi < lo and hi <= np.pi:
+        # what the reduction below gives in range, -0.0 -> +0.0 included
+        w = arr + 0.0
+    else:
+        # round-half-even keeps +pi fixed; the two corrections settle the
+        # boundary, where alone they fire
+        w = np.divide(arr, TWO_PI, out=np.empty(arr.shape))
+        np.round(w, out=w)
+        np.multiply(w, TWO_PI, out=w)
+        np.subtract(arr, w, out=w)
+        if w.min() <= -np.pi or w.max() > np.pi:
+            w[w <= -np.pi] += TWO_PI
+            w[w > np.pi] -= TWO_PI
+            # from |theta| ~ 1e17 on, the rounded multiple of 2 pi can be off by
+            # more than the corrections settle; reduce what is left by np.remainder
+            out = (w <= -np.pi) | (w > np.pi)
+            if out.any():
+                rest = np.remainder(arr[out], TWO_PI)
+                rest[rest > np.pi] -= TWO_PI
+                w[out] = rest
     if np.ndim(theta) == 0:
         return float(w)
     return w

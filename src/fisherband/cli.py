@@ -12,7 +12,7 @@ A model file is JSON of the form::
       "grid":  {"nu0": 0.25, "bandwidth_B": 0.5, "n_freqs": 1000},
       "noise": {"gamma0": 2.0},          # scalar or per-bin list
       "rho0":  1.0,                      # scalar or per-bin list
-      "endpoints": [
+      "endpoints": [                     # read by inspect alone
         {"alpha": 1.0, "phase_coeffs": [0.0]},
         {"alpha": 1.0, "phase_coeffs": [0.0, -6.2832]}
       ]
@@ -38,7 +38,7 @@ from dataclasses import fields
 import numpy as np
 
 from .acceptance import run_acceptance_suite
-from .band import NoiseProfile, Template, build_grid, check_attenuation, wrap_phase
+from .band import NoiseProfile, Template, build_grid, check_attenuation, row_blocks, wrap_phase
 from .distances import DistanceReport, known_mag_distances
 from .figures import FIGURE_CASES, ExperimentConfig, run_figure_case, write_figure_csv
 from .geodesics import solve_alpha_geodesic
@@ -59,8 +59,12 @@ def _as_array(value, n: int, label: str) -> np.ndarray:
     return arr
 
 
-def load_model_file(path):
-    """Parse a model spec file into (grid, noise, rho0, endpoint models)."""
+def load_model_file(path, with_endpoints: bool = True):
+    """Parse a model spec file into (grid, noise, rho0, endpoint models).
+
+    Without ``with_endpoints`` the file need not list endpoints, none are
+    read, and the models are None.
+    """
     try:
         with open(path) as handle:
             payload = json.load(handle)
@@ -85,6 +89,8 @@ def load_model_file(path):
         raise ModelFileError(f"bad grid specification: {exc}") from exc
     noise = NoiseProfile(_as_array(need(need(payload, "noise", ""), "gamma0", "noise"), grid.n_freqs, "noise.gamma0"))
     rho0 = _as_array(need(payload, "rho0", ""), grid.n_freqs, "rho0")
+    if not with_endpoints:
+        return grid, noise, rho0, None
     endpoints = need(payload, "endpoints", "")
     if not isinstance(endpoints, list) or len(endpoints) != 2:
         raise ModelFileError("field 'endpoints' must list exactly two points")
@@ -165,16 +171,12 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
-# Rows x bins per block of the distance pass; it bounds the pass's temporaries,
-# so peak memory does not grow with the number of rows.
-BUDGET = 8192
-
 PAIR_COLUMNS = ["alpha1", "phase_coeffs1", "alpha2", "phase_coeffs2"]
 
 
 def _cmd_distance(args) -> int:
     if args.model:
-        grid, noise, rho0, _ = load_model_file(args.model)
+        grid, noise, rho0, _ = load_model_file(args.model, with_endpoints=False)
     else:
         grid, noise, rho0 = build_grid(0.25, 0.5, 1000), NoiseProfile.flat(2.0, 1000), np.ones(1000)
     template = Template(noise, rho0)
@@ -205,9 +207,8 @@ def _cmd_distance(args) -> int:
     alphas = np.reshape(alphas, (-1, 2))
 
     results = np.empty((len(alphas), 3))
-    step = max(1, BUDGET // n)
-    for lo in range(0, len(alphas), step):
-        hi = min(lo + step, len(alphas))
+    for rows in row_blocks(len(alphas), n):
+        lo, hi = rows.start, rows.stop
         # zero-padded coefficients: Horner with trailing zeros is bit-identical to the row's own call
         part = coeff_lists[2 * lo:2 * hi]
         block = np.zeros((len(part), max(map(len, part))))
@@ -222,7 +223,7 @@ def _cmd_distance(args) -> int:
             k = lo + int(np.argmin(finite)) + 1
             raise ValueError(f"bad pair on row {k}: phases or their gap not finite on the grid")
         dpsi, _ = template.phase_gap(phases[:, 0], phases[:, 1])
-        results[lo:hi] = np.column_stack(known_mag_distances(template, alphas[lo:hi, 0], alphas[lo:hi, 1], dpsi))
+        results[rows] = np.column_stack(known_mag_distances(template, alphas[rows, 0], alphas[rows, 1], dpsi))
 
     out = args.output or "distance_reports.csv"
     with open(out, "w", newline="") as handle:

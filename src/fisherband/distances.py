@@ -37,6 +37,7 @@ from .band import (
     Template,
     check_aligned,
     check_attenuation,
+    row_blocks,
     scaled_chord,
     unscale,
     wrap_phase,
@@ -112,11 +113,17 @@ def distance_full_embedding(s1: SignalSpectrum, s2: SignalSpectrum, noise: Noise
     form with the diagonal noise covariance.  Kept as an independent
     evaluation route for cross-checks."""
     check_aligned(s1=s1.n_freqs, s2=s2.n_freqs, noise=noise.n_freqs)
-    diff = s2.to_complex() - s1.to_complex()
-    # scaled by a power of two so that squares neither overflow nor underflow
-    e = math.frexp(float(np.max(np.maximum(np.abs(diff.real), np.abs(diff.imag)))))[1]
-    re, im = np.ldexp(diff.real, -e), np.ldexp(diff.imag, -e)
-    return unscale(math.sqrt(float(np.sum(noise.weights * (re * re + im * im)))), e)
+    # each bin in the power-of-two units of its larger magnitude, so z2 - z1 cannot overflow
+    e = np.frexp(np.maximum(s1.rho, s2.rho))[1]
+    diff = np.ldexp(s2.rho, -e) * np.exp(1j * s2.psi) - np.ldexp(s1.rho, -e) * np.exp(1j * s1.psi)
+    # then all in the units of the largest difference, taken from the bins that
+    # move alone, so that squares neither overflow nor underflow
+    moving = diff != 0.0
+    if not moving.any():
+        return 0.0
+    top = int((e + np.frexp(np.maximum(np.abs(diff.real), np.abs(diff.imag)))[1])[moving].max())
+    re, im = np.ldexp(diff.real, e - top), np.ldexp(diff.imag, e - top)
+    return unscale(math.sqrt(float(np.sum(noise.weights * (re * re + im * im)))), top)
 
 
 def distance_alpha(
@@ -200,8 +207,14 @@ def ratio_time_delay(gamma_ratio: float, dpsi0: float, dtau_times_B, nu0_over_B:
     dtau = np.asarray(dtau_times_B, dtype=float)
     # bin centres expressed as nu/B so only dimensionless products appear
     positions = nu0_over_B - 0.5 + (np.arange(n_freqs) + 0.5) / n_freqs
-    dpsi = wrap_phase(dpsi0 - 2.0 * np.pi * positions * dtau[..., np.newaxis])
-    half = np.sin(0.5 * np.sqrt(np.mean(dpsi**2, axis=-1)))
+    # one block of delays at a time: every step works row by row, and the
+    # (delays x bins) temporaries stay in cache whatever the number of delays
+    flat = dtau.ravel()
+    mean_sq = np.empty(flat.shape)
+    for rows in row_blocks(len(flat), n_freqs):
+        dpsi = wrap_phase(dpsi0 - 2.0 * np.pi * positions * flat[rows, np.newaxis])
+        mean_sq[rows] = np.mean(dpsi**2, axis=-1)
+    half = np.sin(0.5 * np.sqrt(mean_sq.reshape(dtau.shape)))
     c, e = scaled_chord(1.0, g, half * half)
     mean_cos = np.sinc(dtau) * np.cos(dpsi0 - 2.0 * math.pi * nu0_over_B * dtau)
     gs, one = math.ldexp(g, -e), math.ldexp(1.0, -e)  # den in the chord's units: the ratio stays in them

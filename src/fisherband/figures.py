@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .band import NoiseProfile, Template, build_grid, wrap_phase, write_csv
+from .band import NoiseProfile, Template, build_grid, row_blocks, wrap_phase, write_csv
 from .distances import known_mag_distances, ratio_time_delay
 
 __all__ = [
@@ -98,14 +98,17 @@ def run_figure_case(config: ExperimentConfig) -> np.ndarray:
     template = Template(NoiseProfile.flat(2.0, n), np.ones(n))
     alpha1 = math.sqrt(config.snr1 / template.omega0)
     btaus = sweep_points(config)
-    # first, so its (points x bins) temporaries are freed before the sweep's
-    ratio = ratio_time_delay(config.gamma_ratio, config.dpsi0, btaus, config.nu0 / config.bandwidth_B, n)
     dtaus = btaus / config.bandwidth_B
-
-    # wrapped linear phase differences, one row per sweep point
-    dpsi = wrap_phase(config.dpsi0 - 2.0 * np.pi * dtaus[:, np.newaxis] * grid.freqs[np.newaxis, :])
-    d_full, d_alpha, _ = known_mag_distances(template, alpha1, config.gamma_ratio * alpha1, dpsi)
-    return np.column_stack([btaus, d_full, d_alpha, ratio])
+    rows = np.empty((len(btaus), 4))
+    rows[:, 0] = btaus
+    rows[:, 3] = ratio_time_delay(config.gamma_ratio, config.dpsi0, btaus, config.nu0 / config.bandwidth_B, n)
+    # every step works row by row, so a block's rows equal the whole sweep's,
+    # and its (rows x bins) temporaries stay in cache
+    for block in row_blocks(len(btaus), n):
+        # wrapped linear phase differences, one row per sweep point
+        dpsi = wrap_phase(config.dpsi0 - 2.0 * np.pi * dtaus[block, np.newaxis] * grid.freqs[np.newaxis, :])
+        rows[block, 1], rows[block, 2], _ = known_mag_distances(template, alpha1, config.gamma_ratio * alpha1, dpsi)
+    return rows
 
 
 def write_figure_csv(path, rows: np.ndarray) -> None:

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fisherband import (
+    BLOCK,
     FreeSpectrumModel,
     FrequencyGrid,
     KnownMagnitudeModel,
@@ -28,6 +29,7 @@ from fisherband import (
     log_likelihood,
     phase_rms_diff,
     readonly,
+    row_blocks,
     sample_observation,
     save_band_csv,
     scaled_chord,
@@ -130,6 +132,51 @@ class TestWrapPhase:
         np.testing.assert_array_equal(w[: len(small)], self._legacy(np.array(small)))
         assert np.all((w > -math.pi) & (w <= math.pi))
         assert wrap_phase(thetas[0]) == self._legacy(thetas[0])
+
+    def test_in_range_arrays_come_back_as_a_new_array_plus_zero(self):
+        edges = [math.pi, -0.0, 0.0, 5e-324, -5e-324, np.nextafter(-math.pi, 0.0), np.nextafter(math.pi, 0.0)]
+        thetas = np.concatenate([np.random.default_rng(11).uniform(-math.pi, math.pi, 10**4), edges])
+        w = wrap_phase(thetas)
+        assert w is not thetas
+        assert w.tobytes() == (thetas + 0.0).tobytes() == self._legacy(thetas).tobytes()
+        assert not np.signbit(w[-6])  # -0.0 -> +0.0, as the rounding formula gives
+
+    @pytest.mark.parametrize(
+        "thetas",
+        [
+            [math.pi],
+            [-math.pi],
+            [math.pi, -math.pi],
+            [np.nextafter(-math.pi, 0.0), math.pi],
+            [np.nextafter(math.pi, 4.0), np.nextafter(-math.pi, -4.0)],
+        ],
+    )
+    def test_pi_boundaries_in_arrays(self, thetas):
+        w = wrap_phase(np.array(thetas))
+        assert np.all((w > -math.pi) & (w <= math.pi))
+        assert w.tobytes() == self._legacy(np.array(thetas)).tobytes()
+        assert list(w) == [wrap_phase(t) for t in thetas]
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_array(self, shape):
+        w = wrap_phase(np.zeros(shape))
+        assert w.shape == shape and w.dtype == float
+
+    @pytest.mark.parametrize("theta", [0.5, 7.0, np.float64(-4.0), np.array(7.0), np.array(-0.0), 3])
+    def test_scalars_and_zero_dim_arrays_return_a_float(self, theta):
+        w = wrap_phase(theta)
+        assert type(w) is float
+        assert w == float(self._legacy(np.asarray(theta, dtype=float))) and not math.copysign(1.0, w) < 0.0
+
+    @pytest.mark.parametrize(
+        "theta",
+        [math.nan, math.inf, -math.inf, np.array(math.nan), np.array([0.5, math.nan, 9.0]), np.array([math.inf, -math.inf])],
+    )
+    def test_non_finite_raise_without_warnings(self, theta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                wrap_phase(theta)
 
 
 class TestGrid:
@@ -547,6 +594,21 @@ class TestBandRules:
             warnings.simplefilter("error")
             out = unscale(value, e)
         assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize(
+        "n_rows,n_bins",
+        [(0, 10), (1, 10), (401, 1000), (400, 1000), (2000, 1000), (7, 8192), (7, 8193), (5, 10**6), (3, 1)],
+    )
+    def test_row_blocks_cover_the_rows_in_order(self, n_rows, n_bins):
+        blocks = row_blocks(n_rows, n_bins)
+        step = max(1, BLOCK // n_bins)
+        assert [k for block in blocks for k in range(n_rows)[block]] == list(range(n_rows))
+        assert all(block.stop - block.start == step for block in blocks[:-1])
+        assert all(0 < block.stop - block.start <= step for block in blocks)
+        if n_bins > BLOCK:
+            assert len(blocks) == n_rows
+        if n_rows == 0:
+            assert blocks == []
 
     def test_readonly_copies_and_checks_the_dimension_on_request(self):
         source = np.zeros((2, 2))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fisherband import (
+    BLOCK,
     AlphaPhaseChart,
     ChartMismatchError,
     NoiseProfile,
@@ -26,7 +27,9 @@ from fisherband import (
     phase_rms_diff,
     ratio_time_delay,
     report,
+    row_blocks,
     sample_alpha_geodesic,
+    scaled_chord,
     small_phase_equivalent,
     solve_alpha_geodesic,
     wrap_phase,
@@ -138,6 +141,16 @@ class TestDistanceFull:
         assert 0.0 < want < math.inf
         assert distance_full_embedding(s1, s2, noise) == pytest.approx(want, rel=1e-15, abs=0.0)
 
+
+    def test_embedding_oracle_subtracts_near_the_top_of_the_range(self):
+        # z2 - z1 of two spectra near 1e308 leaves the double range; the distance does not
+        noise = NoiseProfile.flat(1e4, 4)
+        s1, s2 = SignalSpectrum(np.full(4, 1e308), np.zeros(4)), SignalSpectrum(np.full(4, 1e308), np.full(4, 3.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = distance_full_embedding(s1, s2, noise)
+        assert got == pytest.approx(distance_full(s1, s2, noise), rel=1e-15, abs=0.0)
+        assert got == pytest.approx(5.64e306, rel=1e-3)
 
 class TestDistanceAlpha:
     def test_equal_phases_collapse_to_difference(self):
@@ -444,6 +457,38 @@ class TestRatioTimeDelay:
                 single = ratio_time_delay(gamma, dpsi0, float(bt), 0.5, 1000)
                 assert isinstance(single, float)
                 assert _within_ulps(ratio, single, 1)
+
+    @staticmethod
+    def _unblocked(gamma, dpsi0, dtau, nu0_over_B, n):
+        # every delay's (bins) row in one (delays x bins) matrix
+        positions = nu0_over_B - 0.5 + (np.arange(n) + 0.5) / n
+        dpsi = wrap_phase(dpsi0 - 2.0 * np.pi * positions * dtau[..., np.newaxis])
+        half = np.sin(0.5 * np.sqrt(np.mean(dpsi**2, axis=-1)))
+        c, e = scaled_chord(1.0, gamma, half * half)
+        mean_cos = np.sinc(dtau) * np.cos(dpsi0 - 2.0 * math.pi * nu0_over_B * dtau)
+        gs, one = math.ldexp(gamma, -e), math.ldexp(1.0, -e)
+        den = gs * gs + one * one - 2.0 * gs * one * mean_cos
+        return np.where(den > 0.0, np.sqrt(c / np.where(den > 0.0, den, 1.0)), 1.0)
+
+    @pytest.mark.parametrize(
+        "gamma,dpsi0,dtau,n",
+        [
+            # a named figure sweep: 401 delays, 8 per block
+            (1.0, 0.0, np.concatenate([[0.0], np.geomspace(2e-3, 20.0, 400)]), 1000),
+            (10.0, math.pi / 2, np.concatenate([[0.0], np.geomspace(2e-3, 20.0, 400)]), 1000),
+            # more bins than a block holds: one delay per block
+            (2.0, 0.3, np.geomspace(1e-2, 30.0, 7), BLOCK + 1),
+            # 50 delays at 27 per block, in a (5, 10) array
+            (0.5, -1.0, np.geomspace(1e-2, 30.0, 50).reshape(5, 10), 300),
+        ],
+        ids=["figure", "figure-offset", "wide", "ragged-2d"],
+    )
+    def test_blocks_equal_the_unblocked_evaluation(self, gamma, dpsi0, dtau, n):
+        assert len(row_blocks(dtau.size, n)) > 1
+        got = ratio_time_delay(gamma, dpsi0, dtau, 0.5, n)
+        assert got.shape == dtau.shape
+        assert got.tobytes() == self._unblocked(gamma, dpsi0, dtau, 0.5, n).tobytes()
+        assert ratio_time_delay(gamma, dpsi0, np.zeros(0), 0.5, n).shape == (0,)
 
     def test_zero_delay_is_one(self):
         for dpsi0 in (0.0, 0.4, -2.0):

@@ -11,17 +11,22 @@ import pytest
 
 import fisherband
 from fisherband import (
+    BLOCK,
     FIGURE_CASES,
     DistanceReport,
     ExperimentConfig,
     KnownMagnitudeModel,
     NoiseProfile,
     SignalSpectrum,
+    Template,
     build_grid,
     distance_alpha,
     distance_full,
     distance_full_known_mag,
+    known_mag_distances,
     phase_rms_diff,
+    ratio_time_delay,
+    row_blocks,
     run_figure_case,
     solve_alpha_geodesic,
     sweep_points,
@@ -122,6 +127,36 @@ class TestRunFigureCase:
             d_sub = distance_alpha(a1, a2, psi1, psi2, grid, noise, rho0)
             assert rows[idx, 1] == pytest.approx(d_full, rel=1e-12, abs=1e-15)
             assert rows[idx, 2] == pytest.approx(d_sub, rel=1e-12, abs=1e-15)
+
+    @staticmethod
+    def _unblocked(cfg):
+        # the whole sweep at once: ratio_time_delay on all points (its own blocks
+        # are checked against the unblocked formula in test_distances), one
+        # wrap_phase and one known_mag_distances over the full (points x bins) matrix
+        n = cfg.n_freqs
+        grid = build_grid(cfg.nu0, cfg.bandwidth_B, n)
+        template = Template(NoiseProfile.flat(2.0, n), np.ones(n))
+        a1 = math.sqrt(cfg.snr1 / template.omega0)
+        btaus = sweep_points(cfg)
+        ratio = ratio_time_delay(cfg.gamma_ratio, cfg.dpsi0, btaus, cfg.nu0 / cfg.bandwidth_B, n)
+        dpsi = wrap_phase(cfg.dpsi0 - 2.0 * np.pi * (btaus / cfg.bandwidth_B)[:, np.newaxis] * grid.freqs[np.newaxis, :])
+        d_full, d_alpha, _ = known_mag_distances(template, a1, cfg.gamma_ratio * a1, dpsi)
+        return np.column_stack([btaus, d_full, d_alpha, ratio])
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            *FIGURE_CASES.values(),
+            # more bins than a block holds: one row per block
+            ExperimentConfig("wide", 0.5, 0.3, 2.0, n_freqs=BLOCK + 1, btau_sweep=(0.0, 20.0, 6)),
+            # 50 points at 27 rows per block, with no exact-zero row
+            ExperimentConfig("ragged", 0.4, -1.0, 0.5, n_freqs=300, btau_sweep=(0.5, 20.0, 50)),
+        ],
+        ids=[*FIGURE_CASES, "wide", "ragged"],
+    )
+    def test_blocked_sweep_equals_the_unblocked_evaluation(self, cfg):
+        assert len(row_blocks(len(sweep_points(cfg)), cfg.n_freqs)) > 1
+        assert run_figure_case(cfg).tobytes() == self._unblocked(cfg).tobytes()
 
     def test_csv_format(self, tmp_path):
         rows = run_figure_case(FIGURE_CASES["narrowband-equal"])
@@ -287,6 +322,22 @@ class TestCli:
         bad.write_text("{}")
         assert main(["inspect", "metric", str(bad)]) == 2
         assert "missing field" in capsys.readouterr().err
+
+    def test_endpoints_are_read_by_inspect_alone(self, model_file, tmp_path, capsys):
+        # distance takes the band from a file with no endpoints, and reports as with them
+        payload = json.loads(model_file.read_text())
+        del payload["endpoints"]
+        band_only = tmp_path / "band.json"
+        band_only.write_text(json.dumps(payload))
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("alpha1,phase_coeffs1,alpha2,phase_coeffs2\n1.0,0.2;1.0,1.5,0.6;2.5\n")
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for model, out in zip((band_only, model_file), outs):
+            assert main(["distance", str(pairs), "--model", str(model), "--output", str(out)]) == 0
+        assert outs[0].read_text() == outs[1].read_text()
+        capsys.readouterr()
+        assert main(["inspect", "metric", str(band_only)]) == 2
+        assert capsys.readouterr().err == "error: missing field 'endpoints'\n"
 
     def test_distance_batch(self, model_file, tmp_path, capsys):
         pairs = tmp_path / "pairs.csv"

@@ -42,6 +42,7 @@ __all__ = [
     "build_grid",
     "check_aligned",
     "check_attenuation",
+    "in_range",
     "load_band_csv",
     "log_likelihood",
     "phase_rms_diff",
@@ -93,11 +94,25 @@ def row_blocks(n_rows: int, n_bins: int) -> list[slice]:
     return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
+def in_range(values, lo=-math.inf, hi=math.inf, lo_closed=False, hi_closed=False) -> bool:
+    """Whether every entry of ``values`` lies between ``lo`` and ``hi``, each end
+    open unless its ``_closed`` flag is set; the defaults test finiteness.
+
+    One ``min()``/``max()`` pair decides it.  A NaN propagates through both and
+    fails every comparison, so an array holding one is out of range; an empty
+    array is in range, as ``np.all`` of nothing is true.
+    """
+    arr = np.asarray(values)
+    if not arr.size:
+        return True
+    low, high = float(arr.min()), float(arr.max())
+    return (lo <= low if lo_closed else lo < low) and (high <= hi if hi_closed else high < hi)
+
+
 def check_attenuation(*alphas) -> None:
     """Reject attenuations (scalars or arrays) not positive and finite; a float skips numpy's per-call cost."""
     for a in alphas:
-        if not (0.0 < a < math.inf if isinstance(a, float)
-                else ((np.asarray(a) > 0.0) & (np.asarray(a) < math.inf)).all()):
+        if not (0.0 < a < math.inf if isinstance(a, float) else in_range(a, 0.0)):
             raise ValueError("alpha must be positive and finite")
 
 
@@ -121,6 +136,8 @@ def wrap_phase(theta):
     Scalars return a float, arrays return an array.
     """
     arr = np.asarray(theta, dtype=float)
+    # one min/max pair serves both tests below, where ``in_range`` would take
+    # a second pair for the finiteness of angles out of range
     lo, hi = (arr.min(), arr.max()) if arr.size else (0.0, 0.0)
     if not (math.isfinite(lo) and math.isfinite(hi)):  # a NaN propagates through min and max
         raise ValueError("wrap_phase requires finite angles")
@@ -171,14 +188,15 @@ class FrequencyGrid:
         check_aligned(freqs=len(freqs), n_freqs=self.n_freqs)
         if self.bandwidth_B <= 0.0 or not math.isfinite(self.bandwidth_B):
             raise ValueError("bandwidth_B must be positive and finite")
-        if not np.all(np.isfinite(freqs)) or freqs[0] <= 0.0:
+        # freqs[0] alone, so that a later negative frequency fails as not increasing
+        if not in_range(freqs) or freqs[0] <= 0.0:
             raise ValueError("frequencies must be finite and strictly positive")
         if self.n_freqs > 1:
             steps = np.diff(freqs)
-            if np.any(steps <= 0.0):
+            if not in_range(steps, 0.0):
                 raise ValueError("frequencies must be strictly increasing")
             mean_step = float(np.mean(steps))
-            if np.max(np.abs(steps - mean_step)) > 1e-12 * float(np.max(freqs)):
+            if np.max(np.abs(steps - mean_step)) > 1e-12 * float(freqs[-1]):
                 raise ValueError("frequencies must be equispaced")
         centre = 0.5 * (freqs[0] + freqs[-1])
         if abs(centre - self.nu0) > 1e-9 * max(abs(self.nu0), 1.0):
@@ -233,11 +251,10 @@ class NoiseProfile:
         object.__setattr__(self, "gamma0", gamma0)
         if len(gamma0) < 1:
             raise ValueError("noise profile is empty")
-        if not np.all(np.isfinite(gamma0)) or np.any(gamma0 <= 0.0):
+        if not in_range(gamma0, 0.0):
             raise ValueError("gamma0 must be strictly positive and finite")
-        with np.errstate(over="ignore"):
-            overflow = not np.all(np.isfinite(self.weights))
-        if overflow:
+        # 2/g falls as g grows, so the largest weight is the smallest gamma0's
+        if not math.isfinite(2.0 / float(gamma0.min())):
             raise ValueError("gamma0 is so small that the weights 2/gamma0 overflow")
 
     @classmethod
@@ -267,12 +284,10 @@ class SignalSpectrum:
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "psi", psi)
         check_aligned(rho=len(rho), psi=len(psi))
-        if not np.all(np.isfinite(rho)) or np.any(rho < 0.0):
+        if not in_range(rho, 0.0, lo_closed=True):
             raise ValueError("rho must be finite and non-negative")
-        if not np.all(np.isfinite(psi)):
-            raise ValueError("psi must be finite")
-        if np.any(psi <= -np.pi) or np.any(psi > np.pi):
-            raise ValueError("psi must lie in (-pi, pi]")
+        if not in_range(psi, -math.pi, math.pi, hi_closed=True):
+            raise ValueError("psi must be finite" if not in_range(psi) else "psi must lie in (-pi, pi]")
 
     @classmethod
     def from_complex(cls, values) -> "SignalSpectrum":
@@ -296,7 +311,7 @@ class Observation:
     def __post_init__(self):
         values = readonly(self.values, dtype=complex)
         object.__setattr__(self, "values", values)
-        if not np.all(np.isfinite(values)):
+        if not (in_range(values.real) and in_range(values.imag)):
             raise ValueError("observation values must be finite")
 
     @property
@@ -333,7 +348,7 @@ def sample_observation(spectrum: SignalSpectrum, noise: NoiseProfile, seed) -> O
 def _template_weights(noise: NoiseProfile, rho0) -> tuple[np.ndarray, np.ndarray]:
     rho0 = np.asarray(rho0, dtype=float)
     check_aligned(noise=noise.n_freqs, rho0=len(rho0))
-    if not np.all(np.isfinite(rho0)) or np.any(rho0 < 0.0):
+    if not in_range(rho0, 0.0, lo_closed=True):
         raise ValueError("rho0 must be finite and non-negative")
     return rho0, noise.weights * rho0**2
 
@@ -440,10 +455,9 @@ def write_csv(path, header, rows) -> None:
     """Write a header and rows of floats as CSV, each cell as ``repr(float)``,
     which round-trips IEEE doubles exactly (17 significant digits suffice)."""
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
+        csv.writer(handle).writerow(header)
+        # csv's own line ending; no repr of a float needs quoting
+        handle.writelines(",".join(map(repr, row)) + "\r\n" for row in np.asarray(rows, dtype=float).tolist())
 
 
 def save_band_csv(path, grid: FrequencyGrid, noise: NoiseProfile, spectrum: SignalSpectrum) -> None:

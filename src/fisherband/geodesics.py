@@ -47,6 +47,7 @@ from .band import (
     Template,
     check_aligned,
     check_attenuation,
+    in_range,
     readonly,
     scaled_chord,
     unscale,
@@ -98,7 +99,7 @@ class GeodesicPath:
             raise ValueError("need one coordinate row per node")
         if len(sigmas) < 2:
             raise ValueError("a path needs at least two nodes")
-        if np.any(np.diff(sigmas) <= 0.0):
+        if not in_range(np.diff(sigmas), 0.0, math.inf, hi_closed=True):
             raise ValueError("node parameters must be strictly increasing")
         if abs(sigmas[0]) > 1e-12 or abs(sigmas[-1] - 1.0) > 1e-12:
             raise ValueError("path must run from 0 to 1")
@@ -588,7 +589,7 @@ def _flat_reduction(chart, coords):
     expected = chart._n_head + len(chart._w)
     if coords.shape[1] != expected:
         raise ValueError(f"path has {coords.shape[1]} coordinates per node, the chart takes {expected}")
-    if not np.all(np.isfinite(coords)):
+    if not in_range(coords):
         raise ValueError("path coordinates must be finite")
     amplitudes = coords[:, chart._amplitudes]
     exponent = math.frexp(float(np.max(np.abs(amplitudes))))[1]
@@ -607,14 +608,38 @@ def _gauss_legendre(n_quad: int):
     return tuple(map(readonly, np.polynomial.legendre.leggauss(n_quad)))
 
 
+def _pieces_at(c, local) -> np.ndarray:
+    """Piece i of the PPoly coefficients ``c`` (highest power first, pieces
+    along axis 1) at its own offsets ``local[:, i]``: one row per point, the
+    points in ``local``'s row-major order.
+
+    The sum runs as scipy's PPoly sums it, lowest power first with the powers
+    built by repeated products, so it is ``PPoly.__call__`` bit for bit (but
+    for the sign of a zero) without its search for each point's piece.  Each
+    column is summed on its own, so numpy's loops run along the pieces.
+    """
+    c = c.transpose(0, 2, 1)[:, :, np.newaxis, :]
+    out = c[-1] + c[-2] * local
+    power = local
+    for k in range(len(c) - 3, -1, -1):
+        power = power * local
+        out += c[k] * power
+    columns = out.reshape(len(out), local.size)
+    return np.column_stack(list(columns)) if len(columns) > 1 else columns.T
+
+
 def path_length(chart, path: GeodesicPath, n_quad: int = 64) -> float:
     """Length of a sampled path: quadrature of sqrt(speed) along a spline.
 
     Coordinates are interpolated with a cubic spline in sigma (piecewise
     linear below four nodes) and integrated with an ``n_quad``-point
     Gauss-Legendre rule on every inter-node interval, so the result is
-    reparametrization invariant up to interpolation error.  On the flat
-    charts (``AlphaPhaseChart``, ``EmbeddingChart``) the spline runs through
+    reparametrization invariant up to interpolation error.  The rule's
+    points on an interval lie inside it, so each cubic piece is evaluated at
+    its own points directly, summed in scipy's order (``_pieces_at``), with
+    no search for each point's piece; the position is evaluated only in the
+    columns the speed reads.  On the flat charts
+    (``AlphaPhaseChart``, ``EmbeddingChart``) the spline runs through
     reduced coordinates (see ``_flat_reduction``): a path whose phases move
     along one direction splines two columns, and the length is homogeneous
     of degree 1 in the attenuation (every column of the embedding) over the
@@ -626,39 +651,35 @@ def path_length(chart, path: GeodesicPath, n_quad: int = 64) -> float:
     flat = isinstance(chart, (AlphaPhaseChart, EmbeddingChart))
     if flat:
         coords, exponent, gram = _flat_reduction(chart, coords)
+    # the position columns the speed reads: a flat chart's head, else all
+    head = chart._n_head if flat else coords.shape[1]
+    nodes, weights = _gauss_legendre(n_quad)
+    starts = sigmas[:-1]
+    halves = 0.5 * np.diff(sigmas)
+    # row q holds the q-th quadrature point of every interval, so that numpy's
+    # loops run along the intervals
+    t = starts + halves * (nodes[:, np.newaxis] + 1.0)
+    scale = halves * weights[:, np.newaxis]
     if path.n_nodes >= 4:
         # imported here: scipy.interpolate dominates the package import time
         from scipy.interpolate import CubicSpline
 
         spline = CubicSpline(sigmas, coords, axis=0)
-        position = spline
-        velocity = spline.derivative()
+        local = t - starts
+        pos = _pieces_at(spline.c[:, :, :head], local)
+        vel = _pieces_at(spline.derivative().c, local)
     else:
-        def position(t):
-            return np.stack([np.interp(t, sigmas, coords[:, d]) for d in range(coords.shape[1])], axis=-1)
-
-        def velocity(t):
-            t = np.asarray(t)
-            idx = np.clip(np.searchsorted(sigmas, t, side="right") - 1, 0, path.n_nodes - 2)
-            seg = (coords[idx + 1] - coords[idx]) / (sigmas[idx + 1] - sigmas[idx])[:, np.newaxis]
-            return seg
-
-    nodes, weights = _gauss_legendre(n_quad)
-    starts = sigmas[:-1]
-    halves = 0.5 * np.diff(sigmas)
-    # all quadrature points of all intervals at once
-    t = (starts[:, np.newaxis] + halves[:, np.newaxis] * (nodes[np.newaxis, :] + 1.0)).ravel()
-    scale = np.repeat(halves, n_quad) * np.tile(weights, len(starts))
+        pos = np.stack([np.interp(t.ravel(), sigmas, column) for column in coords.T], axis=-1)[:, :head]
+        vel = np.tile(np.diff(coords, axis=0) / np.diff(sigmas)[:, np.newaxis], (n_quad, 1))
     if flat:
-        h = chart._n_head
-        vel = velocity(t)
-        reduced = vel[:, h:]
+        reduced = vel[:, head:]
         block_sq = np.sum((reduced @ gram) * reduced, axis=-1)
-        speeds = chart._flat_speed(position(t)[:, :h], vel[:, :h], block_sq)
+        speeds = chart._flat_speed(pos, vel[:, :head], block_sq)
     else:
-        speeds = np.asarray(chart.speed(position(t), velocity(t)), dtype=float)
-    speeds = np.maximum(speeds, 0.0)
-    length = float(np.sum(scale * np.sqrt(speeds)))
+        speeds = np.asarray(chart.speed(pos, vel), dtype=float)
+    speeds = np.maximum(speeds, 0.0).reshape(n_quad, -1)
+    # the sum runs in interval order, point by point within each interval
+    length = float(np.sum((scale * np.sqrt(speeds)).T.ravel()))
     return unscale(length, exponent) if flat else length
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .band import FrequencyGrid, NoiseProfile, check_aligned, readonly
+from .band import FrequencyGrid, NoiseProfile, check_aligned, in_range, readonly
 from .models import ParametricSignalModel
 
 __all__ = [
@@ -51,7 +51,7 @@ class FisherMatrix:
             object.__setattr__(self, name, block)
             if block.ndim != 2 or block.shape[0] != block.shape[1]:
                 raise ValueError(f"{name} must be square")
-            if not np.all(np.isfinite(block)):
+            if not in_range(block):
                 raise ValueError(f"{name} has non-finite entries")
             scale = float(np.max(np.abs(block))) if block.size else 0.0
             if scale > 0.0 and float(np.max(np.abs(block - block.T))) > 1e-12 * scale:
@@ -113,7 +113,7 @@ class ChristoffelTensor:
             raise ValueError("values must be a cubic array")
         if not 1 <= self.n_mag_params <= n - 1:
             raise ValueError("n_mag_params out of range")
-        if not np.all(np.isfinite(values)):
+        if not in_range(values):
             raise ValueError("non-finite connection coefficients")
         if not self.validate:
             return
@@ -160,7 +160,7 @@ def _chart_data(model: ParametricSignalModel, xi, grid: FrequencyGrid, noise: No
     mag_jac = np.asarray(model.magnitude_jacobian(phi, grid), dtype=float)
     phase_jac = np.asarray(model.phase_jacobian(varphi, grid), dtype=float)
     for arr, name in ((rho, "magnitude"), (mag_jac, "magnitude jacobian"), (phase_jac, "phase jacobian")):
-        if not np.all(np.isfinite(arr)):
+        if not in_range(arr):
             raise ValueError(f"non-finite {name} at the requested point")
     return phi, varphi, rho, mag_jac, phase_jac
 
@@ -254,7 +254,7 @@ def christoffel(
     phi, varphi, rho, mag_jac, phase_jac = _chart_data(model, xi, grid, noise)
     mag_hess = np.asarray(model.magnitude_hessian(phi, grid), dtype=float)
     phase_hess = np.asarray(model.phase_hessian(varphi, grid), dtype=float)
-    if not (np.all(np.isfinite(mag_hess)) and np.all(np.isfinite(phase_hess))):
+    if not (in_range(mag_hess) and in_range(phase_hess)):
         raise ValueError("non-finite second partials at the requested point")
 
     p = model.n_mag_params

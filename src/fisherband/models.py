@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .band import FrequencyGrid, SignalSpectrum, check_aligned, check_attenuation, readonly, wrap_phase
+from .band import FrequencyGrid, SignalSpectrum, check_aligned, check_attenuation, in_range, readonly, wrap_phase
 
 __all__ = [
     "FreeSpectrumModel",
@@ -101,12 +101,12 @@ class KnownMagnitudeModel(ParametricSignalModel):
         coeffs = readonly(np.atleast_1d(self.phase_coeffs))
         object.__setattr__(self, "rho0", rho0)
         object.__setattr__(self, "phase_coeffs", coeffs)
-        if not np.all(np.isfinite(rho0)) or np.any(rho0 < 0.0):
+        if not in_range(rho0, 0.0, lo_closed=True):
             raise ValueError("rho0 must be finite and non-negative")
         check_attenuation(self.alpha)
         if len(coeffs) < 1:
             raise ValueError("at least the constant phase coefficient is required")
-        if not np.all(np.isfinite(coeffs)):
+        if not in_range(coeffs):
             raise ValueError("phase coefficients must be finite")
         if not (-np.pi < coeffs[0] <= np.pi):
             raise ValueError("constant phase coefficient must lie in (-pi, pi]")

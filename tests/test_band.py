@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -20,10 +21,12 @@ from fisherband import (
     band_from_json,
     band_to_json,
     build_grid,
+    check_attenuation,
     distance_alpha,
     distance_full,
     distance_full_embedding,
     fisher_matrix,
+    in_range,
     known_mag_distances,
     load_band_csv,
     log_likelihood,
@@ -617,3 +620,113 @@ class TestBandRules:
         assert out[0, 0] == 0.0 and not out.flags.writeable
         with pytest.raises(ValueError, match="one-dimensional"):
             readonly(source)
+
+
+def _raises_exactly(message):
+    return pytest.raises(ValueError, match=f"^{re.escape(message)}$")
+
+
+class TestRangeChecks:
+    """``in_range`` is every container's range check: one min/max pair, each
+    end open or closed, NaN out of range and an empty array in range."""
+
+    @pytest.mark.parametrize(
+        "values,bounds,expected",
+        [
+            ([0.0, 1.0], {"lo": 0.0, "hi": 1.0}, False),
+            ([0.0, 1.0], {"lo": 0.0, "hi": 1.0, "lo_closed": True}, False),
+            ([0.0, 1.0], {"lo": 0.0, "hi": 1.0, "hi_closed": True}, False),
+            ([0.0, 1.0], {"lo": 0.0, "hi": 1.0, "lo_closed": True, "hi_closed": True}, True),
+            ([-0.0], {"lo": 0.0, "lo_closed": True}, True),
+            ([5e-324], {"lo": 0.0}, True),
+            ([-1e308, 1e308], {}, True),
+            ([1.0, math.inf], {}, False),
+            ([-math.inf, 1.0], {}, False),
+            ([math.inf], {"hi": math.inf, "hi_closed": True}, True),
+            (np.array(3.0), {"lo": 3.0, "lo_closed": True}, True),
+            (np.zeros((2, 3)), {"lo": 0.0}, False),
+        ],
+    )
+    def test_open_and_closed_ends(self, values, bounds, expected):
+        assert in_range(values, **bounds) is expected
+
+    @pytest.mark.parametrize("lo_closed", [False, True])
+    @pytest.mark.parametrize("hi_closed", [False, True])
+    @pytest.mark.parametrize("values", [[math.nan], [1.0, math.nan], [math.nan, -math.inf, 2.0]])
+    def test_nan_fails_every_test(self, values, lo_closed, hi_closed):
+        bounds = {"lo": -math.inf, "hi": math.inf, "lo_closed": lo_closed, "hi_closed": hi_closed}
+        assert in_range(values, **bounds) is False
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 4)])
+    def test_empty_is_in_range(self, shape):
+        # as np.all of nothing, whatever the bounds
+        assert in_range(np.empty(shape), lo=1.0, hi=0.0) is True
+
+    def test_psi_boundaries(self):
+        with _raises_exactly("psi must lie in (-pi, pi]"):
+            SignalSpectrum([1.0], [-math.pi])
+        with _raises_exactly("psi must lie in (-pi, pi]"):
+            SignalSpectrum([1.0, 1.0], [0.0, math.nextafter(math.pi, 4.0)])
+        assert SignalSpectrum([1.0, 1.0], [math.pi, math.nextafter(-math.pi, 0.0)]).psi[0] == math.pi
+
+    def test_zero_magnitudes_of_either_sign(self):
+        spec = SignalSpectrum([0.0, -0.0], [0.0, 0.0])
+        assert np.array_equal(spec.rho, [0.0, 0.0])
+        band_energy(NoiseProfile.flat(1.0, 2), [0.0, -0.0])
+        KnownMagnitudeModel(np.array([-0.0, 1.0]))
+
+    def test_empty_spectrum(self):
+        assert SignalSpectrum([], []).n_freqs == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda b: FrequencyGrid(0.2, 0.3, 3, [0.1, b, 0.3]), "frequencies must be finite and strictly positive"),
+            (lambda b: NoiseProfile([1.0, b, 2.0]), "gamma0 must be strictly positive and finite"),
+            (lambda b: SignalSpectrum([1.0, b], [0.0, 0.0]), "rho must be finite and non-negative"),
+            (lambda b: SignalSpectrum([1.0, 1.0], [b, 0.0]), "psi must be finite"),
+            (lambda b: SignalSpectrum([1.0, 1.0], [4.0, b]), "psi must be finite"),
+            (lambda b: Observation([1.0 + 1.0j, complex(b, 0.0)]), "observation values must be finite"),
+            (lambda b: Observation([1.0 + 1.0j, complex(0.0, b)]), "observation values must be finite"),
+            (lambda b: KnownMagnitudeModel(np.array([1.0, b])), "rho0 must be finite and non-negative"),
+            (lambda b: KnownMagnitudeModel(np.ones(3), phase_coeffs=[0.0, b]), "phase coefficients must be finite"),
+            (lambda b: band_energy(NoiseProfile.flat(1.0, 2), [b, 1.0]), "rho0 must be finite and non-negative"),
+            (lambda b: Template(NoiseProfile.flat(1.0, 2), [1.0, b]), "rho0 must be finite and non-negative"),
+            (lambda b: check_attenuation(1.0, np.array([1.0, b])), "alpha must be positive and finite"),
+        ],
+        ids=["freqs", "gamma0", "rho", "psi", "psi-beside-out-of-range", "observation-real", "observation-imag",
+             "model-rho0", "phase-coeffs", "template-weights", "template", "attenuations"],
+    )
+    def test_non_finite_entries_named(self, call, message, bad):
+        with _raises_exactly(message):
+            call(bad)
+
+    def test_noise_weight_overflow_boundary(self):
+        # 2/1e-308 overflows, 2/1.2e-308 = 1.67e308 does not
+        overflow = "gamma0 is so small that the weights 2/gamma0 overflow"
+        with _raises_exactly(overflow):
+            NoiseProfile([1e-308])
+        with _raises_exactly(overflow):
+            NoiseProfile([3.0, 1e-308, 1.0])
+        assert math.isfinite(NoiseProfile([1.2e-308, 1.0]).weights[0])
+        with _raises_exactly("gamma0 must be strictly positive and finite"):
+            NoiseProfile([1e-308, 0.0])
+
+    def test_later_negative_frequency_is_not_increasing(self):
+        with _raises_exactly("frequencies must be strictly increasing"):
+            FrequencyGrid(0.2, 0.3, 3, [0.1, -0.2, 0.3])
+        with _raises_exactly("frequencies must be finite and strictly positive"):
+            FrequencyGrid(0.2, 0.3, 3, [-0.1, 0.2, 0.3])
+        with _raises_exactly("frequencies must be strictly increasing"):
+            FrequencyGrid(0.2, 0.3, 3, [0.1, 0.1, 0.3])
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, math.inf, math.nan])
+    def test_attenuation_arrays(self, bad):
+        with _raises_exactly("alpha must be positive and finite"):
+            check_attenuation(np.array([1.0, bad, 2.0]))
+        with _raises_exactly("alpha must be positive and finite"):
+            check_attenuation(np.array([[1.0], [bad]]))
+
+    def test_attenuation_arrays_accepted(self):
+        check_attenuation(np.array([5e-324, 1e308]), np.array([]), 3, np.float64(2.0))

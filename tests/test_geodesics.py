@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fisherband import (
@@ -783,6 +783,131 @@ class TestPathLengthHomogeneity:
             warnings.simplefilter("error")
             scaled = path_length(chart, GeodesicPath(path.sigmas, np.ldexp(path.coords, k)), n_quad=8)
             assert scaled == math.ldexp(path_length(chart, path, n_quad=8), k)
+
+
+def _searched_length(chart, path, n_quad):
+    """Reference ``path_length``: the same reduced coordinates and quadrature,
+    with the spline evaluated by ``CubicSpline.__call__``, which searches for
+    every point's piece, and the linear velocity by ``np.searchsorted``."""
+    from scipy.interpolate import CubicSpline
+
+    sigmas, coords = path.sigmas, path.coords
+    flat = isinstance(chart, (AlphaPhaseChart, EmbeddingChart))
+    if flat:
+        coords, exponent, gram = geodesics._flat_reduction(chart, coords)
+    if path.n_nodes >= 4:
+        spline = CubicSpline(sigmas, coords, axis=0)
+        position, velocity = spline, spline.derivative()
+    else:
+        def position(t):
+            return np.stack([np.interp(t, sigmas, coords[:, d]) for d in range(coords.shape[1])], axis=-1)
+
+        def velocity(t):
+            idx = np.clip(np.searchsorted(sigmas, t, side="right") - 1, 0, path.n_nodes - 2)
+            return (coords[idx + 1] - coords[idx]) / (sigmas[idx + 1] - sigmas[idx])[:, np.newaxis]
+
+    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+    halves = 0.5 * np.diff(sigmas)
+    t = (sigmas[:-1, np.newaxis] + halves[:, np.newaxis] * (nodes[np.newaxis, :] + 1.0)).ravel()
+    scale = np.repeat(halves, n_quad) * np.tile(weights, len(halves))
+    if flat:
+        h = chart._n_head
+        vel = velocity(t)
+        reduced = vel[:, h:]
+        block_sq = np.sum((reduced @ gram) * reduced, axis=-1)
+        speeds = chart._flat_speed(position(t)[:, :h], vel[:, :h], block_sq)
+    else:
+        speeds = np.asarray(chart.speed(position(t), velocity(t)), dtype=float)
+    length = float(np.sum(scale * np.sqrt(np.maximum(speeds, 0.0))))
+    return math.ldexp(length, exponent) if flat else length
+
+
+class TestPiecewiseEvaluation:
+    """``path_length`` evaluates each spline piece at its own quadrature
+    points; the result equals the searched evaluation bit for bit."""
+
+    @pytest.mark.parametrize("n_quad", [8, 16, 64])
+    def test_closed_form_sample(self, n_quad):
+        _, noise, rho0, geo = TestReducedPathLength._geodesic(61)
+        path = sample_alpha_geodesic(geo, n_nodes=257)
+        chart = AlphaPhaseChart(noise, rho0)
+        assert path_length(chart, path, n_quad=n_quad) == _searched_length(chart, path, n_quad)
+
+    def test_rk4_shot(self):
+        grid, noise, rho0, rng = _band(7, seed=62)
+        psi1, psi2 = _phase_pair(rng, 7, 1.3)
+        shot = shoot_alpha_geodesic(0.6, 1.7, psi1, psi2, grid, noise, rho0, n_steps=4000)
+        chart = AlphaPhaseChart(noise, rho0)
+        assert path_length(chart, shot, n_quad=8) == _searched_length(chart, shot, 8)
+
+    def test_embedding_straight_line(self):
+        rng = np.random.default_rng(63)
+        noise = NoiseProfile(rng.uniform(0.5, 2.0, 6))
+        mu1 = SignalSpectrum(rng.uniform(0.5, 2.0, 6), rng.uniform(-np.pi, np.pi, 6))
+        mu2 = SignalSpectrum(rng.uniform(0.5, 2.0, 6), rng.uniform(-np.pi, np.pi, 6))
+        chart = EmbeddingChart(noise)
+        path = straight_line_geodesic(mu1, mu2, n_nodes=33)
+        assert path_length(chart, path, n_quad=8) == _searched_length(chart, path, 8)
+
+    def test_model_chart(self):
+        grid, noise, rho0, _ = _band(6, seed=64)
+        coeffs1, coeffs2 = np.array([0.2, 0.4]), np.array([-0.3, 1.2])
+        psi1 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs1))
+        psi2 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs2))
+        geo = solve_alpha_geodesic(0.8, 1.5, psi1, psi2, grid, noise, rho0)
+        chart = ModelChart(KnownMagnitudeModel(rho0, alpha=0.8, phase_coeffs=coeffs1), grid, noise)
+        path = alpha_geodesic_coeff_path(geo, coeffs1, coeffs2, n_nodes=21)
+        assert path_length(chart, path, n_quad=8) == _searched_length(chart, path, 8)
+
+    @pytest.mark.parametrize("n_nodes", [2, 3, 4])
+    def test_few_nodes_on_every_chart(self, n_nodes):
+        # two and three nodes take the linear branch, four the smallest spline
+        grid, noise, rho0, rng = _band(5, seed=65)
+        sigmas = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 0.9, n_nodes - 2)), [1.0]])
+        alphas = rng.uniform(0.5, 2.0, n_nodes)
+        alpha_path = GeodesicPath(sigmas, np.column_stack([alphas, rng.uniform(-3.0, 3.0, (n_nodes, 5))]))
+        coeff_path = GeodesicPath(sigmas, np.column_stack([alphas, rng.uniform(-1.0, 1.0, (n_nodes, 2))]))
+        embedding_path = GeodesicPath(sigmas, rng.uniform(-2.0, 2.0, (n_nodes, 10)))
+        cases = [
+            (AlphaPhaseChart(noise, rho0), alpha_path),
+            (ModelChart(KnownMagnitudeModel(rho0, phase_coeffs=[0.0, 0.0]), grid, noise), coeff_path),
+            (EmbeddingChart(noise), embedding_path),
+        ]
+        for chart, path in cases:
+            assert path_length(chart, path, n_quad=8) == _searched_length(chart, path, 8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=40),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([8, 13, 64]),
+    )
+    def test_random_nodes_and_coordinates(self, n_nodes, seed, n_quad):
+        rng = np.random.default_rng(seed)
+        noise = NoiseProfile(rng.uniform(0.5, 2.0, 3))
+        sigmas = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, n_nodes - 2)), [1.0]])
+        assume(np.all(np.diff(sigmas) > 0.0))
+        coords = rng.normal(size=(n_nodes, 7))
+        coords[:, 0] = np.abs(coords[:, 0]) + 0.1
+        for chart, path in [
+            (AlphaPhaseChart(noise, rng.uniform(0.2, 2.0, 3)), GeodesicPath(sigmas, coords[:, :4])),
+            (EmbeddingChart(noise), GeodesicPath(sigmas, coords[:, 1:])),
+        ]:
+            assert path_length(chart, path, n_quad=n_quad) == _searched_length(chart, path, n_quad)
+
+
+@pytest.mark.parametrize(
+    "sigmas,message",
+    [
+        ([0.0, math.nan, 1.0], "node parameters must be strictly increasing"),
+        ([0.0, 0.5, 0.5, 1.0], "node parameters must be strictly increasing"),
+        ([0.0, -math.inf, 1.0], "node parameters must be strictly increasing"),
+        ([0.0, 1.0, math.inf], "path must run from 0 to 1"),
+    ],
+)
+def test_path_node_parameters_checked(sigmas, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GeodesicPath(np.array(sigmas), np.ones((len(sigmas), 2)))
 
 
 def _near_quarter_turn():

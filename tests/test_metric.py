@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from fisherband import (
+    ChristoffelTensor,
+    FisherMatrix,
     FreeSpectrumModel,
     KnownMagnitudeModel,
     NoiseProfile,
@@ -385,3 +387,17 @@ class TestPathSpeed:
         model, grid, noise = _random_known_mag(rng, n_bins=4, n_phase=2)
         with pytest.raises(ValueError):
             path_speed(model, model.xi, np.zeros(5), grid, noise)
+
+
+class TestNonFiniteContainers:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_named(self, bad):
+        block = np.array([[2.0, bad], [bad, 2.0]])
+        with pytest.raises(ValueError, match=r"^mag_block has non-finite entries$"):
+            FisherMatrix(block, np.eye(1))
+        with pytest.raises(ValueError, match=r"^phase_block has non-finite entries$"):
+            FisherMatrix(np.eye(1), block)
+        values = np.zeros((2, 2, 2))
+        values[1, 1, 0] = bad
+        with pytest.raises(ValueError, match=r"^non-finite connection coefficients$"):
+            ChristoffelTensor(values, 1)

@@ -398,16 +398,20 @@ class Template:
         """Wrapped per-bin phase difference ``dpsi`` and its weighted RMS ``delta``.
 
         Bins run along the last axis and leading axes broadcast, one ``delta``
-        per row; a one-dimensional pair gives a float ``delta``.
+        per row; either phase may be a scalar, constant over the bins.  A
+        one-dimensional gap gives a float ``delta``.
         """
         psi1 = np.asarray(psi1, dtype=float)
         psi2 = np.asarray(psi2, dtype=float)
-        check_aligned(psi1=psi1.shape[-1], psi2=psi2.shape[-1], template=self.n_freqs)
+        lengths = {name: psi.shape[-1] for name, psi in (("psi1", psi1), ("psi2", psi2)) if psi.ndim}
+        check_aligned(**lengths, template=self.n_freqs)
         with np.errstate(over="ignore", invalid="ignore"):
             gap = psi2 - psi1
-        if not np.isfinite(gap).all():
-            raise ValueError("phase gap psi2 - psi1 is not finite")
-        dpsi = wrap_phase(gap)
+        try:
+            # wrap_phase's own min/max pair decides the gap's finiteness
+            dpsi = wrap_phase(gap)
+        except ValueError:
+            raise ValueError("phase gap psi2 - psi1 is not finite") from None
         delta = np.sqrt(self.mean(dpsi * dpsi))
         return dpsi, float(delta) if delta.ndim == 0 else delta
 

@@ -43,7 +43,7 @@ from .distances import DistanceReport, known_mag_distances
 from .figures import FIGURE_CASES, ExperimentConfig, run_figure_case, write_figure_csv
 from .geodesics import solve_alpha_geodesic
 from .metric import christoffel, fisher_matrix
-from .models import KnownMagnitudeModel
+from .models import KnownMagnitudeModel, polynomial_phase
 
 
 class ModelFileError(ValueError):
@@ -186,7 +186,8 @@ def _cmd_distance(args) -> int:
             raise ValueError(f"pairs CSV must have columns {sorted(PAIR_COLUMNS)}")
         pairs = list(reader)
 
-    # every row is checked before any is evaluated, as a known-magnitude model would check it
+    # every row's attenuations and coefficients are checked before any is evaluated, as a
+    # known-magnitude model would check them
     n = grid.n_freqs
     alphas, coeff_lists = [], []
     for k, row in enumerate(pairs):
@@ -217,13 +218,16 @@ def _cmd_distance(args) -> int:
         # constant terms in (-pi, pi], as a KnownMagnitudeModel holds them
         block[:, 0] = wrap_phase(block[:, 0])
         with np.errstate(over="ignore", invalid="ignore"):  # a row that overflows is named below
-            phases = np.polynomial.polynomial.polyval(grid.freqs, block.T).reshape(hi - lo, 2, n)
-            finite = np.isfinite(phases[:, 1] - phases[:, 0]).all(axis=1)
-        if not finite.all():
+            phases = polynomial_phase(block, grid.freqs).reshape(hi - lo, 2, n)
+        try:
+            results[rows] = np.column_stack(
+                known_mag_distances(template, alphas[rows, 0], alphas[rows, 1], phases[:, 0], phases[:, 1])
+            )
+        except ValueError:  # the kernel's check of the gap: name the first row that fails it
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite = np.isfinite(phases[:, 1] - phases[:, 0]).all(axis=1)
             k = lo + int(np.argmin(finite)) + 1
-            raise ValueError(f"bad pair on row {k}: phases or their gap not finite on the grid")
-        dpsi, _ = template.phase_gap(phases[:, 0], phases[:, 1])
-        results[rows] = np.column_stack(known_mag_distances(template, alphas[rows, 0], alphas[rows, 1], dpsi))
+            raise ValueError(f"bad pair on row {k}: phases or their gap not finite on the grid") from None
 
     out = args.output or "distance_reports.csv"
     with open(out, "w", newline="") as handle:

@@ -18,8 +18,11 @@ template level (square root of the signal-to-noise ratio).  Every quadratic
 form goes through :func:`~fisherband.band.scaled_chord`, in half-angle form
 and scaled by a power of two, so nearby endpoints do not cancel and the
 distances stay homogeneous over the whole double range.  Both known-magnitude
-distances come from one batched kernel, :func:`known_mag_distances`; the
-scalar functions and :func:`report` are views of it.
+distances come from one batched kernel, :func:`known_mag_distances`, which
+takes the endpoint phases and forms their wrapped gap and its weighted RMS
+delta once, through :meth:`~fisherband.band.Template.phase_gap`; the scalar
+functions, :func:`report`, the figure sweep and the ``distance`` command are
+views of it.
 """
 
 from __future__ import annotations
@@ -57,28 +60,32 @@ __all__ = [
 ]
 
 
-def known_mag_distances(template: Template, alpha1, alpha2, dpsi):
+def known_mag_distances(template: Template, alpha1, alpha2, psi1, psi2):
     """Both known-magnitude distances of a batch of endpoint pairs: the kernel.
 
-    ``alpha1`` and ``alpha2`` are scalars or of shape ``(P,)``; ``dpsi``
-    holds the wrapped per-bin phase differences, shape ``(..., n)``.  Returns
-    ``(d_full, d_alpha, delta)``, one value per row: ``sqrt(omega0)`` times
-    the chord of :func:`~fisherband.band.scaled_chord` with ``h`` the
+    ``alpha1`` and ``alpha2`` are scalars or of shape ``(P,)``; ``psi1`` and
+    ``psi2`` are the endpoint phases, unwrapped or not, bins along the last
+    axis and leading axes broadcast (a scalar phase is constant over the
+    bins).  Its first step is :meth:`~fisherband.band.Template.phase_gap`,
+    which gives the wrapped gap ``dpsi`` and its weighted RMS ``delta``.
+    Returns ``(d_full, d_alpha, delta)``, one value per row: ``sqrt(omega0)``
+    times the chord of :func:`~fisherband.band.scaled_chord` with ``h`` the
     template-weighted mean of ``sin^2(dpsi/2)`` (full manifold) or
-    ``sin^2(delta/2)`` (submanifold), and the weighted RMS ``delta``.  Each
-    row is scaled by its own power of two, so every row equals its scalar
-    call however the scales in the batch differ.
+    ``sin^2(delta/2)`` (submanifold).  Each row is scaled by its own power of
+    two, so every row equals its scalar call however the scales in the batch
+    differ.
     """
     check_attenuation(alpha1, alpha2)
     alpha1 = np.asarray(alpha1, dtype=float)
     alpha2 = np.asarray(alpha2, dtype=float)
-    dpsi = np.asarray(dpsi, dtype=float)
-    check_aligned(dpsi=dpsi.shape[-1], template=template.n_freqs)
+    dpsi, delta = template.phase_gap(psi1, psi2)
     half = np.sin(0.5 * dpsi)
-    delta = np.sqrt(template.mean(dpsi * dpsi))
     half_delta = np.sin(0.5 * delta)
-    # (1 - C) / 2 as a weighted mean of sin^2(dpsi/2): stable near C = 1
-    h = np.stack([template.mean(half * half), half_delta * half_delta], axis=-1)
+    # (1 - C) / 2 as a weighted mean of sin^2(dpsi/2): stable near C = 1; filled
+    # in place, without np.stack's per-call checks, as the kernel runs once per block
+    h = np.empty(np.shape(delta) + (2,))
+    h[..., 0] = template.mean(half * half)
+    h[..., 1] = half_delta * half_delta
     c, e = scaled_chord(alpha1[..., np.newaxis], alpha2[..., np.newaxis], h)
     d = unscale(np.sqrt(template.omega0 * c), e)
     return d[..., 0], d[..., 1], delta
@@ -88,8 +95,7 @@ def _pair(alpha1, alpha2, psi1, psi2, grid: FrequencyGrid, noise: NoiseProfile, 
     """The template and the kernel's ``d_full, d_alpha, delta`` for one endpoint pair."""
     template = Template(noise, rho0)
     check_aligned(grid=grid.n_freqs, noise=noise.n_freqs, rho0=template.n_freqs)
-    dpsi, _ = template.phase_gap(psi1, psi2)
-    return (template, *map(float, known_mag_distances(template, alpha1, alpha2, dpsi)))
+    return (template, *map(float, known_mag_distances(template, alpha1, alpha2, psi1, psi2)))
 
 
 def distance_full(s1: SignalSpectrum, s2: SignalSpectrum, noise: NoiseProfile) -> float:
@@ -300,6 +306,5 @@ def report(
     template = Template(noise, rho0)
     alpha1 = _fit_attenuation(s1.rho, template.rho0)
     alpha2 = _fit_attenuation(s2.rho, template.rho0)
-    dpsi, _ = template.phase_gap(s1.psi, s2.psi)
-    _, d_alpha, delta = known_mag_distances(template, alpha1, alpha2, dpsi)
+    _, d_alpha, delta = known_mag_distances(template, alpha1, alpha2, s1.psi, s2.psi)
     return DistanceReport.known_mag(d_full, float(d_alpha), float(delta), template.omega0, alpha1, alpha2)

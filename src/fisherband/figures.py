@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .band import NoiseProfile, Template, build_grid, row_blocks, wrap_phase, write_csv
+from .band import NoiseProfile, Template, build_grid, row_blocks, write_csv
 from .distances import known_mag_distances, ratio_time_delay
 
 __all__ = [
@@ -105,9 +105,11 @@ def run_figure_case(config: ExperimentConfig) -> np.ndarray:
     # every step works row by row, so a block's rows equal the whole sweep's,
     # and its (rows x bins) temporaries stay in cache
     for block in row_blocks(len(btaus), n):
-        # wrapped linear phase differences, one row per sweep point
-        dpsi = wrap_phase(config.dpsi0 - 2.0 * np.pi * dtaus[block, np.newaxis] * grid.freqs[np.newaxis, :])
-        rows[block, 1], rows[block, 2], _ = known_mag_distances(template, alpha1, config.gamma_ratio * alpha1, dpsi)
+        # linear phases 2 pi dtau nu against the constant dpsi0, one row per sweep point
+        psi1 = 2.0 * np.pi * dtaus[block, np.newaxis] * grid.freqs[np.newaxis, :]
+        rows[block, 1], rows[block, 2], _ = known_mag_distances(
+            template, alpha1, config.gamma_ratio * alpha1, psi1, config.dpsi0
+        )
     return rows
 
 

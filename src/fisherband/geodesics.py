@@ -578,9 +578,11 @@ def _flat_reduction(chart, coords):
     The chart's degree-1 columns are scaled by the exact power of two
     ``2**-exponent`` that brings their largest magnitude into [0.5, 1), so
     the speed scales by ``4**-exponent``.  The centred block after the head
-    columns is projected onto its affine span (SVD, rank by numpy's
-    ``matrix_rank`` rule, at least one column): its velocity is ``v_r B`` in
-    the reduced coordinates ``v_r``, so its weighted squared speed is
+    columns is projected onto its affine span: the rows of ``B`` are the
+    right singular vectors of the block's QR factor ``R`` (rank by numpy's
+    ``matrix_rank`` rule, at least one row), the reduced coordinates are the
+    centred block times ``B^T``, and its velocity is ``v_r B`` in the reduced
+    coordinates ``v_r``, so its weighted squared speed is
     ``v_r^T G v_r`` with ``G = B diag(w) B^T``.  A spline is linear in its
     data, so splining the head and reduced columns gives the same integral.
     Returns ``(reduced, exponent, G)``.
@@ -596,10 +598,10 @@ def _flat_reduction(chart, coords):
     coords[:, chart._amplitudes] = np.ldexp(amplitudes, -exponent)
     head, block = coords[:, : chart._n_head], coords[:, chart._n_head :]
     centred = block - np.mean(block, axis=0)
-    u, s, vt = np.linalg.svd(centred, full_matrices=False)
+    _, s, vt = np.linalg.svd(np.linalg.qr(centred, mode="r"), full_matrices=False)
     rank = max(int(np.sum(s > s[0] * max(centred.shape) * np.finfo(float).eps)), 1)
     basis = vt[:rank]
-    return np.column_stack([head, u[:, :rank] * s[:rank]]), exponent, (basis * chart._w) @ basis.T
+    return np.column_stack([head, centred @ basis.T]), exponent, (basis * chart._w) @ basis.T
 
 
 @functools.lru_cache(maxsize=8)

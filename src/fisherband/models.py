@@ -21,7 +21,25 @@ __all__ = [
     "KnownMagnitudeModel",
     "ParametricSignalModel",
     "eval_model",
+    "polynomial_phase",
 ]
+
+
+def polynomial_phase(coeffs, freqs) -> np.ndarray:
+    """Phase polynomials at ``freqs``: one per row of ascending coefficients
+    ``coeffs`` (shape ``(..., d)``, constant term first), shape ``(..., n)``.
+
+    Horner's scheme in one output array, with the steps of numpy's
+    ``polyval`` (``c[-1] + freqs * 0``, then ``c[k] + p * freqs``), so each
+    row equals ``polyval`` of its coefficients bit for bit, zero padding
+    included.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    out = coeffs[..., -1:] + 0.0 * freqs
+    for k in range(coeffs.shape[-1] - 2, -1, -1):
+        out *= freqs
+        out += coeffs[..., k : k + 1]
+    return out
 
 
 class ParametricSignalModel(abc.ABC):
@@ -140,7 +158,7 @@ class KnownMagnitudeModel(ParametricSignalModel):
         varphi = np.asarray(varphi, dtype=float)
         if varphi.shape != (self.n_phase_params,):
             raise ValueError("wrong number of phase coefficients")
-        return np.polynomial.polynomial.polyval(grid.freqs, varphi)
+        return polynomial_phase(varphi, grid.freqs)
 
     def magnitude_jacobian(self, phi, grid: FrequencyGrid) -> np.ndarray:
         self._check_grid(grid)

@@ -542,8 +542,8 @@ class TestBandRules:
     @pytest.mark.parametrize(
         "call,lengths",
         [
-            (lambda g5, n4, s4, s5: known_mag_distances(Template(n4, np.ones(4)), 1.0, 1.0, np.zeros(5)),
-             "dpsi 5, template 4"),
+            (lambda g5, n4, s4, s5: known_mag_distances(Template(n4, np.ones(4)), 1.0, 1.0, np.zeros(5), 0.0),
+             "psi1 5, template 4"),
             (lambda g5, n4, s4, s5: distance_alpha(1.0, 1.0, np.zeros(4), np.zeros(4), g5, n4, np.ones(4)),
              "grid 5, noise 4, rho0 4"),
             (lambda g5, n4, s4, s5: distance_full(s4, s5, n4), "s1 4, s2 5, noise 4"),

@@ -379,7 +379,7 @@ class TestHomogeneity:
             lambda s1, s2, noise, ends: distance_alpha(*ends),
             lambda s1, s2, noise, ends: distance_full_known_mag(*ends),
             lambda s1, s2, noise, ends: small_phase_equivalent(*ends),
-            lambda s1, s2, noise, ends: known_mag_distances(Template(noise, ends[-1]), 1e308, 1.0, s2.psi - s1.psi)[1],
+            lambda s1, s2, noise, ends: known_mag_distances(Template(noise, ends[-1]), 1e308, 1.0, s1.psi, s2.psi)[1],
         ],
         ids=["distance_full", "distance_full_embedding", "report.d_alpha", "report.d_full", "distance_alpha",
              "distance_full_known_mag", "small_phase_equivalent", "known_mag_distances"],
@@ -410,9 +410,7 @@ class TestKnownMagKernel:
         # a batch that mixes scales 1e-200, 1 and 1e200 across its rows
         a1 = np.array(scales[:n_rows]) * rng.uniform(0.1, 10.0, n_rows)
         a2 = a1 * rng.uniform(0.1, 10.0, n_rows)
-        template = Template(noise, rho0)
-        dpsi, _ = template.phase_gap(psi1, psi2)
-        d_full, d_alpha, delta = known_mag_distances(template, a1, a2, dpsi)
+        d_full, d_alpha, delta = known_mag_distances(Template(noise, rho0), a1, a2, psi1, psi2)
         assert d_full.shape == d_alpha.shape == delta.shape == (n_rows,)
         for k in range(n_rows):
             args = (float(a1[k]), float(a2[k]), psi1[k], psi2[k], grid, noise, rho0)
@@ -423,11 +421,11 @@ class TestKnownMagKernel:
 
     def test_scalar_attenuations_broadcast_over_rows(self):
         grid, noise, rho0, rng = _band(5, seed=22)
-        dpsi = wrap_phase(rng.uniform(-np.pi, np.pi, (4, 5)))
+        psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, (4, 5)))
         template = Template(noise, rho0)
-        batch = known_mag_distances(template, 0.7, 1.9, dpsi)
+        batch = known_mag_distances(template, 0.7, 1.9, psi1, 0.4)
         for k in range(4):
-            single = known_mag_distances(template, 0.7, 1.9, dpsi[k])
+            single = known_mag_distances(template, 0.7, 1.9, psi1[k], np.full(5, 0.4))
             assert all(b[k] == v for b, v in zip(batch, single))
 
     @pytest.mark.parametrize(
@@ -443,7 +441,7 @@ class TestKnownMagKernel:
     def test_validation(self, alpha1, width, fragment):
         grid, noise, rho0, _ = _band(5, seed=23)
         with pytest.raises(ValueError, match=fragment):
-            known_mag_distances(Template(noise, rho0), alpha1, 1.0, np.zeros((2, width)))
+            known_mag_distances(Template(noise, rho0), alpha1, 1.0, np.zeros((2, width)), np.zeros((2, width)))
 
 
 class TestRatioTimeDelay:

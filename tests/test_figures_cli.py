@@ -131,16 +131,16 @@ class TestRunFigureCase:
     @staticmethod
     def _unblocked(cfg):
         # the whole sweep at once: ratio_time_delay on all points (its own blocks
-        # are checked against the unblocked formula in test_distances), one
-        # wrap_phase and one known_mag_distances over the full (points x bins) matrix
+        # are checked against the unblocked formula in test_distances) and one
+        # known_mag_distances over the full (points x bins) matrix of phase gaps
         n = cfg.n_freqs
         grid = build_grid(cfg.nu0, cfg.bandwidth_B, n)
         template = Template(NoiseProfile.flat(2.0, n), np.ones(n))
         a1 = math.sqrt(cfg.snr1 / template.omega0)
         btaus = sweep_points(cfg)
         ratio = ratio_time_delay(cfg.gamma_ratio, cfg.dpsi0, btaus, cfg.nu0 / cfg.bandwidth_B, n)
-        dpsi = wrap_phase(cfg.dpsi0 - 2.0 * np.pi * (btaus / cfg.bandwidth_B)[:, np.newaxis] * grid.freqs[np.newaxis, :])
-        d_full, d_alpha, _ = known_mag_distances(template, a1, cfg.gamma_ratio * a1, dpsi)
+        gap = cfg.dpsi0 - 2.0 * np.pi * (btaus / cfg.bandwidth_B)[:, np.newaxis] * grid.freqs[np.newaxis, :]
+        d_full, d_alpha, _ = known_mag_distances(template, a1, cfg.gamma_ratio * a1, 0.0, gap)
         return np.column_stack([btaus, d_full, d_alpha, ratio])
 
     @pytest.mark.parametrize(
@@ -440,6 +440,21 @@ class TestCli:
         assert out.count("[PASS]") == 13
 
 
+def _pairs_csv(path, sides) -> None:
+    """A pairs CSV of consecutive (alpha, coefficients) sides, every number as its repr."""
+    lines = [",".join(PAIR_COLUMNS)]
+    for (a1, c1), (a2, c2) in zip(sides[::2], sides[1::2]):
+        lines.append(f"{a1!r},{';'.join(map(repr, c1.tolist()))},{a2!r},{';'.join(map(repr, c2.tolist()))}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _model_phases(grid, rho0, alpha, coeffs):
+    """The unwrapped phases of a pair's side, as a KnownMagnitudeModel holds them."""
+    coeffs = np.concatenate([[wrap_phase(coeffs[0])], coeffs[1:]])
+    model = KnownMagnitudeModel(rho0, alpha=alpha, phase_coeffs=coeffs)
+    return model.phase_unwrapped(model.phase_coeffs, grid)
+
+
 class TestCliOnLibraryRoutes:
     """Each command is one library route plus I/O: its numbers are the library's, bit for bit."""
 
@@ -447,30 +462,53 @@ class TestCliOnLibraryRoutes:
         rng = np.random.default_rng(11)
         sides = [(float(rng.uniform(0.1, 10.0)), rng.uniform(-60.0, 60.0, int(rng.integers(1, 5)))) for _ in range(80)]
         pairs = tmp_path / "pairs.csv"
-        lines = [",".join(PAIR_COLUMNS)]
-        for (a1, c1), (a2, c2) in zip(sides[::2], sides[1::2]):
-            lines.append(f"{a1!r},{';'.join(map(repr, c1.tolist()))},{a2!r},{';'.join(map(repr, c2.tolist()))}")
-        pairs.write_text("\n".join(lines) + "\n")
+        _pairs_csv(pairs, sides)
         out = tmp_path / "reports.csv"
         assert main(["distance", str(pairs), "--model", str(model_file), "--output", str(out)]) == 0
         with open(out) as handle:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 40
         grid, noise, rho0, _ = load_model_file(model_file)
-
-        def phases(alpha, coeffs):
-            coeffs = np.concatenate([[wrap_phase(coeffs[0])], coeffs[1:]])
-            model = KnownMagnitudeModel(rho0, alpha=alpha, phase_coeffs=coeffs)
-            return model.phase_unwrapped(model.phase_coeffs, grid)
-
         wrapped_any = False
         for row, (a1, c1), (a2, c2) in zip(rows, sides[::2], sides[1::2]):
-            psi1, psi2 = phases(a1, c1), phases(a2, c2)
+            psi1, psi2 = _model_phases(grid, rho0, a1, c1), _model_phases(grid, rho0, a2, c2)
             wrapped_any |= bool(np.any(np.abs(psi2 - psi1) > math.pi))
             assert float(row["d_alpha"]) == distance_alpha(a1, a2, psi1, psi2, grid, noise, rho0)
             assert float(row["d_full"]) == distance_full_known_mag(a1, a2, psi1, psi2, grid, noise, rho0)
             assert float(row["delta"]) == phase_rms_diff(psi1, psi2, noise, rho0)
         assert wrapped_any
+
+    def test_distance_row_blocks_at_the_default_band(self, tmp_path, capsys):
+        # 20 rows at 1000 bins: blocks of 8, 8 and 4 rows
+        n_rows, n = 20, 1000
+        assert [b.stop - b.start for b in row_blocks(n_rows, n)] == [8, 8, 4]
+        rng = np.random.default_rng(17)
+        # degrees 0-3 on consecutive sides, so every block mixes them and pads its shorter rows
+        sides = [(float(10.0 ** rng.uniform(-1.0, 1.0)), rng.uniform(-60.0, 60.0, k % 4 + 1)) for k in range(2 * n_rows)]
+        sides[2] = (sides[2][0], np.array([-0.0, 25.0, -0.0]))
+        sides[3] = (sides[3][0], np.array([-0.0]))
+        pairs = tmp_path / "pairs.csv"
+        _pairs_csv(pairs, sides)
+        out = tmp_path / "reports.csv"
+        assert main(["distance", str(pairs), "--output", str(out)]) == 0
+        with open(out) as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == n_rows
+        grid, noise, rho0 = build_grid(0.25, 0.5, n), NoiseProfile.flat(2.0, n), np.ones(n)
+        for row, (a1, c1), (a2, c2) in zip(rows, sides[::2], sides[1::2]):
+            psi1, psi2 = _model_phases(grid, rho0, a1, c1), _model_phases(grid, rho0, a2, c2)
+            assert float(row["d_alpha"]) == distance_alpha(a1, a2, psi1, psi2, grid, noise, rho0)
+            assert float(row["d_full"]) == distance_full_known_mag(a1, a2, psi1, psi2, grid, noise, rho0)
+            assert float(row["delta"]) == phase_rms_diff(psi1, psi2, noise, rho0)
+
+        # row 19, in the third block: its first side's phase overflows to inf on the upper bins
+        sides[36] = (1.0, np.array([0.0, 1.7e308, 1.7e308]))
+        _pairs_csv(pairs, sides)
+        out.unlink()
+        capsys.readouterr()
+        assert main(["distance", str(pairs), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == "error: bad pair on row 19: phases or their gap not finite on the grid\n"
+        assert not out.exists()
 
     def test_figure_output_is_the_only_file(self, tmp_path, monkeypatch, capsys):
         cfg = {

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fisherband import (
     FreeSpectrumModel,
     KnownMagnitudeModel,
     build_grid,
     eval_model,
+    polynomial_phase,
     wrap_phase,
 )
 
@@ -92,6 +95,39 @@ class TestKnownMagnitudeModel:
         assert phi.shape == (1,)
         assert varphi.shape == (3,)
         assert model.n_params == 4
+
+
+class TestPolynomialPhase:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([0.25, 1e3, 1e5]),
+        st.integers(min_value=1, max_value=40),
+        st.lists(
+            st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-1e300, 1e300), min_size=1, max_size=5),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @example(0.25, 1, [[-0.0]])
+    @example(0.25, 7, [[0.5], [-0.0, 3.0, -0.0], [1.0, 2.0, 3.0, 4.0]])
+    # rows that overflow to inf and to -inf midway through the scheme
+    @example(1e5, 3, [[1e300, 1e300, 1e300, 1e300], [1e300, -1e300, 1e300, -1e300], [0.0, 0.0, -1e300]])
+    def test_equals_numpy_polyval_bit_for_bit(self, nu0, n, rows):
+        # a band from nu0/2 to 3 nu0/2: at nu0 = 1e5 a cubic of 1e300 coefficients overflows
+        freqs = build_grid(nu0, nu0, n).freqs
+        block = np.zeros((len(rows), max(map(len, rows))))  # shorter rows zero-padded
+        for j, coeffs in enumerate(rows):
+            block[j, : len(coeffs)] = coeffs
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert polynomial_phase(block, freqs).tobytes() == np.polynomial.polynomial.polyval(freqs, block.T).tobytes()
+            for coeffs in rows:
+                expected = np.polynomial.polynomial.polyval(freqs, np.array(coeffs))
+                assert polynomial_phase(coeffs, freqs).tobytes() == expected.tobytes()
+
+    def test_model_phase_is_the_helper(self, grid8):
+        coeffs = np.array([0.3, -40.0, 7.0, 120.0])
+        model = KnownMagnitudeModel(np.ones(8), phase_coeffs=coeffs)
+        assert model.phase_unwrapped(coeffs, grid8).tobytes() == polynomial_phase(coeffs, grid8.freqs).tobytes()
 
 
 class TestFreeSpectrumModel:

@@ -7,7 +7,7 @@ a centred circularly symmetric complex Gaussian with known power gamma0(nu),
 independent across bins.  This module holds the containers for that picture
 (grid, noise, magnitude/phase spectrum, complex observation), the phase
 wrapping convention, the Gaussian log-likelihood and a seeded sampler, plus
-flat CSV/JSON serialization, the validated magnitude ``Template``, the
+flat CSV serialization, the validated magnitude ``Template``, the
 ``scaled_chord`` form shared by every distance, and the one check of each
 band-level rule: lengths, attenuations, read-only arrays, ``unscale`` and the
 row blocks of a batched pass.
@@ -19,7 +19,6 @@ every operation in the package is a pure function safe for concurrent use.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -37,8 +36,6 @@ __all__ = [
     "SignalSpectrum",
     "Template",
     "band_energy",
-    "band_from_json",
-    "band_to_json",
     "build_grid",
     "check_aligned",
     "check_attenuation",
@@ -395,7 +392,7 @@ class Template:
         return (self.weights * values).sum(axis=-1) / self.omega0
 
     def phase_gap(self, psi1, psi2) -> tuple[np.ndarray, float | np.ndarray]:
-        """Wrapped per-bin phase difference ``dpsi`` and its weighted RMS ``delta``.
+        """Wrapped per-bin phase difference ``dpsi`` and its weighted RMS ``delta``, in [0, pi].
 
         Bins run along the last axis and leading axes broadcast, one ``delta``
         per row; either phase may be a scalar, constant over the bins.  A
@@ -412,7 +409,8 @@ class Template:
             dpsi = wrap_phase(gap)
         except ValueError:
             raise ValueError("phase gap psi2 - psi1 is not finite") from None
-        delta = np.sqrt(self.mean(dpsi * dpsi))
+        # the RMS of gaps in (-pi, pi] is at most pi, but the rounded mean can lift it an ulp past
+        delta = np.minimum(np.sqrt(self.mean(dpsi * dpsi)), math.pi)
         return dpsi, float(delta) if delta.ndim == 0 else delta
 
 
@@ -449,8 +447,7 @@ def phase_rms_diff(psi1, psi2, noise: NoiseProfile, rho0) -> float:
 
 # -- serialization ----------------------------------------------------------
 #
-# Flat CSV columns: nu, gamma0, rho, psi (one row per bin).  The JSON form
-# mirrors the container fields.
+# Flat CSV columns: nu, gamma0, rho, psi (one row per bin).
 
 _CSV_HEADER = ["nu", "gamma0", "rho", "psi"]
 
@@ -486,28 +483,3 @@ def load_band_csv(path) -> tuple[FrequencyGrid, NoiseProfile, SignalSpectrum]:
     data = np.asarray(rows, dtype=float)
     grid = FrequencyGrid.from_freqs(data[:, 0])
     return grid, NoiseProfile(data[:, 1]), SignalSpectrum(data[:, 2], data[:, 3])
-
-
-def band_to_json(grid: FrequencyGrid, noise: NoiseProfile, spectrum: SignalSpectrum) -> str:
-    check_aligned(grid=grid.n_freqs, noise=noise.n_freqs, spectrum=spectrum.n_freqs)
-    payload = {
-        "grid": {
-            "nu0": grid.nu0,
-            "bandwidth_B": grid.bandwidth_B,
-            "n_freqs": grid.n_freqs,
-            "freqs": grid.freqs.tolist(),
-        },
-        "noise": {"gamma0": noise.gamma0.tolist()},
-        "spectrum": {"rho": spectrum.rho.tolist(), "psi": spectrum.psi.tolist()},
-    }
-    return json.dumps(payload)
-
-
-def band_from_json(text: str) -> tuple[FrequencyGrid, NoiseProfile, SignalSpectrum]:
-    payload = json.loads(text)
-    g = payload["grid"]
-    grid = FrequencyGrid(g["nu0"], g["bandwidth_B"], g["n_freqs"], np.asarray(g["freqs"]))
-    noise = NoiseProfile(np.asarray(payload["noise"]["gamma0"]))
-    spec = payload["spectrum"]
-    spectrum = SignalSpectrum(np.asarray(spec["rho"]), np.asarray(spec["psi"]))
-    return grid, noise, spectrum

@@ -40,7 +40,7 @@ from .band import (
     Template,
     check_aligned,
     check_attenuation,
-    row_blocks,
+    in_range,
     scaled_chord,
     unscale,
     wrap_phase,
@@ -173,6 +173,18 @@ def small_phase_equivalent(
     return unscale(math.sqrt(template.omega0 * c), e)
 
 
+def _check_positive(**values) -> None:
+    """Reject a named scalar that is not positive and finite (NaN included)."""
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite")
+
+
+# h = sin^2(angle/2) of both large-phase limits: a mean cosine of 0 for d_full,
+# and the RMS gap pi/sqrt(3) of equidistributed phases for d_alpha
+_LARGE_PHASE_H = np.array([0.5, math.sin(0.5 * math.pi / math.sqrt(3.0)) ** 2])
+
+
 def large_phase_limits(gamma_ratio: float, snr1: float) -> tuple[float, float]:
     """Limits of both distances for fast phase variation across the band.
 
@@ -181,52 +193,53 @@ def large_phase_limits(gamma_ratio: float, snr1: float) -> tuple[float, float]:
 
         d_full  -> sqrt(SNR1) * sqrt(gamma^2 + 1)
         d_alpha -> sqrt(SNR1) * sqrt(gamma^2 + 1 - 2 gamma cos(pi/sqrt(3))).
+
+    Both are ``sqrt(SNR1)`` times the chord of
+    :func:`~fisherband.band.scaled_chord` between 1 and gamma, so they are inf
+    only when their value exceeds the double range.
     """
-    if gamma_ratio <= 0.0:
-        raise ValueError("gamma_ratio must be positive")
-    g = float(gamma_ratio)
-    full = math.sqrt(snr1 * (g**2 + 1.0))
-    sub = math.sqrt(snr1 * (g**2 + 1.0 - 2.0 * g * math.cos(math.pi / math.sqrt(3.0))))
-    return full, sub
+    _check_positive(gamma_ratio=gamma_ratio, snr1=snr1)
+    c, e = scaled_chord(1.0, float(gamma_ratio), _LARGE_PHASE_H)
+    # sqrt(snr1) apart from sqrt(c), so that a small snr1 cannot underflow in the product
+    full, sub = unscale(math.sqrt(snr1) * np.sqrt(c), e)
+    return float(full), float(sub)
 
 
-def ratio_time_delay(gamma_ratio: float, dpsi0: float, dtau_times_B, nu0_over_B: float, n_freqs: int):
+def ratio_time_delay(gamma_ratio: float, dpsi0: float, dtau_times_B, nu0_over_B: float, delta):
     """Submanifold-to-full distance ratio for time-delayed replicas.
 
     Assumes a constant per-bin signal-to-noise ratio and the linear phase law
-    ``dpsi(nu) = dpsi0 - 2 pi nu dtau``.  The numerator uses the grid sum of
-    the wrapped squared differences; the denominator uses the band-integral
-    (sinc) approximation of the mean cosine:
+    ``dpsi(nu) = dpsi0 - 2 pi nu dtau``.  The numerator takes ``delta``, the
+    RMS of the wrapped phase differences on the grid; the denominator uses the
+    band-integral (sinc) approximation of the mean cosine:
 
-        num = g^2 + 1 - 2 g cos( sqrt(mean <dpsi(nu)>^2) )
+        num = g^2 + 1 - 2 g cos(delta)
         den = g^2 + 1 - 2 g sinc(B dtau) cos(dpsi0 - 2 pi nu0 dtau)
 
-    At coincident endpoints (the 0/0 corner) the small-phase limit gives 1.
-    ``dtau_times_B`` may be an array: a scalar returns a float, an array
-    returns the array of ratios.
+    Both are chords of :func:`~fisherband.band.scaled_chord` in one
+    power-of-two unit, with ``h = sin^2(delta/2)`` and ``h = (1 - sinc(B
+    dtau) cos(dpsi0 - 2 pi nu0 dtau)) / 2``.  Where ``den`` is 0 (the 0/0
+    corner of coincident endpoints) the ratio is 1, the small-phase limit.
+    ``dtau_times_B`` and ``delta`` broadcast: scalars return a float, arrays
+    the array of ratios.  On ``grid = build_grid(nu0, B, n)``, with ``dtau =
+    dtau_times_B / B``, ``delta`` is
+
+        phase_rms_diff(0.0, dpsi0 - np.multiply.outer(2 * np.pi * dtau, grid.freqs), NoiseProfile.flat(2.0, n), np.ones(n))
+
+    and the figure sweep takes the same ``delta`` from :func:`known_mag_distances`.
     """
-    if n_freqs < 1:
-        raise ValueError("n_freqs must be at least 1")
-    if gamma_ratio <= 0.0:
-        raise ValueError("gamma_ratio must be positive")
-    g = float(gamma_ratio)
+    _check_positive(gamma_ratio=gamma_ratio)
     dtau = np.asarray(dtau_times_B, dtype=float)
-    # bin centres expressed as nu/B so only dimensionless products appear
-    positions = nu0_over_B - 0.5 + (np.arange(n_freqs) + 0.5) / n_freqs
-    # one block of delays at a time: every step works row by row, and the
-    # (delays x bins) temporaries stay in cache whatever the number of delays
-    flat = dtau.ravel()
-    mean_sq = np.empty(flat.shape)
-    for rows in row_blocks(len(flat), n_freqs):
-        dpsi = wrap_phase(dpsi0 - 2.0 * np.pi * positions * flat[rows, np.newaxis])
-        mean_sq[rows] = np.mean(dpsi**2, axis=-1)
-    half = np.sin(0.5 * np.sqrt(mean_sq.reshape(dtau.shape)))
-    c, e = scaled_chord(1.0, g, half * half)
+    if not (math.isfinite(dpsi0) and math.isfinite(nu0_over_B) and in_range(dtau)):
+        raise ValueError("dpsi0, dtau_times_B and nu0_over_B must be finite")
+    if not in_range(delta, 0.0, math.pi, lo_closed=True, hi_closed=True):
+        raise ValueError("delta must lie in [0, pi]")
+    half = np.sin(0.5 * np.asarray(delta, dtype=float))
     mean_cos = np.sinc(dtau) * np.cos(dpsi0 - 2.0 * math.pi * nu0_over_B * dtau)
-    gs, one = math.ldexp(g, -e), math.ldexp(1.0, -e)  # den in the chord's units: the ratio stays in them
-    den = gs * gs + one * one - 2.0 * gs * one * mean_cos
+    h = np.stack(np.broadcast_arrays(half * half, 0.5 * (1.0 - mean_cos)))
+    (num, den), _ = scaled_chord(1.0, float(gamma_ratio), h)
     positive = den > 0.0
-    ratio = np.where(positive, np.sqrt(c / np.where(positive, den, 1.0)), 1.0)
+    ratio = np.where(positive, np.sqrt(num / np.where(positive, den, 1.0)), 1.0)
     return float(ratio) if ratio.ndim == 0 else ratio
 
 

@@ -89,9 +89,10 @@ def run_figure_case(config: ExperimentConfig) -> np.ndarray:
     Distances are the exact constant-per-bin-SNR grid sums at the reference
     SNR, with ``alpha1 = sqrt(snr1 / omega0)`` and ``alpha2 = gamma_ratio *
     alpha1``; the ratio column is the sinc-form approximation of
-    :func:`ratio_time_delay`.  Output is deterministic, and nothing is
-    written: the ``figure`` command writes the rows to its ``--output``, else
-    the config's ``output_path``, else ``figure_<case>.csv``.
+    :func:`ratio_time_delay` on the kernel's own ``delta``.  Output is
+    deterministic, and nothing is written: the ``figure`` command writes the
+    rows to its ``--output``, else the config's ``output_path``, else
+    ``figure_<case>.csv``.
     """
     n = config.n_freqs
     grid = build_grid(config.nu0, config.bandwidth_B, n)
@@ -101,15 +102,16 @@ def run_figure_case(config: ExperimentConfig) -> np.ndarray:
     dtaus = btaus / config.bandwidth_B
     rows = np.empty((len(btaus), 4))
     rows[:, 0] = btaus
-    rows[:, 3] = ratio_time_delay(config.gamma_ratio, config.dpsi0, btaus, config.nu0 / config.bandwidth_B, n)
+    delta = np.empty(len(btaus))
     # every step works row by row, so a block's rows equal the whole sweep's,
     # and its (rows x bins) temporaries stay in cache
     for block in row_blocks(len(btaus), n):
         # linear phases 2 pi dtau nu against the constant dpsi0, one row per sweep point
         psi1 = 2.0 * np.pi * dtaus[block, np.newaxis] * grid.freqs[np.newaxis, :]
-        rows[block, 1], rows[block, 2], _ = known_mag_distances(
+        rows[block, 1], rows[block, 2], delta[block] = known_mag_distances(
             template, alpha1, config.gamma_ratio * alpha1, psi1, config.dpsi0
         )
+    rows[:, 3] = ratio_time_delay(config.gamma_ratio, config.dpsi0, btaus, config.nu0 / config.bandwidth_B, delta)
     return rows
 
 

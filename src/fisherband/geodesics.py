@@ -67,7 +67,6 @@ __all__ = [
     "ModelChart",
     "alpha_geodesic_coeff_path",
     "embedding_coords",
-    "eval_alpha_geodesic",
     "ldg_residual",
     "path_length",
     "sample_alpha_geodesic",
@@ -363,16 +362,6 @@ def solve_alpha_geodesic(
             stacklevel=2,
         )
     return geo
-
-
-def eval_alpha_geodesic(geo: AlphaGeodesic, sigma: float) -> tuple[float, np.ndarray]:
-    """Attenuation and wrapped phases of the geodesic at sigma in [0, 1]."""
-    sigma = float(sigma)
-    if not 0.0 <= sigma <= 1.0:
-        raise ValueError("sigma must lie in [0, 1]")
-    alpha = float(geo.alpha_at(sigma))
-    psi = wrap_phase(geo.psi1 + float(geo.phase_mix_at(sigma)) * geo.dpsi)
-    return alpha, psi
 
 
 def sample_alpha_geodesic(geo: AlphaGeodesic, n_nodes: int = 201) -> GeodesicPath:

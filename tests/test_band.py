@@ -1,4 +1,3 @@
-import json
 import math
 import re
 import warnings
@@ -18,8 +17,6 @@ from fisherband import (
     SignalSpectrum,
     Template,
     band_energy,
-    band_from_json,
-    band_to_json,
     build_grid,
     check_attenuation,
     distance_alpha,
@@ -520,20 +517,6 @@ class TestSerialization:
         path.write_text("nu,gamma0,rho\n0.25,1.0,1.0\n")
         with pytest.raises(ValueError, match="header"):
             load_band_csv(path)
-
-    def test_json_round_trip_lossless(self):
-        grid, noise, spec = self._sample_band()
-        text = band_to_json(grid, noise, spec)
-        payload = json.loads(text)
-        assert set(payload) == {"grid", "noise", "spectrum"}
-        assert payload["grid"]["n_freqs"] == 9
-        grid2, noise2, spec2 = band_from_json(text)
-        assert grid2.nu0 == grid.nu0
-        assert grid2.bandwidth_B == grid.bandwidth_B
-        np.testing.assert_array_equal(grid2.freqs, grid.freqs)
-        np.testing.assert_array_equal(noise2.gamma0, noise.gamma0)
-        np.testing.assert_array_equal(spec2.rho, spec.rho)
-        np.testing.assert_array_equal(spec2.psi, spec.psi)
 
 
 class TestBandRules:

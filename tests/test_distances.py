@@ -3,6 +3,7 @@ import sys
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,6 @@ from fisherband import (
     phase_rms_diff,
     ratio_time_delay,
     report,
-    row_blocks,
     sample_alpha_geodesic,
     scaled_chord,
     small_phase_equivalent,
@@ -298,6 +298,51 @@ class TestLargePhaseLimits:
         assert f2 == pytest.approx(3.0 * f1, rel=1e-15)
         assert s2 == pytest.approx(3.0 * s1, rel=1e-15)
 
+    def test_gain_past_the_square_root_of_the_range(self):
+        # gamma^2 alone overflows here
+        full, sub = large_phase_limits(1e160, 1.0)
+        assert isinstance(full, float) and isinstance(sub, float)
+        assert _within_ulps(full, 1e160, 1) and _within_ulps(sub, 1e160, 1)
+
+    @pytest.mark.parametrize(
+        "gamma_ratio,snr1,name",
+        [
+            (0.0, 1.0, "gamma_ratio"),
+            (-2.0, 1.0, "gamma_ratio"),
+            (math.nan, 1.0, "gamma_ratio"),
+            (math.inf, 1.0, "gamma_ratio"),
+            (2.0, -1.0, "snr1"),
+            (2.0, 0.0, "snr1"),
+            (2.0, math.nan, "snr1"),
+            (2.0, math.inf, "snr1"),
+        ],
+    )
+    def test_named_errors(self, gamma_ratio, snr1, name):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
+            large_phase_limits(gamma_ratio, snr1)
+
+    def test_within_two_ulp_of_a_50_digit_reference(self):
+        # g and snr1 each from 1e-300 to 1e300, plus gains at and next to 1,
+        # where the chord's (g - 1)^2 term vanishes
+        values = [*np.geomspace(1e-300, 1e300, 47).tolist(), 0.5, 1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-53, 2.0]
+        worst, n_inf = 0.0, 0
+        with mpmath.workdps(50):
+            cos_limit = mpmath.cos(mpmath.pi / mpmath.sqrt(3))
+            for g in values:
+                big_g = mpmath.mpf(g)
+                chords = (big_g * big_g + 1, big_g * big_g + 1 - 2 * big_g * cos_limit)
+                for snr1 in values:
+                    for got, chord in zip(large_phase_limits(g, snr1), chords):
+                        true = mpmath.sqrt(mpmath.mpf(snr1) * chord)
+                        want = float(true)  # rounded to nearest: inf past the double range
+                        if want == math.inf:
+                            assert got == math.inf
+                            n_inf += 1
+                        else:
+                            worst = max(worst, float(abs(mpmath.mpf(got) - true) / math.ulp(want)))
+        assert worst <= 2.0
+        assert 0 < n_inf < 2 * len(values) ** 2
+
 
 def _round26(x):
     """x rounded to 26 significant bits, so a product of two such is exact."""
@@ -444,21 +489,31 @@ class TestKnownMagKernel:
             known_mag_distances(Template(noise, rho0), alpha1, 1.0, np.zeros((2, width)), np.zeros((2, width)))
 
 
+def _sweep_delta(dpsi0, dtau_times_B, nu0_over_B, n):
+    """The RMS wrapped gap of the linear phase law on ``n`` flat bins of a unit band."""
+    grid = build_grid(nu0_over_B, 1.0, n)
+    dtau = np.asarray(dtau_times_B, dtype=float)
+    return phase_rms_diff(
+        0.0, dpsi0 - np.multiply.outer(2 * np.pi * dtau, grid.freqs), NoiseProfile.flat(2.0, n), np.ones(n)
+    )
+
+
 class TestRatioTimeDelay:
     def test_array_matches_scalar_calls(self):
         btaus = np.concatenate([[0.0], np.geomspace(2e-3, 20.0, 150)])
-        # 1e160 squares past the double range unless the denominator stays in the chord's units
+        # 1e160 squares past the double range unless both chords stay in one power-of-two unit
         for gamma, dpsi0 in ((1.0, 0.0), (10.0, 0.0), (1.0, math.pi / 2), (1e160, 0.0)):
-            batch = ratio_time_delay(gamma, dpsi0, btaus, 0.5, 1000)
+            batch = ratio_time_delay(gamma, dpsi0, btaus, 0.5, _sweep_delta(dpsi0, btaus, 0.5, 1000))
             assert batch.shape == btaus.shape
             for bt, ratio in zip(btaus, batch):
-                single = ratio_time_delay(gamma, dpsi0, float(bt), 0.5, 1000)
+                single = ratio_time_delay(gamma, dpsi0, float(bt), 0.5, _sweep_delta(dpsi0, float(bt), 0.5, 1000))
                 assert isinstance(single, float)
                 assert _within_ulps(ratio, single, 1)
 
     @staticmethod
-    def _unblocked(gamma, dpsi0, dtau, nu0_over_B, n):
-        # every delay's (bins) row in one (delays x bins) matrix
+    def _grid_formula(gamma, dpsi0, dtau, nu0_over_B, n):
+        # the ratio's former hand formula: its own grid of nu/B positions, the
+        # plain mean of the wrapped squared gaps, and a cos-form denominator
         positions = nu0_over_B - 0.5 + (np.arange(n) + 0.5) / n
         dpsi = wrap_phase(dpsi0 - 2.0 * np.pi * positions * dtau[..., np.newaxis])
         half = np.sin(0.5 * np.sqrt(np.mean(dpsi**2, axis=-1)))
@@ -471,37 +526,71 @@ class TestRatioTimeDelay:
     @pytest.mark.parametrize(
         "gamma,dpsi0,dtau,n",
         [
-            # a named figure sweep: 401 delays, 8 per block
+            # a named figure sweep: 401 delays
             (1.0, 0.0, np.concatenate([[0.0], np.geomspace(2e-3, 20.0, 400)]), 1000),
             (10.0, math.pi / 2, np.concatenate([[0.0], np.geomspace(2e-3, 20.0, 400)]), 1000),
-            # more bins than a block holds: one delay per block
+            # more bins than a block holds
             (2.0, 0.3, np.geomspace(1e-2, 30.0, 7), BLOCK + 1),
-            # 50 delays at 27 per block, in a (5, 10) array
+            # 50 delays in a (5, 10) array
             (0.5, -1.0, np.geomspace(1e-2, 30.0, 50).reshape(5, 10), 300),
         ],
-        ids=["figure", "figure-offset", "wide", "ragged-2d"],
+        ids=["figure", "figure-offset", "wide", "2d"],
     )
-    def test_blocks_equal_the_unblocked_evaluation(self, gamma, dpsi0, dtau, n):
-        assert len(row_blocks(dtau.size, n)) > 1
-        got = ratio_time_delay(gamma, dpsi0, dtau, 0.5, n)
+    def test_within_two_ulp_of_the_grid_formula(self, gamma, dpsi0, dtau, n):
+        got = ratio_time_delay(gamma, dpsi0, dtau, 0.5, _sweep_delta(dpsi0, dtau, 0.5, n))
+        want = self._grid_formula(gamma, dpsi0, dtau, 0.5, n)
         assert got.shape == dtau.shape
-        assert got.tobytes() == self._unblocked(gamma, dpsi0, dtau, 0.5, n).tobytes()
-        assert ratio_time_delay(gamma, dpsi0, np.zeros(0), 0.5, n).shape == (0,)
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
+        assert ratio_time_delay(gamma, dpsi0, np.zeros(0), 0.5, np.zeros(0)).shape == (0,)
 
     def test_zero_delay_is_one(self):
         for dpsi0 in (0.0, 0.4, -2.0):
+            delta = _sweep_delta(dpsi0, 0.0, 0.5, 1000)
             for gamma in (1.0, 3.0, 1e160):
-                assert ratio_time_delay(gamma, dpsi0, 0.0, 0.5, 1000) == pytest.approx(1.0, rel=1e-12)
+                assert ratio_time_delay(gamma, dpsi0, 0.0, 0.5, delta) == pytest.approx(1.0, rel=1e-12)
 
     def test_plateau_value(self):
         target = math.sqrt(1.0 - math.cos(math.pi / math.sqrt(3)))
-        vals = [ratio_time_delay(1.0, 0.0, bt, 0.5, 1000) for bt in np.linspace(10, 20, 40)]
+        btaus = np.linspace(10, 20, 40)
+        vals = [ratio_time_delay(1.0, 0.0, bt, 0.5, _sweep_delta(0.0, bt, 0.5, 1000)) for bt in btaus]
         assert abs(float(np.mean(vals)) - target) < 0.02
 
     def test_never_below_one(self):
         for bt in np.linspace(0.0, 20.0, 200):
-            r = ratio_time_delay(1.0, 0.0, float(bt), 0.5, 1000)
+            r = ratio_time_delay(1.0, 0.0, float(bt), 0.5, _sweep_delta(0.0, float(bt), 0.5, 1000))
             assert r >= 1.0 - 1e-12
+
+    def test_antipodal_gaps_are_in_range(self):
+        # all gaps pi: the rounded weighted mean lifted delta an ulp past pi on
+        # 33 of these 119 bands before phase_gap capped it
+        rng = np.random.default_rng(41)
+        for n in range(1, 120):
+            noise = NoiseProfile(rng.uniform(0.5, 2.0, n))
+            delta = phase_rms_diff(0.0, np.full(n, math.pi), noise, rng.uniform(0.1, 3.0, n))
+            assert delta <= math.pi and _within_ulps(delta, math.pi)
+            assert ratio_time_delay(2.0, math.pi, 0.0, 0.5, delta) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((0.0, 0.0, 1.0, 0.5, 1.0), "gamma_ratio must be positive and finite"),
+            ((-1.0, 0.0, 1.0, 0.5, 1.0), "gamma_ratio must be positive and finite"),
+            ((math.nan, 0.0, 1.0, 0.5, 1.0), "gamma_ratio must be positive and finite"),
+            ((math.inf, 0.0, 1.0, 0.5, 1.0), "gamma_ratio must be positive and finite"),
+            ((1.0, 0.0, 1.0, 0.5, -1e-300), r"delta must lie in \[0, pi\]"),
+            ((1.0, 0.0, 1.0, 0.5, math.nextafter(math.pi, 4.0)), r"delta must lie in \[0, pi\]"),
+            ((1.0, 0.0, 1.0, 0.5, math.nan), r"delta must lie in \[0, pi\]"),
+            ((1.0, 0.0, np.ones(3), 0.5, np.array([0.5, math.inf, 0.5])), r"delta must lie in \[0, pi\]"),
+            # a call in the former signature, which took n_freqs in this place
+            ((1.0, 0.0, np.ones(3), 0.5, 1000), r"delta must lie in \[0, pi\]"),
+            ((1.0, math.nan, 1.0, 0.5, 1.0), "dpsi0, dtau_times_B and nu0_over_B must be finite"),
+            ((1.0, 0.0, np.array([1.0, math.inf]), 0.5, 1.0), "dpsi0, dtau_times_B and nu0_over_B must be finite"),
+            ((1.0, 0.0, 1.0, -math.inf, 1.0), "dpsi0, dtau_times_B and nu0_over_B must be finite"),
+        ],
+    )
+    def test_named_errors(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            ratio_time_delay(*args)
 
 
 class TestReport:

@@ -130,17 +130,16 @@ class TestRunFigureCase:
 
     @staticmethod
     def _unblocked(cfg):
-        # the whole sweep at once: ratio_time_delay on all points (its own blocks
-        # are checked against the unblocked formula in test_distances) and one
-        # known_mag_distances over the full (points x bins) matrix of phase gaps
+        # the whole sweep at once: one known_mag_distances over the full
+        # (points x bins) matrix of phase gaps, and ratio_time_delay on its delta
         n = cfg.n_freqs
         grid = build_grid(cfg.nu0, cfg.bandwidth_B, n)
         template = Template(NoiseProfile.flat(2.0, n), np.ones(n))
         a1 = math.sqrt(cfg.snr1 / template.omega0)
         btaus = sweep_points(cfg)
-        ratio = ratio_time_delay(cfg.gamma_ratio, cfg.dpsi0, btaus, cfg.nu0 / cfg.bandwidth_B, n)
         gap = cfg.dpsi0 - 2.0 * np.pi * (btaus / cfg.bandwidth_B)[:, np.newaxis] * grid.freqs[np.newaxis, :]
-        d_full, d_alpha, _ = known_mag_distances(template, a1, cfg.gamma_ratio * a1, 0.0, gap)
+        d_full, d_alpha, delta = known_mag_distances(template, a1, cfg.gamma_ratio * a1, 0.0, gap)
+        ratio = ratio_time_delay(cfg.gamma_ratio, cfg.dpsi0, btaus, cfg.nu0 / cfg.bandwidth_B, delta)
         return np.column_stack([btaus, d_full, d_alpha, ratio])
 
     @pytest.mark.parametrize(
@@ -157,6 +156,21 @@ class TestRunFigureCase:
     def test_blocked_sweep_equals_the_unblocked_evaluation(self, cfg):
         assert len(row_blocks(len(sweep_points(cfg)), cfg.n_freqs)) > 1
         assert run_figure_case(cfg).tobytes() == self._unblocked(cfg).tobytes()
+
+    def test_each_sweep_point_is_wrapped_once(self, monkeypatch):
+        # one wrap per row block, in the kernel's phase_gap; the ratio reuses its delta
+        rows_wrapped = []
+
+        def counting(theta):
+            rows_wrapped.append(np.shape(theta)[0] if np.ndim(theta) > 1 else 1)
+            return wrap_phase(theta)
+
+        monkeypatch.setattr(fisherband.band, "wrap_phase", counting)
+        monkeypatch.setattr(fisherband.distances, "wrap_phase", counting)
+        cfg = FIGURE_CASES["wideband-offset"]
+        run_figure_case(cfg)
+        assert len(rows_wrapped) == len(row_blocks(len(sweep_points(cfg)), cfg.n_freqs)) == 51
+        assert sum(rows_wrapped) == len(sweep_points(cfg)) == 401
 
     def test_csv_format(self, tmp_path):
         rows = run_figure_case(FIGURE_CASES["narrowband-equal"])

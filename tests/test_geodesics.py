@@ -24,7 +24,6 @@ from fisherband import (
     build_grid,
     distance_alpha,
     distance_full_embedding,
-    eval_alpha_geodesic,
     ldg_residual,
     path_length,
     sample_alpha_geodesic,
@@ -53,6 +52,11 @@ def _phase_pair(rng, n, amplitude, mode="uniform"):
     else:
         dpsi = rng.uniform(-amplitude, amplitude, n)
     return psi1, wrap_phase(psi1 + dpsi)
+
+
+def _at(geo, sigma):
+    """Attenuation and wrapped phases of the closed-form geodesic at one sigma."""
+    return float(geo.alpha_at(sigma)), wrap_phase(geo.psi1 + float(geo.phase_mix_at(sigma)) * geo.dpsi)
 
 
 def _uniform_path(geo, n_nodes):
@@ -183,7 +187,7 @@ class TestSolveAlphaGeodesic:
         assert geo.K == 0.0
         assert geo.k1 == pytest.approx((2.1 - 0.7) ** 2, rel=1e-15)
         for sigma in np.linspace(0, 1, 9):
-            alpha, phases = eval_alpha_geodesic(geo, sigma)
+            alpha, phases = _at(geo, sigma)
             assert alpha == pytest.approx(0.7 + sigma * (2.1 - 0.7), rel=1e-12)
             np.testing.assert_allclose(phases, wrap_phase(psi), atol=0)
 
@@ -228,8 +232,8 @@ class TestSolveAlphaGeodesic:
             a2 = float(np.exp(rng.uniform(np.log(0.1), np.log(10))))
             psi1, psi2 = _phase_pair(rng, 10, rng.uniform(0.05, 3.0), mode="sign")
             geo = solve_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0)
-            alpha0, phases0 = eval_alpha_geodesic(geo, 0.0)
-            alpha1, phases1 = eval_alpha_geodesic(geo, 1.0)
+            alpha0, phases0 = _at(geo, 0.0)
+            alpha1, phases1 = _at(geo, 1.0)
             assert alpha0 == pytest.approx(a1, rel=1e-10)
             assert alpha1 == pytest.approx(a2, rel=1e-10)
             np.testing.assert_allclose(phases0, wrap_phase(psi1), atol=1e-12)
@@ -250,40 +254,34 @@ class TestSolveAlphaGeodesic:
         geo = solve_alpha_geodesic(1.3, 1.3, psi, psi, grid, noise, rho0)
         assert geo.k1 == 0.0
         assert geo.length == 0.0
-        alpha, phases = eval_alpha_geodesic(geo, 0.5)
+        alpha, phases = _at(geo, 0.5)
         assert alpha == 1.3
         np.testing.assert_array_equal(phases, psi)
 
 
 class TestEvalAlphaGeodesic:
+    """The closed-form geodesic evaluated at curve parameters: ``alpha_at`` and ``phase_mix_at``."""
+
     def test_quarter_turn_midpoint(self):
         grid = build_grid(0.25, 0.4, 4)
         noise = NoiseProfile.flat(1.0, 4)
         rho0 = np.ones(4)
         geo = solve_alpha_geodesic(1.0, 1.0, np.zeros(4), np.full(4, math.pi / 2), grid, noise, rho0)
-        alpha, phases = eval_alpha_geodesic(geo, 0.5)
+        alpha, phases = _at(geo, 0.5)
         assert alpha == pytest.approx(math.sqrt(0.5), rel=1e-14)
         np.testing.assert_allclose(phases, math.pi / 4, rtol=1e-12)
 
-    def test_public_evaluators_agree_with_eval(self):
+    def test_scalar_sigma_equals_the_array_evaluation(self):
         grid, noise, rho0, rng = _band(6, seed=31)
         psi1, psi2 = _phase_pair(rng, 6, 2.0)
         geo = solve_alpha_geodesic(0.7, 1.6, psi1, psi2, grid, noise, rho0)
         sigmas = np.linspace(0.0, 1.0, 11)
         for sigma, alpha, mix in zip(sigmas, geo.alpha_at(sigmas), geo.phase_mix_at(sigmas)):
-            got_alpha, got_psi = eval_alpha_geodesic(geo, sigma)
+            got_alpha, got_psi = _at(geo, sigma)
             assert got_alpha == alpha
             np.testing.assert_array_equal(got_psi, wrap_phase(geo.psi1 + mix * geo.dpsi))
         assert geo.phase_mix_at(0.0) == 0.0
         assert geo.phase_mix_at(1.0) == pytest.approx(1.0, rel=1e-12)
-
-    def test_sigma_domain(self):
-        grid, noise, rho0, _ = _band(4)
-        geo = solve_alpha_geodesic(1.0, 2.0, np.zeros(4), np.zeros(4), grid, noise, rho0)
-        with pytest.raises(ValueError):
-            eval_alpha_geodesic(geo, -0.01)
-        with pytest.raises(ValueError):
-            eval_alpha_geodesic(geo, 1.01)
 
     def test_angular_momentum_constant(self):
         # alpha^2 * dpsi/dsigma recovers the per-bin constants c
@@ -324,11 +322,11 @@ class TestDegenerateGeodesic:
         assert geo.delta == pytest.approx(math.pi, rel=1e-15)
         crossing = -geo.k2
         assert 0.0 < crossing < 1.0
-        alpha_min, phases_mid = eval_alpha_geodesic(geo, crossing)
+        alpha_min, phases_mid = _at(geo, crossing)
         assert alpha_min < 1e-8  # attenuation touches zero
         np.testing.assert_allclose(phases_mid, math.pi / 2, atol=1e-6)
-        _, before = eval_alpha_geodesic(geo, crossing / 2)
-        _, after = eval_alpha_geodesic(geo, (1 + crossing) / 2)
+        _, before = _at(geo, crossing / 2)
+        _, after = _at(geo, (1 + crossing) / 2)
         np.testing.assert_allclose(before, psi1, atol=1e-6)
         np.testing.assert_allclose(wrap_phase(after - psi2), 0.0, atol=1e-6)
 

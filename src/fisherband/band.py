@@ -7,7 +7,8 @@ a centred circularly symmetric complex Gaussian with known power gamma0(nu),
 independent across bins.  This module holds the containers for that picture
 (grid, noise, magnitude/phase spectrum, complex observation), the phase
 wrapping convention, the Gaussian log-likelihood and a seeded sampler, plus
-flat CSV serialization, the validated magnitude ``Template``, the
+flat CSV serialization (every column round-trips, the grid included, since a
+grid is its frequencies), the validated magnitude ``Template``, the
 ``scaled_chord`` form shared by every distance, and the one check of each
 band-level rule: lengths, attenuations, read-only arrays, ``unscale`` and the
 row blocks of a batched pass.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,76 +167,62 @@ def wrap_phase(theta):
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Equispaced positive frequencies filling the open band (nu0-B/2, nu0+B/2).
+    """Equispaced positive frequencies, one per bin, in increasing order.
 
     Frequencies are normalized to the sampling rate (dimensionless, in
-    (0, 0.5] for real signals) and sit at bin centres, which keeps the band
-    edges open even when the band starts at zero.
+    (0, 0.5] for real signals).  A grid is its frequencies and nothing else:
+    the band they fill is a rule of :func:`build_grid`, which places them at
+    bin centres.
     """
 
-    nu0: float
-    bandwidth_B: float
-    n_freqs: int
     freqs: np.ndarray
 
     def __post_init__(self):
         freqs = readonly(self.freqs)
         object.__setattr__(self, "freqs", freqs)
-        if self.n_freqs < 1:
+        if len(freqs) < 1:
             raise ValueError("n_freqs must be at least 1")
-        check_aligned(freqs=len(freqs), n_freqs=self.n_freqs)
-        if self.bandwidth_B <= 0.0 or not math.isfinite(self.bandwidth_B):
-            raise ValueError("bandwidth_B must be positive and finite")
         # freqs[0] alone, so that a later negative frequency fails as not increasing
         if not in_range(freqs) or freqs[0] <= 0.0:
             raise ValueError("frequencies must be finite and strictly positive")
-        if self.n_freqs > 1:
+        if len(freqs) > 1:
             steps = np.diff(freqs)
             if not in_range(steps, 0.0):
                 raise ValueError("frequencies must be strictly increasing")
             mean_step = float(np.mean(steps))
             if np.max(np.abs(steps - mean_step)) > 1e-12 * float(freqs[-1]):
                 raise ValueError("frequencies must be equispaced")
-        centre = 0.5 * (freqs[0] + freqs[-1])
-        if abs(centre - self.nu0) > 1e-9 * max(abs(self.nu0), 1.0):
-            raise ValueError("freqs are not centred on nu0")
-
-    @classmethod
-    def from_freqs(cls, freqs) -> "FrequencyGrid":
-        """Rebuild a grid from its frequency list, inferring the metadata.
-
-        For a single-bin grid the bandwidth is not recoverable from the list;
-        it defaults to nu0 (any width below 2*nu0 is admissible).
-        """
-        freqs = np.asarray(freqs, dtype=float)
-        n = len(freqs)
-        if n == 0:
-            raise ValueError("empty frequency list")
-        nu0 = 0.5 * (float(freqs[0]) + float(freqs[-1]))
-        bandwidth_B = (float(freqs[-1]) - float(freqs[0])) / (n - 1) * n if n > 1 else nu0
-        return cls(nu0, bandwidth_B, n, freqs)
 
     @property
-    def spacing(self) -> float:
-        return self.bandwidth_B / self.n_freqs
+    def n_freqs(self) -> int:
+        return len(self.freqs)
 
 
 def build_grid(nu0: float, bandwidth_B: float, n_freqs: int) -> FrequencyGrid:
-    """Grid of ``n_freqs`` bin-centre frequencies on the open band around nu0.
+    """Grid of ``n_freqs`` bin-centre frequencies filling the open band (nu0-B/2, nu0+B/2).
 
-    The band may start exactly at zero frequency (the centres stay strictly
-    positive); a negative band start is rejected.
+    The one owner of the band rules: ``n_freqs`` is a whole number (an int
+    or numpy integer; a float, even a whole one, and a bool are not) of at
+    least 1, the bandwidth is positive and finite, and the band start
+    ``nu0 - B/2`` is non-negative.  The band may start exactly at zero
+    frequency; the centres stay strictly positive, so the band edges stay
+    open.
     """
+    if isinstance(n_freqs, bool):
+        raise ValueError("n_freqs must be a whole number")
+    try:
+        n_freqs = operator.index(n_freqs)
+    except TypeError:
+        raise ValueError("n_freqs must be a whole number") from None
     if n_freqs < 1:
         raise ValueError("n_freqs must be at least 1")
-    if bandwidth_B <= 0.0:
-        raise ValueError("bandwidth_B must be positive")
+    if not 0.0 < bandwidth_B < math.inf:
+        raise ValueError("bandwidth_B must be positive and finite")
     start = nu0 - 0.5 * bandwidth_B
     if start < 0.0:
         raise ValueError("band start nu0 - B/2 must be non-negative")
     step = bandwidth_B / n_freqs
-    freqs = start + (np.arange(n_freqs) + 0.5) * step
-    return FrequencyGrid(float(nu0), float(bandwidth_B), int(n_freqs), freqs)
+    return FrequencyGrid(start + (np.arange(n_freqs) + 0.5) * step)
 
 
 @dataclass(frozen=True)
@@ -469,8 +457,8 @@ def save_band_csv(path, grid: FrequencyGrid, noise: NoiseProfile, spectrum: Sign
 def load_band_csv(path) -> tuple[FrequencyGrid, NoiseProfile, SignalSpectrum]:
     """Inverse of :func:`save_band_csv`.
 
-    The per-bin columns round-trip losslessly; the grid metadata (nu0,
-    bandwidth) is inferred from the frequency column.
+    Every column round-trips losslessly, the grid included: a grid is its
+    frequency column.
     """
     with open(path, "r", newline="") as handle:
         reader = csv.reader(handle)
@@ -481,5 +469,4 @@ def load_band_csv(path) -> tuple[FrequencyGrid, NoiseProfile, SignalSpectrum]:
     if not rows:
         raise ValueError("band CSV has no data rows")
     data = np.asarray(rows, dtype=float)
-    grid = FrequencyGrid.from_freqs(data[:, 0])
-    return grid, NoiseProfile(data[:, 1]), SignalSpectrum(data[:, 2], data[:, 3])
+    return FrequencyGrid(data[:, 0]), NoiseProfile(data[:, 1]), SignalSpectrum(data[:, 2], data[:, 3])

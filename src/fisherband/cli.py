@@ -83,7 +83,7 @@ def load_model_file(path, with_endpoints: bool = True):
         grid = build_grid(
             float(need(grid_spec, "nu0", "grid")),
             float(need(grid_spec, "bandwidth_B", "grid")),
-            int(need(grid_spec, "n_freqs", "grid")),
+            need(grid_spec, "n_freqs", "grid"),
         )
     except (TypeError, ValueError) as exc:
         raise ModelFileError(f"bad grid specification: {exc}") from exc

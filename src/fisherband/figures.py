@@ -50,8 +50,6 @@ class ExperimentConfig:
         numbers = (self.dpsi0, self.gamma_ratio, self.snr1, lo, hi)
         if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in numbers):
             raise ValueError("dpsi0, gamma_ratio, snr1 and the sweep bounds must be finite numbers")
-        if not isinstance(self.n_freqs, int):
-            raise ValueError("n_freqs must be a whole number")
         if lo < 0.0 or hi <= lo:
             raise ValueError("sweep bounds must satisfy 0 <= min < max")
         if not isinstance(n_points, int) or n_points < 2:

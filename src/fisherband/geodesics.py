@@ -119,7 +119,6 @@ class EmbeddingChart:
     _amplitudes = slice(None)
 
     def __init__(self, noise: NoiseProfile):
-        self.noise = noise
         self._w = np.repeat(noise.weights, 2)
 
     def _flat_speed(self, head, head_vel, block_sq) -> np.ndarray:
@@ -139,8 +138,6 @@ class AlphaPhaseChart:
 
     def __init__(self, noise: NoiseProfile, rho0):
         template = Template(noise, rho0)
-        self.noise = noise
-        self.rho0 = template.rho0
         self._w = template.weights
         self.omega0 = template.omega0
 
@@ -236,7 +233,7 @@ class AlphaGeodesic:
         for name in ("psi1", "dpsi"):
             object.__setattr__(self, name, readonly(getattr(self, name)))
         check_attenuation(self.alpha1, self.alpha2)
-        if not 0.0 <= self.delta <= np.pi + 1e-12:
+        if not 0.0 <= self.delta <= math.pi:
             raise ValueError("delta must lie in [0, pi]")
         half = np.sin(0.5 * self.delta)
         h = float(half * half)

@@ -207,8 +207,8 @@ class FreeSpectrumModel(ParametricSignalModel):
     def magnitude(self, phi, grid: FrequencyGrid) -> np.ndarray:
         self._check_grid(grid)
         phi = np.asarray(phi, dtype=float)
-        if np.any(phi < 0.0):
-            raise ValueError("per-bin magnitudes must be non-negative")
+        if not in_range(phi, 0.0, lo_closed=True):
+            raise ValueError("per-bin magnitudes must be finite and non-negative")
         return phi.copy()
 
     def phase_unwrapped(self, varphi, grid: FrequencyGrid) -> np.ndarray:

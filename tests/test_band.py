@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -187,7 +188,7 @@ class TestGrid:
         assert grid.freqs[0] == pytest.approx(0.00025)
         assert grid.freqs[-1] == pytest.approx(0.49975)
         assert np.all(grid.freqs > 0)
-        assert grid.spacing == pytest.approx(5e-4)
+        assert np.diff(grid.freqs) == pytest.approx(np.full(999, 5e-4))
 
     def test_four_bin_band_frozen(self):
         # direct arithmetic: start 0.125, step 0.0625, centres at half-steps
@@ -209,16 +210,32 @@ class TestGrid:
 
     def test_equispacing_enforced(self):
         with pytest.raises(ValueError):
-            FrequencyGrid(0.25, 0.3, 3, np.array([0.1, 0.2, 0.4]))
+            FrequencyGrid(np.array([0.1, 0.2, 0.4]))
         with pytest.raises(ValueError):
-            FrequencyGrid(0.25, 0.3, 3, np.array([0.3, 0.2, 0.1]))
+            FrequencyGrid(np.array([0.3, 0.2, 0.1]))
 
-    def test_from_freqs_round_trip(self):
+    def test_grid_is_its_freqs(self):
         grid = build_grid(0.3, 0.2, 16)
-        again = FrequencyGrid.from_freqs(grid.freqs)
-        np.testing.assert_array_equal(grid.freqs, again.freqs)
-        assert again.nu0 == pytest.approx(grid.nu0, rel=1e-15)
-        assert again.bandwidth_B == pytest.approx(grid.bandwidth_B, rel=1e-12)
+        assert [f.name for f in dataclasses.fields(FrequencyGrid)] == ["freqs"]
+        again = FrequencyGrid(grid.freqs)
+        assert again.freqs.tobytes() == grid.freqs.tobytes() and not again.freqs.flags.writeable
+        # the band is still read from the frequencies: their centre and n times their step
+        n, f = again.n_freqs, again.freqs
+        assert 0.5 * (f[0] + f[-1]) == pytest.approx(0.3, rel=1e-15)
+        assert (f[-1] - f[0]) / (n - 1) * n == pytest.approx(0.2, rel=1e-12)
+
+    @pytest.mark.parametrize("n_freqs", [16.9, 16.0, 2.5, np.float64(3.0), True, "16", None])
+    def test_n_freqs_must_be_whole(self, n_freqs):
+        with _raises_exactly("n_freqs must be a whole number"):
+            build_grid(0.25, 0.2, n_freqs)
+
+    def test_integer_n_freqs_of_any_type(self):
+        assert build_grid(0.25, 0.2, np.int64(16)).freqs.tobytes() == build_grid(0.25, 0.2, 16).freqs.tobytes()
+
+    @pytest.mark.parametrize("bandwidth_B", [0.0, -0.1, math.inf, math.nan])
+    def test_bandwidth_positive_and_finite(self, bandwidth_B):
+        with _raises_exactly("bandwidth_B must be positive and finite"):
+            build_grid(0.25, bandwidth_B, 4)
 
 
 class TestContainers:
@@ -503,14 +520,19 @@ class TestSerialization:
         header = path.read_text().splitlines()[0]
         assert header == "nu,gamma0,rho,psi"
 
-    def test_csv_single_bin(self, tmp_path):
-        grid = build_grid(0.25, 0.1, 1)
-        noise = NoiseProfile.flat(1.0, 1)
-        spec = SignalSpectrum([1.0], [0.5])
-        path = tmp_path / "one.csv"
-        save_band_csv(path, grid, noise, spec)
-        grid2, _, _ = load_band_csv(path)
-        np.testing.assert_array_equal(grid2.freqs, grid.freqs)
+    @pytest.mark.parametrize("n_bins", [1, 7])
+    def test_csv_round_trip_keeps_the_grid(self, tmp_path, n_bins):
+        # a 0.2-wide band on 1 or 7 bins: no width or centre is guessed back from the list
+        grid = build_grid(0.3, 0.2, n_bins)
+        rng = np.random.default_rng(n_bins)
+        noise = NoiseProfile(rng.uniform(0.5, 2.0, n_bins))
+        spec = SignalSpectrum(rng.uniform(0, 3, n_bins), wrap_phase(rng.uniform(-np.pi, np.pi, n_bins)))
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        save_band_csv(first, grid, noise, spec)
+        grid2, noise2, spec2 = load_band_csv(first)
+        assert grid2.freqs.tobytes() == grid.freqs.tobytes()
+        save_band_csv(second, grid2, noise2, spec2)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_csv_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -665,7 +687,7 @@ class TestRangeChecks:
     @pytest.mark.parametrize(
         "call,message",
         [
-            (lambda b: FrequencyGrid(0.2, 0.3, 3, [0.1, b, 0.3]), "frequencies must be finite and strictly positive"),
+            (lambda b: FrequencyGrid([0.1, b, 0.3]), "frequencies must be finite and strictly positive"),
             (lambda b: NoiseProfile([1.0, b, 2.0]), "gamma0 must be strictly positive and finite"),
             (lambda b: SignalSpectrum([1.0, b], [0.0, 0.0]), "rho must be finite and non-negative"),
             (lambda b: SignalSpectrum([1.0, 1.0], [b, 0.0]), "psi must be finite"),
@@ -677,9 +699,13 @@ class TestRangeChecks:
             (lambda b: band_energy(NoiseProfile.flat(1.0, 2), [b, 1.0]), "rho0 must be finite and non-negative"),
             (lambda b: Template(NoiseProfile.flat(1.0, 2), [1.0, b]), "rho0 must be finite and non-negative"),
             (lambda b: check_attenuation(1.0, np.array([1.0, b])), "alpha must be positive and finite"),
+            (
+                lambda b: FreeSpectrumModel(3).magnitude([b, 1.0, 1.0], build_grid(0.25, 0.3, 3)),
+                "per-bin magnitudes must be finite and non-negative",
+            ),
         ],
         ids=["freqs", "gamma0", "rho", "psi", "psi-beside-out-of-range", "observation-real", "observation-imag",
-             "model-rho0", "phase-coeffs", "template-weights", "template", "attenuations"],
+             "model-rho0", "phase-coeffs", "template-weights", "template", "attenuations", "free-magnitudes"],
     )
     def test_non_finite_entries_named(self, call, message, bad):
         with _raises_exactly(message):
@@ -698,11 +724,11 @@ class TestRangeChecks:
 
     def test_later_negative_frequency_is_not_increasing(self):
         with _raises_exactly("frequencies must be strictly increasing"):
-            FrequencyGrid(0.2, 0.3, 3, [0.1, -0.2, 0.3])
+            FrequencyGrid([0.1, -0.2, 0.3])
         with _raises_exactly("frequencies must be finite and strictly positive"):
-            FrequencyGrid(0.2, 0.3, 3, [-0.1, 0.2, 0.3])
+            FrequencyGrid([-0.1, 0.2, 0.3])
         with _raises_exactly("frequencies must be strictly increasing"):
-            FrequencyGrid(0.2, 0.3, 3, [0.1, 0.1, 0.3])
+            FrequencyGrid([0.1, 0.1, 0.3])
 
     @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, math.inf, math.nan])
     def test_attenuation_arrays(self, bad):

@@ -287,6 +287,7 @@ class TestCli:
             ({"btau_sweep": [0, 20, 400.5]}, "whole number of points"),
             ({"dpsi0": "x"}, "finite numbers"),
             ({"gamma_ratio": float("nan")}, "finite numbers"),
+            ({"n_freqs": 16.0}, "n_freqs must be a whole number"),
         ],
     )
     def test_figure_bad_config_named(self, tmp_path, capsys, override, fragment):
@@ -336,6 +337,17 @@ class TestCli:
         bad.write_text("{}")
         assert main(["inspect", "metric", str(bad)]) == 2
         assert "missing field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_freqs, code", [(16.9, 2), (16.0, 2), ("16", 2), (True, 2), (16, 0)])
+    def test_model_file_n_freqs_whole(self, model_file, tmp_path, capsys, n_freqs, code):
+        # build_grid's rule, as a figure config meets it: the JSON value is not converted
+        payload = json.loads(model_file.read_text())
+        payload.update(grid={"nu0": 0.25, "bandwidth_B": 0.4, "n_freqs": n_freqs}, noise={"gamma0": 2.0}, rho0=1.0)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        assert main(["inspect", "metric", str(path)]) == code
+        err = capsys.readouterr().err
+        assert err == ("error: bad grid specification: n_freqs must be a whole number\n" if code else "")
 
     def test_endpoints_are_read_by_inspect_alone(self, model_file, tmp_path, capsys):
         # distance takes the band from a file with no endpoints, and reports as with them

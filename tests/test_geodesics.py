@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fisherband import (
+    AlphaGeodesic,
     AlphaPhaseChart,
     ConvergenceError,
     DegenerateGeodesicWarning,
@@ -329,6 +330,14 @@ class TestDegenerateGeodesic:
         _, after = _at(geo, (1 + crossing) / 2)
         np.testing.assert_allclose(before, psi1, atol=1e-6)
         np.testing.assert_allclose(wrap_phase(after - psi2), 0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("delta", [math.nextafter(math.pi, 4.0), math.pi + 5e-13, -5e-324, math.nan])
+    def test_delta_range_is_exactly_zero_to_pi(self, delta):
+        # the range Template.phase_gap returns and ratio_time_delay accepts
+        psi1, dpsi = np.zeros(4), np.full(4, math.pi)
+        assert AlphaGeodesic(1.0, 1.5, math.pi, psi1, dpsi, 4.0).degenerate
+        with pytest.raises(ValueError, match=r"^delta must lie in \[0, pi\]$"):
+            AlphaGeodesic(1.0, 1.5, delta, psi1, dpsi, 4.0)
 
 
 class TestShooting:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -201,13 +202,17 @@ class FrequencyGrid:
 def build_grid(nu0: float, bandwidth_B: float, n_freqs: int) -> FrequencyGrid:
     """Grid of ``n_freqs`` bin-centre frequencies filling the open band (nu0-B/2, nu0+B/2).
 
-    The one owner of the band rules: ``n_freqs`` is a whole number (an int
-    or numpy integer; a float, even a whole one, and a bool are not) of at
-    least 1, the bandwidth is positive and finite, and the band start
+    The one owner of the band rules: ``nu0`` and ``bandwidth_B`` are real
+    numbers (a bool or a string is not), ``n_freqs`` is a whole number (an
+    int or numpy integer; a float, even a whole one, and a bool are not) of
+    at least 1, the bandwidth is positive and finite, and the band start
     ``nu0 - B/2`` is non-negative.  The band may start exactly at zero
     frequency; the centres stay strictly positive, so the band edges stay
     open.
     """
+    for name, value in (("nu0", nu0), ("bandwidth_B", bandwidth_B)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number")
     if isinstance(n_freqs, bool):
         raise ValueError("n_freqs must be a whole number")
     try:

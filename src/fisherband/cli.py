@@ -81,8 +81,8 @@ def load_model_file(path, with_endpoints: bool = True):
     grid_spec = need(payload, "grid", "")
     try:
         grid = build_grid(
-            float(need(grid_spec, "nu0", "grid")),
-            float(need(grid_spec, "bandwidth_B", "grid")),
+            need(grid_spec, "nu0", "grid"),
+            need(grid_spec, "bandwidth_B", "grid"),
             need(grid_spec, "n_freqs", "grid"),
         )
     except (TypeError, ValueError) as exc:
@@ -160,7 +160,7 @@ def _cmd_inspect(args) -> int:
         payload = christoffel(first, first.xi, grid, noise).to_json_dict()
     else:
         psi1, psi2 = (m.phase_unwrapped(m.phase_coeffs, grid) for m in models)
-        payload = solve_alpha_geodesic(models[0].alpha, models[1].alpha, psi1, psi2, grid, noise, rho0).to_json_dict()
+        payload = solve_alpha_geodesic(models[0].alpha, models[1].alpha, psi1, psi2, noise, rho0).to_json_dict()
     text = json.dumps(payload, indent=2)
     if args.output:
         with open(args.output, "w") as handle:

@@ -22,7 +22,9 @@ distances come from one batched kernel, :func:`known_mag_distances`, which
 takes the endpoint phases and forms their wrapped gap and its weighted RMS
 delta once, through :meth:`~fisherband.band.Template.phase_gap`; the scalar
 functions, :func:`report`, the figure sweep and the ``distance`` command are
-views of it.
+views of it.  The scalar functions take ``(alpha1, alpha2, psi1, psi2, noise,
+rho0)`` and no grid: the band enters only through the template's ``omega0``
+and ``delta``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import numpy as np
 
 from .band import (
     ChartMismatchError,
-    FrequencyGrid,
     NoiseProfile,
     SignalSpectrum,
     Template,
@@ -91,10 +92,9 @@ def known_mag_distances(template: Template, alpha1, alpha2, psi1, psi2):
     return d[..., 0], d[..., 1], delta
 
 
-def _pair(alpha1, alpha2, psi1, psi2, grid: FrequencyGrid, noise: NoiseProfile, rho0):
+def _pair(alpha1, alpha2, psi1, psi2, noise: NoiseProfile, rho0):
     """The template and the kernel's ``d_full, d_alpha, delta`` for one endpoint pair."""
     template = Template(noise, rho0)
-    check_aligned(grid=grid.n_freqs, noise=noise.n_freqs, rho0=template.n_freqs)
     return (template, *map(float, known_mag_distances(template, alpha1, alpha2, psi1, psi2)))
 
 
@@ -132,34 +132,28 @@ def distance_full_embedding(s1: SignalSpectrum, s2: SignalSpectrum, noise: Noise
     return unscale(math.sqrt(float(np.sum(noise.weights * (re * re + im * im)))), top)
 
 
-def distance_alpha(
-    alpha1: float, alpha2: float, psi1, psi2, grid: FrequencyGrid, noise: NoiseProfile, rho0
-) -> float:
+def distance_alpha(alpha1: float, alpha2: float, psi1, psi2, noise: NoiseProfile, rho0) -> float:
     """Distance measured inside the known-magnitude submanifold.
 
     ``sqrt(omega0) * sqrt(alpha2^2 + alpha1^2 - 2 alpha1 alpha2 cos delta)``
     with delta the weighted RMS wrapped phase difference.
     """
-    _, _, d_alpha, _ = _pair(alpha1, alpha2, psi1, psi2, grid, noise, rho0)
+    _, _, d_alpha, _ = _pair(alpha1, alpha2, psi1, psi2, noise, rho0)
     return d_alpha
 
 
-def distance_full_known_mag(
-    alpha1: float, alpha2: float, psi1, psi2, grid: FrequencyGrid, noise: NoiseProfile, rho0
-) -> float:
+def distance_full_known_mag(alpha1: float, alpha2: float, psi1, psi2, noise: NoiseProfile, rho0) -> float:
     """Full-manifold distance specialized to proportional magnitudes.
 
     ``sqrt(omega0) * sqrt(alpha2^2 + alpha1^2 - 2 alpha1 alpha2 C)`` where C
     is the template-weighted mean of cos(dpsi); equals :func:`distance_full`
     on the induced spectra.
     """
-    _, d_full, _, _ = _pair(alpha1, alpha2, psi1, psi2, grid, noise, rho0)
+    _, d_full, _, _ = _pair(alpha1, alpha2, psi1, psi2, noise, rho0)
     return d_full
 
 
-def small_phase_equivalent(
-    alpha1: float, alpha2: float, psi1, psi2, grid: FrequencyGrid, noise: NoiseProfile, rho0
-) -> float:
+def small_phase_equivalent(alpha1: float, alpha2: float, psi1, psi2, noise: NoiseProfile, rho0) -> float:
     """Shared small-phase limit of both distances.
 
     ``sqrt(SNR1) * sqrt((gamma - 1)^2 + gamma * delta^2)`` with
@@ -168,7 +162,7 @@ def small_phase_equivalent(
     as ``sqrt(omega0)`` times the chord with ``h = (delta/2)^2``, the limit of
     ``sin^2(delta/2)``, so it is homogeneous of degree one in the attenuations.
     """
-    template, _, _, delta = _pair(alpha1, alpha2, psi1, psi2, grid, noise, rho0)
+    template, _, _, delta = _pair(alpha1, alpha2, psi1, psi2, noise, rho0)
     c, e = scaled_chord(alpha1, alpha2, (0.5 * delta) ** 2)
     return unscale(math.sqrt(template.omega0 * c), e)
 

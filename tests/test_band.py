@@ -23,6 +23,7 @@ from fisherband import (
     distance_alpha,
     distance_full,
     distance_full_embedding,
+    distance_full_known_mag,
     fisher_matrix,
     in_range,
     known_mag_distances,
@@ -34,6 +35,8 @@ from fisherband import (
     sample_observation,
     save_band_csv,
     scaled_chord,
+    shoot_alpha_geodesic,
+    small_phase_equivalent,
     solve_alpha_geodesic,
     straight_line_geodesic,
     unscale,
@@ -237,6 +240,15 @@ class TestGrid:
         with _raises_exactly("bandwidth_B must be positive and finite"):
             build_grid(0.25, bandwidth_B, 4)
 
+    @pytest.mark.parametrize("value", ["0.25", True, np.True_, None, [0.25]])
+    @pytest.mark.parametrize("field", ["nu0", "bandwidth_B"])
+    def test_band_centre_and_width_must_be_real(self, field, value):
+        with _raises_exactly(f"{field} must be a real number"):
+            build_grid(**{"nu0": 0.25, "bandwidth_B": 0.2, "n_freqs": 4, field: value})
+
+    def test_real_band_values_of_any_type(self):
+        assert build_grid(1, np.float64(0.5), 4).freqs.tobytes() == build_grid(1.0, 0.5, 4).freqs.tobytes()
+
 
 class TestContainers:
     def test_noise_positive(self):
@@ -423,9 +435,8 @@ class TestTemplate:
         noise = NoiseProfile.flat(gamma0, 4)
         with pytest.raises(ValueError, match="overflow"):
             Template(noise, rho0)
-        grid = build_grid(0.25, 0.4, 4)
         with pytest.raises(ValueError, match="overflow"):
-            distance_alpha(1.0, 2.0, np.zeros(4), np.full(4, 0.5), grid, noise, np.asarray(rho0))
+            distance_alpha(1.0, 2.0, np.zeros(4), np.full(4, 0.5), noise, np.asarray(rho0))
 
     def test_phase_gap_broadcasts_over_rows(self):
         noise, rho0, rng = self._pair()
@@ -447,9 +458,9 @@ class TestTemplate:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda grid, noise, rho0, p1, p2: Template(noise, rho0).phase_gap(p1, p2),
-            lambda grid, noise, rho0, p1, p2: distance_alpha(1.0, 1.0, p1, p2, grid, noise, rho0),
-            lambda grid, noise, rho0, p1, p2: solve_alpha_geodesic(1.0, 1.0, p1, p2, grid, noise, rho0),
+            lambda noise, rho0, p1, p2: Template(noise, rho0).phase_gap(p1, p2),
+            lambda noise, rho0, p1, p2: distance_alpha(1.0, 1.0, p1, p2, noise, rho0),
+            lambda noise, rho0, p1, p2: solve_alpha_geodesic(1.0, 1.0, p1, p2, noise, rho0),
         ],
         ids=["phase_gap", "distance_alpha", "solve_alpha_geodesic"],
     )
@@ -461,7 +472,7 @@ class TestTemplate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"phase gap psi2 - psi1 is not finite"):
-                call(grid, NoiseProfile.flat(2.0, 4), np.ones(4), psi1, -psi1)
+                call(NoiseProfile.flat(2.0, 4), np.ones(4), psi1, -psi1)
 
 
 class TestScaledChord:
@@ -549,13 +560,13 @@ class TestBandRules:
         [
             (lambda g5, n4, s4, s5: known_mag_distances(Template(n4, np.ones(4)), 1.0, 1.0, np.zeros(5), 0.0),
              "psi1 5, template 4"),
-            (lambda g5, n4, s4, s5: distance_alpha(1.0, 1.0, np.zeros(4), np.zeros(4), g5, n4, np.ones(4)),
-             "grid 5, noise 4, rho0 4"),
+            (lambda g5, n4, s4, s5: distance_alpha(1.0, 1.0, np.zeros(4), np.zeros(4), n4, np.ones(5)),
+             "noise 4, rho0 5"),
             (lambda g5, n4, s4, s5: distance_full(s4, s5, n4), "s1 4, s2 5, noise 4"),
             (lambda g5, n4, s4, s5: distance_full_embedding(s4, s5, n4), "s1 4, s2 5, noise 4"),
             (lambda g5, n4, s4, s5: straight_line_geodesic(s4, s5), "mu1 4, mu2 5"),
-            (lambda g5, n4, s4, s5: solve_alpha_geodesic(1.0, 1.0, np.zeros(4), np.zeros(4), g5, n4, np.ones(4)),
-             "grid 5, noise 4, rho0 4"),
+            (lambda g5, n4, s4, s5: solve_alpha_geodesic(1.0, 1.0, np.zeros(4), np.zeros(4), n4, np.ones(5)),
+             "noise 4, rho0 5"),
             (lambda g5, n4, s4, s5: fisher_matrix(KnownMagnitudeModel(np.ones(5)), [1.0, 0.0], g5, n4),
              "grid 5, noise 4"),
             (lambda g5, n4, s4, s5: KnownMagnitudeModel(np.ones(4)).magnitude([1.0], g5), "grid 5, rho0 4"),
@@ -569,14 +580,34 @@ class TestBandRules:
         with pytest.raises(ValueError, match=f"^misaligned band lengths: {lengths}$"):
             call(build_grid(0.25, 0.4, 5), NoiseProfile.flat(1.0, 4), s4, s5)
 
+    @pytest.mark.parametrize(
+        "route",
+        [distance_alpha, distance_full_known_mag, small_phase_equivalent, solve_alpha_geodesic, shoot_alpha_geodesic],
+    )
+    def test_known_magnitude_routes_take_no_grid(self, route):
+        # a call in the old form (a1, a2, psi1, psi2, grid, noise, rho0) fails to bind, rather
+        # than reading the grid as the noise and the noise as the template
+        psi1, psi2 = np.zeros(4), np.full(4, 0.5)
+        noise, rho0 = NoiseProfile.flat(1.0, 4), np.ones(4)
+        with pytest.raises(TypeError, match="takes 6 positional arguments but 7 were given"):
+            route(1.0, 1.5, psi1, psi2, build_grid(0.25, 0.4, 4), noise, rho0)
+        route(1.0, 1.5, psi1, psi2, noise, rho0)
+
+    def test_shooting_steps_are_keyword_only(self):
+        psi1, psi2 = np.zeros(4), np.full(4, 0.5)
+        noise, rho0 = NoiseProfile.flat(1.0, 4), np.ones(4)
+        with pytest.raises(TypeError, match="takes 6 positional arguments but 7 were given"):
+            shoot_alpha_geodesic(1.0, 1.5, psi1, psi2, noise, rho0, 400)
+        assert len(shoot_alpha_geodesic(1.0, 1.5, psi1, psi2, noise, rho0, n_steps=400).sigmas) == 401
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
     @pytest.mark.parametrize(
         "call",
         [
-            lambda grid, a: distance_alpha(a, 1.0, np.zeros(3), np.ones(3), grid, NoiseProfile.flat(1.0, 3), np.ones(3)),
+            lambda grid, a: distance_alpha(a, 1.0, np.zeros(3), np.ones(3), NoiseProfile.flat(1.0, 3), np.ones(3)),
             lambda grid, a: KnownMagnitudeModel(np.ones(3), alpha=a),
             lambda grid, a: KnownMagnitudeModel(np.ones(3)).magnitude([a], grid),
-            lambda grid, a: solve_alpha_geodesic(1.0, a, np.zeros(3), np.ones(3), grid, NoiseProfile.flat(1.0, 3), np.ones(3)),
+            lambda grid, a: solve_alpha_geodesic(1.0, a, np.zeros(3), np.ones(3), NoiseProfile.flat(1.0, 3), np.ones(3)),
         ],
         ids=["distance_alpha", "KnownMagnitudeModel", "magnitude", "solve_alpha_geodesic"],
     )

@@ -38,20 +38,19 @@ from fisherband import (
 
 def _band(n, seed=0):
     rng = np.random.default_rng(seed)
-    grid = build_grid(0.25, 0.4, n)
     noise = NoiseProfile(rng.uniform(0.5, 2.0, n))
     rho0 = rng.uniform(0.1, 2.0, n)
-    return grid, noise, rho0, rng
+    return noise, rho0, rng
 
 
 def _beyond_the_range():
     """Spectra at alpha 1e308 and 1 on a template of peak 1, with their known-magnitude arguments."""
-    grid, noise, rho0, rng = _band(8, seed=25)
+    noise, rho0, rng = _band(8, seed=25)
     rho0 = rho0 / rho0.max()
     assert math.sqrt(Template(noise, rho0).omega0) > 2.0
     psi1, psi2 = (wrap_phase(rng.uniform(-np.pi, np.pi, 8)) for _ in range(2))
     s1, s2 = SignalSpectrum(1e308 * rho0, psi1), SignalSpectrum(rho0, psi2)
-    return s1, s2, noise, (1e308, 1.0, psi1, psi2, grid, noise, rho0)
+    return s1, s2, noise, (1e308, 1.0, psi1, psi2, noise, rho0)
 
 
 def _random_spectrum(rng, n):
@@ -154,61 +153,60 @@ class TestDistanceFull:
 
 class TestDistanceAlpha:
     def test_equal_phases_collapse_to_difference(self):
-        grid, noise, rho0, rng = _band(8, seed=4)
+        noise, rho0, rng = _band(8, seed=4)
         psi = wrap_phase(rng.uniform(-np.pi, np.pi, 8))
         omega0 = band_energy(noise, rho0)
-        got = distance_alpha(0.4, 2.3, psi, psi, grid, noise, rho0)
+        got = distance_alpha(0.4, 2.3, psi, psi, noise, rho0)
         assert got == pytest.approx(math.sqrt(omega0) * (2.3 - 0.4), rel=1e-14)
 
     def test_quarter_turn_reference_value(self):
         # omega0 = 2 (one bin, rho0 = 1, gamma0 = 1), delta = pi/2:
         # sqrt(2) * sqrt(1 + 1 - 0) = 2
-        grid = build_grid(0.25, 0.1, 1)
         noise = NoiseProfile.flat(1.0, 1)
-        got = distance_alpha(1.0, 1.0, [0.0], [math.pi / 2], grid, noise, [1.0])
+        got = distance_alpha(1.0, 1.0, [0.0], [math.pi / 2], noise, [1.0])
         assert got == pytest.approx(2.0, rel=1e-15)
 
     def test_constant_shift_equals_full_distance(self):
-        grid, noise, rho0, rng = _band(16, seed=5)
+        noise, rho0, rng = _band(16, seed=5)
         for _ in range(30):
             a1 = float(np.exp(rng.uniform(np.log(0.1), np.log(10))))
             a2 = float(np.exp(rng.uniform(np.log(0.1), np.log(10))))
             psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, 16))
             shift = float(rng.uniform(-np.pi, np.pi))
             psi2 = wrap_phase(psi1 + shift)
-            d_sub = distance_alpha(a1, a2, psi1, psi2, grid, noise, rho0)
+            d_sub = distance_alpha(a1, a2, psi1, psi2, noise, rho0)
             d_full = distance_full(
                 SignalSpectrum(a1 * rho0, psi1), SignalSpectrum(a2 * rho0, psi2), noise
             )
             assert abs(d_sub - d_full) <= 1e-12 * (1.0 + d_full)
 
     def test_dominates_full_distance(self):
-        grid, noise, rho0, rng = _band(24, seed=6)
+        noise, rho0, rng = _band(24, seed=6)
         for _ in range(200):
             a1 = float(np.exp(rng.uniform(np.log(0.1), np.log(10))))
             a2 = float(np.exp(rng.uniform(np.log(0.1), np.log(10))))
             psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, 24))
             psi2 = wrap_phase(rng.uniform(-np.pi, np.pi, 24))
-            d_sub = distance_alpha(a1, a2, psi1, psi2, grid, noise, rho0)
+            d_sub = distance_alpha(a1, a2, psi1, psi2, noise, rho0)
             d_full = distance_full(
                 SignalSpectrum(a1 * rho0, psi1), SignalSpectrum(a2 * rho0, psi2), noise
             )
             assert d_sub >= d_full - 1e-12 * (1.0 + d_full)
 
     def test_swap_symmetry(self):
-        grid, noise, rho0, rng = _band(8, seed=7)
+        noise, rho0, rng = _band(8, seed=7)
         psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, 8))
         psi2 = wrap_phase(rng.uniform(-np.pi, np.pi, 8))
-        d12 = distance_alpha(0.7, 1.9, psi1, psi2, grid, noise, rho0)
-        d21 = distance_alpha(1.9, 0.7, psi2, psi1, grid, noise, rho0)
+        d12 = distance_alpha(0.7, 1.9, psi1, psi2, noise, rho0)
+        d21 = distance_alpha(1.9, 0.7, psi2, psi1, noise, rho0)
         assert d12 == pytest.approx(d21, rel=1e-15)
 
     def test_matches_geodesic_length(self):
-        grid, noise, rho0, rng = _band(10, seed=8)
+        noise, rho0, rng = _band(10, seed=8)
         psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, 10))
         psi2 = wrap_phase(psi1 + rng.uniform(-2.0, 2.0, 10))
-        geo = solve_alpha_geodesic(0.6, 1.7, psi1, psi2, grid, noise, rho0)
-        d = distance_alpha(0.6, 1.7, psi1, psi2, grid, noise, rho0)
+        geo = solve_alpha_geodesic(0.6, 1.7, psi1, psi2, noise, rho0)
+        d = distance_alpha(0.6, 1.7, psi1, psi2, noise, rho0)
         assert d == pytest.approx(geo.length, rel=1e-15)
         path = sample_alpha_geodesic(geo, 257)
         quad = path_length(AlphaPhaseChart(noise, rho0), path, n_quad=16)
@@ -217,42 +215,42 @@ class TestDistanceAlpha:
 
 class TestKnownMagFullDistance:
     def test_coincident(self):
-        grid, noise, rho0, _ = _band(6, seed=9)
+        noise, rho0, _ = _band(6, seed=9)
         psi = np.zeros(6)
-        assert distance_full_known_mag(1.2, 1.2, psi, psi, grid, noise, rho0) == 0.0
+        assert distance_full_known_mag(1.2, 1.2, psi, psi, noise, rho0) == 0.0
 
     def test_equals_generic_full_distance(self):
-        grid, noise, rho0, rng = _band(12, seed=10)
+        noise, rho0, rng = _band(12, seed=10)
         for _ in range(25):
             a1 = float(np.exp(rng.uniform(np.log(0.1), np.log(10))))
             a2 = float(np.exp(rng.uniform(np.log(0.1), np.log(10))))
             psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, 12))
             psi2 = wrap_phase(rng.uniform(-np.pi, np.pi, 12))
-            via_chart = distance_full_known_mag(a1, a2, psi1, psi2, grid, noise, rho0)
+            via_chart = distance_full_known_mag(a1, a2, psi1, psi2, noise, rho0)
             via_spectra = distance_full(
                 SignalSpectrum(a1 * rho0, psi1), SignalSpectrum(a2 * rho0, psi2), noise
             )
             assert via_chart == pytest.approx(via_spectra, rel=1e-12)
 
     def test_matches_alpha_distance_for_constant_shift(self):
-        grid, noise, rho0, rng = _band(9, seed=11)
+        noise, rho0, rng = _band(9, seed=11)
         psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, 9))
         psi2 = wrap_phase(psi1 + 1.1)
-        full = distance_full_known_mag(0.9, 1.4, psi1, psi2, grid, noise, rho0)
-        sub = distance_alpha(0.9, 1.4, psi1, psi2, grid, noise, rho0)
+        full = distance_full_known_mag(0.9, 1.4, psi1, psi2, noise, rho0)
+        sub = distance_alpha(0.9, 1.4, psi1, psi2, noise, rho0)
         assert full == pytest.approx(sub, rel=1e-13)
 
 
 class TestSmallPhaseEquivalent:
     def test_taylor_limit(self):
-        grid, noise, rho0, rng = _band(10, seed=12)
+        noise, rho0, rng = _band(10, seed=12)
         psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, 10))
         dpsi = rng.uniform(-1.0, 1.0, 10)
         for a1, a2 in ((1.0, 1.0), (0.5, 1.5)):
             eps = 1e-3
             psi2 = wrap_phase(psi1 + eps * dpsi)
-            approx = small_phase_equivalent(a1, a2, psi1, psi2, grid, noise, rho0)
-            d_sub = distance_alpha(a1, a2, psi1, psi2, grid, noise, rho0)
+            approx = small_phase_equivalent(a1, a2, psi1, psi2, noise, rho0)
+            d_sub = distance_alpha(a1, a2, psi1, psi2, noise, rho0)
             d_full = distance_full(
                 SignalSpectrum(a1 * rho0, psi1), SignalSpectrum(a2 * rho0, psi2), noise
             )
@@ -260,17 +258,17 @@ class TestSmallPhaseEquivalent:
             assert abs(d_full / approx - 1.0) < 1e-5
 
     def test_coincident_zero(self):
-        grid, noise, rho0, _ = _band(4, seed=13)
+        noise, rho0, _ = _band(4, seed=13)
         psi = np.zeros(4)
-        assert small_phase_equivalent(1.0, 1.0, psi, psi, grid, noise, rho0) == 0.0
+        assert small_phase_equivalent(1.0, 1.0, psi, psi, noise, rho0) == 0.0
 
     def test_swap_symmetry_identity(self):
         # swapping endpoints is the same map as gamma -> 1/gamma rescaled
-        grid, noise, rho0, rng = _band(8, seed=14)
+        noise, rho0, rng = _band(8, seed=14)
         psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, 8))
         psi2 = wrap_phase(psi1 + rng.uniform(-0.5, 0.5, 8))
-        forward = small_phase_equivalent(0.8, 2.0, psi1, psi2, grid, noise, rho0)
-        backward = small_phase_equivalent(2.0, 0.8, psi2, psi1, grid, noise, rho0)
+        forward = small_phase_equivalent(0.8, 2.0, psi1, psi2, noise, rho0)
+        backward = small_phase_equivalent(2.0, 0.8, psi2, psi1, noise, rho0)
         assert forward == pytest.approx(backward, rel=1e-12)
 
 
@@ -367,7 +365,6 @@ class TestHomogeneity:
     )
     def test_degree_one_in_the_attenuations(self, n, seed, log10_scale):
         rng = np.random.default_rng(seed)
-        grid = build_grid(0.25, 0.4, n)
         noise = NoiseProfile(rng.uniform(0.5, 2.0, n))
         rho0 = rng.uniform(0.1, 2.0, n)
         psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, n))
@@ -378,26 +375,26 @@ class TestHomogeneity:
         a1, a2 = (_round26(float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))) for _ in range(2))
         mag1, mag2 = (np.array([_round26(v) for v in rng.uniform(0.0, 3.0, n)]) for _ in range(2))
         for func in (distance_alpha, distance_full_known_mag):
-            base = func(a1, a2, psi1, psi2, grid, noise, rho0)
-            scaled = func(c * a1, c * a2, psi1, psi2, grid, noise, rho0)
+            base = func(a1, a2, psi1, psi2, noise, rho0)
+            scaled = func(c * a1, c * a2, psi1, psi2, noise, rho0)
             assert 0.0 < scaled < math.inf
             assert _within_ulps(scaled, c * base)
         base = _full(mag1, mag2, psi1, psi2, noise)
         scaled = _full(c * mag1, c * mag2, psi1, psi2, noise)
         assert 0.0 < scaled < math.inf
         assert _within_ulps(scaled, c * base)
-        d_alpha = distance_alpha(c * a1, c * a2, psi1, psi2, grid, noise, rho0)
+        d_alpha = distance_alpha(c * a1, c * a2, psi1, psi2, noise, rho0)
         d_full = _full(c * a1 * rho0, c * a2 * rho0, psi1, psi2, noise)
         assert d_alpha >= d_full - 4 * math.ulp(d_full)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e155, 1e160, 1e300])
     def test_extreme_scales(self, scale):
-        grid, noise, rho0, rng = _band(8, seed=21)
+        noise, rho0, rng = _band(8, seed=21)
         psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, 8))
         psi2 = wrap_phase(rng.uniform(-np.pi, np.pi, 8))
         for func in (distance_alpha, distance_full_known_mag, small_phase_equivalent):
-            unit = func(1.0, 2.0, psi1, psi2, grid, noise, rho0)
-            scaled = func(scale, 2.0 * scale, psi1, psi2, grid, noise, rho0)
+            unit = func(1.0, 2.0, psi1, psi2, noise, rho0)
+            scaled = func(scale, 2.0 * scale, psi1, psi2, noise, rho0)
             assert scaled == pytest.approx(scale * unit, rel=1e-15, abs=0.0)
         unit = _full(rho0, 2.0 * rho0, psi1, psi2, noise)
         scaled = _full(scale * rho0, 2.0 * scale * rho0, psi1, psi2, noise)
@@ -447,7 +444,6 @@ class TestKnownMagKernel:
     )
     def test_rows_equal_scalar_calls(self, n, n_rows, seed, scales):
         rng = np.random.default_rng(seed)
-        grid = build_grid(0.25, 0.4, n)
         noise = NoiseProfile(rng.uniform(0.5, 2.0, n))
         rho0 = rng.uniform(0.1, 2.0, n)
         psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, (n_rows, n)))
@@ -458,14 +454,14 @@ class TestKnownMagKernel:
         d_full, d_alpha, delta = known_mag_distances(Template(noise, rho0), a1, a2, psi1, psi2)
         assert d_full.shape == d_alpha.shape == delta.shape == (n_rows,)
         for k in range(n_rows):
-            args = (float(a1[k]), float(a2[k]), psi1[k], psi2[k], grid, noise, rho0)
+            args = (float(a1[k]), float(a2[k]), psi1[k], psi2[k], noise, rho0)
             assert _within_ulps(d_full[k], distance_full_known_mag(*args), 1)
             assert _within_ulps(d_alpha[k], distance_alpha(*args), 1)
             assert _within_ulps(delta[k], phase_rms_diff(psi1[k], psi2[k], noise, rho0), 1)
             assert 0.0 < d_full[k] <= d_alpha[k] * (1.0 + 1e-15) < math.inf
 
     def test_scalar_attenuations_broadcast_over_rows(self):
-        grid, noise, rho0, rng = _band(5, seed=22)
+        noise, rho0, rng = _band(5, seed=22)
         psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, (4, 5)))
         template = Template(noise, rho0)
         batch = known_mag_distances(template, 0.7, 1.9, psi1, 0.4)
@@ -484,7 +480,7 @@ class TestKnownMagKernel:
         ],
     )
     def test_validation(self, alpha1, width, fragment):
-        grid, noise, rho0, _ = _band(5, seed=23)
+        noise, rho0, _ = _band(5, seed=23)
         with pytest.raises(ValueError, match=fragment):
             known_mag_distances(Template(noise, rho0), alpha1, 1.0, np.zeros((2, width)), np.zeros((2, width)))
 
@@ -595,7 +591,7 @@ class TestRatioTimeDelay:
 
 class TestReport:
     def test_identical_spectra_flagged(self):
-        grid, noise, rho0, _ = _band(6, seed=15)
+        noise, rho0, _ = _band(6, seed=15)
         spec = SignalSpectrum(1.3 * rho0, np.zeros(6))
         rep = report(spec, spec, noise, rho0=rho0)
         assert rep.d_full == 0.0
@@ -609,7 +605,7 @@ class TestReport:
         assert rep.d_full == rep.d_alpha == rep.snr1 == math.inf and rep.ratio is None
 
     def test_without_template(self):
-        grid, noise, rho0, rng = _band(6, seed=16)
+        noise, rho0, rng = _band(6, seed=16)
         rep = report(_random_spectrum(rng, 6), _random_spectrum(rng, 6), noise)
         assert rep.d_alpha is None and rep.ratio is None and rep.omega0 is None
 
@@ -621,7 +617,7 @@ class TestReport:
             report(spec, spec, noise, rho0=tiny)
 
     def test_chart_mismatch_raises(self):
-        grid, noise, rho0, rng = _band(6, seed=17)
+        noise, rho0, rng = _band(6, seed=17)
         bad = SignalSpectrum(rho0 + rng.uniform(0.1, 0.2, 6), np.zeros(6))
         good = SignalSpectrum(2.0 * rho0, np.zeros(6))
         with pytest.raises(ChartMismatchError):
@@ -629,7 +625,7 @@ class TestReport:
 
     def test_chart_mismatch_raises_beyond_squared_overflow(self):
         # the norms of the residual gate would overflow to inf at this scale
-        grid, noise, rho0, rng = _band(6, seed=24)
+        noise, rho0, rng = _band(6, seed=24)
         good = SignalSpectrum(1e140 * rho0, np.zeros(6))
         bad = SignalSpectrum(1e160 * (rho0 + rng.uniform(0.1, 0.2, 6)), np.zeros(6))
         with pytest.raises(ChartMismatchError, match="not proportional"):
@@ -642,7 +638,7 @@ class TestReport:
             report(s1, s2, noise, rho0=tiny)
 
     def test_homothety(self):
-        grid, noise, rho0, rng = _band(12, seed=18)
+        noise, rho0, rng = _band(12, seed=18)
         psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, 12))
         psi2 = wrap_phase(rng.uniform(-np.pi, np.pi, 12))
         s1, s2 = SignalSpectrum(0.7 * rho0, psi1), SignalSpectrum(1.8 * rho0, psi2)
@@ -656,7 +652,7 @@ class TestReport:
         assert scaled.ratio == pytest.approx(base.ratio, rel=1e-12)
 
     def test_swap_invariance(self):
-        grid, noise, rho0, rng = _band(10, seed=19)
+        noise, rho0, rng = _band(10, seed=19)
         s1 = SignalSpectrum(0.6 * rho0, wrap_phase(rng.uniform(-np.pi, np.pi, 10)))
         s2 = SignalSpectrum(2.2 * rho0, wrap_phase(rng.uniform(-np.pi, np.pi, 10)))
         fwd = report(s1, s2, noise, rho0=rho0)
@@ -666,7 +662,7 @@ class TestReport:
         assert fwd.gamma_ratio == pytest.approx(1.0 / bwd.gamma_ratio, rel=1e-14)
 
     def test_json_dict_fields(self):
-        grid, noise, rho0, rng = _band(5, seed=20)
+        noise, rho0, rng = _band(5, seed=20)
         rep = report(
             SignalSpectrum(rho0, np.zeros(5)), SignalSpectrum(2 * rho0, np.zeros(5)), noise, rho0=rho0
         )

@@ -124,7 +124,7 @@ class TestRunFigureCase:
             d_full = distance_full(
                 SignalSpectrum(a1 * rho0, psi1), SignalSpectrum(a2 * rho0, psi2), noise
             )
-            d_sub = distance_alpha(a1, a2, psi1, psi2, grid, noise, rho0)
+            d_sub = distance_alpha(a1, a2, psi1, psi2, noise, rho0)
             assert rows[idx, 1] == pytest.approx(d_full, rel=1e-12, abs=1e-15)
             assert rows[idx, 2] == pytest.approx(d_sub, rel=1e-12, abs=1e-15)
 
@@ -288,6 +288,10 @@ class TestCli:
             ({"dpsi0": "x"}, "finite numbers"),
             ({"gamma_ratio": float("nan")}, "finite numbers"),
             ({"n_freqs": 16.0}, "n_freqs must be a whole number"),
+            ({"nu0": "0.25"}, "nu0 must be a real number"),
+            ({"nu0": True}, "nu0 must be a real number"),
+            ({"bandwidth_B": "0.5"}, "bandwidth_B must be a real number"),
+            ({"bandwidth_B": True}, "bandwidth_B must be a real number"),
         ],
     )
     def test_figure_bad_config_named(self, tmp_path, capsys, override, fragment):
@@ -348,6 +352,18 @@ class TestCli:
         assert main(["inspect", "metric", str(path)]) == code
         err = capsys.readouterr().err
         assert err == ("error: bad grid specification: n_freqs must be a whole number\n" if code else "")
+
+    @pytest.mark.parametrize("value", ["0.25", True])
+    @pytest.mark.parametrize("field", ["nu0", "bandwidth_B"])
+    def test_model_file_band_values_not_converted(self, model_file, tmp_path, capsys, field, value):
+        # the figure config's rule: a string or a bool is not a real number, and no float() makes it one
+        payload = json.loads(model_file.read_text())
+        spec = {"nu0": 0.25, "bandwidth_B": 0.4, "n_freqs": 16, field: value}
+        payload.update(grid=spec, noise={"gamma0": 2.0}, rho0=1.0)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        assert main(["inspect", "metric", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: bad grid specification: {field} must be a real number\n"
 
     def test_endpoints_are_read_by_inspect_alone(self, model_file, tmp_path, capsys):
         # distance takes the band from a file with no endpoints, and reports as with them
@@ -499,8 +515,8 @@ class TestCliOnLibraryRoutes:
         for row, (a1, c1), (a2, c2) in zip(rows, sides[::2], sides[1::2]):
             psi1, psi2 = _model_phases(grid, rho0, a1, c1), _model_phases(grid, rho0, a2, c2)
             wrapped_any |= bool(np.any(np.abs(psi2 - psi1) > math.pi))
-            assert float(row["d_alpha"]) == distance_alpha(a1, a2, psi1, psi2, grid, noise, rho0)
-            assert float(row["d_full"]) == distance_full_known_mag(a1, a2, psi1, psi2, grid, noise, rho0)
+            assert float(row["d_alpha"]) == distance_alpha(a1, a2, psi1, psi2, noise, rho0)
+            assert float(row["d_full"]) == distance_full_known_mag(a1, a2, psi1, psi2, noise, rho0)
             assert float(row["delta"]) == phase_rms_diff(psi1, psi2, noise, rho0)
         assert wrapped_any
 
@@ -523,8 +539,8 @@ class TestCliOnLibraryRoutes:
         grid, noise, rho0 = build_grid(0.25, 0.5, n), NoiseProfile.flat(2.0, n), np.ones(n)
         for row, (a1, c1), (a2, c2) in zip(rows, sides[::2], sides[1::2]):
             psi1, psi2 = _model_phases(grid, rho0, a1, c1), _model_phases(grid, rho0, a2, c2)
-            assert float(row["d_alpha"]) == distance_alpha(a1, a2, psi1, psi2, grid, noise, rho0)
-            assert float(row["d_full"]) == distance_full_known_mag(a1, a2, psi1, psi2, grid, noise, rho0)
+            assert float(row["d_alpha"]) == distance_alpha(a1, a2, psi1, psi2, noise, rho0)
+            assert float(row["d_full"]) == distance_full_known_mag(a1, a2, psi1, psi2, noise, rho0)
             assert float(row["delta"]) == phase_rms_diff(psi1, psi2, noise, rho0)
 
         # row 19, in the third block: its first side's phase overflows to inf on the upper bins
@@ -568,7 +584,7 @@ class TestCliOnLibraryRoutes:
         dumped = json.loads(capsys.readouterr().out)
         grid, noise, rho0, models = load_model_file(path)
         psi1, psi2 = (m.phase_unwrapped(m.phase_coeffs, grid) for m in models)
-        geo = solve_alpha_geodesic(1.0, 1.5, psi1, psi2, grid, noise, rho0)
+        geo = solve_alpha_geodesic(1.0, 1.5, psi1, psi2, noise, rho0)
         assert dumped["delta"] == geo.delta
         assert dumped["k1"] == geo.k1
         assert dumped["dpsi"] == geo.dpsi.tolist()

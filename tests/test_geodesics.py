@@ -181,9 +181,9 @@ class TestStraightLine:
 
 class TestSolveAlphaGeodesic:
     def test_equal_phases_affine(self):
-        grid, noise, rho0, _ = _band(6)
+        _, noise, rho0, _ = _band(6)
         psi = np.linspace(-1.0, 1.0, 6)
-        geo = solve_alpha_geodesic(0.7, 2.1, psi, psi, grid, noise, rho0)
+        geo = solve_alpha_geodesic(0.7, 2.1, psi, psi, noise, rho0)
         assert geo.delta == 0.0
         assert geo.K == 0.0
         assert geo.k1 == pytest.approx((2.1 - 0.7) ** 2, rel=1e-15)
@@ -195,12 +195,11 @@ class TestSolveAlphaGeodesic:
     def test_quarter_turn_constants(self):
         # equal attenuations, constant quarter-turn difference: the solved
         # constants collapse to (2, -1/2, 1)
-        grid = build_grid(0.25, 0.4, 8)
         noise = NoiseProfile.flat(1.0, 8)
         rho0 = np.ones(8)
         psi1 = np.zeros(8)
         psi2 = np.full(8, math.pi / 2)
-        geo = solve_alpha_geodesic(1.0, 1.0, psi1, psi2, grid, noise, rho0)
+        geo = solve_alpha_geodesic(1.0, 1.0, psi1, psi2, noise, rho0)
         assert geo.delta == pytest.approx(math.pi / 2, rel=1e-15)
         assert geo.k1 == pytest.approx(2.0, rel=1e-14)
         assert geo.k2 == pytest.approx(-0.5, rel=1e-14)
@@ -208,31 +207,31 @@ class TestSolveAlphaGeodesic:
         # bvp_residual is excluded here: delta = pi/2 is the tan pole
 
     def test_delta_always_in_unit_interval_of_pi(self):
-        grid, noise, rho0, rng = _band(16, seed=3)
+        _, noise, rho0, rng = _band(16, seed=3)
         for _ in range(25):
             psi1 = wrap_phase(rng.uniform(-9, 9, 16))
             psi2 = wrap_phase(rng.uniform(-9, 9, 16))
-            geo = solve_alpha_geodesic(1.0, 2.0, psi1, psi2, grid, noise, rho0)
+            geo = solve_alpha_geodesic(1.0, 2.0, psi1, psi2, noise, rho0)
             assert 0.0 <= geo.delta <= math.pi
 
     def test_bvp_residual_small_away_from_tan_pole(self):
-        grid, noise, rho0, rng = _band(12, seed=4)
+        _, noise, rho0, rng = _band(12, seed=4)
         for _ in range(30):
             a1 = float(np.exp(rng.uniform(np.log(0.1), np.log(10))))
             a2 = float(np.exp(rng.uniform(np.log(0.1), np.log(10))))
             psi1, psi2 = _phase_pair(rng, 12, rng.uniform(0.05, 3.0))
-            geo = solve_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0)
+            geo = solve_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0)
             if abs(geo.delta - math.pi / 2) < 0.2:
                 continue
             assert abs(geo.bvp_residual()) < 1e-8 * (1.0 + geo.k1**2)
 
     def test_boundary_values_reproduced(self):
-        grid, noise, rho0, rng = _band(10, seed=5)
+        _, noise, rho0, rng = _band(10, seed=5)
         for _ in range(20):
             a1 = float(np.exp(rng.uniform(np.log(0.1), np.log(10))))
             a2 = float(np.exp(rng.uniform(np.log(0.1), np.log(10))))
             psi1, psi2 = _phase_pair(rng, 10, rng.uniform(0.05, 3.0), mode="sign")
-            geo = solve_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0)
+            geo = solve_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0)
             alpha0, phases0 = _at(geo, 0.0)
             alpha1, phases1 = _at(geo, 1.0)
             assert alpha0 == pytest.approx(a1, rel=1e-10)
@@ -243,16 +242,16 @@ class TestSolveAlphaGeodesic:
             )
 
     def test_positive_alpha_required(self):
-        grid, noise, rho0, _ = _band(4)
+        _, noise, rho0, _ = _band(4)
         with pytest.raises(ValueError):
-            solve_alpha_geodesic(0.0, 1.0, np.zeros(4), np.zeros(4), grid, noise, rho0)
+            solve_alpha_geodesic(0.0, 1.0, np.zeros(4), np.zeros(4), noise, rho0)
         with pytest.raises(ValueError):
-            solve_alpha_geodesic(1.0, -2.0, np.zeros(4), np.zeros(4), grid, noise, rho0)
+            solve_alpha_geodesic(1.0, -2.0, np.zeros(4), np.zeros(4), noise, rho0)
 
     def test_coincident_endpoints(self):
-        grid, noise, rho0, _ = _band(4)
+        _, noise, rho0, _ = _band(4)
         psi = np.full(4, 0.25)
-        geo = solve_alpha_geodesic(1.3, 1.3, psi, psi, grid, noise, rho0)
+        geo = solve_alpha_geodesic(1.3, 1.3, psi, psi, noise, rho0)
         assert geo.k1 == 0.0
         assert geo.length == 0.0
         alpha, phases = _at(geo, 0.5)
@@ -264,18 +263,17 @@ class TestEvalAlphaGeodesic:
     """The closed-form geodesic evaluated at curve parameters: ``alpha_at`` and ``phase_mix_at``."""
 
     def test_quarter_turn_midpoint(self):
-        grid = build_grid(0.25, 0.4, 4)
         noise = NoiseProfile.flat(1.0, 4)
         rho0 = np.ones(4)
-        geo = solve_alpha_geodesic(1.0, 1.0, np.zeros(4), np.full(4, math.pi / 2), grid, noise, rho0)
+        geo = solve_alpha_geodesic(1.0, 1.0, np.zeros(4), np.full(4, math.pi / 2), noise, rho0)
         alpha, phases = _at(geo, 0.5)
         assert alpha == pytest.approx(math.sqrt(0.5), rel=1e-14)
         np.testing.assert_allclose(phases, math.pi / 4, rtol=1e-12)
 
     def test_scalar_sigma_equals_the_array_evaluation(self):
-        grid, noise, rho0, rng = _band(6, seed=31)
+        _, noise, rho0, rng = _band(6, seed=31)
         psi1, psi2 = _phase_pair(rng, 6, 2.0)
-        geo = solve_alpha_geodesic(0.7, 1.6, psi1, psi2, grid, noise, rho0)
+        geo = solve_alpha_geodesic(0.7, 1.6, psi1, psi2, noise, rho0)
         sigmas = np.linspace(0.0, 1.0, 11)
         for sigma, alpha, mix in zip(sigmas, geo.alpha_at(sigmas), geo.phase_mix_at(sigmas)):
             got_alpha, got_psi = _at(geo, sigma)
@@ -286,9 +284,9 @@ class TestEvalAlphaGeodesic:
 
     def test_angular_momentum_constant(self):
         # alpha^2 * dpsi/dsigma recovers the per-bin constants c
-        grid, noise, rho0, rng = _band(8, seed=7)
+        _, noise, rho0, rng = _band(8, seed=7)
         psi1, psi2 = _phase_pair(rng, 8, 2.0)
-        geo = solve_alpha_geodesic(0.8, 1.9, psi1, psi2, grid, noise, rho0)
+        geo = solve_alpha_geodesic(0.8, 1.9, psi1, psi2, noise, rho0)
         h = 1e-6
         for sigma in (0.12, 0.5, 0.83):
             a_mid = geo.alpha_at(sigma)
@@ -298,9 +296,9 @@ class TestEvalAlphaGeodesic:
             np.testing.assert_allclose(a_mid**2 * dpsi_dsigma, geo.c, rtol=1e-7, atol=1e-10)
 
     def test_constant_speed_equals_length_squared(self):
-        grid, noise, rho0, rng = _band(8, seed=8)
+        _, noise, rho0, rng = _band(8, seed=8)
         psi1, psi2 = _phase_pair(rng, 8, 2.5)
-        geo = solve_alpha_geodesic(0.5, 3.0, psi1, psi2, grid, noise, rho0)
+        geo = solve_alpha_geodesic(0.5, 3.0, psi1, psi2, noise, rho0)
         path = _uniform_path(geo, 2001)
         d_coords = np.diff(path.coords, axis=0) / np.diff(path.sigmas)[:, None]
         mid = 0.5 * (path.coords[1:] + path.coords[:-1])
@@ -312,13 +310,12 @@ class TestEvalAlphaGeodesic:
 
 class TestDegenerateGeodesic:
     def test_antipodal_flagged_and_jumps(self):
-        grid = build_grid(0.25, 0.4, 4)
         noise = NoiseProfile.flat(1.0, 4)
         rho0 = np.ones(4)
         psi1 = np.zeros(4)
         psi2 = np.full(4, math.pi)
         with pytest.warns(DegenerateGeodesicWarning):
-            geo = solve_alpha_geodesic(1.0, 1.5, psi1, psi2, grid, noise, rho0)
+            geo = solve_alpha_geodesic(1.0, 1.5, psi1, psi2, noise, rho0)
         assert geo.degenerate
         assert geo.delta == pytest.approx(math.pi, rel=1e-15)
         crossing = -geo.k2
@@ -342,21 +339,20 @@ class TestDegenerateGeodesic:
 
 class TestShooting:
     def test_equal_phase_reduces_to_affine(self):
-        grid, noise, rho0, _ = _band(5, seed=9)
+        _, noise, rho0, _ = _band(5, seed=9)
         psi = np.linspace(-0.5, 0.5, 5)
-        shot = shoot_alpha_geodesic(0.8, 2.0, psi, psi, grid, noise, rho0, n_steps=200)
+        shot = shoot_alpha_geodesic(0.8, 2.0, psi, psi, noise, rho0, n_steps=200)
         expected = 0.8 + shot.sigmas * 1.2
         np.testing.assert_allclose(shot.coords[:, 0], expected, atol=1e-9)
         np.testing.assert_allclose(shot.coords[:, 1:], np.tile(psi, (201, 1)), atol=1e-12)
 
     def test_agrees_with_closed_form_quarter_turn(self):
-        grid = build_grid(0.25, 0.4, 6)
         noise = NoiseProfile.flat(1.0, 6)
         rho0 = np.ones(6)
         psi1 = np.zeros(6)
         psi2 = np.full(6, math.pi / 2)
-        geo = solve_alpha_geodesic(1.0, 1.0, psi1, psi2, grid, noise, rho0)
-        shot = shoot_alpha_geodesic(1.0, 1.0, psi1, psi2, grid, noise, rho0, n_steps=500)
+        geo = solve_alpha_geodesic(1.0, 1.0, psi1, psi2, noise, rho0)
+        shot = shoot_alpha_geodesic(1.0, 1.0, psi1, psi2, noise, rho0, n_steps=500)
         alphas = geo.alpha_at(shot.sigmas)
         np.testing.assert_allclose(shot.coords[:, 0], alphas, atol=1e-6)
         mix = geo.phase_mix_at(shot.sigmas)
@@ -366,14 +362,14 @@ class TestShooting:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_randomized_oracle_agreement(self, seed):
-        grid, noise, rho0, rng = _band(6, seed=100 + seed)
+        _, noise, rho0, rng = _band(6, seed=100 + seed)
         a1 = float(np.exp(rng.uniform(np.log(0.1), np.log(10))))
         a2 = float(np.exp(rng.uniform(np.log(0.1), np.log(10))))
         psi1, psi2 = _phase_pair(rng, 6, rng.uniform(0.1, 3.0), mode="sign")
-        geo = solve_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0)
+        geo = solve_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0)
         width = max(a1 * a2 * abs(math.sin(geo.delta)) / geo.k1, 1e-4)
         n_steps = int(min(max(2000, 25.0 / width), 40000))
-        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0, n_steps=n_steps)
+        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0, n_steps=n_steps)
         alphas = geo.alpha_at(shot.sigmas)
         assert np.max(np.abs(shot.coords[:, 0] - alphas)) < 1e-6
         length = path_length(AlphaPhaseChart(noise, rho0), shot, n_quad=8)
@@ -389,7 +385,6 @@ class TestShooting:
         ],
     )
     def test_matches_textbook_rk4_bitwise(self, a1, a2, amplitude, route):
-        grid = build_grid(0.25, 0.4, 4)
         rng = np.random.default_rng(0)
         noise = NoiseProfile(rng.uniform(0.5, 2.0, 4))
         rho0 = rng.uniform(0.2, 2.0, 4)
@@ -397,7 +392,7 @@ class TestShooting:
         psi2 = psi1 + amplitude * np.array([1.0, -1.0, 1.0, -1.0])
         expected, taken = _textbook_shoot(a1, a2, psi1, psi2, noise, rho0, 400)
         assert taken == route
-        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0, n_steps=400)
+        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0, n_steps=400)
         np.testing.assert_array_equal(shot.coords, expected)
 
     @settings(max_examples=200, deadline=None)
@@ -419,9 +414,9 @@ class TestShooting:
             np.testing.assert_array_equal(thetas, ref_thetas)
 
     def test_step_floor(self):
-        grid, noise, rho0, _ = _band(4)
+        _, noise, rho0, _ = _band(4)
         with pytest.raises(ValueError):
-            shoot_alpha_geodesic(1.0, 2.0, np.zeros(4), np.zeros(4), grid, noise, rho0, n_steps=99)
+            shoot_alpha_geodesic(1.0, 2.0, np.zeros(4), np.zeros(4), noise, rho0, n_steps=99)
 
 
 class TestPathLength:
@@ -432,9 +427,9 @@ class TestPathLength:
         assert path_length(AlphaPhaseChart(noise, np.ones(3)), path, n_quad=8) == 0.0
 
     def test_reparametrization_invariance(self):
-        grid, noise, rho0, rng = _band(6, seed=12)
+        _, noise, rho0, rng = _band(6, seed=12)
         psi1, psi2 = _phase_pair(rng, 6, 1.5)
-        geo = solve_alpha_geodesic(0.9, 1.4, psi1, psi2, grid, noise, rho0)
+        geo = solve_alpha_geodesic(0.9, 1.4, psi1, psi2, noise, rho0)
         sig = np.linspace(0.0, 1.0, 401)
         warped = sig**2 * (3 - 2 * sig)  # smooth monotone [0,1] -> [0,1]
         alphas = geo.alpha_at(warped)
@@ -457,7 +452,7 @@ class TestPathLength:
         coeffs2 = np.array([0.4, 1.5])
         psi1 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs1))
         psi2 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs2))
-        geo = solve_alpha_geodesic(1.0, 1.8, psi1, psi2, grid, noise, rho0)
+        geo = solve_alpha_geodesic(1.0, 1.8, psi1, psi2, noise, rho0)
         coeff_path = alpha_geodesic_coeff_path(geo, coeffs1, coeffs2, n_nodes=101)
         model = KnownMagnitudeModel(rho0, alpha=1.0, phase_coeffs=coeffs1)
         length = path_length(ModelChart(model, grid, noise), coeff_path, n_quad=8)
@@ -480,7 +475,7 @@ class TestLdgResidual:
         coeffs2 = np.array([0.7, 2.2, 0.3])
         psi1 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs1))
         psi2 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs2))
-        geo = solve_alpha_geodesic(1.0, 1.6, psi1, psi2, grid, noise, rho0)
+        geo = solve_alpha_geodesic(1.0, 1.6, psi1, psi2, noise, rho0)
         model = KnownMagnitudeModel(rho0, alpha=1.0, phase_coeffs=coeffs1)
         path = alpha_geodesic_coeff_path(geo, coeffs1, coeffs2, n_nodes=101)
         res = ldg_residual(model, path, grid, noise)
@@ -535,9 +530,9 @@ class TestGeodesicPathContainer:
     def test_csv_export(self, tmp_path):
         from fisherband import save_path_csv
 
-        grid, noise, rho0, rng = _band(3, seed=21)
+        _, noise, rho0, rng = _band(3, seed=21)
         psi1, psi2 = _phase_pair(rng, 3, 1.0)
-        geo = solve_alpha_geodesic(1.0, 2.0, psi1, psi2, grid, noise, rho0)
+        geo = solve_alpha_geodesic(1.0, 2.0, psi1, psi2, noise, rho0)
         path = _uniform_path(geo, 9)
         out = tmp_path / "path.csv"
         save_path_csv(out, path)
@@ -549,12 +544,12 @@ class TestGeodesicPathContainer:
         np.testing.assert_array_equal(parsed[:, 1:], path.coords)
 
     def test_alpha_stays_positive_below_antipodal(self):
-        grid, noise, rho0, rng = _band(8, seed=22)
+        _, noise, rho0, rng = _band(8, seed=22)
         for _ in range(20):
             a1 = float(np.exp(rng.uniform(np.log(0.1), np.log(10))))
             a2 = float(np.exp(rng.uniform(np.log(0.1), np.log(10))))
             psi1, psi2 = _phase_pair(rng, 8, 3.0, mode="sign")
-            geo = solve_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0)
+            geo = solve_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0)
             assert geo.delta < math.pi
             sigmas = np.linspace(0.0, 1.0, 101)
             assert np.all(geo.alpha_at(sigmas) > 0.0)
@@ -568,13 +563,12 @@ class TestScaledConstants:
     def _instance(seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 17))
-        grid = build_grid(0.25, 0.4, n)
         noise = NoiseProfile(rng.uniform(0.5, 2.0, n))
         rho0 = rng.uniform(0.2, 2.0, n)
         a1, a2 = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 2))
         # amplitudes below pi keep delta off the antipodal warning
         psi1, psi2 = _phase_pair(rng, n, rng.uniform(0.0, 3.0))
-        return float(a1), float(a2), psi1, psi2, grid, noise, rho0
+        return float(a1), float(a2), psi1, psi2, noise, rho0
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=-1000, max_value=1000))
@@ -597,10 +591,9 @@ class TestScaledConstants:
     def test_both_ends_exact_down_to_2_to_the_minus_1000(self, k):
         # the small end squared underflows from alpha1 = 2**-513 alpha2 on; hypot keeps it
         alpha1 = math.ldexp(1.0, -k)
-        grid = build_grid(0.25, 0.4, 4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            geo = solve_alpha_geodesic(alpha1, 1.0, np.zeros(4), np.ones(4), grid, NoiseProfile.flat(1.0, 4), np.ones(4))
+            geo = solve_alpha_geodesic(alpha1, 1.0, np.zeros(4), np.ones(4), NoiseProfile.flat(1.0, 4), np.ones(4))
             start, end = geo.alpha_at([0.0, 1.0])
         assert geo.delta == 1.0
         assert abs(start - alpha1) <= 4.0 * math.ulp(alpha1)
@@ -608,31 +601,31 @@ class TestScaledConstants:
 
     def test_length_is_distance_alpha(self):
         for seed in range(1000):
-            a1, a2, psi1, psi2, grid, noise, rho0 = self._instance(seed)
-            geo = solve_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0)
-            assert geo.length == distance_alpha(a1, a2, psi1, psi2, grid, noise, rho0)
+            a1, a2, psi1, psi2, noise, rho0 = self._instance(seed)
+            geo = solve_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0)
+            assert geo.length == distance_alpha(a1, a2, psi1, psi2, noise, rho0)
 
     @pytest.mark.parametrize("scale", [1e-110, 1e103, 1e200])
     def test_extreme_scales(self, scale):
-        grid, noise, rho0, rng = _band(6, seed=41)
+        _, noise, rho0, rng = _band(6, seed=41)
         psi1, psi2 = _phase_pair(rng, 6, 1.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            geo = solve_alpha_geodesic(scale, 2.0 * scale, psi1, psi2, grid, noise, rho0)
+            geo = solve_alpha_geodesic(scale, 2.0 * scale, psi1, psi2, noise, rho0)
             path = sample_alpha_geodesic(geo)
         assert not geo.degenerate
         assert 0.0 < geo.length < math.inf
-        assert geo.length == distance_alpha(scale, 2.0 * scale, psi1, psi2, grid, noise, rho0)
+        assert geo.length == distance_alpha(scale, 2.0 * scale, psi1, psi2, noise, rho0)
         assert np.all(np.isfinite(path.coords)) and np.all(path.coords[:, 0] > 0.0)
 
     def test_natural_constants_leave_the_range_alone(self):
         # k1 ~ alpha^2 and K ~ alpha^4 read inf or 0 only once their own value does
-        grid, noise, rho0, rng = _band(4, seed=42)
+        _, noise, rho0, rng = _band(4, seed=42)
         psi1, psi2 = _phase_pair(rng, 4, 1.0)
-        big = solve_alpha_geodesic(1e100, 2e100, psi1, psi2, grid, noise, rho0)
+        big = solve_alpha_geodesic(1e100, 2e100, psi1, psi2, noise, rho0)
         assert 0.0 < big.k1 < math.inf and big.K == math.inf
         assert np.all(np.isfinite(big.c)) and np.all(np.abs(big.c) > 0.0)
-        small = solve_alpha_geodesic(1e-100, 2e-100, psi1, psi2, grid, noise, rho0)
+        small = solve_alpha_geodesic(1e-100, 2e-100, psi1, psi2, noise, rho0)
         assert 0.0 < small.k1 and small.K == 0.0 and not small.degenerate
 
 
@@ -646,26 +639,26 @@ class TestBvpResidual:
         assert scaled == math.ldexp(unit, 4 * k)
 
     def test_unit_scale_is_the_natural_formula(self):
-        grid, noise, rho0, rng = _band(8, seed=43)
+        _, noise, rho0, rng = _band(8, seed=43)
         for _ in range(50):
             # the larger attenuation in [0.5, 1): the scaled units are the natural ones
             a1, a2 = rng.uniform(0.5, 1.0), rng.uniform(0.05, 0.5)
             psi1, psi2 = _phase_pair(rng, 8, rng.uniform(0.05, 3.0))
-            geo = solve_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0)
+            geo = solve_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0)
             t2, k1 = math.tan(geo.delta) ** 2, geo.k1
             natural = t2 * (a1**2 + a2**2 - k1) ** 2 + (a2**2 - a1**2 - k1) ** 2 - 4.0 * a1**2 * k1
             assert geo.bvp_residual() == natural
 
     def test_beyond_squared_overflow(self):
         # Python-float squares of these attenuations overflow
-        grid, noise, rho0, rng = _band(6, seed=44)
+        _, noise, rho0, rng = _band(6, seed=44)
         psi1, psi2 = _phase_pair(rng, 6, 1.0)
-        unit = solve_alpha_geodesic(1.0, 2.0, psi1, psi2, grid, noise, rho0).bvp_residual()
+        unit = solve_alpha_geodesic(1.0, 2.0, psi1, psi2, noise, rho0).bvp_residual()
         assert unit != 0.0
         # 2**2120 times a rounding-level residual leaves the double range
-        residual = solve_alpha_geodesic(2.0**530, 2.0**531, psi1, psi2, grid, noise, rho0).bvp_residual()
+        residual = solve_alpha_geodesic(2.0**530, 2.0**531, psi1, psi2, noise, rho0).bvp_residual()
         assert residual == math.copysign(math.inf, unit)
-        assert not math.isnan(solve_alpha_geodesic(1e160, 2e160, psi1, psi2, grid, noise, rho0).bvp_residual())
+        assert not math.isnan(solve_alpha_geodesic(1e160, 2e160, psi1, psi2, noise, rho0).bvp_residual())
 
 
 def _dense_length(chart, path, n_quad):
@@ -699,22 +692,22 @@ class TestReducedPathLength:
 
     @staticmethod
     def _geodesic(seed):
-        grid, noise, rho0, rng = _band(6, seed=seed)
+        _, noise, rho0, rng = _band(6, seed=seed)
         psi1, psi2 = _phase_pair(rng, 6, 1.5)
-        return grid, noise, rho0, solve_alpha_geodesic(0.9, 1.4, psi1, psi2, grid, noise, rho0)
+        return noise, rho0, solve_alpha_geodesic(0.9, 1.4, psi1, psi2, noise, rho0)
 
     def _check(self, chart, path, n_quad=8):
         reduced = path_length(chart, path, n_quad=n_quad)
         assert reduced == pytest.approx(_dense_length(chart, path, n_quad), rel=1e-12, abs=0.0)
 
     def test_closed_form_sample(self):
-        _, noise, rho0, geo = self._geodesic(51)
+        noise, rho0, geo = self._geodesic(51)
         self._check(AlphaPhaseChart(noise, rho0), sample_alpha_geodesic(geo, n_nodes=257), n_quad=16)
 
     def test_rk4_shot(self):
-        grid, noise, rho0, rng = _band(5, seed=52)
+        _, noise, rho0, rng = _band(5, seed=52)
         psi1, psi2 = _phase_pair(rng, 5, 1.2)
-        shot = shoot_alpha_geodesic(0.7, 1.9, psi1, psi2, grid, noise, rho0, n_steps=2000)
+        shot = shoot_alpha_geodesic(0.7, 1.9, psi1, psi2, noise, rho0, n_steps=2000)
         self._check(AlphaPhaseChart(noise, rho0), shot)
 
     def test_embedding_straight_line(self):
@@ -725,7 +718,7 @@ class TestReducedPathLength:
         self._check(EmbeddingChart(noise), straight_line_geodesic(mu1, mu2, n_nodes=33))
 
     def test_warped_path(self):
-        _, noise, rho0, geo = self._geodesic(54)
+        noise, rho0, geo = self._geodesic(54)
         sig = np.linspace(0.0, 1.0, 101)
         warped = sig**2 * (3 - 2 * sig)
         coords = np.column_stack([geo.alpha_at(warped), geo.psi1 + geo.phase_mix_at(warped)[:, None] * geo.dpsi])
@@ -746,7 +739,7 @@ class TestReducedPathLength:
         coeffs1, coeffs2 = np.array([0.1, 0.5]), np.array([0.4, 1.5])
         psi1 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs1))
         psi2 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs2))
-        geo = solve_alpha_geodesic(1.0, 1.8, psi1, psi2, grid, noise, rho0)
+        geo = solve_alpha_geodesic(1.0, 1.8, psi1, psi2, noise, rho0)
         chart = ModelChart(KnownMagnitudeModel(rho0, alpha=1.0, phase_coeffs=coeffs1), grid, noise)
         for n_nodes in (3, 41):
             path = alpha_geodesic_coeff_path(geo, coeffs1, coeffs2, n_nodes=n_nodes)
@@ -768,12 +761,12 @@ class TestPathLengthHomogeneity:
     @example(-660)
     @example(600)
     def test_closed_form_path(self, k):
-        grid, noise, rho0, geo = TestReducedPathLength._geodesic(57)
+        noise, rho0, geo = TestReducedPathLength._geodesic(57)
         chart = AlphaPhaseChart(noise, rho0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            unit = solve_alpha_geodesic(1.0, 2.0, geo.psi1, geo.psi1 + geo.dpsi, grid, noise, rho0)
-            scaled = solve_alpha_geodesic(2.0**k, 2.0 ** (k + 1), geo.psi1, geo.psi1 + geo.dpsi, grid, noise, rho0)
+            unit = solve_alpha_geodesic(1.0, 2.0, geo.psi1, geo.psi1 + geo.dpsi, noise, rho0)
+            scaled = solve_alpha_geodesic(2.0**k, 2.0 ** (k + 1), geo.psi1, geo.psi1 + geo.dpsi, noise, rho0)
             length = path_length(chart, sample_alpha_geodesic(scaled, n_nodes=33), n_quad=8)
             assert length == math.ldexp(path_length(chart, sample_alpha_geodesic(unit, n_nodes=33), n_quad=8), k)
 
@@ -835,15 +828,15 @@ class TestPiecewiseEvaluation:
 
     @pytest.mark.parametrize("n_quad", [8, 16, 64])
     def test_closed_form_sample(self, n_quad):
-        _, noise, rho0, geo = TestReducedPathLength._geodesic(61)
+        noise, rho0, geo = TestReducedPathLength._geodesic(61)
         path = sample_alpha_geodesic(geo, n_nodes=257)
         chart = AlphaPhaseChart(noise, rho0)
         assert path_length(chart, path, n_quad=n_quad) == _searched_length(chart, path, n_quad)
 
     def test_rk4_shot(self):
-        grid, noise, rho0, rng = _band(7, seed=62)
+        _, noise, rho0, rng = _band(7, seed=62)
         psi1, psi2 = _phase_pair(rng, 7, 1.3)
-        shot = shoot_alpha_geodesic(0.6, 1.7, psi1, psi2, grid, noise, rho0, n_steps=4000)
+        shot = shoot_alpha_geodesic(0.6, 1.7, psi1, psi2, noise, rho0, n_steps=4000)
         chart = AlphaPhaseChart(noise, rho0)
         assert path_length(chart, shot, n_quad=8) == _searched_length(chart, shot, 8)
 
@@ -861,7 +854,7 @@ class TestPiecewiseEvaluation:
         coeffs1, coeffs2 = np.array([0.2, 0.4]), np.array([-0.3, 1.2])
         psi1 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs1))
         psi2 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs2))
-        geo = solve_alpha_geodesic(0.8, 1.5, psi1, psi2, grid, noise, rho0)
+        geo = solve_alpha_geodesic(0.8, 1.5, psi1, psi2, noise, rho0)
         chart = ModelChart(KnownMagnitudeModel(rho0, alpha=0.8, phase_coeffs=coeffs1), grid, noise)
         path = alpha_geodesic_coeff_path(geo, coeffs1, coeffs2, n_nodes=21)
         assert path_length(chart, path, n_quad=8) == _searched_length(chart, path, 8)
@@ -920,12 +913,11 @@ def test_path_node_parameters_checked(sigmas, message):
 def _near_quarter_turn():
     """Criterion 6's instance 35 at full suite seed 1 (delta 1.579), where the
     endpoint attenuation alone pins the slope poorly."""
-    grid = build_grid(0.25, 0.19434200992796985, 4)
     noise = NoiseProfile([0.616759165874613, 1.91370825109596, 1.9170566962719326, 1.137173410547828])
     rho0 = np.array([1.185694154370508, 0.8274650500132357, 0.2584615918276658, 1.723839060844815])
     psi1 = np.array([2.8813616893491156, 1.3202355286810352, -2.451250249947897, -2.573228951008468])
     psi2 = np.array([-1.8231313064497794, 2.898927840061726, 2.253242745850999, -0.994536639627777])
-    return 3.4045180685576177, 0.11328441174394356, psi1, psi2, grid, noise, rho0
+    return 3.4045180685576177, 0.11328441174394356, psi1, psi2, noise, rho0
 
 
 class TestCoarseToFineShooting:
@@ -940,7 +932,6 @@ class TestCoarseToFineShooting:
         ],
     )
     def test_matches_textbook_rk4_bitwise(self, n_steps, a1, a2, amplitude, route):
-        grid = build_grid(0.25, 0.4, 4)
         rng = np.random.default_rng(0)
         noise = NoiseProfile(rng.uniform(0.5, 2.0, 4))
         rho0 = rng.uniform(0.2, 2.0, 4)
@@ -948,28 +939,28 @@ class TestCoarseToFineShooting:
         psi2 = psi1 + amplitude * np.array([1.0, -1.0, 1.0, -1.0])
         expected, taken = _textbook_shoot(a1, a2, psi1, psi2, noise, rho0, n_steps)
         assert taken == route
-        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0, n_steps=n_steps)
+        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0, n_steps=n_steps)
         np.testing.assert_array_equal(shot.coords, expected)
 
     def test_near_quarter_turn_matches_textbook_rk4_bitwise(self):
-        a1, a2, psi1, psi2, grid, noise, rho0 = _near_quarter_turn()
+        a1, a2, psi1, psi2, noise, rho0 = _near_quarter_turn()
         expected, _ = _textbook_shoot(a1, a2, psi1, psi2, noise, rho0, 4000)
-        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0, n_steps=4000)
+        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0, n_steps=4000)
         np.testing.assert_array_equal(shot.coords, expected)
 
     def test_near_quarter_turn_stays_on_the_closed_form(self):
-        a1, a2, psi1, psi2, grid, noise, rho0 = _near_quarter_turn()
-        geo = solve_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0)
+        a1, a2, psi1, psi2, noise, rho0 = _near_quarter_turn()
+        geo = solve_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0)
         assert abs(geo.delta - math.pi / 2) < 0.01
-        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0, n_steps=4000)
+        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0, n_steps=4000)
         assert np.max(np.abs(shot.coords[:, 0] - geo.alpha_at(shot.sigmas))) <= 1e-9
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=-1000, max_value=1000))
     def test_bitwise_homogeneous_over_powers_of_two(self, k):
-        grid, noise, rho0, rng = _band(5, seed=43)
+        _, noise, rho0, rng = _band(5, seed=43)
         psi1, psi2 = _phase_pair(rng, 5, 2.0)
-        band = (psi1, psi2, grid, noise, rho0)
+        band = (psi1, psi2, noise, rho0)
         unit = shoot_alpha_geodesic(0.3, 1.7, *band, n_steps=100)
         scaled = shoot_alpha_geodesic(math.ldexp(0.3, k), math.ldexp(1.7, k), *band, n_steps=100)
         np.testing.assert_array_equal(scaled.coords[:, 0], np.ldexp(unit.coords[:, 0], k))
@@ -989,43 +980,41 @@ class TestCoarseToFineShooting:
             return run
 
         monkeypatch.setattr(geodesics, "_rk4_alpha_path", path)
-        grid, noise, rho0, _ = _band(4, seed=7)
+        _, noise, rho0, _ = _band(4, seed=7)
         psi1 = np.linspace(-1.0, 1.0, 4)
         psi2 = psi1 + amplitude * np.array([1.0, -1.0, 1.0, -1.0])
-        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0, n_steps=n_steps)
+        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0, n_steps=n_steps)
         assert {steps for _, steps, _ in recorded} == {n_steps}
         slopes = [slope for slope, _, _ in recorded]
         assert len(slopes) == len(set(slopes))
         # the returned path is the last recorded run, in natural units
         alphas, thetas = recorded[-1][2]
-        geo = solve_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0)
+        geo = solve_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0)
         np.testing.assert_array_equal(shot.coords[:, 0], np.ldexp(alphas, geo.scale))
         mix = geo.moment * thetas / geo.delta if geo.delta > 0.0 else np.zeros_like(thetas)
         np.testing.assert_array_equal(shot.coords[:, 1:], geo.psi1 + mix[:, np.newaxis] * geo.dpsi)
 
     @pytest.mark.parametrize("alpha1,alpha2", [(1e-110, 2e-110), (1e103, 2e103)])
     def test_extreme_scales(self, alpha1, alpha2):
-        grid = build_grid(0.25, 0.4, 4)
         noise = NoiseProfile.flat(1.0, 4)
         psi1, psi2 = np.zeros(4), np.full(4, 0.5)
-        geo = solve_alpha_geodesic(alpha1, alpha2, psi1, psi2, grid, noise, np.ones(4))
-        shot = shoot_alpha_geodesic(alpha1, alpha2, psi1, psi2, grid, noise, np.ones(4), n_steps=100)
+        geo = solve_alpha_geodesic(alpha1, alpha2, psi1, psi2, noise, np.ones(4))
+        shot = shoot_alpha_geodesic(alpha1, alpha2, psi1, psi2, noise, np.ones(4), n_steps=100)
         gap = np.max(np.abs(shot.coords[:, 0] - geo.alpha_at(shot.sigmas)))
         assert gap <= 1e-9 * alpha2
 
 
 def _antipodal_band(delta):
     """Flat 4-bin band, endpoints (1, 1.5), a phase gap of ``delta`` in every bin."""
-    grid = build_grid(0.25, 0.4, 4)
-    return 1.0, 1.5, np.zeros(4), np.full(4, delta), grid, NoiseProfile.flat(1.0, 4), np.ones(4)
+    return 1.0, 1.5, np.zeros(4), np.full(4, delta), NoiseProfile.flat(1.0, 4), np.ones(4)
 
 
 class TestNearAntipodalShooting:
     @pytest.mark.parametrize("gap,n_steps", [(1e-2, 4000), (1e-3, 40000)])
     def test_stays_on_the_closed_form(self, gap, n_steps):
-        a1, a2, psi1, psi2, grid, noise, rho0 = _antipodal_band(math.pi - gap)
-        geo = solve_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0)
-        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0, n_steps=n_steps)
+        a1, a2, psi1, psi2, noise, rho0 = _antipodal_band(math.pi - gap)
+        geo = solve_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0)
+        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0, n_steps=n_steps)
         # criterion 6's two gaps and tolerance
         assert np.max(np.abs(shot.coords[:, 0] - geo.alpha_at(shot.sigmas))) <= 1e-6
         length = path_length(AlphaPhaseChart(noise, rho0), shot, n_quad=8)
@@ -1035,12 +1024,12 @@ class TestNearAntipodalShooting:
         "delta,n_steps", [(math.pi - 1e-4, 4000), (math.pi - 1e-4, 40000), (math.pi, 4000)]
     )
     def test_failure_names_step_and_dip_width(self, delta, n_steps):
-        a1, a2, psi1, psi2, grid, noise, rho0 = _antipodal_band(delta)
+        a1, a2, psi1, psi2, noise, rho0 = _antipodal_band(delta)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateGeodesicWarning)
-            geo = solve_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0)
+            geo = solve_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0)
         with pytest.raises(ConvergenceError) as failure:
-            shoot_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0, n_steps=n_steps)
+            shoot_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0, n_steps=n_steps)
         message = str(failure.value)
         assert f"step 1/n_steps = {1.0 / n_steps:.1e}" in message
         assert f"moment/chord = {geo.moment / geo.chord:.1e}" in message
@@ -1050,13 +1039,13 @@ class TestOneWrapRule:
     @settings(max_examples=500, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_length_is_distance_alpha_on_unwrapped_phases(self, seed):
-        a1, a2, psi1, _, grid, noise, rho0 = TestScaledConstants._instance(seed)
+        a1, a2, psi1, _, noise, rho0 = TestScaledConstants._instance(seed)
         psi1 = 3.0 * psi1
         psi2 = psi1 + np.random.default_rng(seed).uniform(-3.3, 3.3, len(psi1))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateGeodesicWarning)
-            geo = solve_alpha_geodesic(a1, a2, psi1, psi2, grid, noise, rho0)
-        assert geo.length == distance_alpha(a1, a2, psi1, psi2, grid, noise, rho0)
+            geo = solve_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0)
+        assert geo.length == distance_alpha(a1, a2, psi1, psi2, noise, rho0)
         np.testing.assert_array_equal(geo.psi1, wrap_phase(psi1))
 
 

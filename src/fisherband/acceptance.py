@@ -253,8 +253,8 @@ def _random_small_model(rng):
     n_phase = int(rng.integers(1, min(3, n_bins) + 1))
     coeffs = np.concatenate([[rng.uniform(-3.0, 3.0)], rng.normal(0.0, 2.0, n_phase - 1)])
     coeffs[0] = wrap_phase(coeffs[0])
-    model = KnownMagnitudeModel(rho0, alpha=float(rng.uniform(0.5, 2.0)), phase_coeffs=coeffs)
-    return model, grid, noise
+    model = KnownMagnitudeModel(grid.freqs, rho0, alpha=float(rng.uniform(0.5, 2.0)), phase_coeffs=coeffs)
+    return model, noise
 
 
 def criterion_8(seed, scale: str) -> CriterionResult:
@@ -263,10 +263,10 @@ def criterion_8(seed, scale: str) -> CriterionResult:
     n_samples = 100_000 if scale == "full" else 20_000
     errors = []
     for k in range(n_models):
-        model, grid, noise = _random_small_model(rng)
+        model, noise = _random_small_model(rng)
         xi = model.xi
-        analytic = fisher_matrix(model, xi, grid, noise).full()
-        estimate, stderr = monte_carlo_fisher(model, xi, grid, noise, n_samples, seed=[int(seed), 8, k])
+        analytic = fisher_matrix(model, xi, noise).full()
+        estimate, stderr = monte_carlo_fisher(model, xi, noise, n_samples, seed=[int(seed), 8, k])
         errors.append(np.max(np.abs(estimate - analytic) / np.maximum(stderr, 1e-300)))
     return _worst(
         8,
@@ -281,10 +281,10 @@ def criterion_9(seed, scale: str) -> CriterionResult:
     rng = _rng(seed, 9)
     errors = []
     for _ in range(20):
-        model, grid, noise = _random_small_model(rng)
+        model, noise = _random_small_model(rng)
         xi = model.xi
-        exact = christoffel(model, xi, grid, noise).values
-        approx = christoffel_fd(model, xi, grid, noise)
+        exact = christoffel(model, xi, noise).values
+        approx = christoffel_fd(model, xi, noise)
         errors.append(np.max(np.abs(approx - exact) / (1.0 + np.abs(exact))))
     return _worst(
         9,
@@ -297,7 +297,7 @@ def criterion_9(seed, scale: str) -> CriterionResult:
 
 def _ldg_instance():
     """Fixed moderate instance whose coefficient differences never wrap: its
-    band, closed-form geodesic, model at the start, and endpoint coefficients."""
+    noise, closed-form geodesic, model at the start, and endpoint coefficients."""
     grid = build_grid(0.25, 0.4, 16)
     noise = NoiseProfile(np.linspace(0.8, 1.4, 16))
     rho0 = np.linspace(0.6, 1.5, 16)
@@ -306,20 +306,19 @@ def _ldg_instance():
     psi1 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs1))
     psi2 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs2))
     geo = solve_alpha_geodesic(1.0, 1.6, psi1, psi2, noise, rho0)
-    model = KnownMagnitudeModel(rho0, alpha=1.0, phase_coeffs=coeffs1)
-    return grid, noise, geo, model, coeffs1, coeffs2
+    model = KnownMagnitudeModel(grid.freqs, rho0, alpha=1.0, phase_coeffs=coeffs1)
+    return noise, geo, model, coeffs1, coeffs2
 
 
 def _ldg_scaled_residual(n_nodes: int) -> float:
-    grid, noise, geo, model, coeffs1, coeffs2 = _ldg_instance()
+    noise, geo, model, coeffs1, coeffs2 = _ldg_instance()
     path = alpha_geodesic_coeff_path(geo, coeffs1, coeffs2, n_nodes=n_nodes)
-    return ldg_residual(model, path, grid, noise).max_scaled
+    return ldg_residual(model, path, noise).max_scaled
 
 
 def _line_reparam_residual() -> float:
     """Scaled residual of a quadratically reparametrized embedding line."""
     n = 6
-    grid = build_grid(0.25, 0.3, n)
     noise = NoiseProfile.flat(1.3, n)
     rng = np.random.default_rng(20240)
     z1 = rng.uniform(0.8, 1.2, n) * np.exp(1j * rng.uniform(-0.6, 0.6, n))
@@ -330,7 +329,7 @@ def _line_reparam_residual() -> float:
     coords = np.hstack([np.abs(z), np.angle(z)])
     path = GeodesicPath(sigmas, coords)
     model = FreeSpectrumModel(n)
-    return ldg_residual(model, path, grid, noise).max_scaled
+    return ldg_residual(model, path, noise).max_scaled
 
 
 def criterion_10(seed, scale: str) -> CriterionResult:
@@ -354,7 +353,7 @@ def criterion_10(seed, scale: str) -> CriterionResult:
 
 
 def criterion_11(seed, scale: str) -> CriterionResult:
-    grid, noise, geo, model, coeffs1, coeffs2 = _ldg_instance()
+    noise, geo, model, coeffs1, coeffs2 = _ldg_instance()
     dc = coeffs2 - coeffs1
     root_k = math.sqrt(geo.K)
     errors = []
@@ -364,7 +363,7 @@ def criterion_11(seed, scale: str) -> CriterionResult:
         mix_rate = root_k / (geo.delta * alpha**2)
         xi = np.concatenate([[alpha], coeffs1 + float(geo.phase_mix_at(sigma)) * dc])
         xi_dot = np.concatenate([[d_alpha], mix_rate * dc])
-        speed = path_speed(model, xi, xi_dot, grid, noise)
+        speed = path_speed(model, xi, xi_dot, noise)
         errors.append(abs(speed / geo.speed - 1.0))
     return _worst(11, "geodesic speed is constant and equals the length squared", errors, 1e-8)
 

@@ -43,6 +43,7 @@ __all__ = [
     "check_aligned",
     "check_attenuation",
     "in_range",
+    "is_real_number",
     "load_band_csv",
     "log_likelihood",
     "phase_rms_diff",
@@ -107,6 +108,11 @@ def in_range(values, lo=-math.inf, hi=math.inf, lo_closed=False, hi_closed=False
         return True
     low, high = float(arr.min()), float(arr.max())
     return (lo <= low if lo_closed else lo < low) and (high <= hi if hi_closed else high < hi)
+
+
+def is_real_number(value) -> bool:
+    """Whether ``value`` is a real number as an input field means it: a bool or a string is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def check_attenuation(*alphas) -> None:
@@ -211,7 +217,7 @@ def build_grid(nu0: float, bandwidth_B: float, n_freqs: int) -> FrequencyGrid:
     open.
     """
     for name, value in (("nu0", nu0), ("bandwidth_B", bandwidth_B)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        if not is_real_number(value):
             raise ValueError(f"{name} must be a real number")
     if isinstance(n_freqs, bool):
         raise ValueError("n_freqs must be a whole number")

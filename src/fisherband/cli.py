@@ -21,9 +21,12 @@ A model file is JSON of the form::
 All configuration is explicit; no environment variables are consulted and
 every output is deterministic given the arguments.
 
-Exit codes: 0 on success, 1 when ``accept`` finds a failing criterion, and 2
-on any named error (bad input, a failed check, an unwritable output), which
-``main`` alone reports as one ``error: <cause>`` line on stderr.
+Exit codes: 0 on success, 1 when ``accept`` finds a failing criterion or
+stdout is closed before the output is written (a broken pipe, which prints
+nothing), and 2 on any named error (bad input, a failed check, an
+unwritable output), which ``main`` alone reports as one ``error: <cause>``
+line on stderr.  A number in a file is a JSON number: a string or a bool is
+not one.
 """
 
 from __future__ import annotations
@@ -32,13 +35,14 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import fields
 
 import numpy as np
 
 from .acceptance import run_acceptance_suite
-from .band import NoiseProfile, Template, build_grid, check_attenuation, row_blocks, wrap_phase
+from .band import NoiseProfile, Template, build_grid, check_attenuation, is_real_number, row_blocks, wrap_phase
 from .distances import DistanceReport, known_mag_distances
 from .figures import FIGURE_CASES, ExperimentConfig, run_figure_case, write_figure_csv
 from .geodesics import solve_alpha_geodesic
@@ -51,12 +55,12 @@ class ModelFileError(ValueError):
 
 
 def _as_array(value, n: int, label: str) -> np.ndarray:
-    if np.isscalar(value):
+    """One value per bin from a real number or a list of ``n`` of them, under build_grid's rule for a number."""
+    if is_real_number(value):
         return np.full(n, float(value))
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (n,):
-        raise ModelFileError(f"field '{label}' must be a scalar or a list of length {n}")
-    return arr
+    if not (isinstance(value, list) and len(value) == n and all(map(is_real_number, value))):
+        raise ModelFileError(f"field '{label}' must be a real number or a list of {n} real numbers")
+    return np.asarray(value, dtype=float)
 
 
 def load_model_file(path, with_endpoints: bool = True):
@@ -99,6 +103,7 @@ def load_model_file(path, with_endpoints: bool = True):
         try:
             models.append(
                 KnownMagnitudeModel(
+                    grid.freqs,
                     rho0,
                     alpha=float(need(spec, "alpha", f"endpoints[{k}]")),
                     phase_coeffs=np.asarray(need(spec, "phase_coeffs", f"endpoints[{k}]"), dtype=float),
@@ -152,14 +157,14 @@ def _cmd_accept(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    grid, noise, rho0, models = load_model_file(args.model_file)
+    _, noise, rho0, models = load_model_file(args.model_file)
     first = models[0]
     if args.subject == "metric":
-        payload = fisher_matrix(first, first.xi, grid, noise).to_json_dict()
+        payload = fisher_matrix(first, first.xi, noise).to_json_dict()
     elif args.subject == "christoffel":
-        payload = christoffel(first, first.xi, grid, noise).to_json_dict()
+        payload = christoffel(first, first.xi, noise).to_json_dict()
     else:
-        psi1, psi2 = (m.phase_unwrapped(m.phase_coeffs, grid) for m in models)
+        psi1, psi2 = (m.phase_unwrapped(m.phase_coeffs) for m in models)
         payload = solve_alpha_geodesic(models[0].alpha, models[1].alpha, psi1, psi2, noise, rho0).to_json_dict()
     text = json.dumps(payload, indent=2)
     if args.output:
@@ -276,7 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader has gone: not an input error, so no error line; later
+        # flushes, the one at shutdown too, go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .band import NoiseProfile, Template, build_grid, row_blocks, write_csv
+from .band import NoiseProfile, Template, build_grid, is_real_number, row_blocks, write_csv
 from .distances import known_mag_distances, ratio_time_delay
 
 __all__ = [
@@ -47,9 +47,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         lo, hi, n_points = self.btau_sweep
-        numbers = (self.dpsi0, self.gamma_ratio, self.snr1, lo, hi)
-        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in numbers):
-            raise ValueError("dpsi0, gamma_ratio, snr1 and the sweep bounds must be finite numbers")
+        names = ("dpsi0", "gamma_ratio", "snr1", "sweep minimum", "sweep maximum")
+        for name, v in zip(names, (self.dpsi0, self.gamma_ratio, self.snr1, lo, hi)):
+            if not (is_real_number(v) and math.isfinite(v)):
+                raise ValueError(f"{name} is {v!r}: dpsi0, gamma_ratio, snr1 and sweep bounds must be finite numbers")
         if lo < 0.0 or hi <= lo:
             raise ValueError("sweep bounds must satisfy 0 <= min < max")
         if not isinstance(n_points, int) or n_points < 2:

@@ -41,7 +41,6 @@ import numpy as np
 
 from .band import (
     ConvergenceError,
-    FrequencyGrid,
     NoiseProfile,
     SignalSpectrum,
     Template,
@@ -152,18 +151,15 @@ class AlphaPhaseChart:
 
 
 class ModelChart:
-    """Chart of an arbitrary parametric model; speed via its metric."""
+    """Chart of an arbitrary parametric model; speed via its metric, one
+    ``path_speed`` call for all rows of points."""
 
-    def __init__(self, model: ParametricSignalModel, grid: FrequencyGrid, noise: NoiseProfile):
+    def __init__(self, model: ParametricSignalModel, noise: NoiseProfile):
         self.model = model
-        self.grid = grid
         self.noise = noise
 
-    def speed(self, coords, vel) -> np.ndarray:
-        coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        vel = np.atleast_2d(np.asarray(vel, dtype=float))
-        out = np.array([path_speed(self.model, x, v, self.grid, self.noise) for x, v in zip(coords, vel)])
-        return out if out.size > 1 else out[0]
+    def speed(self, coords, vel):
+        return path_speed(self.model, coords, vel, self.noise)
 
 
 def embedding_coords(spectrum: SignalSpectrum) -> np.ndarray:
@@ -681,9 +677,7 @@ class LdgResidual:
         return worst / self.speed_scale if self.speed_scale > 0.0 else worst
 
 
-def ldg_residual(
-    model: ParametricSignalModel, path: GeodesicPath, grid: FrequencyGrid, noise: NoiseProfile
-) -> LdgResidual:
+def ldg_residual(model: ParametricSignalModel, path: GeodesicPath, noise: NoiseProfile) -> LdgResidual:
     """Evaluate the two geodesic-equation frequency sums along a path.
 
     The path must be sampled uniformly in sigma (central differences in the
@@ -698,6 +692,8 @@ def ldg_residual(
 
     are returned; both are zero (to discretization error) exactly when the
     path is an affinely parametrized geodesic of the model's submanifold.
+    The model evaluates its spectra at all nodes, and its Jacobians at all
+    interior nodes, in one call each.
     """
     if path.n_nodes < 9:
         raise ValueError("need at least nine nodes for second differences")
@@ -707,14 +703,10 @@ def ldg_residual(
     if path.coords.shape[1] != model.n_params:
         raise ValueError("path coordinates do not match the model chart")
 
-    n_nodes = path.n_nodes
-    n_freqs = grid.n_freqs
-    rho = np.empty((n_nodes, n_freqs))
-    psi = np.empty((n_nodes, n_freqs))
-    for j in range(n_nodes):
-        phi, varphi = model.split(path.coords[j])
-        rho[j] = model.magnitude(phi, grid)
-        psi[j] = model.phase_unwrapped(varphi, grid)
+    phi, varphi = model.split(path.coords)
+    rho = np.asarray(model.magnitude(phi), dtype=float)
+    check_aligned(model=rho.shape[-1], noise=noise.n_freqs)
+    psi = np.asarray(model.phase_unwrapped(varphi), dtype=float)
 
     d_rho = (rho[2:] - rho[:-2]) / (2.0 * h)
     d_psi = (psi[2:] - psi[:-2]) / (2.0 * h)
@@ -725,14 +717,9 @@ def ldg_residual(
     w = noise.weights
     mag_core = w * (dd_rho - rho_mid * d_psi**2)
     phase_core = w * (rho_mid**2 * dd_psi + 2.0 * rho_mid * d_rho * d_psi)
-
-    n_interior = n_nodes - 2
-    mag_res = np.empty((n_interior, model.n_mag_params))
-    phase_res = np.empty((n_interior, model.n_phase_params))
-    for j in range(n_interior):
-        phi, varphi = model.split(path.coords[j + 1])
-        mag_res[j] = model.magnitude_jacobian(phi, grid) @ mag_core[j]
-        phase_res[j] = model.phase_jacobian(varphi, grid) @ phase_core[j]
+    # each interior node's Jacobian times its own sums
+    mag_res = (model.magnitude_jacobian(phi[1:-1]) @ mag_core[:, :, np.newaxis])[:, :, 0]
+    phase_res = (model.phase_jacobian(varphi[1:-1]) @ phase_core[:, :, np.newaxis])[:, :, 0]
 
     fd_speed = np.sum(w * (d_rho**2 + rho_mid**2 * d_psi**2), axis=1)
     return LdgResidual(

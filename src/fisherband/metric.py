@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .band import FrequencyGrid, NoiseProfile, check_aligned, in_range, readonly
+from .band import NoiseProfile, check_aligned, in_range, readonly, row_blocks
 from .models import ParametricSignalModel
 
 __all__ = [
@@ -150,48 +150,58 @@ def structural_mask(n_params: int, n_mag_params: int) -> np.ndarray:
     return allowed
 
 
-def _chart_data(model: ParametricSignalModel, xi, grid: FrequencyGrid, noise: NoiseProfile):
-    check_aligned(grid=grid.n_freqs, noise=noise.n_freqs)
+def _chart_data(model: ParametricSignalModel, xi, noise: NoiseProfile, *, rows: bool):
+    """The parts, spectrum and Jacobians at one point, or at rows of points
+    with ``rows``, each checked finite, on a model aligned with ``noise``."""
+    if not rows and np.ndim(xi) != 1:
+        raise ValueError(f"expected one point of {model.n_params} parameters, got shape {np.shape(xi)}")
     phi, varphi = model.split(xi)
-    rho = np.asarray(model.magnitude(phi, grid), dtype=float)
-    mag_jac = np.asarray(model.magnitude_jacobian(phi, grid), dtype=float)
-    phase_jac = np.asarray(model.phase_jacobian(varphi, grid), dtype=float)
+    rho = np.asarray(model.magnitude(phi), dtype=float)
+    check_aligned(model=rho.shape[-1], noise=noise.n_freqs)
+    mag_jac = np.asarray(model.magnitude_jacobian(phi), dtype=float)
+    phase_jac = np.asarray(model.phase_jacobian(varphi), dtype=float)
     for arr, name in ((rho, "magnitude"), (mag_jac, "magnitude jacobian"), (phase_jac, "phase jacobian")):
         if not in_range(arr):
             raise ValueError(f"non-finite {name} at the requested point")
     return phi, varphi, rho, mag_jac, phase_jac
 
 
-def fisher_matrix(
-    model: ParametricSignalModel, xi, grid: FrequencyGrid, noise: NoiseProfile
-) -> FisherMatrix:
+def fisher_matrix(model: ParametricSignalModel, xi, noise: NoiseProfile) -> FisherMatrix:
     """Analytic block-diagonal information matrix at a parameter point."""
-    _, _, rho, mag_jac, phase_jac = _chart_data(model, xi, grid, noise)
+    _, _, rho, mag_jac, phase_jac = _chart_data(model, xi, noise, rows=False)
     w = noise.weights
     mag = np.einsum("ik,k,jk->ij", mag_jac, w, mag_jac)
     phase = np.einsum("ik,k,jk->ij", phase_jac, w * rho**2, phase_jac)
     return FisherMatrix(mag, phase)
 
 
-def path_speed(model: ParametricSignalModel, xi, xi_dot, grid: FrequencyGrid, noise: NoiseProfile) -> float:
-    """Quadratic form ``g_ij(xi) xi_dot^i xi_dot^j`` of the chart metric.
+def path_speed(model: ParametricSignalModel, xi, xi_dot, noise: NoiseProfile):
+    """Quadratic form ``g_ij(xi) xi_dot^i xi_dot^j`` of the chart metric, as
+    the per-bin form ``sum (2/gamma0) [(drho/ds)^2 + rho^2 (dpsi/ds)^2]``.
 
-    Chained through the model this equals the per-bin form
-    ``sum (2/gamma0) [(drho/ds)^2 + rho^2 (dpsi/ds)^2]``.
+    ``xi`` and ``xi_dot`` are one point and velocity (shape ``(N,)``; a float
+    comes back) or rows of them (shape ``(rows, N)``; one speed per row),
+    taken in the blocks of ``row_blocks``, so memory does not grow with the rows.
     """
-    xi_dot = np.asarray(xi_dot, dtype=float)
-    if xi_dot.shape != (model.n_params,):
+    points, velocities = np.atleast_2d(xi, xi_dot)
+    if velocities.shape != points.shape:
         raise ValueError("velocity dimension mismatch")
-    fm = fisher_matrix(model, xi, grid, noise)
     p = model.n_mag_params
-    v_mag, v_phase = xi_dot[:p], xi_dot[p:]
-    return float(v_mag @ fm.mag_block @ v_mag + v_phase @ fm.phase_block @ v_phase)
+    out = np.empty(len(points))
+    with np.errstate(over="ignore", invalid="ignore"):  # a row that overflows is named below
+        for rows in row_blocks(len(points), noise.n_freqs):
+            _, _, rho, mag_jac, phase_jac = _chart_data(model, points[rows], noise, rows=True)
+            d_rho = np.einsum("...u,...uk->...k", velocities[rows, :p], mag_jac)
+            d_psi = np.einsum("...q,...qk->...k", velocities[rows, p:], phase_jac)
+            out[rows] = np.sum(noise.weights * (d_rho**2 + rho**2 * d_psi**2), axis=-1)
+    if not in_range(out):
+        raise ValueError("non-finite path speed at the requested point")
+    return float(out[0]) if np.ndim(xi) == 1 else out
 
 
 def monte_carlo_fisher(
     model: ParametricSignalModel,
     xi,
-    grid: FrequencyGrid,
     noise: NoiseProfile,
     n_samples: int,
     seed,
@@ -211,8 +221,8 @@ def monte_carlo_fisher(
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be at least 1000")
-    phi, varphi, rho, mag_jac, phase_jac = _chart_data(model, xi, grid, noise)
-    psi = np.asarray(model.phase_unwrapped(varphi, grid), dtype=float)
+    phi, varphi, rho, mag_jac, phase_jac = _chart_data(model, xi, noise, rows=False)
+    psi = np.asarray(model.phase_unwrapped(varphi), dtype=float)
     carrier = np.exp(1j * psi)
     # d s / d xi^i per bin; magnitude rows then phase rows
     d_sig = np.vstack([mag_jac * carrier, 1j * rho * phase_jac * carrier])
@@ -223,13 +233,13 @@ def monte_carlo_fisher(
     rng = np.random.default_rng(seed)
     # bytes per sample row: 64 per bin (draws, complex noise, temporaries)
     # and 32 per parameter (complex score, real score, its square)
-    chunk = max(1, min(8192, _MC_CHUNK_BYTES // (64 * grid.n_freqs + 32 * n_params)))
+    chunk = max(1, min(8192, _MC_CHUNK_BYTES // (64 * noise.n_freqs + 32 * n_params)))
     acc = np.zeros((n_params, n_params))
     acc_sq = np.zeros((n_params, n_params))
     remaining = int(n_samples)
     while remaining > 0:
         m = min(chunk, remaining)
-        z = rng.standard_normal((m, 2, grid.n_freqs))
+        z = rng.standard_normal((m, 2, noise.n_freqs))
         noise_draw = scale * (z[:, 0] + 1j * z[:, 1])
         # score_i = sum_nu (2/gamma0) Re{ n* ds/dxi^i }
         scores = (noise_draw.conj() @ (d_sig * w).T).real
@@ -244,25 +254,24 @@ def monte_carlo_fisher(
     return estimate, stderr
 
 
-def christoffel(
-    model: ParametricSignalModel, xi, grid: FrequencyGrid, noise: NoiseProfile
-) -> ChristoffelTensor:
-    """Analytic first-kind symbols from the four non-zero index families."""
-    phi, varphi, rho, mag_jac, phase_jac = _chart_data(model, xi, grid, noise)
-    mag_hess = np.asarray(model.magnitude_hessian(phi, grid), dtype=float)
-    phase_hess = np.asarray(model.phase_hessian(varphi, grid), dtype=float)
-    if not (in_range(mag_hess) and in_range(phase_hess)):
-        raise ValueError("non-finite second partials at the requested point")
-
+def christoffel(model: ParametricSignalModel, xi, noise: NoiseProfile) -> ChristoffelTensor:
+    """Analytic first-kind symbols from the four non-zero index families; an undeclared Hessian zeroes its own."""
+    phi, varphi, rho, mag_jac, phase_jac = _chart_data(model, xi, noise, rows=False)
     p = model.n_mag_params
     n = model.n_params
     w = noise.weights
     values = np.zeros((n, n, n))
 
-    # all-magnitude: sum w * drho_u * d2rho_{u'v'}
-    values[:p, :p, :p] = np.einsum("abk,ck,k->abc", mag_hess, mag_jac, w)
-    # all-phase: sum w rho^2 * dpsi_q * d2psi_{q'r'}
-    values[p:, p:, p:] = np.einsum("abk,ck,k->abc", phase_hess, phase_jac, w * rho**2)
+    # all-magnitude: sum w * drho_u * d2rho_{u'v'}; all-phase: sum w rho^2 * dpsi_q * d2psi_{q'r'}
+    for hess, block, jac, weights in (
+        (model.magnitude_hessian(phi), np.s_[:p, :p, :p], mag_jac, w),
+        (model.phase_hessian(varphi), np.s_[p:, p:, p:], phase_jac, w * rho**2),
+    ):
+        if hess is not None:
+            hess = np.asarray(hess, dtype=float)
+            if not in_range(hess):
+                raise ValueError("non-finite second partials at the requested point")
+            values[block] = np.einsum("abk,ck,k->abc", hess, jac, weights)
     # mixed: one frequency sum feeds both remaining families so the sign
     # relation between them holds bit-exactly
     mixed = np.einsum("ak,bk,ck,k->abc", phase_jac, phase_jac, mag_jac, w * rho)
@@ -272,7 +281,7 @@ def christoffel(
     return ChristoffelTensor(values, p)
 
 
-def christoffel_fd(model: ParametricSignalModel, xi, grid: FrequencyGrid, noise: NoiseProfile) -> np.ndarray:
+def christoffel_fd(model: ParametricSignalModel, xi, noise: NoiseProfile) -> np.ndarray:
     """First-kind symbols ``values[i, j, m]`` from central differences of the metric.
 
     Independent of the closed-form families above; used as an oracle, so the
@@ -288,8 +297,8 @@ def christoffel_fd(model: ParametricSignalModel, xi, grid: FrequencyGrid, noise:
             raise ValueError("finite-difference step underflow")
         hi = np.zeros(n)
         hi[i] = h
-        g_plus = fisher_matrix(model, xi + hi, grid, noise).full()
-        g_minus = fisher_matrix(model, xi - hi, grid, noise).full()
+        g_plus = fisher_matrix(model, xi + hi, noise).full()
+        g_minus = fisher_matrix(model, xi - hi, noise).full()
         diff = (g_plus - g_minus) / (2.0 * h)
         grads[i] = 0.5 * (diff + diff.T)  # exact symmetry of each d_i g
     # values[i,j,m] = (d_i g_jm + d_j g_mi - d_m g_ij) / 2; with symmetric

@@ -1,10 +1,11 @@
 """Parametric charts mapping a real parameter vector to a signal spectrum.
 
-A model splits its parameter vector ``xi = (phi, varphi)``: the first
-``n_mag_params`` entries drive the magnitude spectrum only, the remaining
-``n_phase_params`` drive the (unwrapped) phase spectrum only.  Models expose
-analytic first and second partials of both spectra, which is what the metric
-and connection computations consume.
+A model is a map on its own band, so no method takes a grid.  It splits its
+parameter vector ``xi = (phi, varphi)``: the first ``n_mag_params`` entries
+drive the magnitude spectrum only, the remaining ``n_phase_params`` drive the
+(unwrapped) phase spectrum only.  Models expose analytic first partials of
+both spectra, at one point or at rows of points, and the second partials of
+a curved chart; an affine chart (both shipped models) declares none.
 """
 
 from __future__ import annotations
@@ -47,7 +48,9 @@ class ParametricSignalModel(abc.ABC):
 
     Implementations must keep the magnitude independent of the phase
     parameters and vice versa; the cross curvature terms of the information
-    metric vanish because of that split.
+    metric vanish because of that split.  The value and Jacobian methods
+    take one point or rows of points (a leading axis) and return one result
+    per row; the Hessians take one point, and default to None: identically zero.
     """
 
     @property
@@ -63,64 +66,71 @@ class ParametricSignalModel(abc.ABC):
         return self.n_mag_params + self.n_phase_params
 
     def split(self, xi) -> tuple[np.ndarray, np.ndarray]:
-        """Split a parameter vector into (magnitude, phase) parts."""
+        """Split one parameter vector (shape ``(N,)``) or rows of them
+        (shape ``(rows, N)``) into (magnitude, phase) parts."""
         xi = np.asarray(xi, dtype=float)
-        if xi.shape != (self.n_params,):
+        if xi.ndim not in (1, 2) or xi.shape[-1] != self.n_params:
             raise ValueError(f"expected {self.n_params} parameters, got shape {xi.shape}")
-        return xi[: self.n_mag_params], xi[self.n_mag_params :]
+        return xi[..., : self.n_mag_params], xi[..., self.n_mag_params :]
 
     @abc.abstractmethod
-    def magnitude(self, phi, grid: FrequencyGrid) -> np.ndarray:
-        """Magnitude spectrum rho(nu) >= 0, shape (n_freqs,)."""
+    def magnitude(self, phi) -> np.ndarray:
+        """Magnitude spectrum rho(nu) >= 0, shape (..., n_freqs)."""
 
     @abc.abstractmethod
-    def phase_unwrapped(self, varphi, grid: FrequencyGrid) -> np.ndarray:
-        """Unwrapped (continuous in nu) phase spectrum, shape (n_freqs,)."""
+    def phase_unwrapped(self, varphi) -> np.ndarray:
+        """Unwrapped (continuous in nu) phase spectrum, shape (..., n_freqs)."""
 
     @abc.abstractmethod
-    def magnitude_jacobian(self, phi, grid: FrequencyGrid) -> np.ndarray:
-        """d rho / d phi^u, shape (n_mag_params, n_freqs)."""
+    def magnitude_jacobian(self, phi) -> np.ndarray:
+        """d rho / d phi^u, shape (..., n_mag_params, n_freqs)."""
 
     @abc.abstractmethod
-    def phase_jacobian(self, varphi, grid: FrequencyGrid) -> np.ndarray:
-        """d psi / d varphi^q, shape (n_phase_params, n_freqs)."""
+    def phase_jacobian(self, varphi) -> np.ndarray:
+        """d psi / d varphi^q, shape (..., n_phase_params, n_freqs)."""
 
-    @abc.abstractmethod
-    def magnitude_hessian(self, phi, grid: FrequencyGrid) -> np.ndarray:
-        """d^2 rho / d phi^u d phi^v, shape (P, P, n_freqs)."""
+    def magnitude_hessian(self, phi) -> np.ndarray | None:
+        """d^2 rho / d phi^u d phi^v, shape (P, P, n_freqs); None: identically zero."""
+        return None
 
-    @abc.abstractmethod
-    def phase_hessian(self, varphi, grid: FrequencyGrid) -> np.ndarray:
-        """d^2 psi / d varphi^q d varphi^r, shape (N-P, N-P, n_freqs)."""
+    def phase_hessian(self, varphi) -> np.ndarray | None:
+        """d^2 psi / d varphi^q d varphi^r, shape (N-P, N-P, n_freqs); None: identically zero."""
+        return None
 
 
 @dataclass(frozen=True)
 class KnownMagnitudeModel(ParametricSignalModel):
     """Known magnitude template up to one attenuation, polynomial phase.
 
-    The magnitude is ``alpha * rho0(nu)`` with a single parameter alpha > 0;
-    the unwrapped phase is a polynomial in nu whose coefficients (ascending
-    powers, constant term first) are the phase parameters.  The constant
+    The model lives on the band ``freqs`` (held read-only, under
+    ``FrequencyGrid``'s rule, one per bin of ``rho0``).  The magnitude is
+    ``alpha * rho0(nu)`` with a single parameter alpha > 0; the unwrapped
+    phase is a polynomial in nu whose coefficients (ascending powers,
+    constant term first) are the phase parameters.  The constant
     coefficient is kept in (-pi, pi] since the phase is only observable
     modulo 2*pi; the linear coefficient equals ``-2*pi*tau`` for a pure time
-    delay tau.
+    delay tau.  Both spectra are linear in their parameters: no Hessian.
 
     The instance also stores a canonical point (``alpha``, ``phase_coeffs``);
     evaluation at other points goes through the explicit ``xi`` argument of
     the metric/geodesic operations.
     """
 
+    freqs: np.ndarray
     rho0: np.ndarray
     alpha: float = 1.0
     phase_coeffs: np.ndarray = field(default_factory=lambda: np.zeros(1))
 
     def __post_init__(self):
+        freqs = FrequencyGrid(self.freqs).freqs
         rho0 = readonly(self.rho0)
         coeffs = readonly(np.atleast_1d(self.phase_coeffs))
+        object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "rho0", rho0)
         object.__setattr__(self, "phase_coeffs", coeffs)
         if not in_range(rho0, 0.0, lo_closed=True):
             raise ValueError("rho0 must be finite and non-negative")
+        check_aligned(freqs=len(freqs), rho0=len(rho0))
         check_attenuation(self.alpha)
         if len(coeffs) < 1:
             raise ValueError("at least the constant phase coefficient is required")
@@ -144,38 +154,25 @@ class KnownMagnitudeModel(ParametricSignalModel):
         """The stored canonical parameter point (alpha, coefficients)."""
         return np.concatenate(([self.alpha], self.phase_coeffs))
 
-    def _check_grid(self, grid: FrequencyGrid) -> None:
-        check_aligned(grid=grid.n_freqs, rho0=len(self.rho0))
+    def magnitude(self, phi) -> np.ndarray:
+        phi = np.asarray(phi, dtype=float)
+        if phi.shape[-1:] != (1,):
+            raise ValueError("expected one magnitude parameter, the attenuation")
+        check_attenuation(phi)
+        return phi * self.rho0
 
-    def magnitude(self, phi, grid: FrequencyGrid) -> np.ndarray:
-        self._check_grid(grid)
-        alpha = float(np.asarray(phi, dtype=float).reshape(()))
-        check_attenuation(alpha)
-        return alpha * self.rho0
-
-    def phase_unwrapped(self, varphi, grid: FrequencyGrid) -> np.ndarray:
-        self._check_grid(grid)
+    def phase_unwrapped(self, varphi) -> np.ndarray:
         varphi = np.asarray(varphi, dtype=float)
-        if varphi.shape != (self.n_phase_params,):
+        if varphi.shape[-1:] != (self.n_phase_params,):
             raise ValueError("wrong number of phase coefficients")
-        return polynomial_phase(varphi, grid.freqs)
+        return polynomial_phase(varphi, self.freqs)
 
-    def magnitude_jacobian(self, phi, grid: FrequencyGrid) -> np.ndarray:
-        self._check_grid(grid)
-        return self.rho0[np.newaxis, :].copy()
+    def magnitude_jacobian(self, phi) -> np.ndarray:
+        return np.broadcast_to(self.rho0, (*np.shape(phi)[:-1], 1, len(self.rho0)))
 
-    def phase_jacobian(self, varphi, grid: FrequencyGrid) -> np.ndarray:
-        self._check_grid(grid)
-        return np.vander(grid.freqs, self.n_phase_params, increasing=True).T
-
-    def magnitude_hessian(self, phi, grid: FrequencyGrid) -> np.ndarray:
-        self._check_grid(grid)
-        return np.zeros((1, 1, grid.n_freqs))
-
-    def phase_hessian(self, varphi, grid: FrequencyGrid) -> np.ndarray:
-        self._check_grid(grid)
-        q = self.n_phase_params
-        return np.zeros((q, q, grid.n_freqs))
+    def phase_jacobian(self, varphi) -> np.ndarray:
+        jac = np.vander(self.freqs, self.n_phase_params, increasing=True).T
+        return np.broadcast_to(jac, (*np.shape(varphi)[:-1], *jac.shape))
 
 
 @dataclass(frozen=True)
@@ -183,8 +180,10 @@ class FreeSpectrumModel(ParametricSignalModel):
     """One magnitude and one phase parameter per bin: the full polar chart.
 
     This is the chart of the unconstrained band manifold expressed in polar
-    coordinates.  Hessians are dense zero arrays, so keep the bin count small
-    (it is meant for tests and cross-checks, not for production-size grids).
+    coordinates.  It needs no frequencies, and it is affine, so it declares
+    no Hessian; its connection symbols are still a dense ``(2n)^3`` array,
+    so it is meant for tests and cross-checks, not for production-size
+    grids.
     """
 
     n_bins: int
@@ -201,40 +200,25 @@ class FreeSpectrumModel(ParametricSignalModel):
     def n_phase_params(self) -> int:
         return self.n_bins
 
-    def _check_grid(self, grid: FrequencyGrid) -> None:
-        check_aligned(grid=grid.n_freqs, n_bins=self.n_bins)
-
-    def magnitude(self, phi, grid: FrequencyGrid) -> np.ndarray:
-        self._check_grid(grid)
+    def magnitude(self, phi) -> np.ndarray:
         phi = np.asarray(phi, dtype=float)
         if not in_range(phi, 0.0, lo_closed=True):
             raise ValueError("per-bin magnitudes must be finite and non-negative")
         return phi.copy()
 
-    def phase_unwrapped(self, varphi, grid: FrequencyGrid) -> np.ndarray:
-        self._check_grid(grid)
+    def phase_unwrapped(self, varphi) -> np.ndarray:
         return np.asarray(varphi, dtype=float).copy()
 
-    def magnitude_jacobian(self, phi, grid: FrequencyGrid) -> np.ndarray:
-        self._check_grid(grid)
-        return np.eye(self.n_bins)
+    def magnitude_jacobian(self, phi) -> np.ndarray:
+        return np.broadcast_to(np.eye(self.n_bins), (*np.shape(phi)[:-1], self.n_bins, self.n_bins))
 
-    def phase_jacobian(self, varphi, grid: FrequencyGrid) -> np.ndarray:
-        self._check_grid(grid)
-        return np.eye(self.n_bins)
-
-    def magnitude_hessian(self, phi, grid: FrequencyGrid) -> np.ndarray:
-        self._check_grid(grid)
-        return np.zeros((self.n_bins, self.n_bins, self.n_bins))
-
-    def phase_hessian(self, varphi, grid: FrequencyGrid) -> np.ndarray:
-        self._check_grid(grid)
-        return np.zeros((self.n_bins, self.n_bins, self.n_bins))
+    def phase_jacobian(self, varphi) -> np.ndarray:
+        return self.magnitude_jacobian(varphi)
 
 
-def eval_model(model: ParametricSignalModel, xi, grid: FrequencyGrid) -> SignalSpectrum:
-    """Evaluate a model at a parameter point, wrapping the phase."""
+def eval_model(model: ParametricSignalModel, xi) -> SignalSpectrum:
+    """Evaluate a model at one parameter point, wrapping the phase."""
     phi, varphi = model.split(xi)
-    rho = model.magnitude(phi, grid)
-    psi = wrap_phase(model.phase_unwrapped(varphi, grid))
+    rho = model.magnitude(phi)
+    psi = wrap_phase(model.phase_unwrapped(varphi))
     return SignalSpectrum(rho, np.asarray(psi))

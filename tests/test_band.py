@@ -26,9 +26,12 @@ from fisherband import (
     distance_full_known_mag,
     fisher_matrix,
     in_range,
+    is_real_number,
     known_mag_distances,
+    ldg_residual,
     load_band_csv,
     log_likelihood,
+    path_speed,
     phase_rms_diff,
     readonly,
     row_blocks,
@@ -245,6 +248,15 @@ class TestGrid:
     def test_band_centre_and_width_must_be_real(self, field, value):
         with _raises_exactly(f"{field} must be a real number"):
             build_grid(**{"nu0": 0.25, "bandwidth_B": 0.2, "n_freqs": 4, field: value})
+
+    @pytest.mark.parametrize(
+        "value, real",
+        [("2", False), (True, False), (False, False), (np.True_, False), (None, False), ([0.25], False), (1j, False),
+         (0, True), (-0.0, True), (math.nan, True), (math.inf, True), (np.float64(0.5), True), (np.int64(3), True)],
+    )
+    def test_real_number_rule(self, value, real):
+        # finiteness is each field's own rule
+        assert is_real_number(value) is real
 
     def test_real_band_values_of_any_type(self):
         assert build_grid(1, np.float64(0.5), 4).freqs.tobytes() == build_grid(1.0, 0.5, 4).freqs.tobytes()
@@ -567,13 +579,15 @@ class TestBandRules:
             (lambda g5, n4, s4, s5: straight_line_geodesic(s4, s5), "mu1 4, mu2 5"),
             (lambda g5, n4, s4, s5: solve_alpha_geodesic(1.0, 1.0, np.zeros(4), np.zeros(4), n4, np.ones(5)),
              "noise 4, rho0 5"),
-            (lambda g5, n4, s4, s5: fisher_matrix(KnownMagnitudeModel(np.ones(5)), [1.0, 0.0], g5, n4),
-             "grid 5, noise 4"),
-            (lambda g5, n4, s4, s5: KnownMagnitudeModel(np.ones(4)).magnitude([1.0], g5), "grid 5, rho0 4"),
-            (lambda g5, n4, s4, s5: FreeSpectrumModel(4).magnitude(np.ones(4), g5), "grid 5, n_bins 4"),
+            (lambda g5, n4, s4, s5: fisher_matrix(KnownMagnitudeModel(g5.freqs, np.ones(5)), [1.0, 0.0], n4),
+             "model 5, noise 4"),
+            (lambda g5, n4, s4, s5: KnownMagnitudeModel(g5.freqs, np.ones(4)), "freqs 5, rho0 4"),
+            (lambda g5, n4, s4, s5: path_speed(FreeSpectrumModel(5), np.ones(10), np.ones(10), n4), "model 5, noise 4"),
+            (lambda g5, n4, s4, s5: ldg_residual(FreeSpectrumModel(5), straight_line_geodesic(s5, s5, 9), n4),
+             "model 5, noise 4"),
         ],
         ids=["kernel", "distance_alpha", "distance_full", "distance_full_embedding", "straight_line_geodesic",
-             "solve_alpha_geodesic", "fisher_matrix", "KnownMagnitudeModel", "FreeSpectrumModel"],
+             "solve_alpha_geodesic", "fisher_matrix", "KnownMagnitudeModel", "FreeSpectrumModel", "ldg_residual"],
     )
     def test_misaligned_lengths_name_every_input(self, call, lengths):
         s4, s5 = SignalSpectrum(np.ones(4), np.zeros(4)), SignalSpectrum(np.ones(5), np.zeros(5))
@@ -605,8 +619,8 @@ class TestBandRules:
         "call",
         [
             lambda grid, a: distance_alpha(a, 1.0, np.zeros(3), np.ones(3), NoiseProfile.flat(1.0, 3), np.ones(3)),
-            lambda grid, a: KnownMagnitudeModel(np.ones(3), alpha=a),
-            lambda grid, a: KnownMagnitudeModel(np.ones(3)).magnitude([a], grid),
+            lambda grid, a: KnownMagnitudeModel(grid.freqs, np.ones(3), alpha=a),
+            lambda grid, a: KnownMagnitudeModel(grid.freqs, np.ones(3)).magnitude([a]),
             lambda grid, a: solve_alpha_geodesic(1.0, a, np.zeros(3), np.ones(3), NoiseProfile.flat(1.0, 3), np.ones(3)),
         ],
         ids=["distance_alpha", "KnownMagnitudeModel", "magnitude", "solve_alpha_geodesic"],
@@ -709,7 +723,7 @@ class TestRangeChecks:
         spec = SignalSpectrum([0.0, -0.0], [0.0, 0.0])
         assert np.array_equal(spec.rho, [0.0, 0.0])
         band_energy(NoiseProfile.flat(1.0, 2), [0.0, -0.0])
-        KnownMagnitudeModel(np.array([-0.0, 1.0]))
+        KnownMagnitudeModel(build_grid(0.25, 0.4, 2).freqs, np.array([-0.0, 1.0]))
 
     def test_empty_spectrum(self):
         assert SignalSpectrum([], []).n_freqs == 0
@@ -725,13 +739,14 @@ class TestRangeChecks:
             (lambda b: SignalSpectrum([1.0, 1.0], [4.0, b]), "psi must be finite"),
             (lambda b: Observation([1.0 + 1.0j, complex(b, 0.0)]), "observation values must be finite"),
             (lambda b: Observation([1.0 + 1.0j, complex(0.0, b)]), "observation values must be finite"),
-            (lambda b: KnownMagnitudeModel(np.array([1.0, b])), "rho0 must be finite and non-negative"),
-            (lambda b: KnownMagnitudeModel(np.ones(3), phase_coeffs=[0.0, b]), "phase coefficients must be finite"),
+            (lambda b: KnownMagnitudeModel([0.1, 0.2], np.array([1.0, b])), "rho0 must be finite and non-negative"),
+            (lambda b: KnownMagnitudeModel([0.1, 0.2, 0.3], np.ones(3), phase_coeffs=[0.0, b]),
+             "phase coefficients must be finite"),
             (lambda b: band_energy(NoiseProfile.flat(1.0, 2), [b, 1.0]), "rho0 must be finite and non-negative"),
             (lambda b: Template(NoiseProfile.flat(1.0, 2), [1.0, b]), "rho0 must be finite and non-negative"),
             (lambda b: check_attenuation(1.0, np.array([1.0, b])), "alpha must be positive and finite"),
             (
-                lambda b: FreeSpectrumModel(3).magnitude([b, 1.0, 1.0], build_grid(0.25, 0.3, 3)),
+                lambda b: FreeSpectrumModel(3).magnitude([b, 1.0, 1.0]),
                 "per-bin magnitudes must be finite and non-negative",
             ),
         ],

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -292,6 +293,11 @@ class TestCli:
             ({"nu0": True}, "nu0 must be a real number"),
             ({"bandwidth_B": "0.5"}, "bandwidth_B must be a real number"),
             ({"bandwidth_B": True}, "bandwidth_B must be a real number"),
+            ({"gamma_ratio": True}, "gamma_ratio is True: "),
+            ({"snr1": "1"}, "snr1 is '1': "),
+            ({"dpsi0": False}, "dpsi0 is False: "),
+            ({"btau_sweep": [True, 5.0, 10]}, "sweep minimum is True: "),
+            ({"btau_sweep": [0.0, "5", 10]}, "sweep maximum is '5': "),
         ],
     )
     def test_figure_bad_config_named(self, tmp_path, capsys, override, fragment):
@@ -365,6 +371,27 @@ class TestCli:
         assert main(["inspect", "metric", str(path)]) == 2
         assert capsys.readouterr().err == f"error: bad grid specification: {field} must be a real number\n"
 
+    @pytest.mark.parametrize(
+        "value",
+        ["2", True, None, {}, ["2", 1.0, 1.0, 1.0, 1.0, 1.0], [1.0, True, 1.0, 1.0, 1.0, 1.0], [1.0] * 5, [[1.0] * 6]],
+        ids=["string", "bool", "null", "object", "string-entry", "bool-entry", "short-list", "nested-list"],
+    )
+    @pytest.mark.parametrize("field", ["rho0", "noise.gamma0"])
+    def test_model_file_numbers_not_converted(self, model_file, tmp_path, capsys, field, value):
+        # build_grid's rule for a number, on every entry: no float() or numpy conversion makes one
+        payload = json.loads(model_file.read_text())
+        if field == "rho0":
+            payload["rho0"] = value
+        else:
+            payload["noise"]["gamma0"] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        expected = f"error: field '{field}' must be a real number or a list of 6 real numbers\n"
+        no_pairs = tmp_path / "no-pairs.csv"
+        for argv in (["inspect", "metric", str(path)], ["distance", str(no_pairs), "--model", str(path)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == expected
+
     def test_endpoints_are_read_by_inspect_alone(self, model_file, tmp_path, capsys):
         # distance takes the band from a file with no endpoints, and reports as with them
         payload = json.loads(model_file.read_text())
@@ -400,8 +427,8 @@ class TestCli:
         grid, noise, rho0, models = load_model_file(model_file)
         from fisherband import eval_model, report
 
-        s1 = eval_model(models[0], models[0].xi, grid)
-        s2 = eval_model(models[1], models[1].xi, grid)
+        s1 = eval_model(models[0], models[0].xi)
+        s2 = eval_model(models[1], models[1].xi)
         rep = report(s1, s2, noise, rho0=rho0)
         assert float(rows[0]["d_full"]) == pytest.approx(rep.d_full, rel=1e-15)
         assert float(rows[0]["d_alpha"]) == pytest.approx(rep.d_alpha, rel=1e-15)
@@ -493,8 +520,8 @@ def _pairs_csv(path, sides) -> None:
 def _model_phases(grid, rho0, alpha, coeffs):
     """The unwrapped phases of a pair's side, as a KnownMagnitudeModel holds them."""
     coeffs = np.concatenate([[wrap_phase(coeffs[0])], coeffs[1:]])
-    model = KnownMagnitudeModel(rho0, alpha=alpha, phase_coeffs=coeffs)
-    return model.phase_unwrapped(model.phase_coeffs, grid)
+    model = KnownMagnitudeModel(grid.freqs, rho0, alpha=alpha, phase_coeffs=coeffs)
+    return model.phase_unwrapped(model.phase_coeffs)
 
 
 class TestCliOnLibraryRoutes:
@@ -583,7 +610,7 @@ class TestCliOnLibraryRoutes:
         assert main(["inspect", "geodesic", str(path)]) == 0
         dumped = json.loads(capsys.readouterr().out)
         grid, noise, rho0, models = load_model_file(path)
-        psi1, psi2 = (m.phase_unwrapped(m.phase_coeffs, grid) for m in models)
+        psi1, psi2 = (m.phase_unwrapped(m.phase_coeffs) for m in models)
         geo = solve_alpha_geodesic(1.0, 1.5, psi1, psi2, noise, rho0)
         assert dumped["delta"] == geo.delta
         assert dumped["k1"] == geo.k1
@@ -663,3 +690,16 @@ class TestOneErrorExit:
         done = subprocess.run(argv, capture_output=True, text=True, cwd=SRC_DIR)
         assert done.returncode == 2
         assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("subject", ["metric", "christoffel"])
+    def test_closed_stdout_is_not_an_input_error(self, model_file, subject):
+        # the read end is closed before the spawn, so every write to stdout fails, with no race
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            argv = [sys.executable, "-m", "fisherband.cli", "inspect", subject, str(model_file)]
+            done = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, cwd=SRC_DIR)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert done.stderr == b""

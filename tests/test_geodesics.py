@@ -454,18 +454,18 @@ class TestPathLength:
         psi2 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs2))
         geo = solve_alpha_geodesic(1.0, 1.8, psi1, psi2, noise, rho0)
         coeff_path = alpha_geodesic_coeff_path(geo, coeffs1, coeffs2, n_nodes=101)
-        model = KnownMagnitudeModel(rho0, alpha=1.0, phase_coeffs=coeffs1)
-        length = path_length(ModelChart(model, grid, noise), coeff_path, n_quad=8)
+        model = KnownMagnitudeModel(grid.freqs, rho0, alpha=1.0, phase_coeffs=coeffs1)
+        length = path_length(ModelChart(model, noise), coeff_path, n_quad=8)
         assert length == pytest.approx(geo.length, rel=1e-7)
 
 
 class TestLdgResidual:
     def test_constant_path_zero_residual(self):
         grid, noise, rho0, _ = _band(5, seed=14)
-        model = KnownMagnitudeModel(rho0, alpha=1.0, phase_coeffs=[0.2, 1.0])
+        model = KnownMagnitudeModel(grid.freqs, rho0, alpha=1.0, phase_coeffs=[0.2, 1.0])
         coords = np.tile(model.xi, (11, 1))
         path = GeodesicPath(np.linspace(0, 1, 11), coords)
-        res = ldg_residual(model, path, grid, noise)
+        res = ldg_residual(model, path, noise)
         assert np.all(res.mag == 0.0)
         assert np.all(res.phase == 0.0)
 
@@ -476,16 +476,15 @@ class TestLdgResidual:
         psi1 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs1))
         psi2 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs2))
         geo = solve_alpha_geodesic(1.0, 1.6, psi1, psi2, noise, rho0)
-        model = KnownMagnitudeModel(rho0, alpha=1.0, phase_coeffs=coeffs1)
+        model = KnownMagnitudeModel(grid.freqs, rho0, alpha=1.0, phase_coeffs=coeffs1)
         path = alpha_geodesic_coeff_path(geo, coeffs1, coeffs2, n_nodes=101)
-        res = ldg_residual(model, path, grid, noise)
+        res = ldg_residual(model, path, noise)
         assert res.max_scaled < 1e-4
-        fine = ldg_residual(model, alpha_geodesic_coeff_path(geo, coeffs1, coeffs2, 201), grid, noise)
+        fine = ldg_residual(model, alpha_geodesic_coeff_path(geo, coeffs1, coeffs2, 201), noise)
         assert res.max_scaled / fine.max_scaled > 3.5  # second-order decay
 
     def test_non_affine_line_rejected(self):
         n = 6
-        grid = build_grid(0.25, 0.3, n)
         noise = NoiseProfile.flat(1.0, n)
         rng = np.random.default_rng(16)
         z1 = rng.uniform(0.8, 1.2, n) * np.exp(1j * rng.uniform(-0.6, 0.6, n))
@@ -497,8 +496,8 @@ class TestLdgResidual:
             z = z1[None, :] + warp[:, None] * (z2 - z1)[None, :]
             return GeodesicPath(sig, np.hstack([np.abs(z), np.angle(z)]))
 
-        affine = ldg_residual(model, polar_path(sig), grid, noise)
-        warped = ldg_residual(model, polar_path(sig**2), grid, noise)
+        affine = ldg_residual(model, polar_path(sig), noise)
+        warped = ldg_residual(model, polar_path(sig**2), noise)
         assert affine.max_scaled < 1e-4
         assert warped.max_scaled > 1e-3
 
@@ -508,14 +507,14 @@ class TestLdgResidual:
 
     def test_node_requirements(self):
         grid, noise, rho0, _ = _band(4, seed=17)
-        model = KnownMagnitudeModel(rho0, alpha=1.0, phase_coeffs=[0.0])
+        model = KnownMagnitudeModel(grid.freqs, rho0, alpha=1.0, phase_coeffs=[0.0])
         coords = np.tile(model.xi, (5, 1))
         with pytest.raises(ValueError):
-            ldg_residual(model, GeodesicPath(np.linspace(0, 1, 5), coords), grid, noise)
+            ldg_residual(model, GeodesicPath(np.linspace(0, 1, 5), coords), noise)
         bad_sigmas = np.concatenate([[0.0], np.sort(np.random.default_rng(0).uniform(0.01, 0.99, 9)), [1.0]])
         coords11 = np.tile(model.xi, (11, 1))
         with pytest.raises(ValueError):
-            ldg_residual(model, GeodesicPath(bad_sigmas, coords11), grid, noise)
+            ldg_residual(model, GeodesicPath(bad_sigmas, coords11), noise)
 
 
 class TestGeodesicPathContainer:
@@ -740,7 +739,7 @@ class TestReducedPathLength:
         psi1 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs1))
         psi2 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs2))
         geo = solve_alpha_geodesic(1.0, 1.8, psi1, psi2, noise, rho0)
-        chart = ModelChart(KnownMagnitudeModel(rho0, alpha=1.0, phase_coeffs=coeffs1), grid, noise)
+        chart = ModelChart(KnownMagnitudeModel(grid.freqs, rho0, alpha=1.0, phase_coeffs=coeffs1), noise)
         for n_nodes in (3, 41):
             path = alpha_geodesic_coeff_path(geo, coeffs1, coeffs2, n_nodes=n_nodes)
             assert path_length(chart, path, n_quad=8) == _dense_length(chart, path, 8)
@@ -855,7 +854,7 @@ class TestPiecewiseEvaluation:
         psi1 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs1))
         psi2 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs2))
         geo = solve_alpha_geodesic(0.8, 1.5, psi1, psi2, noise, rho0)
-        chart = ModelChart(KnownMagnitudeModel(rho0, alpha=0.8, phase_coeffs=coeffs1), grid, noise)
+        chart = ModelChart(KnownMagnitudeModel(grid.freqs, rho0, alpha=0.8, phase_coeffs=coeffs1), noise)
         path = alpha_geodesic_coeff_path(geo, coeffs1, coeffs2, n_nodes=21)
         assert path_length(chart, path, n_quad=8) == _searched_length(chart, path, 8)
 
@@ -870,7 +869,7 @@ class TestPiecewiseEvaluation:
         embedding_path = GeodesicPath(sigmas, rng.uniform(-2.0, 2.0, (n_nodes, 10)))
         cases = [
             (AlphaPhaseChart(noise, rho0), alpha_path),
-            (ModelChart(KnownMagnitudeModel(rho0, phase_coeffs=[0.0, 0.0]), grid, noise), coeff_path),
+            (ModelChart(KnownMagnitudeModel(grid.freqs, rho0, phase_coeffs=[0.0, 0.0]), noise), coeff_path),
             (EmbeddingChart(noise), embedding_path),
         ]
         for chart, path in cases:

@@ -252,7 +252,6 @@ def _random_small_model(rng):
     rho0 = rng.uniform(0.5, 2.0, n_bins)
     n_phase = int(rng.integers(1, min(3, n_bins) + 1))
     coeffs = np.concatenate([[rng.uniform(-3.0, 3.0)], rng.normal(0.0, 2.0, n_phase - 1)])
-    coeffs[0] = wrap_phase(coeffs[0])
     model = KnownMagnitudeModel(grid.freqs, rho0, alpha=float(rng.uniform(0.5, 2.0)), phase_coeffs=coeffs)
     return model, noise
 

@@ -111,8 +111,15 @@ def in_range(values, lo=-math.inf, hi=math.inf, lo_closed=False, hi_closed=False
 
 
 def is_real_number(value) -> bool:
-    """Whether ``value`` is a real number as an input field means it: a bool or a string is not."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """Whether ``value`` is a real number as an input field means it: a bool, a
+    string, or an integer beyond the double range (``float`` overflows) is not."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def check_attenuation(*alphas) -> None:

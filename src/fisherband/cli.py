@@ -25,8 +25,8 @@ Exit codes: 0 on success, 1 when ``accept`` finds a failing criterion or
 stdout is closed before the output is written (a broken pipe, which prints
 nothing), and 2 on any named error (bad input, a failed check, an
 unwritable output), which ``main`` alone reports as one ``error: <cause>``
-line on stderr.  A number in a file is a JSON number: a string or a bool is
-not one.
+line on stderr.  A number in a file is a JSON number in the double range: a
+string, a bool or a 400-digit integer is not one.
 """
 
 from __future__ import annotations
@@ -34,20 +34,19 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
-from dataclasses import fields
+from itertools import chain
 
 import numpy as np
 
 from .acceptance import run_acceptance_suite
-from .band import NoiseProfile, Template, build_grid, check_attenuation, is_real_number, row_blocks, wrap_phase
-from .distances import DistanceReport, known_mag_distances
+from .band import NoiseProfile, Template, build_grid, check_attenuation, is_real_number, row_blocks
+from .distances import known_mag_columns, known_mag_distances
 from .figures import FIGURE_CASES, ExperimentConfig, run_figure_case, write_figure_csv
 from .geodesics import solve_alpha_geodesic
 from .metric import christoffel, fisher_matrix
-from .models import KnownMagnitudeModel, polynomial_phase
+from .models import KnownMagnitudeModel, phase_coeff_rows, polynomial_phase
 
 
 class ModelFileError(ValueError):
@@ -100,16 +99,14 @@ def load_model_file(path, with_endpoints: bool = True):
         raise ModelFileError("field 'endpoints' must list exactly two points")
     models = []
     for k, spec in enumerate(endpoints):
+        alpha, coeffs = (need(spec, key, f"endpoints[{k}]") for key in ("alpha", "phase_coeffs"))
+        if not is_real_number(alpha):
+            raise ModelFileError(f"field 'endpoints[{k}].alpha' must be a real number")
+        if not (isinstance(coeffs, list) and all(map(is_real_number, coeffs))):
+            raise ModelFileError(f"field 'endpoints[{k}].phase_coeffs' must be a list of real numbers")
         try:
-            models.append(
-                KnownMagnitudeModel(
-                    grid.freqs,
-                    rho0,
-                    alpha=float(need(spec, "alpha", f"endpoints[{k}]")),
-                    phase_coeffs=np.asarray(need(spec, "phase_coeffs", f"endpoints[{k}]"), dtype=float),
-                )
-            )
-        except (TypeError, ValueError) as exc:
+            models.append(KnownMagnitudeModel(grid.freqs, rho0, alpha=float(alpha), phase_coeffs=coeffs))
+        except ValueError as exc:
             raise ModelFileError(f"bad endpoint {k}: {exc}") from exc
     return grid, noise, rho0, models
 
@@ -185,64 +182,71 @@ def _cmd_distance(args) -> int:
     else:
         grid, noise, rho0 = build_grid(0.25, 0.5, 1000), NoiseProfile.flat(2.0, 1000), np.ones(1000)
     template = Template(noise, rho0)
-    with open(args.pairs) as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not set(PAIR_COLUMNS).issubset(reader.fieldnames):
-            raise ValueError(f"pairs CSV must have columns {sorted(PAIR_COLUMNS)}")
-        pairs = list(reader)
-
-    # every row's attenuations and coefficients are checked before any is evaluated, as a
-    # known-magnitude model would check them
     n = grid.n_freqs
-    alphas, coeff_lists = [], []
-    for k, row in enumerate(pairs):
-        try:
-            for side in "12":
-                alpha = float(row["alpha" + side])
-                # a short row leaves its missing cells None
-                coeffs = [float(part) for part in (row["phase_coeffs" + side] or "").split(";")]
-                check_attenuation(alpha)
-                if not all(map(math.isfinite, coeffs)):
-                    raise ValueError("phase coefficients must be finite")
-                if len(coeffs) > n:
-                    raise ValueError("phase polynomial degree exceeds n_freqs - 1")
-                alphas.append(alpha)
-                coeff_lists.append(coeffs)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"bad pair on row {k + 1}: {exc}") from exc
-    alphas = np.reshape(alphas, (-1, 2))
+    with open(args.pairs) as handle:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        if not set(PAIR_COLUMNS).issubset(header):
+            raise ValueError(f"pairs CSV must have columns {sorted(PAIR_COLUMNS)}")
+        # a repeated name reads its last column, a short row None, and a blank row is skipped, as in csv.DictReader
+        at = [{name: k for k, name in enumerate(header)}[c] for c in PAIR_COLUMNS]
+        table = [[row[k] if k < len(row) else None for k in at] for row in reader if row]
 
-    results = np.empty((len(alphas), 3))
-    for rows in row_blocks(len(alphas), n):
-        lo, hi = rows.start, rows.stop
-        # zero-padded coefficients: Horner with trailing zeros is bit-identical to the row's own call
-        part = coeff_lists[2 * lo:2 * hi]
-        block = np.zeros((len(part), max(map(len, part))))
-        for j, coeffs in enumerate(part):
-            block[j, :len(coeffs)] = coeffs
-        # constant terms in (-pi, pi], as a KnownMagnitudeModel holds them
-        block[:, 0] = wrap_phase(block[:, 0])
-        with np.errstate(over="ignore", invalid="ignore"):  # a row that overflows is named below
-            phases = polynomial_phase(block, grid.freqs).reshape(hi - lo, 2, n)
-        try:
-            results[rows] = np.column_stack(
-                known_mag_distances(template, alphas[rows, 0], alphas[rows, 1], phases[:, 0], phases[:, 1])
-            )
-        except ValueError:  # the kernel's check of the gap: name the first row that fails it
-            with np.errstate(over="ignore", invalid="ignore"):
-                finite = np.isfinite(phases[:, 1] - phases[:, 0]).all(axis=1)
-            k = lo + int(np.argmin(finite)) + 1
-            raise ValueError(f"bad pair on row {k}: phases or their gap not finite on the grid") from None
+    try:
+        # every side at once: its attenuation, and its coefficients under the model's rule
+        alphas = np.array([float(cells[i]) for cells in table for i in (0, 2)]).reshape(-1, 2)
+        coeff_lists = [[float(part) for part in (cells[i] or "").split(";")] for cells in table for i in (1, 3)]
+        counts = np.fromiter(map(len, coeff_lists), int, len(coeff_lists)).reshape(-1, 2)
+        if counts.max(initial=1) > n:  # a side past the degree rule is named below, before a matrix is built
+            raise ValueError
+        check_attenuation(alphas)
+        # the pairs grouped by their higher count, each group zero-padded to that count alone, so a long
+        # polynomial widens only its own group; the groups run in increasing count, each in file order
+        groups, widths = [], counts.max(axis=1)
+        for width in sorted(set(widths.tolist())):  # not np.unique: its first call adds 1.7 MB of resident memory
+            rows = np.flatnonzero(widths == width)
+            coeffs = np.zeros((len(rows), 2, width))
+            sides = chain.from_iterable(coeff_lists[2 * k + j] for k in rows.tolist() for j in (0, 1))
+            coeffs[np.arange(width) < counts[rows, :, np.newaxis]] = np.fromiter(sides, float)
+            groups.append((rows, phase_coeff_rows(coeffs, n)))
+    except (TypeError, ValueError):
+        # the first side in file order that breaks a rule names its row and its error; a short row leaves a cell None
+        for k, cells in enumerate(table):
+            for alpha, side in (cells[:2], cells[2:]):
+                try:
+                    alpha, side = float(alpha), [float(part) for part in (side or "").split(";")]
+                    check_attenuation(alpha)
+                    phase_coeff_rows(side, n)
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"bad pair on row {k + 1}: {exc}") from None
+        raise
 
+    # Horner with trailing zeros is bit-identical to the row's own call, and a row's values never depend on
+    # its block-mates, so each row equals its own evaluation however it is grouped
+    results, bad = np.empty((len(alphas), 3)), []
+    for rows, coeffs in groups:
+        for part in row_blocks(len(rows), n):
+            block = rows[part]
+            with np.errstate(over="ignore", invalid="ignore"):  # a row that overflows is named below
+                phases = polynomial_phase(coeffs[part], grid.freqs)
+            try:
+                d = known_mag_distances(template, alphas[block, 0], alphas[block, 1], phases[:, 0], phases[:, 1])
+                results[block] = np.column_stack(d)
+            except ValueError:  # the kernel's check of the gap: the first row in file order that fails it is named
+                with np.errstate(over="ignore", invalid="ignore"):
+                    bad.append(block[~np.isfinite(phases[:, 1] - phases[:, 0]).all(axis=1)].min())
+    if bad:
+        raise ValueError(f"bad pair on row {min(bad) + 1}: phases or their gap not finite on the grid")
+
+    columns = known_mag_columns(*results.T, template.omega0, alphas[:, 0], alphas[:, 1])
+    # cells made as each row is written, so the report's strings are never all held at once; NaN: no ratio
+    cells = [map(lambda v: repr(v) if v == v else "", column.tolist()) for column in columns.values()]
     out = args.output or "distance_reports.csv"
     with open(out, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(PAIR_COLUMNS + [f.name for f in fields(DistanceReport)])
-        for row, (a1, a2), (d_full, d_alpha, delta) in zip(pairs, alphas.tolist(), results.tolist()):
-            rep = DistanceReport.known_mag(d_full, d_alpha, delta, template.omega0, a1, a2)
-            cells = ["" if v is None else repr(v) for v in rep.to_json_dict().values()]
-            writer.writerow([row[c] for c in PAIR_COLUMNS] + cells)
-    print(f"wrote {len(pairs)} reports to {out}")
+        writer.writerow(PAIR_COLUMNS + list(columns))
+        writer.writerows(zip(*zip(*table), *cells))
+    print(f"wrote {len(table)} reports to {out}")
     return 0
 
 

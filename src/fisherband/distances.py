@@ -53,6 +53,7 @@ __all__ = [
     "distance_full",
     "distance_full_embedding",
     "distance_full_known_mag",
+    "known_mag_columns",
     "known_mag_distances",
     "large_phase_limits",
     "ratio_time_delay",
@@ -237,6 +238,32 @@ def ratio_time_delay(gamma_ratio: float, dpsi0: float, dtau_times_B, nu0_over_B:
     return float(ratio) if ratio.ndim == 0 else ratio
 
 
+def _check_distances(d_full, d_alpha) -> None:
+    """A report's rule, on one pair or on columns: no negative distance, and ``d_alpha >= d_full`` up to rounding."""
+    with np.errstate(invalid="ignore"):  # inf - inf at distances beyond the double range
+        if np.any(d_full < 0.0) or np.any(d_alpha < 0.0):
+            raise ValueError("distances must be non-negative")
+        if np.any(d_alpha < d_full - 1e-12 * (1.0 + d_full)):
+            raise ValueError("submanifold distance fell below the full distance")
+
+
+def known_mag_columns(d_full, d_alpha, delta, omega0: float, alpha1, alpha2) -> dict:
+    """The fields of :class:`DistanceReport` for known-magnitude pairs on whole
+    columns of the kernel's outputs, under the report's rule: one array per
+    field, in field order, NaN where a report's ``ratio`` is None.  ``snr1 =
+    omega0 alpha1^2`` is formed on the mantissa of ``alpha1``, so it is inf
+    only when its value exceeds the double range."""
+    d_full, d_alpha, alpha1 = (np.asarray(v, dtype=float) for v in (d_full, d_alpha, alpha1))
+    _check_distances(d_full, d_alpha)
+    mant, e = np.frexp(alpha1)
+    defined = (0.0 < d_full) & (d_full < math.inf)
+    with np.errstate(over="ignore"):  # a quotient beyond the double range is inf, as a float's is
+        return {"d_full": d_full, "d_alpha": d_alpha, "omega0": np.full(d_full.shape, omega0),
+                "snr1": unscale(omega0 * (mant * mant), 2 * e), "gamma_ratio": np.divide(alpha2, alpha1),
+                "delta": np.asarray(delta, dtype=float),
+                "ratio": np.divide(d_alpha, d_full, out=np.full(d_full.shape, math.nan), where=defined)}
+
+
 @dataclass(frozen=True)
 class DistanceReport:
     """Distances and the chart quantities behind them for one endpoint pair.
@@ -256,23 +283,15 @@ class DistanceReport:
     ratio: float | None = None
 
     def __post_init__(self):
-        if self.d_full < 0.0 or (self.d_alpha is not None and self.d_alpha < 0.0):
-            raise ValueError("distances must be non-negative")
-        if self.d_alpha is not None:
-            if self.d_alpha < self.d_full - 1e-12 * (1.0 + self.d_full):
-                raise ValueError("submanifold distance fell below the full distance")
+        _check_distances(self.d_full, self.d_full if self.d_alpha is None else self.d_alpha)
 
     @classmethod
     def known_mag(cls, d_full, d_alpha, delta, omega0, alpha1, alpha2) -> "DistanceReport":
-        """Report of a known-magnitude pair from the kernel's outputs.
-
-        ``snr1 = omega0 alpha1^2`` is formed on the mantissa of ``alpha1``, so
-        it is inf only when its value exceeds the double range.
-        """
-        mant, e = math.frexp(alpha1)
-        ratio = d_alpha / d_full if 0.0 < d_full < math.inf else None
-        return cls(d_full=d_full, d_alpha=d_alpha, omega0=omega0, snr1=unscale(omega0 * (mant * mant), 2 * e),
-                   gamma_ratio=alpha2 / alpha1, delta=delta, ratio=ratio)
+        """Report of a known-magnitude pair from the kernel's outputs: the
+        one-row view of :func:`known_mag_columns`."""
+        columns = known_mag_columns(d_full, d_alpha, delta, omega0, alpha1, alpha2)
+        values = {name: float(v) for name, v in columns.items()}
+        return cls(**values | {"ratio": None if math.isnan(values["ratio"]) else values["ratio"]})
 
     def to_json_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

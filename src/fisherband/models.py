@@ -22,6 +22,7 @@ __all__ = [
     "KnownMagnitudeModel",
     "ParametricSignalModel",
     "eval_model",
+    "phase_coeff_rows",
     "polynomial_phase",
 ]
 
@@ -41,6 +42,24 @@ def polynomial_phase(coeffs, freqs) -> np.ndarray:
         out *= freqs
         out += coeffs[..., k : k + 1]
     return out
+
+
+def phase_coeff_rows(coeffs, n_freqs: int) -> np.ndarray:
+    """Rows of ascending phase coefficients (shape ``(..., d)``) under a
+    known-magnitude model's one rule: every coefficient finite, and at least
+    one and at most ``n_freqs`` of them (a degree of at most ``n_freqs - 1``).
+    Returned as a new array whose constant terms are wrapped into (-pi, pi] by
+    one ``wrap_phase`` call: the phase is observable only modulo 2*pi, so the
+    constant is wrapped, not rejected."""
+    coeffs = np.array(coeffs, dtype=float, ndmin=1)
+    if coeffs.shape[-1] < 1:
+        raise ValueError("at least the constant phase coefficient is required")
+    if not in_range(coeffs):
+        raise ValueError("phase coefficients must be finite")
+    if coeffs.shape[-1] > n_freqs:
+        raise ValueError("phase polynomial degree exceeds n_freqs - 1")
+    coeffs[..., 0] = wrap_phase(coeffs[..., 0])
+    return coeffs
 
 
 class ParametricSignalModel(abc.ABC):
@@ -106,9 +125,9 @@ class KnownMagnitudeModel(ParametricSignalModel):
     ``FrequencyGrid``'s rule, one per bin of ``rho0``).  The magnitude is
     ``alpha * rho0(nu)`` with a single parameter alpha > 0; the unwrapped
     phase is a polynomial in nu whose coefficients (ascending powers,
-    constant term first) are the phase parameters.  The constant
-    coefficient is kept in (-pi, pi] since the phase is only observable
-    modulo 2*pi; the linear coefficient equals ``-2*pi*tau`` for a pure time
+    constant term first) are the phase parameters, held under
+    :func:`phase_coeff_rows`' rule: the constant coefficient is wrapped into
+    (-pi, pi]; the linear coefficient equals ``-2*pi*tau`` for a pure time
     delay tau.  Both spectra are linear in their parameters: no Hessian.
 
     The instance also stores a canonical point (``alpha``, ``phase_coeffs``);
@@ -124,22 +143,13 @@ class KnownMagnitudeModel(ParametricSignalModel):
     def __post_init__(self):
         freqs = FrequencyGrid(self.freqs).freqs
         rho0 = readonly(self.rho0)
-        coeffs = readonly(np.atleast_1d(self.phase_coeffs))
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "rho0", rho0)
-        object.__setattr__(self, "phase_coeffs", coeffs)
         if not in_range(rho0, 0.0, lo_closed=True):
             raise ValueError("rho0 must be finite and non-negative")
         check_aligned(freqs=len(freqs), rho0=len(rho0))
         check_attenuation(self.alpha)
-        if len(coeffs) < 1:
-            raise ValueError("at least the constant phase coefficient is required")
-        if not in_range(coeffs):
-            raise ValueError("phase coefficients must be finite")
-        if not (-np.pi < coeffs[0] <= np.pi):
-            raise ValueError("constant phase coefficient must lie in (-pi, pi]")
-        if len(coeffs) > len(rho0):
-            raise ValueError("phase polynomial degree exceeds n_freqs - 1")
+        object.__setattr__(self, "phase_coeffs", readonly(phase_coeff_rows(self.phase_coeffs, len(rho0))))
 
     @property
     def n_mag_params(self) -> int:

@@ -252,7 +252,8 @@ class TestGrid:
     @pytest.mark.parametrize(
         "value, real",
         [("2", False), (True, False), (False, False), (np.True_, False), (None, False), ([0.25], False), (1j, False),
-         (0, True), (-0.0, True), (math.nan, True), (math.inf, True), (np.float64(0.5), True), (np.int64(3), True)],
+         (0, True), (-0.0, True), (math.nan, True), (math.inf, True), (np.float64(0.5), True), (np.int64(3), True),
+         pytest.param(10**400, False, id="int-beyond-double"), pytest.param(10**308, True, id="int-within-double")],
     )
     def test_real_number_rule(self, value, real):
         # finiteness is each field's own rule

@@ -13,6 +13,7 @@ from fisherband import (
     BLOCK,
     AlphaPhaseChart,
     ChartMismatchError,
+    DistanceReport,
     NoiseProfile,
     SignalSpectrum,
     Template,
@@ -22,6 +23,7 @@ from fisherband import (
     distance_full,
     distance_full_embedding,
     distance_full_known_mag,
+    known_mag_columns,
     known_mag_distances,
     large_phase_limits,
     path_length,
@@ -587,6 +589,61 @@ class TestRatioTimeDelay:
     def test_named_errors(self, args, message):
         with pytest.raises(ValueError, match=message):
             ratio_time_delay(*args)
+
+
+def former_known_mag(d_full, d_alpha, delta, omega0, alpha1, alpha2) -> dict:
+    """The fields of ``DistanceReport.known_mag`` by its former scalar arithmetic, one pair at a time."""
+    if d_full < 0.0 or d_alpha < 0.0:
+        raise ValueError("distances must be non-negative")
+    if d_alpha < d_full - 1e-12 * (1.0 + d_full):
+        raise ValueError("submanifold distance fell below the full distance")
+    mant, e = math.frexp(alpha1)
+    try:
+        snr1 = math.ldexp(omega0 * (mant * mant), 2 * e)
+    except OverflowError:
+        snr1 = math.inf
+    ratio = d_alpha / d_full if 0.0 < d_full < math.inf else None
+    return {"d_full": d_full, "d_alpha": d_alpha, "omega0": omega0, "snr1": snr1,
+            "gamma_ratio": alpha2 / alpha1, "delta": delta, "ratio": ratio}
+
+
+class TestReportColumns:
+    """``known_mag_columns`` is the report's rule on whole columns, and ``DistanceReport.known_mag`` its one-row view."""
+
+    @staticmethod
+    def _rows(rng, n):
+        alpha1, alpha2 = 10.0 ** rng.uniform(-300.0, 300.0, (2, n))
+        d_full = 10.0 ** rng.uniform(-300.0, 300.0, n)
+        d_alpha = d_full * (1.0 + rng.uniform(0.0, 2.0, n))
+        # coincident endpoints, distances beyond the double range, a subnormal attenuation and an overflowing snr1
+        d_full[:2], d_alpha[:2], d_full[2:4], d_alpha[2:4] = 0.0, 0.0, math.inf, math.inf
+        alpha1[4], alpha1[5] = 5e-324, 1e300
+        return d_full, d_alpha, rng.uniform(0.0, math.pi, n), alpha1, alpha2
+
+    def test_columns_equal_the_one_row_report(self):
+        rng = np.random.default_rng(41)
+        d_full, d_alpha, delta, alpha1, alpha2 = self._rows(rng, 200)
+        omega0 = 3.7
+        columns = known_mag_columns(d_full, d_alpha, delta, omega0, alpha1, alpha2)
+        assert list(columns) == list(DistanceReport(d_full=0.0).to_json_dict())
+        for k in range(200):
+            args = (float(d_full[k]), float(d_alpha[k]), float(delta[k]), omega0, float(alpha1[k]), float(alpha2[k]))
+            former, rep = former_known_mag(*args), DistanceReport.known_mag(*args).to_json_dict()
+            for name, column in columns.items():
+                cell = float(column[k])
+                assert repr(rep[name]) == repr(former[name]) == (repr(cell) if cell == cell else "None"), (k, name)
+        assert math.isinf(columns["snr1"][5]) and np.isnan(columns["ratio"][:4]).all()
+
+    @pytest.mark.parametrize("factor, message", [(0.5, "fell below the full distance"), (-1.0, "non-negative")])
+    def test_every_row_keeps_the_rule(self, factor, message):
+        d_full, d_alpha, delta, alpha1, alpha2 = self._rows(np.random.default_rng(42), 30)
+        known_mag_columns(d_full, d_alpha, delta, 2.0, alpha1, alpha2)
+        d_alpha[17] = factor * d_full[17]
+        for route in (former_known_mag, DistanceReport.known_mag):
+            with pytest.raises(ValueError, match=message):
+                route(float(d_full[17]), float(d_alpha[17]), 1.0, 2.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match=message):
+            known_mag_columns(d_full, d_alpha, delta, 2.0, alpha1, alpha2)
 
 
 class TestReport:

@@ -1,10 +1,13 @@
 import csv
+import dataclasses
+import io
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -298,6 +301,7 @@ class TestCli:
             ({"dpsi0": False}, "dpsi0 is False: "),
             ({"btau_sweep": [True, 5.0, 10]}, "sweep minimum is True: "),
             ({"btau_sweep": [0.0, "5", 10]}, "sweep maximum is '5': "),
+            ({"gamma_ratio": 10**400}, "gamma_ratio is 1000"),  # beyond the double range: no OverflowError
         ],
     )
     def test_figure_bad_config_named(self, tmp_path, capsys, override, fragment):
@@ -307,7 +311,7 @@ class TestCli:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["figure", str(cfg_path), "--output", str(tmp_path / "out.csv")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: bad figure config:") and fragment in err
+        assert err.startswith("error: bad figure config:") and fragment in err and err.count("\n") == 1
 
     def test_figure_unknown_case(self, capsys):
         assert main(["figure", "no-such-case"]) == 2
@@ -373,8 +377,10 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "value",
-        ["2", True, None, {}, ["2", 1.0, 1.0, 1.0, 1.0, 1.0], [1.0, True, 1.0, 1.0, 1.0, 1.0], [1.0] * 5, [[1.0] * 6]],
-        ids=["string", "bool", "null", "object", "string-entry", "bool-entry", "short-list", "nested-list"],
+        ["2", True, None, {}, ["2", 1.0, 1.0, 1.0, 1.0, 1.0], [1.0, True, 1.0, 1.0, 1.0, 1.0], [1.0] * 5, [[1.0] * 6],
+         10**400, [1.0, 10**400, 1.0, 1.0, 1.0, 1.0]],
+        ids=["string", "bool", "null", "object", "string-entry", "bool-entry", "short-list", "nested-list", "huge-int",
+             "huge-int-entry"],
     )
     @pytest.mark.parametrize("field", ["rho0", "noise.gamma0"])
     def test_model_file_numbers_not_converted(self, model_file, tmp_path, capsys, field, value):
@@ -391,6 +397,27 @@ class TestCli:
         for argv in (["inspect", "metric", str(path)], ["distance", str(no_pairs), "--model", str(path)]):
             assert main(argv) == 2
             assert capsys.readouterr().err == expected
+
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [
+            ("alpha", "1.5", "must be a real number"),
+            ("alpha", True, "must be a real number"),
+            ("alpha", 10**400, "must be a real number"),
+            ("phase_coeffs", ["0.5", 1.0], "must be a list of real numbers"),
+            ("phase_coeffs", [0.5, True], "must be a list of real numbers"),
+            ("phase_coeffs", 0.5, "must be a list of real numbers"),
+        ],
+        ids=["alpha-string", "alpha-bool", "alpha-huge-int", "coeffs-string-entry", "coeffs-bool-entry", "coeffs-scalar"],
+    )
+    def test_model_file_endpoint_numbers_not_converted(self, model_file, tmp_path, capsys, key, value, expected):
+        # the endpoints follow the same rule: no float() or numpy conversion makes a number
+        payload = json.loads(model_file.read_text())
+        payload["endpoints"][1][key] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        assert main(["inspect", "geodesic", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: field 'endpoints[1].{key}' {expected}\n"
 
     def test_endpoints_are_read_by_inspect_alone(self, model_file, tmp_path, capsys):
         # distance takes the band from a file with no endpoints, and reports as with them
@@ -518,10 +545,28 @@ def _pairs_csv(path, sides) -> None:
 
 
 def _model_phases(grid, rho0, alpha, coeffs):
-    """The unwrapped phases of a pair's side, as a KnownMagnitudeModel holds them."""
-    coeffs = np.concatenate([[wrap_phase(coeffs[0])], coeffs[1:]])
+    """The unwrapped phases of a pair's side, as a KnownMagnitudeModel holds them (its constant wrapped)."""
     model = KnownMagnitudeModel(grid.freqs, rho0, alpha=alpha, phase_coeffs=coeffs)
     return model.phase_unwrapped(model.phase_coeffs)
+
+
+def _per_row_reports(pairs, grid, noise, rho0) -> bytes:
+    """The ``distance`` CSV by the former per-row route: one kernel call, one
+    ``DistanceReport.known_mag`` and one ``writerow`` per row."""
+    template = Template(noise, rho0)
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(PAIR_COLUMNS + [f.name for f in dataclasses.fields(DistanceReport)])
+    with open(pairs) as handle:
+        for row in csv.DictReader(handle):
+            a1, a2 = float(row["alpha1"]), float(row["alpha2"])
+            c1, c2 = ([float(c) for c in row[k].split(";")] for k in ("phase_coeffs1", "phase_coeffs2"))
+            psi1, psi2 = _model_phases(grid, rho0, a1, c1), _model_phases(grid, rho0, a2, c2)
+            d_full, d_alpha, delta = map(float, known_mag_distances(template, a1, a2, psi1, psi2))
+            rep = DistanceReport.known_mag(d_full, d_alpha, delta, template.omega0, a1, a2)
+            cells = ["" if v is None else repr(v) for v in rep.to_json_dict().values()]
+            writer.writerow([row[c] for c in PAIR_COLUMNS] + cells)
+    return out.getvalue().encode()
 
 
 class TestCliOnLibraryRoutes:
@@ -548,11 +593,11 @@ class TestCliOnLibraryRoutes:
         assert wrapped_any
 
     def test_distance_row_blocks_at_the_default_band(self, tmp_path, capsys):
-        # 20 rows at 1000 bins: blocks of 8, 8 and 4 rows
+        # 20 rows at 1000 bins: blocks of at most 8 rows
         n_rows, n = 20, 1000
         assert [b.stop - b.start for b in row_blocks(n_rows, n)] == [8, 8, 4]
         rng = np.random.default_rng(17)
-        # degrees 0-3 on consecutive sides, so every block mixes them and pads its shorter rows
+        # degrees 0-3 on consecutive sides, so every pair pads its shorter side to the other's degree
         sides = [(float(10.0 ** rng.uniform(-1.0, 1.0)), rng.uniform(-60.0, 60.0, k % 4 + 1)) for k in range(2 * n_rows)]
         sides[2] = (sides[2][0], np.array([-0.0, 25.0, -0.0]))
         sides[3] = (sides[3][0], np.array([-0.0]))
@@ -570,7 +615,7 @@ class TestCliOnLibraryRoutes:
             assert float(row["d_full"]) == distance_full_known_mag(a1, a2, psi1, psi2, noise, rho0)
             assert float(row["delta"]) == phase_rms_diff(psi1, psi2, noise, rho0)
 
-        # row 19, in the third block: its first side's phase overflows to inf on the upper bins
+        # row 19, of degree 2 as row 2 is: its first side's phase overflows to inf on the upper bins
         sides[36] = (1.0, np.array([0.0, 1.7e308, 1.7e308]))
         _pairs_csv(pairs, sides)
         out.unlink()
@@ -578,6 +623,62 @@ class TestCliOnLibraryRoutes:
         assert main(["distance", str(pairs), "--output", str(out)]) == 2
         assert capsys.readouterr().err == "error: bad pair on row 19: phases or their gap not finite on the grid\n"
         assert not out.exists()
+
+    def test_distance_csv_equals_the_per_row_route(self, tmp_path):
+        # 44 rows at the default band, with degrees 0-3 on each side: the pairs of each higher degree run
+        # in blocks of their own, several of them for the commonest
+        rng = np.random.default_rng(23)
+        sides = [(float(10.0 ** rng.uniform(-1.0, 1.0)), rng.uniform(-60.0, 60.0, rng.integers(1, 5))) for _ in range(80)]
+        pairs = tmp_path / "pairs.csv"
+        _pairs_csv(pairs, sides)
+        edge = [
+            "1.5,0.3;-2.0,1.5,0.3;-2.0",  # coincident endpoints: no ratio
+            "1e308,0,1,1",  # distances beyond the double range: inf, and no ratio
+            "1e160,0.2;1.0,2e160,0.6;2.5",  # snr1 beyond the double range
+            "0.7,-0.0;25.0;-0.0,2.0,-0.0",  # signed zeros and a padded degree
+        ]
+        lines = pairs.read_text().splitlines()
+        pairs.write_text("\n".join(lines[:5] + edge[:2] + lines[5:30] + edge[2:] + lines[30:]) + "\n")
+        out = tmp_path / "reports.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["distance", str(pairs), "--output", str(out)]) == 0
+        n = 1000
+        expected = _per_row_reports(pairs, build_grid(0.25, 0.5, n), NoiseProfile.flat(2.0, n), np.ones(n))
+        assert out.read_bytes() == expected
+        rows = list(csv.DictReader(io.StringIO(expected.decode())))
+        degrees = [max(row["phase_coeffs1"].count(";"), row["phase_coeffs2"].count(";")) for row in rows]
+        assert len(rows) == 44 and sorted(set(degrees)) == [0, 1, 2, 3] and max(map(degrees.count, degrees)) > 8
+        assert rows[4]["ratio"] == "" and rows[5]["d_full"] == "inf" and rows[31]["snr1"] == "inf"
+
+    def test_distance_names_the_first_bad_row_in_file_order(self, tmp_path, capsys):
+        # row 9 (degree 3) and row 20 (degree 2) overflow; the pairs run in increasing degree, so row 20 runs first
+        degrees = [3] * 9 + [0, 1] * 5 + [2] + [1] * 4
+        rows = [",".join(["1.0", ";".join(["0.5"] * (d + 1)), "2.0", "-0.5"]) for d in degrees]
+        rows[8], rows[19] = "1.0,0;1.7e308;1.7e308;0,1.0,0", "1.0,0;1.7e308;1.7e308,1.0,0"
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("\n".join([",".join(PAIR_COLUMNS)] + rows) + "\n")
+        out = tmp_path / "reports.csv"
+        assert main(["distance", str(pairs), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == "error: bad pair on row 9: phases or their gap not finite on the grid\n"
+        assert not out.exists()
+
+    def test_distance_memory_does_not_follow_the_longest_polynomial(self, tmp_path):
+        # one side of 1000 coefficients among 1000 short pairs: only its own pair is padded to that length
+        lines = [",".join(PAIR_COLUMNS)] + [f"1.5,0.25;{k % 7}.0,2.0,0.5" for k in range(1000)]
+        pairs, out = tmp_path / "pairs.csv", tmp_path / "reports.csv"
+        peaks = []
+        for long_side in ("0.3", ";".join(["0.0"] * 999 + ["1e-300"])):
+            lines[3] = f"1.0,{long_side},2.0,0.5"
+            pairs.write_text("\n".join(lines) + "\n")
+            tracemalloc.start()
+            try:
+                assert main(["distance", str(pairs), "--output", str(out)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # a zero-padded (2 rows x 1000) matrix alone would be 16 MB
+        assert peaks[1] < peaks[0] + 2**22, peaks
 
     def test_figure_output_is_the_only_file(self, tmp_path, monkeypatch, capsys):
         cfg = {

@@ -12,6 +12,7 @@ from fisherband import (
     KnownMagnitudeModel,
     build_grid,
     eval_model,
+    phase_coeff_rows,
     polynomial_phase,
     wrap_phase,
 )
@@ -67,8 +68,8 @@ class TestKnownMagnitudeModel:
         [
             {"alpha": 0.0},
             {"alpha": -1.0},
-            {"phase_coeffs": [4.0]},  # constant coefficient outside (-pi, pi]
-            {"phase_coeffs": [-math.pi]},
+            {"phase_coeffs": [math.nan]},  # a constant wraps, but only a finite one
+            {"phase_coeffs": [0.0] * 5},  # degree 4 on four frequencies
             {"phase_coeffs": []},
         ],
     )
@@ -77,6 +78,15 @@ class TestKnownMagnitudeModel:
         base.update(kwargs)
         with pytest.raises(ValueError):
             KnownMagnitudeModel(build_grid(0.25, 0.4, 4).freqs, np.ones(4), **base)
+
+    @pytest.mark.parametrize(
+        "constant, stored", [(4.0, 4.0 - 2.0 * math.pi), (-math.pi, math.pi)], ids=["outside", "minus-pi"]
+    )
+    def test_constant_coefficient_is_wrapped(self, constant, stored):
+        # the phase is observable only modulo 2 pi: the one rule wraps the constant into (-pi, pi], as the CLI does
+        model = KnownMagnitudeModel(build_grid(0.25, 0.4, 4).freqs, np.ones(4), phase_coeffs=[constant, 1.5])
+        assert model.phase_coeffs.tobytes() == np.array([stored, 1.5]).tobytes()
+        assert phase_coeff_rows([[constant, 1.5]], 4).tobytes() == model.phase_coeffs.tobytes()
 
     @pytest.mark.parametrize(
         "freqs",

@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .band import (
-    FrequencyGrid,
     NoiseProfile,
     SignalSpectrum,
     band_energy,
@@ -42,7 +41,7 @@ from .geodesics import (
     solve_alpha_geodesic,
 )
 from .metric import christoffel, christoffel_fd, fisher_matrix, monte_carlo_fisher, path_speed
-from .models import FreeSpectrumModel, KnownMagnitudeModel
+from .models import FreeSpectrumModel, KnownMagnitudeModel, polynomial_phase
 
 __all__ = ["CriterionResult", "run_acceptance_suite", "CRITERIA"]
 
@@ -75,25 +74,26 @@ def _rng(seed, cid: int) -> np.random.Generator:
 
 
 def _random_band(rng, n_lo: int, n_hi: int):
+    """A band's bandwidth, noise and template on ``n_lo..n_hi`` bins; the caller
+    that reads frequencies builds its grid from the bandwidth and ``noise.n_freqs``."""
     n = int(rng.integers(n_lo, n_hi + 1))
     bandwidth = float(rng.uniform(0.1, 0.5))
-    grid = build_grid(0.25, bandwidth, n)
     noise = NoiseProfile(rng.uniform(0.5, 2.0, n))
     rho0 = rng.uniform(0.1, 2.0, n)
-    return grid, noise, rho0
+    return bandwidth, noise, rho0
 
 
 def _random_alpha(rng) -> float:
     return float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
 
 
-def _random_poly_phases(rng, grid: FrequencyGrid, max_degree: int = 5) -> np.ndarray:
+def _random_poly_phases(rng, freqs, max_degree: int = 5) -> np.ndarray:
     degree = int(rng.integers(0, max_degree + 1))
     coeffs = np.empty(degree + 1)
     coeffs[0] = rng.uniform(-np.pi, np.pi)
     if degree:
         coeffs[1:] = rng.normal(0.0, 4.0, degree)
-    return wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs))
+    return wrap_phase(polynomial_phase(coeffs, freqs))
 
 
 def _random_phase_pair(rng, n: int, max_delta: float = 3.0):
@@ -146,10 +146,11 @@ def criterion_3(seed, scale: str) -> CriterionResult:
     n_cases = 1000 if scale == "full" else 200
     gaps = []
     for _ in range(n_cases):
-        grid, noise, rho0 = _random_band(rng, 4, 64)
+        bandwidth, noise, rho0 = _random_band(rng, 4, 64)
+        freqs = build_grid(0.25, bandwidth, noise.n_freqs).freqs
         a1, a2 = _random_alpha(rng), _random_alpha(rng)
-        psi1 = _random_poly_phases(rng, grid)
-        psi2 = _random_poly_phases(rng, grid)
+        psi1 = _random_poly_phases(rng, freqs)
+        psi2 = _random_poly_phases(rng, freqs)
         d_full, d_sub = _both_distances(a1, a2, psi1, psi2, noise, rho0)
         gaps.append(d_full - d_sub - 1e-12 * (1.0 + d_full))
     gaps = np.array(gaps)
@@ -167,9 +168,9 @@ def criterion_4(seed, scale: str) -> CriterionResult:
     rng = _rng(seed, 4)
     errors = []
     for _ in range(100):
-        grid, noise, rho0 = _random_band(rng, 4, 64)
+        bandwidth, noise, rho0 = _random_band(rng, 4, 64)
         a1, a2 = _random_alpha(rng), _random_alpha(rng)
-        psi1 = _random_poly_phases(rng, grid)
+        psi1 = _random_poly_phases(rng, build_grid(0.25, bandwidth, noise.n_freqs).freqs)
         shift = float(rng.uniform(-np.pi, np.pi))
         psi2 = wrap_phase(psi1 + shift)
         d_full, d_sub = _both_distances(a1, a2, psi1, psi2, noise, rho0)
@@ -235,8 +236,8 @@ def criterion_7(seed, scale: str) -> CriterionResult:
     rng = _rng(seed, 7)
     errors = []
     for _ in range(1000):
-        grid, noise, _ = _random_band(rng, 4, 64)
-        n = grid.n_freqs
+        _, noise, _ = _random_band(rng, 4, 64)
+        n = noise.n_freqs
         s1 = SignalSpectrum(rng.uniform(0.0, 3.0, n), wrap_phase(rng.uniform(-np.pi, np.pi, n)))
         s2 = SignalSpectrum(rng.uniform(0.0, 3.0, n), wrap_phase(rng.uniform(-np.pi, np.pi, n)))
         polar = distance_full(s1, s2, noise)
@@ -302,8 +303,8 @@ def _ldg_instance():
     rho0 = np.linspace(0.6, 1.5, 16)
     coeffs1 = np.array([0.3, 1.0, -0.5])
     coeffs2 = np.array([0.7, 2.2, 0.3])
-    psi1 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs1))
-    psi2 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs2))
+    psi1 = wrap_phase(polynomial_phase(coeffs1, grid.freqs))
+    psi2 = wrap_phase(polynomial_phase(coeffs2, grid.freqs))
     geo = solve_alpha_geodesic(1.0, 1.6, psi1, psi2, noise, rho0)
     model = KnownMagnitudeModel(grid.freqs, rho0, alpha=1.0, phase_coeffs=coeffs1)
     return noise, geo, model, coeffs1, coeffs2
@@ -391,10 +392,10 @@ def criterion_12(seed, scale: str) -> CriterionResult:
 
 def criterion_13(seed, scale: str) -> CriterionResult:
     rng = _rng(seed, 13)
-    grid, noise, rho0 = _random_band(rng, 32, 32)
+    _, noise, rho0 = _random_band(rng, 32, 32)
     a1, a2 = 0.8, 1.6
-    psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, grid.n_freqs))
-    psi2 = wrap_phase(rng.uniform(-np.pi, np.pi, grid.n_freqs))
+    psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, noise.n_freqs))
+    psi2 = wrap_phase(rng.uniform(-np.pi, np.pi, noise.n_freqs))
     errors = []
     for c in (4.0, 3.7):
         base_full, base_sub = _both_distances(a1, a2, psi1, psi2, noise, rho0)

@@ -53,6 +53,7 @@ __all__ = [
     "save_band_csv",
     "scaled_chord",
     "unscale",
+    "whole_number",
     "wrap_phase",
     "write_csv",
 ]
@@ -122,6 +123,18 @@ def is_real_number(value) -> bool:
     return True
 
 
+def whole_number(value) -> int | None:
+    """``value`` as an int if it is a whole number as a count field means it (an
+    int or a numpy integer, through ``operator.index``; a float, even a whole
+    one, and a bool are not), else None."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 def check_attenuation(*alphas) -> None:
     """Reject attenuations (scalars or arrays) not positive and finite; a float skips numpy's per-call cost."""
     for a in alphas:
@@ -158,10 +171,10 @@ def wrap_phase(theta):
         # what the reduction below gives in range, -0.0 -> +0.0 included
         w = arr + 0.0
     else:
-        # round-half-even keeps +pi fixed; the two corrections settle the
+        # round-half-even (rint) keeps +pi fixed; the two corrections settle the
         # boundary, where alone they fire
         w = np.divide(arr, TWO_PI, out=np.empty(arr.shape))
-        np.round(w, out=w)
+        np.rint(w, out=w)
         np.multiply(w, TWO_PI, out=w)
         np.subtract(arr, w, out=w)
         if w.min() <= -np.pi or w.max() > np.pi:
@@ -200,11 +213,14 @@ class FrequencyGrid:
         if not in_range(freqs) or freqs[0] <= 0.0:
             raise ValueError("frequencies must be finite and strictly positive")
         if len(freqs) > 1:
-            steps = np.diff(freqs)
-            if not in_range(steps, 0.0):
+            steps = freqs[1:] - freqs[:-1]  # np.diff's arithmetic, without its per-call checks
+            # one min/max pair serves both checks: rounding is monotone, so the
+            # largest |step - mean| is at the smallest or the largest step
+            lo, hi = float(steps.min()), float(steps.max())
+            if not (0.0 < lo and hi < math.inf):  # a NaN fails both comparisons
                 raise ValueError("frequencies must be strictly increasing")
-            mean_step = float(np.mean(steps))
-            if np.max(np.abs(steps - mean_step)) > 1e-12 * float(freqs[-1]):
+            mean_step = float(steps.sum() / len(steps))  # np.mean's sum and division
+            if max(hi - mean_step, mean_step - lo) > 1e-12 * float(freqs[-1]):
                 raise ValueError("frequencies must be equispaced")
 
     @property
@@ -216,22 +232,19 @@ def build_grid(nu0: float, bandwidth_B: float, n_freqs: int) -> FrequencyGrid:
     """Grid of ``n_freqs`` bin-centre frequencies filling the open band (nu0-B/2, nu0+B/2).
 
     The one owner of the band rules: ``nu0`` and ``bandwidth_B`` are real
-    numbers (a bool or a string is not), ``n_freqs`` is a whole number (an
-    int or numpy integer; a float, even a whole one, and a bool are not) of
-    at least 1, the bandwidth is positive and finite, and the band start
-    ``nu0 - B/2`` is non-negative.  The band may start exactly at zero
-    frequency; the centres stay strictly positive, so the band edges stay
-    open.
+    numbers (a bool or a string is not), ``n_freqs`` is a whole number (see
+    :func:`whole_number`) of at least 1 that numpy can hold as an array (a
+    count it refuses is a ValueError naming ``n_freqs``), the bandwidth is
+    positive and finite, and the band start ``nu0 - B/2`` is non-negative.
+    The band may start exactly at zero frequency; the centres stay strictly
+    positive, so the band edges stay open.
     """
     for name, value in (("nu0", nu0), ("bandwidth_B", bandwidth_B)):
         if not is_real_number(value):
             raise ValueError(f"{name} must be a real number")
-    if isinstance(n_freqs, bool):
+    n_freqs = whole_number(n_freqs)
+    if n_freqs is None:
         raise ValueError("n_freqs must be a whole number")
-    try:
-        n_freqs = operator.index(n_freqs)
-    except TypeError:
-        raise ValueError("n_freqs must be a whole number") from None
     if n_freqs < 1:
         raise ValueError("n_freqs must be at least 1")
     if not 0.0 < bandwidth_B < math.inf:
@@ -239,15 +252,22 @@ def build_grid(nu0: float, bandwidth_B: float, n_freqs: int) -> FrequencyGrid:
     start = nu0 - 0.5 * bandwidth_B
     if start < 0.0:
         raise ValueError("band start nu0 - B/2 must be non-negative")
-    step = bandwidth_B / n_freqs
-    return FrequencyGrid(start + (np.arange(n_freqs) + 0.5) * step)
+    try:
+        step = bandwidth_B / n_freqs
+        freqs = start + (np.arange(n_freqs) + 0.5) * step
+    except (OverflowError, MemoryError, ValueError) as exc:  # past the double range, or refused before allocating
+        raise ValueError(f"n_freqs is too large for a grid ({exc})") from None
+    return FrequencyGrid(freqs)
 
 
 @dataclass(frozen=True)
 class NoiseProfile:
-    """Known noise power gamma0(nu) per grid bin, all strictly positive."""
+    """Known noise power gamma0(nu) per grid bin, all strictly positive, and
+    the per-bin metric weights ``2 / gamma0`` that every metric sum reads."""
 
     gamma0: np.ndarray
+    # per-bin metric weights 2 / gamma0, formed once, read-only
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gamma0 = readonly(self.gamma0)
@@ -259,6 +279,9 @@ class NoiseProfile:
         # 2/g falls as g grows, so the largest weight is the smallest gamma0's
         if not math.isfinite(2.0 / float(gamma0.min())):
             raise ValueError("gamma0 is so small that the weights 2/gamma0 overflow")
+        weights = 2.0 / gamma0
+        weights.flags.writeable = False
+        object.__setattr__(self, "weights", weights)
 
     @classmethod
     def flat(cls, value: float, n_freqs: int) -> "NoiseProfile":
@@ -267,11 +290,6 @@ class NoiseProfile:
     @property
     def n_freqs(self) -> int:
         return len(self.gamma0)
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Per-bin metric weights 2 / gamma0."""
-        return 2.0 / self.gamma0
 
 
 @dataclass(frozen=True)
@@ -378,7 +396,7 @@ class Template:
     def __post_init__(self):
         with np.errstate(over="ignore"):
             rho0, weights = _template_weights(self.noise, readonly(self.rho0))
-            omega0 = float(np.sum(weights))
+            omega0 = float(weights.sum())
         if not math.isfinite(omega0):
             raise ValueError("template weights overflow: (2/gamma0) rho0^2 or their sum omega0 is not finite")
         if not omega0 > 0.0:

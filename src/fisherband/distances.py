@@ -112,7 +112,7 @@ def distance_full(s1: SignalSpectrum, s2: SignalSpectrum, noise: NoiseProfile) -
     h = half * half
     moving = (s1.rho != s2.rho) | ((h > 0.0) & (s1.rho > 0.0))
     c, e = scaled_chord(np.where(moving, s1.rho, 0.0), np.where(moving, s2.rho, 0.0), h)
-    return unscale(math.sqrt(float(np.sum(noise.weights * c))), e)
+    return unscale(math.sqrt(float((noise.weights * c).sum())), e)
 
 
 def distance_full_embedding(s1: SignalSpectrum, s2: SignalSpectrum, noise: NoiseProfile) -> float:
@@ -130,7 +130,7 @@ def distance_full_embedding(s1: SignalSpectrum, s2: SignalSpectrum, noise: Noise
         return 0.0
     top = int((e + np.frexp(np.maximum(np.abs(diff.real), np.abs(diff.imag)))[1])[moving].max())
     re, im = np.ldexp(diff.real, e - top), np.ldexp(diff.imag, e - top)
-    return unscale(math.sqrt(float(np.sum(noise.weights * (re * re + im * im)))), top)
+    return unscale(math.sqrt(float((noise.weights * (re * re + im * im)).sum())), top)
 
 
 def distance_alpha(alpha1: float, alpha2: float, psi1, psi2, noise: NoiseProfile, rho0) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .band import NoiseProfile, Template, build_grid, is_real_number, row_blocks, write_csv
+from .band import NoiseProfile, Template, build_grid, is_real_number, row_blocks, whole_number, write_csv
 from .distances import known_mag_distances, ratio_time_delay
 
 __all__ = [
@@ -53,7 +53,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} is {v!r}: dpsi0, gamma_ratio, snr1 and sweep bounds must be finite numbers")
         if lo < 0.0 or hi <= lo:
             raise ValueError("sweep bounds must satisfy 0 <= min < max")
-        if not isinstance(n_points, int) or n_points < 2:
+        count = whole_number(n_points)
+        if count is None or count < 2:
             raise ValueError("sweep needs a whole number of points, at least two")
         if self.gamma_ratio <= 0.0:
             raise ValueError("gamma_ratio must be positive")
@@ -75,11 +76,14 @@ def sweep_points(config: ExperimentConfig) -> np.ndarray:
 
     A zero sweep minimum contributes an exact-zero row followed by
     ``n_points`` log-spaced values spanning four decades up to the maximum.
+    A count numpy refuses to hold is a ValueError naming the sweep count.
     """
     lo, hi, n_points = config.btau_sweep
-    if lo == 0.0:
-        return np.concatenate([[0.0], np.geomspace(hi / 1e4, hi, n_points)])
-    return np.geomspace(lo, hi, n_points)
+    try:
+        points = np.geomspace(hi / 1e4 if lo == 0.0 else lo, hi, n_points)
+    except (OverflowError, MemoryError, ValueError) as exc:  # past the double range, or refused before allocating
+        raise ValueError(f"sweep point count is too large ({exc})") from None
+    return np.concatenate([[0.0], points]) if lo == 0.0 else points
 
 
 def run_figure_case(config: ExperimentConfig) -> np.ndarray:

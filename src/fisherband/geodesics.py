@@ -366,14 +366,19 @@ def sample_alpha_geodesic(geo: AlphaGeodesic, n_nodes: int = 201) -> GeodesicPat
         thetas = np.linspace(*geo._flow_angles(), n_nodes)[1:-1]
         angled = np.tan(thetas) * geo.moment / geo.chord - geo.k2
         merged = np.unique(np.concatenate([uniform, np.clip(angled, 0.0, 1.0)]))
-        # drop near-coincident knots that would ill-condition the spline
-        filtered = [0.0]
-        for s in merged[1:]:
-            if s - filtered[-1] > 1e-10:
-                filtered.append(float(s))
-        if filtered[-1] < 1.0:
-            filtered[-1] = 1.0
-        sigmas = np.asarray(filtered)
+        # drop near-coincident knots that would ill-condition the spline: a knot
+        # stays if it lies more than 1e-10 past the last one kept, so with every
+        # gap wider than that all stay, and only a close pair needs the walk
+        if np.all(np.diff(merged) > 1e-10):
+            sigmas = np.concatenate([[0.0], merged[1:]])
+        else:
+            filtered = [0.0]
+            for s in merged[1:]:
+                if s - filtered[-1] > 1e-10:
+                    filtered.append(float(s))
+            if filtered[-1] < 1.0:
+                filtered[-1] = 1.0
+            sigmas = np.asarray(filtered)
     mix = geo.phase_mix_at(sigmas)[:, np.newaxis]
     return GeodesicPath(sigmas, np.column_stack([geo.alpha_at(sigmas), geo.psi1 + mix * geo.dpsi]))
 
@@ -589,14 +594,16 @@ def _pieces_at(c, local) -> np.ndarray:
     for the sign of a zero) without its search for each point's piece.  Each
     column is summed on its own, so numpy's loops run along the pieces.
     """
-    c = c.transpose(0, 2, 1)[:, :, np.newaxis, :]
-    out = c[-1] + c[-2] * local
+    # the coefficients copied so that each column's pieces lie contiguous
+    c = np.ascontiguousarray(c.transpose(0, 2, 1))[:, :, np.newaxis, :]
+    out = c[-2] * local
+    out += c[-1]
     power = local
+    term = np.empty_like(out)
     for k in range(len(c) - 3, -1, -1):
         power = power * local
-        out += c[k] * power
-    columns = out.reshape(len(out), local.size)
-    return np.column_stack(list(columns)) if len(columns) > 1 else columns.T
+        out += np.multiply(c[k], power, out=term)
+    return np.ascontiguousarray(out.reshape(len(out), local.size).T)
 
 
 def path_length(chart, path: GeodesicPath, n_quad: int = 64) -> float:

@@ -212,9 +212,10 @@ def monte_carlo_fisher(
     partials, so the expectation over the noise is the only stochastic
     element.  Samples are drawn from a single generator stream in chunks of
     at most 8192 rows whose size follows from ``n_freqs`` and ``n_params``
-    under a fixed byte budget, and each chunk adds the Gram sums of its
-    scores and their squares; the reduction order (and hence the result)
-    is deterministic for a given seed and model size.
+    under a fixed byte budget.  A chunk's scores are one real matmul of its
+    draws against ``[Re; Im]`` of the weighted partials, and each chunk adds
+    the Gram sums of its scores and their squares; the reduction order (and
+    hence the result) is deterministic for a given seed and model size.
 
     Returns the dense N x N estimate and the per-entry standard error of
     the mean.
@@ -226,23 +227,26 @@ def monte_carlo_fisher(
     carrier = np.exp(1j * psi)
     # d s / d xi^i per bin; magnitude rows then phase rows
     d_sig = np.vstack([mag_jac * carrier, 1j * rho * phase_jac * carrier])
+    # score_i = sum_nu (2/gamma0) Re{ n* ds/dxi^i } with n = scale (x + i y) is
+    # real-linear in the draws (x, y): a (2 n_freqs, n_params) real map, its
+    # rows the real parts of scale (2/gamma0) ds/dxi, then the imaginary parts
+    weighted = (d_sig * (np.sqrt(0.5 * noise.gamma0) * noise.weights)).T
+    basis = np.vstack([weighted.real, weighted.imag])
     n_params = model.n_params
-    w = noise.weights
-    scale = np.sqrt(0.5 * noise.gamma0)
 
     rng = np.random.default_rng(seed)
-    # bytes per sample row: 64 per bin (draws, complex noise, temporaries)
-    # and 32 per parameter (complex score, real score, its square)
+    # rows per chunk from a budget of 64 bytes per bin and 32 per parameter; a
+    # chunk holds 16 per bin (its draws) and 16 per parameter (its scores and
+    # their squares), well inside it.  The rule fixes the chunks, and so the
+    # order of the sums: another rule would move the estimate in its last bits
     chunk = max(1, min(8192, _MC_CHUNK_BYTES // (64 * noise.n_freqs + 32 * n_params)))
     acc = np.zeros((n_params, n_params))
     acc_sq = np.zeros((n_params, n_params))
     remaining = int(n_samples)
     while remaining > 0:
         m = min(chunk, remaining)
-        z = rng.standard_normal((m, 2, noise.n_freqs))
-        noise_draw = scale * (z[:, 0] + 1j * z[:, 1])
-        # score_i = sum_nu (2/gamma0) Re{ n* ds/dxi^i }
-        scores = (noise_draw.conj() @ (d_sig * w).T).real
+        # each row the draws (x, y) of one sample, the stream order of (m, 2, n_freqs)
+        scores = rng.standard_normal((m, 2 * noise.n_freqs)) @ basis
         squares = scores * scores
         # Gram sums of the score outer products and of their squares
         acc += scores.T @ scores

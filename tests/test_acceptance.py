@@ -87,3 +87,36 @@ def test_nan_phase_residual_fails_criterion_10(monkeypatch):
     monkeypatch.setattr(acceptance, "ldg_residual", nan_phase)
     result = acceptance.criterion_10(SEED, "smoke")
     assert not result.passed, result
+
+
+def _former_band_draws(rng, n_lo, n_hi):
+    """The draws of the band helper as it was when it also built a grid: the
+    grid drew nothing, so the helper must leave the generator where these do."""
+    n = int(rng.integers(n_lo, n_hi + 1))
+    bandwidth = float(rng.uniform(0.1, 0.5))
+    gamma0 = rng.uniform(0.5, 2.0, n)
+    rho0 = rng.uniform(0.1, 2.0, n)
+    return n, bandwidth, gamma0, rho0
+
+
+@pytest.mark.parametrize("n_lo, n_hi", [(4, 64), (8, 32), (4, 16), (32, 32)])
+def test_random_band_keeps_the_draw_sequence(n_lo, n_hi):
+    for seed in range(5):
+        rng, former = np.random.default_rng([seed, 3]), np.random.default_rng([seed, 3])
+        for _ in range(3):
+            bandwidth, noise, rho0 = acceptance._random_band(rng, n_lo, n_hi)
+            n, former_bandwidth, gamma0, former_rho0 = _former_band_draws(former, n_lo, n_hi)
+            assert noise.n_freqs == n and bandwidth == former_bandwidth
+            assert noise.gamma0.tobytes() == gamma0.tobytes() and rho0.tobytes() == former_rho0.tobytes()
+            assert rng.bit_generator.state == former.bit_generator.state
+        assert rng.random() == former.random()  # the draw that follows
+
+
+def test_random_poly_phases_equal_polyval():
+    for seed in range(50):
+        freqs = np.linspace(0.05, 0.45, 4 + seed)
+        psi = acceptance._random_poly_phases(np.random.default_rng(seed), freqs)
+        former = np.random.default_rng(seed)
+        degree = int(former.integers(0, 6))
+        coeffs = np.concatenate([[former.uniform(-np.pi, np.pi)], former.normal(0.0, 4.0, degree)])
+        assert psi.tobytes() == acceptance.wrap_phase(np.polynomial.polynomial.polyval(freqs, coeffs)).tobytes()

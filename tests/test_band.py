@@ -238,6 +238,51 @@ class TestGrid:
     def test_integer_n_freqs_of_any_type(self):
         assert build_grid(0.25, 0.2, np.int64(16)).freqs.tobytes() == build_grid(0.25, 0.2, 16).freqs.tobytes()
 
+    @pytest.mark.parametrize(
+        "n_freqs, cause",
+        [(10**400, "int too large to convert to float"), (10**12, "Unable to allocate 7.28 TiB"),
+         (10**19, "Maximum allowed size exceeded")],
+        ids=["401-digits", "7-TiB", "past-intp"],
+    )
+    def test_n_freqs_too_large_named(self, n_freqs, cause):
+        # numpy refuses each size before it allocates anything
+        with pytest.raises(ValueError, match=rf"^n_freqs is too large for a grid \({cause}") as failure:
+            build_grid(0.25, 0.2, n_freqs)
+        assert "\n" not in str(failure.value)
+
+    @pytest.mark.parametrize(
+        "freqs, message",
+        [([0.1, 0.2, 0.4], "frequencies must be equispaced"),
+         ([0.3, 0.2, 0.1], "frequencies must be strictly increasing"),
+         ([0.1, 0.3, 0.2, 0.4], "frequencies must be strictly increasing"),  # uneven too: increase is checked first
+         ([0.1, 0.2, 0.2, 0.3], "frequencies must be strictly increasing")],
+    )
+    def test_step_messages_in_order(self, freqs, message):
+        with _raises_exactly(message):
+            FrequencyGrid(np.array(freqs))
+
+    def test_equispacing_rule_at_its_threshold(self):
+        # one min/max pair decides both step checks: the largest |step - mean| is
+        # at an extreme step, so the verdict equals the all-steps reference
+        # exactly, on grids that straddle the 1e-12 * freqs[-1] threshold
+        rng = np.random.default_rng(23)
+        verdicts = set()
+        for _ in range(400):
+            n = int(rng.integers(2, 40))
+            freqs = build_grid(float(rng.uniform(0.2, 0.3)), float(rng.uniform(0.01, 0.4)), n).freqs.copy()
+            freqs[int(rng.integers(n))] += float(rng.uniform(-2.0, 2.0)) * 1e-12 * freqs[-1]
+            steps = np.diff(freqs)
+            reference = bool(np.max(np.abs(steps - float(np.mean(steps)))) <= 1e-12 * float(freqs[-1]))
+            try:
+                FrequencyGrid(freqs)
+                accepted = True
+            except ValueError as exc:
+                assert str(exc) == "frequencies must be equispaced"
+                accepted = False
+            assert accepted is reference
+            verdicts.add(accepted)
+        assert verdicts == {True, False}
+
     @pytest.mark.parametrize("bandwidth_B", [0.0, -0.1, math.inf, math.nan])
     def test_bandwidth_positive_and_finite(self, bandwidth_B):
         with _raises_exactly("bandwidth_B must be positive and finite"):
@@ -270,6 +315,31 @@ class TestContainers:
         with pytest.raises(ValueError):
             NoiseProfile([1.0, -2.0])
         assert NoiseProfile.flat(2.0, 3).weights == pytest.approx([1.0, 1.0, 1.0])
+
+    def test_noise_weights_formed_once(self):
+        gamma0 = np.random.default_rng(5).uniform(1e-3, 1e3, 17)
+        noise = NoiseProfile(gamma0)
+        weights = noise.weights
+        assert weights.tobytes() == (2.0 / gamma0).tobytes()
+        assert noise.weights is weights and not weights.flags.writeable
+        with pytest.raises(ValueError):
+            weights[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            noise.weights = 2.0 / gamma0
+        with pytest.raises(TypeError):
+            NoiseProfile(gamma0, weights=2.0 / gamma0)
+        # a replaced profile forms its own
+        assert dataclasses.replace(noise, gamma0=2.0 * gamma0).weights.tobytes() == (2.0 / (2.0 * gamma0)).tobytes()
+
+    def test_noise_equality_and_repr_read_gamma0_alone(self):
+        assert [(f.name, f.init, f.repr, f.compare) for f in dataclasses.fields(NoiseProfile)] == [
+            ("gamma0", True, True, True), ("weights", False, False, False)]
+        assert repr(NoiseProfile([1.0, 2.0])) == "NoiseProfile(gamma0=array([1., 2.]))"
+        assert NoiseProfile([1.5]) == NoiseProfile([1.5]) and NoiseProfile([1.5]) != NoiseProfile([3.0])
+        noise = NoiseProfile([1.0, 2.0])
+        assert noise == noise
+        with pytest.raises(TypeError):
+            hash(noise)  # its array field makes it unhashable
 
     def test_spectrum_invariants(self):
         with pytest.raises(ValueError):

@@ -302,6 +302,9 @@ class TestCli:
             ({"btau_sweep": [True, 5.0, 10]}, "sweep minimum is True: "),
             ({"btau_sweep": [0.0, "5", 10]}, "sweep maximum is '5': "),
             ({"gamma_ratio": 10**400}, "gamma_ratio is 1000"),  # beyond the double range: no OverflowError
+            ({"n_freqs": 10**400}, "n_freqs is too large for a grid (int too large to convert to float)"),
+            ({"n_freqs": 10**12}, "n_freqs is too large for a grid (Unable to allocate 7.28 TiB"),
+            ({"btau_sweep": [0.0, 5.0, True]}, "whole number of points"),
         ],
     )
     def test_figure_bad_config_named(self, tmp_path, capsys, override, fragment):
@@ -312,6 +315,30 @@ class TestCli:
         assert main(["figure", str(cfg_path), "--output", str(tmp_path / "out.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bad figure config:") and fragment in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "count, cause",
+        [(10**400, "int too large to convert to float"), (10**12, "Unable to allocate 7.28 TiB")],
+        ids=["401-digits", "7-TiB"],
+    )
+    def test_figure_sweep_count_too_large_named(self, tmp_path, capsys, count, cause):
+        # numpy refuses the sweep's size before it allocates anything; nothing is written
+        cfg = {"bandwidth_B": 0.5, "dpsi0": 0.0, "gamma_ratio": 1.0, "n_freqs": 50, "btau_sweep": [0.0, 5.0, count]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["figure", str(cfg_path), "--output", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: sweep point count is too large ({cause}") and err.count("\n") == 1
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_figure_sweep_count_of_any_integer_type(self):
+        # build_grid's rule for a whole number: a numpy integer is one, a whole float or a bool is not
+        base = dict(case_name="x", bandwidth_B=0.5, dpsi0=0.0, gamma_ratio=1.0, n_freqs=50)
+        rows = run_figure_case(ExperimentConfig(**base, btau_sweep=(0.0, 5.0, 10)))
+        assert run_figure_case(ExperimentConfig(**base, btau_sweep=(0.0, 5.0, np.int64(10)))).tobytes() == rows.tobytes()
+        for count in (10.0, True, np.float64(10.0)):
+            with pytest.raises(ValueError, match="^sweep needs a whole number of points, at least two$"):
+                ExperimentConfig(**base, btau_sweep=(0.0, 5.0, count))
 
     def test_figure_unknown_case(self, capsys):
         assert main(["figure", "no-such-case"]) == 2
@@ -362,6 +389,22 @@ class TestCli:
         assert main(["inspect", "metric", str(path)]) == code
         err = capsys.readouterr().err
         assert err == ("error: bad grid specification: n_freqs must be a whole number\n" if code else "")
+
+    @pytest.mark.parametrize(
+        "n_freqs, cause",
+        [(10**400, "int too large to convert to float"), (10**12, "Unable to allocate 7.28 TiB")],
+        ids=["401-digits", "7-TiB"],
+    )
+    @pytest.mark.parametrize("subject", ["geodesic", "metric"])
+    def test_model_file_n_freqs_too_large_named(self, model_file, tmp_path, capsys, subject, n_freqs, cause):
+        payload = json.loads(model_file.read_text())
+        payload["grid"]["n_freqs"] = n_freqs
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        assert main(["inspect", subject, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad grid specification: n_freqs is too large for a grid ({cause}")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("value", ["0.25", True])
     @pytest.mark.parametrize("field", ["nu0", "bandwidth_B"])

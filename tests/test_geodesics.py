@@ -1034,6 +1034,46 @@ class TestNearAntipodalShooting:
         assert f"moment/chord = {geo.moment / geo.chord:.1e}" in message
 
 
+def _walked_knots(geo, n_nodes):
+    """The knots of ``sample_alpha_geodesic`` by the sequential walk alone: a
+    knot stays if it lies more than 1e-10 past the last one kept.  Also returns
+    whether any two merged knots lie that close."""
+    uniform = np.linspace(0.0, 1.0, n_nodes)
+    thetas = np.linspace(*geo._flow_angles(), n_nodes)[1:-1]
+    angled = np.tan(thetas) * geo.moment / geo.chord - geo.k2
+    merged = np.unique(np.concatenate([uniform, np.clip(angled, 0.0, 1.0)]))
+    kept = [0.0]
+    for s in merged[1:]:
+        if s - kept[-1] > 1e-10:
+            kept.append(float(s))
+    if kept[-1] < 1.0:
+        kept[-1] = 1.0
+    return np.asarray(kept), bool(np.any(np.diff(merged) <= 1e-10))
+
+
+class TestSampleKnots:
+    def test_knots_equal_the_sequential_walk(self):
+        # random instances, whose knots are all wide apart, and near-antipodal
+        # ones, whose angled knots crowd into the dip closer than 1e-10
+        rng = np.random.default_rng(17)
+        cases = []
+        for _ in range(20):
+            n = int(rng.integers(4, 33))
+            _, noise, rho0, _ = _band(n, seed=int(rng.integers(2**31)))
+            psi1, psi2 = _phase_pair(rng, n, float(rng.uniform(0.02, 3.0)))
+            cases.append(solve_alpha_geodesic(*np.exp(rng.uniform(-2.0, 2.0, 2)), psi1, psi2, noise, rho0))
+        for gap in (1e-6, 1e-8):
+            a1, a2, psi1, psi2, noise, rho0 = _antipodal_band(math.pi - gap)
+            cases.append(solve_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0))
+        crowded = []
+        for geo in cases:
+            for n_nodes in (33, 257):
+                walked, close = _walked_knots(geo, n_nodes)
+                crowded.append(close)
+                assert sample_alpha_geodesic(geo, n_nodes).sigmas.tobytes() == walked.tobytes()
+        assert any(crowded) and not all(crowded)
+
+
 class TestOneWrapRule:
     @settings(max_examples=500, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))

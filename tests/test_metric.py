@@ -257,6 +257,35 @@ class TestMonteCarloFisher:
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
             assert np.array_equal(got, got.T)
 
+    def test_three_chunks_pin_the_real_stacking(self):
+        # FreeSpectrumModel(64): 64 magnitude and 64 phase parameters, so chunks
+        # of 2**25 // (64 * 64 + 32 * 128) = 4096 rows: 9000 samples run as
+        # 4096 + 4096 + 808.  Reference: the complex form on every draw at once
+        # from the same stream, then the Gram sums
+        n = 64
+        noise = NoiseProfile(np.random.default_rng(6).uniform(0.5, 2.0, n))
+        model = FreeSpectrumModel(n)
+        rng = np.random.default_rng(8)
+        xi = np.concatenate([rng.uniform(0.5, 2.0, n), rng.uniform(-3.0, 3.0, n)])
+        n_samples = 9000
+        est, se = monte_carlo_fisher(model, xi, noise, n_samples, seed=13)
+        phi, varphi = model.split(xi)
+        carrier = np.exp(1j * model.phase_unwrapped(varphi))
+        d_sig = np.vstack(
+            [model.magnitude_jacobian(phi) * carrier, 1j * model.magnitude(phi) * model.phase_jacobian(varphi) * carrier]
+        )
+        z = np.random.default_rng(13).standard_normal((n_samples, 2, n))
+        noise_draw = np.sqrt(0.5 * noise.gamma0) * (z[:, 0] + 1j * z[:, 1])
+        scores = (noise_draw.conj() @ (d_sig * noise.weights).T).real
+        ref_est = scores.T @ scores / n_samples
+        ref_se = np.sqrt(np.maximum((scores**2).T @ scores**2 / n_samples - ref_est**2, 0.0) / n_samples)
+        for got, ref in ((est, ref_est), (se, ref_se)):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+        # both families carry weight: the magnitude and the phase block each near the metric
+        analytic = fisher_matrix(model, xi, noise)
+        for block, ref in ((est[:n, :n], analytic.mag_block), (est[n:, n:], analytic.phase_block)):
+            assert np.max(np.abs(np.diag(block) / np.diag(ref) - 1.0)) < 0.1
+
     def test_memory_stays_within_chunk_budget(self):
         # 256 parameters: one outer-product tensor of 2000 samples alone is
         # 1 GiB; 9000 samples in 8192-row chunks would peak at about 80 MiB

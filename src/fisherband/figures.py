@@ -61,14 +61,7 @@ class ExperimentConfig:
         if self.snr1 <= 0.0:
             raise ValueError("snr1 must be positive")
         build_grid(self.nu0, self.bandwidth_B, self.n_freqs)  # the band's own checks
-
-
-FIGURE_CASES = {
-    "wideband-equal": ExperimentConfig("wideband-equal", 0.5, 0.0, 1.0),
-    "wideband-offset": ExperimentConfig("wideband-offset", 0.5, math.pi / 2.0, 1.0),
-    "wideband-gain10": ExperimentConfig("wideband-gain10", 0.5, 0.0, 10.0),
-    "narrowband-equal": ExperimentConfig("narrowband-equal", 0.25, 0.0, 1.0),
-}
+        sweep_points(self)  # a count numpy refuses fails here, as a config error
 
 
 def sweep_points(config: ExperimentConfig) -> np.ndarray:
@@ -84,6 +77,14 @@ def sweep_points(config: ExperimentConfig) -> np.ndarray:
     except (OverflowError, MemoryError, ValueError) as exc:  # past the double range, or refused before allocating
         raise ValueError(f"sweep point count is too large ({exc})") from None
     return np.concatenate([[0.0], points]) if lo == 0.0 else points
+
+
+FIGURE_CASES = {
+    "wideband-equal": ExperimentConfig("wideband-equal", 0.5, 0.0, 1.0),
+    "wideband-offset": ExperimentConfig("wideband-offset", 0.5, math.pi / 2.0, 1.0),
+    "wideband-gain10": ExperimentConfig("wideband-gain10", 0.5, 0.0, 10.0),
+    "narrowband-equal": ExperimentConfig("narrowband-equal", 0.25, 0.0, 1.0),
+}
 
 
 def run_figure_case(config: ExperimentConfig) -> np.ndarray:

@@ -565,8 +565,6 @@ def _flat_reduction(chart, coords):
     expected = chart._n_head + len(chart._w)
     if coords.shape[1] != expected:
         raise ValueError(f"path has {coords.shape[1]} coordinates per node, the chart takes {expected}")
-    if not in_range(coords):
-        raise ValueError("path coordinates must be finite")
     amplitudes = coords[:, chart._amplitudes]
     exponent = math.frexp(float(np.max(np.abs(amplitudes))))[1]
     coords[:, chart._amplitudes] = np.ldexp(amplitudes, -exponent)
@@ -582,6 +580,74 @@ def _flat_reduction(chart, coords):
 def _gauss_legendre(n_quad: int):
     """The ``n_quad``-point Gauss-Legendre rule on [-1, 1], read-only."""
     return tuple(map(readonly, np.polynomial.legendre.leggauss(n_quad)))
+
+
+def _cyclic_reduction(lower, diag, upper, rhs) -> np.ndarray:
+    """Solve ``lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[..., i]``
+    for ``x`` along the last axis (``lower[0]`` and ``upper[-1]`` are 0).
+
+    Padded with identity equations to ``2**p - 1``, each sweep folds the even
+    equations into their odd neighbours, and the back-substitution recovers
+    the even unknowns: O(log n) vectorized sweeps, with no pivoting and no
+    loop over the equations.
+    """
+    n = len(diag)
+    size = (1 << n.bit_length()) - 1
+    a, b, c = np.zeros(size), np.ones(size), np.zeros(size)
+    a[:n], b[:n], c[:n] = lower, diag, upper
+    d = np.zeros(rhs.shape[:-1] + (size,))
+    d[..., :n] = rhs
+    levels = []
+    while size > 1:
+        levels.append((a, b, c, d))
+        left, right = -a[1::2] / b[:-1:2], -c[1::2] / b[2::2]
+        a, b, c = left * a[:-1:2], b[1::2] + left * c[:-1:2] + right * a[2::2], right * c[2::2]
+        d = d[..., 1::2] + left * d[..., :-1:2] + right * d[..., 2::2]
+        size //= 2
+    x = d / b
+    for a, b, c, d in reversed(levels):
+        # the odd unknowns at the even places of ``known``, a zero past each end
+        known = np.zeros(d.shape[:-1] + (len(b) + 2,))
+        known[..., 2:-1:2] = x
+        known[..., 1::2] = (d[..., ::2] - a[::2] * known[..., :-1:2] - c[::2] * known[..., 2::2]) / b[::2]
+        x = known[..., 1:-1]
+    return x[..., :n]
+
+
+def _not_a_knot(sigmas, coords) -> np.ndarray:
+    """The not-a-knot cubic spline through ``coords`` (a row per node
+    ``sigmas``): coefficients ``(4, pieces, columns)``, highest power first,
+    as scipy's ``CubicSpline(sigmas, coords).c``.
+
+    scipy's tridiagonal system for the node slopes is solved by
+    ``_cyclic_reduction``, so the slopes equal scipy's to rounding, not bit
+    for bit; the pieces are scipy's cubic Hermite formulas.  Below four nodes
+    the spline is the piecewise-linear interpolant.  numpy's loops run along
+    the nodes of each column, and each column's pieces lie contiguous.
+    """
+    y = np.asarray(coords).T
+    dx = np.diff(sigmas)
+    slope = np.diff(y) / dx
+    if len(sigmas) < 4:
+        zeros = np.zeros_like(slope)
+        return np.stack([zeros, zeros, slope, y[:, :-1]]).transpose(0, 2, 1)
+    start, end = sigmas[2] - sigmas[0], sigmas[-1] - sigmas[-3]
+    rhs = np.empty_like(y)
+    rhs[:, 1:-1] = 3.0 * (dx[1:] * slope[:, :-1] + dx[:-1] * slope[:, 1:])
+    rhs[:, 0] = ((dx[0] + 2.0 * start) * dx[1] * slope[:, 0] + dx[0] ** 2 * slope[:, 1]) / start
+    rhs[:, -1] = (dx[-1] ** 2 * slope[:, -2] + (2.0 * end + dx[-1]) * dx[-2] * slope[:, -1]) / end
+    lower = np.concatenate([[0.0], dx[1:], [end]])
+    diag = np.concatenate([[dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]])
+    upper = np.concatenate([[start], dx[:-1], [0.0]])
+    s = _cyclic_reduction(lower, diag, upper, rhs)
+    t = (s[:, :-1] + s[:, 1:] - 2.0 * slope) / dx
+    return np.stack([t / dx, (slope - s[:, :-1]) / dx - t, s[:, :-1], y[:, :-1]]).transpose(0, 2, 1)
+
+
+def _derivative(c) -> np.ndarray:
+    """The derivative's PPoly coefficients: the products ``PPoly.derivative``
+    forms, so its coefficients bit for bit."""
+    return c[:-1] * np.arange(len(c) - 1, 0, -1.0)[:, np.newaxis, np.newaxis]
 
 
 def _pieces_at(c, local) -> np.ndarray:
@@ -609,8 +675,9 @@ def _pieces_at(c, local) -> np.ndarray:
 def path_length(chart, path: GeodesicPath, n_quad: int = 64) -> float:
     """Length of a sampled path: quadrature of sqrt(speed) along a spline.
 
-    Coordinates are interpolated with a cubic spline in sigma (piecewise
-    linear below four nodes) and integrated with an ``n_quad``-point
+    Coordinates are interpolated with the not-a-knot cubic spline in sigma
+    of ``_not_a_knot`` (piecewise linear below four nodes; numpy only, no
+    scipy) and integrated with an ``n_quad``-point
     Gauss-Legendre rule on every inter-node interval, so the result is
     reparametrization invariant up to interpolation error.  The rule's
     points on an interval lie inside it, so each cubic piece is evaluated at
@@ -621,11 +688,14 @@ def path_length(chart, path: GeodesicPath, n_quad: int = 64) -> float:
     reduced coordinates (see ``_flat_reduction``): a path whose phases move
     along one direction splines two columns, and the length is homogeneous
     of degree 1 in the attenuation (every column of the embedding) over the
-    double range.  Any other chart's ``speed`` sees every column.
+    double range.  Any other chart's ``speed`` sees every column.  A path
+    coordinate that is not finite is one named error on every chart.
     """
     if n_quad < 8:
         raise ValueError("n_quad must be at least 8")
     sigmas, coords = path.sigmas, path.coords
+    if not in_range(coords):
+        raise ValueError("path coordinates must be finite")
     flat = isinstance(chart, (AlphaPhaseChart, EmbeddingChart))
     if flat:
         coords, exponent, gram = _flat_reduction(chart, coords)
@@ -638,17 +708,10 @@ def path_length(chart, path: GeodesicPath, n_quad: int = 64) -> float:
     # loops run along the intervals
     t = starts + halves * (nodes[:, np.newaxis] + 1.0)
     scale = halves * weights[:, np.newaxis]
-    if path.n_nodes >= 4:
-        # imported here: scipy.interpolate dominates the package import time
-        from scipy.interpolate import CubicSpline
-
-        spline = CubicSpline(sigmas, coords, axis=0)
-        local = t - starts
-        pos = _pieces_at(spline.c[:, :, :head], local)
-        vel = _pieces_at(spline.derivative().c, local)
-    else:
-        pos = np.stack([np.interp(t.ravel(), sigmas, column) for column in coords.T], axis=-1)[:, :head]
-        vel = np.tile(np.diff(coords, axis=0) / np.diff(sigmas)[:, np.newaxis], (n_quad, 1))
+    c = _not_a_knot(sigmas, coords)
+    local = t - starts
+    pos = _pieces_at(c[:, :, :head], local)
+    vel = _pieces_at(_derivative(c), local)
     if flat:
         reduced = vel[:, head:]
         block_sq = np.sum((reduced @ gram) * reduced, axis=-1)

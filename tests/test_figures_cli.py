@@ -328,8 +328,18 @@ class TestCli:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["figure", str(cfg_path), "--output", str(tmp_path / "out.csv")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: sweep point count is too large ({cause}") and err.count("\n") == 1
+        assert err.startswith(f"error: bad figure config: sweep point count is too large ({cause}") and err.count("\n") == 1
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize(
+        "count, cause",
+        [(10**400, "int too large to convert to float"), (10**12, "Unable to allocate 7.28 TiB")],
+        ids=["401-digits", "7-TiB"],
+    )
+    def test_config_refuses_sweep_count_numpy_refuses(self, count, cause):
+        # the constructor itself, as for every other config field
+        with pytest.raises(ValueError, match=rf"^sweep point count is too large \({cause}"):
+            ExperimentConfig("x", 0.5, 0.0, 1.0, n_freqs=50, btau_sweep=(0.0, 5.0, count))
 
     def test_figure_sweep_count_of_any_integer_type(self):
         # build_grid's rule for a whole number: a numpy integer is one, a whole float or a bool is not

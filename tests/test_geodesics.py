@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline, PPoly
 
 from fisherband import (
     AlphaGeodesic,
@@ -661,13 +662,11 @@ class TestBvpResidual:
 
 
 def _dense_length(chart, path, n_quad):
-    """Dense reference quadrature: every coordinate column splined and
-    handed to ``chart.speed``."""
-    from scipy.interpolate import CubicSpline
-
+    """Dense reference quadrature: every coordinate column splined (on the
+    package's own coefficients) and handed to ``chart.speed``."""
     sigmas, coords = path.sigmas, path.coords
     if path.n_nodes >= 4:
-        spline = CubicSpline(sigmas, coords, axis=0)
+        spline = PPoly(geodesics._not_a_knot(sigmas, coords), sigmas)
         position, velocity = spline, spline.derivative()
     else:
         def position(t):
@@ -784,18 +783,23 @@ class TestPathLengthHomogeneity:
             assert scaled == math.ldexp(path_length(chart, path, n_quad=8), k)
 
 
-def _searched_length(chart, path, n_quad):
-    """Reference ``path_length``: the same reduced coordinates and quadrature,
-    with the spline evaluated by ``CubicSpline.__call__``, which searches for
-    every point's piece, and the linear velocity by ``np.searchsorted``."""
-    from scipy.interpolate import CubicSpline
+def _scipy_coefficients(sigmas, coords):
+    """The former spline route: scipy's not-a-knot ``CubicSpline``."""
+    return CubicSpline(sigmas, coords, axis=0).c
 
+
+def _searched_length(chart, path, n_quad, coefficients=geodesics._not_a_knot):
+    """Reference ``path_length``: the same reduced coordinates and quadrature,
+    with the spline on ``coefficients(sigmas, coords)`` evaluated by
+    ``PPoly.__call__``, which searches for every point's piece, and the linear
+    velocity by ``np.searchsorted``.  With ``_scipy_coefficients`` it is the
+    former scipy route bit for bit."""
     sigmas, coords = path.sigmas, path.coords
     flat = isinstance(chart, (AlphaPhaseChart, EmbeddingChart))
     if flat:
         coords, exponent, gram = geodesics._flat_reduction(chart, coords)
     if path.n_nodes >= 4:
-        spline = CubicSpline(sigmas, coords, axis=0)
+        spline = PPoly(coefficients(sigmas, coords), sigmas)
         position, velocity = spline, spline.derivative()
     else:
         def position(t):
@@ -893,6 +897,92 @@ class TestPiecewiseEvaluation:
             (EmbeddingChart(noise), GeodesicPath(sigmas, coords[:, 1:])),
         ]:
             assert path_length(chart, path, n_quad=n_quad) == _searched_length(chart, path, n_quad)
+
+
+def _clustered_geodesic():
+    """A near-antipodal geodesic, whose samples cluster around its dip."""
+    _, noise, rho0, rng = _band(6, seed=71)
+    psi1 = rng.uniform(-np.pi, np.pi, 6)
+    return solve_alpha_geodesic(0.8, 1.3, psi1, wrap_phase(psi1 + 3.1 * rng.choice([-1.0, 1.0], 6)), noise, rho0)
+
+
+def _spline_nodes(kind, n, rng):
+    if kind == "uniform":
+        return np.linspace(0.0, 1.0, n)
+    if kind == "random":
+        return np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, n - 2)), [1.0]])
+    # about n nodes: n // 2 + 1 uniform in sigma merged with those uniform in the flow angle
+    return sample_alpha_geodesic(_clustered_geodesic(), n_nodes=n // 2 + 1).sigmas
+
+
+class TestNotAKnot:
+    """The numpy spline against scipy's ``CubicSpline``, now a test-only
+    oracle: both solve scipy's tridiagonal system, by cyclic reduction and by
+    LAPACK's pivoted band solver, so the slopes agree to rounding (worst
+    1.3e-15 of the largest slope over these seeded cases, bound 1e-14) and
+    the lengths that criteria 5 and 6 read agree to the last bits (worst
+    1.2e-16 relative, bound 1e-15)."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "random", "clustered"])
+    @pytest.mark.parametrize("n_nodes", [*range(4, 41), 257, 4001])
+    @pytest.mark.parametrize("n_columns", [2, 17])
+    def test_coefficients_match_scipy(self, kind, n_nodes, n_columns):
+        rng = np.random.default_rng([n_nodes, n_columns])
+        sigmas = _spline_nodes(kind, n_nodes, rng)
+        assert len(sigmas) >= 4
+        coords = rng.normal(size=(len(sigmas), n_columns))
+        ours, scipy_c = geodesics._not_a_knot(sigmas, coords), CubicSpline(sigmas, coords, axis=0).c
+        assert ours.shape == scipy_c.shape == (4, len(sigmas) - 1, n_columns)
+        # the node values are the data, bit for bit
+        assert np.array_equal(ours[3], coords[:-1])
+        slopes = np.max(np.abs(ours[2] - scipy_c[2])) / np.max(np.abs(scipy_c[2]))
+        assert slopes <= 1e-14
+
+    @pytest.mark.parametrize("n_nodes", [2, 4, 9, 257])
+    def test_derivative_is_ppoly_derivative(self, n_nodes):
+        rng = np.random.default_rng(n_nodes)
+        sigmas = _spline_nodes("random", n_nodes, rng)
+        c = geodesics._not_a_knot(sigmas, rng.normal(size=(n_nodes, 5)))
+        derivative = geodesics._derivative(c)
+        assert derivative.tobytes() == PPoly(c, sigmas).derivative().c.tobytes()
+
+    def test_criterion_5_and_6_lengths_match_scipy_route(self):
+        rng = np.random.default_rng(73)
+        worst = 0.0
+        for k in range(12):
+            _, noise, rho0, _ = _band(int(rng.integers(4, 33)), seed=740 + k)
+            a1, a2 = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 2))
+            psi1, psi2 = _phase_pair(rng, len(rho0), rng.uniform(0.02, 3.0))
+            chart = AlphaPhaseChart(noise, rho0)
+            if k % 3:
+                # criterion 5: the closed form sampled on 257 adaptive nodes
+                path = sample_alpha_geodesic(solve_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0), n_nodes=257)
+                n_quad = 16
+            else:
+                # criterion 6: the RK4-shot path on 4000 steps
+                path = shoot_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0, n_steps=4000)
+                n_quad = 8
+            former = _searched_length(chart, path, n_quad, _scipy_coefficients)
+            worst = max(worst, abs(path_length(chart, path, n_quad=n_quad) - former) / former)
+        assert worst <= 1e-15
+
+
+@pytest.mark.parametrize("n_nodes", [2, 3, 4, 9])
+def test_non_finite_path_coordinates_named_on_every_chart(n_nodes):
+    # one message on every chart and route, whichever coordinate is not finite
+    grid, noise, rho0, rng = _band(4, seed=75)
+    sigmas = np.linspace(0.0, 1.0, n_nodes)
+    cases = [
+        (AlphaPhaseChart(noise, rho0), np.column_stack([rng.uniform(0.5, 2.0, n_nodes), rng.normal(size=(n_nodes, 4))])),
+        (ModelChart(KnownMagnitudeModel(grid.freqs, rho0, phase_coeffs=[0.0, 0.0]), noise), rng.normal(size=(n_nodes, 3))),
+        (EmbeddingChart(noise), rng.normal(size=(n_nodes, 8))),
+    ]
+    for chart, coords in cases:
+        for bad in (np.nan, np.inf):
+            coords = coords.copy()
+            coords[n_nodes // 2, -1] = bad
+            with pytest.raises(ValueError, match="^path coordinates must be finite$"):
+                path_length(chart, GeodesicPath(sigmas, coords), n_quad=8)
 
 
 @pytest.mark.parametrize(

@@ -31,6 +31,33 @@ def test_import_does_not_load_scipy_interpolate():
     assert out.stdout.strip() == "False"
 
 
+PATHS_WITHOUT_SCIPY = """
+import contextlib, io, sys
+import numpy as np
+from fisherband import (AlphaPhaseChart, EmbeddingChart, GeodesicPath, KnownMagnitudeModel, ModelChart,
+                        NoiseProfile, build_grid, path_length)
+from fisherband.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["accept", "--scale", "smoke"])
+noise, rho0 = NoiseProfile.flat(2.0, 4), np.ones(4)
+model = KnownMagnitudeModel(build_grid(0.25, 0.4, 4).freqs, rho0, phase_coeffs=[0.0, 0.0])
+coords = np.random.default_rng(0).uniform(0.5, 2.0, (9, 8))
+lengths = [
+    path_length(chart, GeodesicPath(np.linspace(0.0, 1.0, 9), coords[:, :width]), n_quad=8)
+    for chart, width in [(AlphaPhaseChart(noise, rho0), 5), (ModelChart(model, noise), 3), (EmbeddingChart(noise), 8)]
+]
+print(code, all(length > 0.0 for length in lengths), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_accept_and_path_length_load_no_scipy_module():
+    # the acceptance suite runs every oracle, the spline quadrature among them
+    out = subprocess.run(
+        [sys.executable, "-c", PATHS_WITHOUT_SCIPY], capture_output=True, text=True, check=True, cwd=PACKAGE_DIR.parent
+    )
+    assert out.stdout.strip() == "0 True []"
+
 
 def test_cli_reports_errors_only_in_main():
     tree = ast.parse((PACKAGE_DIR / "cli.py").read_text())

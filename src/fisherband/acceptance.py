@@ -19,7 +19,7 @@ import numpy as np
 from .band import (
     NoiseProfile,
     SignalSpectrum,
-    band_energy,
+    Template,
     build_grid,
     wrap_phase,
 )
@@ -134,11 +134,12 @@ def criterion_2(seed, scale: str) -> CriterionResult:
     )
 
 
-def _both_distances(a1, a2, psi1, psi2, noise, rho0) -> tuple[float, float]:
+def _both_distances(a1, a2, psi1, psi2, template: Template) -> tuple[float, float]:
     """``distance_full`` between the spectra ``a rho0`` with phases ``psi``, and
     ``distance_alpha`` of the same endpoint pair."""
-    d_full = distance_full(SignalSpectrum(a1 * rho0, psi1), SignalSpectrum(a2 * rho0, psi2), noise)
-    return d_full, distance_alpha(a1, a2, psi1, psi2, noise, rho0)
+    rho0 = template.rho0
+    d_full = distance_full(SignalSpectrum(a1 * rho0, psi1), SignalSpectrum(a2 * rho0, psi2), template.noise)
+    return d_full, distance_alpha(a1, a2, psi1, psi2, template)
 
 
 def criterion_3(seed, scale: str) -> CriterionResult:
@@ -151,7 +152,7 @@ def criterion_3(seed, scale: str) -> CriterionResult:
         a1, a2 = _random_alpha(rng), _random_alpha(rng)
         psi1 = _random_poly_phases(rng, freqs)
         psi2 = _random_poly_phases(rng, freqs)
-        d_full, d_sub = _both_distances(a1, a2, psi1, psi2, noise, rho0)
+        d_full, d_sub = _both_distances(a1, a2, psi1, psi2, Template(noise, rho0))
         gaps.append(d_full - d_sub - 1e-12 * (1.0 + d_full))
     gaps = np.array(gaps)
     return CriterionResult(
@@ -173,7 +174,7 @@ def criterion_4(seed, scale: str) -> CriterionResult:
         psi1 = _random_poly_phases(rng, build_grid(0.25, bandwidth, noise.n_freqs).freqs)
         shift = float(rng.uniform(-np.pi, np.pi))
         psi2 = wrap_phase(psi1 + shift)
-        d_full, d_sub = _both_distances(a1, a2, psi1, psi2, noise, rho0)
+        d_full, d_sub = _both_distances(a1, a2, psi1, psi2, Template(noise, rho0))
         errors.append(abs(d_sub - d_full) / (1.0 + d_full))
     return _worst(4, "constant phase difference makes both distances equal", errors, 1e-12)
 
@@ -184,12 +185,13 @@ def criterion_5(seed, scale: str) -> CriterionResult:
     errors = []
     for _ in range(n_cases):
         _, noise, rho0 = _random_band(rng, 8, 32)
+        template = Template(noise, rho0)
         a1, a2 = _random_alpha(rng), _random_alpha(rng)
         psi1, psi2 = _random_phase_pair(rng, noise.n_freqs)
-        geo = solve_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0)
+        geo = solve_alpha_geodesic(a1, a2, psi1, psi2, template)
         path = sample_alpha_geodesic(geo, n_nodes=257)
-        length = path_length(AlphaPhaseChart(noise, rho0), path, n_quad=16)
-        d_sub = distance_alpha(a1, a2, psi1, psi2, noise, rho0)
+        length = path_length(AlphaPhaseChart(template), path, n_quad=16)
+        d_sub = distance_alpha(a1, a2, psi1, psi2, template)
         errors.append(abs(length - d_sub) / d_sub)
     return _worst(
         5,
@@ -206,14 +208,15 @@ def criterion_6(seed, scale: str) -> CriterionResult:
     gaps = []  # (alpha, phase, relative length) per instance
     for _ in range(n_cases):
         _, noise, rho0 = _random_band(rng, 4, 16)
+        template = Template(noise, rho0)
         a1, a2 = _random_alpha(rng), _random_alpha(rng)
         psi1, psi2 = _random_phase_pair(rng, noise.n_freqs)
-        geo = solve_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0)
+        geo = solve_alpha_geodesic(a1, a2, psi1, psi2, template)
         width = _dip_width(geo)
         n_steps = int(min(max(4000, 25.0 / width), 40000))
-        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0, n_steps=n_steps)
+        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, template, n_steps=n_steps)
         psis = geo.psi1 + geo.phase_mix_at(shot.sigmas)[:, np.newaxis] * geo.dpsi
-        shot_len = path_length(AlphaPhaseChart(noise, rho0), shot, n_quad=8)
+        shot_len = path_length(AlphaPhaseChart(template), shot, n_quad=8)
         gaps.append((
             np.max(np.abs(shot.coords[:, 0] - geo.alpha_at(shot.sigmas))),
             np.max(np.abs(shot.coords[:, 1:] - psis)),
@@ -305,7 +308,7 @@ def _ldg_instance():
     coeffs2 = np.array([0.7, 2.2, 0.3])
     psi1 = wrap_phase(polynomial_phase(coeffs1, grid.freqs))
     psi2 = wrap_phase(polynomial_phase(coeffs2, grid.freqs))
-    geo = solve_alpha_geodesic(1.0, 1.6, psi1, psi2, noise, rho0)
+    geo = solve_alpha_geodesic(1.0, 1.6, psi1, psi2, Template(noise, rho0))
     model = KnownMagnitudeModel(grid.freqs, rho0, alpha=1.0, phase_coeffs=coeffs1)
     return noise, geo, model, coeffs1, coeffs2
 
@@ -371,15 +374,13 @@ def criterion_11(seed, scale: str) -> CriterionResult:
 def criterion_12(seed, scale: str) -> CriterionResult:
     rng = _rng(seed, 12)
     n = 1000
-    noise = NoiseProfile.flat(2.0, n)
-    rho0 = np.ones(n)
-    omega0 = band_energy(noise, rho0)
+    template = Template(NoiseProfile.flat(2.0, n), np.ones(n))
     gamma = 1.3
-    a1 = math.sqrt(1.0 / omega0)
+    a1 = math.sqrt(1.0 / template.omega0)
     a2 = gamma * a1
     psi1 = np.zeros(n)
     psi2 = wrap_phase(rng.uniform(-np.pi, np.pi, n))
-    d_full, d_sub = _both_distances(a1, a2, psi1, psi2, noise, rho0)
+    d_full, d_sub = _both_distances(a1, a2, psi1, psi2, template)
     lim_full, lim_sub = large_phase_limits(gamma, 1.0)
     return _worst(
         12,
@@ -396,10 +397,10 @@ def criterion_13(seed, scale: str) -> CriterionResult:
     a1, a2 = 0.8, 1.6
     psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, noise.n_freqs))
     psi2 = wrap_phase(rng.uniform(-np.pi, np.pi, noise.n_freqs))
+    base_full, base_sub = _both_distances(a1, a2, psi1, psi2, Template(noise, rho0))
     errors = []
     for c in (4.0, 3.7):
-        base_full, base_sub = _both_distances(a1, a2, psi1, psi2, noise, rho0)
-        scaled_full, scaled_sub = _both_distances(a1, a2, psi1, psi2, noise, c * rho0)
+        scaled_full, scaled_sub = _both_distances(a1, a2, psi1, psi2, Template(noise, c * rho0))
         errors += [abs(scaled_full / (c * base_full) - 1.0), abs(scaled_sub / (c * base_sub) - 1.0)]
     return _worst(13, "template scaling multiplies both distances exactly", errors, 1e-15)
 

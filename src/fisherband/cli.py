@@ -118,8 +118,6 @@ def _cmd_figure(args) -> int:
         try:
             with open(args.case) as handle:
                 payload = {"case_name": args.case, **json.load(handle)}
-            if "btau_sweep" in payload:
-                payload["btau_sweep"] = tuple(payload["btau_sweep"])
             config = ExperimentConfig(**payload)
         except OSError as exc:
             known = ", ".join(sorted(FIGURE_CASES))
@@ -162,7 +160,7 @@ def _cmd_inspect(args) -> int:
         payload = christoffel(first, first.xi, noise).to_json_dict()
     else:
         psi1, psi2 = (m.phase_unwrapped(m.phase_coeffs) for m in models)
-        payload = solve_alpha_geodesic(models[0].alpha, models[1].alpha, psi1, psi2, noise, rho0).to_json_dict()
+        payload = solve_alpha_geodesic(models[0].alpha, models[1].alpha, psi1, psi2, Template(noise, rho0)).to_json_dict()
     text = json.dumps(payload, indent=2)
     if args.output:
         with open(args.output, "w") as handle:

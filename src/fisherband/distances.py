@@ -22,9 +22,10 @@ distances come from one batched kernel, :func:`known_mag_distances`, which
 takes the endpoint phases and forms their wrapped gap and its weighted RMS
 delta once, through :meth:`~fisherband.band.Template.phase_gap`; the scalar
 functions, :func:`report`, the figure sweep and the ``distance`` command are
-views of it.  The scalar functions take ``(alpha1, alpha2, psi1, psi2, noise,
-rho0)`` and no grid: the band enters only through the template's ``omega0``
-and ``delta``.
+views of it.  The scalar functions take ``(alpha1, alpha2, psi1, psi2,
+template)``, with the band validated once as a
+:class:`~fisherband.band.Template`, and no grid: the band enters only through
+the template's ``omega0`` and ``delta``.
 """
 
 from __future__ import annotations
@@ -93,12 +94,6 @@ def known_mag_distances(template: Template, alpha1, alpha2, psi1, psi2):
     return d[..., 0], d[..., 1], delta
 
 
-def _pair(alpha1, alpha2, psi1, psi2, noise: NoiseProfile, rho0):
-    """The template and the kernel's ``d_full, d_alpha, delta`` for one endpoint pair."""
-    template = Template(noise, rho0)
-    return (template, *map(float, known_mag_distances(template, alpha1, alpha2, psi1, psi2)))
-
-
 def distance_full(s1: SignalSpectrum, s2: SignalSpectrum, noise: NoiseProfile) -> float:
     """Distance on the full band manifold, polar form.
 
@@ -133,28 +128,26 @@ def distance_full_embedding(s1: SignalSpectrum, s2: SignalSpectrum, noise: Noise
     return unscale(math.sqrt(float((noise.weights * (re * re + im * im)).sum())), top)
 
 
-def distance_alpha(alpha1: float, alpha2: float, psi1, psi2, noise: NoiseProfile, rho0) -> float:
+def distance_alpha(alpha1: float, alpha2: float, psi1, psi2, template: Template) -> float:
     """Distance measured inside the known-magnitude submanifold.
 
     ``sqrt(omega0) * sqrt(alpha2^2 + alpha1^2 - 2 alpha1 alpha2 cos delta)``
     with delta the weighted RMS wrapped phase difference.
     """
-    _, _, d_alpha, _ = _pair(alpha1, alpha2, psi1, psi2, noise, rho0)
-    return d_alpha
+    return float(known_mag_distances(template, alpha1, alpha2, psi1, psi2)[1])
 
 
-def distance_full_known_mag(alpha1: float, alpha2: float, psi1, psi2, noise: NoiseProfile, rho0) -> float:
+def distance_full_known_mag(alpha1: float, alpha2: float, psi1, psi2, template: Template) -> float:
     """Full-manifold distance specialized to proportional magnitudes.
 
     ``sqrt(omega0) * sqrt(alpha2^2 + alpha1^2 - 2 alpha1 alpha2 C)`` where C
     is the template-weighted mean of cos(dpsi); equals :func:`distance_full`
     on the induced spectra.
     """
-    _, d_full, _, _ = _pair(alpha1, alpha2, psi1, psi2, noise, rho0)
-    return d_full
+    return float(known_mag_distances(template, alpha1, alpha2, psi1, psi2)[0])
 
 
-def small_phase_equivalent(alpha1: float, alpha2: float, psi1, psi2, noise: NoiseProfile, rho0) -> float:
+def small_phase_equivalent(alpha1: float, alpha2: float, psi1, psi2, template: Template) -> float:
     """Shared small-phase limit of both distances.
 
     ``sqrt(SNR1) * sqrt((gamma - 1)^2 + gamma * delta^2)`` with
@@ -163,7 +156,7 @@ def small_phase_equivalent(alpha1: float, alpha2: float, psi1, psi2, noise: Nois
     as ``sqrt(omega0)`` times the chord with ``h = (delta/2)^2``, the limit of
     ``sin^2(delta/2)``, so it is homogeneous of degree one in the attenuations.
     """
-    template, _, _, delta = _pair(alpha1, alpha2, psi1, psi2, noise, rho0)
+    delta = float(known_mag_distances(template, alpha1, alpha2, psi1, psi2)[2])
     c, e = scaled_chord(alpha1, alpha2, (0.5 * delta) ** 2)
     return unscale(math.sqrt(template.omega0 * c), e)
 

@@ -46,6 +46,9 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self):
+        if not (isinstance(self.btau_sweep, (list, tuple)) and len(self.btau_sweep) == 3):
+            raise ValueError("btau_sweep must be [min, max, count]")
+        object.__setattr__(self, "btau_sweep", tuple(self.btau_sweep))
         lo, hi, n_points = self.btau_sweep
         names = ("dpsi0", "gamma_ratio", "snr1", "sweep minimum", "sweep maximum")
         for name, v in zip(names, (self.dpsi0, self.gamma_ratio, self.snr1, lo, hi)):

@@ -129,14 +129,13 @@ class EmbeddingChart:
 
 
 class AlphaPhaseChart:
-    """Known-magnitude submanifold chart: (alpha, unwrapped phase per bin)."""
+    """Known-magnitude submanifold chart on a validated template: (alpha, unwrapped phase per bin)."""
 
     # ``path_length``'s reduced form: head column alpha, the only one of degree 1
     _n_head = 1
     _amplitudes = slice(0, 1)
 
-    def __init__(self, noise: NoiseProfile, rho0):
-        template = Template(noise, rho0)
+    def __init__(self, template: Template):
         self._w = template.weights
         self.omega0 = template.omega0
 
@@ -318,29 +317,30 @@ class AlphaGeodesic:
         return {name: np.asarray(getattr(self, name)).tolist() for name in names}
 
 
-def _boundary_geodesic(alpha1, alpha2, psi1, psi2, noise: NoiseProfile, rho0) -> AlphaGeodesic:
+def _boundary_geodesic(alpha1, alpha2, psi1, psi2, template: Template) -> AlphaGeodesic:
     """The closed-form geodesic of the boundary data.
 
     ``dpsi`` and ``delta`` are ``Template.phase_gap`` of the raw phases, as in
-    ``distance_alpha``; only the start phases are wrapped.
+    ``distance_alpha``; only the start phases are wrapped.  A scalar phase is
+    constant over the bins, so both are broadcast to the template's bins.
     """
-    template = Template(noise, rho0)
     dpsi, delta = template.phase_gap(psi1, psi2)
-    psi1 = wrap_phase(np.asarray(psi1, dtype=float))
+    psi1, dpsi, _ = np.broadcast_arrays(wrap_phase(np.asarray(psi1, dtype=float)), dpsi, template.rho0)
     return AlphaGeodesic(float(alpha1), float(alpha2), delta, psi1, dpsi, template.omega0)
 
 
-def solve_alpha_geodesic(alpha1: float, alpha2: float, psi1, psi2, noise: NoiseProfile, rho0) -> AlphaGeodesic:
+def solve_alpha_geodesic(alpha1: float, alpha2: float, psi1, psi2, template: Template) -> AlphaGeodesic:
     """Boundary-value geodesic between two points of the submanifold.
 
-    Takes the arguments of ``distance_alpha``, and no grid: the constants read
-    the band only through the template.  Per-bin phase differences are
+    Takes the arguments of ``distance_alpha``, a band validated once as a
+    ``Template`` and no grid: the constants read the band only through the
+    template, and either phase may be a scalar.  Per-bin phase differences are
     wrapped (as in ``distance_alpha``), so the path follows the short way
     around each phase circle; ``delta`` therefore lands in [0, pi].
     ``delta = pi`` yields the degenerate solution whose attenuation touches
     zero inside (0, 1); it is returned with a warning.
     """
-    geo = _boundary_geodesic(alpha1, alpha2, psi1, psi2, noise, rho0)
+    geo = _boundary_geodesic(alpha1, alpha2, psi1, psi2, template)
     if geo.degenerate:
         warnings.warn(
             "antipodal phase difference: attenuation touches zero inside the path",
@@ -502,12 +502,12 @@ def _shoot(geo: AlphaGeodesic, n_steps: int):
 
 
 def shoot_alpha_geodesic(
-    alpha1: float, alpha2: float, psi1, psi2, noise: NoiseProfile, rho0, *, n_steps: int = 400
+    alpha1: float, alpha2: float, psi1, psi2, template: Template, *, n_steps: int = 400
 ) -> GeodesicPath:
     """Numerical boundary-value geodesic by RK4 integration plus shooting.
 
-    Takes the arguments of ``solve_alpha_geodesic`` and the keyword-only
-    ``n_steps``.  The ODE constants, K and the per-bin ``c = sqrt(K) dpsi /
+    Takes the arguments of ``solve_alpha_geodesic``, ``template`` last, and
+    the keyword-only ``n_steps``.  The ODE constants, K and the per-bin ``c = sqrt(K) dpsi /
     delta``, are taken from the ``AlphaGeodesic`` of the boundary data, not
     from its closed-form path, and the ODE is integrated in its power-of-two units
     (the larger attenuation in [0.5, 1)).  In the plane with polar
@@ -535,7 +535,7 @@ def shoot_alpha_geodesic(
     """
     if n_steps < 100:
         raise ValueError("n_steps must be at least 100")
-    geo = _boundary_geodesic(alpha1, alpha2, psi1, psi2, noise, rho0)
+    geo = _boundary_geodesic(alpha1, alpha2, psi1, psi2, template)
     alphas, advances = _shoot(geo, n_steps)
     # the fraction of each bin's phase difference covered is the advance over delta
     mix = advances / geo.delta if geo.delta > 0.0 else np.zeros_like(advances)

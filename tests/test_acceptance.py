@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from fisherband import acceptance, geodesics
+from fisherband import acceptance, band, geodesics
 from fisherband.acceptance import CRITERIA, CriterionResult, run_acceptance_suite
 
 SEED = 0
@@ -48,6 +48,25 @@ def test_criterion_6_smoke_one_rk4_run_per_instance(monkeypatch):
     monkeypatch.setattr(geodesics, "_rk4_alpha_path", counted)
     assert acceptance.criterion_6(SEED, "smoke").passed
     assert runs == [4000] * 10
+
+
+@pytest.mark.parametrize(
+    "criterion, n_instances",
+    [(acceptance.criterion_5, 20), (acceptance.criterion_6, 10)],
+    ids=["criterion_5", "criterion_6"],
+)
+def test_one_template_per_instance(criterion, n_instances, monkeypatch):
+    # the geodesic, its chart and the distance of an instance share the band's one validated template
+    built = []
+    real = band.Template.__post_init__
+
+    def counted(self):
+        built.append(None)
+        real(self)
+
+    monkeypatch.setattr(band.Template, "__post_init__", counted)
+    assert criterion(SEED, "smoke").passed
+    assert len(built) == n_instances
 
 
 def test_nan_measurement_fails():

@@ -516,10 +516,9 @@ class TestTemplate:
     )
     def test_overflow_named(self, gamma0, rho0):
         noise = NoiseProfile.flat(gamma0, 4)
-        with pytest.raises(ValueError, match="overflow"):
-            Template(noise, rho0)
-        with pytest.raises(ValueError, match="overflow"):
-            distance_alpha(1.0, 2.0, np.zeros(4), np.full(4, 0.5), noise, np.asarray(rho0))
+        for values in (rho0, np.asarray(rho0)):
+            with pytest.raises(ValueError, match="overflow"):
+                Template(noise, values)
 
     def test_phase_gap_broadcasts_over_rows(self):
         noise, rho0, rng = self._pair()
@@ -542,8 +541,8 @@ class TestTemplate:
         "call",
         [
             lambda noise, rho0, p1, p2: Template(noise, rho0).phase_gap(p1, p2),
-            lambda noise, rho0, p1, p2: distance_alpha(1.0, 1.0, p1, p2, noise, rho0),
-            lambda noise, rho0, p1, p2: solve_alpha_geodesic(1.0, 1.0, p1, p2, noise, rho0),
+            lambda noise, rho0, p1, p2: distance_alpha(1.0, 1.0, p1, p2, Template(noise, rho0)),
+            lambda noise, rho0, p1, p2: solve_alpha_geodesic(1.0, 1.0, p1, p2, Template(noise, rho0)),
         ],
         ids=["phase_gap", "distance_alpha", "solve_alpha_geodesic"],
     )
@@ -643,13 +642,14 @@ class TestBandRules:
         [
             (lambda g5, n4, s4, s5: known_mag_distances(Template(n4, np.ones(4)), 1.0, 1.0, np.zeros(5), 0.0),
              "psi1 5, template 4"),
-            (lambda g5, n4, s4, s5: distance_alpha(1.0, 1.0, np.zeros(4), np.zeros(4), n4, np.ones(5)),
-             "noise 4, rho0 5"),
+            (lambda g5, n4, s4, s5: Template(n4, np.ones(5)), "noise 4, rho0 5"),
+            (lambda g5, n4, s4, s5: distance_alpha(1.0, 1.0, np.zeros(4), np.zeros(5), Template(n4, np.ones(4))),
+             "psi1 4, psi2 5, template 4"),
             (lambda g5, n4, s4, s5: distance_full(s4, s5, n4), "s1 4, s2 5, noise 4"),
             (lambda g5, n4, s4, s5: distance_full_embedding(s4, s5, n4), "s1 4, s2 5, noise 4"),
             (lambda g5, n4, s4, s5: straight_line_geodesic(s4, s5), "mu1 4, mu2 5"),
-            (lambda g5, n4, s4, s5: solve_alpha_geodesic(1.0, 1.0, np.zeros(4), np.zeros(4), n4, np.ones(5)),
-             "noise 4, rho0 5"),
+            (lambda g5, n4, s4, s5: solve_alpha_geodesic(1.0, 1.0, np.zeros(5), np.zeros(5), Template(n4, np.ones(4))),
+             "psi1 5, psi2 5, template 4"),
             (lambda g5, n4, s4, s5: fisher_matrix(KnownMagnitudeModel(g5.freqs, np.ones(5)), [1.0, 0.0], n4),
              "model 5, noise 4"),
             (lambda g5, n4, s4, s5: KnownMagnitudeModel(g5.freqs, np.ones(4)), "freqs 5, rho0 4"),
@@ -657,7 +657,7 @@ class TestBandRules:
             (lambda g5, n4, s4, s5: ldg_residual(FreeSpectrumModel(5), straight_line_geodesic(s5, s5, 9), n4),
              "model 5, noise 4"),
         ],
-        ids=["kernel", "distance_alpha", "distance_full", "distance_full_embedding", "straight_line_geodesic",
+        ids=["kernel", "Template", "distance_alpha", "distance_full", "distance_full_embedding", "straight_line_geodesic",
              "solve_alpha_geodesic", "fisher_matrix", "KnownMagnitudeModel", "FreeSpectrumModel", "ldg_residual"],
     )
     def test_misaligned_lengths_name_every_input(self, call, lengths):
@@ -670,29 +670,31 @@ class TestBandRules:
         [distance_alpha, distance_full_known_mag, small_phase_equivalent, solve_alpha_geodesic, shoot_alpha_geodesic],
     )
     def test_known_magnitude_routes_take_no_grid(self, route):
-        # a call in the old form (a1, a2, psi1, psi2, grid, noise, rho0) fails to bind, rather
-        # than reading the grid as the noise and the noise as the template
+        # a call in an old form, (a1, a2, psi1, psi2, grid, noise, rho0) or (a1, a2, psi1, psi2,
+        # noise, rho0), fails to bind, rather than reading the grid or the noise as the template
         psi1, psi2 = np.zeros(4), np.full(4, 0.5)
         noise, rho0 = NoiseProfile.flat(1.0, 4), np.ones(4)
-        with pytest.raises(TypeError, match="takes 6 positional arguments but 7 were given"):
+        with pytest.raises(TypeError, match="takes 5 positional arguments but 7 were given"):
             route(1.0, 1.5, psi1, psi2, build_grid(0.25, 0.4, 4), noise, rho0)
-        route(1.0, 1.5, psi1, psi2, noise, rho0)
+        with pytest.raises(TypeError, match="takes 5 positional arguments but 6 were given"):
+            route(1.0, 1.5, psi1, psi2, noise, rho0)
+        route(1.0, 1.5, psi1, psi2, Template(noise, rho0))
 
     def test_shooting_steps_are_keyword_only(self):
         psi1, psi2 = np.zeros(4), np.full(4, 0.5)
         noise, rho0 = NoiseProfile.flat(1.0, 4), np.ones(4)
-        with pytest.raises(TypeError, match="takes 6 positional arguments but 7 were given"):
-            shoot_alpha_geodesic(1.0, 1.5, psi1, psi2, noise, rho0, 400)
-        assert len(shoot_alpha_geodesic(1.0, 1.5, psi1, psi2, noise, rho0, n_steps=400).sigmas) == 401
+        with pytest.raises(TypeError, match="takes 5 positional arguments but 6 were given"):
+            shoot_alpha_geodesic(1.0, 1.5, psi1, psi2, Template(noise, rho0), 400)
+        assert len(shoot_alpha_geodesic(1.0, 1.5, psi1, psi2, Template(noise, rho0), n_steps=400).sigmas) == 401
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
     @pytest.mark.parametrize(
         "call",
         [
-            lambda grid, a: distance_alpha(a, 1.0, np.zeros(3), np.ones(3), NoiseProfile.flat(1.0, 3), np.ones(3)),
+            lambda grid, a: distance_alpha(a, 1.0, np.zeros(3), np.ones(3), Template(NoiseProfile.flat(1.0, 3), np.ones(3))),
             lambda grid, a: KnownMagnitudeModel(grid.freqs, np.ones(3), alpha=a),
             lambda grid, a: KnownMagnitudeModel(grid.freqs, np.ones(3)).magnitude([a]),
-            lambda grid, a: solve_alpha_geodesic(1.0, a, np.zeros(3), np.ones(3), NoiseProfile.flat(1.0, 3), np.ones(3)),
+            lambda grid, a: solve_alpha_geodesic(1.0, a, np.zeros(3), np.ones(3), Template(NoiseProfile.flat(1.0, 3), np.ones(3))),
         ],
         ids=["distance_alpha", "KnownMagnitudeModel", "magnitude", "solve_alpha_geodesic"],
     )

@@ -49,10 +49,11 @@ def _beyond_the_range():
     """Spectra at alpha 1e308 and 1 on a template of peak 1, with their known-magnitude arguments."""
     noise, rho0, rng = _band(8, seed=25)
     rho0 = rho0 / rho0.max()
-    assert math.sqrt(Template(noise, rho0).omega0) > 2.0
+    template = Template(noise, rho0)
+    assert math.sqrt(template.omega0) > 2.0
     psi1, psi2 = (wrap_phase(rng.uniform(-np.pi, np.pi, 8)) for _ in range(2))
     s1, s2 = SignalSpectrum(1e308 * rho0, psi1), SignalSpectrum(rho0, psi2)
-    return s1, s2, noise, (1e308, 1.0, psi1, psi2, noise, rho0)
+    return s1, s2, noise, (1e308, 1.0, psi1, psi2, template)
 
 
 def _random_spectrum(rng, n):
@@ -158,14 +159,14 @@ class TestDistanceAlpha:
         noise, rho0, rng = _band(8, seed=4)
         psi = wrap_phase(rng.uniform(-np.pi, np.pi, 8))
         omega0 = band_energy(noise, rho0)
-        got = distance_alpha(0.4, 2.3, psi, psi, noise, rho0)
+        got = distance_alpha(0.4, 2.3, psi, psi, Template(noise, rho0))
         assert got == pytest.approx(math.sqrt(omega0) * (2.3 - 0.4), rel=1e-14)
 
     def test_quarter_turn_reference_value(self):
         # omega0 = 2 (one bin, rho0 = 1, gamma0 = 1), delta = pi/2:
         # sqrt(2) * sqrt(1 + 1 - 0) = 2
         noise = NoiseProfile.flat(1.0, 1)
-        got = distance_alpha(1.0, 1.0, [0.0], [math.pi / 2], noise, [1.0])
+        got = distance_alpha(1.0, 1.0, [0.0], [math.pi / 2], Template(noise, [1.0]))
         assert got == pytest.approx(2.0, rel=1e-15)
 
     def test_constant_shift_equals_full_distance(self):
@@ -176,7 +177,7 @@ class TestDistanceAlpha:
             psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, 16))
             shift = float(rng.uniform(-np.pi, np.pi))
             psi2 = wrap_phase(psi1 + shift)
-            d_sub = distance_alpha(a1, a2, psi1, psi2, noise, rho0)
+            d_sub = distance_alpha(a1, a2, psi1, psi2, Template(noise, rho0))
             d_full = distance_full(
                 SignalSpectrum(a1 * rho0, psi1), SignalSpectrum(a2 * rho0, psi2), noise
             )
@@ -189,7 +190,7 @@ class TestDistanceAlpha:
             a2 = float(np.exp(rng.uniform(np.log(0.1), np.log(10))))
             psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, 24))
             psi2 = wrap_phase(rng.uniform(-np.pi, np.pi, 24))
-            d_sub = distance_alpha(a1, a2, psi1, psi2, noise, rho0)
+            d_sub = distance_alpha(a1, a2, psi1, psi2, Template(noise, rho0))
             d_full = distance_full(
                 SignalSpectrum(a1 * rho0, psi1), SignalSpectrum(a2 * rho0, psi2), noise
             )
@@ -199,19 +200,19 @@ class TestDistanceAlpha:
         noise, rho0, rng = _band(8, seed=7)
         psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, 8))
         psi2 = wrap_phase(rng.uniform(-np.pi, np.pi, 8))
-        d12 = distance_alpha(0.7, 1.9, psi1, psi2, noise, rho0)
-        d21 = distance_alpha(1.9, 0.7, psi2, psi1, noise, rho0)
+        d12 = distance_alpha(0.7, 1.9, psi1, psi2, Template(noise, rho0))
+        d21 = distance_alpha(1.9, 0.7, psi2, psi1, Template(noise, rho0))
         assert d12 == pytest.approx(d21, rel=1e-15)
 
     def test_matches_geodesic_length(self):
         noise, rho0, rng = _band(10, seed=8)
         psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, 10))
         psi2 = wrap_phase(psi1 + rng.uniform(-2.0, 2.0, 10))
-        geo = solve_alpha_geodesic(0.6, 1.7, psi1, psi2, noise, rho0)
-        d = distance_alpha(0.6, 1.7, psi1, psi2, noise, rho0)
+        geo = solve_alpha_geodesic(0.6, 1.7, psi1, psi2, Template(noise, rho0))
+        d = distance_alpha(0.6, 1.7, psi1, psi2, Template(noise, rho0))
         assert d == pytest.approx(geo.length, rel=1e-15)
         path = sample_alpha_geodesic(geo, 257)
-        quad = path_length(AlphaPhaseChart(noise, rho0), path, n_quad=16)
+        quad = path_length(AlphaPhaseChart(Template(noise, rho0)), path, n_quad=16)
         assert quad == pytest.approx(d, rel=1e-8)
 
 
@@ -219,7 +220,7 @@ class TestKnownMagFullDistance:
     def test_coincident(self):
         noise, rho0, _ = _band(6, seed=9)
         psi = np.zeros(6)
-        assert distance_full_known_mag(1.2, 1.2, psi, psi, noise, rho0) == 0.0
+        assert distance_full_known_mag(1.2, 1.2, psi, psi, Template(noise, rho0)) == 0.0
 
     def test_equals_generic_full_distance(self):
         noise, rho0, rng = _band(12, seed=10)
@@ -228,7 +229,7 @@ class TestKnownMagFullDistance:
             a2 = float(np.exp(rng.uniform(np.log(0.1), np.log(10))))
             psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, 12))
             psi2 = wrap_phase(rng.uniform(-np.pi, np.pi, 12))
-            via_chart = distance_full_known_mag(a1, a2, psi1, psi2, noise, rho0)
+            via_chart = distance_full_known_mag(a1, a2, psi1, psi2, Template(noise, rho0))
             via_spectra = distance_full(
                 SignalSpectrum(a1 * rho0, psi1), SignalSpectrum(a2 * rho0, psi2), noise
             )
@@ -238,8 +239,8 @@ class TestKnownMagFullDistance:
         noise, rho0, rng = _band(9, seed=11)
         psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, 9))
         psi2 = wrap_phase(psi1 + 1.1)
-        full = distance_full_known_mag(0.9, 1.4, psi1, psi2, noise, rho0)
-        sub = distance_alpha(0.9, 1.4, psi1, psi2, noise, rho0)
+        full = distance_full_known_mag(0.9, 1.4, psi1, psi2, Template(noise, rho0))
+        sub = distance_alpha(0.9, 1.4, psi1, psi2, Template(noise, rho0))
         assert full == pytest.approx(sub, rel=1e-13)
 
 
@@ -251,8 +252,8 @@ class TestSmallPhaseEquivalent:
         for a1, a2 in ((1.0, 1.0), (0.5, 1.5)):
             eps = 1e-3
             psi2 = wrap_phase(psi1 + eps * dpsi)
-            approx = small_phase_equivalent(a1, a2, psi1, psi2, noise, rho0)
-            d_sub = distance_alpha(a1, a2, psi1, psi2, noise, rho0)
+            approx = small_phase_equivalent(a1, a2, psi1, psi2, Template(noise, rho0))
+            d_sub = distance_alpha(a1, a2, psi1, psi2, Template(noise, rho0))
             d_full = distance_full(
                 SignalSpectrum(a1 * rho0, psi1), SignalSpectrum(a2 * rho0, psi2), noise
             )
@@ -262,15 +263,15 @@ class TestSmallPhaseEquivalent:
     def test_coincident_zero(self):
         noise, rho0, _ = _band(4, seed=13)
         psi = np.zeros(4)
-        assert small_phase_equivalent(1.0, 1.0, psi, psi, noise, rho0) == 0.0
+        assert small_phase_equivalent(1.0, 1.0, psi, psi, Template(noise, rho0)) == 0.0
 
     def test_swap_symmetry_identity(self):
         # swapping endpoints is the same map as gamma -> 1/gamma rescaled
         noise, rho0, rng = _band(8, seed=14)
         psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, 8))
         psi2 = wrap_phase(psi1 + rng.uniform(-0.5, 0.5, 8))
-        forward = small_phase_equivalent(0.8, 2.0, psi1, psi2, noise, rho0)
-        backward = small_phase_equivalent(2.0, 0.8, psi2, psi1, noise, rho0)
+        forward = small_phase_equivalent(0.8, 2.0, psi1, psi2, Template(noise, rho0))
+        backward = small_phase_equivalent(2.0, 0.8, psi2, psi1, Template(noise, rho0))
         assert forward == pytest.approx(backward, rel=1e-12)
 
 
@@ -376,16 +377,17 @@ class TestHomogeneity:
         c = _round26(10.0**log10_scale)
         a1, a2 = (_round26(float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))) for _ in range(2))
         mag1, mag2 = (np.array([_round26(v) for v in rng.uniform(0.0, 3.0, n)]) for _ in range(2))
+        template = Template(noise, rho0)
         for func in (distance_alpha, distance_full_known_mag):
-            base = func(a1, a2, psi1, psi2, noise, rho0)
-            scaled = func(c * a1, c * a2, psi1, psi2, noise, rho0)
+            base = func(a1, a2, psi1, psi2, template)
+            scaled = func(c * a1, c * a2, psi1, psi2, template)
             assert 0.0 < scaled < math.inf
             assert _within_ulps(scaled, c * base)
         base = _full(mag1, mag2, psi1, psi2, noise)
         scaled = _full(c * mag1, c * mag2, psi1, psi2, noise)
         assert 0.0 < scaled < math.inf
         assert _within_ulps(scaled, c * base)
-        d_alpha = distance_alpha(c * a1, c * a2, psi1, psi2, noise, rho0)
+        d_alpha = distance_alpha(c * a1, c * a2, psi1, psi2, template)
         d_full = _full(c * a1 * rho0, c * a2 * rho0, psi1, psi2, noise)
         assert d_alpha >= d_full - 4 * math.ulp(d_full)
 
@@ -394,9 +396,10 @@ class TestHomogeneity:
         noise, rho0, rng = _band(8, seed=21)
         psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, 8))
         psi2 = wrap_phase(rng.uniform(-np.pi, np.pi, 8))
+        template = Template(noise, rho0)
         for func in (distance_alpha, distance_full_known_mag, small_phase_equivalent):
-            unit = func(1.0, 2.0, psi1, psi2, noise, rho0)
-            scaled = func(scale, 2.0 * scale, psi1, psi2, noise, rho0)
+            unit = func(1.0, 2.0, psi1, psi2, template)
+            scaled = func(scale, 2.0 * scale, psi1, psi2, template)
             assert scaled == pytest.approx(scale * unit, rel=1e-15, abs=0.0)
         unit = _full(rho0, 2.0 * rho0, psi1, psi2, noise)
         scaled = _full(scale * rho0, 2.0 * scale * rho0, psi1, psi2, noise)
@@ -418,12 +421,12 @@ class TestHomogeneity:
         [
             lambda s1, s2, noise, ends: distance_full(s1, s2, noise),
             lambda s1, s2, noise, ends: distance_full_embedding(s1, s2, noise),
-            lambda s1, s2, noise, ends: report(s1, s2, noise, rho0=ends[-1]).d_alpha,
-            lambda s1, s2, noise, ends: report(s1, s2, noise, rho0=ends[-1]).d_full,
+            lambda s1, s2, noise, ends: report(s1, s2, noise, rho0=ends[-1].rho0).d_alpha,
+            lambda s1, s2, noise, ends: report(s1, s2, noise, rho0=ends[-1].rho0).d_full,
             lambda s1, s2, noise, ends: distance_alpha(*ends),
             lambda s1, s2, noise, ends: distance_full_known_mag(*ends),
             lambda s1, s2, noise, ends: small_phase_equivalent(*ends),
-            lambda s1, s2, noise, ends: known_mag_distances(Template(noise, ends[-1]), 1e308, 1.0, s1.psi, s2.psi)[1],
+            lambda s1, s2, noise, ends: known_mag_distances(ends[-1], 1e308, 1.0, s1.psi, s2.psi)[1],
         ],
         ids=["distance_full", "distance_full_embedding", "report.d_alpha", "report.d_full", "distance_alpha",
              "distance_full_known_mag", "small_phase_equivalent", "known_mag_distances"],
@@ -453,10 +456,11 @@ class TestKnownMagKernel:
         # a batch that mixes scales 1e-200, 1 and 1e200 across its rows
         a1 = np.array(scales[:n_rows]) * rng.uniform(0.1, 10.0, n_rows)
         a2 = a1 * rng.uniform(0.1, 10.0, n_rows)
-        d_full, d_alpha, delta = known_mag_distances(Template(noise, rho0), a1, a2, psi1, psi2)
+        template = Template(noise, rho0)
+        d_full, d_alpha, delta = known_mag_distances(template, a1, a2, psi1, psi2)
         assert d_full.shape == d_alpha.shape == delta.shape == (n_rows,)
         for k in range(n_rows):
-            args = (float(a1[k]), float(a2[k]), psi1[k], psi2[k], noise, rho0)
+            args = (float(a1[k]), float(a2[k]), psi1[k], psi2[k], template)
             assert _within_ulps(d_full[k], distance_full_known_mag(*args), 1)
             assert _within_ulps(d_alpha[k], distance_alpha(*args), 1)
             assert _within_ulps(delta[k], phase_rms_diff(psi1[k], psi2[k], noise, rho0), 1)
@@ -658,7 +662,7 @@ class TestReport:
 
     def test_overflowing_distances_have_no_ratio(self):
         s1, s2, noise, ends = _beyond_the_range()
-        rep = report(s1, s2, noise, rho0=ends[-1])
+        rep = report(s1, s2, noise, rho0=ends[-1].rho0)
         assert rep.d_full == rep.d_alpha == rep.snr1 == math.inf and rep.ratio is None
 
     def test_without_template(self):

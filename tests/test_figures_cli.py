@@ -17,6 +17,7 @@ import fisherband
 from fisherband import (
     BLOCK,
     FIGURE_CASES,
+    DegenerateGeodesicWarning,
     DistanceReport,
     ExperimentConfig,
     KnownMagnitudeModel,
@@ -50,6 +51,11 @@ class TestExperimentConfig:
         assert cfg.nu0 == 0.25
         assert cfg.snr1 == 1.0
         assert cfg.btau_sweep == (0.0, 20.0, 400)
+
+    def test_sweep_list_is_stored_as_a_tuple(self):
+        # a config file's list, held as the frozen config's tuple
+        cfg = ExperimentConfig("x", 0.5, 0.0, 1.0, btau_sweep=[0.0, 5.0, 10])
+        assert cfg.btau_sweep == (0.0, 5.0, 10) and isinstance(cfg.btau_sweep, tuple)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -128,7 +134,7 @@ class TestRunFigureCase:
             d_full = distance_full(
                 SignalSpectrum(a1 * rho0, psi1), SignalSpectrum(a2 * rho0, psi2), noise
             )
-            d_sub = distance_alpha(a1, a2, psi1, psi2, noise, rho0)
+            d_sub = distance_alpha(a1, a2, psi1, psi2, Template(noise, rho0))
             assert rows[idx, 1] == pytest.approx(d_full, rel=1e-12, abs=1e-15)
             assert rows[idx, 2] == pytest.approx(d_sub, rel=1e-12, abs=1e-15)
 
@@ -305,6 +311,10 @@ class TestCli:
             ({"n_freqs": 10**400}, "n_freqs is too large for a grid (int too large to convert to float)"),
             ({"n_freqs": 10**12}, "n_freqs is too large for a grid (Unable to allocate 7.28 TiB"),
             ({"btau_sweep": [0.0, 5.0, True]}, "whole number of points"),
+            ({"btau_sweep": [0, 20]}, "btau_sweep must be [min, max, count]"),
+            ({"btau_sweep": [0, 20, 5, 1]}, "btau_sweep must be [min, max, count]"),
+            ({"btau_sweep": 5}, "btau_sweep must be [min, max, count]"),
+            ({"btau_sweep": "0,20,5"}, "btau_sweep must be [min, max, count]"),
         ],
     )
     def test_figure_bad_config_named(self, tmp_path, capsys, override, fragment):
@@ -640,8 +650,8 @@ class TestCliOnLibraryRoutes:
         for row, (a1, c1), (a2, c2) in zip(rows, sides[::2], sides[1::2]):
             psi1, psi2 = _model_phases(grid, rho0, a1, c1), _model_phases(grid, rho0, a2, c2)
             wrapped_any |= bool(np.any(np.abs(psi2 - psi1) > math.pi))
-            assert float(row["d_alpha"]) == distance_alpha(a1, a2, psi1, psi2, noise, rho0)
-            assert float(row["d_full"]) == distance_full_known_mag(a1, a2, psi1, psi2, noise, rho0)
+            assert float(row["d_alpha"]) == distance_alpha(a1, a2, psi1, psi2, Template(noise, rho0))
+            assert float(row["d_full"]) == distance_full_known_mag(a1, a2, psi1, psi2, Template(noise, rho0))
             assert float(row["delta"]) == phase_rms_diff(psi1, psi2, noise, rho0)
         assert wrapped_any
 
@@ -664,8 +674,8 @@ class TestCliOnLibraryRoutes:
         grid, noise, rho0 = build_grid(0.25, 0.5, n), NoiseProfile.flat(2.0, n), np.ones(n)
         for row, (a1, c1), (a2, c2) in zip(rows, sides[::2], sides[1::2]):
             psi1, psi2 = _model_phases(grid, rho0, a1, c1), _model_phases(grid, rho0, a2, c2)
-            assert float(row["d_alpha"]) == distance_alpha(a1, a2, psi1, psi2, noise, rho0)
-            assert float(row["d_full"]) == distance_full_known_mag(a1, a2, psi1, psi2, noise, rho0)
+            assert float(row["d_alpha"]) == distance_alpha(a1, a2, psi1, psi2, Template(noise, rho0))
+            assert float(row["d_full"]) == distance_full_known_mag(a1, a2, psi1, psi2, Template(noise, rho0))
             assert float(row["delta"]) == phase_rms_diff(psi1, psi2, noise, rho0)
 
         # row 19, of degree 2 as row 2 is: its first side's phase overflows to inf on the upper bins
@@ -765,10 +775,25 @@ class TestCliOnLibraryRoutes:
         dumped = json.loads(capsys.readouterr().out)
         grid, noise, rho0, models = load_model_file(path)
         psi1, psi2 = (m.phase_unwrapped(m.phase_coeffs) for m in models)
-        geo = solve_alpha_geodesic(1.0, 1.5, psi1, psi2, noise, rho0)
+        geo = solve_alpha_geodesic(1.0, 1.5, psi1, psi2, Template(noise, rho0))
         assert dumped["delta"] == geo.delta
         assert dumped["k1"] == geo.k1
         assert dumped["dpsi"] == geo.dpsi.tolist()
+
+    def test_inspect_geodesic_antipodal_warns_degenerate(self, tmp_path, capsys):
+        # a constant gap of pi on every bin: delta = pi, and the attenuation touches zero inside the path
+        payload = {
+            "grid": {"nu0": 0.25, "bandwidth_B": 0.4, "n_freqs": 4},
+            "noise": {"gamma0": 2.0},
+            "rho0": 1.0,
+            "endpoints": [{"alpha": 1.0, "phase_coeffs": [0.0]}, {"alpha": 1.5, "phase_coeffs": [3.141592653589793]}],
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        with pytest.warns(DegenerateGeodesicWarning):
+            assert main(["inspect", "geodesic", str(path)]) == 0
+        dumped = json.loads(capsys.readouterr().out)
+        assert dumped["degenerate"] is True and dumped["delta"] == math.pi
 
     def test_distance_overflowing_phase_gap_named(self, tmp_path, capsys):
         # each side's phase is finite, their difference is not: the library route would raise

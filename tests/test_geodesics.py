@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -184,7 +185,7 @@ class TestSolveAlphaGeodesic:
     def test_equal_phases_affine(self):
         _, noise, rho0, _ = _band(6)
         psi = np.linspace(-1.0, 1.0, 6)
-        geo = solve_alpha_geodesic(0.7, 2.1, psi, psi, noise, rho0)
+        geo = solve_alpha_geodesic(0.7, 2.1, psi, psi, Template(noise, rho0))
         assert geo.delta == 0.0
         assert geo.K == 0.0
         assert geo.k1 == pytest.approx((2.1 - 0.7) ** 2, rel=1e-15)
@@ -200,7 +201,7 @@ class TestSolveAlphaGeodesic:
         rho0 = np.ones(8)
         psi1 = np.zeros(8)
         psi2 = np.full(8, math.pi / 2)
-        geo = solve_alpha_geodesic(1.0, 1.0, psi1, psi2, noise, rho0)
+        geo = solve_alpha_geodesic(1.0, 1.0, psi1, psi2, Template(noise, rho0))
         assert geo.delta == pytest.approx(math.pi / 2, rel=1e-15)
         assert geo.k1 == pytest.approx(2.0, rel=1e-14)
         assert geo.k2 == pytest.approx(-0.5, rel=1e-14)
@@ -212,7 +213,7 @@ class TestSolveAlphaGeodesic:
         for _ in range(25):
             psi1 = wrap_phase(rng.uniform(-9, 9, 16))
             psi2 = wrap_phase(rng.uniform(-9, 9, 16))
-            geo = solve_alpha_geodesic(1.0, 2.0, psi1, psi2, noise, rho0)
+            geo = solve_alpha_geodesic(1.0, 2.0, psi1, psi2, Template(noise, rho0))
             assert 0.0 <= geo.delta <= math.pi
 
     def test_bvp_residual_small_away_from_tan_pole(self):
@@ -221,7 +222,7 @@ class TestSolveAlphaGeodesic:
             a1 = float(np.exp(rng.uniform(np.log(0.1), np.log(10))))
             a2 = float(np.exp(rng.uniform(np.log(0.1), np.log(10))))
             psi1, psi2 = _phase_pair(rng, 12, rng.uniform(0.05, 3.0))
-            geo = solve_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0)
+            geo = solve_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0))
             if abs(geo.delta - math.pi / 2) < 0.2:
                 continue
             assert abs(geo.bvp_residual()) < 1e-8 * (1.0 + geo.k1**2)
@@ -232,7 +233,7 @@ class TestSolveAlphaGeodesic:
             a1 = float(np.exp(rng.uniform(np.log(0.1), np.log(10))))
             a2 = float(np.exp(rng.uniform(np.log(0.1), np.log(10))))
             psi1, psi2 = _phase_pair(rng, 10, rng.uniform(0.05, 3.0), mode="sign")
-            geo = solve_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0)
+            geo = solve_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0))
             alpha0, phases0 = _at(geo, 0.0)
             alpha1, phases1 = _at(geo, 1.0)
             assert alpha0 == pytest.approx(a1, rel=1e-10)
@@ -245,14 +246,14 @@ class TestSolveAlphaGeodesic:
     def test_positive_alpha_required(self):
         _, noise, rho0, _ = _band(4)
         with pytest.raises(ValueError):
-            solve_alpha_geodesic(0.0, 1.0, np.zeros(4), np.zeros(4), noise, rho0)
+            solve_alpha_geodesic(0.0, 1.0, np.zeros(4), np.zeros(4), Template(noise, rho0))
         with pytest.raises(ValueError):
-            solve_alpha_geodesic(1.0, -2.0, np.zeros(4), np.zeros(4), noise, rho0)
+            solve_alpha_geodesic(1.0, -2.0, np.zeros(4), np.zeros(4), Template(noise, rho0))
 
     def test_coincident_endpoints(self):
         _, noise, rho0, _ = _band(4)
         psi = np.full(4, 0.25)
-        geo = solve_alpha_geodesic(1.3, 1.3, psi, psi, noise, rho0)
+        geo = solve_alpha_geodesic(1.3, 1.3, psi, psi, Template(noise, rho0))
         assert geo.k1 == 0.0
         assert geo.length == 0.0
         alpha, phases = _at(geo, 0.5)
@@ -266,7 +267,7 @@ class TestEvalAlphaGeodesic:
     def test_quarter_turn_midpoint(self):
         noise = NoiseProfile.flat(1.0, 4)
         rho0 = np.ones(4)
-        geo = solve_alpha_geodesic(1.0, 1.0, np.zeros(4), np.full(4, math.pi / 2), noise, rho0)
+        geo = solve_alpha_geodesic(1.0, 1.0, np.zeros(4), np.full(4, math.pi / 2), Template(noise, rho0))
         alpha, phases = _at(geo, 0.5)
         assert alpha == pytest.approx(math.sqrt(0.5), rel=1e-14)
         np.testing.assert_allclose(phases, math.pi / 4, rtol=1e-12)
@@ -274,7 +275,7 @@ class TestEvalAlphaGeodesic:
     def test_scalar_sigma_equals_the_array_evaluation(self):
         _, noise, rho0, rng = _band(6, seed=31)
         psi1, psi2 = _phase_pair(rng, 6, 2.0)
-        geo = solve_alpha_geodesic(0.7, 1.6, psi1, psi2, noise, rho0)
+        geo = solve_alpha_geodesic(0.7, 1.6, psi1, psi2, Template(noise, rho0))
         sigmas = np.linspace(0.0, 1.0, 11)
         for sigma, alpha, mix in zip(sigmas, geo.alpha_at(sigmas), geo.phase_mix_at(sigmas)):
             got_alpha, got_psi = _at(geo, sigma)
@@ -287,7 +288,7 @@ class TestEvalAlphaGeodesic:
         # alpha^2 * dpsi/dsigma recovers the per-bin constants c
         _, noise, rho0, rng = _band(8, seed=7)
         psi1, psi2 = _phase_pair(rng, 8, 2.0)
-        geo = solve_alpha_geodesic(0.8, 1.9, psi1, psi2, noise, rho0)
+        geo = solve_alpha_geodesic(0.8, 1.9, psi1, psi2, Template(noise, rho0))
         h = 1e-6
         for sigma in (0.12, 0.5, 0.83):
             a_mid = geo.alpha_at(sigma)
@@ -299,11 +300,11 @@ class TestEvalAlphaGeodesic:
     def test_constant_speed_equals_length_squared(self):
         _, noise, rho0, rng = _band(8, seed=8)
         psi1, psi2 = _phase_pair(rng, 8, 2.5)
-        geo = solve_alpha_geodesic(0.5, 3.0, psi1, psi2, noise, rho0)
+        geo = solve_alpha_geodesic(0.5, 3.0, psi1, psi2, Template(noise, rho0))
         path = _uniform_path(geo, 2001)
         d_coords = np.diff(path.coords, axis=0) / np.diff(path.sigmas)[:, None]
         mid = 0.5 * (path.coords[1:] + path.coords[:-1])
-        chart = AlphaPhaseChart(noise, rho0)
+        chart = AlphaPhaseChart(Template(noise, rho0))
         speeds = chart.speed(mid, d_coords)
         assert np.max(np.abs(speeds / geo.speed - 1.0)) < 1e-5
         assert geo.speed == pytest.approx(band_energy(noise, rho0) * geo.k1, rel=1e-15)
@@ -316,7 +317,7 @@ class TestDegenerateGeodesic:
         psi1 = np.zeros(4)
         psi2 = np.full(4, math.pi)
         with pytest.warns(DegenerateGeodesicWarning):
-            geo = solve_alpha_geodesic(1.0, 1.5, psi1, psi2, noise, rho0)
+            geo = solve_alpha_geodesic(1.0, 1.5, psi1, psi2, Template(noise, rho0))
         assert geo.degenerate
         assert geo.delta == pytest.approx(math.pi, rel=1e-15)
         crossing = -geo.k2
@@ -342,7 +343,7 @@ class TestShooting:
     def test_equal_phase_reduces_to_affine(self):
         _, noise, rho0, _ = _band(5, seed=9)
         psi = np.linspace(-0.5, 0.5, 5)
-        shot = shoot_alpha_geodesic(0.8, 2.0, psi, psi, noise, rho0, n_steps=200)
+        shot = shoot_alpha_geodesic(0.8, 2.0, psi, psi, Template(noise, rho0), n_steps=200)
         expected = 0.8 + shot.sigmas * 1.2
         np.testing.assert_allclose(shot.coords[:, 0], expected, atol=1e-9)
         np.testing.assert_allclose(shot.coords[:, 1:], np.tile(psi, (201, 1)), atol=1e-12)
@@ -352,8 +353,8 @@ class TestShooting:
         rho0 = np.ones(6)
         psi1 = np.zeros(6)
         psi2 = np.full(6, math.pi / 2)
-        geo = solve_alpha_geodesic(1.0, 1.0, psi1, psi2, noise, rho0)
-        shot = shoot_alpha_geodesic(1.0, 1.0, psi1, psi2, noise, rho0, n_steps=500)
+        geo = solve_alpha_geodesic(1.0, 1.0, psi1, psi2, Template(noise, rho0))
+        shot = shoot_alpha_geodesic(1.0, 1.0, psi1, psi2, Template(noise, rho0), n_steps=500)
         alphas = geo.alpha_at(shot.sigmas)
         np.testing.assert_allclose(shot.coords[:, 0], alphas, atol=1e-6)
         mix = geo.phase_mix_at(shot.sigmas)
@@ -367,13 +368,13 @@ class TestShooting:
         a1 = float(np.exp(rng.uniform(np.log(0.1), np.log(10))))
         a2 = float(np.exp(rng.uniform(np.log(0.1), np.log(10))))
         psi1, psi2 = _phase_pair(rng, 6, rng.uniform(0.1, 3.0), mode="sign")
-        geo = solve_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0)
+        geo = solve_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0))
         width = max(a1 * a2 * abs(math.sin(geo.delta)) / geo.k1, 1e-4)
         n_steps = int(min(max(2000, 25.0 / width), 40000))
-        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0, n_steps=n_steps)
+        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0), n_steps=n_steps)
         alphas = geo.alpha_at(shot.sigmas)
         assert np.max(np.abs(shot.coords[:, 0] - alphas)) < 1e-6
-        length = path_length(AlphaPhaseChart(noise, rho0), shot, n_quad=8)
+        length = path_length(AlphaPhaseChart(Template(noise, rho0)), shot, n_quad=8)
         assert length == pytest.approx(geo.length, rel=1e-6)
 
     @pytest.mark.parametrize(
@@ -393,7 +394,7 @@ class TestShooting:
         psi2 = psi1 + amplitude * np.array([1.0, -1.0, 1.0, -1.0])
         expected, taken = _textbook_shoot(a1, a2, psi1, psi2, noise, rho0, 400)
         assert taken == route
-        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0, n_steps=400)
+        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0), n_steps=400)
         np.testing.assert_array_equal(shot.coords, expected)
 
     @settings(max_examples=200, deadline=None)
@@ -417,7 +418,7 @@ class TestShooting:
     def test_step_floor(self):
         _, noise, rho0, _ = _band(4)
         with pytest.raises(ValueError):
-            shoot_alpha_geodesic(1.0, 2.0, np.zeros(4), np.zeros(4), noise, rho0, n_steps=99)
+            shoot_alpha_geodesic(1.0, 2.0, np.zeros(4), np.zeros(4), Template(noise, rho0), n_steps=99)
 
 
 class TestPathLength:
@@ -425,19 +426,19 @@ class TestPathLength:
         noise = NoiseProfile.flat(1.0, 3)
         coords = np.tile(np.array([1.0, 0.1, 0.2, 0.3]), (5, 1))
         path = GeodesicPath(np.linspace(0, 1, 5), coords)
-        assert path_length(AlphaPhaseChart(noise, np.ones(3)), path, n_quad=8) == 0.0
+        assert path_length(AlphaPhaseChart(Template(noise, np.ones(3))), path, n_quad=8) == 0.0
 
     def test_reparametrization_invariance(self):
         _, noise, rho0, rng = _band(6, seed=12)
         psi1, psi2 = _phase_pair(rng, 6, 1.5)
-        geo = solve_alpha_geodesic(0.9, 1.4, psi1, psi2, noise, rho0)
+        geo = solve_alpha_geodesic(0.9, 1.4, psi1, psi2, Template(noise, rho0))
         sig = np.linspace(0.0, 1.0, 401)
         warped = sig**2 * (3 - 2 * sig)  # smooth monotone [0,1] -> [0,1]
         alphas = geo.alpha_at(warped)
         mix = geo.phase_mix_at(warped)
         coords = np.hstack([alphas[:, None], geo.psi1 + mix[:, None] * geo.dpsi])
         warped_path = GeodesicPath(sig, coords)
-        chart = AlphaPhaseChart(noise, rho0)
+        chart = AlphaPhaseChart(Template(noise, rho0))
         length = path_length(chart, warped_path, n_quad=16)
         assert length == pytest.approx(geo.length, rel=1e-6)
 
@@ -445,7 +446,7 @@ class TestPathLength:
         noise = NoiseProfile.flat(1.0, 2)
         path = GeodesicPath(np.array([0.0, 1.0]), np.zeros((2, 5)))
         with pytest.raises(ValueError):
-            path_length(AlphaPhaseChart(noise, np.ones(2)), path, n_quad=4)
+            path_length(AlphaPhaseChart(Template(noise, np.ones(2))), path, n_quad=4)
 
     def test_model_chart_consistent_with_alpha_chart(self):
         grid, noise, rho0, _ = _band(6, seed=13)
@@ -453,7 +454,7 @@ class TestPathLength:
         coeffs2 = np.array([0.4, 1.5])
         psi1 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs1))
         psi2 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs2))
-        geo = solve_alpha_geodesic(1.0, 1.8, psi1, psi2, noise, rho0)
+        geo = solve_alpha_geodesic(1.0, 1.8, psi1, psi2, Template(noise, rho0))
         coeff_path = alpha_geodesic_coeff_path(geo, coeffs1, coeffs2, n_nodes=101)
         model = KnownMagnitudeModel(grid.freqs, rho0, alpha=1.0, phase_coeffs=coeffs1)
         length = path_length(ModelChart(model, noise), coeff_path, n_quad=8)
@@ -476,7 +477,7 @@ class TestLdgResidual:
         coeffs2 = np.array([0.7, 2.2, 0.3])
         psi1 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs1))
         psi2 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs2))
-        geo = solve_alpha_geodesic(1.0, 1.6, psi1, psi2, noise, rho0)
+        geo = solve_alpha_geodesic(1.0, 1.6, psi1, psi2, Template(noise, rho0))
         model = KnownMagnitudeModel(grid.freqs, rho0, alpha=1.0, phase_coeffs=coeffs1)
         path = alpha_geodesic_coeff_path(geo, coeffs1, coeffs2, n_nodes=101)
         res = ldg_residual(model, path, noise)
@@ -532,7 +533,7 @@ class TestGeodesicPathContainer:
 
         _, noise, rho0, rng = _band(3, seed=21)
         psi1, psi2 = _phase_pair(rng, 3, 1.0)
-        geo = solve_alpha_geodesic(1.0, 2.0, psi1, psi2, noise, rho0)
+        geo = solve_alpha_geodesic(1.0, 2.0, psi1, psi2, Template(noise, rho0))
         path = _uniform_path(geo, 9)
         out = tmp_path / "path.csv"
         save_path_csv(out, path)
@@ -549,7 +550,7 @@ class TestGeodesicPathContainer:
             a1 = float(np.exp(rng.uniform(np.log(0.1), np.log(10))))
             a2 = float(np.exp(rng.uniform(np.log(0.1), np.log(10))))
             psi1, psi2 = _phase_pair(rng, 8, 3.0, mode="sign")
-            geo = solve_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0)
+            geo = solve_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0))
             assert geo.delta < math.pi
             sigmas = np.linspace(0.0, 1.0, 101)
             assert np.all(geo.alpha_at(sigmas) > 0.0)
@@ -568,7 +569,7 @@ class TestScaledConstants:
         a1, a2 = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 2))
         # amplitudes below pi keep delta off the antipodal warning
         psi1, psi2 = _phase_pair(rng, n, rng.uniform(0.0, 3.0))
-        return float(a1), float(a2), psi1, psi2, noise, rho0
+        return float(a1), float(a2), psi1, psi2, Template(noise, rho0)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=-1000, max_value=1000))
@@ -593,7 +594,7 @@ class TestScaledConstants:
         alpha1 = math.ldexp(1.0, -k)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            geo = solve_alpha_geodesic(alpha1, 1.0, np.zeros(4), np.ones(4), NoiseProfile.flat(1.0, 4), np.ones(4))
+            geo = solve_alpha_geodesic(alpha1, 1.0, np.zeros(4), np.ones(4), Template(NoiseProfile.flat(1.0, 4), np.ones(4)))
             start, end = geo.alpha_at([0.0, 1.0])
         assert geo.delta == 1.0
         assert abs(start - alpha1) <= 4.0 * math.ulp(alpha1)
@@ -601,9 +602,9 @@ class TestScaledConstants:
 
     def test_length_is_distance_alpha(self):
         for seed in range(1000):
-            a1, a2, psi1, psi2, noise, rho0 = self._instance(seed)
-            geo = solve_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0)
-            assert geo.length == distance_alpha(a1, a2, psi1, psi2, noise, rho0)
+            a1, a2, psi1, psi2, template = self._instance(seed)
+            geo = solve_alpha_geodesic(a1, a2, psi1, psi2, template)
+            assert geo.length == distance_alpha(a1, a2, psi1, psi2, template)
 
     @pytest.mark.parametrize("scale", [1e-110, 1e103, 1e200])
     def test_extreme_scales(self, scale):
@@ -611,21 +612,21 @@ class TestScaledConstants:
         psi1, psi2 = _phase_pair(rng, 6, 1.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            geo = solve_alpha_geodesic(scale, 2.0 * scale, psi1, psi2, noise, rho0)
+            geo = solve_alpha_geodesic(scale, 2.0 * scale, psi1, psi2, Template(noise, rho0))
             path = sample_alpha_geodesic(geo)
         assert not geo.degenerate
         assert 0.0 < geo.length < math.inf
-        assert geo.length == distance_alpha(scale, 2.0 * scale, psi1, psi2, noise, rho0)
+        assert geo.length == distance_alpha(scale, 2.0 * scale, psi1, psi2, Template(noise, rho0))
         assert np.all(np.isfinite(path.coords)) and np.all(path.coords[:, 0] > 0.0)
 
     def test_natural_constants_leave_the_range_alone(self):
         # k1 ~ alpha^2 and K ~ alpha^4 read inf or 0 only once their own value does
         _, noise, rho0, rng = _band(4, seed=42)
         psi1, psi2 = _phase_pair(rng, 4, 1.0)
-        big = solve_alpha_geodesic(1e100, 2e100, psi1, psi2, noise, rho0)
+        big = solve_alpha_geodesic(1e100, 2e100, psi1, psi2, Template(noise, rho0))
         assert 0.0 < big.k1 < math.inf and big.K == math.inf
         assert np.all(np.isfinite(big.c)) and np.all(np.abs(big.c) > 0.0)
-        small = solve_alpha_geodesic(1e-100, 2e-100, psi1, psi2, noise, rho0)
+        small = solve_alpha_geodesic(1e-100, 2e-100, psi1, psi2, Template(noise, rho0))
         assert 0.0 < small.k1 and small.K == 0.0 and not small.degenerate
 
 
@@ -644,7 +645,7 @@ class TestBvpResidual:
             # the larger attenuation in [0.5, 1): the scaled units are the natural ones
             a1, a2 = rng.uniform(0.5, 1.0), rng.uniform(0.05, 0.5)
             psi1, psi2 = _phase_pair(rng, 8, rng.uniform(0.05, 3.0))
-            geo = solve_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0)
+            geo = solve_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0))
             t2, k1 = math.tan(geo.delta) ** 2, geo.k1
             natural = t2 * (a1**2 + a2**2 - k1) ** 2 + (a2**2 - a1**2 - k1) ** 2 - 4.0 * a1**2 * k1
             assert geo.bvp_residual() == natural
@@ -653,12 +654,12 @@ class TestBvpResidual:
         # Python-float squares of these attenuations overflow
         _, noise, rho0, rng = _band(6, seed=44)
         psi1, psi2 = _phase_pair(rng, 6, 1.0)
-        unit = solve_alpha_geodesic(1.0, 2.0, psi1, psi2, noise, rho0).bvp_residual()
+        unit = solve_alpha_geodesic(1.0, 2.0, psi1, psi2, Template(noise, rho0)).bvp_residual()
         assert unit != 0.0
         # 2**2120 times a rounding-level residual leaves the double range
-        residual = solve_alpha_geodesic(2.0**530, 2.0**531, psi1, psi2, noise, rho0).bvp_residual()
+        residual = solve_alpha_geodesic(2.0**530, 2.0**531, psi1, psi2, Template(noise, rho0)).bvp_residual()
         assert residual == math.copysign(math.inf, unit)
-        assert not math.isnan(solve_alpha_geodesic(1e160, 2e160, psi1, psi2, noise, rho0).bvp_residual())
+        assert not math.isnan(solve_alpha_geodesic(1e160, 2e160, psi1, psi2, Template(noise, rho0)).bvp_residual())
 
 
 def _dense_length(chart, path, n_quad):
@@ -692,7 +693,7 @@ class TestReducedPathLength:
     def _geodesic(seed):
         _, noise, rho0, rng = _band(6, seed=seed)
         psi1, psi2 = _phase_pair(rng, 6, 1.5)
-        return noise, rho0, solve_alpha_geodesic(0.9, 1.4, psi1, psi2, noise, rho0)
+        return noise, rho0, solve_alpha_geodesic(0.9, 1.4, psi1, psi2, Template(noise, rho0))
 
     def _check(self, chart, path, n_quad=8):
         reduced = path_length(chart, path, n_quad=n_quad)
@@ -700,13 +701,13 @@ class TestReducedPathLength:
 
     def test_closed_form_sample(self):
         noise, rho0, geo = self._geodesic(51)
-        self._check(AlphaPhaseChart(noise, rho0), sample_alpha_geodesic(geo, n_nodes=257), n_quad=16)
+        self._check(AlphaPhaseChart(Template(noise, rho0)), sample_alpha_geodesic(geo, n_nodes=257), n_quad=16)
 
     def test_rk4_shot(self):
         _, noise, rho0, rng = _band(5, seed=52)
         psi1, psi2 = _phase_pair(rng, 5, 1.2)
-        shot = shoot_alpha_geodesic(0.7, 1.9, psi1, psi2, noise, rho0, n_steps=2000)
-        self._check(AlphaPhaseChart(noise, rho0), shot)
+        shot = shoot_alpha_geodesic(0.7, 1.9, psi1, psi2, Template(noise, rho0), n_steps=2000)
+        self._check(AlphaPhaseChart(Template(noise, rho0)), shot)
 
     def test_embedding_straight_line(self):
         rng = np.random.default_rng(53)
@@ -720,7 +721,7 @@ class TestReducedPathLength:
         sig = np.linspace(0.0, 1.0, 101)
         warped = sig**2 * (3 - 2 * sig)
         coords = np.column_stack([geo.alpha_at(warped), geo.psi1 + geo.phase_mix_at(warped)[:, None] * geo.dpsi])
-        self._check(AlphaPhaseChart(noise, rho0), GeodesicPath(sig, coords), n_quad=16)
+        self._check(AlphaPhaseChart(Template(noise, rho0)), GeodesicPath(sig, coords), n_quad=16)
 
     @pytest.mark.parametrize("n_nodes", [3, 40])
     def test_full_rank_phase_block(self, n_nodes):
@@ -728,7 +729,7 @@ class TestReducedPathLength:
         _, noise, rho0, rng = _band(6, seed=55)
         coords = np.column_stack([rng.uniform(0.5, 2.0, n_nodes), rng.uniform(-3.0, 3.0, (n_nodes, 6))])
         path = GeodesicPath(np.linspace(0.0, 1.0, n_nodes), coords)
-        self._check(AlphaPhaseChart(noise, rho0), path)
+        self._check(AlphaPhaseChart(Template(noise, rho0)), path)
         embedding = EmbeddingChart(NoiseProfile(rng.uniform(0.5, 2.0, 3)))
         self._check(embedding, GeodesicPath(path.sigmas, coords[:, 1:]))
 
@@ -737,7 +738,7 @@ class TestReducedPathLength:
         coeffs1, coeffs2 = np.array([0.1, 0.5]), np.array([0.4, 1.5])
         psi1 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs1))
         psi2 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs2))
-        geo = solve_alpha_geodesic(1.0, 1.8, psi1, psi2, noise, rho0)
+        geo = solve_alpha_geodesic(1.0, 1.8, psi1, psi2, Template(noise, rho0))
         chart = ModelChart(KnownMagnitudeModel(grid.freqs, rho0, alpha=1.0, phase_coeffs=coeffs1), noise)
         for n_nodes in (3, 41):
             path = alpha_geodesic_coeff_path(geo, coeffs1, coeffs2, n_nodes=n_nodes)
@@ -747,7 +748,7 @@ class TestReducedPathLength:
         noise = NoiseProfile.flat(1.0, 2)
         coords = np.array([[1.0, 0.0, 0.0], [np.inf, 0.1, 0.2], [1.0, 0.2, 0.4]])
         with pytest.raises(ValueError, match="finite"):
-            path_length(AlphaPhaseChart(noise, np.ones(2)), GeodesicPath(np.linspace(0.0, 1.0, 3), coords))
+            path_length(AlphaPhaseChart(Template(noise, np.ones(2))), GeodesicPath(np.linspace(0.0, 1.0, 3), coords))
 
 
 class TestPathLengthHomogeneity:
@@ -760,11 +761,11 @@ class TestPathLengthHomogeneity:
     @example(600)
     def test_closed_form_path(self, k):
         noise, rho0, geo = TestReducedPathLength._geodesic(57)
-        chart = AlphaPhaseChart(noise, rho0)
+        chart = AlphaPhaseChart(Template(noise, rho0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            unit = solve_alpha_geodesic(1.0, 2.0, geo.psi1, geo.psi1 + geo.dpsi, noise, rho0)
-            scaled = solve_alpha_geodesic(2.0**k, 2.0 ** (k + 1), geo.psi1, geo.psi1 + geo.dpsi, noise, rho0)
+            unit = solve_alpha_geodesic(1.0, 2.0, geo.psi1, geo.psi1 + geo.dpsi, Template(noise, rho0))
+            scaled = solve_alpha_geodesic(2.0**k, 2.0 ** (k + 1), geo.psi1, geo.psi1 + geo.dpsi, Template(noise, rho0))
             length = path_length(chart, sample_alpha_geodesic(scaled, n_nodes=33), n_quad=8)
             assert length == math.ldexp(path_length(chart, sample_alpha_geodesic(unit, n_nodes=33), n_quad=8), k)
 
@@ -833,14 +834,14 @@ class TestPiecewiseEvaluation:
     def test_closed_form_sample(self, n_quad):
         noise, rho0, geo = TestReducedPathLength._geodesic(61)
         path = sample_alpha_geodesic(geo, n_nodes=257)
-        chart = AlphaPhaseChart(noise, rho0)
+        chart = AlphaPhaseChart(Template(noise, rho0))
         assert path_length(chart, path, n_quad=n_quad) == _searched_length(chart, path, n_quad)
 
     def test_rk4_shot(self):
         _, noise, rho0, rng = _band(7, seed=62)
         psi1, psi2 = _phase_pair(rng, 7, 1.3)
-        shot = shoot_alpha_geodesic(0.6, 1.7, psi1, psi2, noise, rho0, n_steps=4000)
-        chart = AlphaPhaseChart(noise, rho0)
+        shot = shoot_alpha_geodesic(0.6, 1.7, psi1, psi2, Template(noise, rho0), n_steps=4000)
+        chart = AlphaPhaseChart(Template(noise, rho0))
         assert path_length(chart, shot, n_quad=8) == _searched_length(chart, shot, 8)
 
     def test_embedding_straight_line(self):
@@ -857,7 +858,7 @@ class TestPiecewiseEvaluation:
         coeffs1, coeffs2 = np.array([0.2, 0.4]), np.array([-0.3, 1.2])
         psi1 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs1))
         psi2 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs2))
-        geo = solve_alpha_geodesic(0.8, 1.5, psi1, psi2, noise, rho0)
+        geo = solve_alpha_geodesic(0.8, 1.5, psi1, psi2, Template(noise, rho0))
         chart = ModelChart(KnownMagnitudeModel(grid.freqs, rho0, alpha=0.8, phase_coeffs=coeffs1), noise)
         path = alpha_geodesic_coeff_path(geo, coeffs1, coeffs2, n_nodes=21)
         assert path_length(chart, path, n_quad=8) == _searched_length(chart, path, 8)
@@ -872,7 +873,7 @@ class TestPiecewiseEvaluation:
         coeff_path = GeodesicPath(sigmas, np.column_stack([alphas, rng.uniform(-1.0, 1.0, (n_nodes, 2))]))
         embedding_path = GeodesicPath(sigmas, rng.uniform(-2.0, 2.0, (n_nodes, 10)))
         cases = [
-            (AlphaPhaseChart(noise, rho0), alpha_path),
+            (AlphaPhaseChart(Template(noise, rho0)), alpha_path),
             (ModelChart(KnownMagnitudeModel(grid.freqs, rho0, phase_coeffs=[0.0, 0.0]), noise), coeff_path),
             (EmbeddingChart(noise), embedding_path),
         ]
@@ -893,7 +894,7 @@ class TestPiecewiseEvaluation:
         coords = rng.normal(size=(n_nodes, 7))
         coords[:, 0] = np.abs(coords[:, 0]) + 0.1
         for chart, path in [
-            (AlphaPhaseChart(noise, rng.uniform(0.2, 2.0, 3)), GeodesicPath(sigmas, coords[:, :4])),
+            (AlphaPhaseChart(Template(noise, rng.uniform(0.2, 2.0, 3))), GeodesicPath(sigmas, coords[:, :4])),
             (EmbeddingChart(noise), GeodesicPath(sigmas, coords[:, 1:])),
         ]:
             assert path_length(chart, path, n_quad=n_quad) == _searched_length(chart, path, n_quad)
@@ -903,7 +904,7 @@ def _clustered_geodesic():
     """A near-antipodal geodesic, whose samples cluster around its dip."""
     _, noise, rho0, rng = _band(6, seed=71)
     psi1 = rng.uniform(-np.pi, np.pi, 6)
-    return solve_alpha_geodesic(0.8, 1.3, psi1, wrap_phase(psi1 + 3.1 * rng.choice([-1.0, 1.0], 6)), noise, rho0)
+    return solve_alpha_geodesic(0.8, 1.3, psi1, wrap_phase(psi1 + 3.1 * rng.choice([-1.0, 1.0], 6)), Template(noise, rho0))
 
 
 def _spline_nodes(kind, n, rng):
@@ -953,14 +954,14 @@ class TestNotAKnot:
             _, noise, rho0, _ = _band(int(rng.integers(4, 33)), seed=740 + k)
             a1, a2 = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 2))
             psi1, psi2 = _phase_pair(rng, len(rho0), rng.uniform(0.02, 3.0))
-            chart = AlphaPhaseChart(noise, rho0)
+            chart = AlphaPhaseChart(Template(noise, rho0))
             if k % 3:
                 # criterion 5: the closed form sampled on 257 adaptive nodes
-                path = sample_alpha_geodesic(solve_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0), n_nodes=257)
+                path = sample_alpha_geodesic(solve_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0)), n_nodes=257)
                 n_quad = 16
             else:
                 # criterion 6: the RK4-shot path on 4000 steps
-                path = shoot_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0, n_steps=4000)
+                path = shoot_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0), n_steps=4000)
                 n_quad = 8
             former = _searched_length(chart, path, n_quad, _scipy_coefficients)
             worst = max(worst, abs(path_length(chart, path, n_quad=n_quad) - former) / former)
@@ -973,7 +974,7 @@ def test_non_finite_path_coordinates_named_on_every_chart(n_nodes):
     grid, noise, rho0, rng = _band(4, seed=75)
     sigmas = np.linspace(0.0, 1.0, n_nodes)
     cases = [
-        (AlphaPhaseChart(noise, rho0), np.column_stack([rng.uniform(0.5, 2.0, n_nodes), rng.normal(size=(n_nodes, 4))])),
+        (AlphaPhaseChart(Template(noise, rho0)), np.column_stack([rng.uniform(0.5, 2.0, n_nodes), rng.normal(size=(n_nodes, 4))])),
         (ModelChart(KnownMagnitudeModel(grid.freqs, rho0, phase_coeffs=[0.0, 0.0]), noise), rng.normal(size=(n_nodes, 3))),
         (EmbeddingChart(noise), rng.normal(size=(n_nodes, 8))),
     ]
@@ -1028,20 +1029,20 @@ class TestCoarseToFineShooting:
         psi2 = psi1 + amplitude * np.array([1.0, -1.0, 1.0, -1.0])
         expected, taken = _textbook_shoot(a1, a2, psi1, psi2, noise, rho0, n_steps)
         assert taken == route
-        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0, n_steps=n_steps)
+        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0), n_steps=n_steps)
         np.testing.assert_array_equal(shot.coords, expected)
 
     def test_near_quarter_turn_matches_textbook_rk4_bitwise(self):
         a1, a2, psi1, psi2, noise, rho0 = _near_quarter_turn()
         expected, _ = _textbook_shoot(a1, a2, psi1, psi2, noise, rho0, 4000)
-        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0, n_steps=4000)
+        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0), n_steps=4000)
         np.testing.assert_array_equal(shot.coords, expected)
 
     def test_near_quarter_turn_stays_on_the_closed_form(self):
         a1, a2, psi1, psi2, noise, rho0 = _near_quarter_turn()
-        geo = solve_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0)
+        geo = solve_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0))
         assert abs(geo.delta - math.pi / 2) < 0.01
-        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0, n_steps=4000)
+        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0), n_steps=4000)
         assert np.max(np.abs(shot.coords[:, 0] - geo.alpha_at(shot.sigmas))) <= 1e-9
 
     @settings(max_examples=100, deadline=None)
@@ -1049,7 +1050,7 @@ class TestCoarseToFineShooting:
     def test_bitwise_homogeneous_over_powers_of_two(self, k):
         _, noise, rho0, rng = _band(5, seed=43)
         psi1, psi2 = _phase_pair(rng, 5, 2.0)
-        band = (psi1, psi2, noise, rho0)
+        band = (psi1, psi2, Template(noise, rho0))
         unit = shoot_alpha_geodesic(0.3, 1.7, *band, n_steps=100)
         scaled = shoot_alpha_geodesic(math.ldexp(0.3, k), math.ldexp(1.7, k), *band, n_steps=100)
         np.testing.assert_array_equal(scaled.coords[:, 0], np.ldexp(unit.coords[:, 0], k))
@@ -1072,13 +1073,13 @@ class TestCoarseToFineShooting:
         _, noise, rho0, _ = _band(4, seed=7)
         psi1 = np.linspace(-1.0, 1.0, 4)
         psi2 = psi1 + amplitude * np.array([1.0, -1.0, 1.0, -1.0])
-        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0, n_steps=n_steps)
+        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0), n_steps=n_steps)
         assert {steps for _, steps, _ in recorded} == {n_steps}
         slopes = [slope for slope, _, _ in recorded]
         assert len(slopes) == len(set(slopes))
         # the returned path is the last recorded run, in natural units
         alphas, thetas = recorded[-1][2]
-        geo = solve_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0)
+        geo = solve_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0))
         np.testing.assert_array_equal(shot.coords[:, 0], np.ldexp(alphas, geo.scale))
         mix = geo.moment * thetas / geo.delta if geo.delta > 0.0 else np.zeros_like(thetas)
         np.testing.assert_array_equal(shot.coords[:, 1:], geo.psi1 + mix[:, np.newaxis] * geo.dpsi)
@@ -1087,8 +1088,8 @@ class TestCoarseToFineShooting:
     def test_extreme_scales(self, alpha1, alpha2):
         noise = NoiseProfile.flat(1.0, 4)
         psi1, psi2 = np.zeros(4), np.full(4, 0.5)
-        geo = solve_alpha_geodesic(alpha1, alpha2, psi1, psi2, noise, np.ones(4))
-        shot = shoot_alpha_geodesic(alpha1, alpha2, psi1, psi2, noise, np.ones(4), n_steps=100)
+        geo = solve_alpha_geodesic(alpha1, alpha2, psi1, psi2, Template(noise, np.ones(4)))
+        shot = shoot_alpha_geodesic(alpha1, alpha2, psi1, psi2, Template(noise, np.ones(4)), n_steps=100)
         gap = np.max(np.abs(shot.coords[:, 0] - geo.alpha_at(shot.sigmas)))
         assert gap <= 1e-9 * alpha2
 
@@ -1102,11 +1103,11 @@ class TestNearAntipodalShooting:
     @pytest.mark.parametrize("gap,n_steps", [(1e-2, 4000), (1e-3, 40000)])
     def test_stays_on_the_closed_form(self, gap, n_steps):
         a1, a2, psi1, psi2, noise, rho0 = _antipodal_band(math.pi - gap)
-        geo = solve_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0)
-        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0, n_steps=n_steps)
+        geo = solve_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0))
+        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0), n_steps=n_steps)
         # criterion 6's two gaps and tolerance
         assert np.max(np.abs(shot.coords[:, 0] - geo.alpha_at(shot.sigmas))) <= 1e-6
-        length = path_length(AlphaPhaseChart(noise, rho0), shot, n_quad=8)
+        length = path_length(AlphaPhaseChart(Template(noise, rho0)), shot, n_quad=8)
         assert abs(length - geo.length) / geo.length <= 1e-6
 
     @pytest.mark.parametrize(
@@ -1116,9 +1117,9 @@ class TestNearAntipodalShooting:
         a1, a2, psi1, psi2, noise, rho0 = _antipodal_band(delta)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateGeodesicWarning)
-            geo = solve_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0)
+            geo = solve_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0))
         with pytest.raises(ConvergenceError) as failure:
-            shoot_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0, n_steps=n_steps)
+            shoot_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0), n_steps=n_steps)
         message = str(failure.value)
         assert f"step 1/n_steps = {1.0 / n_steps:.1e}" in message
         assert f"moment/chord = {geo.moment / geo.chord:.1e}" in message
@@ -1151,10 +1152,10 @@ class TestSampleKnots:
             n = int(rng.integers(4, 33))
             _, noise, rho0, _ = _band(n, seed=int(rng.integers(2**31)))
             psi1, psi2 = _phase_pair(rng, n, float(rng.uniform(0.02, 3.0)))
-            cases.append(solve_alpha_geodesic(*np.exp(rng.uniform(-2.0, 2.0, 2)), psi1, psi2, noise, rho0))
+            cases.append(solve_alpha_geodesic(*np.exp(rng.uniform(-2.0, 2.0, 2)), psi1, psi2, Template(noise, rho0)))
         for gap in (1e-6, 1e-8):
             a1, a2, psi1, psi2, noise, rho0 = _antipodal_band(math.pi - gap)
-            cases.append(solve_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0))
+            cases.append(solve_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0)))
         crowded = []
         for geo in cases:
             for n_nodes in (33, 257):
@@ -1168,22 +1169,44 @@ class TestOneWrapRule:
     @settings(max_examples=500, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_length_is_distance_alpha_on_unwrapped_phases(self, seed):
-        a1, a2, psi1, _, noise, rho0 = TestScaledConstants._instance(seed)
+        a1, a2, psi1, _, template = TestScaledConstants._instance(seed)
         psi1 = 3.0 * psi1
         psi2 = psi1 + np.random.default_rng(seed).uniform(-3.3, 3.3, len(psi1))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateGeodesicWarning)
-            geo = solve_alpha_geodesic(a1, a2, psi1, psi2, noise, rho0)
-        assert geo.length == distance_alpha(a1, a2, psi1, psi2, noise, rho0)
+            geo = solve_alpha_geodesic(a1, a2, psi1, psi2, template)
+        assert geo.length == distance_alpha(a1, a2, psi1, psi2, template)
         np.testing.assert_array_equal(geo.psi1, wrap_phase(psi1))
+
+
+class TestScalarPhases:
+    """Either phase may be a scalar, constant over the bins, as in ``distance_alpha``."""
+
+    @pytest.mark.parametrize(
+        "scalar1, scalar2", [(True, True), (True, False), (False, True)], ids=["both", "psi1", "psi2"]
+    )
+    def test_scalar_phase_equals_its_constant_vector(self, scalar1, scalar2):
+        template = Template(NoiseProfile([0.7, 1.3, 2.0, 0.9]), np.array([1.0, 0.4, 1.7, 0.8]))
+        # a start phase of 4.0 is wrapped; the vector sides vary over the bins
+        psi1 = 4.0 if scalar1 else np.array([4.0, -0.3, 1.1, 2.9])
+        psi2 = 0.7 if scalar2 else np.array([0.7, 2.2, -1.4, 0.1])
+        full1, full2 = (np.full(4, psi) if np.ndim(psi) == 0 else psi for psi in (psi1, psi2))
+        geo, expected = (solve_alpha_geodesic(1.0, 1.5, p1, p2, template) for p1, p2 in ((psi1, psi2), (full1, full2)))
+        for f in dataclasses.fields(AlphaGeodesic):
+            got, want = np.asarray(getattr(geo, f.name)), np.asarray(getattr(expected, f.name))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), f.name
+        assert geo.length == distance_alpha(1.0, 1.5, psi1, psi2, template)
+        shot, expected = (shoot_alpha_geodesic(1.0, 1.5, p1, p2, template) for p1, p2 in ((psi1, psi2), (full1, full2)))
+        assert shot.sigmas.tobytes() == expected.sigmas.tobytes()
+        assert shot.coords.shape == expected.coords.shape and shot.coords.tobytes() == expected.coords.tobytes()
 
 
 class TestPathChartMismatch:
     @pytest.mark.parametrize(
         "chart, n_columns, expected",
         [
-            (AlphaPhaseChart(NoiseProfile.flat(1.0, 1), np.ones(1)), 6, 2),
-            (AlphaPhaseChart(NoiseProfile.flat(1.0, 3), np.ones(3)), 6, 4),
+            (AlphaPhaseChart(Template(NoiseProfile.flat(1.0, 1), np.ones(1))), 6, 2),
+            (AlphaPhaseChart(Template(NoiseProfile.flat(1.0, 3), np.ones(3))), 6, 4),
             (EmbeddingChart(NoiseProfile.flat(1.0, 3)), 5, 6),
         ],
     )

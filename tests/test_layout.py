@@ -1,11 +1,13 @@
 """Structural checks on the package source."""
 
 import ast
+import inspect
 import pathlib
 import subprocess
 import sys
 
 import fisherband
+from fisherband import distances, geodesics
 
 PACKAGE_DIR = pathlib.Path(fisherband.__file__).parent
 
@@ -35,7 +37,7 @@ PATHS_WITHOUT_SCIPY = """
 import contextlib, io, sys
 import numpy as np
 from fisherband import (AlphaPhaseChart, EmbeddingChart, GeodesicPath, KnownMagnitudeModel, ModelChart,
-                        NoiseProfile, build_grid, path_length)
+                        NoiseProfile, Template, build_grid, path_length)
 from fisherband.cli import main
 
 with contextlib.redirect_stdout(io.StringIO()):
@@ -45,7 +47,7 @@ model = KnownMagnitudeModel(build_grid(0.25, 0.4, 4).freqs, rho0, phase_coeffs=[
 coords = np.random.default_rng(0).uniform(0.5, 2.0, (9, 8))
 lengths = [
     path_length(chart, GeodesicPath(np.linspace(0.0, 1.0, 9), coords[:, :width]), n_quad=8)
-    for chart, width in [(AlphaPhaseChart(noise, rho0), 5), (ModelChart(model, noise), 3), (EmbeddingChart(noise), 8)]
+    for chart, width in [(AlphaPhaseChart(Template(noise, rho0)), 5), (ModelChart(model, noise), 3), (EmbeddingChart(noise), 8)]
 ]
 print(code, all(length > 0.0 for length in lengths), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
@@ -78,3 +80,16 @@ def test_cli_reports_errors_only_in_main():
         if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant) and node.value.value == 2
     ]
     assert returns_two == []
+
+
+def test_known_magnitude_routes_take_a_validated_template():
+    # a band is validated once, as a Template; only report takes the raw (noise, rho0) pair
+    raw_pair = [
+        f"{module.__name__}.{name}"
+        for module in (distances, geodesics)
+        for name in module.__all__
+        # every function and class but the warning, which takes a message
+        if not (isinstance(getattr(module, name), type) and issubclass(getattr(module, name), Warning))
+        and {"noise", "rho0"} <= set(inspect.signature(getattr(module, name)).parameters)
+    ]
+    assert raw_pair == ["fisherband.distances.report"]

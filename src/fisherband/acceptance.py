@@ -21,6 +21,7 @@ from .band import (
     SignalSpectrum,
     Template,
     build_grid,
+    whole_number,
     wrap_phase,
 )
 from .distances import (
@@ -357,18 +358,11 @@ def criterion_10(seed, scale: str) -> CriterionResult:
 
 def criterion_11(seed, scale: str) -> CriterionResult:
     noise, geo, model, coeffs1, coeffs2 = _ldg_instance()
-    dc = coeffs2 - coeffs1
-    root_k = math.sqrt(geo.K)
-    errors = []
-    for sigma in np.linspace(0.0, 1.0, 41):
-        alpha = float(geo.alpha_at(sigma))
-        d_alpha = geo.k1 * (sigma + geo.k2) / alpha
-        mix_rate = root_k / (geo.delta * alpha**2)
-        xi = np.concatenate([[alpha], coeffs1 + float(geo.phase_mix_at(sigma)) * dc])
-        xi_dot = np.concatenate([[d_alpha], mix_rate * dc])
-        speed = path_speed(model, xi, xi_dot, noise)
-        errors.append(abs(speed / geo.speed - 1.0))
-    return _worst(11, "geodesic speed is constant and equals the length squared", errors, 1e-8)
+    path = alpha_geodesic_coeff_path(geo, coeffs1, coeffs2, n_nodes=41)
+    alpha_rate, mix_rate = geo.velocity_at(path.sigmas)
+    velocities = np.column_stack([alpha_rate, mix_rate[:, np.newaxis] * (coeffs2 - coeffs1)])
+    speeds = path_speed(model, path.coords, velocities, noise)
+    return _worst(11, "geodesic speed is constant and equals the length squared", np.abs(speeds / geo.speed - 1.0), 1e-8)
 
 
 def criterion_12(seed, scale: str) -> CriterionResult:
@@ -412,9 +406,12 @@ CRITERIA = [
 
 
 def run_acceptance_suite(seed=0, scale: str = "full") -> dict:
-    """Run every criterion; returns a JSON-ready verdict dictionary."""
+    """Run every criterion at a non-negative whole-number seed; returns a JSON-ready verdict dictionary."""
     if scale not in ("smoke", "full"):
         raise ValueError("scale must be 'smoke' or 'full'")
+    seed = whole_number(seed)
+    if seed is None or seed < 0:
+        raise ValueError("seed must be a non-negative whole number")
     results = []
     for criterion in CRITERIA:
         start = time.perf_counter()
@@ -422,7 +419,7 @@ def run_acceptance_suite(seed=0, scale: str = "full") -> dict:
         result.seconds = time.perf_counter() - start
         results.append(result)
     return {
-        "seed": int(seed) if np.isscalar(seed) else seed,
+        "seed": seed,
         "scale": scale,
         "all_passed": all(r.passed for r in results),
         "criteria": [asdict(r) for r in results],

@@ -25,8 +25,10 @@ Exit codes: 0 on success, 1 when ``accept`` finds a failing criterion or
 stdout is closed before the output is written (a broken pipe, which prints
 nothing), and 2 on any named error (bad input, a failed check, an
 unwritable output), which ``main`` alone reports as one ``error: <cause>``
-line on stderr.  A number in a file is a JSON number in the double range: a
-string, a bool or a 400-digit integer is not one.
+line on stderr.  A library warning is one ``warning: <category>: <message>``
+line on stderr; under ``-W error`` it is a named error too.  A number in a
+file is a JSON number in the double range: a string, a bool or a 400-digit
+integer is not one.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 from itertools import chain
 
 import numpy as np
@@ -280,8 +283,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    """A library warning as one line about the input, naming no source file."""
+    return f"warning: {category.__name__}: {message}\n"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    python_format, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         code = args.func(args)
         sys.stdout.flush()
@@ -291,9 +300,11 @@ def main(argv=None) -> int:
         # flushes, the one at shutdown too, go to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, Warning) as exc:  # a warning raised under -W error is a named error too
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = python_format
 
 
 if __name__ == "__main__":

@@ -53,7 +53,6 @@ __all__ = [
     "distance_alpha",
     "distance_full",
     "distance_full_embedding",
-    "distance_full_known_mag",
     "known_mag_columns",
     "known_mag_distances",
     "large_phase_limits",
@@ -135,16 +134,6 @@ def distance_alpha(alpha1: float, alpha2: float, psi1, psi2, template: Template)
     with delta the weighted RMS wrapped phase difference.
     """
     return float(known_mag_distances(template, alpha1, alpha2, psi1, psi2)[1])
-
-
-def distance_full_known_mag(alpha1: float, alpha2: float, psi1, psi2, template: Template) -> float:
-    """Full-manifold distance specialized to proportional magnitudes.
-
-    ``sqrt(omega0) * sqrt(alpha2^2 + alpha1^2 - 2 alpha1 alpha2 C)`` where C
-    is the template-weighted mean of cos(dpsi); equals :func:`distance_full`
-    on the induced spectra.
-    """
-    return float(known_mag_distances(template, alpha1, alpha2, psi1, psi2)[0])
 
 
 def small_phase_equivalent(alpha1: float, alpha2: float, psi1, psi2, template: Template) -> float:

@@ -51,7 +51,6 @@ from .band import (
     scaled_chord,
     unscale,
     wrap_phase,
-    write_csv,
 )
 from .metric import path_speed
 from .models import ParametricSignalModel
@@ -69,7 +68,6 @@ __all__ = [
     "ldg_residual",
     "path_length",
     "sample_alpha_geodesic",
-    "save_path_csv",
     "shoot_alpha_geodesic",
     "solve_alpha_geodesic",
     "spectrum_from_embedding",
@@ -289,6 +287,18 @@ class AlphaGeodesic:
         crossing = -self.k2
         return np.where(sigmas < crossing, 0.0, np.where(sigmas > crossing, 1.0, 0.5))
 
+    def velocity_at(self, sigmas) -> tuple[np.ndarray, np.ndarray]:
+        """Derivatives ``(alpha_rate, mix_rate)`` of ``alpha_at`` and ``phase_mix_at``
+        at each sigma: with ``a_s`` the scaled attenuation, ``chord (s + k2) / a_s``
+        and ``moment / (delta a_s^2)``, of degree 1 and 0 in the attenuations."""
+        sigmas = np.asarray(sigmas, dtype=float)
+        shift = self.chord * (sigmas + self.k2)
+        if self.chord == 0.0 or self.moment <= 0.0:
+            # no flow: a_s = |shift| / sqrt(chord), so alpha' is +-sqrt(chord), 0 on a constant path or at a crossing
+            return unscale(np.sign(shift) * math.sqrt(self.chord), self.scale), np.zeros_like(sigmas)
+        a_s = np.hypot(shift, self.moment) / math.sqrt(self.chord)
+        return unscale(shift / a_s, self.scale), self.moment / (self.delta * a_s * a_s)
+
     @property
     def length(self) -> float:
         """Geodesic length sqrt(omega0 * k1)."""
@@ -398,17 +408,6 @@ def alpha_geodesic_coeff_path(geo: AlphaGeodesic, coeffs1, coeffs2, n_nodes: int
     sigmas = np.linspace(0.0, 1.0, n_nodes)
     mix = geo.phase_mix_at(sigmas)[:, np.newaxis]
     return GeodesicPath(sigmas, np.column_stack([geo.alpha_at(sigmas), coeffs1 + mix * (coeffs2 - coeffs1)]))
-
-
-def save_path_csv(path, curve: GeodesicPath) -> None:
-    """Write an attenuation-chart path as CSV for plotting.
-
-    Columns: ``sigma, alpha, psi_1 .. psi_N`` (one row per node); floats use
-    repr so the file round-trips exactly.
-    """
-    n_phases = curve.coords.shape[1] - 1
-    header = ["sigma", "alpha"] + [f"psi_{k + 1}" for k in range(n_phases)]
-    write_csv(path, header, np.column_stack([curve.sigmas, curve.coords]))
 
 
 # -- shooting oracle ---------------------------------------------------------

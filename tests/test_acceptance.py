@@ -36,6 +36,27 @@ def test_suite_verdict_shape():
         assert {"cid", "name", "measured", "expected", "tolerance", "passed", "seconds"} <= set(entry)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3", [1, 2]], ids=["negative", "float", "bool", "string", "sequence"])
+def test_seed_not_a_non_negative_whole_number_runs_no_criterion(seed, monkeypatch):
+    ran = []
+    monkeypatch.setattr(acceptance, "CRITERIA", [lambda seed, scale: ran.append(seed)])
+    with pytest.raises(ValueError, match="^seed must be a non-negative whole number$"):
+        run_acceptance_suite(seed=seed, scale="smoke")
+    assert ran == []
+
+
+def test_numpy_integer_seed_is_recorded_as_an_int(monkeypatch):
+    ran = []
+
+    def probe(seed, scale):
+        ran.append(seed)
+        return CriterionResult(1, "probe", 0.0, 0.0, 0.0)
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [probe])
+    verdict = run_acceptance_suite(seed=np.int64(3), scale="smoke")
+    assert ran == [3] and verdict["seed"] == 3 and type(verdict["seed"]) is int
+
+
 def test_criterion_6_smoke_one_rk4_run_per_instance(monkeypatch):
     # each of the ten instances is hit by its free-motion start at 4000 steps
     runs = []

@@ -23,7 +23,6 @@ from fisherband import (
     distance_alpha,
     distance_full,
     distance_full_embedding,
-    distance_full_known_mag,
     fisher_matrix,
     in_range,
     is_real_number,
@@ -667,7 +666,7 @@ class TestBandRules:
 
     @pytest.mark.parametrize(
         "route",
-        [distance_alpha, distance_full_known_mag, small_phase_equivalent, solve_alpha_geodesic, shoot_alpha_geodesic],
+        [distance_alpha, small_phase_equivalent, solve_alpha_geodesic, shoot_alpha_geodesic],
     )
     def test_known_magnitude_routes_take_no_grid(self, route):
         # a call in an old form, (a1, a2, psi1, psi2, grid, noise, rho0) or (a1, a2, psi1, psi2,

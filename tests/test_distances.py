@@ -22,7 +22,6 @@ from fisherband import (
     distance_alpha,
     distance_full,
     distance_full_embedding,
-    distance_full_known_mag,
     known_mag_columns,
     known_mag_distances,
     large_phase_limits,
@@ -54,6 +53,11 @@ def _beyond_the_range():
     psi1, psi2 = (wrap_phase(rng.uniform(-np.pi, np.pi, 8)) for _ in range(2))
     s1, s2 = SignalSpectrum(1e308 * rho0, psi1), SignalSpectrum(rho0, psi2)
     return s1, s2, noise, (1e308, 1.0, psi1, psi2, template)
+
+
+def _known_mag_full(alpha1, alpha2, psi1, psi2, template):
+    """The kernel's full-manifold distance of one endpoint pair."""
+    return float(known_mag_distances(template, alpha1, alpha2, psi1, psi2)[0])
 
 
 def _random_spectrum(rng, n):
@@ -220,7 +224,7 @@ class TestKnownMagFullDistance:
     def test_coincident(self):
         noise, rho0, _ = _band(6, seed=9)
         psi = np.zeros(6)
-        assert distance_full_known_mag(1.2, 1.2, psi, psi, Template(noise, rho0)) == 0.0
+        assert _known_mag_full(1.2, 1.2, psi, psi, Template(noise, rho0)) == 0.0
 
     def test_equals_generic_full_distance(self):
         noise, rho0, rng = _band(12, seed=10)
@@ -229,7 +233,7 @@ class TestKnownMagFullDistance:
             a2 = float(np.exp(rng.uniform(np.log(0.1), np.log(10))))
             psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, 12))
             psi2 = wrap_phase(rng.uniform(-np.pi, np.pi, 12))
-            via_chart = distance_full_known_mag(a1, a2, psi1, psi2, Template(noise, rho0))
+            via_chart = _known_mag_full(a1, a2, psi1, psi2, Template(noise, rho0))
             via_spectra = distance_full(
                 SignalSpectrum(a1 * rho0, psi1), SignalSpectrum(a2 * rho0, psi2), noise
             )
@@ -239,7 +243,7 @@ class TestKnownMagFullDistance:
         noise, rho0, rng = _band(9, seed=11)
         psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, 9))
         psi2 = wrap_phase(psi1 + 1.1)
-        full = distance_full_known_mag(0.9, 1.4, psi1, psi2, Template(noise, rho0))
+        full = _known_mag_full(0.9, 1.4, psi1, psi2, Template(noise, rho0))
         sub = distance_alpha(0.9, 1.4, psi1, psi2, Template(noise, rho0))
         assert full == pytest.approx(sub, rel=1e-13)
 
@@ -378,7 +382,7 @@ class TestHomogeneity:
         a1, a2 = (_round26(float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))) for _ in range(2))
         mag1, mag2 = (np.array([_round26(v) for v in rng.uniform(0.0, 3.0, n)]) for _ in range(2))
         template = Template(noise, rho0)
-        for func in (distance_alpha, distance_full_known_mag):
+        for func in (distance_alpha, _known_mag_full):
             base = func(a1, a2, psi1, psi2, template)
             scaled = func(c * a1, c * a2, psi1, psi2, template)
             assert 0.0 < scaled < math.inf
@@ -397,7 +401,7 @@ class TestHomogeneity:
         psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, 8))
         psi2 = wrap_phase(rng.uniform(-np.pi, np.pi, 8))
         template = Template(noise, rho0)
-        for func in (distance_alpha, distance_full_known_mag, small_phase_equivalent):
+        for func in (distance_alpha, _known_mag_full, small_phase_equivalent):
             unit = func(1.0, 2.0, psi1, psi2, template)
             scaled = func(scale, 2.0 * scale, psi1, psi2, template)
             assert scaled == pytest.approx(scale * unit, rel=1e-15, abs=0.0)
@@ -424,12 +428,12 @@ class TestHomogeneity:
             lambda s1, s2, noise, ends: report(s1, s2, noise, rho0=ends[-1].rho0).d_alpha,
             lambda s1, s2, noise, ends: report(s1, s2, noise, rho0=ends[-1].rho0).d_full,
             lambda s1, s2, noise, ends: distance_alpha(*ends),
-            lambda s1, s2, noise, ends: distance_full_known_mag(*ends),
             lambda s1, s2, noise, ends: small_phase_equivalent(*ends),
             lambda s1, s2, noise, ends: known_mag_distances(ends[-1], 1e308, 1.0, s1.psi, s2.psi)[1],
+            lambda s1, s2, noise, ends: _known_mag_full(*ends),
         ],
         ids=["distance_full", "distance_full_embedding", "report.d_alpha", "report.d_full", "distance_alpha",
-             "distance_full_known_mag", "small_phase_equivalent", "known_mag_distances"],
+             "small_phase_equivalent", "known_mag_distances", "known_mag_distances.d_full"],
     )
     def test_leaving_the_double_range_is_inf(self, call):
         # alpha1 = 1e308 against alpha2 = 1: every distance is about sqrt(omega0) 1e308 > 1.8e308
@@ -461,7 +465,7 @@ class TestKnownMagKernel:
         assert d_full.shape == d_alpha.shape == delta.shape == (n_rows,)
         for k in range(n_rows):
             args = (float(a1[k]), float(a2[k]), psi1[k], psi2[k], template)
-            assert _within_ulps(d_full[k], distance_full_known_mag(*args), 1)
+            assert _within_ulps(d_full[k], _known_mag_full(*args), 1)
             assert _within_ulps(d_alpha[k], distance_alpha(*args), 1)
             assert _within_ulps(delta[k], phase_rms_diff(psi1[k], psi2[k], noise, rho0), 1)
             assert 0.0 < d_full[k] <= d_alpha[k] * (1.0 + 1e-15) < math.inf

@@ -27,7 +27,6 @@ from fisherband import (
     build_grid,
     distance_alpha,
     distance_full,
-    distance_full_known_mag,
     known_mag_distances,
     phase_rms_diff,
     ratio_time_delay,
@@ -651,7 +650,7 @@ class TestCliOnLibraryRoutes:
             psi1, psi2 = _model_phases(grid, rho0, a1, c1), _model_phases(grid, rho0, a2, c2)
             wrapped_any |= bool(np.any(np.abs(psi2 - psi1) > math.pi))
             assert float(row["d_alpha"]) == distance_alpha(a1, a2, psi1, psi2, Template(noise, rho0))
-            assert float(row["d_full"]) == distance_full_known_mag(a1, a2, psi1, psi2, Template(noise, rho0))
+            assert float(row["d_full"]) == float(known_mag_distances(Template(noise, rho0), a1, a2, psi1, psi2)[0])
             assert float(row["delta"]) == phase_rms_diff(psi1, psi2, noise, rho0)
         assert wrapped_any
 
@@ -675,7 +674,7 @@ class TestCliOnLibraryRoutes:
         for row, (a1, c1), (a2, c2) in zip(rows, sides[::2], sides[1::2]):
             psi1, psi2 = _model_phases(grid, rho0, a1, c1), _model_phases(grid, rho0, a2, c2)
             assert float(row["d_alpha"]) == distance_alpha(a1, a2, psi1, psi2, Template(noise, rho0))
-            assert float(row["d_full"]) == distance_full_known_mag(a1, a2, psi1, psi2, Template(noise, rho0))
+            assert float(row["d_full"]) == float(known_mag_distances(Template(noise, rho0), a1, a2, psi1, psi2)[0])
             assert float(row["delta"]) == phase_rms_diff(psi1, psi2, noise, rho0)
 
         # row 19, of degree 2 as row 2 is: its first side's phase overflows to inf on the upper bins
@@ -869,6 +868,33 @@ class TestOneErrorExit:
         done = subprocess.run(argv, capture_output=True, text=True, cwd=SRC_DIR)
         assert done.returncode == 2
         assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("pythonwarnings", [None, "error"], ids=["default", "PYTHONWARNINGS=error"])
+    def test_console_library_warning_is_one_line(self, tmp_path, pythonwarnings):
+        # the antipodal geodesic warns: one line naming no source file, or under -W error the one error exit
+        payload = {
+            "grid": {"nu0": 0.25, "bandwidth_B": 0.4, "n_freqs": 4},
+            "noise": {"gamma0": 2.0},
+            "rho0": 1.0,
+            "endpoints": [{"alpha": 1.0, "phase_coeffs": [0.0]}, {"alpha": 1.5, "phase_coeffs": [3.141592653589793]}],
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+        if pythonwarnings:
+            env["PYTHONWARNINGS"] = pythonwarnings
+        argv = [sys.executable, "-m", "fisherband.cli", "inspect", "geodesic", str(path)]
+        done = subprocess.run(argv, capture_output=True, text=True, cwd=SRC_DIR, env=env)
+        message = "antipodal phase difference: attenuation touches zero inside the path"
+        if pythonwarnings:
+            assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
+        else:
+            assert (done.returncode, done.stderr) == (0, f"warning: DegenerateGeodesicWarning: {message}\n")
+            assert json.loads(done.stdout)["degenerate"] is True
+
+    def test_accept_negative_seed_named_before_any_criterion(self, capsys):
+        assert main(["accept", "--scale", "smoke", "--seed", "-1"]) == 2
+        assert capsys.readouterr() == ("", "error: seed must be a non-negative whole number\n")
 
     @pytest.mark.parametrize("subject", ["metric", "christoffel"])
     def test_closed_stdout_is_not_an_input_error(self, model_file, subject):

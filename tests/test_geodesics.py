@@ -297,6 +297,42 @@ class TestEvalAlphaGeodesic:
             dpsi_dsigma = (mix_plus - mix_minus) / (2 * h) * geo.dpsi
             np.testing.assert_allclose(a_mid**2 * dpsi_dsigma, geo.c, rtol=1e-7, atol=1e-10)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_velocity_is_the_derivative_of_alpha_and_mix(self, seed):
+        n = 1 + seed % 12
+        _, noise, rho0, rng = _band(n, seed=50 + seed)
+        a1, a2 = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 2))
+        psi1, psi2 = _phase_pair(rng, n, rng.uniform(0.1, 2.5), mode=("uniform", "sign")[seed % 2])
+        geo = solve_alpha_geodesic(float(a1), float(a2), psi1, psi2, Template(noise, rho0))
+        assert geo.delta > 0.0 and not geo.degenerate
+        sigmas, h = np.linspace(0.01, 0.99, 33), 1e-6
+        alpha_rate, mix_rate = geo.velocity_at(sigmas)
+        d_alpha = (geo.alpha_at(sigmas + h) - geo.alpha_at(sigmas - h)) / (2 * h)
+        d_mix = (geo.phase_mix_at(sigmas + h) - geo.phase_mix_at(sigmas - h)) / (2 * h)
+        np.testing.assert_allclose(alpha_rate, d_alpha, rtol=0.0, atol=1e-8 * max(a1, a2))
+        np.testing.assert_allclose(mix_rate, d_mix, rtol=1e-7)
+        # the phase equation psi' = c / alpha^2, bin by bin
+        np.testing.assert_allclose(np.outer(mix_rate * geo.alpha_at(sigmas) ** 2, geo.dpsi), np.tile(geo.c, (33, 1)),
+                                   rtol=1e-12, atol=1e-15 * np.max(np.abs(geo.c)))
+
+    def test_velocity_zeros(self):
+        _, noise, rho0, rng = _band(6, seed=32)
+        psi = rng.uniform(-np.pi, np.pi, 6)
+        sigmas = np.linspace(0.0, 1.0, 9)
+        # delta = 0: alpha moves at the constant rate alpha2 - alpha1, and the phases stay
+        alpha_rate, mix_rate = solve_alpha_geodesic(0.7, 1.6, psi, psi, Template(noise, rho0)).velocity_at(sigmas)
+        np.testing.assert_allclose(alpha_rate, 0.9, rtol=1e-15)
+        np.testing.assert_array_equal(mix_rate, 0.0)
+        # coincident ends: the constant path
+        for rate in solve_alpha_geodesic(1.2, 1.2, psi, psi, Template(noise, rho0)).velocity_at(sigmas):
+            np.testing.assert_array_equal(rate, 0.0)
+        # a zero moment at delta > 0: phase_mix_at is a step, and its rate is zero
+        step = AlphaGeodesic(1.0, 1.5, 5e-324, np.zeros(4), np.full(4, 5e-324), 4.0)
+        assert step.moment == 0.0 and step.degenerate
+        alpha_rate, mix_rate = step.velocity_at(sigmas)
+        np.testing.assert_allclose(alpha_rate, 0.5, rtol=1e-15)
+        np.testing.assert_array_equal(mix_rate, 0.0)
+
     def test_constant_speed_equals_length_squared(self):
         _, noise, rho0, rng = _band(8, seed=8)
         psi1, psi2 = _phase_pair(rng, 8, 2.5)
@@ -528,22 +564,6 @@ class TestGeodesicPathContainer:
         with pytest.raises(ValueError):
             GeodesicPath(np.array([0.0, 0.5, 0.9]), np.zeros((3, 2)))
 
-    def test_csv_export(self, tmp_path):
-        from fisherband import save_path_csv
-
-        _, noise, rho0, rng = _band(3, seed=21)
-        psi1, psi2 = _phase_pair(rng, 3, 1.0)
-        geo = solve_alpha_geodesic(1.0, 2.0, psi1, psi2, Template(noise, rho0))
-        path = _uniform_path(geo, 9)
-        out = tmp_path / "path.csv"
-        save_path_csv(out, path)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "sigma,alpha,psi_1,psi_2,psi_3"
-        assert len(lines) == 10
-        parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-        np.testing.assert_array_equal(parsed[:, 0], path.sigmas)
-        np.testing.assert_array_equal(parsed[:, 1:], path.coords)
-
     def test_alpha_stays_positive_below_antipodal(self):
         _, noise, rho0, rng = _band(8, seed=22)
         for _ in range(20):
@@ -584,6 +604,18 @@ class TestScaledConstants:
             np.testing.assert_array_equal(scaled.alpha_at(sigmas), np.ldexp(unit.alpha_at(sigmas), k))
             np.testing.assert_array_equal(scaled.phase_mix_at(sigmas), unit.phase_mix_at(sigmas))
             np.testing.assert_array_equal(sample_alpha_geodesic(scaled).sigmas, sample_alpha_geodesic(unit).sigmas)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=-1000, max_value=1000))
+    def test_velocity_bitwise_homogeneous_over_powers_of_two(self, seed, k):
+        a1, a2, *band = self._instance(seed)
+        sigmas = np.linspace(0.0, 1.0, 17)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alpha_rate, mix_rate = solve_alpha_geodesic(a1, a2, *band).velocity_at(sigmas)
+            scaled_rate, scaled_mix = solve_alpha_geodesic(math.ldexp(a1, k), math.ldexp(a2, k), *band).velocity_at(sigmas)
+        np.testing.assert_array_equal(scaled_rate, np.ldexp(alpha_rate, k))
+        np.testing.assert_array_equal(scaled_mix, mix_rate)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=0, max_value=1000))

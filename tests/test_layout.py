@@ -7,9 +7,25 @@ import subprocess
 import sys
 
 import fisherband
-from fisherband import distances, geodesics
+from fisherband import acceptance, band, distances, figures, geodesics, metric, models
 
 PACKAGE_DIR = pathlib.Path(fisherband.__file__).parent
+SPANS_FILE = PACKAGE_DIR.parent.parent / "perfbench" / "spans.py"
+
+# Exported names that no CLI command, criterion, figure or spanned name reaches
+# yet, each with the ROADMAP item that gives it a route
+ALLOWLIST = {
+    "band.Observation": "item 11, the likelihood oracle",
+    "band.log_likelihood": "item 11, the likelihood oracle",
+    "band.sample_observation": "item 11, the likelihood oracle",
+    "band.save_band_csv": "item 8, case 1 through the CLI on one band file",
+    "band.load_band_csv": "item 8, case 1 through the CLI on one band file",
+    "distances.small_phase_equivalent": "item 4, the asymptotics by their rate",
+    "geodesics.ModelChart": "item 2, geodesics from boundary data alone",
+    "geodesics.embedding_coords": "item 2, geodesics from boundary data alone",
+    "geodesics.spectrum_from_embedding": "item 2, geodesics from boundary data alone",
+    "geodesics.straight_line_geodesic": "item 2, geodesics from boundary data alone",
+}
 
 
 def test_no_module_imports_another_modules_private_names():
@@ -93,3 +109,57 @@ def test_known_magnitude_routes_take_a_validated_template():
         and {"noise", "rho0"} <= set(inspect.signature(getattr(module, name)).parameters)
     ]
     assert raw_pair == ["fisherband.distances.report"]
+
+
+def _reached_definitions() -> set:
+    """The package's top-level definitions, as (module, name), that the
+    definitions of cli, acceptance and figures and perfbench's spanned names
+    reference, directly or through other definitions."""
+    definitions, imported = {}, {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        module, names = path.stem, {}
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions[module, node.name] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                definitions.update({(module, t.id): node for t in targets if isinstance(t, ast.Name)})
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                names.update({alias.asname or alias.name: (node.module, alias.name) for alias in node.names})
+        imported[module] = names
+
+    def resolve(module, name):
+        while (module, name) not in definitions and name in imported.get(module, {}):
+            module, name = imported[module][name]
+        return (module, name) if (module, name) in definitions else None
+
+    spans = ast.parse(SPANS_FILE.read_text())
+    spanned = next(
+        ast.literal_eval(node.value)
+        for node in spans.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "SPANNED"
+    )
+    todo = [key for key in definitions if key[0] in ("cli", "acceptance", "figures")]
+    todo += [(module, name) for module, names in spanned.items() for name in names]
+    assert [key for key in todo if key not in definitions] == []
+    reached = set()
+    while todo:
+        key = todo.pop()
+        if key not in reached:
+            reached.add(key)
+            for node in ast.walk(definitions[key]):
+                if isinstance(node, ast.Name) and (hit := resolve(key[0], node.id)):
+                    todo.append(hit)
+    return reached
+
+
+def test_every_exported_name_has_a_route():
+    reached = _reached_definitions()
+    unreached = set()
+    for module in (acceptance, band, distances, figures, geodesics, metric, models):
+        short = module.__name__.removeprefix("fisherband.")
+        unreached |= {f"{short}.{name}" for name in module.__all__ if (short, name) not in reached}
+    # a test-only name either gains a route or goes
+    assert sorted(unreached - ALLOWLIST.keys()) == []
+    # and the allowlist only shrinks: a name that gains a route, or goes, leaves it
+    assert sorted(ALLOWLIST.keys() - unreached) == []

@@ -44,7 +44,7 @@ from .geodesics import (
 from .metric import christoffel, christoffel_fd, fisher_matrix, monte_carlo_fisher, path_speed
 from .models import FreeSpectrumModel, KnownMagnitudeModel, polynomial_phase
 
-__all__ = ["CriterionResult", "run_acceptance_suite", "CRITERIA"]
+__all__ = ["CriterionResult", "run_acceptance_suite", "suite_seed", "CRITERIA"]
 
 
 @dataclass
@@ -405,13 +405,19 @@ CRITERIA = [
 ]
 
 
+def suite_seed(seed) -> int:
+    """The suite's seed rule: ``seed`` as an int if it is a non-negative whole number, else a ValueError."""
+    value = whole_number(seed)
+    if value is None or value < 0:
+        raise ValueError("seed must be a non-negative whole number")
+    return value
+
+
 def run_acceptance_suite(seed=0, scale: str = "full") -> dict:
-    """Run every criterion at a non-negative whole-number seed; returns a JSON-ready verdict dictionary."""
+    """Run every criterion at a :func:`suite_seed`; returns a JSON-ready verdict dictionary."""
     if scale not in ("smoke", "full"):
         raise ValueError("scale must be 'smoke' or 'full'")
-    seed = whole_number(seed)
-    if seed is None or seed < 0:
-        raise ValueError("seed must be a non-negative whole number")
+    seed = suite_seed(seed)
     results = []
     for criterion in CRITERIA:
         start = time.perf_counter()

@@ -86,7 +86,12 @@ def check_aligned(**lengths: int) -> int:
 # Rows x bins per block of a batched pass over (rows x bins) arrays.  A block's
 # temporaries hold at most 8192 doubles (64 KiB) each, or one row where a row is
 # longer, so they stay in a core's cache and peak memory does not grow with the
-# number of rows.
+# number of rows.  16384 is not reliably faster.  glibc frees chunks of 64 KiB
+# and up through its heap-trimming path, so the cost of 128 KiB temporaries
+# depends on the process's earlier allocations: on the figure sweep (2-vCPU
+# AVX-512 Xeon, numpy 2.4) 16384 ran up to 1.2x faster than 8192 in some
+# processes and up to 1.5x slower in others, and a large MALLOC_TRIM_THRESHOLD_
+# made the slow ones fast.
 BLOCK = 8192
 
 

@@ -43,7 +43,7 @@ from itertools import chain
 
 import numpy as np
 
-from .acceptance import run_acceptance_suite
+from .acceptance import run_acceptance_suite, suite_seed
 from .band import NoiseProfile, Template, build_grid, check_attenuation, is_real_number, row_blocks
 from .distances import known_mag_columns, known_mag_distances
 from .figures import FIGURE_CASES, ExperimentConfig, run_figure_case, write_figure_csv
@@ -135,10 +135,11 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_accept(args) -> int:
+    seed = suite_seed(args.seed)  # a bad seed fails before the output is touched
     if args.output:
         # an unwritable output fails before the suite runs; "a" keeps an old verdict until the new one is written
         open(args.output, "a").close()
-    verdict = run_acceptance_suite(seed=args.seed, scale=args.scale)
+    verdict = run_acceptance_suite(seed=seed, scale=args.scale)
     for entry in verdict["criteria"]:
         status = "PASS" if entry["passed"] else "FAIL"
         print(

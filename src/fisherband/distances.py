@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 
-def known_mag_distances(template: Template, alpha1, alpha2, psi1, psi2):
+def known_mag_distances(template: Template, alpha1, alpha2, psi1, psi2, *, work=None):
     """Both known-magnitude distances of a batch of endpoint pairs: the kernel.
 
     ``alpha1`` and ``alpha2`` are scalars or of shape ``(P,)``; ``psi1`` and
@@ -85,18 +85,25 @@ def known_mag_distances(template: Template, alpha1, alpha2, psi1, psi2):
     ``d_full`` stays within 2 ulp of a 50-digit sum, as the ``sin`` form
     does, and within 1e-15 relative of :func:`distance_full`, which keeps
     ``sin`` as the independent route.
+
+    ``work`` goes to :meth:`~fisherband.band.Template.phase_gap`, which says
+    what it must be; every per-bin step runs in its two overwritten arrays, no
+    output shares their memory, and the bits are those of a call without it.
     """
     check_attenuation(alpha1, alpha2)
     alpha1 = np.asarray(alpha1, dtype=float)
     alpha2 = np.asarray(alpha2, dtype=float)
-    dpsi, delta = template.phase_gap(psi1, psi2)
-    t = np.tan(0.5 * dpsi)
-    t2 = t * t  # sin^2(dpsi/2) = t2 / (1 + t2), the docstring's tan form
+    dpsi, delta = template.phase_gap(psi1, psi2, work=work)
+    # phase_gap leaves the gap's array free, and dpsi is read once, by the first step
+    t = np.multiply(dpsi, 0.5, out=np.empty_like(dpsi) if work is None else work[0])
+    np.tan(t, out=t)
+    t2 = np.multiply(t, t, out=t)  # sin^2(dpsi/2) = t2 / (1 + t2), the docstring's tan form
+    sin2 = np.divide(t2, np.add(t2, 1.0, out=dpsi), out=t2)
     half_delta = np.sin(0.5 * delta)
     # (1 - C) / 2 as a weighted mean of sin^2(dpsi/2): stable near C = 1; filled
     # in place, without np.stack's per-call checks, as the kernel runs once per block
     h = np.empty(np.shape(delta) + (2,))
-    h[..., 0] = template.mean(t2 / (1.0 + t2))
+    h[..., 0] = np.multiply(template.weights, sin2, out=sin2).sum(axis=-1) / template.omega0
     h[..., 1] = half_delta * half_delta
     c, e = scaled_chord(alpha1[..., np.newaxis], alpha2[..., np.newaxis], h)
     d = unscale(np.sqrt(template.omega0 * c), e)

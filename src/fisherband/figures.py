@@ -110,13 +110,18 @@ def run_figure_case(config: ExperimentConfig) -> np.ndarray:
     rows = np.empty((len(btaus), 4))
     rows[:, 0] = btaus
     delta = np.empty(len(btaus))
-    # every step works row by row, so a block's rows equal the whole sweep's,
-    # and its (rows x bins) temporaries stay in cache
-    for block in row_blocks(len(btaus), n):
+    blocks = row_blocks(len(btaus), n)
+    # every step works row by row, so a block's rows equal the whole sweep's; each
+    # block's phases and kernel work are views of one (3, rows, bins) array
+    # allocated once per pass, so no block allocates
+    arrays = np.empty((3, blocks[0].stop, n))
+    for block in blocks:
+        k = block.stop - block.start
+        psi1, work = arrays[0, :k], arrays[1:, :k]
         # linear phases 2 pi dtau nu against the constant dpsi0, one row per sweep point
-        psi1 = 2.0 * np.pi * dtaus[block, np.newaxis] * grid.freqs[np.newaxis, :]
+        np.multiply(2.0 * np.pi * dtaus[block, np.newaxis], grid.freqs, out=psi1)
         rows[block, 1], rows[block, 2], delta[block] = known_mag_distances(
-            template, alpha1, config.gamma_ratio * alpha1, psi1, config.dpsi0
+            template, alpha1, config.gamma_ratio * alpha1, psi1, config.dpsi0, work=work
         )
     rows[:, 3] = ratio_time_delay(config.gamma_ratio, config.dpsi0, btaus, config.nu0 / config.bandwidth_B, delta)
     return rows

@@ -27,17 +27,21 @@ __all__ = [
 ]
 
 
-def polynomial_phase(coeffs, freqs) -> np.ndarray:
+def polynomial_phase(coeffs, freqs, out=None) -> np.ndarray:
     """Phase polynomials at ``freqs``: one per row of ascending coefficients
     ``coeffs`` (shape ``(..., d)``, constant term first), shape ``(..., n)``.
 
     Horner's scheme in one output array, with the steps of numpy's
     ``polyval`` (``c[-1] + freqs * 0``, then ``c[k] + p * freqs``), so each
     row equals ``polyval`` of its coefficients bit for bit, zero padding
-    included.
+    included.  ``out``, a float array of that shape that overlaps neither
+    input, is overwritten with the result and returned, with the same bits.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    out = coeffs[..., -1:] + 0.0 * freqs
+    shape = coeffs.shape[:-1] + np.shape(freqs)
+    if out is not None and out.shape != shape:
+        raise ValueError(f"polynomial_phase out has shape {out.shape}, the phases {shape}")
+    out = np.add(coeffs[..., -1:], 0.0 * freqs, out=out)
     for k in range(coeffs.shape[-1] - 2, -1, -1):
         out *= freqs
         out += coeffs[..., k : k + 1]

@@ -496,7 +496,8 @@ class TestKnownMagKernel:
         a2 = np.concatenate([a1[:3], 10.0 ** rng.uniform(-1.0, 1.0, n_rows - 3)])  # three phase-only rows
         d_full = known_mag_distances(template, a1, a2, 0.0, gaps)[0]
         half = np.sin(0.5 * wrap_phase(gaps))
-        c, e = scaled_chord(a1[:, np.newaxis], a2[:, np.newaxis], template.mean(half * half)[:, np.newaxis])
+        mean = (template.weights * (half * half)).sum(axis=-1) / template.omega0  # weighted over the bins
+        c, e = scaled_chord(a1[:, np.newaxis], a2[:, np.newaxis], mean[:, np.newaxis])
         by_sin = unscale(np.sqrt(template.omega0 * c), e)[:, 0]
         worst = {"kernel": 0.0, "sin": 0.0}
         with mpmath.workdps(50):

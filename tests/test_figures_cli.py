@@ -174,28 +174,34 @@ class TestRunFigureCase:
             *FIGURE_CASES.values(),
             # more bins than a block holds: one row per block
             ExperimentConfig("wide", 0.5, 0.3, 2.0, n_freqs=BLOCK + 1, btau_sweep=(0.0, 20.0, 6)),
-            # 50 points at 27 rows per block, with no exact-zero row
-            ExperimentConfig("ragged", 0.4, -1.0, 0.5, n_freqs=300, btau_sweep=(0.5, 20.0, 50)),
+            # two blocks, the second four rows short, with no exact-zero row (50 points at 27 rows per block
+            # when BLOCK is 8192)
+            ExperimentConfig("ragged", 0.4, -1.0, 0.5, n_freqs=300, btau_sweep=(0.5, 20.0, 2 * (BLOCK // 300) - 4)),
         ],
         ids=[*FIGURE_CASES, "wide", "ragged"],
     )
     def test_blocked_sweep_equals_the_unblocked_evaluation(self, cfg):
-        assert len(row_blocks(len(sweep_points(cfg)), cfg.n_freqs)) > 1
+        blocks = row_blocks(len(sweep_points(cfg)), cfg.n_freqs)
+        assert len(blocks) > 1
+        if cfg.case_name == "ragged":
+            assert [b.stop - b.start for b in blocks] == [BLOCK // 300, BLOCK // 300 - 4]
         assert run_figure_case(cfg).tobytes() == self._unblocked(cfg).tobytes()
 
     def test_each_sweep_point_is_wrapped_once(self, monkeypatch):
         # one wrap per row block, in the kernel's phase_gap; the ratio reuses its delta
         rows_wrapped = []
 
-        def counting(theta):
+        def counting(theta, out=None):
             rows_wrapped.append(np.shape(theta)[0] if np.ndim(theta) > 1 else 1)
-            return wrap_phase(theta)
+            return wrap_phase(theta, out)
 
         monkeypatch.setattr(fisherband.band, "wrap_phase", counting)
         monkeypatch.setattr(fisherband.distances, "wrap_phase", counting)
         cfg = FIGURE_CASES["wideband-offset"]
         run_figure_case(cfg)
-        assert len(rows_wrapped) == len(row_blocks(len(sweep_points(cfg)), cfg.n_freqs)) == 51
+        # 401 points at BLOCK // 1000 rows per block: 51 blocks when BLOCK is 8192
+        assert len(rows_wrapped) == len(row_blocks(len(sweep_points(cfg)), cfg.n_freqs)) == -(-401 // (BLOCK // 1000))
+        assert len(rows_wrapped) > 1
         assert sum(rows_wrapped) == len(sweep_points(cfg)) == 401
 
     def test_csv_format(self, tmp_path):
@@ -672,9 +678,13 @@ class TestCliOnLibraryRoutes:
         assert wrapped_any
 
     def test_distance_row_blocks_at_the_default_band(self, tmp_path, capsys):
-        # 20 rows at 1000 bins: blocks of at most 8 rows
-        n_rows, n = 20, 1000
-        assert [b.stop - b.start for b in row_blocks(n_rows, n)] == [8, 8, 4]
+        # two and a half blocks of rows at 1000 bins (20 rows in blocks of 8 when BLOCK is 8192), so the pairs
+        # of degree 1 and of degree 3 below (half the rows each, less row 2 for degree 3) each span two blocks
+        n = 1000
+        step = BLOCK // n
+        n_rows = 2 * step + step // 2
+        assert [b.stop - b.start for b in row_blocks(n_rows, n)] == [step, step, step // 2]
+        assert len(row_blocks(n_rows // 2 - 1, n)) == 2
         rng = np.random.default_rng(17)
         # degrees 0-3 on consecutive sides, so every pair pads its shorter side to the other's degree
         sides = [(float(10.0 ** rng.uniform(-1.0, 1.0)), rng.uniform(-60.0, 60.0, k % 4 + 1)) for k in range(2 * n_rows)]
@@ -774,6 +784,19 @@ class TestCliOnLibraryRoutes:
         assert main(["figure", "cfg.json", "--output", "from_cli.csv"]) == 0
         assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["from_cli.csv"]
         assert capsys.readouterr().out == "wrote 11 rows to from_cli.csv\n"
+
+    @pytest.mark.parametrize("where", ["sub/cfg.json", "cfg.json"], ids=["nested", "working-directory"])
+    def test_figure_config_without_a_case_name_is_named_by_its_stem(self, tmp_path, monkeypatch, capsys, where):
+        # no case_name, no output_path and no --output: the default output is figure_<stem>.csv in the working directory
+        cfg = {"bandwidth_B": 0.5, "dpsi0": 0.0, "gamma_ratio": 1.0, "n_freqs": 50, "btau_sweep": [0.0, 5.0, 10]}
+        (tmp_path / "sub").mkdir()
+        (tmp_path / where).write_text(json.dumps(cfg))
+        monkeypatch.chdir(tmp_path)
+        assert main(["figure", where]) == 0
+        assert capsys.readouterr().out == "wrote 11 rows to figure_cfg.csv\n"
+        assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.csv")) == ["figure_cfg.csv"]
+        rows = run_figure_case(ExperimentConfig(case_name="cfg", **cfg))
+        assert (tmp_path / "figure_cfg.csv").read_text().splitlines()[1:] == [",".join(map(repr, r)) for r in rows.tolist()]
 
     def test_inspect_geodesic_on_unwrapped_phases(self, tmp_path, capsys):
         payload = {

@@ -39,12 +39,13 @@ import json
 import os
 import sys
 import warnings
-from itertools import chain
+from functools import cache
+from itertools import chain, repeat
 
 import numpy as np
 
 from .acceptance import run_acceptance_suite, suite_seed
-from .band import NoiseProfile, Template, build_grid, check_attenuation, is_real_number, row_blocks
+from .band import NoiseProfile, Template, build_grid, check_attenuation, is_real_number, row_blocks, write_csv
 from .distances import known_mag_columns, known_mag_distances
 from .figures import FIGURE_CASES, ExperimentConfig, run_figure_case, write_figure_csv
 from .geodesics import solve_alpha_geodesic
@@ -128,8 +129,10 @@ def _cmd_figure(args) -> int:
             raise ValueError(f"'{args.case}' is neither a known case ({known}) nor a readable config file") from exc
         except (TypeError, ValueError) as exc:
             raise ValueError(f"bad figure config: {exc}") from exc
-    rows = run_figure_case(config)
     out = args.output or config.output_path or f"figure_{config.case_name}.csv"
+    # an unwritable output fails before the sweep runs; "a" keeps an old file until the new rows are written
+    open(out, "a").close()
+    rows = run_figure_case(config)
     write_figure_csv(out, rows)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
@@ -196,21 +199,24 @@ def _cmd_distance(args) -> int:
         table = [[row[k] if k < len(row) else None for k in at] for row in reader if row]
 
     try:
-        # every side at once: its attenuation, and its coefficients under the model's rule
-        alphas = np.array([float(cells[i]) for cells in table for i in (0, 2)]).reshape(-1, 2)
-        coeff_lists = [[float(part) for part in (cells[i] or "").split(";")] for cells in table for i in (1, 3)]
-        counts = np.fromiter(map(len, coeff_lists), int, len(coeff_lists)).reshape(-1, 2)
+        # every side at once: its attenuation, and its coefficients under the model's rule, by one float map
+        # over all sides joined (a short row's None fails the join, and is named below)
+        alpha1, coeffs1, alpha2, coeffs2 = zip(*table) if table else ((),) * 4
+        alphas = np.fromiter(map(float, chain.from_iterable(zip(alpha1, alpha2))), float, 2 * len(table)).reshape(-1, 2)
+        sides = list(chain.from_iterable(zip(coeffs1, coeffs2)))
+        values = np.fromiter(map(float, ";".join(sides).split(";") if sides else ()), float)
+        counts = (np.fromiter(map(str.count, sides, repeat(";")), int, len(sides)) + 1).reshape(-1, 2)
         if counts.max(initial=1) > n:  # a side past the degree rule is named below, before a matrix is built
             raise ValueError
         check_attenuation(alphas)
         # the pairs grouped by their higher count, each group zero-padded to that count alone, so a long
         # polynomial widens only its own group; the groups run in increasing count, each in file order
         groups, widths = [], counts.max(axis=1)
+        value_widths = np.repeat(widths.repeat(2), counts.ravel())  # each coefficient's group, in file order
         for width in sorted(set(widths.tolist())):  # not np.unique: its first call adds 1.7 MB of resident memory
             rows = np.flatnonzero(widths == width)
             coeffs = np.zeros((len(rows), 2, width))
-            sides = chain.from_iterable(coeff_lists[2 * k + j] for k in rows.tolist() for j in (0, 1))
-            coeffs[np.arange(width) < counts[rows, :, np.newaxis]] = np.fromiter(sides, float)
+            coeffs[np.arange(width) < counts[rows, :, np.newaxis]] = values[value_widths == width]
             groups.append((rows, phase_coeff_rows(coeffs, n)))
     except (TypeError, ValueError):
         # the first side in file order that breaks a rule names its row and its error; a short row leaves a cell None
@@ -246,13 +252,10 @@ def _cmd_distance(args) -> int:
         raise ValueError(f"bad pair on row {min(bad) + 1}: phases or their gap not finite on the grid")
 
     columns = known_mag_columns(*results.T, template.omega0, alphas[:, 0], alphas[:, 1])
-    # cells made as each row is written, so the report's strings are never all held at once; NaN: no ratio
-    cells = [map(lambda v: repr(v) if v == v else "", column.tolist()) for column in columns.values()]
+    columns["omega0"] = [repr(template.omega0)] * len(table)  # one constant, formatted once
     out = args.output or "distance_reports.csv"
-    with open(out, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(PAIR_COLUMNS + list(columns))
-        writer.writerows(zip(*zip(*table), *cells))
+    # the input cells as read, then the report's (a NaN ratio is an empty cell)
+    write_csv(out, PAIR_COLUMNS + list(columns), [alpha1, coeffs1, alpha2, coeffs2, *columns.values()])
     print(f"wrote {len(table)} reports to {out}")
     return 0
 
@@ -289,13 +292,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`build_parser`, built once per process, not once per ``main`` call."""
+    return build_parser()
+
+
 def _warning_line(message, category, filename, lineno, line=None) -> str:
     """A library warning as one line about the input, naming no source file."""
     return f"warning: {category.__name__}: {message}\n"
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     python_format, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         code = args.func(args)

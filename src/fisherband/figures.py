@@ -128,5 +128,5 @@ def run_figure_case(config: ExperimentConfig) -> np.ndarray:
 
 
 def write_figure_csv(path, rows: np.ndarray) -> None:
-    write_csv(path, FIGURE_CSV_HEADER.split(","), rows)
+    write_csv(path, FIGURE_CSV_HEADER.split(","), list(np.asarray(rows, dtype=float).T))
 

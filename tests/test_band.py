@@ -1,6 +1,9 @@
+import csv
 import dataclasses
+import io
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -43,6 +46,7 @@ from fisherband import (
     straight_line_geodesic,
     unscale,
     wrap_phase,
+    write_csv,
 )
 
 
@@ -631,6 +635,83 @@ class TestSerialization:
         path.write_text("nu,gamma0,rho\n0.25,1.0,1.0\n")
         with pytest.raises(ValueError, match="header"):
             load_band_csv(path)
+
+
+def _csv_writer_bytes(header, rows) -> str:
+    """What ``csv.writer`` writes of a header and rows of str cells."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def _read_back(path) -> str:
+    with open(path, newline="") as handle:
+        return handle.read()
+
+
+class TestWriteCsv:
+    """``write_csv`` writes what ``csv.writer`` would, a chunk of rows at a time."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=4).flatmap(
+        lambda k: st.tuples(st.lists(st.text(), min_size=k, max_size=k),
+                            st.lists(st.lists(st.text(), min_size=k, max_size=k), max_size=6))
+    ))
+    @example((["a"], [[""], ["b"]]))  # the only cell of a row, empty: csv quotes it
+    @example((["x", "y"], [["", '"'], ["a,b", "c\rd"], ["e\nf", "\r\n"]]))
+    def test_text_cells_follow_csv_writer(self, tmp_path_factory, header_rows):
+        header, rows = header_rows
+        path = tmp_path_factory.mktemp("text") / "cells.csv"
+        write_csv(path, header, [[row[j] for row in rows] for j in range(len(header))])
+        assert _read_back(path) == _csv_writer_bytes(header, rows)
+
+    def test_chunks_decide_quoting_and_nan_alone(self, tmp_path):
+        # 1300 rows: a quoted cell only in the second chunk of rows, NaN floats on either side of it
+        n = 1300
+        text = [f"cell {k}" for k in range(n)]
+        text[1100] = 'a "quoted", cell'
+        floats = np.linspace(-1.0, 1.0, n) ** 3 / 7.0
+        floats[[0, 900, n - 1]] = math.nan
+        path = tmp_path / "chunks.csv"
+        write_csv(path, ["text", "x"], [text, floats])
+        rows = [[t, "" if math.isnan(v) else repr(v)] for t, v in zip(text, floats.tolist())]
+        assert _read_back(path) == _csv_writer_bytes(["text", "x"], rows)
+        # a NaN alone in its row is an empty cell csv quotes
+        write_csv(path, ["x"], [floats[:3]])
+        assert _read_back(path) == _csv_writer_bytes(["x"], [[""]] + [[repr(v)] for v in floats[1:3].tolist()])
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_csv(path, ["a", "b"], [[], np.empty(0)])
+        assert _read_back(path) == "a,b\r\n"
+
+    @pytest.mark.parametrize(
+        "header, columns, fragment",
+        [(["a"], [[], []], "1 names for 2 columns"), (["a", "b"], [["x"], np.empty(0)], "differ in length")],
+    )
+    def test_misaligned_columns_rejected(self, tmp_path, header, columns, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            write_csv(tmp_path / "bad.csv", header, columns)
+        assert not (tmp_path / "bad.csv").exists()
+
+    def test_memory_does_not_grow_with_the_rows(self, tmp_path):
+        # a distance report's shape: four text columns and seven float columns, 20000 rows; its cells as
+        # strings, all held at once, would take about 19 MB, and the file itself is near 4 MB
+        n = 20000
+        rng = np.random.default_rng(5)
+        text = [[repr(v) for v in rng.uniform(0.1, 10.0, n).tolist()] for _ in range(4)]
+        floats = list(rng.uniform(-1e3, 1e3, (7, n)))
+        path = tmp_path / "report.csv"
+        tracemalloc.start()
+        try:
+            write_csv(path, [f"c{j}" for j in range(11)], text + floats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 3 * 2**20
+        assert peak < 2**20, peak
 
 
 class TestBandRules:

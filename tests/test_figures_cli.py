@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import io
@@ -37,7 +38,8 @@ from fisherband import (
     wrap_phase,
     write_figure_csv,
 )
-from fisherband.cli import PAIR_COLUMNS, ModelFileError, load_model_file, main
+from fisherband import cli
+from fisherband.cli import PAIR_COLUMNS, ModelFileError, build_parser, load_model_file, main
 from fisherband.figures import FIGURE_CSV_HEADER
 
 SRC_DIR = pathlib.Path(fisherband.__file__).parent.parent
@@ -347,6 +349,7 @@ class TestCli:
         assert main(["figure", str(cfg_path), "--output", str(tmp_path / "out.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bad figure config:") and fragment in err and err.count("\n") == 1
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize(
         "count, cause",
@@ -740,6 +743,33 @@ class TestCliOnLibraryRoutes:
         assert len(rows) == 44 and sorted(set(degrees)) == [0, 1, 2, 3] and max(map(degrees.count, degrees)) > 8
         assert rows[4]["ratio"] == "" and rows[5]["d_full"] == "inf" and rows[31]["snr1"] == "inf"
 
+    def test_distance_csv_with_cells_to_quote_equals_the_per_row_route(self, tmp_path):
+        # CRLF lines, extra and reordered columns, a repeated name (its last column is read) and quoted cells
+        # with whitespace that float accepts, which the report echoes and must quote; 600 rows, so the cells
+        # to quote fall in two chunks of written rows, and in the second not in its first row
+        rng = np.random.default_rng(29)
+        lines = ["phase_coeffs2,alpha1,note,alpha2,phase_coeffs1,alpha1"]
+        for k in range(600):
+            a1, a2 = (repr(float(10.0 ** rng.uniform(-1.0, 1.0))) for _ in range(2))
+            c1, c2 = (";".join(map(repr, rng.uniform(-60.0, 60.0, rng.integers(1, 4)).tolist())) for _ in range(2))
+            lines.append(f'{c2},junk,"note {k}, ""quoted""",{a2},{c1},{a1}')
+        lines[4] = '"-1.5\n;2.0",junk,x,"1.0\n",0.5,3.0'
+        lines[550] = '0.1," junk ",x,2.0," 0.2;\r1.0","\r\n 1.5 "'
+        lines[551] = '"0.3 ",x,x," 2.0\t",-0.0,"0.25"'
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        out = tmp_path / "reports.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["distance", str(pairs), "--output", str(out)]) == 0
+        n = 1000
+        expected = _per_row_reports(pairs, build_grid(0.25, 0.5, n), NoiseProfile.flat(2.0, n), np.ones(n))
+        assert out.read_bytes() == expected
+        rows = list(csv.DictReader(io.StringIO(expected.decode(), newline="")))
+        assert len(rows) == 600 and (rows[3]["alpha2"], rows[3]["phase_coeffs2"]) == ("1.0\n", "-1.5\n;2.0")
+        assert (rows[549]["alpha1"], rows[549]["phase_coeffs1"], rows[550]["alpha2"]) == ("\n 1.5 ", " 0.2;\n1.0", " 2.0\t")
+        assert expected.count(b'"') == 8
+
     def test_distance_names_the_first_bad_row_in_file_order(self, tmp_path, capsys):
         # row 9 (degree 3) and row 20 (degree 2) overflow; the pairs run in increasing degree, so row 20 runs first
         degrees = [3] * 9 + [0, 1] * 5 + [2] + [1] * 4
@@ -852,6 +882,38 @@ class TestCliOnLibraryRoutes:
         assert not out.exists()
 
 
+class TestParser:
+    """The parser is built once per process; what it prints and how it exits stay as built."""
+
+    def test_main_calls_reuse_one_parser(self, tmp_path, monkeypatch, capsys):
+        parsers, parse_args = [], argparse.ArgumentParser.parse_args
+
+        def recorded(parser, *args, **kwargs):
+            parsers.append(parser)
+            return parse_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recorded)
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text(",".join(PAIR_COLUMNS) + "\n")
+        for _ in range(2):
+            assert main(["distance", str(pairs), "--output", str(tmp_path / "out.csv")]) == 0
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+    @pytest.mark.parametrize(
+        "argv, code", [(["nope"], 2), ([], 2), (["figure"], 2), (["--help"], 0), (["distance", "--help"], 0)]
+    )
+    def test_usage_and_exit_codes_as_a_fresh_parser(self, capsys, argv, code):
+        with pytest.raises(SystemExit) as fresh:
+            build_parser().parse_args(argv)
+        printed = capsys.readouterr()
+        assert fresh.value.code == code and (printed.err if code else printed.out).startswith("usage: fisherband")
+        for _ in range(2):  # the first call may build the shared parser, the second reuses it
+            with pytest.raises(SystemExit) as shared:
+                main(argv)
+            assert shared.value.code == code
+            assert capsys.readouterr() == printed
+
+
 class TestOneErrorExit:
     """Every failure of every command is one ``error: <cause>`` line on stderr and exit code 2."""
 
@@ -879,6 +941,38 @@ class TestOneErrorExit:
             assert captured.out == ""
         assert str(out) in err and "Traceback" not in err
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("where", ["--output", "case_name"])
+    def test_figure_unwritable_output_named_before_the_sweep(self, tmp_path, monkeypatch, capsys, where):
+        # nodir/x.csv, or the default figure_a/b.csv of a config whose case name holds a slash
+        monkeypatch.setattr(cli, "run_figure_case", lambda config: pytest.fail("the sweep ran"))
+        monkeypatch.chdir(tmp_path)
+        cfg = {"bandwidth_B": 0.5, "dpsi0": 0.0, "gamma_ratio": 1.0, "n_freqs": 50, "btau_sweep": [0.0, 5.0, 10]}
+        argv = ["figure", "cfg.json"]
+        if where == "case_name":
+            cfg["case_name"] = "a/b"
+        else:
+            argv += ["--output", "nodir/x.csv"]
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert ("figure_a/b.csv" if where == "case_name" else "nodir/x.csv") in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_figure_keeps_an_existing_output_until_its_rows_are_written(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "old.csv"
+        out.write_bytes(b"old rows\n")
+        seen = []
+
+        def sweep(config):
+            seen.append(out.read_bytes())
+            return run_figure_case(config)
+
+        monkeypatch.setattr(cli, "run_figure_case", sweep)
+        assert main(["figure", "narrowband-equal", "--output", str(out)]) == 0
+        assert seen == [b"old rows\n"]
+        assert out.read_text().splitlines()[0] == FIGURE_CSV_HEADER
 
     def test_distance_missing_pairs_csv_named(self, tmp_path, capsys):
         missing = tmp_path / "no_such_pairs.csv"

@@ -59,7 +59,6 @@ __all__ = [
     "AlphaGeodesic",
     "AlphaPhaseChart",
     "DegenerateGeodesicWarning",
-    "EmbeddingChart",
     "GeodesicPath",
     "LdgResidual",
     "ModelChart",
@@ -108,43 +107,21 @@ class GeodesicPath:
 # -- charts ------------------------------------------------------------------
 
 
-class EmbeddingChart:
-    """Flat chart of the full band manifold: interleaved (Re, Im) per bin."""
-
-    # ``path_length``'s reduced form: no head columns, every column of degree 1
-    _n_head = 0
-    _amplitudes = slice(None)
-
-    def __init__(self, noise: NoiseProfile):
-        self._w = np.repeat(noise.weights, 2)
-
-    def _flat_speed(self, head, head_vel, block_sq) -> np.ndarray:
-        return block_sq
-
-    def speed(self, coords, vel) -> np.ndarray:
-        vel = np.asarray(vel, dtype=float)
-        return np.sum(self._w * vel**2, axis=-1)
-
-
 class AlphaPhaseChart:
     """Known-magnitude submanifold chart on a validated template: (alpha, unwrapped phase per bin)."""
-
-    # ``path_length``'s reduced form: head column alpha, the only one of degree 1
-    _n_head = 1
-    _amplitudes = slice(0, 1)
 
     def __init__(self, template: Template):
         self._w = template.weights
         self.omega0 = template.omega0
 
-    def _flat_speed(self, head, head_vel, block_sq) -> np.ndarray:
-        """Speed from the head columns and the weighted squared phase velocity."""
-        return self.omega0 * head_vel[..., 0] ** 2 + head[..., 0] ** 2 * block_sq
+    def _flat_speed(self, alpha, alpha_vel, phase_sq) -> np.ndarray:
+        """Speed from alpha, its velocity and the weighted squared phase velocity."""
+        return self.omega0 * alpha_vel**2 + alpha**2 * phase_sq
 
     def speed(self, coords, vel) -> np.ndarray:
         coords = np.asarray(coords, dtype=float)
         vel = np.asarray(vel, dtype=float)
-        return self._flat_speed(coords, vel, np.sum(self._w * vel[..., 1:] ** 2, axis=-1))
+        return self._flat_speed(coords[..., 0], vel[..., 0], np.sum(self._w * vel[..., 1:] ** 2, axis=-1))
 
 
 class ModelChart:
@@ -208,7 +185,8 @@ class AlphaGeodesic:
     evaluation is homogeneous over the double range; ``k1``, ``K`` and ``c``
     read them in natural units.  ``degenerate`` marks the antipodal case
     delta = pi where the attenuation touches zero inside the path and the
-    phase advance concentrates at the crossing.
+    phase advance concentrates at the crossing; with no moment and the
+    crossing outside [0, 1] the flow has a moment-free limit instead.
     """
 
     alpha1: float
@@ -263,8 +241,14 @@ class AlphaGeodesic:
         return np.zeros_like(self.dpsi)
 
     @property
+    def _crossing_inside(self) -> bool:
+        """No flow moment, and the attenuation's zero crossing ``-k2`` lies in [0, 1]."""
+        return self.moment <= 0.0 and 0.0 <= -self.k2 <= 1.0
+
+    @property
     def degenerate(self) -> bool:
-        return bool(self.delta > 0.0 and (self.moment <= 0.0 or math.pi - self.delta < 1e-9))
+        """The attenuation touches zero inside the path: a crossing there, or delta within 1e-9 of pi."""
+        return bool(self.delta > 0.0 and (self._crossing_inside or math.pi - self.delta < 1e-9))
 
     def alpha_at(self, sigmas) -> np.ndarray:
         """Attenuation alpha(s) at each curve parameter in ``sigmas``."""
@@ -276,16 +260,19 @@ class AlphaGeodesic:
 
     def phase_mix_at(self, sigmas) -> np.ndarray:
         """Fraction of the per-bin phase advance completed at each sigma: the
-        normalized arctan flow, or for K = 0 (delta = pi) a step at the
-        attenuation's zero crossing (1/2 exactly at the crossing)."""
+        normalized arctan flow; for K = 0 a step at the attenuation's zero
+        crossing when it lies in [0, 1] (1/2 exactly at the crossing), else
+        the flow's moment-free limit ``s (1 + k2) / (s + k2)``."""
         sigmas = np.asarray(sigmas, dtype=float)
         if self.delta <= 0.0 or self.chord == 0.0:
             return np.zeros_like(sigmas)
         if self.moment > 0.0:
             angles = np.arctan2(self.chord * (sigmas + self.k2), self.moment)
             return (angles - self._flow_angles()[0]) / self.delta
-        crossing = -self.k2
-        return np.where(sigmas < crossing, 0.0, np.where(sigmas > crossing, 1.0, 0.5))
+        if self._crossing_inside:
+            crossing = -self.k2
+            return np.where(sigmas < crossing, 0.0, np.where(sigmas > crossing, 1.0, 0.5))
+        return sigmas * (1.0 + self.k2) / (sigmas + self.k2)
 
     def velocity_at(self, sigmas) -> tuple[np.ndarray, np.ndarray]:
         """Derivatives ``(alpha_rate, mix_rate)`` of ``alpha_at`` and ``phase_mix_at``
@@ -295,7 +282,11 @@ class AlphaGeodesic:
         shift = self.chord * (sigmas + self.k2)
         if self.chord == 0.0 or self.moment <= 0.0:
             # no flow: a_s = |shift| / sqrt(chord), so alpha' is +-sqrt(chord), 0 on a constant path or at a crossing
-            return unscale(np.sign(shift) * math.sqrt(self.chord), self.scale), np.zeros_like(sigmas)
+            alpha_rate = unscale(np.sign(shift) * math.sqrt(self.chord), self.scale)
+            if self.delta <= 0.0 or self.chord == 0.0 or self._crossing_inside:
+                return alpha_rate, np.zeros_like(sigmas)
+            # the derivative of the moment-free limit of the flow
+            return alpha_rate, self.k2 * (1.0 + self.k2) / (sigmas + self.k2) ** 2
         a_s = np.hypot(shift, self.moment) / math.sqrt(self.chord)
         return unscale(shift / a_s, self.scale), self.moment / (self.delta * a_s * a_s)
 
@@ -545,34 +536,32 @@ def shoot_alpha_geodesic(
 # -- path functionals --------------------------------------------------------
 
 
-def _flat_reduction(chart, coords):
-    """A flat chart's path in reduced coordinates, for ``path_length``.
+def _flat_reduction(chart: AlphaPhaseChart, coords):
+    """An ``AlphaPhaseChart`` path in reduced coordinates, for ``path_length``.
 
-    The chart's degree-1 columns are scaled by the exact power of two
-    ``2**-exponent`` that brings their largest magnitude into [0.5, 1), so
-    the speed scales by ``4**-exponent``.  The centred block after the head
-    columns is projected onto its affine span: the rows of ``B`` are the
-    right singular vectors of the block's QR factor ``R`` (rank by numpy's
-    ``matrix_rank`` rule, at least one row), the reduced coordinates are the
-    centred block times ``B^T``, and its velocity is ``v_r B`` in the reduced
-    coordinates ``v_r``, so its weighted squared speed is
-    ``v_r^T G v_r`` with ``G = B diag(w) B^T``.  A spline is linear in its
-    data, so splining the head and reduced columns gives the same integral.
-    Returns ``(reduced, exponent, G)``.
+    The alpha column, the only one of degree 1, is scaled by the exact power
+    of two ``2**-exponent`` that brings its largest magnitude into [0.5, 1),
+    so the speed scales by ``4**-exponent``.  The centred phase block is
+    projected onto its affine span: the rows of ``B`` are the right singular
+    vectors of the block's QR factor ``R`` (rank by numpy's ``matrix_rank``
+    rule, at least one row), the reduced coordinates are the centred block
+    times ``B^T``, and its velocity is ``v_r B`` in the reduced coordinates
+    ``v_r``, so its weighted squared speed is ``v_r^T G v_r`` with
+    ``G = B diag(w) B^T``.  A spline is linear in its data, so splining alpha
+    and the reduced columns gives the same integral.  Returns
+    ``(reduced, exponent, G)``.
     """
-    coords = np.array(coords, dtype=float)
-    expected = chart._n_head + len(chart._w)
+    coords = np.asarray(coords, dtype=float)
+    expected = 1 + len(chart._w)
     if coords.shape[1] != expected:
         raise ValueError(f"path has {coords.shape[1]} coordinates per node, the chart takes {expected}")
-    amplitudes = coords[:, chart._amplitudes]
-    exponent = math.frexp(float(np.max(np.abs(amplitudes))))[1]
-    coords[:, chart._amplitudes] = np.ldexp(amplitudes, -exponent)
-    head, block = coords[:, : chart._n_head], coords[:, chart._n_head :]
+    exponent = math.frexp(float(np.max(np.abs(coords[:, 0]))))[1]
+    block = coords[:, 1:]
     centred = block - np.mean(block, axis=0)
     _, s, vt = np.linalg.svd(np.linalg.qr(centred, mode="r"), full_matrices=False)
     rank = max(int(np.sum(s > s[0] * max(centred.shape) * np.finfo(float).eps)), 1)
     basis = vt[:rank]
-    return np.column_stack([head, centred @ basis.T]), exponent, (basis * chart._w) @ basis.T
+    return np.column_stack([np.ldexp(coords[:, 0], -exponent), centred @ basis.T]), exponent, (basis * chart._w) @ basis.T
 
 
 @functools.lru_cache(maxsize=8)
@@ -682,24 +671,23 @@ def path_length(chart, path: GeodesicPath, n_quad: int = 64) -> float:
     points on an interval lie inside it, so each cubic piece is evaluated at
     its own points directly, summed in scipy's order (``_pieces_at``), with
     no search for each point's piece; the position is evaluated only in the
-    columns the speed reads.  On the flat charts
-    (``AlphaPhaseChart``, ``EmbeddingChart``) the spline runs through
-    reduced coordinates (see ``_flat_reduction``): a path whose phases move
-    along one direction splines two columns, and the length is homogeneous
-    of degree 1 in the attenuation (every column of the embedding) over the
-    double range.  Any other chart's ``speed`` sees every column.  A path
-    coordinate that is not finite is one named error on every chart.
+    columns the speed reads.  On the flat ``AlphaPhaseChart`` the spline
+    runs through reduced coordinates (see ``_flat_reduction``): a path whose
+    phases move along one direction splines two columns, and the length is
+    homogeneous of degree 1 in the attenuation over the double range.  Any
+    other chart's ``speed`` sees every column.  A path coordinate that is
+    not finite is one named error on every chart.
     """
     if n_quad < 8:
         raise ValueError("n_quad must be at least 8")
     sigmas, coords = path.sigmas, path.coords
     if not in_range(coords):
         raise ValueError("path coordinates must be finite")
-    flat = isinstance(chart, (AlphaPhaseChart, EmbeddingChart))
+    flat = isinstance(chart, AlphaPhaseChart)
     if flat:
         coords, exponent, gram = _flat_reduction(chart, coords)
-    # the position columns the speed reads: a flat chart's head, else all
-    head = chart._n_head if flat else coords.shape[1]
+    # the position columns the speed reads: the flat chart's alpha, else all
+    head = 1 if flat else coords.shape[1]
     nodes, weights = _gauss_legendre(n_quad)
     starts = sigmas[:-1]
     halves = 0.5 * np.diff(sigmas)
@@ -712,9 +700,8 @@ def path_length(chart, path: GeodesicPath, n_quad: int = 64) -> float:
     pos = _pieces_at(c[:, :, :head], local)
     vel = _pieces_at(_derivative(c), local)
     if flat:
-        reduced = vel[:, head:]
-        block_sq = np.sum((reduced @ gram) * reduced, axis=-1)
-        speeds = chart._flat_speed(pos, vel[:, :head], block_sq)
+        reduced = vel[:, 1:]
+        speeds = chart._flat_speed(pos[:, 0], vel[:, 0], np.sum((reduced @ gram) * reduced, axis=-1))
     else:
         speeds = np.asarray(chart.speed(pos, vel), dtype=float)
     speeds = np.maximum(speeds, 0.0).reshape(n_quad, -1)

@@ -13,7 +13,6 @@ from fisherband import (
     AlphaPhaseChart,
     ConvergenceError,
     DegenerateGeodesicWarning,
-    EmbeddingChart,
     FreeSpectrumModel,
     GeodesicPath,
     KnownMagnitudeModel,
@@ -26,7 +25,7 @@ from fisherband import (
     band_energy,
     build_grid,
     distance_alpha,
-    distance_full_embedding,
+    distance_full,
     ldg_residual,
     path_length,
     sample_alpha_geodesic,
@@ -169,16 +168,18 @@ class TestStraightLine:
         np.testing.assert_allclose(mid, 0.5 * (s1.to_complex() + s2.to_complex()), atol=1e-14)
 
     def test_length_equals_mahalanobis(self):
-        # quadrature along the line against the closed-form distance
+        # the line's nodes in the polar chart of FreeSpectrumModel, phases
+        # unwrapped along the path: its length is the closed-form distance
         rng = np.random.default_rng(2)
-        n = 10
-        noise = NoiseProfile(rng.uniform(0.5, 2.0, n))
-        s1 = SignalSpectrum.from_complex(rng.normal(size=n) + 1j * rng.normal(size=n))
-        s2 = SignalSpectrum.from_complex(rng.normal(size=n) + 1j * rng.normal(size=n))
-        path = straight_line_geodesic(s1, s2, n_nodes=33)
-        length = path_length(EmbeddingChart(noise), path, n_quad=8)
-        target = distance_full_embedding(s1, s2, noise)
-        assert length == pytest.approx(target, rel=1e-10)
+        for n in np.tile(np.arange(1, 11), 5):
+            noise = NoiseProfile(rng.uniform(0.5, 2.0, n))
+            s1 = SignalSpectrum(rng.uniform(0.5, 2.0, n), rng.uniform(-np.pi, np.pi, n))
+            s2 = SignalSpectrum(rng.uniform(0.5, 2.0, n), wrap_phase(s1.psi + rng.uniform(-1.0, 1.0, n)))
+            path = straight_line_geodesic(s1, s2, n_nodes=65)
+            nodes = [spectrum_from_embedding(row) for row in path.coords]
+            polar = np.hstack([[node.rho for node in nodes], np.unwrap([node.psi for node in nodes], axis=0)])
+            length = path_length(ModelChart(FreeSpectrumModel(int(n)), noise), GeodesicPath(path.sigmas, polar))
+            assert length == pytest.approx(distance_full(s1, s2, noise), rel=1e-10)
 
 
 class TestSolveAlphaGeodesic:
@@ -326,11 +327,11 @@ class TestEvalAlphaGeodesic:
         # coincident ends: the constant path
         for rate in solve_alpha_geodesic(1.2, 1.2, psi, psi, Template(noise, rho0)).velocity_at(sigmas):
             np.testing.assert_array_equal(rate, 0.0)
-        # a zero moment at delta > 0: phase_mix_at is a step, and its rate is zero
-        step = AlphaGeodesic(1.0, 1.5, 5e-324, np.zeros(4), np.full(4, 5e-324), 4.0)
-        assert step.moment == 0.0 and step.degenerate
-        alpha_rate, mix_rate = step.velocity_at(sigmas)
-        np.testing.assert_allclose(alpha_rate, 0.5, rtol=1e-15)
+        # a zero moment at delta > 0 with the crossing inside: phase_mix_at is a step, and its rate is zero
+        step = AlphaGeodesic(1e-310, 1.0, math.pi, np.zeros(4), np.full(4, math.pi), 4.0)
+        assert step.moment == 0.0 and 0.0 < -step.k2 < 1.0 and step.degenerate
+        alpha_rate, mix_rate = step.velocity_at(sigmas[1:])
+        np.testing.assert_allclose(alpha_rate, 1.0, rtol=1e-15)
         np.testing.assert_array_equal(mix_rate, 0.0)
 
     def test_constant_speed_equals_length_squared(self):
@@ -373,6 +374,51 @@ class TestDegenerateGeodesic:
         assert AlphaGeodesic(1.0, 1.5, math.pi, psi1, dpsi, 4.0).degenerate
         with pytest.raises(ValueError, match=r"^delta must lie in \[0, pi\]$"):
             AlphaGeodesic(1.0, 1.5, delta, psi1, dpsi, 4.0)
+
+
+class TestZeroMoment:
+    """``moment = 0`` at ``delta > 0``: a step at the attenuation's zero
+    crossing when it lies in [0, 1], else the flow's moment-free limit."""
+
+    @staticmethod
+    def _outside():
+        # delta = 5e-324 underflows the moment; the crossing -k2 = -2 lies outside the path
+        return AlphaGeodesic(1.0, 1.5, 5e-324, np.zeros(4), np.full(4, 5e-324), 4.0)
+
+    def test_crossing_outside_is_the_moment_free_limit(self):
+        geo = self._outside()
+        assert geo.moment == 0.0 and geo.k2 == 2.0 and not geo.degenerate
+        assert geo.phase_mix_at(0.0) == 0.0 and geo.phase_mix_at(1.0) == 1.0
+        sigmas = np.linspace(0.0, 1.0, 101)
+        mix = geo.phase_mix_at(sigmas)
+        assert np.all(np.diff(mix) > 0.0)
+        np.testing.assert_allclose(mix, 3.0 * sigmas / (sigmas + 2.0), rtol=1e-15)
+        np.testing.assert_array_equal(sample_alpha_geodesic(geo, n_nodes=11).sigmas, np.linspace(0.0, 1.0, 11))
+
+    def test_moment_free_limit_meets_the_flow(self):
+        geo = self._outside()
+        flow = AlphaGeodesic(1.0, 1.5, 1e-6, np.zeros(4), np.full(4, 1e-6), 4.0)
+        assert flow.moment > 0.0
+        sigmas = np.linspace(0.0, 1.0, 101)
+        np.testing.assert_allclose(flow.phase_mix_at(sigmas), geo.phase_mix_at(sigmas), rtol=0.0, atol=1e-9)
+
+    def test_crossing_outside_velocity_is_the_derivative(self):
+        geo = self._outside()
+        sigmas, h = np.linspace(0.01, 0.99, 33), 1e-6
+        alpha_rate, mix_rate = geo.velocity_at(sigmas)
+        d_alpha = (geo.alpha_at(sigmas + h) - geo.alpha_at(sigmas - h)) / (2 * h)
+        d_mix = (geo.phase_mix_at(sigmas + h) - geo.phase_mix_at(sigmas - h)) / (2 * h)
+        np.testing.assert_allclose(alpha_rate, d_alpha, rtol=0.0, atol=1e-8 * 1.5)
+        np.testing.assert_allclose(mix_rate, d_mix, rtol=1e-7)
+        np.testing.assert_allclose(mix_rate, 6.0 / (sigmas + 2.0) ** 2, rtol=1e-15)
+
+    def test_crossing_inside_keeps_the_step(self):
+        # the moment underflows at delta = pi, and the crossing lies at 1e-310
+        geo = AlphaGeodesic(1e-310, 1.0, math.pi, np.zeros(4), np.full(4, math.pi), 4.0)
+        crossing = -geo.k2
+        assert geo.moment == 0.0 and 0.0 < crossing < 1.0 and geo.degenerate
+        np.testing.assert_array_equal(geo.phase_mix_at([0.0, crossing, 2.0 * crossing, 0.5, 1.0]), [0.0, 0.5, 1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(geo.velocity_at([0.5, 1.0])[1], 0.0)
 
 
 class TestShooting:
@@ -477,6 +523,20 @@ class TestPathLength:
         chart = AlphaPhaseChart(Template(noise, rho0))
         length = path_length(chart, warped_path, n_quad=16)
         assert length == pytest.approx(geo.length, rel=1e-6)
+
+    def test_geodesics_without_phase_flow(self):
+        # delta = 0, and coincident endpoints: no phase flow, so the nodes are uniform in sigma
+        _, noise, rho0, rng = _band(6, seed=14)
+        template, psi = Template(noise, rho0), rng.uniform(-np.pi, np.pi, 6)
+        chart = AlphaPhaseChart(template)
+        for alpha2, length in ((2.1, 1.4 * math.sqrt(template.omega0)), (0.7, 0.0)):
+            geo = solve_alpha_geodesic(0.7, alpha2, psi, psi, template)
+            assert geo.delta == geo.moment == 0.0 and not geo.degenerate
+            path = sample_alpha_geodesic(geo, n_nodes=33)
+            np.testing.assert_array_equal(path.sigmas, np.linspace(0.0, 1.0, 33))
+            target = distance_alpha(0.7, alpha2, psi, psi, template)
+            assert target == pytest.approx(length, rel=1e-15, abs=0.0)
+            assert path_length(chart, path) == pytest.approx(target, rel=1e-13, abs=0.0)
 
     def test_quadrature_floor(self):
         noise = NoiseProfile.flat(1.0, 2)
@@ -718,7 +778,7 @@ def _dense_length(chart, path, n_quad):
 
 
 class TestReducedPathLength:
-    """The flat charts spline reduced coordinates; splines are linear in their
+    """The flat chart splines reduced coordinates; splines are linear in their
     data, so the length is the dense one up to rounding."""
 
     @staticmethod
@@ -741,13 +801,6 @@ class TestReducedPathLength:
         shot = shoot_alpha_geodesic(0.7, 1.9, psi1, psi2, Template(noise, rho0), n_steps=2000)
         self._check(AlphaPhaseChart(Template(noise, rho0)), shot)
 
-    def test_embedding_straight_line(self):
-        rng = np.random.default_rng(53)
-        noise = NoiseProfile(rng.uniform(0.5, 2.0, 7))
-        mu1 = SignalSpectrum(rng.uniform(0.5, 2.0, 7), rng.uniform(-np.pi, np.pi, 7))
-        mu2 = SignalSpectrum(rng.uniform(0.5, 2.0, 7), rng.uniform(-np.pi, np.pi, 7))
-        self._check(EmbeddingChart(noise), straight_line_geodesic(mu1, mu2, n_nodes=33))
-
     def test_warped_path(self):
         noise, rho0, geo = self._geodesic(54)
         sig = np.linspace(0.0, 1.0, 101)
@@ -762,8 +815,6 @@ class TestReducedPathLength:
         coords = np.column_stack([rng.uniform(0.5, 2.0, n_nodes), rng.uniform(-3.0, 3.0, (n_nodes, 6))])
         path = GeodesicPath(np.linspace(0.0, 1.0, n_nodes), coords)
         self._check(AlphaPhaseChart(Template(noise, rho0)), path)
-        embedding = EmbeddingChart(NoiseProfile(rng.uniform(0.5, 2.0, 3)))
-        self._check(embedding, GeodesicPath(path.sigmas, coords[:, 1:]))
 
     def test_model_chart_is_dense(self):
         grid, noise, rho0, _ = _band(6, seed=56)
@@ -784,8 +835,8 @@ class TestReducedPathLength:
 
 
 class TestPathLengthHomogeneity:
-    """Degree 1 in the attenuation (every embedding column) over the double
-    range: the degree-1 columns are scaled by an exact power of two."""
+    """Degree 1 in the attenuation over the double range: the alpha column is
+    scaled by an exact power of two."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=-1000, max_value=1000))
@@ -801,20 +852,6 @@ class TestPathLengthHomogeneity:
             length = path_length(chart, sample_alpha_geodesic(scaled, n_nodes=33), n_quad=8)
             assert length == math.ldexp(path_length(chart, sample_alpha_geodesic(unit, n_nodes=33), n_quad=8), k)
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(min_value=-1000, max_value=1000))
-    def test_embedding_path(self, k):
-        rng = np.random.default_rng(58)
-        noise = NoiseProfile(rng.uniform(0.5, 2.0, 5))
-        mu1 = SignalSpectrum(rng.uniform(0.5, 2.0, 5), rng.uniform(-np.pi, np.pi, 5))
-        mu2 = SignalSpectrum(rng.uniform(0.5, 2.0, 5), rng.uniform(-np.pi, np.pi, 5))
-        path = straight_line_geodesic(mu1, mu2, n_nodes=17)
-        chart = EmbeddingChart(noise)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            scaled = path_length(chart, GeodesicPath(path.sigmas, np.ldexp(path.coords, k)), n_quad=8)
-            assert scaled == math.ldexp(path_length(chart, path, n_quad=8), k)
-
 
 def _scipy_coefficients(sigmas, coords):
     """The former spline route: scipy's not-a-knot ``CubicSpline``."""
@@ -828,7 +865,7 @@ def _searched_length(chart, path, n_quad, coefficients=geodesics._not_a_knot):
     velocity by ``np.searchsorted``.  With ``_scipy_coefficients`` it is the
     former scipy route bit for bit."""
     sigmas, coords = path.sigmas, path.coords
-    flat = isinstance(chart, (AlphaPhaseChart, EmbeddingChart))
+    flat = isinstance(chart, AlphaPhaseChart)
     if flat:
         coords, exponent, gram = geodesics._flat_reduction(chart, coords)
     if path.n_nodes >= 4:
@@ -847,11 +884,9 @@ def _searched_length(chart, path, n_quad, coefficients=geodesics._not_a_knot):
     t = (sigmas[:-1, np.newaxis] + halves[:, np.newaxis] * (nodes[np.newaxis, :] + 1.0)).ravel()
     scale = np.repeat(halves, n_quad) * np.tile(weights, len(halves))
     if flat:
-        h = chart._n_head
         vel = velocity(t)
-        reduced = vel[:, h:]
-        block_sq = np.sum((reduced @ gram) * reduced, axis=-1)
-        speeds = chart._flat_speed(position(t)[:, :h], vel[:, :h], block_sq)
+        reduced = vel[:, 1:]
+        speeds = chart._flat_speed(position(t)[:, 0], vel[:, 0], np.sum((reduced @ gram) * reduced, axis=-1))
     else:
         speeds = np.asarray(chart.speed(position(t), velocity(t)), dtype=float)
     length = float(np.sum(scale * np.sqrt(np.maximum(speeds, 0.0))))
@@ -876,15 +911,6 @@ class TestPiecewiseEvaluation:
         chart = AlphaPhaseChart(Template(noise, rho0))
         assert path_length(chart, shot, n_quad=8) == _searched_length(chart, shot, 8)
 
-    def test_embedding_straight_line(self):
-        rng = np.random.default_rng(63)
-        noise = NoiseProfile(rng.uniform(0.5, 2.0, 6))
-        mu1 = SignalSpectrum(rng.uniform(0.5, 2.0, 6), rng.uniform(-np.pi, np.pi, 6))
-        mu2 = SignalSpectrum(rng.uniform(0.5, 2.0, 6), rng.uniform(-np.pi, np.pi, 6))
-        chart = EmbeddingChart(noise)
-        path = straight_line_geodesic(mu1, mu2, n_nodes=33)
-        assert path_length(chart, path, n_quad=8) == _searched_length(chart, path, 8)
-
     def test_model_chart(self):
         grid, noise, rho0, _ = _band(6, seed=64)
         coeffs1, coeffs2 = np.array([0.2, 0.4]), np.array([-0.3, 1.2])
@@ -903,11 +929,9 @@ class TestPiecewiseEvaluation:
         alphas = rng.uniform(0.5, 2.0, n_nodes)
         alpha_path = GeodesicPath(sigmas, np.column_stack([alphas, rng.uniform(-3.0, 3.0, (n_nodes, 5))]))
         coeff_path = GeodesicPath(sigmas, np.column_stack([alphas, rng.uniform(-1.0, 1.0, (n_nodes, 2))]))
-        embedding_path = GeodesicPath(sigmas, rng.uniform(-2.0, 2.0, (n_nodes, 10)))
         cases = [
             (AlphaPhaseChart(Template(noise, rho0)), alpha_path),
             (ModelChart(KnownMagnitudeModel(grid.freqs, rho0, phase_coeffs=[0.0, 0.0]), noise), coeff_path),
-            (EmbeddingChart(noise), embedding_path),
         ]
         for chart, path in cases:
             assert path_length(chart, path, n_quad=8) == _searched_length(chart, path, 8)
@@ -923,13 +947,10 @@ class TestPiecewiseEvaluation:
         noise = NoiseProfile(rng.uniform(0.5, 2.0, 3))
         sigmas = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, n_nodes - 2)), [1.0]])
         assume(np.all(np.diff(sigmas) > 0.0))
-        coords = rng.normal(size=(n_nodes, 7))
+        coords = rng.normal(size=(n_nodes, 4))
         coords[:, 0] = np.abs(coords[:, 0]) + 0.1
-        for chart, path in [
-            (AlphaPhaseChart(Template(noise, rng.uniform(0.2, 2.0, 3))), GeodesicPath(sigmas, coords[:, :4])),
-            (EmbeddingChart(noise), GeodesicPath(sigmas, coords[:, 1:])),
-        ]:
-            assert path_length(chart, path, n_quad=n_quad) == _searched_length(chart, path, n_quad)
+        chart, path = AlphaPhaseChart(Template(noise, rng.uniform(0.2, 2.0, 3))), GeodesicPath(sigmas, coords)
+        assert path_length(chart, path, n_quad=n_quad) == _searched_length(chart, path, n_quad)
 
 
 def _clustered_geodesic():
@@ -1008,7 +1029,6 @@ def test_non_finite_path_coordinates_named_on_every_chart(n_nodes):
     cases = [
         (AlphaPhaseChart(Template(noise, rho0)), np.column_stack([rng.uniform(0.5, 2.0, n_nodes), rng.normal(size=(n_nodes, 4))])),
         (ModelChart(KnownMagnitudeModel(grid.freqs, rho0, phase_coeffs=[0.0, 0.0]), noise), rng.normal(size=(n_nodes, 3))),
-        (EmbeddingChart(noise), rng.normal(size=(n_nodes, 8))),
     ]
     for chart, coords in cases:
         for bad in (np.nan, np.inf):
@@ -1239,7 +1259,6 @@ class TestPathChartMismatch:
         [
             (AlphaPhaseChart(Template(NoiseProfile.flat(1.0, 1), np.ones(1))), 6, 2),
             (AlphaPhaseChart(Template(NoiseProfile.flat(1.0, 3), np.ones(3))), 6, 4),
-            (EmbeddingChart(NoiseProfile.flat(1.0, 3)), 5, 6),
         ],
     )
     def test_coordinate_count_named(self, chart, n_columns, expected):

@@ -11,6 +11,7 @@ from fisherband import acceptance, band, distances, figures, geodesics, metric, 
 
 PACKAGE_DIR = pathlib.Path(fisherband.__file__).parent
 SPANS_FILE = PACKAGE_DIR.parent.parent / "perfbench" / "spans.py"
+README = PACKAGE_DIR.parent.parent / "README.md"
 
 # Exported names that no CLI command, criterion, figure or spanned name reaches
 # yet, each with the ROADMAP item that gives it a route
@@ -52,18 +53,18 @@ def test_import_does_not_load_scipy_interpolate():
 PATHS_WITHOUT_SCIPY = """
 import contextlib, io, sys
 import numpy as np
-from fisherband import (AlphaPhaseChart, EmbeddingChart, GeodesicPath, KnownMagnitudeModel, ModelChart,
-                        NoiseProfile, Template, build_grid, path_length)
+from fisherband import (AlphaPhaseChart, GeodesicPath, KnownMagnitudeModel, ModelChart, NoiseProfile, Template,
+                        build_grid, path_length)
 from fisherband.cli import main
 
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(["accept", "--scale", "smoke"])
 noise, rho0 = NoiseProfile.flat(2.0, 4), np.ones(4)
 model = KnownMagnitudeModel(build_grid(0.25, 0.4, 4).freqs, rho0, phase_coeffs=[0.0, 0.0])
-coords = np.random.default_rng(0).uniform(0.5, 2.0, (9, 8))
+coords = np.random.default_rng(0).uniform(0.5, 2.0, (9, 5))
 lengths = [
     path_length(chart, GeodesicPath(np.linspace(0.0, 1.0, 9), coords[:, :width]), n_quad=8)
-    for chart, width in [(AlphaPhaseChart(Template(noise, rho0)), 5), (ModelChart(model, noise), 3), (EmbeddingChart(noise), 8)]
+    for chart, width in [(AlphaPhaseChart(Template(noise, rho0)), 5), (ModelChart(model, noise), 3)]
 ]
 print(code, all(length > 0.0 for length in lengths), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
@@ -75,6 +76,14 @@ def test_accept_and_path_length_load_no_scipy_module():
         [sys.executable, "-c", PATHS_WITHOUT_SCIPY], capture_output=True, text=True, check=True, cwd=PACKAGE_DIR.parent
     )
     assert out.stdout.strip() == "0 True []"
+
+
+def test_readme_short_session_runs_as_written():
+    # the README's one library example, in development mode with every warning an error
+    text = README.read_text()
+    session = text[text.index("A short session:") :].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "import fisherband as fb" in session
+    subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", session], check=True, cwd=PACKAGE_DIR.parent)
 
 
 def test_cli_reports_errors_only_in_main():
@@ -147,10 +156,26 @@ def _reached_definitions() -> set:
         key = todo.pop()
         if key not in reached:
             reached.add(key)
+            skipped = _unreaching(definitions[key])
             for node in ast.walk(definitions[key]):
-                if isinstance(node, ast.Name) and (hit := resolve(key[0], node.id)):
+                if isinstance(node, ast.Name) and id(node) not in skipped and (hit := resolve(key[0], node.id)):
                     todo.append(hit)
     return reached
+
+
+def _unreaching(definition) -> set:
+    """The ids of the name nodes in ``definition`` that reach nothing: those in
+    an annotation or in the class argument of an ``isinstance``/``issubclass``
+    call, as neither builds or calls what it names."""
+    skipped = []
+    for node in ast.walk(definition):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            skipped.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            skipped.append(node.returns)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("isinstance", "issubclass"):
+            skipped += node.args[1:]
+    return {id(name) for tree in skipped if tree is not None for name in ast.walk(tree) if isinstance(name, ast.Name)}
 
 
 def test_every_exported_name_has_a_route():

@@ -23,7 +23,7 @@ wrapped phase difference delta:
 units, so the closed form is homogeneous over the whole double range.
 
 Integrating the phase equation gives an arctan flow, implemented here and
-validated against fixed-step RK4 shooting from the free-motion slope.  The
+validated against one Dormand-Prince 5(4) shot from the free-motion slope.  The
 module also evaluates the geodesic-equation residual of an arbitrary sampled
 path (two weighted frequency sums pairing the spectral accelerations with
 the parameter gradients), which independently certifies that returned
@@ -277,7 +277,7 @@ class AlphaGeodesic:
     def velocity_at(self, sigmas) -> tuple[np.ndarray, np.ndarray]:
         """Derivatives ``(alpha_rate, mix_rate)`` of ``alpha_at`` and ``phase_mix_at``
         at each sigma: with ``a_s`` the scaled attenuation, ``chord (s + k2) / a_s``
-        and ``moment / (delta a_s^2)``, of degree 1 and 0 in the attenuations."""
+        and ``(moment / a_s) / (delta a_s)``, of degree 1 and 0 in the attenuations."""
         sigmas = np.asarray(sigmas, dtype=float)
         shift = self.chord * (sigmas + self.k2)
         if self.chord == 0.0 or self.moment <= 0.0:
@@ -288,7 +288,8 @@ class AlphaGeodesic:
             # the derivative of the moment-free limit of the flow
             return alpha_rate, self.k2 * (1.0 + self.k2) / (sigmas + self.k2) ** 2
         a_s = np.hypot(shift, self.moment) / math.sqrt(self.chord)
-        return unscale(shift / a_s, self.scale), self.moment / (self.delta * a_s * a_s)
+        # divide before squaring, so a tiny a_s does not underflow to 0
+        return unscale(shift / a_s, self.scale), (self.moment / a_s) / (self.delta * a_s)
 
     @property
     def length(self) -> float:
@@ -404,133 +405,110 @@ def alpha_geodesic_coeff_path(geo: AlphaGeodesic, coeffs1, coeffs2, n_nodes: int
 # -- shooting oracle ---------------------------------------------------------
 
 
-def _rk4_alpha_path(alpha1: float, slope: float, K: float, n_steps: int):
-    """Fixed-step RK4 for (alpha' = v, v' = K/alpha^3, theta' = 1/alpha^2),
-    recording every step.
+# the shooting oracle's tolerances, in the closed form's power-of-two units
+_RTOL, _ATOL = 1e-11, 1e-13
 
-    Returns the per-step arrays (alpha, theta), or (None, None) when alpha
-    turns non-finite or non-positive, or a stage lands on alpha = 0.
+
+def _dp_alpha_path(alpha1: float, slope: float, K: float):
+    """Dormand-Prince 5(4) with FSAL, its tableau written out (Hairer, Norsett
+    & Wanner, Solving ODEs I, table II.5.2), for (alpha' = v, v' = K/alpha^3,
+    theta' = 1/alpha^2) from (alpha1, slope, 0) at sigma = 0 toward 1.
+
+    A step passes when the RMS of its error estimates, each over ``_ATOL +
+    _RTOL`` times its component's larger end, is at most 1 and alpha stays
+    positive (a stage on alpha = 0 fails it); the next is ``0.9 err^(-1/5)``
+    times it, within [0.2, 5].  ``1 / alpha1**2`` must be finite.  Returns
+    the accepted rows ``(sigma, alpha, theta)``, short of 1 when the step
+    falls below sigma's resolution, and the count of rejected steps.
     """
-    h = 1.0 / n_steps
-    hh = 0.5 * h
-    inf = math.inf
-    a, v, theta = float(alpha1), float(slope), 0.0
-    alphas, thetas = [a], [theta]
-    try:
-        for _ in range(n_steps):
-            if not (0.0 < a < inf and -inf < v < inf):
-                return None, None
-            q1 = 1.0 / (a * a)
-            dv1 = K * q1 / a
-            a2, v2 = a + hh * v, v + hh * dv1
-            q2 = 1.0 / (a2 * a2)
-            dv2 = K * q2 / a2
-            a3, v3 = a + hh * v2, v + hh * dv2
-            q3 = 1.0 / (a3 * a3)
-            dv3 = K * q3 / a3
-            a4, v4 = a + h * v3, v + h * dv3
-            q4 = 1.0 / (a4 * a4)
-            dv4 = K * q4 / a4
-            a += h * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
-            v += h * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4) / 6.0
-            theta += h * (q1 + 2.0 * q2 + 2.0 * q3 + q4) / 6.0
-            alphas.append(a)
-            thetas.append(theta)
-    except ZeroDivisionError:
-        return None, None
-    if not 0.0 < a < inf:
-        return None, None
-    return np.array(alphas), np.array(thetas)
+    s, a, v, theta = 0.0, float(alpha1), float(slope), 0.0
+    nodes, rejected, h = [(s, a, theta)], 0, 0.01
+    # the rates read only (alpha, v): q = 1/alpha^2 is theta's, w = K q / alpha is v's
+    w1 = K * (q1 := 1.0 / (a * a)) / a
+    while s < 1.0:
+        # the last step ends on 1 exactly: s + (1 - s) rounds to 1
+        h = min(h, 1.0 - s)
+        if s + h <= s:
+            break
+        try:
+            a2, v2 = a + h * (1 / 5 * v), v + h * (1 / 5 * w1)
+            w2 = K * (q2 := 1.0 / (a2 * a2)) / a2
+            a3, v3 = a + h * (3 / 40 * v + 9 / 40 * v2), v + h * (3 / 40 * w1 + 9 / 40 * w2)
+            w3 = K * (q3 := 1.0 / (a3 * a3)) / a3
+            a4 = a + h * (44 / 45 * v - 56 / 15 * v2 + 32 / 9 * v3)
+            v4 = v + h * (44 / 45 * w1 - 56 / 15 * w2 + 32 / 9 * w3)
+            w4 = K * (q4 := 1.0 / (a4 * a4)) / a4
+            a5 = a + h * (19372 / 6561 * v - 25360 / 2187 * v2 + 64448 / 6561 * v3 - 212 / 729 * v4)
+            v5 = v + h * (19372 / 6561 * w1 - 25360 / 2187 * w2 + 64448 / 6561 * w3 - 212 / 729 * w4)
+            w5 = K * (q5 := 1.0 / (a5 * a5)) / a5
+            a6 = a + h * (9017 / 3168 * v - 355 / 33 * v2 + 46732 / 5247 * v3 + 49 / 176 * v4 - 5103 / 18656 * v5)
+            v6 = v + h * (9017 / 3168 * w1 - 355 / 33 * w2 + 46732 / 5247 * w3 + 49 / 176 * w4 - 5103 / 18656 * w5)
+            w6 = K * (q6 := 1.0 / (a6 * a6)) / a6
+            # the fifth-order weights, stage 7's row, so its rates open the next step
+            a7 = a + h * (35 / 384 * v + 500 / 1113 * v3 + 125 / 192 * v4 - 2187 / 6784 * v5 + 11 / 84 * v6)
+            v7 = v + h * (35 / 384 * w1 + 500 / 1113 * w3 + 125 / 192 * w4 - 2187 / 6784 * w5 + 11 / 84 * w6)
+            theta7 = theta + h * (35 / 384 * q1 + 500 / 1113 * q3 + 125 / 192 * q4 - 2187 / 6784 * q5 + 11 / 84 * q6)
+            w7 = K * (q7 := 1.0 / (a7 * a7)) / a7
+            # the fifth- less the fourth-order weights; hypot, so no squared estimate overflows
+            err = math.hypot(*(
+                h * (71 / 57600 * y1 - 71 / 16695 * y3 + 71 / 1920 * y4 - 17253 / 339200 * y5 + 22 / 525 * y6 - 1 / 40 * y7)
+                / (_ATOL + _RTOL * max(abs(y), abs(y_end)))
+                for y, y_end, y1, y3, y4, y5, y6, y7 in ((a, a7, v, v3, v4, v5, v6, v7), (v, v7, w1, w3, w4, w5, w6, w7),
+                                                         (theta, theta7, q1, q3, q4, q5, q6, q7))
+            )) / math.sqrt(3.0)
+        except ZeroDivisionError:
+            err = math.inf
+        if err <= 1.0 and a7 > 0.0:
+            s, a, v, theta, q1, w1 = s + h, a7, v7, theta7, q7, w7
+            nodes.append((s, a, theta))
+            h *= min(5.0, 0.9 * max(err, 1e-10) ** -0.2)
+        else:
+            # a NaN or infinite estimate takes the smallest factor
+            rejected += 1
+            h *= max(0.2, 0.9 * err**-0.2)
+    return np.array(nodes), rejected
 
 
-def _shoot(geo: AlphaGeodesic, n_steps: int):
-    """Slope search of ``shoot_alpha_geodesic``, in ``geo``'s scaled units:
-    the recorded alpha and phase advance ``sqrt(K) theta``."""
-    alpha1, alpha2 = geo._scaled_ends()
+def shoot_alpha_geodesic(alpha1: float, alpha2: float, psi1, psi2, template: Template) -> GeodesicPath:
+    """Numerical boundary-value geodesic: one Dormand-Prince 5(4) shot.
+
+    Takes the arguments of ``solve_alpha_geodesic``.  K and the per-bin
+    ``c = sqrt(K) dpsi / delta`` come from the boundary data's
+    ``AlphaGeodesic``, not from its closed-form path, and the ODE runs in its
+    power-of-two units.  In polar coordinates (alpha, sqrt(K) theta) the ODE
+    is free motion along a line: from (alpha1, 0) with slope v it ends at
+    ``x = alpha1 + v``, ``y = sqrt(K) / alpha1``.  So the free-motion slope
+    ``alpha2 cos delta - alpha1``, which reads no k1 or k2, is the exact root,
+    and one integration from it (``_dp_alpha_path``) gives the nodes.  Both
+    ends are checks: ``x(1)`` against ``alpha2 cos delta`` to 1e-10, and
+    ``y(1)``, which tests K, against ``alpha2 sin delta`` to 1e-6.  A start
+    whose 1/alpha1^2 is not finite, a step below sigma's resolution, or a miss
+    raises ``ConvergenceError`` naming the dip width ``moment / chord``,
+    narrower than sigma resolves at delta = pi.  Scaling both attenuations by
+    a power of two scales alpha exactly and leaves all else bit for bit.
+    """
+    geo = _boundary_geodesic(alpha1, alpha2, psi1, psi2, template)
+    a1, a2 = geo._scaled_ends()
     root_k, delta = geo.moment, geo.delta
-    K = root_k * root_k
-    x2 = alpha2 * math.cos(delta)
-    tol = 1e-10
-
-    def trial(slope):
-        """The miss of ``slope``'s run at x2 (None on a blow-up), and the run."""
-        alphas, thetas = run = _rk4_alpha_path(alpha1, slope, K, n_steps)
-        return (None if alphas is None else float(alphas[-1]) * math.cos(root_k * float(thetas[-1])) - x2), run
 
     def failure(what):
-        # chord 0 (coincident ends) is the constant path, which the start hits
-        dip = f"an attenuation dip moment/chord = {geo.moment / geo.chord:.1e} wide"
-        return ConvergenceError(f"shooting {what} at step 1/n_steps = {1.0 / n_steps:.1e}, against {dip}")
+        # chord 0 (coincident ends) is the constant path, which always arrives
+        return ConvergenceError(f"shooting {what}, against an attenuation dip moment/chord = {geo.moment / geo.chord:.1e} wide")
 
-    # the free-motion slope: x(1) = alpha1 + v up to RK4 error
-    s0 = x2 - alpha1
-    f0, run = trial(s0)
-    if not (f0 is not None and abs(f0) < tol):
-        # the first step is Newton's on dx(1)/dv = 1
-        s1 = s0 + 0.25 * (1.0 + abs(s0)) if f0 is None else s0 - f0
-        f1, run = trial(s1)
-        for _ in range(100):
-            if f1 is not None and abs(f1) < tol:
-                break
-            if f0 is None:
-                # previous point blew up; walk away from it
-                s0, f0 = s1, f1
-                s1 = s1 + 0.5 * (1.0 + abs(s1))
-            elif f1 is None or f1 == f0:
-                s1 = 0.5 * (s0 + s1)
-            else:
-                s0, s1, f0 = s1, s1 - f1 * (s1 - s0) / (f1 - f0), f1
-            f1, run = trial(s1)
-        else:
-            raise failure("failed to reach alpha2 cos(delta) in 100 iterations")
-    # the accepted trial's run is the path, so no slope is integrated twice
-    alphas, thetas = run
-    advances = root_k * thetas
-    if abs(alphas[-1] * math.sin(advances[-1]) - alpha2 * math.sin(delta)) > 1e-6:
-        raise failure("reached alpha2 cos(delta), but RK4 error missed alpha2 sin(delta)")
-    return alphas, advances
-
-
-def shoot_alpha_geodesic(
-    alpha1: float, alpha2: float, psi1, psi2, template: Template, *, n_steps: int = 400
-) -> GeodesicPath:
-    """Numerical boundary-value geodesic by RK4 integration plus shooting.
-
-    Takes the arguments of ``solve_alpha_geodesic``, ``template`` last, and
-    the keyword-only ``n_steps``.  The ODE constants, K and the per-bin ``c = sqrt(K) dpsi /
-    delta``, are taken from the ``AlphaGeodesic`` of the boundary data, not
-    from its closed-form path, and the ODE is integrated in its power-of-two units
-    (the larger attenuation in [0.5, 1)).  In the plane with polar
-    coordinates (alpha, phi), phi = sqrt(K) theta the phase advance, the ODE
-    is free motion along a straight line: a path from (alpha1, 0) with
-    initial slope v ends at ``x = alpha cos phi = alpha1 + v`` and at
-    ``y = alpha sin phi = sqrt(K) / alpha1`` whatever v is.  So the single
-    unknown, v, is found by secant iteration on the miss
-    ``x(1) - alpha2 cos delta`` to 1e-10; for the exact ODE it is affine in
-    v, with one well-conditioned root.  The secant runs at ``n_steps``
-    steps and starts from that root of the exact ODE, the free-motion slope
-    ``alpha2 cos delta - alpha1``, which reads only the boundary data of its
-    target, never the closed form's k1 or k2.  Its first step is Newton's on
-    ``dx(1)/dv = 1``, and the accepted trial's run is the returned path.
-    ``y(1)`` reaching ``alpha2 sin delta`` (to 1e-6) is then a genuine check
-    of K and of the RK4 run, not an enforced condition.  A secant that does
-    not converge in 100 iterations, or a run that misses ``y(1)``, raises
-    ``ConvergenceError`` naming the step ``1/n_steps`` and the width
-    ``moment / chord`` of the attenuation dip: near delta = pi the dip
-    narrows to a step or less and RK4 cannot follow it.
-
-    Every recorded path is the plain RK4 run of its slope, and the result is
-    homogeneous: attenuations scaled by a power of two scale the returned
-    alpha by it exactly and leave the phases bit for bit.
-    """
-    if n_steps < 100:
-        raise ValueError("n_steps must be at least 100")
-    geo = _boundary_geodesic(alpha1, alpha2, psi1, psi2, template)
-    alphas, advances = _shoot(geo, n_steps)
+    if not (a1 * a1 > 0.0 and 1.0 / (a1 * a1) < math.inf):
+        raise failure("cannot start: 1/alpha1^2 is not finite in the scaled units")
+    nodes, rejected = _dp_alpha_path(a1, a2 * math.cos(delta) - a1, root_k * root_k)
+    sigmas, alphas, advances = nodes[:, 0], nodes[:, 1], root_k * nodes[:, 2]
+    if sigmas[-1] < 1.0:
+        raise failure(f"stopped at sigma = {sigmas[-1]:.17g}, its step below sigma's resolution after {rejected} rejected steps")
+    if abs(alphas[-1] * math.cos(advances[-1]) - a2 * math.cos(delta)) > 1e-10:
+        raise failure("missed alpha2 cos(delta)")
+    if abs(alphas[-1] * math.sin(advances[-1]) - a2 * math.sin(delta)) > 1e-6:
+        raise failure("reached alpha2 cos(delta), but missed alpha2 sin(delta)")
     # the fraction of each bin's phase difference covered is the advance over delta
-    mix = advances / geo.delta if geo.delta > 0.0 else np.zeros_like(advances)
+    mix = advances / delta if delta > 0.0 else np.zeros_like(advances)
     phases = geo.psi1 + mix[:, np.newaxis] * geo.dpsi
-    return GeodesicPath(np.linspace(0.0, 1.0, n_steps + 1), np.column_stack([np.ldexp(alphas, geo.scale), phases]))
+    return GeodesicPath(sigmas, np.column_stack([np.ldexp(alphas, geo.scale), phases]))
 
 
 # -- path functionals --------------------------------------------------------

@@ -57,18 +57,18 @@ def test_numpy_integer_seed_is_recorded_as_an_int(monkeypatch):
     assert ran == [3] and verdict["seed"] == 3 and type(verdict["seed"]) is int
 
 
-def test_criterion_6_smoke_one_rk4_run_per_instance(monkeypatch):
-    # each of the ten instances is hit by its free-motion start at 4000 steps
+def test_criterion_6_smoke_one_dp_run_per_instance(monkeypatch):
+    # each of the ten instances is one integration, from its free-motion slope
     runs = []
-    real = geodesics._rk4_alpha_path
+    real = geodesics._dp_alpha_path
 
-    def counted(alpha1, slope, K, n_steps):
-        runs.append(n_steps)
-        return real(alpha1, slope, K, n_steps)
+    def counted(alpha1, slope, K):
+        runs.append(slope)
+        return real(alpha1, slope, K)
 
-    monkeypatch.setattr(geodesics, "_rk4_alpha_path", counted)
+    monkeypatch.setattr(geodesics, "_dp_alpha_path", counted)
     assert acceptance.criterion_6(SEED, "smoke").passed
-    assert runs == [4000] * 10
+    assert len(runs) == 10
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import inspect
 import io
 import math
 import re
@@ -760,12 +761,10 @@ class TestBandRules:
             route(1.0, 1.5, psi1, psi2, noise, rho0)
         route(1.0, 1.5, psi1, psi2, Template(noise, rho0))
 
-    def test_shooting_steps_are_keyword_only(self):
-        psi1, psi2 = np.zeros(4), np.full(4, 0.5)
-        noise, rho0 = NoiseProfile.flat(1.0, 4), np.ones(4)
-        with pytest.raises(TypeError, match="takes 5 positional arguments but 6 were given"):
-            shoot_alpha_geodesic(1.0, 1.5, psi1, psi2, Template(noise, rho0), 400)
-        assert len(shoot_alpha_geodesic(1.0, 1.5, psi1, psi2, Template(noise, rho0), n_steps=400).sigmas) == 401
+    def test_shooting_takes_the_solver_arguments(self):
+        # the oracle has no options: its parameters are solve_alpha_geodesic's
+        shoot, solve = (inspect.signature(route).parameters for route in (shoot_alpha_geodesic, solve_alpha_geodesic))
+        assert list(shoot.values()) == list(solve.values())
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
     @pytest.mark.parametrize(

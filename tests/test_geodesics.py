@@ -1,11 +1,13 @@
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline, PPoly
 
 from fisherband import (
@@ -36,7 +38,7 @@ from fisherband import (
     wrap_phase,
 )
 from fisherband import geodesics
-from fisherband.geodesics import _rk4_alpha_path
+from fisherband.geodesics import _dp_alpha_path
 
 
 def _band(n, seed=0, bandwidth=0.4):
@@ -68,88 +70,71 @@ def _uniform_path(geo, n_nodes):
     return GeodesicPath(sigmas, np.column_stack([geo.alpha_at(sigmas), geo.psi1 + mix * geo.dpsi]))
 
 
-def _textbook_rk4(alpha1, slope, K, n_steps):
-    """Reference RK4 for (alpha' = v, v' = K/alpha^3, theta' = 1/alpha^2):
-    one ``rhs()`` call per stage, per-step arrays, None on a blow-up or on a
-    stage at alpha = 0."""
-    h = 1.0 / n_steps
-    alphas = np.empty(n_steps + 1)
-    thetas = np.empty(n_steps + 1)
-    a, v, theta = float(alpha1), float(slope), 0.0
-    alphas[0] = a
-    thetas[0] = theta
+# the Dormand-Prince 5(4) tableau as published (Hairer, Norsett & Wanner,
+# Solving ODEs I, table II.5.2): the rows of stages 2-7, stage 7's row being
+# the fifth-order weights, and the fourth-order weights
+_DP_ROWS = [
+    [Fraction(1, 5)],
+    [Fraction(3, 40), Fraction(9, 40)],
+    [Fraction(44, 45), Fraction(-56, 15), Fraction(32, 9)],
+    [Fraction(19372, 6561), Fraction(-25360, 2187), Fraction(64448, 6561), Fraction(-212, 729)],
+    [Fraction(9017, 3168), Fraction(-355, 33), Fraction(46732, 5247), Fraction(49, 176), Fraction(-5103, 18656)],
+    [Fraction(35, 384), 0, Fraction(500, 1113), Fraction(125, 192), Fraction(-2187, 6784), Fraction(11, 84)],
+]
+_DP_FOURTH = [Fraction(5179, 57600), 0, Fraction(7571, 16695), Fraction(393, 640), Fraction(-92097, 339200),
+              Fraction(187, 2100), Fraction(1, 40)]
 
-    def rhs(a, v):
-        q = 1.0 / (a * a)
-        return v, K * q / a, q
 
-    for step in range(1, n_steps + 1):
-        if not (a > 0.0 and math.isfinite(a) and math.isfinite(v)):
-            return None, None
+def _weighted(weights, values):
+    """``w1 x1 + w2 x2 + ...`` left to right over the non-zero weights."""
+    total = None
+    for w, x in zip(weights, values):
+        if w:
+            total = w * x if total is None else total + w * x
+    return total
+
+
+def _textbook_dp(alpha1, slope, K):
+    """Reference Dormand-Prince 5(4) for (alpha' = v, v' = K/alpha^3,
+    theta' = 1/alpha^2), driven by the published tableau: one ``rhs()`` call
+    per stage, the same sums in the same order, rtol 1e-11 and atol 1e-13, and
+    the standard step control from a first step of 0.01.  Returns the
+    accepted rows ``(sigma, alpha, theta)`` and the count of rejected steps."""
+    rows = [[float(w) for w in row] for row in _DP_ROWS]
+    errors = [float(b - b4) for b, b4 in zip(_DP_ROWS[-1] + [0], _DP_FOURTH)]
+
+    def rhs(y):
+        q = 1.0 / (y[0] * y[0])
+        return y[1], K * q / y[0], q
+
+    s, y = 0.0, (float(alpha1), float(slope), 0.0)
+    nodes, rejected = [(s, y[0], y[2])], 0
+    rate = rhs(y)
+    h = 0.01
+    while s < 1.0:
+        h = min(h, 1.0 - s)
+        if s + h <= s:
+            break
+        rates = [rate]
         try:
-            da1, dv1, dt1 = rhs(a, v)
-            da2, dv2, dt2 = rhs(a + 0.5 * h * da1, v + 0.5 * h * dv1)
-            da3, dv3, dt3 = rhs(a + 0.5 * h * da2, v + 0.5 * h * dv2)
-            da4, dv4, dt4 = rhs(a + h * da3, v + h * dv3)
+            for row in rows:
+                stage = tuple(y[i] + h * _weighted(row, [k[i] for k in rates]) for i in range(3))
+                rates.append(rhs(stage))
+            scaled = [
+                h * _weighted(errors, [k[i] for k in rates]) / (1e-13 + 1e-11 * max(abs(y[i]), abs(stage[i])))
+                for i in range(3)
+            ]
+            err = math.hypot(*scaled) / math.sqrt(3.0)
         except ZeroDivisionError:
-            return None, None
-        a += h * (da1 + 2.0 * da2 + 2.0 * da3 + da4) / 6.0
-        v += h * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4) / 6.0
-        theta += h * (dt1 + 2.0 * dt2 + 2.0 * dt3 + dt4) / 6.0
-        alphas[step] = a
-        thetas[step] = theta
-    if not (math.isfinite(a) and a > 0.0):
-        return None, None
-    return alphas, thetas
-
-
-def _textbook_shoot(alpha1, alpha2, psi1, psi2, noise, rho0, n_steps):
-    """The shooting oracle with every trial slope integrated in full by
-    ``_textbook_rk4``, in the closed form's power-of-two units: the secant on
-    ``x(1) = alpha(1) cos(sqrt(K) theta(1))`` against ``alpha2 cos delta``,
-    started from the free-motion slope ``alpha2 cos delta - alpha1`` and
-    keeping a start that already hits.  Returns the path coordinates and the
-    starts that hit."""
-    # the unit brings the larger attenuation into [0.5, 1)
-    scale = math.frexp(max(alpha1, alpha2))[1]
-    a1, a2 = math.ldexp(alpha1, -scale), math.ldexp(alpha2, -scale)
-    dpsi, delta = Template(noise, rho0).phase_gap(psi1, psi2)
-    root_k = a1 * a2 * abs(math.sin(delta))
-    K = root_k * root_k
-    route = []
-
-    def run(slope):
-        alphas, thetas = _textbook_rk4(a1, slope, K, n_steps)
-        if alphas is None:
-            return None, None, None
-        return alphas[-1] * math.cos(root_k * thetas[-1]) - a2 * math.cos(delta), alphas, thetas
-
-    def converge():
-        s0 = a2 * math.cos(delta) - a1
-        f0, alphas, thetas = run(s0)
-        if f0 is not None and abs(f0) < 1e-10:
-            route.append(f"start hit at {n_steps}")
-            return alphas, thetas
-        s1 = s0 + 0.25 * (1.0 + abs(s0)) if f0 is None else s0 - f0
-        f1, alphas, thetas = run(s1)
-        for _ in range(100):
-            if f1 is not None and abs(f1) < 1e-10:
-                return alphas, thetas
-            if f0 is None:
-                s0, f0 = s1, f1
-                s1 = s1 + 0.5 * (1.0 + abs(s1))
-            elif f1 is None or f1 == f0:
-                s1 = 0.5 * (s0 + s1)
-            else:
-                s0, s1, f0 = s1, s1 - f1 * (s1 - s0) / (f1 - f0), f1
-            f1, alphas, thetas = run(s1)
-        raise ConvergenceError("no root")
-
-    alphas, thetas = converge()
-    assert abs(alphas[-1] * math.sin(root_k * thetas[-1]) - a2 * math.sin(delta)) <= 1e-6
-    mix = root_k * thetas / delta if delta > 0.0 else np.zeros_like(thetas)
-    phases = wrap_phase(psi1) + mix[:, np.newaxis] * dpsi
-    return np.column_stack([np.ldexp(alphas, scale), phases]), route
+            err = math.inf
+        if err <= 1.0 and stage[0] > 0.0:
+            s, y, rate = s + h, stage, rates[-1]
+            nodes.append((s, y[0], y[2]))
+            h *= min(5.0, 0.9 * max(err, 1e-10) ** -0.2)
+        else:
+            rejected += 1
+            h *= max(0.2, 0.9 * err**-0.2)
+    return np.array(nodes), rejected
 
 
 class TestStraightLine:
@@ -425,10 +410,10 @@ class TestShooting:
     def test_equal_phase_reduces_to_affine(self):
         _, noise, rho0, _ = _band(5, seed=9)
         psi = np.linspace(-0.5, 0.5, 5)
-        shot = shoot_alpha_geodesic(0.8, 2.0, psi, psi, Template(noise, rho0), n_steps=200)
+        shot = shoot_alpha_geodesic(0.8, 2.0, psi, psi, Template(noise, rho0))
         expected = 0.8 + shot.sigmas * 1.2
         np.testing.assert_allclose(shot.coords[:, 0], expected, atol=1e-9)
-        np.testing.assert_allclose(shot.coords[:, 1:], np.tile(psi, (201, 1)), atol=1e-12)
+        np.testing.assert_allclose(shot.coords[:, 1:], np.tile(psi, (shot.n_nodes, 1)), atol=1e-12)
 
     def test_agrees_with_closed_form_quarter_turn(self):
         noise = NoiseProfile.flat(1.0, 6)
@@ -436,7 +421,7 @@ class TestShooting:
         psi1 = np.zeros(6)
         psi2 = np.full(6, math.pi / 2)
         geo = solve_alpha_geodesic(1.0, 1.0, psi1, psi2, Template(noise, rho0))
-        shot = shoot_alpha_geodesic(1.0, 1.0, psi1, psi2, Template(noise, rho0), n_steps=500)
+        shot = shoot_alpha_geodesic(1.0, 1.0, psi1, psi2, Template(noise, rho0))
         alphas = geo.alpha_at(shot.sigmas)
         np.testing.assert_allclose(shot.coords[:, 0], alphas, atol=1e-6)
         mix = geo.phase_mix_at(shot.sigmas)
@@ -451,56 +436,41 @@ class TestShooting:
         a2 = float(np.exp(rng.uniform(np.log(0.1), np.log(10))))
         psi1, psi2 = _phase_pair(rng, 6, rng.uniform(0.1, 3.0), mode="sign")
         geo = solve_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0))
-        width = max(a1 * a2 * abs(math.sin(geo.delta)) / geo.k1, 1e-4)
-        n_steps = int(min(max(2000, 25.0 / width), 40000))
-        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0), n_steps=n_steps)
+        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0))
         alphas = geo.alpha_at(shot.sigmas)
         assert np.max(np.abs(shot.coords[:, 0] - alphas)) < 1e-6
         length = path_length(AlphaPhaseChart(Template(noise, rho0)), shot, n_quad=8)
         assert length == pytest.approx(geo.length, rel=1e-6)
 
-    @pytest.mark.parametrize(
-        "a1,a2,amplitude,route",
-        [
-            (0.8, 2.0, 0.7, ["start hit at 400"]),
-            (1.0, 1.0, 2.5, []),
-            (0.5, 2.0, 1.571, ["start hit at 400"]),
-            (0.8, 2.0, 0.0, ["start hit at 400"]),
-        ],
-    )
-    def test_matches_textbook_rk4_bitwise(self, a1, a2, amplitude, route):
-        rng = np.random.default_rng(0)
-        noise = NoiseProfile(rng.uniform(0.5, 2.0, 4))
-        rho0 = rng.uniform(0.2, 2.0, 4)
-        psi1 = np.linspace(-1.0, 1.0, 4)
-        psi2 = psi1 + amplitude * np.array([1.0, -1.0, 1.0, -1.0])
-        expected, taken = _textbook_shoot(a1, a2, psi1, psi2, noise, rho0, 400)
-        assert taken == route
-        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0), n_steps=400)
-        np.testing.assert_array_equal(shot.coords, expected)
-
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
-        st.floats(min_value=0.01, max_value=100.0),
-        st.floats(min_value=-100.0, max_value=100.0),
-        st.floats(min_value=0.0, max_value=100.0),
-        st.integers(min_value=1, max_value=300),
+        st.floats(min_value=0.01, max_value=1.0),
+        st.floats(min_value=-2.0, max_value=2.0),
+        st.floats(min_value=0.0, max_value=1.0),
     )
-    # a stage lands on alpha = 0 exactly
-    @example(0.01, -1.0, 0.0, 50)
-    def test_endpoint_run_is_last_recorded_alpha(self, alpha1, slope, K, n_steps):
-        alphas, thetas = _rk4_alpha_path(alpha1, slope, K, n_steps)
-        ref_alphas, ref_thetas = _textbook_rk4(alpha1, slope, K, n_steps)
-        if ref_alphas is None:
-            assert alphas is None and thetas is None and ref_thetas is None
-        else:
-            np.testing.assert_array_equal(alphas, ref_alphas)
-            np.testing.assert_array_equal(thetas, ref_thetas)
+    # a stage lands on alpha = 0 exactly: a rejected step, then steps that shrink below sigma's resolution
+    @example(0.01, -1.0, 0.0)
+    def test_pair_matches_tableau_and_dop853(self, alpha1, slope, K):
+        # in the oracle's units: the larger attenuation at most 1
+        nodes, rejected = _dp_alpha_path(alpha1, slope, K)
+        reference, ref_rejected = _textbook_dp(alpha1, slope, K)
+        assert nodes.tobytes() == reference.tobytes() and rejected == ref_rejected
+        assert np.all(np.diff(nodes[:, 0]) > 0.0) and np.all(nodes[:, 1] > 0.0)
+        if nodes[-1, 0] < 1.0:
+            # only a path that runs into alpha = 0 stops short
+            assert nodes[-1, 1] < 1e-12
+            return
+        solved = solve_ivp(lambda s, y: [y[1], K / y[0] ** 3, 1.0 / y[0] ** 2], (0.0, 1.0), [alpha1, slope, 0.0],
+                           method="DOP853", rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(nodes[-1, 1:], solved.y[::2, -1], rtol=1e-9, atol=0.0)
 
-    def test_step_floor(self):
-        _, noise, rho0, _ = _band(4)
-        with pytest.raises(ValueError):
-            shoot_alpha_geodesic(1.0, 2.0, np.zeros(4), np.zeros(4), Template(noise, rho0), n_steps=99)
+    def test_stage_on_zero_is_a_rejected_step(self):
+        # free motion into alpha = 0 at sigma = 0.01: the first step (h = 0.01)
+        # puts its sixth stage, whose row sums to 1, on alpha = 0 exactly
+        row = [float(w) for w in _DP_ROWS[4]]
+        assert 0.01 + 0.01 * _weighted(row, [-1.0] * 5) == 0.0
+        nodes, rejected = _dp_alpha_path(0.01, -1.0, 0.0)
+        assert rejected >= 1 and 0.0 < nodes[-1, 0] < 0.01
 
 
 class TestPathLength:
@@ -677,6 +647,16 @@ class TestScaledConstants:
         np.testing.assert_array_equal(scaled_rate, np.ldexp(alpha_rate, k))
         np.testing.assert_array_equal(scaled_mix, mix_rate)
 
+    def test_velocity_divides_before_squaring(self):
+        # at sigma = 0 the scaled attenuation is 5e-301, whose square underflows;
+        # the mix rate a2 sin(delta) / (delta a1) is finite
+        geo = AlphaGeodesic(1e-300, 1.0, math.pi, np.zeros(4), np.full(4, math.pi), 4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, mix_rate = geo.velocity_at(0.0)
+        # the moment, 3.1e-317, is subnormal and holds about 7 digits
+        assert mix_rate == pytest.approx(math.sin(math.pi) / (math.pi * 1e-300), rel=1e-7)
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=0, max_value=1000))
     @example(513)
@@ -795,10 +775,10 @@ class TestReducedPathLength:
         noise, rho0, geo = self._geodesic(51)
         self._check(AlphaPhaseChart(Template(noise, rho0)), sample_alpha_geodesic(geo, n_nodes=257), n_quad=16)
 
-    def test_rk4_shot(self):
+    def test_shot(self):
         _, noise, rho0, rng = _band(5, seed=52)
         psi1, psi2 = _phase_pair(rng, 5, 1.2)
-        shot = shoot_alpha_geodesic(0.7, 1.9, psi1, psi2, Template(noise, rho0), n_steps=2000)
+        shot = shoot_alpha_geodesic(0.7, 1.9, psi1, psi2, Template(noise, rho0))
         self._check(AlphaPhaseChart(Template(noise, rho0)), shot)
 
     def test_warped_path(self):
@@ -904,10 +884,10 @@ class TestPiecewiseEvaluation:
         chart = AlphaPhaseChart(Template(noise, rho0))
         assert path_length(chart, path, n_quad=n_quad) == _searched_length(chart, path, n_quad)
 
-    def test_rk4_shot(self):
+    def test_shot(self):
         _, noise, rho0, rng = _band(7, seed=62)
         psi1, psi2 = _phase_pair(rng, 7, 1.3)
-        shot = shoot_alpha_geodesic(0.6, 1.7, psi1, psi2, Template(noise, rho0), n_steps=4000)
+        shot = shoot_alpha_geodesic(0.6, 1.7, psi1, psi2, Template(noise, rho0))
         chart = AlphaPhaseChart(Template(noise, rho0))
         assert path_length(chart, shot, n_quad=8) == _searched_length(chart, shot, 8)
 
@@ -1013,8 +993,8 @@ class TestNotAKnot:
                 path = sample_alpha_geodesic(solve_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0)), n_nodes=257)
                 n_quad = 16
             else:
-                # criterion 6: the RK4-shot path on 4000 steps
-                path = shoot_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0), n_steps=4000)
+                # criterion 6: the shot path on the integrator's nodes
+                path = shoot_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0))
                 n_quad = 8
             former = _searched_length(chart, path, n_quad, _scipy_coefficients)
             worst = max(worst, abs(path_length(chart, path, n_quad=n_quad) - former) / former)
@@ -1063,38 +1043,11 @@ def _near_quarter_turn():
 
 
 class TestCoarseToFineShooting:
-    @pytest.mark.parametrize(
-        "n_steps,a1,a2,amplitude,route",
-        [
-            (4000, 0.3, 3.0, 0.9, ["start hit at 4000"]),
-            (4000, 0.8, 2.0, 0.7, ["start hit at 4000"]),
-            (4000, 0.5, 2.0, 1.571, ["start hit at 4000"]),
-            (40000, 0.5, 2.0, 1.2, ["start hit at 40000"]),
-            (40000, 1.0, 1.0, 2.5, ["start hit at 40000"]),
-        ],
-    )
-    def test_matches_textbook_rk4_bitwise(self, n_steps, a1, a2, amplitude, route):
-        rng = np.random.default_rng(0)
-        noise = NoiseProfile(rng.uniform(0.5, 2.0, 4))
-        rho0 = rng.uniform(0.2, 2.0, 4)
-        psi1 = np.linspace(-1.0, 1.0, 4)
-        psi2 = psi1 + amplitude * np.array([1.0, -1.0, 1.0, -1.0])
-        expected, taken = _textbook_shoot(a1, a2, psi1, psi2, noise, rho0, n_steps)
-        assert taken == route
-        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0), n_steps=n_steps)
-        np.testing.assert_array_equal(shot.coords, expected)
-
-    def test_near_quarter_turn_matches_textbook_rk4_bitwise(self):
-        a1, a2, psi1, psi2, noise, rho0 = _near_quarter_turn()
-        expected, _ = _textbook_shoot(a1, a2, psi1, psi2, noise, rho0, 4000)
-        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0), n_steps=4000)
-        np.testing.assert_array_equal(shot.coords, expected)
-
     def test_near_quarter_turn_stays_on_the_closed_form(self):
         a1, a2, psi1, psi2, noise, rho0 = _near_quarter_turn()
         geo = solve_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0))
         assert abs(geo.delta - math.pi / 2) < 0.01
-        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0), n_steps=4000)
+        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0))
         assert np.max(np.abs(shot.coords[:, 0] - geo.alpha_at(shot.sigmas))) <= 1e-9
 
     @settings(max_examples=100, deadline=None)
@@ -1103,47 +1056,47 @@ class TestCoarseToFineShooting:
         _, noise, rho0, rng = _band(5, seed=43)
         psi1, psi2 = _phase_pair(rng, 5, 2.0)
         band = (psi1, psi2, Template(noise, rho0))
-        unit = shoot_alpha_geodesic(0.3, 1.7, *band, n_steps=100)
-        scaled = shoot_alpha_geodesic(math.ldexp(0.3, k), math.ldexp(1.7, k), *band, n_steps=100)
+        unit = shoot_alpha_geodesic(0.3, 1.7, *band)
+        scaled = shoot_alpha_geodesic(math.ldexp(0.3, k), math.ldexp(1.7, k), *band)
+        assert scaled.sigmas.tobytes() == unit.sigmas.tobytes()
         np.testing.assert_array_equal(scaled.coords[:, 0], np.ldexp(unit.coords[:, 0], k))
         np.testing.assert_array_equal(scaled.coords[:, 1:], unit.coords[:, 1:])
-
-    @pytest.mark.parametrize(
-        "n_steps,a1,a2,amplitude",
-        [(400, 0.8, 2.0, 0.7), (400, 0.8, 2.0, 0.0), (4000, 0.3, 3.0, 0.9), (4000, 1.0, 1.0, 2.5)],
-    )
-    def test_no_slope_integrated_twice(self, monkeypatch, n_steps, a1, a2, amplitude):
-        # a counting wrapper around the one RK4 loop
-        recorded = []
-
-        def path(alpha1, slope, K, steps):
-            run = _rk4_alpha_path(alpha1, slope, K, steps)
-            recorded.append((float(slope), steps, run))
-            return run
-
-        monkeypatch.setattr(geodesics, "_rk4_alpha_path", path)
-        _, noise, rho0, _ = _band(4, seed=7)
-        psi1 = np.linspace(-1.0, 1.0, 4)
-        psi2 = psi1 + amplitude * np.array([1.0, -1.0, 1.0, -1.0])
-        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0), n_steps=n_steps)
-        assert {steps for _, steps, _ in recorded} == {n_steps}
-        slopes = [slope for slope, _, _ in recorded]
-        assert len(slopes) == len(set(slopes))
-        # the returned path is the last recorded run, in natural units
-        alphas, thetas = recorded[-1][2]
-        geo = solve_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0))
-        np.testing.assert_array_equal(shot.coords[:, 0], np.ldexp(alphas, geo.scale))
-        mix = geo.moment * thetas / geo.delta if geo.delta > 0.0 else np.zeros_like(thetas)
-        np.testing.assert_array_equal(shot.coords[:, 1:], geo.psi1 + mix[:, np.newaxis] * geo.dpsi)
 
     @pytest.mark.parametrize("alpha1,alpha2", [(1e-110, 2e-110), (1e103, 2e103)])
     def test_extreme_scales(self, alpha1, alpha2):
         noise = NoiseProfile.flat(1.0, 4)
         psi1, psi2 = np.zeros(4), np.full(4, 0.5)
         geo = solve_alpha_geodesic(alpha1, alpha2, psi1, psi2, Template(noise, np.ones(4)))
-        shot = shoot_alpha_geodesic(alpha1, alpha2, psi1, psi2, Template(noise, np.ones(4)), n_steps=100)
+        shot = shoot_alpha_geodesic(alpha1, alpha2, psi1, psi2, Template(noise, np.ones(4)))
         gap = np.max(np.abs(shot.coords[:, 0] - geo.alpha_at(shot.sigmas)))
         assert gap <= 1e-9 * alpha2
+
+    def test_tiny_start_reaches_the_closed_form(self):
+        # alpha1 / alpha2 = 1e-20: the phase advances within sigma ~ 1e-20 of the start
+        noise, rho0 = NoiseProfile.flat(1.0, 4), np.ones(4)
+        psi1, psi2 = np.zeros(4), np.ones(4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            geo = solve_alpha_geodesic(1e-20, 1.0, psi1, psi2, Template(noise, rho0))
+            shot = shoot_alpha_geodesic(1e-20, 1.0, psi1, psi2, Template(noise, rho0))
+            length = path_length(AlphaPhaseChart(Template(noise, rho0)), shot, n_quad=8)
+        assert np.max(np.abs(shot.coords[:, 0] - geo.alpha_at(shot.sigmas))) <= 1e-6
+        assert abs(length - geo.length) / geo.length <= 1e-6
+
+    @pytest.mark.parametrize("alpha1,alpha2", [(5e-324, 1.0), (1e-300, 1e300), (1e-160, 1.0)])
+    def test_start_underflow_named(self, alpha1, alpha2):
+        # in the power-of-two units the small end is 0, or its 1/alpha1^2 overflows
+        noise, rho0 = NoiseProfile.flat(1.0, 4), np.ones(4)
+        psi1, psi2 = np.zeros(4), np.ones(4)
+        with warnings.catch_warnings():
+            # a false degenerate warning at a subnormal end, a known fault of the closed form
+            warnings.simplefilter("ignore", DegenerateGeodesicWarning)
+            geo = solve_alpha_geodesic(alpha1, alpha2, psi1, psi2, Template(noise, rho0))
+        with pytest.raises(ConvergenceError) as failure:
+            shoot_alpha_geodesic(alpha1, alpha2, psi1, psi2, Template(noise, rho0))
+        message = str(failure.value)
+        assert "cannot start: 1/alpha1^2 is not finite in the scaled units" in message
+        assert f"moment/chord = {geo.moment / geo.chord:.1e}" in message
 
 
 def _antipodal_band(delta):
@@ -1152,28 +1105,27 @@ def _antipodal_band(delta):
 
 
 class TestNearAntipodalShooting:
-    @pytest.mark.parametrize("gap,n_steps", [(1e-2, 4000), (1e-3, 40000)])
-    def test_stays_on_the_closed_form(self, gap, n_steps):
+    @pytest.mark.parametrize("gap", [1e-2, 1e-3, 1e-4, 1e-6, 1e-8])
+    def test_stays_on_the_closed_form(self, gap):
         a1, a2, psi1, psi2, noise, rho0 = _antipodal_band(math.pi - gap)
         geo = solve_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0))
-        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0), n_steps=n_steps)
+        shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0))
         # criterion 6's two gaps and tolerance
         assert np.max(np.abs(shot.coords[:, 0] - geo.alpha_at(shot.sigmas))) <= 1e-6
         length = path_length(AlphaPhaseChart(Template(noise, rho0)), shot, n_quad=8)
         assert abs(length - geo.length) / geo.length <= 1e-6
 
-    @pytest.mark.parametrize(
-        "delta,n_steps", [(math.pi - 1e-4, 4000), (math.pi - 1e-4, 40000), (math.pi, 4000)]
-    )
-    def test_failure_names_step_and_dip_width(self, delta, n_steps):
+    @pytest.mark.parametrize("delta", [math.pi])
+    def test_failure_names_step_and_dip_width(self, delta):
+        # at delta = pi the dip, moment/chord ~ 1e-17 wide, is narrower than sigma resolves
         a1, a2, psi1, psi2, noise, rho0 = _antipodal_band(delta)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateGeodesicWarning)
             geo = solve_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0))
         with pytest.raises(ConvergenceError) as failure:
-            shoot_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0), n_steps=n_steps)
+            shoot_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0))
         message = str(failure.value)
-        assert f"step 1/n_steps = {1.0 / n_steps:.1e}" in message
+        assert "its step below sigma's resolution" in message
         assert f"moment/chord = {geo.moment / geo.chord:.1e}" in message
 
 

@@ -556,14 +556,22 @@ def load_band_csv(path) -> tuple[FrequencyGrid, NoiseProfile, SignalSpectrum]:
     """Inverse of :func:`save_band_csv`.
 
     Every column round-trips losslessly, the grid included: a grid is its
-    frequency column.
+    frequency column.  A malformed data row (blank rows are skipped) is named
+    by its number, with its cell count or its first cell that is no number.
     """
     with open(path, "r", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader)
         if [h.strip() for h in header] != _CSV_HEADER:
             raise ValueError(f"unexpected CSV header {header!r}, want {_CSV_HEADER}")
-        rows = [[float(cell) for cell in row] for row in reader if row]
+        rows = []
+        for k, row in enumerate(filter(None, reader), start=1):
+            if len(row) != len(_CSV_HEADER):
+                raise ValueError(f"band CSV data row {k} has {len(row)} cells, want {len(_CSV_HEADER)}")
+            try:
+                rows.append([float(cell) for cell in row])
+            except ValueError as exc:
+                raise ValueError(f"band CSV data row {k}: {exc}") from None
     if not rows:
         raise ValueError("band CSV has no data rows")
     data = np.asarray(rows, dtype=float)

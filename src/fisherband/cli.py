@@ -188,8 +188,25 @@ def _cmd_distance(args) -> int:
     else:
         grid, noise, rho0 = build_grid(0.25, 0.5, 1000), NoiseProfile.flat(2.0, 1000), np.ones(1000)
     template = Template(noise, rho0)
+    out = args.output or "distance_reports.csv"
+    # an unwritable output fails before the pairs are read; "a" keeps an old file until the new rows are
+    # written, and a file created here goes again if the pairs fail, so a bad input writes nothing
+    created = not os.path.lexists(out)
+    open(out, "a").close()
+    try:
+        count = _write_reports(args.pairs, grid, template, out)
+    except BaseException:
+        if created:
+            os.remove(out)
+        raise
+    print(f"wrote {count} reports to {out}")
+    return 0
+
+
+def _write_reports(pairs, grid, template: Template, out) -> int:
+    """The ``distance`` command's reports of the pairs CSV ``pairs``, written to ``out``: the row count."""
     n = grid.n_freqs
-    with open(args.pairs) as handle:
+    with open(pairs) as handle:
         reader = csv.reader(handle)
         header = next(reader, [])
         if not set(PAIR_COLUMNS).issubset(header):
@@ -253,11 +270,9 @@ def _cmd_distance(args) -> int:
 
     columns = known_mag_columns(*results.T, template.omega0, alphas[:, 0], alphas[:, 1])
     columns["omega0"] = [repr(template.omega0)] * len(table)  # one constant, formatted once
-    out = args.output or "distance_reports.csv"
     # the input cells as read, then the report's (a NaN ratio is an empty cell)
     write_csv(out, PAIR_COLUMNS + list(columns), [alpha1, coeffs1, alpha2, coeffs2, *columns.values()])
-    print(f"wrote {len(table)} reports to {out}")
-    return 0
+    return len(table)
 
 
 def build_parser() -> argparse.ArgumentParser:

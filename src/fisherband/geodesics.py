@@ -543,9 +543,20 @@ def _flat_reduction(chart: AlphaPhaseChart, coords):
 
 
 @functools.lru_cache(maxsize=8)
-def _gauss_legendre(n_quad: int):
-    """The ``n_quad``-point Gauss-Legendre rule on [-1, 1], read-only."""
-    return tuple(map(readonly, np.polynomial.legendre.leggauss(n_quad)))
+def _hermite_rule(n_quad: int):
+    """The ``n_quad``-point Gauss-Legendre rule on [0, 1], read-only, as
+    ``(weights, position, velocity)``: at its points ``u``, the factors of
+    ``(m, d0, d1)`` in the slope form of a cubic Hermite piece (de Boor, *A
+    Practical Guide to Splines*, ch. IV), ``y0 + h (u m + u (1 - u)^2 d0 -
+    u^2 (1 - u) d1)`` and its velocity ``m + (1 - u)(1 - 3u) d0 - u (2 - 3u)
+    d1``, on an interval of width ``h`` with chord slope ``m`` and end slopes
+    ``m + d0`` and ``m + d1``.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+    u = 0.5 * (nodes + 1.0)
+    position = np.column_stack([u, u * (1.0 - u) ** 2, -(u**2) * (1.0 - u)])
+    velocity = np.column_stack([np.ones(n_quad), (1.0 - u) * (1.0 - 3.0 * u), -u * (2.0 - 3.0 * u)])
+    return tuple(readonly(table, one_dim=False) for table in (0.5 * weights, position, velocity))
 
 
 def _cyclic_reduction(lower, diag, upper, rhs) -> np.ndarray:
@@ -580,81 +591,42 @@ def _cyclic_reduction(lower, diag, upper, rhs) -> np.ndarray:
     return x[..., :n]
 
 
-def _not_a_knot(sigmas, coords) -> np.ndarray:
-    """The not-a-knot cubic spline through ``coords`` (a row per node
-    ``sigmas``): coefficients ``(4, pieces, columns)``, highest power first,
-    as scipy's ``CubicSpline(sigmas, coords).c``.
-
-    scipy's tridiagonal system for the node slopes is solved by
-    ``_cyclic_reduction``, so the slopes equal scipy's to rounding, not bit
-    for bit; the pieces are scipy's cubic Hermite formulas.  Below four nodes
-    the spline is the piecewise-linear interpolant.  numpy's loops run along
-    the nodes of each column, and each column's pieces lie contiguous.
+def _not_a_knot(sigmas, chord) -> np.ndarray:
+    """The node slopes, a row per node, of the not-a-knot cubic spline on four
+    or more nodes ``sigmas`` with chord slopes ``chord``, a row per interval:
+    scipy's tridiagonal system (``CubicSpline``'s), solved by
+    ``_cyclic_reduction``, so equal to scipy's to rounding, not bit for bit.
     """
-    y = np.asarray(coords).T
+    slope = chord.T
     dx = np.diff(sigmas)
-    slope = np.diff(y) / dx
-    if len(sigmas) < 4:
-        zeros = np.zeros_like(slope)
-        return np.stack([zeros, zeros, slope, y[:, :-1]]).transpose(0, 2, 1)
     start, end = sigmas[2] - sigmas[0], sigmas[-1] - sigmas[-3]
-    rhs = np.empty_like(y)
+    rhs = np.empty((len(slope), len(sigmas)))
     rhs[:, 1:-1] = 3.0 * (dx[1:] * slope[:, :-1] + dx[:-1] * slope[:, 1:])
     rhs[:, 0] = ((dx[0] + 2.0 * start) * dx[1] * slope[:, 0] + dx[0] ** 2 * slope[:, 1]) / start
     rhs[:, -1] = (dx[-1] ** 2 * slope[:, -2] + (2.0 * end + dx[-1]) * dx[-2] * slope[:, -1]) / end
     lower = np.concatenate([[0.0], dx[1:], [end]])
     diag = np.concatenate([[dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]])
     upper = np.concatenate([[start], dx[:-1], [0.0]])
-    s = _cyclic_reduction(lower, diag, upper, rhs)
-    t = (s[:, :-1] + s[:, 1:] - 2.0 * slope) / dx
-    return np.stack([t / dx, (slope - s[:, :-1]) / dx - t, s[:, :-1], y[:, :-1]]).transpose(0, 2, 1)
-
-
-def _derivative(c) -> np.ndarray:
-    """The derivative's PPoly coefficients: the products ``PPoly.derivative``
-    forms, so its coefficients bit for bit."""
-    return c[:-1] * np.arange(len(c) - 1, 0, -1.0)[:, np.newaxis, np.newaxis]
-
-
-def _pieces_at(c, local) -> np.ndarray:
-    """Piece i of the PPoly coefficients ``c`` (highest power first, pieces
-    along axis 1) at its own offsets ``local[:, i]``: one row per point, the
-    points in ``local``'s row-major order.
-
-    The sum runs as scipy's PPoly sums it, lowest power first with the powers
-    built by repeated products, so it is ``PPoly.__call__`` bit for bit (but
-    for the sign of a zero) without its search for each point's piece.  Each
-    column is summed on its own, so numpy's loops run along the pieces.
-    """
-    # the coefficients copied so that each column's pieces lie contiguous
-    c = np.ascontiguousarray(c.transpose(0, 2, 1))[:, :, np.newaxis, :]
-    out = c[-2] * local
-    out += c[-1]
-    power = local
-    term = np.empty_like(out)
-    for k in range(len(c) - 3, -1, -1):
-        power = power * local
-        out += np.multiply(c[k], power, out=term)
-    return np.ascontiguousarray(out.reshape(len(out), local.size).T)
+    return _cyclic_reduction(lower, diag, upper, rhs).T
 
 
 def path_length(chart, path: GeodesicPath, n_quad: int = 64) -> float:
     """Length of a sampled path: quadrature of sqrt(speed) along a spline.
 
     Coordinates are interpolated with the not-a-knot cubic spline in sigma
-    of ``_not_a_knot`` (piecewise linear below four nodes; numpy only, no
-    scipy) and integrated with an ``n_quad``-point
-    Gauss-Legendre rule on every inter-node interval, so the result is
-    reparametrization invariant up to interpolation error.  The rule's
-    points on an interval lie inside it, so each cubic piece is evaluated at
-    its own points directly, summed in scipy's order (``_pieces_at``), with
-    no search for each point's piece; the position is evaluated only in the
-    columns the speed reads.  On the flat ``AlphaPhaseChart`` the spline
-    runs through reduced coordinates (see ``_flat_reduction``): a path whose
-    phases move along one direction splines two columns, and the length is
-    homogeneous of degree 1 in the attenuation over the double range.  Any
-    other chart's ``speed`` sees every column.  A path coordinate that is
-    not finite is one named error on every chart.
+    (piecewise linear below four nodes; numpy only) and integrated with an
+    ``n_quad``-point Gauss-Legendre rule on every inter-node interval, so the
+    result is reparametrization invariant up to interpolation error.  Each
+    interval's cubic is held in Hermite form, by its chord slope and its end
+    slopes (``_not_a_knot``'s; the chord below four nodes), and two products
+    with ``_hermite_rule``'s tables give position and velocity at the rule's
+    points, the position only in the columns the speed reads.  On the flat
+    ``AlphaPhaseChart`` the spline runs through reduced coordinates (see
+    ``_flat_reduction``): a path whose phases move along one direction
+    splines two columns, and the length is homogeneous of degree 1 in the
+    attenuation over the double range.  Any other chart's ``speed`` sees
+    every column.  A path coordinate that is not finite is one named error
+    on every chart.
     """
     if n_quad < 8:
         raise ValueError("n_quad must be at least 8")
@@ -666,25 +638,22 @@ def path_length(chart, path: GeodesicPath, n_quad: int = 64) -> float:
         coords, exponent, gram = _flat_reduction(chart, coords)
     # the position columns the speed reads: the flat chart's alpha, else all
     head = 1 if flat else coords.shape[1]
-    nodes, weights = _gauss_legendre(n_quad)
-    starts = sigmas[:-1]
-    halves = 0.5 * np.diff(sigmas)
-    # row q holds the q-th quadrature point of every interval, so that numpy's
-    # loops run along the intervals
-    t = starts + halves * (nodes[:, np.newaxis] + 1.0)
-    scale = halves * weights[:, np.newaxis]
-    c = _not_a_knot(sigmas, coords)
-    local = t - starts
-    pos = _pieces_at(c[:, :, :head], local)
-    vel = _pieces_at(_derivative(c), local)
+    h = np.diff(sigmas)[:, np.newaxis]
+    chord = np.diff(coords, axis=0) / h
+    slopes = _not_a_knot(sigmas, chord) if len(sigmas) >= 4 else None
+    start, end = (chord, chord) if slopes is None else (slopes[:-1], slopes[1:])
+    # (m, d0, d1) per interval and column; the point axis leads the products
+    factors = np.stack([chord, start - chord, end - chord])
+    weights, position, velocity = _hermite_rule(n_quad)
+    pos = coords[:-1, :head] + h * np.tensordot(position, factors[..., :head], axes=1)
+    vel = np.tensordot(velocity, factors, axes=1)
     if flat:
-        reduced = vel[:, 1:]
-        speeds = chart._flat_speed(pos[:, 0], vel[:, 0], np.sum((reduced @ gram) * reduced, axis=-1))
+        reduced = vel[..., 1:]
+        speeds = chart._flat_speed(pos[..., 0], vel[..., 0], np.sum((reduced @ gram) * reduced, axis=-1))
     else:
-        speeds = np.asarray(chart.speed(pos, vel), dtype=float)
-    speeds = np.maximum(speeds, 0.0).reshape(n_quad, -1)
+        speeds = np.asarray(chart.speed(pos.reshape(-1, head), vel.reshape(-1, head)), dtype=float).reshape(n_quad, -1)
     # the sum runs in interval order, point by point within each interval
-    length = float(np.sum((scale * np.sqrt(speeds)).T.ravel()))
+    length = float(np.sum((h * weights * np.sqrt(np.maximum(speeds, 0.0)).T).ravel()))
     return unscale(length, exponent) if flat else length
 
 

@@ -637,6 +637,23 @@ class TestSerialization:
         with pytest.raises(ValueError, match="header"):
             load_band_csv(path)
 
+    @pytest.mark.parametrize(
+        "bad_row,message",
+        [
+            ("0.3,1.0,1.0", "band CSV data row 2 has 3 cells, want 4"),
+            ("0.3,1.0,1.0,0.0,9.0", "band CSV data row 2 has 5 cells, want 4"),
+            ("0.3,x,1.0,0.0", "band CSV data row 2: could not convert string to float: 'x'"),
+        ],
+        ids=["short", "long", "text"],
+    )
+    def test_csv_malformed_row_named(self, tmp_path, bad_row, message):
+        # the blank line is not a data row
+        path = tmp_path / "bad.csv"
+        path.write_text(f"nu,gamma0,rho,psi\n0.2,1.0,1.0,0.0\n\n{bad_row}\n0.4,1.0,1.0,0.0\n")
+        with pytest.raises(ValueError) as info:
+            load_band_csv(path)
+        assert str(info.value) == message
+
 
 def _csv_writer_bytes(header, rows) -> str:
     """What ``csv.writer`` writes of a header and rows of str cells."""

@@ -974,6 +974,27 @@ class TestOneErrorExit:
         assert seen == [b"old rows\n"]
         assert out.read_text().splitlines()[0] == FIGURE_CSV_HEADER
 
+    def test_distance_unwritable_output_named_before_the_pairs(self, tmp_path, monkeypatch, capsys):
+        # the pairs file's bad row is never read: the output is opened first
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "pairs.csv").write_text("alpha1,phase_coeffs1,alpha2,phase_coeffs2\n0.0,0.0,1.0,0.0\n")
+        assert main(["distance", "pairs.csv", "--output", "nodir/x.csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "nodir/x.csv" in captured.err and "row" not in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.csv"]
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["fresh", "existing"])
+    def test_distance_bad_row_writes_nothing(self, tmp_path, capsys, existing):
+        # a fresh output is removed again, an existing one keeps its bytes
+        pairs, out = tmp_path / "pairs.csv", tmp_path / "reports.csv"
+        pairs.write_text("alpha1,phase_coeffs1,alpha2,phase_coeffs2\n1.0,0.0,2.0,0.5\n1.0,x,2.0,0.5\n")
+        if existing:
+            out.write_bytes(b"old reports\r\n")
+        assert main(["distance", str(pairs), "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad pair on row 2: ")
+        assert out.read_bytes() == b"old reports\r\n" if existing else not out.exists()
+
     def test_distance_missing_pairs_csv_named(self, tmp_path, capsys):
         missing = tmp_path / "no_such_pairs.csv"
         out = tmp_path / "reports.csv"

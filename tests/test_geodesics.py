@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline, PPoly
+from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from fisherband import (
     AlphaGeodesic,
@@ -734,12 +734,18 @@ class TestBvpResidual:
         assert not math.isnan(solve_alpha_geodesic(1e160, 2e160, psi1, psi2, Template(noise, rho0)).bvp_residual())
 
 
-def _dense_length(chart, path, n_quad):
-    """Dense reference quadrature: every coordinate column splined (on the
-    package's own coefficients) and handed to ``chart.speed``."""
+def _reference_length(chart, path, n_quad, slopes=None):
+    """Reference ``path_length`` on every coordinate column, from scipy and
+    ``chart.speed`` alone: ``CubicSpline``'s not-a-knot spline, or
+    ``CubicHermiteSpline`` on the node ``slopes`` if given (piecewise linear
+    below four nodes), evaluated with a search for each point's piece at the
+    Gauss-Legendre points of every interval."""
     sigmas, coords = path.sigmas, path.coords
     if path.n_nodes >= 4:
-        spline = PPoly(geodesics._not_a_knot(sigmas, coords), sigmas)
+        if slopes is None:
+            spline = CubicSpline(sigmas, coords, axis=0)
+        else:
+            spline = CubicHermiteSpline(sigmas, coords, slopes, axis=0)
         position, velocity = spline, spline.derivative()
     else:
         def position(t):
@@ -757,6 +763,11 @@ def _dense_length(chart, path, n_quad):
     return float(np.sum(scale * np.sqrt(speeds)))
 
 
+def _own_slopes(path):
+    """The package's not-a-knot node slopes of every coordinate column."""
+    return geodesics._not_a_knot(path.sigmas, np.diff(path.coords, axis=0) / np.diff(path.sigmas)[:, np.newaxis])
+
+
 class TestReducedPathLength:
     """The flat chart splines reduced coordinates; splines are linear in their
     data, so the length is the dense one up to rounding."""
@@ -769,7 +780,7 @@ class TestReducedPathLength:
 
     def _check(self, chart, path, n_quad=8):
         reduced = path_length(chart, path, n_quad=n_quad)
-        assert reduced == pytest.approx(_dense_length(chart, path, n_quad), rel=1e-12, abs=0.0)
+        assert reduced == pytest.approx(_reference_length(chart, path, n_quad), rel=1e-12, abs=0.0)
 
     def test_closed_form_sample(self):
         noise, rho0, geo = self._geodesic(51)
@@ -805,7 +816,7 @@ class TestReducedPathLength:
         chart = ModelChart(KnownMagnitudeModel(grid.freqs, rho0, alpha=1.0, phase_coeffs=coeffs1), noise)
         for n_nodes in (3, 41):
             path = alpha_geodesic_coeff_path(geo, coeffs1, coeffs2, n_nodes=n_nodes)
-            assert path_length(chart, path, n_quad=8) == _dense_length(chart, path, 8)
+            _check_hermite(chart, path, 8)
 
     def test_non_finite_path_named(self):
         noise = NoiseProfile.flat(1.0, 2)
@@ -833,63 +844,43 @@ class TestPathLengthHomogeneity:
             assert length == math.ldexp(path_length(chart, sample_alpha_geodesic(unit, n_nodes=33), n_quad=8), k)
 
 
-def _scipy_coefficients(sigmas, coords):
-    """The former spline route: scipy's not-a-knot ``CubicSpline``."""
-    return CubicSpline(sigmas, coords, axis=0).c
+# worst relative gap of ``path_length`` to ``CubicHermiteSpline`` on the
+# package's own slopes: 8.9e-15 over 5000 seeded random paths (every column
+# splined), 6.6e-16 on the flat chart over criteria 5 and 6 at seeds 0-2
+HERMITE_RTOL = 1e-13
 
 
-def _searched_length(chart, path, n_quad, coefficients=geodesics._not_a_knot):
-    """Reference ``path_length``: the same reduced coordinates and quadrature,
-    with the spline on ``coefficients(sigmas, coords)`` evaluated by
-    ``PPoly.__call__``, which searches for every point's piece, and the linear
-    velocity by ``np.searchsorted``.  With ``_scipy_coefficients`` it is the
-    former scipy route bit for bit."""
-    sigmas, coords = path.sigmas, path.coords
-    flat = isinstance(chart, AlphaPhaseChart)
-    if flat:
-        coords, exponent, gram = geodesics._flat_reduction(chart, coords)
-    if path.n_nodes >= 4:
-        spline = PPoly(coefficients(sigmas, coords), sigmas)
-        position, velocity = spline, spline.derivative()
-    else:
-        def position(t):
-            return np.stack([np.interp(t, sigmas, coords[:, d]) for d in range(coords.shape[1])], axis=-1)
+class _EveryColumnChart:
+    """A chart's speed on a chart that is no ``AlphaPhaseChart``, so that
+    ``path_length`` splines every column, as the reference does."""
 
-        def velocity(t):
-            idx = np.clip(np.searchsorted(sigmas, t, side="right") - 1, 0, path.n_nodes - 2)
-            return (coords[idx + 1] - coords[idx]) / (sigmas[idx + 1] - sigmas[idx])[:, np.newaxis]
+    def __init__(self, chart):
+        self.speed = chart.speed
 
-    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
-    halves = 0.5 * np.diff(sigmas)
-    t = (sigmas[:-1, np.newaxis] + halves[:, np.newaxis] * (nodes[np.newaxis, :] + 1.0)).ravel()
-    scale = np.repeat(halves, n_quad) * np.tile(weights, len(halves))
-    if flat:
-        vel = velocity(t)
-        reduced = vel[:, 1:]
-        speeds = chart._flat_speed(position(t)[:, 0], vel[:, 0], np.sum((reduced @ gram) * reduced, axis=-1))
-    else:
-        speeds = np.asarray(chart.speed(position(t), velocity(t)), dtype=float)
-    length = float(np.sum(scale * np.sqrt(np.maximum(speeds, 0.0))))
-    return math.ldexp(length, exponent) if flat else length
+
+def _check_hermite(chart, path, n_quad):
+    slopes = _own_slopes(path) if path.n_nodes >= 4 else None
+    expected = _reference_length(chart, path, n_quad, slopes)
+    assert path_length(chart, path, n_quad=n_quad) == pytest.approx(expected, rel=HERMITE_RTOL, abs=0.0)
 
 
 class TestPiecewiseEvaluation:
-    """``path_length`` evaluates each spline piece at its own quadrature
-    points; the result equals the searched evaluation bit for bit."""
+    """``path_length`` evaluates each interval's cubic in Hermite form at its
+    own Gauss points; on the package's node slopes it is scipy's
+    ``CubicHermiteSpline``, which searches for each point's piece, to
+    ``HERMITE_RTOL``.  Below four nodes both references are linear."""
 
     @pytest.mark.parametrize("n_quad", [8, 16, 64])
     def test_closed_form_sample(self, n_quad):
         noise, rho0, geo = TestReducedPathLength._geodesic(61)
         path = sample_alpha_geodesic(geo, n_nodes=257)
-        chart = AlphaPhaseChart(Template(noise, rho0))
-        assert path_length(chart, path, n_quad=n_quad) == _searched_length(chart, path, n_quad)
+        _check_hermite(AlphaPhaseChart(Template(noise, rho0)), path, n_quad)
 
     def test_shot(self):
         _, noise, rho0, rng = _band(7, seed=62)
         psi1, psi2 = _phase_pair(rng, 7, 1.3)
         shot = shoot_alpha_geodesic(0.6, 1.7, psi1, psi2, Template(noise, rho0))
-        chart = AlphaPhaseChart(Template(noise, rho0))
-        assert path_length(chart, shot, n_quad=8) == _searched_length(chart, shot, 8)
+        _check_hermite(AlphaPhaseChart(Template(noise, rho0)), shot, 8)
 
     def test_model_chart(self):
         grid, noise, rho0, _ = _band(6, seed=64)
@@ -898,8 +889,7 @@ class TestPiecewiseEvaluation:
         psi2 = wrap_phase(np.polynomial.polynomial.polyval(grid.freqs, coeffs2))
         geo = solve_alpha_geodesic(0.8, 1.5, psi1, psi2, Template(noise, rho0))
         chart = ModelChart(KnownMagnitudeModel(grid.freqs, rho0, alpha=0.8, phase_coeffs=coeffs1), noise)
-        path = alpha_geodesic_coeff_path(geo, coeffs1, coeffs2, n_nodes=21)
-        assert path_length(chart, path, n_quad=8) == _searched_length(chart, path, 8)
+        _check_hermite(chart, alpha_geodesic_coeff_path(geo, coeffs1, coeffs2, n_nodes=21), 8)
 
     @pytest.mark.parametrize("n_nodes", [2, 3, 4])
     def test_few_nodes_on_every_chart(self, n_nodes):
@@ -909,12 +899,8 @@ class TestPiecewiseEvaluation:
         alphas = rng.uniform(0.5, 2.0, n_nodes)
         alpha_path = GeodesicPath(sigmas, np.column_stack([alphas, rng.uniform(-3.0, 3.0, (n_nodes, 5))]))
         coeff_path = GeodesicPath(sigmas, np.column_stack([alphas, rng.uniform(-1.0, 1.0, (n_nodes, 2))]))
-        cases = [
-            (AlphaPhaseChart(Template(noise, rho0)), alpha_path),
-            (ModelChart(KnownMagnitudeModel(grid.freqs, rho0, phase_coeffs=[0.0, 0.0]), noise), coeff_path),
-        ]
-        for chart, path in cases:
-            assert path_length(chart, path, n_quad=8) == _searched_length(chart, path, 8)
+        _check_hermite(AlphaPhaseChart(Template(noise, rho0)), alpha_path, 8)
+        _check_hermite(ModelChart(KnownMagnitudeModel(grid.freqs, rho0, phase_coeffs=[0.0, 0.0]), noise), coeff_path, 8)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -923,14 +909,16 @@ class TestPiecewiseEvaluation:
         st.sampled_from([8, 13, 64]),
     )
     def test_random_nodes_and_coordinates(self, n_nodes, seed, n_quad):
+        # every column splined: on near-coincident random nodes the flat
+        # chart's reduction alone rounds 1.9e-11 apart (3000 seeded paths)
         rng = np.random.default_rng(seed)
         noise = NoiseProfile(rng.uniform(0.5, 2.0, 3))
         sigmas = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, n_nodes - 2)), [1.0]])
         assume(np.all(np.diff(sigmas) > 0.0))
         coords = rng.normal(size=(n_nodes, 4))
         coords[:, 0] = np.abs(coords[:, 0]) + 0.1
-        chart, path = AlphaPhaseChart(Template(noise, rng.uniform(0.2, 2.0, 3))), GeodesicPath(sigmas, coords)
-        assert path_length(chart, path, n_quad=n_quad) == _searched_length(chart, path, n_quad)
+        chart = _EveryColumnChart(AlphaPhaseChart(Template(noise, rng.uniform(0.2, 2.0, 3))))
+        _check_hermite(chart, GeodesicPath(sigmas, coords), n_quad)
 
 
 def _clustered_geodesic():
@@ -950,35 +938,28 @@ def _spline_nodes(kind, n, rng):
 
 
 class TestNotAKnot:
-    """The numpy spline against scipy's ``CubicSpline``, now a test-only
-    oracle: both solve scipy's tridiagonal system, by cyclic reduction and by
-    LAPACK's pivoted band solver, so the slopes agree to rounding (worst
-    1.3e-15 of the largest slope over these seeded cases, bound 1e-14) and
-    the lengths that criteria 5 and 6 read agree to the last bits (worst
-    1.2e-16 relative, bound 1e-15)."""
+    """The numpy spline's node slopes against scipy's ``CubicSpline``, now a
+    test-only oracle: both solve scipy's tridiagonal system, by cyclic
+    reduction and by LAPACK's pivoted band solver, so the slopes agree to
+    rounding (worst 1.3e-15 of the largest slope over these seeded cases,
+    bound 1e-14) and the lengths that criteria 5 and 6 read, every column
+    splined by scipy, to the last bits (worst 2.6e-16 relative, bound
+    1e-15)."""
 
     @pytest.mark.parametrize("kind", ["uniform", "random", "clustered"])
     @pytest.mark.parametrize("n_nodes", [*range(4, 41), 257, 4001])
     @pytest.mark.parametrize("n_columns", [2, 17])
     def test_coefficients_match_scipy(self, kind, n_nodes, n_columns):
+        # scipy keeps each piece's start slope, every node's but the last;
+        # the last one enters the lengths checked below and the cubic paths
+        # of TestCubicPathsAreExact
         rng = np.random.default_rng([n_nodes, n_columns])
         sigmas = _spline_nodes(kind, n_nodes, rng)
         assert len(sigmas) >= 4
-        coords = rng.normal(size=(len(sigmas), n_columns))
-        ours, scipy_c = geodesics._not_a_knot(sigmas, coords), CubicSpline(sigmas, coords, axis=0).c
-        assert ours.shape == scipy_c.shape == (4, len(sigmas) - 1, n_columns)
-        # the node values are the data, bit for bit
-        assert np.array_equal(ours[3], coords[:-1])
-        slopes = np.max(np.abs(ours[2] - scipy_c[2])) / np.max(np.abs(scipy_c[2]))
-        assert slopes <= 1e-14
-
-    @pytest.mark.parametrize("n_nodes", [2, 4, 9, 257])
-    def test_derivative_is_ppoly_derivative(self, n_nodes):
-        rng = np.random.default_rng(n_nodes)
-        sigmas = _spline_nodes("random", n_nodes, rng)
-        c = geodesics._not_a_knot(sigmas, rng.normal(size=(n_nodes, 5)))
-        derivative = geodesics._derivative(c)
-        assert derivative.tobytes() == PPoly(c, sigmas).derivative().c.tobytes()
+        path = GeodesicPath(sigmas, rng.normal(size=(len(sigmas), n_columns)))
+        ours, scipy_c = _own_slopes(path), CubicSpline(sigmas, path.coords, axis=0).c
+        assert ours.shape == (len(sigmas), n_columns)
+        assert np.max(np.abs(ours[:-1] - scipy_c[2])) / np.max(np.abs(scipy_c[2])) <= 1e-14
 
     def test_criterion_5_and_6_lengths_match_scipy_route(self):
         rng = np.random.default_rng(73)
@@ -996,9 +977,55 @@ class TestNotAKnot:
                 # criterion 6: the shot path on the integrator's nodes
                 path = shoot_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0))
                 n_quad = 8
-            former = _searched_length(chart, path, n_quad, _scipy_coefficients)
+            former = _reference_length(chart, path, n_quad)
             worst = max(worst, abs(path_length(chart, path, n_quad=n_quad) - former) / former)
         assert worst <= 1e-15
+
+
+class TestCubicPathsAreExact:
+    """A not-a-knot spline reproduces cubics, so on a path whose coordinates
+    are cubic in sigma (linear below four nodes) ``path_length`` is the same
+    Gauss rule on the analytic position and velocity, to rounding: the
+    interpolant against the truth, with no scipy.  The nodes are jittered
+    about a uniform grid, each gap at least 0.4 of the grid's: a node value
+    rounds by 1e-16 of its size, and a chord over a gap ``h`` carries that
+    over ``h``, so near-coincident nodes would test the data's rounding, not
+    the spline (worst 1.8e-15 relative over 3000 seeded paths, 4.3e-12 on
+    uniform random nodes with a gap of 1.5e-7)."""
+
+    @staticmethod
+    def _exact_length(chart, sigmas, coeffs, n_quad):
+        nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+        halves = 0.5 * np.diff(sigmas)
+        t = (sigmas[:-1, np.newaxis] + halves[:, np.newaxis] * (nodes + 1.0)).ravel()
+        position = np.polynomial.polynomial.polyval(t, coeffs).T
+        velocity = np.polynomial.polynomial.polyval(t, np.polynomial.polynomial.polyder(coeffs)).T
+        scale = (halves[:, np.newaxis] * weights).ravel()
+        return float(np.sum(scale * np.sqrt(np.maximum(chart.speed(position, velocity), 0.0))))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=40),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([8, 13, 64]),
+    )
+    def test_on_both_charts(self, n_nodes, seed, n_quad):
+        grid, noise, rho0, _ = _band(5, seed=76)
+        rng = np.random.default_rng(seed)
+        sigmas = np.linspace(0.0, 1.0, n_nodes)
+        sigmas[1:-1] += rng.uniform(-0.3, 0.3, n_nodes - 2) / (n_nodes - 1)
+        degree = 3 if n_nodes >= 4 else 1
+        charts = [
+            (AlphaPhaseChart(Template(noise, rho0)), 6),
+            (ModelChart(KnownMagnitudeModel(grid.freqs, rho0, phase_coeffs=[0.0, 0.0]), noise), 3),
+        ]
+        for chart, n_columns in charts:
+            # power coefficients, a column per coordinate; alpha stays in [0.5, 1.5]
+            coeffs = rng.uniform(-1.0, 1.0, (degree + 1, n_columns))
+            coeffs[0, 0], coeffs[1:, 0] = 1.0, coeffs[1:, 0] / (2 * degree)
+            path = GeodesicPath(sigmas, np.polynomial.polynomial.polyval(sigmas, coeffs).T)
+            exact = self._exact_length(chart, sigmas, coeffs, n_quad)
+            assert path_length(chart, path, n_quad=n_quad) == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("n_nodes", [2, 3, 4, 9])

@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import fisherband
 from fisherband import acceptance, band, distances, figures, geodesics, metric, models
 
@@ -48,6 +50,21 @@ def test_import_does_not_load_scipy_interpolate():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=PACKAGE_DIR.parent
     )
     assert out.stdout.strip() == "False"
+
+
+def test_scipy_is_a_test_dependency_alone():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((PACKAGE_DIR.parent.parent / "pyproject.toml").read_text())["project"]
+    assert [spec.split(">")[0] for spec in project["dependencies"]] == ["numpy"]
+    assert any(spec.startswith("scipy") for spec in project["optional-dependencies"]["test"])
+    imported = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert "scipy" not in imported
 
 
 PATHS_WITHOUT_SCIPY = """

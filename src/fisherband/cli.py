@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import operator
 import os
 import sys
 import warnings
@@ -213,7 +214,8 @@ def _write_reports(pairs, grid, template: Template, out) -> int:
             raise ValueError(f"pairs CSV must have columns {sorted(PAIR_COLUMNS)}")
         # a repeated name reads its last column, a short row None, and a blank row is skipped, as in csv.DictReader
         at = [{name: k for k, name in enumerate(header)}[c] for c in PAIR_COLUMNS]
-        table = [[row[k] if k < len(row) else None for k in at] for row in reader if row]
+        pick, width = operator.itemgetter(*at), max(at) + 1
+        table = [pick(row) if len(row) >= width else [row[k] if k < len(row) else None for k in at] for row in reader if row]
 
     try:
         # every side at once: its attenuation, and its coefficients under the model's rule, by one float map

@@ -6,10 +6,14 @@ PASS/FAIL line with the measured value against its pinned tolerance.
 
 import dataclasses
 import math
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fisherband
 from fisherband import acceptance, band, geodesics
 from fisherband.acceptance import CRITERIA, CriterionResult, run_acceptance_suite
 
@@ -34,6 +38,23 @@ def test_suite_verdict_shape():
     assert [c["cid"] for c in verdict["criteria"]] == list(range(1, 14))
     for entry in verdict["criteria"]:
         assert {"cid", "name", "measured", "expected", "tolerance", "passed", "seconds"} <= set(entry)
+
+
+LOADED_BY_SMOKE = """
+import sys
+from fisherband.acceptance import run_acceptance_suite
+assert run_acceptance_suite(0, "smoke")["all_passed"]
+names = [m.split(".") for m in sys.modules]
+print(*sorted(".".join(n) for n in names if n[0] == "scipy" or n[:2] in (["numpy", "ma"], ["numpy", "polynomial"])))
+"""
+
+
+def test_smoke_suite_loads_no_scipy_masked_array_or_polynomial_module():
+    # a fresh interpreter, since this one has them all through the tests' references;
+    # numpy.ma alone adds 1.7 MB of resident memory
+    argv = [sys.executable, "-c", LOADED_BY_SMOKE]
+    done = subprocess.run(argv, capture_output=True, text=True, check=True, cwd=pathlib.Path(fisherband.__file__).parents[1])
+    assert done.stdout.split() == []
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", [1, 2]], ids=["negative", "float", "bool", "string", "sequence"])

@@ -3,6 +3,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -525,6 +526,37 @@ class TestPathLength:
         model = KnownMagnitudeModel(grid.freqs, rho0, alpha=1.0, phase_coeffs=coeffs1)
         length = path_length(ModelChart(model, noise), coeff_path, n_quad=8)
         assert length == pytest.approx(geo.length, rel=1e-7)
+
+
+class TestGaussRule:
+    """``_hermite_rule`` builds its Gauss-Legendre rule on numpy's core by
+    ``leggauss``'s algorithm, so that ``numpy.polynomial`` is never loaded;
+    both are held against a 50-digit rule from Newton on the Legendre
+    recurrence, ``w = 2 / ((1 - x^2) P_n'(x)^2)``."""
+
+    @staticmethod
+    def _reference(n):
+        with mpmath.workdps(50):
+            nodes, weights = [], []
+            for start in np.polynomial.legendre.leggauss(n)[0].tolist():
+                x = mpmath.mpf(start)
+                for _ in range(6):
+                    below, value = mpmath.mpf(1), x
+                    for k in range(1, n):
+                        below, value = value, ((2 * k + 1) * x * value - k * below) / (k + 1)
+                    slope = n * (below - x * value) / (1 - x * x)
+                    x -= value / slope
+                nodes.append(float((x + 1) / 2))
+                weights.append(float(1 / ((1 - x * x) * slope * slope)))
+        return np.array(nodes), np.array(weights)
+
+    @pytest.mark.parametrize("n_quad", [8, 16, 64])
+    def test_rule_matches_leggauss_and_50_digits(self, n_quad):
+        weights, position, _ = geodesics._hermite_rule(n_quad)
+        nodes, leg_weights = np.polynomial.legendre.leggauss(n_quad)
+        for ref_u, ref_w in ((0.5 * (nodes + 1.0), 0.5 * leg_weights), self._reference(n_quad)):
+            np.testing.assert_allclose(position[:, 0], ref_u, rtol=0.0, atol=4e-15)
+            np.testing.assert_allclose(weights, ref_w, rtol=0.0, atol=4e-15)
 
 
 class TestLdgResidual:

@@ -234,7 +234,8 @@ class TestMonteCarloFisher:
         np.testing.assert_array_equal(a_se, b_se)
 
     def test_gram_sums_match_outer_product_reference(self):
-        # 10000 samples: one full 8192-row chunk and a partial one
+        # 5 bins and 4 parameters: chunks of 2**20 // (64 * 5 + 32 * 4) = 2340
+        # rows, so 10000 samples run as four full chunks and one of 640
         rng = np.random.default_rng(31)
         model, noise = _random_known_mag(rng, n_bins=5, n_phase=3)
         n_samples = 10_000
@@ -257,11 +258,11 @@ class TestMonteCarloFisher:
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
             assert np.array_equal(got, got.T)
 
-    def test_three_chunks_pin_the_real_stacking(self):
+    def test_many_chunks_pin_the_real_stacking(self):
         # FreeSpectrumModel(64): 64 magnitude and 64 phase parameters, so chunks
-        # of 2**25 // (64 * 64 + 32 * 128) = 4096 rows: 9000 samples run as
-        # 4096 + 4096 + 808.  Reference: the complex form on every draw at once
-        # from the same stream, then the Gram sums
+        # of 2**20 // (64 * 64 + 32 * 128) = 128 rows: 9000 samples run as 70
+        # full chunks and one of 40.  Reference: the complex form on every draw
+        # at once from the same stream, then the Gram sums
         n = 64
         noise = NoiseProfile(np.random.default_rng(6).uniform(0.5, 2.0, n))
         model = FreeSpectrumModel(n)
@@ -288,7 +289,9 @@ class TestMonteCarloFisher:
 
     def test_memory_stays_within_chunk_budget(self):
         # 256 parameters: one outer-product tensor of 2000 samples alone is
-        # 1 GiB; 9000 samples in 8192-row chunks would peak at about 80 MiB
+        # 1 GiB; 9000 samples in 8192-row chunks would peak at about 80 MiB.
+        # Chunks of 2**20 // (64 * 128 + 32 * 256) = 64 rows peak at 4.9 MiB;
+        # a 32 MiB budget's 2048-row chunks peaked at 18.8 MiB
         n = 128
         noise = NoiseProfile.flat(1.0, n)
         model = FreeSpectrumModel(n)
@@ -302,7 +305,7 @@ class TestMonteCarloFisher:
             finally:
                 tracemalloc.stop()
             assert est.shape == (2 * n, 2 * n)
-            assert peak < 48 * 2**20
+            assert peak < 6 * 2**20
 
     def test_sample_floor(self):
         grid = build_grid(0.25, 0.2, 2)

@@ -236,7 +236,9 @@ def _write_reports(pairs, grid, template: Template, out) -> int:
             rows = np.flatnonzero(widths == width)
             coeffs = np.zeros((len(rows), 2, width))
             coeffs[np.arange(width) < counts[rows, :, np.newaxis]] = values[value_widths == width]
-            groups.append((rows, phase_coeff_rows(coeffs, n)))
+            wrapped = phase_coeff_rows(coeffs, n)
+            # the half gap of the coefficients: halving is exact, so a difference of finite halves cannot overflow
+            groups.append((rows, 0.5 * wrapped[:, 1] - 0.5 * wrapped[:, 0]))
     except (TypeError, ValueError):
         # the first side in file order that breaks a rule names its row and its error; a short row leaves a cell None
         for k, cells in enumerate(table):
@@ -252,21 +254,22 @@ def _write_reports(pairs, grid, template: Template, out) -> int:
     # Horner with trailing zeros is bit-identical to the row's own call, and a row's values never depend on
     # its block-mates, so each row equals its own evaluation however it is grouped
     results, bad = np.empty((len(alphas), 3)), []
-    # each block's two sides' phases and the kernel's work are views of one (4, rows, bins) array per pass
+    # each block's gap polynomials and the kernel's work are views of one (3, rows, bins) array per pass
     size = max((row_blocks(len(rows), n)[0].stop for rows, _ in groups), default=0)
-    arrays = np.empty((4, size, n))
-    for rows, coeffs in groups:
+    arrays = np.empty((3, size, n))
+    for rows, half_gaps in groups:
         for part in row_blocks(len(rows), n):
             block = rows[part]
-            phases, work = arrays[:2, : len(block)], arrays[2:, : len(block)]
+            gap, work = arrays[0, : len(block)], arrays[1:, : len(block)]
             with np.errstate(over="ignore", invalid="ignore"):  # a row that overflows is named below
-                polynomial_phase(coeffs[part].transpose(1, 0, 2), grid.freqs, out=phases)
+                polynomial_phase(half_gaps[part], grid.freqs, out=gap)
+                # doubled back exactly: each row is the gap polynomial of c2 - c1, one Horner per pair
+                np.add(gap, gap, out=gap)
             try:
-                d = known_mag_distances(template, alphas[block, 0], alphas[block, 1], *phases, work=work)
+                d = known_mag_distances(template, alphas[block, 0], alphas[block, 1], 0.0, gap, work=work)
                 results[block] = np.column_stack(d)
             except ValueError:  # the kernel's check of the gap: the first row in file order that fails it is named
-                with np.errstate(over="ignore", invalid="ignore"):
-                    bad.append(block[~np.isfinite(phases[1] - phases[0]).all(axis=1)].min())
+                bad.append(block[~np.isfinite(gap).all(axis=1)].min())
     if bad:
         raise ValueError(f"bad pair on row {min(bad) + 1}: phases or their gap not finite on the grid")
 

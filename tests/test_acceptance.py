@@ -66,6 +66,15 @@ def test_seed_not_a_non_negative_whole_number_runs_no_criterion(seed, monkeypatc
     assert ran == []
 
 
+@pytest.mark.parametrize("scale", ["medium", "Full", None], ids=["unknown", "capitalised", "none"])
+def test_scale_other_than_smoke_or_full_runs_no_criterion(scale, monkeypatch):
+    ran = []
+    monkeypatch.setattr(acceptance, "CRITERIA", [lambda seed, scale: ran.append(scale)])
+    with pytest.raises(ValueError, match="^scale must be 'smoke' or 'full'$"):
+        run_acceptance_suite(seed=0, scale=scale)
+    assert ran == []
+
+
 def test_numpy_integer_seed_is_recorded_as_an_int(monkeypatch):
     ran = []
 

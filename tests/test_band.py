@@ -320,6 +320,11 @@ class TestContainers:
             NoiseProfile([1.0, -2.0])
         assert NoiseProfile.flat(2.0, 3).weights == pytest.approx([1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("gamma0", [[], np.empty(0)], ids=["list", "array"])
+    def test_noise_profile_without_bins_named(self, gamma0):
+        with pytest.raises(ValueError, match="^noise profile is empty$"):
+            NoiseProfile(gamma0)
+
     def test_noise_weights_formed_once(self):
         gamma0 = np.random.default_rng(5).uniform(1e-3, 1e3, 17)
         noise = NoiseProfile(gamma0)
@@ -630,6 +635,13 @@ class TestSerialization:
         assert grid2.freqs.tobytes() == grid.freqs.tobytes()
         save_band_csv(second, grid2, noise2, spec2)
         assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("body", ["", "\n\n"], ids=["header-only", "blank-rows"])
+    def test_csv_without_data_rows_named(self, tmp_path, body):
+        path = tmp_path / "empty.csv"
+        path.write_text("nu,gamma0,rho,psi\n" + body)
+        with pytest.raises(ValueError, match="^band CSV has no data rows$"):
+            load_band_csv(path)
 
     def test_csv_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

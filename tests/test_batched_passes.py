@@ -217,7 +217,7 @@ def test_distance_pass_runs_its_blocks_in_one_allocation(monkeypatch, tmp_path):
     pairs.write_text("\n".join(lines) + "\n")
     assert main(["distance", str(pairs), "--output", str(tmp_path / "out.csv")]) == 0
     assert len(calls) == 2 * len(row_blocks(n_rows // 2, 1000)) >= 4
-    assert all(len(phases) == 2 for phases, _ in calls)
+    assert all(len(phases) == 1 for phases, _ in calls)
     _assert_one_allocation(calls)
 
 

@@ -66,6 +66,14 @@ def _random_spectrum(rng, n):
 
 
 class TestDistanceFull:
+    def test_embedding_route_of_coincident_points_is_zero(self):
+        noise, _, rng = _band(7, seed=19)
+        spec = _random_spectrum(rng, 7)
+        assert distance_full_embedding(spec, spec, noise) == 0.0
+        # a zero magnitude is one point whatever its phase
+        silent = [SignalSpectrum(np.zeros(7), psi) for psi in (np.zeros(7), wrap_phase(rng.uniform(-np.pi, np.pi, 7)))]
+        assert distance_full_embedding(*silent, noise) == 0.0
+
     def test_identity(self):
         rng = np.random.default_rng(0)
         spec = _random_spectrum(rng, 7)
@@ -718,6 +726,14 @@ class TestReport:
         spec = SignalSpectrum(tiny, np.zeros(4))
         with pytest.raises(ValueError, match="underflows"):
             report(spec, spec, noise, rho0=tiny)
+
+    def test_zero_magnitude_has_no_attenuation(self):
+        # the zero spectrum is proportional to every template, with attenuation 0: the cone's apex, no chart point
+        noise, rho0, _ = _band(6, seed=18)
+        zero, spec = SignalSpectrum(np.zeros(6), np.zeros(6)), SignalSpectrum(rho0, np.zeros(6))
+        for s1, s2 in ((zero, spec), (spec, zero)):
+            with pytest.raises(ChartMismatchError, match="^fitted attenuation is not positive$"):
+                report(s1, s2, noise, rho0=rho0)
 
     def test_chart_mismatch_raises(self):
         noise, rho0, rng = _band(6, seed=17)

@@ -6,11 +6,13 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -29,7 +31,9 @@ from fisherband import (
     distance_alpha,
     distance_full,
     known_mag_distances,
+    phase_coeff_rows,
     phase_rms_diff,
+    polynomial_phase,
     ratio_time_delay,
     row_blocks,
     run_figure_case,
@@ -280,6 +284,32 @@ class TestModelFile:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(ModelFileError, match=fragment):
+            load_model_file(path)
+
+    @pytest.mark.parametrize("where", ["missing.json", "."], ids=["missing", "directory"])
+    def test_unreadable_file_named(self, tmp_path, where):
+        with pytest.raises(ModelFileError, match="^cannot read model file: "):
+            load_model_file(tmp_path / where)
+
+    @pytest.mark.parametrize(
+        "endpoint, message",
+        [
+            ({"alpha": 0.0, "phase_coeffs": [0.0]}, "bad endpoint 1: alpha must be positive and finite"),
+            ({"alpha": 1.0, "phase_coeffs": []}, "bad endpoint 1: at least the constant phase coefficient is required"),
+            ({"alpha": 1.0, "phase_coeffs": [0.0] * 4}, "bad endpoint 1: phase polynomial degree exceeds n_freqs - 1"),
+        ],
+        ids=["attenuation", "no-coefficient", "degree"],
+    )
+    def test_bad_endpoint_named(self, tmp_path, endpoint, message):
+        payload = {
+            "grid": {"nu0": 0.25, "bandwidth_B": 0.4, "n_freqs": 3},
+            "noise": {"gamma0": 2.0},
+            "rho0": 1.0,
+            "endpoints": [{"alpha": 1.0, "phase_coeffs": [0.0]}, endpoint],
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelFileError, match=f"^{re.escape(message)}$"):
             load_model_file(path)
 
     def test_json_syntax_error_reports_line(self, tmp_path):
@@ -564,7 +594,7 @@ class TestCli:
             ("1.0,0.0;nan,1.0,0.0", "phase coefficients must be finite"),
             ("1.0,0.0,1.0,0;1;2;3;4;5;6", "degree exceeds"),
             ("1.0,0.0,1.0", "could not convert"),
-            ("1.0,0.0;1.7e308;1.7e308,1.0,0.0", "not finite on the grid"),
+            ("1.0,0.0;1.7e308;1.7e308,1.0,0.0;-1.7e308;-1.7e308", "not finite on the grid"),
         ],
     )
     def test_distance_bad_row_named(self, model_file, tmp_path, capsys, bad_row, fragment):
@@ -638,8 +668,16 @@ def _model_phases(grid, rho0, alpha, coeffs):
     return model.phase_unwrapped(model.phase_coeffs)
 
 
+def _gap_phase(grid, c1, c2):
+    """A pair's gap polynomial as the ``distance`` command forms it: ``2 * polynomial_phase(0.5 * wc2 - 0.5 * wc1)``,
+    each side ``wc`` under ``phase_coeff_rows`` (its constant wrapped) and zero-padded to the longer side."""
+    width = max(len(c1), len(c2))
+    wc1, wc2 = (phase_coeff_rows(np.pad(np.asarray(c, dtype=float), (0, width - len(c))), grid.n_freqs) for c in (c1, c2))
+    return 2 * polynomial_phase(0.5 * wc2 - 0.5 * wc1, grid.freqs)
+
+
 def _per_row_reports(pairs, grid, noise, rho0) -> bytes:
-    """The ``distance`` CSV by the former per-row route: one kernel call, one
+    """The ``distance`` CSV by a per-row route: one kernel call on the row's gap polynomial, one
     ``DistanceReport.known_mag`` and one ``writerow`` per row."""
     template = Template(noise, rho0)
     out = io.StringIO(newline="")
@@ -649,8 +687,7 @@ def _per_row_reports(pairs, grid, noise, rho0) -> bytes:
         for row in csv.DictReader(handle):
             a1, a2 = float(row["alpha1"]), float(row["alpha2"])
             c1, c2 = ([float(c) for c in row[k].split(";")] for k in ("phase_coeffs1", "phase_coeffs2"))
-            psi1, psi2 = _model_phases(grid, rho0, a1, c1), _model_phases(grid, rho0, a2, c2)
-            d_full, d_alpha, delta = map(float, known_mag_distances(template, a1, a2, psi1, psi2))
+            d_full, d_alpha, delta = map(float, known_mag_distances(template, a1, a2, 0.0, _gap_phase(grid, c1, c2)))
             rep = DistanceReport.known_mag(d_full, d_alpha, delta, template.omega0, a1, a2)
             cells = ["" if v is None else repr(v) for v in rep.to_json_dict().values()]
             writer.writerow([row[c] for c in PAIR_COLUMNS] + cells)
@@ -673,11 +710,11 @@ class TestCliOnLibraryRoutes:
         grid, noise, rho0, _ = load_model_file(model_file)
         wrapped_any = False
         for row, (a1, c1), (a2, c2) in zip(rows, sides[::2], sides[1::2]):
-            psi1, psi2 = _model_phases(grid, rho0, a1, c1), _model_phases(grid, rho0, a2, c2)
-            wrapped_any |= bool(np.any(np.abs(psi2 - psi1) > math.pi))
-            assert float(row["d_alpha"]) == distance_alpha(a1, a2, psi1, psi2, Template(noise, rho0))
-            assert float(row["d_full"]) == float(known_mag_distances(Template(noise, rho0), a1, a2, psi1, psi2)[0])
-            assert float(row["delta"]) == phase_rms_diff(psi1, psi2, noise, rho0)
+            gap = _gap_phase(grid, c1, c2)
+            wrapped_any |= bool(np.any(np.abs(gap) > math.pi))
+            assert float(row["d_alpha"]) == distance_alpha(a1, a2, 0.0, gap, Template(noise, rho0))
+            assert float(row["d_full"]) == float(known_mag_distances(Template(noise, rho0), a1, a2, 0.0, gap)[0])
+            assert float(row["delta"]) == phase_rms_diff(0.0, gap, noise, rho0)
         assert wrapped_any
 
     def test_distance_row_blocks_at_the_default_band(self, tmp_path, capsys):
@@ -702,13 +739,13 @@ class TestCliOnLibraryRoutes:
         assert len(rows) == n_rows
         grid, noise, rho0 = build_grid(0.25, 0.5, n), NoiseProfile.flat(2.0, n), np.ones(n)
         for row, (a1, c1), (a2, c2) in zip(rows, sides[::2], sides[1::2]):
-            psi1, psi2 = _model_phases(grid, rho0, a1, c1), _model_phases(grid, rho0, a2, c2)
-            assert float(row["d_alpha"]) == distance_alpha(a1, a2, psi1, psi2, Template(noise, rho0))
-            assert float(row["d_full"]) == float(known_mag_distances(Template(noise, rho0), a1, a2, psi1, psi2)[0])
-            assert float(row["delta"]) == phase_rms_diff(psi1, psi2, noise, rho0)
+            gap = _gap_phase(grid, c1, c2)
+            assert float(row["d_alpha"]) == distance_alpha(a1, a2, 0.0, gap, Template(noise, rho0))
+            assert float(row["d_full"]) == float(known_mag_distances(Template(noise, rho0), a1, a2, 0.0, gap)[0])
+            assert float(row["delta"]) == phase_rms_diff(0.0, gap, noise, rho0)
 
-        # row 19, of degree 2 as row 2 is: its first side's phase overflows to inf on the upper bins
-        sides[36] = (1.0, np.array([0.0, 1.7e308, 1.7e308]))
+        # row 19, of degree 2 as row 2 is: its gap polynomial overflows to -inf on the upper bins
+        sides[36:38] = [(1.0, np.array([0.0, 1.7e308, 1.7e308])), (1.0, np.array([0.0, -1.7e308, -1.7e308]))]
         _pairs_csv(pairs, sides)
         out.unlink()
         capsys.readouterr()
@@ -771,10 +808,12 @@ class TestCliOnLibraryRoutes:
         assert expected.count(b'"') == 8
 
     def test_distance_names_the_first_bad_row_in_file_order(self, tmp_path, capsys):
-        # row 9 (degree 3) and row 20 (degree 2) overflow; the pairs run in increasing degree, so row 20 runs first
+        # the gaps of row 9 (degree 3) and row 20 (degree 2) overflow; the pairs run in increasing degree, so
+        # row 20 runs first
         degrees = [3] * 9 + [0, 1] * 5 + [2] + [1] * 4
         rows = [",".join(["1.0", ";".join(["0.5"] * (d + 1)), "2.0", "-0.5"]) for d in degrees]
-        rows[8], rows[19] = "1.0,0;1.7e308;1.7e308;0,1.0,0", "1.0,0;1.7e308;1.7e308,1.0,0"
+        rows[8] = "1.0,0;1.7e308;1.7e308;0,1.0,0;-1.7e308;-1.7e308;0"
+        rows[19] = "1.0,0;1.7e308;1.7e308,1.0,0;-1.7e308;-1.7e308"
         pairs = tmp_path / "pairs.csv"
         pairs.write_text("\n".join([",".join(PAIR_COLUMNS)] + rows) + "\n")
         out = tmp_path / "reports.csv"
@@ -828,6 +867,15 @@ class TestCliOnLibraryRoutes:
         rows = run_figure_case(ExperimentConfig(case_name="cfg", **cfg))
         assert (tmp_path / "figure_cfg.csv").read_text().splitlines()[1:] == [",".join(map(repr, r)) for r in rows.tolist()]
 
+    @pytest.mark.parametrize("subject", ["metric", "christoffel", "geodesic"])
+    def test_inspect_output_file_holds_the_dump(self, model_file, tmp_path, capsys, subject):
+        out = tmp_path / f"{subject}.json"
+        assert main(["inspect", subject, str(model_file)]) == 0
+        printed = capsys.readouterr().out
+        assert main(["inspect", subject, str(model_file), "--output", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {subject} dump to {out}\n"
+        assert out.read_text() == printed
+
     def test_inspect_geodesic_on_unwrapped_phases(self, tmp_path, capsys):
         payload = {
             "grid": {"nu0": 0.25, "bandwidth_B": 0.4, "n_freqs": 6},
@@ -880,6 +928,90 @@ class TestCliOnLibraryRoutes:
         assert main(["distance", str(pairs), "--model", str(model), "--output", str(out)]) == 2
         assert "bad pair on row 2: phases or their gap not finite on the grid" in capsys.readouterr().err
         assert not out.exists()
+
+
+def _mp_known_mag(template, freqs, a1, c1, a2, c2):
+    """``(d_full, d_alpha, delta)`` of a pair whose gap never wraps, at 50 digits from the exact difference
+    of the coefficients as read (each a double)."""
+    with mpmath.workdps(50):
+        big1, big2 = mpmath.mpf(a1), mpmath.mpf(a2)
+        steps = [mpmath.mpf(b) - mpmath.mpf(a) for a, b in zip(c1, c2)]
+        gaps = [mpmath.polyval(steps[::-1], mpmath.mpf(f)) for f in freqs.tolist()]
+        weights, omega0 = [mpmath.mpf(w) for w in template.weights.tolist()], mpmath.mpf(template.omega0)
+        chord = mpmath.fsum(w * ((big2 - big1) ** 2 + 4 * big1 * big2 * mpmath.sin(g / 2) ** 2) for w, g in zip(weights, gaps))
+        delta = mpmath.sqrt(mpmath.fsum(w * g * g for w, g in zip(weights, gaps)) / omega0)
+        d_alpha = mpmath.sqrt(omega0 * ((big2 - big1) ** 2 + 4 * big1 * big2 * mpmath.sin(delta / 2) ** 2))
+        return mpmath.sqrt(chord), d_alpha, delta
+
+
+# nearby endpoints on the default band: the delay coefficient 1e-9 and 1e-12 apart, then the constant 1e-9 apart
+NEARBY_PAIRS = [
+    (1.0, [0.3, 1234.5], 1.0, [0.3, 1234.500000001]),
+    (1.0, [0.3, 1234.5], 1.0, [0.3, 1234.500000000001]),
+    (1.0, [0.3, 1234.5], 1.0, [0.300000001, 1234.5]),
+]
+
+
+class TestDistanceGapRoute:
+    """The ``distance`` command evaluates one gap polynomial per pair, ``polyval(c2 - c1)``, not two phases."""
+
+    def test_nearby_endpoints_keep_their_digits(self, tmp_path):
+        # two phases near 1234.5 * 0.5 rad would lose about 12 of their digits to the subtraction (the
+        # two-phase route is 1.9e-6, 7.0e-3 and 7.9e-6 off in d_full); the gap polynomial keeps all of them
+        n = 1000
+        pairs, out = tmp_path / "pairs.csv", tmp_path / "reports.csv"
+        _pairs_csv(pairs, [(a, np.array(c)) for a1, c1, a2, c2 in NEARBY_PAIRS for a, c in ((a1, c1), (a2, c2))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["distance", str(pairs), "--output", str(out)]) == 0
+        template, freqs = Template(NoiseProfile.flat(2.0, n), np.ones(n)), build_grid(0.25, 0.5, n).freqs
+        with open(out) as handle:
+            rows = list(csv.DictReader(handle))
+        for row, pair in zip(rows, NEARBY_PAIRS, strict=True):
+            for key, true in zip(("d_full", "d_alpha", "delta"), _mp_known_mag(template, freqs, *pair)):
+                assert abs(mpmath.mpf(row[key]) - true) <= 1e-15 * true, (pair, key, row[key])
+
+    def test_sides_that_overflow_with_a_finite_gap_keep_their_cells(self, tmp_path):
+        # row 1: each side's phase is finite (|1e308 nu| < 1e308 below nu = 0.5), and so is their gap; an
+        # unhalved c2 - c1 = -2e308 would overflow.  Row 2: each side overflows on the grid, its gap is 0
+        pairs, out = tmp_path / "pairs.csv", tmp_path / "reports.csv"
+        pairs.write_text(",".join(PAIR_COLUMNS) + "\n1.0,0;1e308,1.0,0;-1e308\n1.0,0;1.7e308;1.7e308,2.0,0;1.7e308;1.7e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["distance", str(pairs), "--output", str(out)]) == 0
+        with open(out) as handle:
+            opposite, equal = list(csv.DictReader(handle))
+        # the cells of the two-phase route, whose sides did not overflow on this row
+        assert (opposite["d_full"], opposite["d_alpha"], opposite["delta"]) == (
+            "17.82292240197722",
+            "22.393551445108574",
+            "0.7238456298573722",
+        )
+        n = 1000
+        d = known_mag_distances(Template(NoiseProfile.flat(2.0, n), np.ones(n)), 1.0, 2.0, 0.0, np.zeros(n))
+        assert (equal["d_full"], equal["d_alpha"], equal["delta"]) == tuple(repr(float(v)) for v in d)
+
+    def test_drift_from_the_two_phase_route_is_bounded(self, tmp_path):
+        # independent pairs drawn as perfbench draws them: log-uniform attenuations, degrees 0-3, each term
+        # sweeping up to 25 turns over the band.  Over that generator's 12000 pairs at seeds 1-6 the gap route
+        # moved d_full, d_alpha and delta by at most 5.1e-15 relative from the route on two phases
+        rng = np.random.default_rng(31)
+        sides = [
+            (float(10.0 ** rng.uniform(-1.0, 1.0)), rng.uniform(-1.0, 1.0, d + 1) * 50.0 * math.pi * 2.0 ** np.arange(d + 1))
+            for d in rng.integers(0, 4, 1200)
+        ]
+        pairs, out = tmp_path / "pairs.csv", tmp_path / "reports.csv"
+        _pairs_csv(pairs, sides)
+        assert main(["distance", str(pairs), "--output", str(out)]) == 0
+        n = 1000
+        grid, noise, rho0 = build_grid(0.25, 0.5, n), NoiseProfile.flat(2.0, n), np.ones(n)
+        template, worst = Template(noise, rho0), 0.0
+        with open(out) as handle:
+            for row, (a1, c1), (a2, c2) in zip(csv.DictReader(handle), sides[::2], sides[1::2], strict=True):
+                psi1, psi2 = _model_phases(grid, rho0, a1, c1), _model_phases(grid, rho0, a2, c2)
+                for key, two_phase in zip(("d_full", "d_alpha", "delta"), known_mag_distances(template, a1, a2, psi1, psi2)):
+                    worst = max(worst, abs(float(row[key]) - float(two_phase)) / float(two_phase))
+        assert worst < 1e-14, worst
 
 
 class TestParser:

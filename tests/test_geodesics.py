@@ -144,6 +144,11 @@ class TestStraightLine:
         path = straight_line_geodesic(spec, spec, n_nodes=5)
         assert np.all(path.coords == path.coords[0])
 
+    def test_one_node_named(self):
+        spec = SignalSpectrum([1.0, 2.0], [0.3, -0.7])
+        with pytest.raises(ValueError, match="^n_nodes must be at least 2$"):
+            straight_line_geodesic(spec, spec, n_nodes=1)
+
     def test_midpoint_is_componentwise_mean(self):
         rng = np.random.default_rng(1)
         z1 = rng.normal(size=6) + 1j * rng.normal(size=6)
@@ -559,7 +564,31 @@ class TestGaussRule:
             np.testing.assert_allclose(weights, ref_w, rtol=0.0, atol=4e-15)
 
 
+class TestSampledPathArguments:
+    @staticmethod
+    def _geodesic():
+        _, noise, rho0, _ = _band(6, seed=21)
+        psi = np.linspace(-1.0, 1.0, 6)
+        return solve_alpha_geodesic(0.7, 2.1, psi, -0.5 * psi, Template(noise, rho0))
+
+    @pytest.mark.parametrize("n_nodes", [0, 1])
+    def test_sampling_needs_two_nodes(self, n_nodes):
+        with pytest.raises(ValueError, match="^n_nodes must be at least 2$"):
+            sample_alpha_geodesic(self._geodesic(), n_nodes=n_nodes)
+
+    def test_coefficient_vectors_of_two_shapes_named(self):
+        with pytest.raises(ValueError, match="^coefficient vectors differ in shape$"):
+            alpha_geodesic_coeff_path(self._geodesic(), [0.2, 1.0], [0.2, 1.0, 0.5])
+
+
 class TestLdgResidual:
+    def test_coordinates_of_another_chart_named(self):
+        grid, noise, rho0, _ = _band(5, seed=14)
+        model = KnownMagnitudeModel(grid.freqs, rho0, alpha=1.0, phase_coeffs=[0.2, 1.0])
+        path = GeodesicPath(np.linspace(0, 1, 11), np.tile([1.0, 0.2, 1.0, 0.0], (11, 1)))
+        with pytest.raises(ValueError, match="^path coordinates do not match the model chart$"):
+            ldg_residual(model, path, noise)
+
     def test_constant_path_zero_residual(self):
         grid, noise, rho0, _ = _band(5, seed=14)
         model = KnownMagnitudeModel(grid.freqs, rho0, alpha=1.0, phase_coeffs=[0.2, 1.0])
@@ -625,6 +654,24 @@ class TestGeodesicPathContainer:
             GeodesicPath(np.array([0.1, 0.5, 1.0]), np.zeros((3, 2)))
         with pytest.raises(ValueError):
             GeodesicPath(np.array([0.0, 0.5, 0.9]), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize(
+        "sigmas, coords",
+        [
+            (np.linspace(0.0, 1.0, 3), np.zeros((2, 2))),
+            (np.linspace(0.0, 1.0, 3), np.zeros(3)),
+            (np.linspace(0.0, 1.0, 4).reshape(2, 2), np.zeros((2, 2))),
+        ],
+        ids=["fewer-rows", "flat-coordinates", "two-dimensional-sigmas"],
+    )
+    def test_one_coordinate_row_per_node(self, sigmas, coords):
+        with pytest.raises(ValueError, match="^need one coordinate row per node$"):
+            GeodesicPath(sigmas, coords)
+
+    @pytest.mark.parametrize("n_nodes", [0, 1])
+    def test_a_path_needs_two_nodes(self, n_nodes):
+        with pytest.raises(ValueError, match="^a path needs at least two nodes$"):
+            GeodesicPath(np.zeros(n_nodes), np.zeros((n_nodes, 2)))
 
     def test_alpha_stays_positive_below_antipodal(self):
         _, noise, rho0, rng = _band(8, seed=22)

@@ -550,3 +550,109 @@ class TestNonFiniteContainers:
         values[1, 1, 0] = bad
         with pytest.raises(ValueError, match=r"^non-finite connection coefficients$"):
             ChristoffelTensor(values, 1)
+
+
+class TestContainerChecks:
+    """Every construction check of the two containers, each named by its message."""
+
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            (np.ones((2, 3)), "must be square"),
+            (np.ones(3), "must be square"),
+            (np.array([[2.0, 1.0], [0.0, 2.0]]), "is not symmetric"),
+            (np.array([[1.0, 2.0], [2.0, 1.0]]), "is not positive semidefinite"),
+        ],
+        ids=["not-square", "not-two-dimensional", "not-symmetric", "not-psd"],
+    )
+    def test_fisher_blocks(self, block, message):
+        with pytest.raises(ValueError, match=f"^mag_block {message}$"):
+            FisherMatrix(block, np.eye(1))
+        with pytest.raises(ValueError, match=f"^phase_block {message}$"):
+            FisherMatrix(np.eye(1), block)
+
+    def test_rank_deficient_blocks_are_accepted(self):
+        metric = FisherMatrix(np.zeros((1, 1)), np.ones((2, 2)))
+        assert metric.n_params == 3
+
+    @staticmethod
+    def _symbols():
+        """A valid two-parameter tensor with every allowed family non-zero: Gamma_{q'u,q} = -Gamma_{q'q,u}."""
+        values = np.zeros((2, 2, 2))
+        values[0, 0, 0], values[1, 1, 1] = 0.5, 0.25
+        values[1, 0, 1] = values[0, 1, 1] = 1.0
+        values[1, 1, 0] = -1.0
+        return values
+
+    def test_valid_symbols_are_accepted(self):
+        assert ChristoffelTensor(self._symbols(), 1).n_params == 2
+
+    @pytest.mark.parametrize(
+        "edit, n_mag, message",
+        [
+            (lambda v: v[:, :, :1], 1, "values must be a cubic array"),
+            (lambda v: v, 0, "n_mag_params out of range"),
+            (lambda v: v, 2, "n_mag_params out of range"),
+            (lambda v: np.where(np.arange(8).reshape(2, 2, 2) == 3, 2.0, v), 1, "symbols are not symmetric in the upper pair"),
+            (lambda v: np.where(np.arange(8).reshape(2, 2, 2) == 1, 2.0, v), 1, "structural zeros violated"),
+            (lambda v: np.where(v < 0.0, 1.0, v), 1, "mixed-family sign relation violated"),
+        ],
+        ids=["not-cubic", "no-magnitude", "no-phase", "not-symmetric", "structural-zero", "sign-relation"],
+    )
+    def test_christoffel_checks(self, edit, n_mag, message):
+        # flat index 3 is [0, 1, 1] alone, without its mirror [1, 0, 1]; flat index 1 is [0, 0, 1], a
+        # magnitude pair with a lowered phase index, symmetric in itself
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ChristoffelTensor(edit(self._symbols()), n_mag)
+
+
+@dataclass(frozen=True)
+class NonFiniteModel(FreeSpectrumModel):
+    """The free polar chart with one of its spectra or partials NaN in every entry, named by ``bad``."""
+
+    bad: str = "magnitude"
+
+    def _nan_if(self, name, value):
+        return np.full(np.shape(value), math.nan) if name == self.bad else value
+
+    def magnitude(self, phi):
+        return self._nan_if("magnitude", super().magnitude(phi))
+
+    def magnitude_jacobian(self, phi):
+        return self._nan_if("magnitude jacobian", super().magnitude_jacobian(phi))
+
+    def phase_jacobian(self, varphi):
+        return self._nan_if("phase jacobian", super().phase_jacobian(varphi))
+
+    def phase_hessian(self, varphi):
+        return self._nan_if("phase hessian", np.zeros((self.n_bins,) * 3))
+
+
+class TestNonFiniteChartData:
+    """A chart whose values, partials or second partials are not finite is named before any sum is formed."""
+
+    XI = np.array([1.0, 2.0, 0.5, -0.5])
+
+    @pytest.mark.parametrize("bad", ["magnitude", "magnitude jacobian", "phase jacobian"])
+    def test_chart_data_named(self, bad):
+        with pytest.raises(ValueError, match=f"^non-finite {bad} at the requested point$"):
+            fisher_matrix(NonFiniteModel(2, bad), self.XI, NoiseProfile.flat(1.0, 2))
+
+    def test_second_partials_named(self):
+        with pytest.raises(ValueError, match="^non-finite second partials at the requested point$"):
+            christoffel(NonFiniteModel(2, "phase hessian"), self.XI, NoiseProfile.flat(1.0, 2))
+
+    @pytest.mark.parametrize("where", [0, 1])
+    def test_fd_step_of_a_non_finite_coordinate_named(self, where):
+        xi = np.array([1.0, 0.0])
+        xi[where] = math.inf
+        model = KnownMagnitudeModel(np.array([0.25]), np.ones(1))
+        with pytest.raises(ValueError, match="^finite-difference step underflow$"):
+            christoffel_fd(model, xi, NoiseProfile.flat(2.0, 1))
+
+    def test_fd_symbols_beyond_the_double_range_named(self):
+        # one bin of weight 1e308 at alpha = 1: the metric is finite at both stencil points, but its
+        # derivative along alpha is 2e308
+        model = KnownMagnitudeModel(np.array([0.25]), np.array([1e154]))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="^non-finite connection coefficients$"):
+            christoffel_fd(model, model.xi, NoiseProfile.flat(2.0, 1))

@@ -24,6 +24,12 @@ def grid8():
 
 
 class TestKnownMagnitudeModel:
+    @pytest.mark.parametrize("phi", [1.0, [1.0, 2.0], [[1.0, 2.0]]], ids=["scalar", "two", "row-of-two"])
+    def test_magnitude_takes_one_attenuation_per_point(self, grid8, phi):
+        model = KnownMagnitudeModel(grid8.freqs, np.ones(8))
+        with pytest.raises(ValueError, match="^expected one magnitude parameter, the attenuation$"):
+            model.magnitude(phi)
+
     def test_constant_model(self, grid8):
         model = KnownMagnitudeModel(grid8.freqs, np.ones(8), alpha=2.0, phase_coeffs=[0.0])
         spec = eval_model(model, model.xi)
@@ -174,6 +180,11 @@ class TestFreeSpectrumModel:
         xi = np.concatenate([-np.ones(8), np.zeros(8)])
         with pytest.raises(ValueError):
             eval_model(model, xi)
+
+    @pytest.mark.parametrize("n_bins", [0, -1])
+    def test_no_bins_rejected(self, n_bins):
+        with pytest.raises(ValueError, match="^n_bins must be at least 1$"):
+            FreeSpectrumModel(n_bins)
 
 
 def _fd_jacobian(fun, x, h=1e-6):

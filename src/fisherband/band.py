@@ -11,7 +11,7 @@ flat CSV serialization (every column round-trips, the grid included, since a
 grid is its frequencies), the validated magnitude ``Template``, the
 ``scaled_chord`` form shared by every distance, and the one check of each
 band-level rule: lengths, attenuations, read-only arrays, ``unscale`` and the
-row blocks of a batched pass.
+row blocks and workspace of a batched pass.
 
 All containers are immutable (frozen dataclasses with read-only arrays), so
 every operation in the package is a pure function safe for concurrent use.
@@ -46,6 +46,7 @@ __all__ = [
     "is_real_number",
     "load_band_csv",
     "log_likelihood",
+    "pass_workspace",
     "phase_rms_diff",
     "readonly",
     "row_blocks",
@@ -85,13 +86,18 @@ def check_aligned(**lengths: int) -> int:
 
 # Rows x bins per block of a batched pass over (rows x bins) arrays: at most
 # 32768 doubles (256 KiB) per array, or one row where a row is longer, so peak
-# memory does not grow with the number of rows.  Each pass allocates its arrays
-# once and runs every block in views of them, so no block meets glibc's
-# allocator (a fresh 128 KiB temporary per block made 16384 fast or slow by the
-# process's heap-trimming state).  Measured so, in perfbench runs of 25 s (three
-# per size, 2-vCPU AVX-512 Xeon, numpy 2.4): figure-cases ran at 41.1-46.7k
-# items/s with 32768 and 39.7-40.2k with 16384, distance-narrow at 21.7-22.0k
-# and 17.5-19.2k rows/s, and distance-narrow's peak RSS rose by at most 0.2 MB.
+# memory does not grow with the number of rows.  Each pass takes its arrays
+# once, from ``pass_workspace``, and runs every block in views of them, so no
+# block meets glibc's allocator (a fresh 128 KiB temporary per block made 16384
+# fast or slow by the process's heap-trimming state).  Measured so when the
+# size was chosen (BENCH_28.json's round, before the workspace was aligned), in
+# perfbench runs of 25 s (three per size, 2-vCPU AVX-512 Xeon, numpy 2.4):
+# figure-cases ran at 41.1-46.7k items/s with 32768 and 39.7-40.2k with 16384,
+# distance-narrow at 21.7-22.0k and 17.5-19.2k rows/s, and distance-narrow's
+# peak RSS rose by at most 0.2 MB.  The workspace starts on a 64-byte boundary,
+# and its rows do too only when ``n_bins % 8 == 0``: malloc had placed it
+# 16, 32 or 48 bytes past one as the heap fell, and the four-case figure pass
+# ran up to 17% slower there than on a boundary (BENCH_34.json's round).
 BLOCK = 32768
 
 
@@ -99,6 +105,20 @@ def row_blocks(n_rows: int, n_bins: int) -> list[slice]:
     """Slices of at most ``max(1, BLOCK // n_bins)`` rows covering ``range(n_rows)`` in order."""
     step = max(1, BLOCK // n_bins)
     return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
+
+def pass_workspace(count: int, n_rows: int, n_bins: int) -> np.ndarray:
+    """The float workspace of a batched pass over ``n_rows`` rows of ``n_bins``
+    bins: ``count`` arrays of the rows of :func:`row_blocks`' first block
+    (none for no rows), shape ``(count, rows, n_bins)``, C-contiguous, its
+    first element on a 64-byte boundary.  Its values are not set."""
+    blocks = row_blocks(n_rows, n_bins)
+    shape = (count, blocks[0].stop if blocks else 0, n_bins)
+    size = math.prod(shape)
+    # malloc's start is a multiple of 8 bytes, so at most 7 doubles short of a boundary
+    buffer = np.empty(size + 7)
+    skip = -buffer.ctypes.data % 64 // 8
+    return buffer[skip : skip + size].reshape(shape)
 
 
 def in_range(values, lo=-math.inf, hi=math.inf, lo_closed=False, hi_closed=False) -> bool:

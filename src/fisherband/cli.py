@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import operator
 import os
@@ -46,12 +47,13 @@ from itertools import chain, repeat
 import numpy as np
 
 from .acceptance import run_acceptance_suite, suite_seed
-from .band import NoiseProfile, Template, build_grid, check_attenuation, is_real_number, row_blocks, write_csv
+from .band import NoiseProfile, Template, build_grid, check_attenuation, is_real_number, pass_workspace, row_blocks
+from .band import wrap_phase, write_csv
 from .distances import known_mag_columns, known_mag_distances
 from .figures import FIGURE_CASES, ExperimentConfig, run_figure_case, write_figure_csv
 from .geodesics import solve_alpha_geodesic
 from .metric import christoffel, fisher_matrix
-from .models import KnownMagnitudeModel, phase_coeff_rows, polynomial_phase
+from .models import KnownMagnitudeModel, phase_coeff_rows, polynomial_gap
 
 
 class ModelFileError(ValueError):
@@ -168,8 +170,14 @@ def _cmd_inspect(args) -> int:
     elif args.subject == "christoffel":
         payload = christoffel(first, first.xi, noise).to_json_dict()
     else:
-        psi1, psi2 = (m.phase_unwrapped(m.phase_coeffs) for m in models)
-        payload = solve_alpha_geodesic(models[0].alpha, models[1].alpha, psi1, psi2, Template(noise, rho0)).to_json_dict()
+        # the phase gap from the coefficients, as in ``distance``: the endpoints' shared digits cancel exactly
+        # there, not in two phases; then the start phases are the first model's own
+        coeffs = np.zeros((2, max(m.n_phase_params for m in models)))
+        for row, m in zip(coeffs, models):
+            row[: m.n_phase_params] = m.phase_coeffs
+        gap = polynomial_gap(0.5 * coeffs[1] - 0.5 * coeffs[0], first.freqs)
+        geo = solve_alpha_geodesic(first.alpha, models[1].alpha, 0.0, gap, Template(noise, rho0))
+        payload = dataclasses.replace(geo, psi1=wrap_phase(first.phase_unwrapped(first.phase_coeffs))).to_json_dict()
     text = json.dumps(payload, indent=2)
     if args.output:
         with open(args.output, "w") as handle:
@@ -254,17 +262,13 @@ def _write_reports(pairs, grid, template: Template, out) -> int:
     # Horner with trailing zeros is bit-identical to the row's own call, and a row's values never depend on
     # its block-mates, so each row equals its own evaluation however it is grouped
     results, bad = np.empty((len(alphas), 3)), []
-    # each block's gap polynomials and the kernel's work are views of one (3, rows, bins) array per pass
-    size = max((row_blocks(len(rows), n)[0].stop for rows, _ in groups), default=0)
-    arrays = np.empty((3, size, n))
+    # each block's gap polynomials and the kernel's work are views of one aligned (3, rows, bins) workspace
+    arrays = pass_workspace(3, max((len(rows) for rows, _ in groups), default=0), n)
     for rows, half_gaps in groups:
         for part in row_blocks(len(rows), n):
             block = rows[part]
             gap, work = arrays[0, : len(block)], arrays[1:, : len(block)]
-            with np.errstate(over="ignore", invalid="ignore"):  # a row that overflows is named below
-                polynomial_phase(half_gaps[part], grid.freqs, out=gap)
-                # doubled back exactly: each row is the gap polynomial of c2 - c1, one Horner per pair
-                np.add(gap, gap, out=gap)
+            polynomial_gap(half_gaps[part], grid.freqs, out=gap)  # a row that overflows is named below
             try:
                 d = known_mag_distances(template, alphas[block, 0], alphas[block, 1], 0.0, gap, work=work)
                 results[block] = np.column_stack(d)

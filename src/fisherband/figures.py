@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .band import NoiseProfile, Template, build_grid, is_real_number, row_blocks, whole_number, write_csv
+from .band import NoiseProfile, Template, build_grid, is_real_number, pass_workspace, row_blocks, whole_number, write_csv
 from .distances import known_mag_distances, ratio_time_delay
 
 __all__ = [
@@ -64,7 +64,23 @@ class ExperimentConfig:
         if self.snr1 <= 0.0:
             raise ValueError("snr1 must be positive")
         build_grid(self.nu0, self.bandwidth_B, self.n_freqs)  # the band's own checks
+        alpha1, alpha2 = self.attenuations
+        if not 0.0 < alpha1 < math.inf:
+            raise ValueError(f"snr1 is {self.snr1!r}: the attenuation sqrt(snr1 / n_freqs) underflows to zero")
+        if not 0.0 < alpha2 < math.inf:
+            raise ValueError(
+                f"gamma_ratio is {self.gamma_ratio!r}: the attenuation gamma_ratio * sqrt(snr1 / n_freqs) is {alpha2!r}"
+                ", not positive and finite"
+            )
         sweep_points(self)  # a count numpy refuses fails here, as a config error
+
+    @property
+    def attenuations(self) -> tuple[float, float]:
+        """The sweep's ``(alpha1, alpha2)``: ``alpha1 = sqrt(snr1 / omega0)`` at the
+        reference SNR and ``alpha2 = gamma_ratio * alpha1``, where ``omega0``, the
+        flat template's band energy (``n_freqs`` weights of 1), is ``n_freqs``."""
+        alpha1 = math.sqrt(self.snr1 / float(self.n_freqs))
+        return alpha1, self.gamma_ratio * alpha1
 
 
 def sweep_points(config: ExperimentConfig) -> np.ndarray:
@@ -94,34 +110,32 @@ def run_figure_case(config: ExperimentConfig) -> np.ndarray:
     """Rows (b_dtau, d_full, d_alpha, ratio) for one sweep case.
 
     Distances are the exact constant-per-bin-SNR grid sums at the reference
-    SNR, with ``alpha1 = sqrt(snr1 / omega0)`` and ``alpha2 = gamma_ratio *
-    alpha1``; the ratio column is the sinc-form approximation of
-    :func:`ratio_time_delay` on the kernel's own ``delta``.  Output is
-    deterministic, and nothing is written: the ``figure`` command writes the
-    rows to its ``--output``, else the config's ``output_path``, else
-    ``figure_<case>.csv``.
+    SNR, with the config's ``attenuations``; the ratio column is the sinc-form
+    approximation of :func:`ratio_time_delay` on the kernel's own ``delta``.
+    Output is deterministic, and nothing is written: the ``figure`` command
+    writes the rows to its ``--output``, else the config's ``output_path``,
+    else ``figure_<case>.csv``.
     """
     n = config.n_freqs
     grid = build_grid(config.nu0, config.bandwidth_B, n)
     template = Template(NoiseProfile.flat(2.0, n), np.ones(n))
-    alpha1 = math.sqrt(config.snr1 / template.omega0)
+    alpha1, alpha2 = config.attenuations
     btaus = sweep_points(config)
     dtaus = btaus / config.bandwidth_B
     rows = np.empty((len(btaus), 4))
     rows[:, 0] = btaus
     delta = np.empty(len(btaus))
-    blocks = row_blocks(len(btaus), n)
     # every step works row by row, so a block's rows equal the whole sweep's; each
-    # block's phases and kernel work are views of one (3, rows, bins) array
-    # allocated once per pass, so no block allocates
-    arrays = np.empty((3, blocks[0].stop, n))
-    for block in blocks:
+    # block's phases and kernel work are views of one aligned (3, rows, bins)
+    # workspace taken once per pass, so no block allocates
+    arrays = pass_workspace(3, len(btaus), n)
+    for block in row_blocks(len(btaus), n):
         k = block.stop - block.start
         psi1, work = arrays[0, :k], arrays[1:, :k]
         # linear phases 2 pi dtau nu against the constant dpsi0, one row per sweep point
         np.multiply(2.0 * np.pi * dtaus[block, np.newaxis], grid.freqs, out=psi1)
         rows[block, 1], rows[block, 2], delta[block] = known_mag_distances(
-            template, alpha1, config.gamma_ratio * alpha1, psi1, config.dpsi0, work=work
+            template, alpha1, alpha2, psi1, config.dpsi0, work=work
         )
     rows[:, 3] = ratio_time_delay(config.gamma_ratio, config.dpsi0, btaus, config.nu0 / config.bandwidth_B, delta)
     return rows

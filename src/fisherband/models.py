@@ -23,6 +23,7 @@ __all__ = [
     "ParametricSignalModel",
     "eval_model",
     "phase_coeff_rows",
+    "polynomial_gap",
     "polynomial_phase",
 ]
 
@@ -46,6 +47,23 @@ def polynomial_phase(coeffs, freqs, out=None) -> np.ndarray:
         out *= freqs
         out += coeffs[..., k : k + 1]
     return out
+
+
+def polynomial_gap(half_gaps, freqs, out=None) -> np.ndarray:
+    """Phase gaps ``psi2 - psi1`` of polynomial phases from their coefficients'
+    half gaps ``0.5 * c2 - 0.5 * c1`` (rows of shape ``(..., d)``, zero-padded
+    to one length; halving is exact, so the difference of two finite
+    coefficients cannot overflow).
+
+    :func:`polynomial_phase` of the half gaps, doubled back in place, which is
+    exact: one Horner pass per pair, and the endpoints' shared digits cancel in
+    the coefficients, not in two evaluated phases.  A gap past the double range
+    is inf or NaN, with no warning, for the kernel's phase-gap check to name.
+    ``out`` is as in :func:`polynomial_phase`.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = polynomial_phase(half_gaps, freqs, out=out)
+        return np.add(out, out, out=out)
 
 
 def phase_coeff_rows(coeffs, n_freqs: int) -> np.ndarray:

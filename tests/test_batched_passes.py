@@ -5,7 +5,8 @@
 must give the bits of a call without them, refuse a ``work`` it cannot use
 by name, and return no output that lives in ``work``.  The figure sweep and
 the ``distance`` command hand every block views of one allocation per pass,
-so a pass's page faults do not grow with its block count.
+``pass_workspace``, so a pass's page faults do not grow with its block count;
+the workspace starts on a 64-byte boundary, and its placement changes no bit.
 """
 
 import math
@@ -27,6 +28,7 @@ from fisherband import (
     Template,
     build_grid,
     known_mag_distances,
+    pass_workspace,
     polynomial_phase,
     row_blocks,
     run_figure_case,
@@ -219,6 +221,75 @@ def test_distance_pass_runs_its_blocks_in_one_allocation(monkeypatch, tmp_path):
     assert len(calls) == 2 * len(row_blocks(n_rows // 2, 1000)) >= 4
     assert all(len(phases) == 1 for phases, _ in calls)
     _assert_one_allocation(calls)
+
+
+@pytest.mark.parametrize(
+    "count, n_rows, n_bins, rows",
+    [(3, 401, 1000, 32), (3, 20, 1000, 20), (2, 5, 64, 5), (3, 0, 1000, 0), (1, 7, 3 * BLOCK, 1), (3, 9, 1001, 9)],
+)
+def test_pass_workspace_is_the_first_block_on_a_64_byte_boundary(count, n_rows, n_bins, rows):
+    for _ in range(8):  # fresh allocations, wherever malloc puts them
+        space = pass_workspace(count, n_rows, n_bins)
+        assert space.shape == (count, rows, n_bins)
+        assert space.dtype == float and space.flags.c_contiguous and space.flags.writeable
+        assert space.ctypes.data % 64 == 0 or not rows  # no rows, no first element
+    assert rows == (row_blocks(n_rows, n_bins)[0].stop if n_rows else 0)
+
+
+def _offset_workspace(offset):
+    """``pass_workspace`` placed ``offset`` bytes past a 64-byte boundary, as malloc may place an array."""
+
+    def workspace(count, n_rows, n_bins):
+        shape = pass_workspace(count, n_rows, n_bins).shape
+        size = math.prod(shape)
+        buffer = np.empty(size + 8)
+        skip = (offset - buffer.ctypes.data) % 64 // 8
+        return buffer[skip : skip + size].reshape(shape)
+
+    return workspace
+
+
+def _perfbench_style_pairs(path, n_rows=400, seed=RNG_SEED + 5):
+    """Pairs as perfbench's distance workload draws them: attenuations over two decades and phase
+    polynomials of degree 0-3 whose every term sweeps up to 25 turns over the band."""
+    rng = np.random.default_rng(seed)
+
+    def coeffs():
+        degree = int(rng.integers(0, 4))
+        return ";".join(repr(float(rng.uniform(-1.0, 1.0) * 2.0 * math.pi * 25.0 * 2.0**k)) for k in range(degree + 1))
+
+    lines = ["alpha1,phase_coeffs1,alpha2,phase_coeffs2"]
+    for _ in range(n_rows):
+        a1, a2 = 10.0 ** rng.uniform(-1.0, 1.0, size=2)
+        lines.append(f"{float(a1)!r},{coeffs()},{float(a2)!r},{coeffs()}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _pass_outputs(monkeypatch, tmp_path, tag):
+    """The four figure cases' rows and a distance report's bytes, with each kernel call's arrays recorded."""
+    figure_calls = _recording(monkeypatch, fisherband.figures)
+    rows = [run_figure_case(cfg).tobytes() for cfg in FIGURE_CASES.values()]
+    distance_calls = _recording(monkeypatch, fisherband.cli)
+    out = tmp_path / f"reports-{tag}.csv"
+    assert main(["distance", str(_perfbench_style_pairs(tmp_path / "pairs.csv")), "--output", str(out)]) == 0
+    return rows, out.read_bytes(), figure_calls + distance_calls
+
+
+def _starts(calls):
+    """The start offset past a 64-byte boundary of every phase row block and ``work`` array the kernel saw."""
+    return {array.ctypes.data % 64 for phases, work in calls for array in (*phases, *work)}
+
+
+def test_batched_passes_run_on_64_byte_boundaries_and_their_placement_moves_no_bit(monkeypatch, tmp_path, capsys):
+    assert all(cfg.n_freqs == 1000 for cfg in FIGURE_CASES.values())  # 1000 % 8 == 0: every row is aligned
+    rows, report, calls = _pass_outputs(monkeypatch, tmp_path, "aligned")
+    assert len(calls) > 4 * 13 and _starts(calls) == {0}
+    for module in (fisherband.figures, fisherband.cli):
+        monkeypatch.setattr(module, "pass_workspace", _offset_workspace(16))
+    off_rows, off_report, off_calls = _pass_outputs(monkeypatch, tmp_path, "offset")
+    assert len(off_calls) == len(calls) and _starts(off_calls) == {16}
+    assert off_rows == rows and off_report == report
 
 
 FAULTS_PER_PASS = """

@@ -78,6 +78,15 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(**base)
 
+    @pytest.mark.parametrize("n_freqs, snr1, gamma_ratio", [(1000, 1.0, 10.0), (50, 1e10, 3.0), (7, 0.3, 1e-5), (4097, 2.5, 1.0)])
+    def test_attenuations_are_the_flat_templates(self, n_freqs, snr1, gamma_ratio):
+        # the flat template's omega0 is n_freqs exactly, so the config's rule gives the template route's bits
+        cfg = ExperimentConfig("x", 0.5, 0.0, gamma_ratio, n_freqs=n_freqs, snr1=snr1)
+        omega0 = Template(NoiseProfile.flat(2.0, n_freqs), np.ones(n_freqs)).omega0
+        assert omega0 == n_freqs
+        alpha1 = math.sqrt(snr1 / omega0)
+        assert cfg.attenuations == (alpha1, gamma_ratio * alpha1)
+
     def test_sweep_points_include_zero(self):
         pts = sweep_points(FIGURE_CASES["wideband-equal"])
         assert pts[0] == 0.0
@@ -369,6 +378,10 @@ class TestCli:
             ({"btau_sweep": [0, 20, 5, 1]}, "btau_sweep must be [min, max, count]"),
             ({"btau_sweep": 5}, "btau_sweep must be [min, max, count]"),
             ({"btau_sweep": "0,20,5"}, "btau_sweep must be [min, max, count]"),
+            # attenuations sqrt(snr1 / n_freqs) and gamma_ratio times it past the double range
+            ({"gamma_ratio": 1e308, "snr1": 1e10}, "gamma_ratio is 1e+308: the attenuation gamma_ratio * sqrt(snr1 / n_freqs) is inf"),
+            ({"gamma_ratio": 1e-300, "snr1": 1e-300}, "gamma_ratio is 1e-300: the attenuation gamma_ratio * sqrt(snr1 / n_freqs) is 0.0"),
+            ({"snr1": 1e-322}, "snr1 is 1e-322: the attenuation sqrt(snr1 / n_freqs) underflows to zero"),
         ],
     )
     def test_figure_bad_config_named(self, tmp_path, capsys, override, fragment):
@@ -891,11 +904,13 @@ class TestCliOnLibraryRoutes:
         assert main(["inspect", "geodesic", str(path)]) == 0
         dumped = json.loads(capsys.readouterr().out)
         grid, noise, rho0, models = load_model_file(path)
-        psi1, psi2 = (m.phase_unwrapped(m.phase_coeffs) for m in models)
-        geo = solve_alpha_geodesic(1.0, 1.5, psi1, psi2, Template(noise, rho0))
+        # the distance command's gap route against a constant start; the start phases are the first model's
+        geo = solve_alpha_geodesic(1.0, 1.5, 0.0, _gap_phase(grid, [0.2, 30.0], [0.6, -25.0]), Template(noise, rho0))
         assert dumped["delta"] == geo.delta
         assert dumped["k1"] == geo.k1
         assert dumped["dpsi"] == geo.dpsi.tolist()
+        assert dumped["c"] == geo.c.tolist()
+        assert dumped["psi1"] == wrap_phase(models[0].phase_unwrapped(models[0].phase_coeffs)).tolist()
 
     def test_inspect_geodesic_antipodal_warns_degenerate(self, tmp_path, capsys):
         # a constant gap of pi on every bin: delta = pi, and the attenuation touches zero inside the path
@@ -953,7 +968,27 @@ NEARBY_PAIRS = [
 
 
 class TestDistanceGapRoute:
-    """The ``distance`` command evaluates one gap polynomial per pair, ``polyval(c2 - c1)``, not two phases."""
+    """The ``distance`` command and ``inspect geodesic`` evaluate one gap polynomial per pair, ``polyval(c2 -
+    c1)``, not two phases."""
+
+    @pytest.mark.parametrize("pair", NEARBY_PAIRS + [(1.0, [7.0, 30.0, -2.5], 1.5, [0.6])], ids=lambda p: repr(p[3]))
+    def test_inspect_geodesic_keeps_the_digits_of_nearby_endpoints(self, tmp_path, capsys, pair):
+        # the two-phase route dumped delta 1.9e-6, 7.0e-3 and 7.9e-6 off; the last pair pads the shorter side
+        a1, c1, a2, c2 = pair
+        n, path = 1000, tmp_path / "model.json"
+        grid, template = build_grid(0.25, 0.5, n), Template(NoiseProfile.flat(2.0, n), np.ones(n))
+        band = {"grid": {"nu0": 0.25, "bandwidth_B": 0.5, "n_freqs": n}, "noise": {"gamma0": 2.0}, "rho0": 1.0}
+        path.write_text(json.dumps({**band, "endpoints": [{"alpha": a1, "phase_coeffs": c1}, {"alpha": a2, "phase_coeffs": c2}]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["inspect", "geodesic", str(path)]) == 0
+        dumped = json.loads(capsys.readouterr().out)
+        geo = solve_alpha_geodesic(a1, a2, 0.0, _gap_phase(grid, c1, c2), template)
+        assert (dumped["delta"], dumped["dpsi"]) == (geo.delta, geo.dpsi.tolist())
+        assert dumped["psi1"] == wrap_phase(polynomial_phase(phase_coeff_rows(c1, n), grid.freqs)).tolist()
+        if pair in NEARBY_PAIRS:
+            true = _mp_known_mag(template, grid.freqs, *pair)[2]
+            assert abs(mpmath.mpf(dumped["delta"]) - true) <= 2e-16 * true, dumped["delta"]
 
     def test_nearby_endpoints_keep_their_digits(self, tmp_path):
         # two phases near 1234.5 * 0.5 rad would lose about 12 of their digits to the subtraction (the

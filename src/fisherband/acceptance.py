@@ -322,8 +322,9 @@ def _line_reparam_residual() -> float:
     sigmas = np.linspace(0.0, 1.0, 101)
     warped = sigmas**2
     z = z1[np.newaxis, :] + warped[:, np.newaxis] * (z2 - z1)[np.newaxis, :]
-    coords = np.hstack([np.abs(z), np.angle(z)])
-    path = GeodesicPath(sigmas, coords)
+    # the polar velocity of z' = 2 sigma (z2 - z1): rho' = Re(z' / z) rho, psi' = Im(z' / z)
+    rate = 2.0 * sigmas[:, np.newaxis] * (z2 - z1)[np.newaxis, :] / z
+    path = GeodesicPath(sigmas, np.hstack([np.abs(z), np.angle(z)]), np.hstack([rate.real * np.abs(z), rate.imag]))
     model = FreeSpectrumModel(n)
     return ldg_residual(model, path, noise).max_scaled
 
@@ -351,9 +352,7 @@ def criterion_10(seed, scale: str) -> CriterionResult:
 def criterion_11(seed, scale: str) -> CriterionResult:
     noise, geo, model, coeffs1, coeffs2 = _ldg_instance()
     path = alpha_geodesic_coeff_path(geo, coeffs1, coeffs2, n_nodes=41)
-    alpha_rate, mix_rate = geo.velocity_at(path.sigmas)
-    velocities = np.column_stack([alpha_rate, mix_rate[:, np.newaxis] * (coeffs2 - coeffs1)])
-    speeds = path_speed(model, path.coords, velocities, noise)
+    speeds = path_speed(model, path.coords, path.velocities, noise)
     return _worst(11, "geodesic speed is constant and equals the length squared", np.abs(speeds / geo.speed - 1.0), 1e-8)
 
 

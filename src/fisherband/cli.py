@@ -48,7 +48,7 @@ import numpy as np
 
 from .acceptance import run_acceptance_suite, suite_seed
 from .band import NoiseProfile, Template, build_grid, check_attenuation, is_real_number, pass_workspace, row_blocks
-from .band import wrap_phase, write_csv
+from .band import in_range, wrap_phase, write_csv
 from .distances import known_mag_columns, known_mag_distances
 from .figures import FIGURE_CASES, ExperimentConfig, run_figure_case, write_figure_csv
 from .geodesics import solve_alpha_geodesic
@@ -170,14 +170,20 @@ def _cmd_inspect(args) -> int:
     elif args.subject == "christoffel":
         payload = christoffel(first, first.xi, noise).to_json_dict()
     else:
+        # the start phases are the first model's own, which may leave the double range while the gap does not
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi1 = first.phase_unwrapped(first.phase_coeffs)
+        if not in_range(psi1):
+            k = int(np.argmin(np.isfinite(psi1)))
+            raise ValueError(f"endpoint 0's phase is {psi1[k]} at nu = {first.freqs[k]:.6g}, past the double range")
         # the phase gap from the coefficients, as in ``distance``: the endpoints' shared digits cancel exactly
-        # there, not in two phases; then the start phases are the first model's own
+        # there, not in two phases
         coeffs = np.zeros((2, max(m.n_phase_params for m in models)))
         for row, m in zip(coeffs, models):
             row[: m.n_phase_params] = m.phase_coeffs
         gap = polynomial_gap(0.5 * coeffs[1] - 0.5 * coeffs[0], first.freqs)
         geo = solve_alpha_geodesic(first.alpha, models[1].alpha, 0.0, gap, Template(noise, rho0))
-        payload = dataclasses.replace(geo, psi1=wrap_phase(first.phase_unwrapped(first.phase_coeffs))).to_json_dict()
+        payload = dataclasses.replace(geo, psi1=wrap_phase(psi1)).to_json_dict()
     text = json.dumps(payload, indent=2)
     if args.output:
         with open(args.output, "w") as handle:

@@ -80,18 +80,24 @@ class DegenerateGeodesicWarning(UserWarning):
 
 @dataclass(frozen=True)
 class GeodesicPath:
-    """Sampled curve: node parameters in [0, 1] with one coordinate row each."""
+    """Sampled curve: node parameters in [0, 1], with one coordinate row and one
+    velocity row (the coordinates' derivatives in sigma) per node."""
 
     sigmas: np.ndarray
     coords: np.ndarray
+    velocities: np.ndarray
 
     def __post_init__(self):
         sigmas = readonly(self.sigmas, one_dim=False)
         coords = readonly(self.coords, one_dim=False)
+        velocities = readonly(self.velocities, one_dim=False)
         object.__setattr__(self, "sigmas", sigmas)
         object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "velocities", velocities)
         if sigmas.ndim != 1 or coords.ndim != 2 or coords.shape[0] != len(sigmas):
             raise ValueError("need one coordinate row per node")
+        if velocities.shape != coords.shape:
+            raise ValueError("need one velocity row per coordinate row")
         if len(sigmas) < 2:
             raise ValueError("a path needs at least two nodes")
         if not in_range(np.diff(sigmas), 0.0, math.inf, hi_closed=True):
@@ -164,10 +170,15 @@ def straight_line_geodesic(mu1: SignalSpectrum, mu2: SignalSpectrum, n_nodes: in
     x2 = embedding_coords(mu2)
     sigmas = np.linspace(0.0, 1.0, n_nodes)
     coords = x1[np.newaxis, :] + sigmas[:, np.newaxis] * (x2 - x1)[np.newaxis, :]
-    return GeodesicPath(sigmas, coords)
+    return GeodesicPath(sigmas, coords, np.tile(x2 - x1, (n_nodes, 1)))
 
 
 # -- closed-form geodesic on the known-magnitude submanifold -----------------
+
+
+def _at_ends(sigmas, values, start, end) -> np.ndarray:
+    """``values`` with ``start`` at sigma = 0 and ``end`` at sigma = 1."""
+    return np.where(sigmas == 0.0, start, np.where(sigmas == 1.0, end, values))
 
 
 @dataclass(frozen=True)
@@ -183,10 +194,16 @@ class AlphaGeodesic:
     attenuations scaled by ``2**-scale`` (the exponent of ``scaled_chord``),
     ``chord`` is k1 and ``moment = a1 a2 |sin delta|`` is sqrt(K), so every
     evaluation is homogeneous over the double range; ``k1``, ``K`` and ``c``
-    read them in natural units.  ``degenerate`` marks the antipodal case
-    delta = pi where the attenuation touches zero inside the path and the
-    phase advance concentrates at the crossing; with no moment and the
-    crossing outside [0, 1] the flow has a moment-free limit instead.
+    read them in natural units.  ``k2`` and ``moment`` are formed from each
+    attenuation's own mantissa and exponent, so where the scaled small end
+    is subnormal they round once, not at every product.  At sigma = 0 and
+    1 the evaluations return the boundary data themselves: the attenuations,
+    mix 0 and 1, and end rates formed with each end's attenuation divided
+    out, which no shift ``s + k2`` resolves when one end is below the
+    other's ulp.  ``degenerate`` marks the antipodal case delta = pi where
+    the attenuation touches zero inside the path and the phase advance
+    concentrates at the crossing; with no moment and the crossing outside
+    [0, 1] the flow has a moment-free limit instead.
     """
 
     alpha1: float
@@ -206,22 +223,36 @@ class AlphaGeodesic:
         check_attenuation(self.alpha1, self.alpha2)
         if not 0.0 <= self.delta <= math.pi:
             raise ValueError("delta must lie in [0, pi]")
-        half = np.sin(0.5 * self.delta)
-        h = float(half * half)
-        chord, scale = scaled_chord(self.alpha1, self.alpha2, h)
+        chord, scale = scaled_chord(self.alpha1, self.alpha2, self._half_angle())
         object.__setattr__(self, "chord", float(chord))
         object.__setattr__(self, "scale", scale)
-        a1, a2 = self._scaled_ends()
+        (m1, e1), (m2, e2) = math.frexp(self.alpha1), math.frexp(self.alpha2)
         # coincident endpoints (chord 0): the constant path
-        object.__setattr__(self, "k2", -a1 * ((a1 - a2) + 2.0 * a2 * h) / self.chord if self.chord > 0.0 else 0.0)
-        object.__setattr__(self, "moment", a1 * a2 * abs(math.sin(self.delta)))
+        k2 = unscale(-m1 * self._end_terms()[0] / self.chord, e1 - scale) if self.chord > 0.0 else 0.0
+        object.__setattr__(self, "k2", k2)
+        object.__setattr__(self, "moment", unscale(m1 * m2 * abs(math.sin(self.delta)), e1 + e2 - 2 * scale))
+
+    def _half_angle(self) -> float:
+        half = np.sin(0.5 * self.delta)
+        return float(half * half)
 
     def _scaled_ends(self) -> tuple[float, float]:
         return math.ldexp(self.alpha1, -self.scale), math.ldexp(self.alpha2, -self.scale)
 
+    def _end_terms(self) -> tuple[float, float]:
+        """``(q1, q2)``, each end's shift with its attenuation divided out:
+        ``chord k2 = -a1 q1`` and ``chord (1 + k2) = a2 q2``, where ``q1 = a1 -
+        a2 cos delta`` and ``q2 = a2 - a1 cos delta`` in half-angle form."""
+        a1, a2 = self._scaled_ends()
+        h = self._half_angle()
+        return (a1 - a2) + 2.0 * a2 * h, (a2 - a1) + 2.0 * a1 * h
+
     def _flow_angles(self) -> tuple[float, float]:
-        """Arctan flow angles ``atan2(chord (s + k2), moment)`` at s = 0 and s = 1."""
-        return tuple(math.atan2(self.chord * shift, self.moment) for shift in (self.k2, 1.0 + self.k2))
+        """Arctan flow angles ``atan2(chord (s + k2), moment)`` at s = 0 and s = 1,
+        each with its end's attenuation divided out of both arguments."""
+        (q1, q2), (a1, a2) = self._end_terms(), self._scaled_ends()
+        sin = abs(math.sin(self.delta))
+        return math.atan2(-q1, a2 * sin), math.atan2(q2, a1 * sin)
 
     @property
     def k1(self) -> float:
@@ -242,8 +273,10 @@ class AlphaGeodesic:
 
     @property
     def _crossing_inside(self) -> bool:
-        """No flow moment, and the attenuation's zero crossing ``-k2`` lies in [0, 1]."""
-        return self.moment <= 0.0 and 0.0 <= -self.k2 <= 1.0
+        """No flow moment, and the attenuation's zero crossing ``-k2`` lies in
+        [0, 1]: read off the signs of ``q1`` and ``q2``, not the rounded k2."""
+        q1, q2 = self._end_terms()
+        return self.moment <= 0.0 and q1 >= 0.0 and q2 >= 0.0
 
     @property
     def degenerate(self) -> bool:
@@ -256,7 +289,8 @@ class AlphaGeodesic:
         if self.chord == 0.0:
             return np.full_like(sigmas, self.alpha1)
         # hypot, so the small end is not squared below the double range
-        return unscale(np.hypot(self.chord * (sigmas + self.k2), self.moment) / math.sqrt(self.chord), self.scale)
+        alphas = unscale(np.hypot(self.chord * (sigmas + self.k2), self.moment) / math.sqrt(self.chord), self.scale)
+        return _at_ends(sigmas, alphas, self.alpha1, self.alpha2)
 
     def phase_mix_at(self, sigmas) -> np.ndarray:
         """Fraction of the per-bin phase advance completed at each sigma: the
@@ -268,28 +302,46 @@ class AlphaGeodesic:
             return np.zeros_like(sigmas)
         if self.moment > 0.0:
             angles = np.arctan2(self.chord * (sigmas + self.k2), self.moment)
-            return (angles - self._flow_angles()[0]) / self.delta
-        if self._crossing_inside:
+            mix = (angles - self._flow_angles()[0]) / self.delta
+        elif self._crossing_inside:
             crossing = -self.k2
             return np.where(sigmas < crossing, 0.0, np.where(sigmas > crossing, 1.0, 0.5))
-        return sigmas * (1.0 + self.k2) / (sigmas + self.k2)
+        else:
+            # at sigma = 0 a k2 that underflowed reads 0 / 0, which the end replaces
+            with np.errstate(divide="ignore", invalid="ignore"):
+                mix = sigmas * (1.0 + self.k2) / (sigmas + self.k2)
+        return _at_ends(sigmas, mix, 0.0, 1.0)
 
     def velocity_at(self, sigmas) -> tuple[np.ndarray, np.ndarray]:
         """Derivatives ``(alpha_rate, mix_rate)`` of ``alpha_at`` and ``phase_mix_at``
         at each sigma: with ``a_s`` the scaled attenuation, ``chord (s + k2) / a_s``
-        and ``(moment / a_s) / (delta a_s)``, of degree 1 and 0 in the attenuations."""
+        and ``(moment / a_s) / (delta a_s)``, of degree 1 and 0 in the
+        attenuations; at the ends ``-q1`` and ``q2``, and ``a2 |sin delta| /
+        (a1 delta)`` and ``a1 |sin delta| / (a2 delta)``.  A mix rate beyond the
+        double range (a start below about 1e-308 of the end) reads inf."""
         sigmas = np.asarray(sigmas, dtype=float)
+        if self.chord == 0.0:
+            return np.zeros_like(sigmas), np.zeros_like(sigmas)
         shift = self.chord * (sigmas + self.k2)
-        if self.chord == 0.0 or self.moment <= 0.0:
-            # no flow: a_s = |shift| / sqrt(chord), so alpha' is +-sqrt(chord), 0 on a constant path or at a crossing
-            alpha_rate = unscale(np.sign(shift) * math.sqrt(self.chord), self.scale)
-            if self.delta <= 0.0 or self.chord == 0.0 or self._crossing_inside:
-                return alpha_rate, np.zeros_like(sigmas)
-            # the derivative of the moment-free limit of the flow
-            return alpha_rate, self.k2 * (1.0 + self.k2) / (sigmas + self.k2) ** 2
-        a_s = np.hypot(shift, self.moment) / math.sqrt(self.chord)
-        # divide before squaring, so a tiny a_s does not underflow to 0
-        return unscale(shift / a_s, self.scale), (self.moment / a_s) / (self.delta * a_s)
+        q1, q2 = self._end_terms()
+        alpha_ends = unscale(-q1, self.scale), unscale(q2, self.scale)
+        # with no moment a_s = |shift| / sqrt(chord), so alpha' is +-sqrt(chord)
+        alpha_rate = unscale(np.sign(shift) * math.sqrt(self.chord), self.scale)
+        if self.delta <= 0.0 or self._crossing_inside:
+            # the phases stay or step
+            return _at_ends(sigmas, alpha_rate, *alpha_ends), np.zeros_like(sigmas)
+        (a1, a2), (m1, e1), (m2, e2) = self._scaled_ends(), math.frexp(self.alpha1), math.frexp(self.alpha2)
+        sinc = abs(math.sin(self.delta)) / self.delta
+        mix_ends = unscale(a2 * sinc / m1, self.scale - e1), unscale(a1 * sinc / m2, self.scale - e2)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            if self.moment <= 0.0:
+                # the derivative of the flow's moment-free limit
+                mix_rate = self.k2 * (1.0 + self.k2) / (sigmas + self.k2) ** 2
+            else:
+                a_s = np.hypot(shift, self.moment) / math.sqrt(self.chord)
+                # divide before squaring, so a tiny a_s does not underflow to 0
+                alpha_rate, mix_rate = unscale(shift / a_s, self.scale), (self.moment / a_s) / (self.delta * a_s)
+        return _at_ends(sigmas, alpha_rate, *alpha_ends), _at_ends(sigmas, mix_rate, *mix_ends)
 
     @property
     def length(self) -> float:
@@ -356,8 +408,13 @@ def sample_alpha_geodesic(geo: AlphaGeodesic, n_nodes: int = 201) -> GeodesicPat
     """Sample the geodesic as a path in the (alpha, unwrapped phase) chart.
 
     Nodes uniform in sigma are mixed with nodes uniform in the phase-advance
-    angle, which clusters samples around the attenuation dip of
-    nearly-antipodal endpoint pairs where the curve is sharpest.
+    angle, which cluster around the attenuation dip (``moment / chord`` wide)
+    where the curve is sharpest, and with nodes at dip distances that double
+    out to the uniform spacing, where the angled ones thin out.  Each node
+    carries ``velocity_at``'s rates, at delta = pi too: the doubling nodes
+    reach into the dip down to sigma's resolution, and ``path_length`` on
+    them is exact to rounding there.  Knots may lie ulps apart, as each of
+    ``path_length``'s pieces reads only its own two nodes.
     """
     if n_nodes < 2:
         raise ValueError("n_nodes must be at least 2")
@@ -365,26 +422,19 @@ def sample_alpha_geodesic(geo: AlphaGeodesic, n_nodes: int = 201) -> GeodesicPat
     if geo.moment <= 0.0 or geo.chord == 0.0:
         sigmas = uniform
     else:
+        width = geo.moment / geo.chord
         thetas = np.linspace(*geo._flow_angles(), n_nodes)[1:-1]
-        angled = np.tan(thetas) * geo.moment / geo.chord - geo.k2
+        angled = np.tan(thetas) * width - geo.k2
+        # knots at dip distances that double from its width up to the uniform
+        # spacing, where the angled ones thin out harmonically
+        steps = np.ldexp(width, np.arange(max(math.ceil(-math.log2((n_nodes - 1) * width)), 0)))
+        bridge = np.concatenate([-geo.k2 - steps, steps - geo.k2])
         # np.unique's knots, by a sort and a neighbour mask (np.unique loads numpy.ma, 1.7 MB resident)
-        merged = np.sort(np.concatenate([uniform, np.clip(angled, 0.0, 1.0)]))
-        merged = merged[np.concatenate([[True], merged[1:] != merged[:-1]])]
-        # drop near-coincident knots that would ill-condition the spline: a knot
-        # stays if it lies more than 1e-10 past the last one kept, so with every
-        # gap wider than that all stay, and only a close pair needs the walk
-        if np.all(np.diff(merged) > 1e-10):
-            sigmas = np.concatenate([[0.0], merged[1:]])
-        else:
-            filtered = [0.0]
-            for s in merged[1:]:
-                if s - filtered[-1] > 1e-10:
-                    filtered.append(float(s))
-            if filtered[-1] < 1.0:
-                filtered[-1] = 1.0
-            sigmas = np.asarray(filtered)
-    mix = geo.phase_mix_at(sigmas)[:, np.newaxis]
-    return GeodesicPath(sigmas, np.column_stack([geo.alpha_at(sigmas), geo.psi1 + mix * geo.dpsi]))
+        merged = np.sort(np.clip(np.concatenate([uniform, angled, bridge]), 0.0, 1.0))
+        sigmas = merged[np.concatenate([[True], merged[1:] != merged[:-1]])]
+    mix, (alpha_rate, mix_rate) = geo.phase_mix_at(sigmas)[:, np.newaxis], geo.velocity_at(sigmas)
+    coords = np.column_stack([geo.alpha_at(sigmas), geo.psi1 + mix * geo.dpsi])
+    return GeodesicPath(sigmas, coords, np.column_stack([alpha_rate, mix_rate[:, np.newaxis] * geo.dpsi]))
 
 
 def alpha_geodesic_coeff_path(geo: AlphaGeodesic, coeffs1, coeffs2, n_nodes: int = 101) -> GeodesicPath:
@@ -393,15 +443,16 @@ def alpha_geodesic_coeff_path(geo: AlphaGeodesic, coeffs1, coeffs2, n_nodes: int
     Valid when the endpoint coefficient difference produces unwrapped phase
     differences within (-pi, pi] on the whole grid, so the wrapped per-bin
     differences the geodesic interpolates coincide with the polynomial ones.
-    Coordinates per node are (alpha, coefficients).
+    Coordinates per node are (alpha, coefficients), with ``velocity_at``'s rates.
     """
     coeffs1 = np.asarray(coeffs1, dtype=float)
     coeffs2 = np.asarray(coeffs2, dtype=float)
     if coeffs1.shape != coeffs2.shape:
         raise ValueError("coefficient vectors differ in shape")
     sigmas = np.linspace(0.0, 1.0, n_nodes)
-    mix = geo.phase_mix_at(sigmas)[:, np.newaxis]
-    return GeodesicPath(sigmas, np.column_stack([geo.alpha_at(sigmas), coeffs1 + mix * (coeffs2 - coeffs1)]))
+    mix, (alpha_rate, mix_rate) = geo.phase_mix_at(sigmas)[:, np.newaxis], geo.velocity_at(sigmas)
+    coords = np.column_stack([geo.alpha_at(sigmas), coeffs1 + mix * (coeffs2 - coeffs1)])
+    return GeodesicPath(sigmas, coords, np.column_stack([alpha_rate, mix_rate[:, np.newaxis] * (coeffs2 - coeffs1)]))
 
 
 # -- shooting oracle ---------------------------------------------------------
@@ -420,11 +471,11 @@ def _dp_alpha_path(alpha1: float, slope: float, K: float):
     _RTOL`` times its component's larger end, is at most 1 and alpha stays
     positive (a stage on alpha = 0 fails it); the next is ``0.9 err^(-1/5)``
     times it, within [0.2, 5].  ``1 / alpha1**2`` must be finite.  Returns
-    the accepted rows ``(sigma, alpha, theta)``, short of 1 when the step
+    the accepted rows ``(sigma, alpha, v, theta)``, short of 1 when the step
     falls below sigma's resolution, and the count of rejected steps.
     """
     s, a, v, theta = 0.0, float(alpha1), float(slope), 0.0
-    nodes, rejected, h = [(s, a, theta)], 0, 0.01
+    nodes, rejected, h = [(s, a, v, theta)], 0, 0.01
     # the rates read only (alpha, v): q = 1/alpha^2 is theta's, w = K q / alpha is v's
     w1 = K * (q1 := 1.0 / (a * a)) / a
     while s < 1.0:
@@ -464,7 +515,7 @@ def _dp_alpha_path(alpha1: float, slope: float, K: float):
             err = math.inf
         if err <= 1.0 and a7 > 0.0:
             s, a, v, theta, q1, w1 = s + h, a7, v7, theta7, q7, w7
-            nodes.append((s, a, theta))
+            nodes.append((s, a, v, theta))
             h *= min(5.0, 0.9 * max(err, 1e-10) ** -0.2)
         else:
             # a NaN or infinite estimate takes the smallest factor
@@ -485,7 +536,10 @@ def shoot_alpha_geodesic(alpha1: float, alpha2: float, psi1, psi2, template: Tem
     ``alpha2 cos delta - alpha1``, which reads no k1 or k2, is the exact root,
     and one integration from it (``_dp_alpha_path``) gives the nodes.  Both
     ends are checks: ``x(1)`` against ``alpha2 cos delta`` to 1e-10, and
-    ``y(1)``, which tests K, against ``alpha2 sin delta`` to 1e-6.  A start
+    ``y(1)``, which tests K, against ``alpha2 sin delta`` to 1e-6.  The
+    nodes' velocities are the ODE state's: alpha's rate ``v``, and each bin's
+    phase rate ``dpsi`` times the mix rate ``moment / (alpha^2 delta)``, the
+    rate of ``sqrt(K) theta / delta``.  A start
     whose 1/alpha1^2 is not finite, a step below sigma's resolution, or a miss
     raises ``ConvergenceError`` naming the dip width ``moment / chord``,
     narrower than sigma resolves at delta = pi.  Scaling both attenuations by
@@ -502,48 +556,21 @@ def shoot_alpha_geodesic(alpha1: float, alpha2: float, psi1, psi2, template: Tem
     if not (a1 * a1 > 0.0 and 1.0 / (a1 * a1) < math.inf):
         raise failure("cannot start: 1/alpha1^2 is not finite in the scaled units")
     nodes, rejected = _dp_alpha_path(a1, a2 * math.cos(delta) - a1, root_k * root_k)
-    sigmas, alphas, advances = nodes[:, 0], nodes[:, 1], root_k * nodes[:, 2]
+    sigmas, alphas, rates, advances = nodes[:, 0], nodes[:, 1], nodes[:, 2], root_k * nodes[:, 3]
     if sigmas[-1] < 1.0:
         raise failure(f"stopped at sigma = {sigmas[-1]:.17g}, its step below sigma's resolution after {rejected} rejected steps")
     if abs(alphas[-1] * math.cos(advances[-1]) - a2 * math.cos(delta)) > 1e-10:
         raise failure("missed alpha2 cos(delta)")
     if abs(alphas[-1] * math.sin(advances[-1]) - a2 * math.sin(delta)) > 1e-6:
         raise failure("reached alpha2 cos(delta), but missed alpha2 sin(delta)")
-    # the fraction of each bin's phase difference covered is the advance over delta
-    mix = advances / delta if delta > 0.0 else np.zeros_like(advances)
-    phases = geo.psi1 + mix[:, np.newaxis] * geo.dpsi
-    return GeodesicPath(sigmas, np.column_stack([np.ldexp(alphas, geo.scale), phases]))
+    # the fraction of each bin's phase difference covered is the advance over
+    # delta; its rate divides before squaring, so a tiny alpha does not underflow
+    mix, mix_rate = (advances / delta, (root_k / alphas) / (delta * alphas)) if delta > 0.0 else (0.0 * advances,) * 2
+    coords = np.column_stack([np.ldexp(alphas, geo.scale), geo.psi1 + mix[:, np.newaxis] * geo.dpsi])
+    return GeodesicPath(sigmas, coords, np.column_stack([np.ldexp(rates, geo.scale), mix_rate[:, np.newaxis] * geo.dpsi]))
 
 
 # -- path functionals --------------------------------------------------------
-
-
-def _flat_reduction(chart: AlphaPhaseChart, coords):
-    """An ``AlphaPhaseChart`` path in reduced coordinates, for ``path_length``.
-
-    The alpha column, the only one of degree 1, is scaled by the exact power
-    of two ``2**-exponent`` that brings its largest magnitude into [0.5, 1),
-    so the speed scales by ``4**-exponent``.  The centred phase block is
-    projected onto its affine span: the rows of ``B`` are the right singular
-    vectors of the block's QR factor ``R`` (rank by numpy's ``matrix_rank``
-    rule, at least one row), the reduced coordinates are the centred block
-    times ``B^T``, and its velocity is ``v_r B`` in the reduced coordinates
-    ``v_r``, so its weighted squared speed is ``v_r^T G v_r`` with
-    ``G = B diag(w) B^T``.  A spline is linear in its data, so splining alpha
-    and the reduced columns gives the same integral.  Returns
-    ``(reduced, exponent, G)``.
-    """
-    coords = np.asarray(coords, dtype=float)
-    expected = 1 + len(chart._w)
-    if coords.shape[1] != expected:
-        raise ValueError(f"path has {coords.shape[1]} coordinates per node, the chart takes {expected}")
-    exponent = math.frexp(float(np.max(np.abs(coords[:, 0]))))[1]
-    block = coords[:, 1:]
-    centred = block - np.mean(block, axis=0)
-    _, s, vt = np.linalg.svd(np.linalg.qr(centred, mode="r"), full_matrices=False)
-    rank = max(int(np.sum(s > s[0] * max(centred.shape) * np.finfo(float).eps)), 1)
-    basis = vt[:rank]
-    return np.column_stack([np.ldexp(coords[:, 0], -exponent), centred @ basis.T]), exponent, (basis * chart._w) @ basis.T
 
 
 def _legendre_series(x, c):
@@ -592,99 +619,61 @@ def _hermite_rule(n_quad: int):
     return tuple(readonly(table, one_dim=False) for table in (0.5 * weights, position, velocity))
 
 
-def _cyclic_reduction(lower, diag, upper, rhs) -> np.ndarray:
-    """Solve ``lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[..., i]``
-    for ``x`` along the last axis (``lower[0]`` and ``upper[-1]`` are 0).
-
-    Padded with identity equations to ``2**p - 1``, each sweep folds the even
-    equations into their odd neighbours, and the back-substitution recovers
-    the even unknowns: O(log n) vectorized sweeps, with no pivoting and no
-    loop over the equations.
-    """
-    n = len(diag)
-    size = (1 << n.bit_length()) - 1
-    a, b, c = np.zeros(size), np.ones(size), np.zeros(size)
-    a[:n], b[:n], c[:n] = lower, diag, upper
-    d = np.zeros(rhs.shape[:-1] + (size,))
-    d[..., :n] = rhs
-    levels = []
-    while size > 1:
-        levels.append((a, b, c, d))
-        left, right = -a[1::2] / b[:-1:2], -c[1::2] / b[2::2]
-        a, b, c = left * a[:-1:2], b[1::2] + left * c[:-1:2] + right * a[2::2], right * c[2::2]
-        d = d[..., 1::2] + left * d[..., :-1:2] + right * d[..., 2::2]
-        size //= 2
-    x = d / b
-    for a, b, c, d in reversed(levels):
-        # the odd unknowns at the even places of ``known``, a zero past each end
-        known = np.zeros(d.shape[:-1] + (len(b) + 2,))
-        known[..., 2:-1:2] = x
-        known[..., 1::2] = (d[..., ::2] - a[::2] * known[..., :-1:2] - c[::2] * known[..., 2::2]) / b[::2]
-        x = known[..., 1:-1]
-    return x[..., :n]
-
-
-def _not_a_knot(sigmas, chord) -> np.ndarray:
-    """The node slopes, a row per node, of the not-a-knot cubic spline on four
-    or more nodes ``sigmas`` with chord slopes ``chord``, a row per interval:
-    scipy's tridiagonal system (``CubicSpline``'s), solved by
-    ``_cyclic_reduction``, so equal to scipy's to rounding, not bit for bit.
-    """
-    slope = chord.T
-    dx = np.diff(sigmas)
-    start, end = sigmas[2] - sigmas[0], sigmas[-1] - sigmas[-3]
-    rhs = np.empty((len(slope), len(sigmas)))
-    rhs[:, 1:-1] = 3.0 * (dx[1:] * slope[:, :-1] + dx[:-1] * slope[:, 1:])
-    rhs[:, 0] = ((dx[0] + 2.0 * start) * dx[1] * slope[:, 0] + dx[0] ** 2 * slope[:, 1]) / start
-    rhs[:, -1] = (dx[-1] ** 2 * slope[:, -2] + (2.0 * end + dx[-1]) * dx[-2] * slope[:, -1]) / end
-    lower = np.concatenate([[0.0], dx[1:], [end]])
-    diag = np.concatenate([[dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]])
-    upper = np.concatenate([[start], dx[:-1], [0.0]])
-    return _cyclic_reduction(lower, diag, upper, rhs).T
-
-
 def path_length(chart, path: GeodesicPath, n_quad: int = 64) -> float:
-    """Length of a sampled path: quadrature of sqrt(speed) along a spline.
+    """Length of a sampled path: quadrature of sqrt(speed) along its cubic Hermite interpolant.
 
-    Coordinates are interpolated with the not-a-knot cubic spline in sigma
-    (piecewise linear below four nodes; numpy only) and integrated with an
-    ``n_quad``-point Gauss-Legendre rule on every inter-node interval, so the
-    result is reparametrization invariant up to interpolation error.  Each
-    interval's cubic is held in Hermite form, by its chord slope and its end
-    slopes (``_not_a_knot``'s; the chord below four nodes), and two products
-    with ``_hermite_rule``'s tables give position and velocity at the rule's
-    points, the position only in the columns the speed reads.  On the flat
-    ``AlphaPhaseChart`` the spline runs through reduced coordinates (see
-    ``_flat_reduction``): a path whose phases move along one direction
-    splines two columns, and the length is homogeneous of degree 1 in the
-    attenuation over the double range.  Any other chart's ``speed`` sees
-    every column.  A path coordinate that is not finite is one named error
-    on every chart.
+    Each inter-node interval is the cubic that takes the path's node values
+    and node velocities at its ends (no system is solved, so each piece reads
+    its own two nodes), held in slope form by its chord slope and end slopes,
+    and is integrated with an ``n_quad``-point Gauss-Legendre rule; two
+    products with ``_hermite_rule``'s tables give position and velocity at
+    the rule's points.  The result is reparametrization invariant up to
+    interpolation error, and exact for the rule on a path whose coordinates
+    are cubic in sigma.  On the flat ``AlphaPhaseChart`` only alpha's
+    position is formed: alpha is scaled by the exact power of two that brings
+    its largest magnitude into [0.5, 1), so the length is homogeneous of
+    degree 1 in the attenuation over the double range, and an interval's
+    weighted squared phase speed at a point with Hermite factors ``V`` is
+    ``V^T G V``, ``G`` the weighted 3 x 3 Gram of the interval's ``(m, d0,
+    d1)`` over the bins.  Any other chart's ``speed`` sees every column.  A
+    path coordinate or velocity that is not finite is one named error on
+    every chart.
     """
     if n_quad < 8:
         raise ValueError("n_quad must be at least 8")
-    sigmas, coords = path.sigmas, path.coords
+    sigmas, coords, velocities = path.sigmas, path.coords, path.velocities
     if not in_range(coords):
         raise ValueError("path coordinates must be finite")
+    if not in_range(velocities):
+        raise ValueError("path velocities must be finite")
+    h = np.diff(sigmas)[:, np.newaxis]
+
+    def factors(values, slopes, h=h):
+        # (m, d0, d1) per interval and column; the point axis leads the products
+        chord = np.diff(values, axis=0) / h
+        return np.stack([chord, slopes[:-1] - chord, slopes[1:] - chord])
+
+    weights, position, velocity = _hermite_rule(n_quad)
     flat = isinstance(chart, AlphaPhaseChart)
     if flat:
-        coords, exponent, gram = _flat_reduction(chart, coords)
-    # the position columns the speed reads: the flat chart's alpha, else all
-    head = 1 if flat else coords.shape[1]
-    h = np.diff(sigmas)[:, np.newaxis]
-    chord = np.diff(coords, axis=0) / h
-    slopes = _not_a_knot(sigmas, chord) if len(sigmas) >= 4 else None
-    start, end = (chord, chord) if slopes is None else (slopes[:-1], slopes[1:])
-    # (m, d0, d1) per interval and column; the point axis leads the products
-    factors = np.stack([chord, start - chord, end - chord])
-    weights, position, velocity = _hermite_rule(n_quad)
-    pos = coords[:-1, :head] + h * np.tensordot(position, factors[..., :head], axes=1)
-    vel = np.tensordot(velocity, factors, axes=1)
-    if flat:
-        reduced = vel[..., 1:]
-        speeds = chart._flat_speed(pos[..., 0], vel[..., 0], np.sum((reduced @ gram) * reduced, axis=-1))
+        expected = 1 + len(chart._w)
+        if coords.shape[1] != expected:
+            raise ValueError(f"path has {coords.shape[1]} coordinates per node, the chart takes {expected}")
+        exponent = math.frexp(float(np.max(np.abs(coords[:, 0]))))[1]
+        alphas = np.ldexp(coords[:, 0], -exponent)
+        alpha = factors(alphas, np.ldexp(velocities[:, 0], -exponent), h[:, 0])
+        # the six entries (k, l) of each interval's weighted Gram, a row each,
+        # and the products V_k V_l at the points, off-diagonal ones doubled
+        phase, k, l = factors(coords[:, 1:], velocities[:, 1:]), [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]
+        gram = np.stack([(phase[i] * phase[j]) @ chart._w for i, j in zip(k, l)])
+        pairs = velocity[:, k] * velocity[:, l] * [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
+        speeds = chart._flat_speed(alphas[:-1] + h[:, 0] * (position @ alpha), velocity @ alpha, pairs @ gram)
     else:
-        speeds = np.asarray(chart.speed(pos.reshape(-1, head), vel.reshape(-1, head)), dtype=float).reshape(n_quad, -1)
+        every = factors(coords, velocities)
+        pos = coords[:-1] + h * np.tensordot(position, every, axes=1)
+        vel = np.tensordot(velocity, every, axes=1)
+        speeds = np.asarray(chart.speed(pos.reshape(-1, pos.shape[-1]), vel.reshape(-1, pos.shape[-1])), dtype=float)
+        speeds = speeds.reshape(n_quad, -1)
     # the sum runs in interval order, point by point within each interval
     length = float(np.sum((h * weights * np.sqrt(np.maximum(speeds, 0.0)).T).ravel()))
     return unscale(length, exponent) if flat else length

@@ -1184,6 +1184,18 @@ class TestOneErrorExit:
             assert main(["inspect", "geodesic", str(path)]) == 2
         assert capsys.readouterr().err == "error: phase gap psi2 - psi1 is not finite\n"
 
+    def test_inspect_geodesic_overflowing_endpoint_phase_named(self, tmp_path, capsys):
+        # both endpoints' phases leave the double range on the grid, while their gap, 0, does not
+        side = {"alpha": 1.0, "phase_coeffs": [0.0, 1.7e308, 1.7e308]}
+        payload = {"grid": {"nu0": 0.25, "bandwidth_B": 0.5, "n_freqs": 16}, "noise": {"gamma0": 2.0}, "rho0": 1.0,
+                   "endpoints": [side, side]}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["inspect", "geodesic", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: endpoint 0's phase is inf at nu = 0.078125, past the double range\n")
+
     def test_console_entry_point_prints_no_traceback(self, tmp_path, model_file):
         out = tmp_path / "missing_dir" / "dump.json"
         argv = [sys.executable, "-m", "fisherband.cli", "inspect", "metric", str(model_file), "--output", str(out)]

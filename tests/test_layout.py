@@ -78,9 +78,9 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = main(["accept", "--scale", "smoke"])
 noise, rho0 = NoiseProfile.flat(2.0, 4), np.ones(4)
 model = KnownMagnitudeModel(build_grid(0.25, 0.4, 4).freqs, rho0, phase_coeffs=[0.0, 0.0])
-coords = np.random.default_rng(0).uniform(0.5, 2.0, (9, 5))
+coords, velocities = np.random.default_rng(0).uniform(0.5, 2.0, (2, 9, 5))
 lengths = [
-    path_length(chart, GeodesicPath(np.linspace(0.0, 1.0, 9), coords[:, :width]), n_quad=8)
+    path_length(chart, GeodesicPath(np.linspace(0.0, 1.0, 9), coords[:, :width], velocities[:, :width]), n_quad=8)
     for chart, width in [(AlphaPhaseChart(Template(noise, rho0)), 5), (ModelChart(model, noise), 3)]
 ]
 print(code, all(length > 0.0 for length in lengths), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
@@ -88,7 +88,7 @@ print(code, all(length > 0.0 for length in lengths), sorted(m for m in sys.modul
 
 
 def test_accept_and_path_length_load_no_scipy_module():
-    # the acceptance suite runs every oracle, the spline quadrature among them
+    # the acceptance suite runs every oracle, the Hermite quadrature among them
     out = subprocess.run(
         [sys.executable, "-c", PATHS_WITHOUT_SCIPY], capture_output=True, text=True, check=True, cwd=PACKAGE_DIR.parent
     )

@@ -529,7 +529,8 @@ class TestGeodesicResidual:
         model, noise, xi = _curved_instance()
         sigmas = np.linspace(0.0, 1.0, 21)
         coords = xi + np.outer(sigmas, [0.4, -0.3, 0.9, 0.5]) + np.outer(sigmas**2, [0.1, 0.2, -0.3, 0.1])
-        path = GeodesicPath(sigmas, coords)
+        velocities = np.array([0.4, -0.3, 0.9, 0.5]) + np.outer(2.0 * sigmas, [0.1, 0.2, -0.3, 0.1])
+        path = GeodesicPath(sigmas, coords, velocities)
         res = ldg_residual(model, path, noise)
         mag, phase, speed_scale = _ldg_per_node(model, path, noise)
         assert res.mag.tobytes() == mag.tobytes()

@@ -33,7 +33,6 @@ from .distances import (
 )
 from .figures import FIGURE_CASES, run_figure_case
 from .geodesics import (
-    AlphaPhaseChart,
     GeodesicPath,
     alpha_geodesic_coeff_path,
     ldg_residual,
@@ -185,7 +184,7 @@ def criterion_5(seed, scale: str) -> CriterionResult:
         psi1, psi2 = _random_phase_pair(rng, noise.n_freqs)
         geo = solve_alpha_geodesic(a1, a2, psi1, psi2, template)
         path = sample_alpha_geodesic(geo, n_nodes=257)
-        length = path_length(AlphaPhaseChart(template), path, n_quad=16)
+        length = path_length(template, path, n_quad=16)
         d_sub = distance_alpha(a1, a2, psi1, psi2, template)
         errors.append(abs(length - d_sub) / d_sub)
     return _worst(
@@ -209,7 +208,7 @@ def criterion_6(seed, scale: str) -> CriterionResult:
         geo = solve_alpha_geodesic(a1, a2, psi1, psi2, template)
         shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, template)
         psis = geo.psi1 + geo.phase_mix_at(shot.sigmas)[:, np.newaxis] * geo.dpsi
-        shot_len = path_length(AlphaPhaseChart(template), shot, n_quad=8)
+        shot_len = path_length(template, shot, n_quad=8)
         gaps.append((
             np.max(np.abs(shot.coords[:, 0] - geo.alpha_at(shot.sigmas))),
             np.max(np.abs(shot.coords[:, 1:] - psis)),

@@ -57,7 +57,6 @@ from .models import ParametricSignalModel
 
 __all__ = [
     "AlphaGeodesic",
-    "AlphaPhaseChart",
     "DegenerateGeodesicWarning",
     "GeodesicPath",
     "LdgResidual",
@@ -111,23 +110,6 @@ class GeodesicPath:
 
 
 # -- charts ------------------------------------------------------------------
-
-
-class AlphaPhaseChart:
-    """Known-magnitude submanifold chart on a validated template: (alpha, unwrapped phase per bin)."""
-
-    def __init__(self, template: Template):
-        self._w = template.weights
-        self.omega0 = template.omega0
-
-    def _flat_speed(self, alpha, alpha_vel, phase_sq) -> np.ndarray:
-        """Speed from alpha, its velocity and the weighted squared phase velocity."""
-        return self.omega0 * alpha_vel**2 + alpha**2 * phase_sq
-
-    def speed(self, coords, vel) -> np.ndarray:
-        coords = np.asarray(coords, dtype=float)
-        vel = np.asarray(vel, dtype=float)
-        return self._flat_speed(coords[..., 0], vel[..., 0], np.sum(self._w * vel[..., 1:] ** 2, axis=-1))
 
 
 class ModelChart:
@@ -283,65 +265,62 @@ class AlphaGeodesic:
         """The attenuation touches zero inside the path: a crossing there, or delta within 1e-9 of pi."""
         return bool(self.delta > 0.0 and (self._crossing_inside or math.pi - self.delta < 1e-9))
 
-    def alpha_at(self, sigmas) -> np.ndarray:
-        """Attenuation alpha(s) at each curve parameter in ``sigmas``."""
+    def _flow(self, sigmas) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(alpha, mix, alpha_rate, mix_rate)`` at each sigma: the attenuation,
+        the fraction of the per-bin phase advance completed (the normalized
+        arctan flow) and their derivatives in sigma.  With ``a_s`` the scaled
+        attenuation and ``shift = chord (s + k2)``, the rates are ``shift /
+        a_s`` and ``(moment / a_s) / (delta a_s)``, of degree 1 and 0 in the
+        attenuations.  Coincident ends (chord 0) are the constant path, and
+        delta = 0 keeps the phases.  With no moment alpha's rate is
+        +-sqrt(chord), and the mix is a step at the zero crossing ``-k2`` when
+        it lies in [0, 1] (1/2 exactly at the crossing, rate 0), else the
+        flow's moment-free limit ``s (1 + k2) / (s + k2)``.  At sigma = 0 and 1
+        the flow returns the boundary data: the attenuations, mix 0 and 1,
+        alpha rates ``-q1`` and ``q2``, and mix rates ``a2 |sin delta| / (a1
+        delta)`` and ``a1 |sin delta| / (a2 delta)``; a mix rate beyond the
+        double range (a start below about 1e-308 of the end) reads inf.
+        """
         sigmas = np.asarray(sigmas, dtype=float)
+        zeros = np.zeros_like(sigmas)
         if self.chord == 0.0:
-            return np.full_like(sigmas, self.alpha1)
-        # hypot, so the small end is not squared below the double range
-        alphas = unscale(np.hypot(self.chord * (sigmas + self.k2), self.moment) / math.sqrt(self.chord), self.scale)
-        return _at_ends(sigmas, alphas, self.alpha1, self.alpha2)
-
-    def phase_mix_at(self, sigmas) -> np.ndarray:
-        """Fraction of the per-bin phase advance completed at each sigma: the
-        normalized arctan flow; for K = 0 a step at the attenuation's zero
-        crossing when it lies in [0, 1] (1/2 exactly at the crossing), else
-        the flow's moment-free limit ``s (1 + k2) / (s + k2)``."""
-        sigmas = np.asarray(sigmas, dtype=float)
-        if self.delta <= 0.0 or self.chord == 0.0:
-            return np.zeros_like(sigmas)
-        if self.moment > 0.0:
-            angles = np.arctan2(self.chord * (sigmas + self.k2), self.moment)
-            mix = (angles - self._flow_angles()[0]) / self.delta
-        elif self._crossing_inside:
-            crossing = -self.k2
-            return np.where(sigmas < crossing, 0.0, np.where(sigmas > crossing, 1.0, 0.5))
-        else:
-            # at sigma = 0 a k2 that underflowed reads 0 / 0, which the end replaces
-            with np.errstate(divide="ignore", invalid="ignore"):
+            return np.full_like(sigmas, self.alpha1), zeros, zeros, zeros
+        (q1, q2), root, shift = self._end_terms(), math.sqrt(self.chord), self.chord * (sigmas + self.k2)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            # hypot, so the small end is not squared below the double range
+            a_s = np.hypot(shift, self.moment) / root
+            alpha_rate = shift / a_s if self.moment > 0.0 else np.sign(shift) * root
+            alpha = _at_ends(sigmas, unscale(a_s, self.scale), self.alpha1, self.alpha2)
+            alpha_rate = _at_ends(sigmas, unscale(alpha_rate, self.scale), unscale(-q1, self.scale), unscale(q2, self.scale))
+            if self.delta <= 0.0:
+                return alpha, zeros, alpha_rate, zeros
+            if self._crossing_inside:
+                crossing = -self.k2
+                return alpha, np.where(sigmas < crossing, 0.0, np.where(sigmas > crossing, 1.0, 0.5)), alpha_rate, zeros
+            if self.moment > 0.0:
+                mix = (np.arctan2(shift, self.moment) - self._flow_angles()[0]) / self.delta
+                # divide before squaring, so a tiny a_s does not underflow to 0
+                mix_rate = (self.moment / a_s) / (self.delta * a_s)
+            else:
+                # at sigma = 0 a k2 that underflowed reads 0 / 0, which the end replaces
                 mix = sigmas * (1.0 + self.k2) / (sigmas + self.k2)
-        return _at_ends(sigmas, mix, 0.0, 1.0)
-
-    def velocity_at(self, sigmas) -> tuple[np.ndarray, np.ndarray]:
-        """Derivatives ``(alpha_rate, mix_rate)`` of ``alpha_at`` and ``phase_mix_at``
-        at each sigma: with ``a_s`` the scaled attenuation, ``chord (s + k2) / a_s``
-        and ``(moment / a_s) / (delta a_s)``, of degree 1 and 0 in the
-        attenuations; at the ends ``-q1`` and ``q2``, and ``a2 |sin delta| /
-        (a1 delta)`` and ``a1 |sin delta| / (a2 delta)``.  A mix rate beyond the
-        double range (a start below about 1e-308 of the end) reads inf."""
-        sigmas = np.asarray(sigmas, dtype=float)
-        if self.chord == 0.0:
-            return np.zeros_like(sigmas), np.zeros_like(sigmas)
-        shift = self.chord * (sigmas + self.k2)
-        q1, q2 = self._end_terms()
-        alpha_ends = unscale(-q1, self.scale), unscale(q2, self.scale)
-        # with no moment a_s = |shift| / sqrt(chord), so alpha' is +-sqrt(chord)
-        alpha_rate = unscale(np.sign(shift) * math.sqrt(self.chord), self.scale)
-        if self.delta <= 0.0 or self._crossing_inside:
-            # the phases stay or step
-            return _at_ends(sigmas, alpha_rate, *alpha_ends), np.zeros_like(sigmas)
+                mix_rate = self.k2 * (1.0 + self.k2) / (sigmas + self.k2) ** 2
         (a1, a2), (m1, e1), (m2, e2) = self._scaled_ends(), math.frexp(self.alpha1), math.frexp(self.alpha2)
         sinc = abs(math.sin(self.delta)) / self.delta
         mix_ends = unscale(a2 * sinc / m1, self.scale - e1), unscale(a1 * sinc / m2, self.scale - e2)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            if self.moment <= 0.0:
-                # the derivative of the flow's moment-free limit
-                mix_rate = self.k2 * (1.0 + self.k2) / (sigmas + self.k2) ** 2
-            else:
-                a_s = np.hypot(shift, self.moment) / math.sqrt(self.chord)
-                # divide before squaring, so a tiny a_s does not underflow to 0
-                alpha_rate, mix_rate = unscale(shift / a_s, self.scale), (self.moment / a_s) / (self.delta * a_s)
-        return _at_ends(sigmas, alpha_rate, *alpha_ends), _at_ends(sigmas, mix_rate, *mix_ends)
+        return alpha, _at_ends(sigmas, mix, 0.0, 1.0), alpha_rate, _at_ends(sigmas, mix_rate, *mix_ends)
+
+    def alpha_at(self, sigmas) -> np.ndarray:
+        """Attenuation alpha(s) at each curve parameter in ``sigmas``."""
+        return self._flow(sigmas)[0]
+
+    def phase_mix_at(self, sigmas) -> np.ndarray:
+        """Fraction of the per-bin phase advance completed at each sigma, with ``_flow``'s cases."""
+        return self._flow(sigmas)[1]
+
+    def velocity_at(self, sigmas) -> tuple[np.ndarray, np.ndarray]:
+        """Derivatives ``(alpha_rate, mix_rate)`` of ``alpha_at`` and ``phase_mix_at`` at each sigma."""
+        return self._flow(sigmas)[2:]
 
     @property
     def length(self) -> float:
@@ -432,8 +411,8 @@ def sample_alpha_geodesic(geo: AlphaGeodesic, n_nodes: int = 201) -> GeodesicPat
         # np.unique's knots, by a sort and a neighbour mask (np.unique loads numpy.ma, 1.7 MB resident)
         merged = np.sort(np.clip(np.concatenate([uniform, angled, bridge]), 0.0, 1.0))
         sigmas = merged[np.concatenate([[True], merged[1:] != merged[:-1]])]
-    mix, (alpha_rate, mix_rate) = geo.phase_mix_at(sigmas)[:, np.newaxis], geo.velocity_at(sigmas)
-    coords = np.column_stack([geo.alpha_at(sigmas), geo.psi1 + mix * geo.dpsi])
+    alpha, mix, alpha_rate, mix_rate = geo._flow(sigmas)
+    coords = np.column_stack([alpha, geo.psi1 + mix[:, np.newaxis] * geo.dpsi])
     return GeodesicPath(sigmas, coords, np.column_stack([alpha_rate, mix_rate[:, np.newaxis] * geo.dpsi]))
 
 
@@ -450,8 +429,8 @@ def alpha_geodesic_coeff_path(geo: AlphaGeodesic, coeffs1, coeffs2, n_nodes: int
     if coeffs1.shape != coeffs2.shape:
         raise ValueError("coefficient vectors differ in shape")
     sigmas = np.linspace(0.0, 1.0, n_nodes)
-    mix, (alpha_rate, mix_rate) = geo.phase_mix_at(sigmas)[:, np.newaxis], geo.velocity_at(sigmas)
-    coords = np.column_stack([geo.alpha_at(sigmas), coeffs1 + mix * (coeffs2 - coeffs1)])
+    alpha, mix, alpha_rate, mix_rate = geo._flow(sigmas)
+    coords = np.column_stack([alpha, coeffs1 + mix[:, np.newaxis] * (coeffs2 - coeffs1)])
     return GeodesicPath(sigmas, coords, np.column_stack([alpha_rate, mix_rate[:, np.newaxis] * (coeffs2 - coeffs1)]))
 
 
@@ -573,15 +552,6 @@ def shoot_alpha_geodesic(alpha1: float, alpha2: float, psi1, psi2, template: Tem
 # -- path functionals --------------------------------------------------------
 
 
-def _legendre_series(x, c):
-    """``sum_k c[k] P_k(x)``, two or more terms, by Clenshaw's backward recurrence on
-    the Legendre three-term recurrence, in the order of operations of numpy 2.4's ``legval``."""
-    c0, c1 = c[-2], c[-1]
-    for n in range(len(c) - 1, 1, -1):
-        c0, c1 = c[n - 2] - c1 * ((n - 1) / n), c0 + c1 * x * ((2 * n - 1) / n)
-    return c0 + c1 * x
-
-
 @functools.lru_cache(maxsize=8)
 def _hermite_rule(n_quad: int):
     """The ``n_quad``-point Gauss-Legendre rule on [0, 1], read-only, as
@@ -592,31 +562,20 @@ def _hermite_rule(n_quad: int):
     d1``, on an interval of width ``h`` with chord slope ``m`` and end slopes
     ``m + d0`` and ``m + d1``.
 
-    The rule is numpy's ``leggauss`` algorithm, step for step, on numpy's
-    core (importing ``leggauss`` loads all of ``numpy.polynomial``): the
-    points are the eigenvalues of the symmetric Jacobi matrix (Golub &
-    Welsch, *Math. Comp.* 23, 1969) after one Newton step, and the weights
-    ``1 / (P_{n-1} P_n')``, symmetrised and scaled to sum to 2.  It equals
-    numpy 2.4's ``leggauss`` bit for bit (another numpy may order ``legval``'s
-    operations otherwise), and at 8, 16 and 64 points lies within 4e-15 of
-    ``leggauss`` and of a 50-digit reference.
+    The rule is Golub & Welsch's (*Math. Comp.* 23, 1969): the points are the
+    eigenvalues of the Legendre recurrence's symmetric Jacobi matrix, ``k /
+    sqrt(4 k^2 - 1)`` off the diagonal, and the weights on [0, 1] the squared
+    first components of their unit eigenvectors, both symmetrised.  At 8, 13,
+    16 and 64 points it lies within 1e-15 of a 50-digit rule.
     """
-    k = np.arange(n_quad)
-    scale = 1.0 / np.sqrt(2 * k + 1)
-    nodes = np.linalg.eigvalsh(np.diag(k[1:] * scale[:-1] * scale[1:], -1))
-    # P_n, and P_n' = sum of (2k + 1) P_k over k = n - 1, n - 3, ...
-    unit = np.zeros(n_quad + 1)
-    unit[-1] = 1.0
-    slope = _legendre_series(nodes, np.where((n_quad - k) % 2, 2.0 * k + 1.0, 0.0))
-    nodes = nodes - _legendre_series(nodes, unit) / slope
-    below = _legendre_series(nodes, unit[1:])
-    weights = 1.0 / (below / np.abs(below).max() * (slope / np.abs(slope).max()))
+    k = np.arange(1.0, n_quad)
+    nodes, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    weights = vectors[0] ** 2
     weights, nodes = (weights + weights[::-1]) / 2, (nodes - nodes[::-1]) / 2
-    weights *= 2.0 / weights.sum()
     u = 0.5 * (nodes + 1.0)
     position = np.column_stack([u, u * (1.0 - u) ** 2, -(u**2) * (1.0 - u)])
     velocity = np.column_stack([np.ones(n_quad), (1.0 - u) * (1.0 - 3.0 * u), -u * (2.0 - 3.0 * u)])
-    return tuple(readonly(table, one_dim=False) for table in (0.5 * weights, position, velocity))
+    return tuple(readonly(table, one_dim=False) for table in (weights, position, velocity))
 
 
 def path_length(chart, path: GeodesicPath, n_quad: int = 64) -> float:
@@ -629,15 +588,16 @@ def path_length(chart, path: GeodesicPath, n_quad: int = 64) -> float:
     products with ``_hermite_rule``'s tables give position and velocity at
     the rule's points.  The result is reparametrization invariant up to
     interpolation error, and exact for the rule on a path whose coordinates
-    are cubic in sigma.  On the flat ``AlphaPhaseChart`` only alpha's
-    position is formed: alpha is scaled by the exact power of two that brings
-    its largest magnitude into [0.5, 1), so the length is homogeneous of
-    degree 1 in the attenuation over the double range, and an interval's
-    weighted squared phase speed at a point with Hermite factors ``V`` is
-    ``V^T G V``, ``G`` the weighted 3 x 3 Gram of the interval's ``(m, d0,
-    d1)`` over the bins.  Any other chart's ``speed`` sees every column.  A
-    path coordinate or velocity that is not finite is one named error on
-    every chart.
+    are cubic in sigma.  A ``Template`` is the flat chart (alpha, unwrapped
+    phase per bin) of speed ``omega0 alpha'^2 + alpha^2 sum_nu w psi'^2``, on
+    which only alpha's position is formed: alpha is scaled by the exact power
+    of two that brings its largest magnitude into [0.5, 1), so the length is
+    homogeneous of degree 1 in the attenuation over the double range, and
+    an interval's weighted squared phase speed at a point with Hermite
+    factors ``V`` is ``V^T G V``, ``G`` the weighted 3 x 3 Gram of the
+    interval's ``(m, d0, d1)`` over the bins.  Any other chart's ``speed``
+    sees every column.  A path coordinate or velocity that is not finite is
+    one named error on every chart.
     """
     if n_quad < 8:
         raise ValueError("n_quad must be at least 8")
@@ -654,9 +614,9 @@ def path_length(chart, path: GeodesicPath, n_quad: int = 64) -> float:
         return np.stack([chord, slopes[:-1] - chord, slopes[1:] - chord])
 
     weights, position, velocity = _hermite_rule(n_quad)
-    flat = isinstance(chart, AlphaPhaseChart)
+    flat = isinstance(chart, Template)
     if flat:
-        expected = 1 + len(chart._w)
+        expected = 1 + len(chart.weights)
         if coords.shape[1] != expected:
             raise ValueError(f"path has {coords.shape[1]} coordinates per node, the chart takes {expected}")
         exponent = math.frexp(float(np.max(np.abs(coords[:, 0]))))[1]
@@ -665,9 +625,9 @@ def path_length(chart, path: GeodesicPath, n_quad: int = 64) -> float:
         # the six entries (k, l) of each interval's weighted Gram, a row each,
         # and the products V_k V_l at the points, off-diagonal ones doubled
         phase, k, l = factors(coords[:, 1:], velocities[:, 1:]), [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]
-        gram = np.stack([(phase[i] * phase[j]) @ chart._w for i, j in zip(k, l)])
+        gram = np.stack([(phase[i] * phase[j]) @ chart.weights for i, j in zip(k, l)])
         pairs = velocity[:, k] * velocity[:, l] * [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
-        speeds = chart._flat_speed(alphas[:-1] + h[:, 0] * (position @ alpha), velocity @ alpha, pairs @ gram)
+        speeds = chart.omega0 * (velocity @ alpha) ** 2 + (alphas[:-1] + h[:, 0] * (position @ alpha)) ** 2 * (pairs @ gram)
     else:
         every = factors(coords, velocities)
         pos = coords[:-1] + h * np.tensordot(position, every, axes=1)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from fisherband import (
     BLOCK,
-    AlphaPhaseChart,
     ChartMismatchError,
     DistanceReport,
     NoiseProfile,
@@ -225,7 +224,7 @@ class TestDistanceAlpha:
         d = distance_alpha(0.6, 1.7, psi1, psi2, Template(noise, rho0))
         assert d == pytest.approx(geo.length, rel=1e-15)
         path = sample_alpha_geodesic(geo, 257)
-        quad = path_length(AlphaPhaseChart(Template(noise, rho0)), path, n_quad=16)
+        quad = path_length(Template(noise, rho0), path, n_quad=16)
         assert quad == pytest.approx(d, rel=1e-8)
 
 

@@ -13,7 +13,6 @@ from scipy.interpolate import CubicHermiteSpline
 
 from fisherband import (
     AlphaGeodesic,
-    AlphaPhaseChart,
     ConvergenceError,
     DegenerateGeodesicWarning,
     FreeSpectrumModel,
@@ -348,8 +347,7 @@ class TestEvalAlphaGeodesic:
         path = _uniform_path(geo, 2001)
         d_coords = np.diff(path.coords, axis=0) / np.diff(path.sigmas)[:, None]
         mid = 0.5 * (path.coords[1:] + path.coords[:-1])
-        chart = AlphaPhaseChart(Template(noise, rho0))
-        speeds = chart.speed(mid, d_coords)
+        speeds = _FlatChart(Template(noise, rho0)).speed(mid, d_coords)
         assert np.max(np.abs(speeds / geo.speed - 1.0)) < 1e-5
         assert geo.speed == pytest.approx(band_energy(noise, rho0) * geo.k1, rel=1e-15)
 
@@ -461,7 +459,7 @@ class TestShooting:
         shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0))
         alphas = geo.alpha_at(shot.sigmas)
         assert np.max(np.abs(shot.coords[:, 0] - alphas)) < 1e-6
-        length = path_length(AlphaPhaseChart(Template(noise, rho0)), shot, n_quad=8)
+        length = path_length(Template(noise, rho0), shot, n_quad=8)
         assert length == pytest.approx(geo.length, rel=1e-6)
 
     @settings(max_examples=100, deadline=None)
@@ -502,7 +500,7 @@ class TestPathLength:
         noise = NoiseProfile.flat(1.0, 3)
         coords = np.tile(np.array([1.0, 0.1, 0.2, 0.3]), (5, 1))
         path = GeodesicPath(np.linspace(0, 1, 5), coords, np.zeros_like(coords))
-        assert path_length(AlphaPhaseChart(Template(noise, np.ones(3))), path, n_quad=8) == 0.0
+        assert path_length(Template(noise, np.ones(3)), path, n_quad=8) == 0.0
 
     def test_reparametrization_invariance(self):
         _, noise, rho0, rng = _band(6, seed=12)
@@ -511,15 +509,13 @@ class TestPathLength:
         sig = np.linspace(0.0, 1.0, 401)
         warped = sig**2 * (3 - 2 * sig)  # smooth monotone [0,1] -> [0,1]
         warped_path = _closed_form_path(geo, sig, warped, 6.0 * sig * (1.0 - sig))
-        chart = AlphaPhaseChart(Template(noise, rho0))
-        length = path_length(chart, warped_path, n_quad=16)
+        length = path_length(Template(noise, rho0), warped_path, n_quad=16)
         assert length == pytest.approx(geo.length, rel=1e-6)
 
     def test_geodesics_without_phase_flow(self):
         # delta = 0, and coincident endpoints: no phase flow, so the nodes are uniform in sigma
         _, noise, rho0, rng = _band(6, seed=14)
         template, psi = Template(noise, rho0), rng.uniform(-np.pi, np.pi, 6)
-        chart = AlphaPhaseChart(template)
         for alpha2, length in ((2.1, 1.4 * math.sqrt(template.omega0)), (0.7, 0.0)):
             geo = solve_alpha_geodesic(0.7, alpha2, psi, psi, template)
             assert geo.delta == geo.moment == 0.0 and not geo.degenerate
@@ -527,13 +523,13 @@ class TestPathLength:
             np.testing.assert_array_equal(path.sigmas, np.linspace(0.0, 1.0, 33))
             target = distance_alpha(0.7, alpha2, psi, psi, template)
             assert target == pytest.approx(length, rel=1e-15, abs=0.0)
-            assert path_length(chart, path) == pytest.approx(target, rel=1e-13, abs=0.0)
+            assert path_length(template, path) == pytest.approx(target, rel=1e-13, abs=0.0)
 
     def test_quadrature_floor(self):
         noise = NoiseProfile.flat(1.0, 2)
         path = GeodesicPath(np.array([0.0, 1.0]), np.zeros((2, 5)), np.zeros((2, 5)))
         with pytest.raises(ValueError):
-            path_length(AlphaPhaseChart(Template(noise, np.ones(2))), path, n_quad=4)
+            path_length(Template(noise, np.ones(2)), path, n_quad=4)
 
     def test_model_chart_consistent_with_alpha_chart(self):
         grid, noise, rho0, _ = _band(6, seed=13)
@@ -550,9 +546,10 @@ class TestPathLength:
 
 class TestGaussRule:
     """``_hermite_rule`` builds its Gauss-Legendre rule on numpy's core by
-    ``leggauss``'s algorithm, so that ``numpy.polynomial`` is never loaded;
-    both are held against a 50-digit rule from Newton on the Legendre
-    recurrence, ``w = 2 / ((1 - x^2) P_n'(x)^2)``."""
+    Golub and Welsch's eigenproblem, so that ``numpy.polynomial`` is never
+    loaded.  It is held to ``leggauss`` within 4e-15 and to a 50-digit rule
+    from Newton on the Legendre recurrence, ``w = 2 / ((1 - x^2)
+    P_n'(x)^2)``, within 1e-15."""
 
     @staticmethod
     def _reference(n):
@@ -570,13 +567,13 @@ class TestGaussRule:
                 weights.append(float(1 / ((1 - x * x) * slope * slope)))
         return np.array(nodes), np.array(weights)
 
-    @pytest.mark.parametrize("n_quad", [8, 16, 64])
+    @pytest.mark.parametrize("n_quad", [8, 13, 16, 64])
     def test_rule_matches_leggauss_and_50_digits(self, n_quad):
         weights, position, _ = geodesics._hermite_rule(n_quad)
         nodes, leg_weights = np.polynomial.legendre.leggauss(n_quad)
-        for ref_u, ref_w in ((0.5 * (nodes + 1.0), 0.5 * leg_weights), self._reference(n_quad)):
-            np.testing.assert_allclose(position[:, 0], ref_u, rtol=0.0, atol=4e-15)
-            np.testing.assert_allclose(weights, ref_w, rtol=0.0, atol=4e-15)
+        for (ref_u, ref_w), bound in (((0.5 * (nodes + 1.0), 0.5 * leg_weights), 4e-15), (self._reference(n_quad), 1e-15)):
+            np.testing.assert_allclose(position[:, 0], ref_u, rtol=0.0, atol=bound)
+            np.testing.assert_allclose(weights, ref_w, rtol=0.0, atol=bound)
 
 
 class TestSampledPathArguments:
@@ -838,6 +835,47 @@ class TestSubnormalEnds:
         np.testing.assert_allclose(mix, inside, rtol=0.0, atol=1e-15)
 
 
+class TestProducersAreTheViews:
+    """Both closed-form producers fill their columns from one evaluation of the
+    flow: ``alpha_at``, ``phase_mix_at`` and ``velocity_at`` at the
+    producer's nodes, bit for bit, on the edge geodesics."""
+
+    @staticmethod
+    def _geodesic(case):
+        flat, zeros = Template(NoiseProfile.flat(1.0, 4), np.ones(4)), np.zeros(4)
+        if case == "chord 0":
+            return solve_alpha_geodesic(1.2, 1.2, zeros, zeros, flat)
+        if case == "delta 0":
+            return solve_alpha_geodesic(0.7, 1.6, zeros, zeros, flat)
+        if case == "delta pi":
+            with pytest.warns(DegenerateGeodesicWarning):
+                return solve_alpha_geodesic(1.0, 1.5, zeros, np.full(4, math.pi), flat)
+        if case == "moment-free limit":
+            return TestZeroMoment._outside()
+        if case == "step":
+            return AlphaGeodesic(1e-310, 1.0, math.pi, zeros, np.full(4, math.pi), 4.0)
+        return TestSubnormalEnds._geodesic(*case)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["chord 0", "delta 0", "delta pi", "moment-free limit", "step",
+         (5e-324, 1.0), (1e-320, 1.0), (1.0, 1e-320), (1.0, 5e-324), (1e-310, 1e300)],
+    )
+    def test_columns_are_the_views(self, case):
+        geo = self._geodesic(case)
+        coeffs1, coeffs2 = np.array([0.2, 1.0]), np.array([-0.3, 1.4])
+        producers = [
+            (sample_alpha_geodesic(geo, n_nodes=33), geo.psi1, geo.dpsi),
+            (alpha_geodesic_coeff_path(geo, coeffs1, coeffs2, n_nodes=33), coeffs1, coeffs2 - coeffs1),
+        ]
+        for path, start, step in producers:
+            (alpha_rate, mix_rate), mix = geo.velocity_at(path.sigmas), geo.phase_mix_at(path.sigmas)[:, np.newaxis]
+            coords = np.column_stack([geo.alpha_at(path.sigmas), start + mix * step])
+            velocities = np.column_stack([alpha_rate, mix_rate[:, np.newaxis] * step])
+            for got, want in ((path.coords, coords), (path.velocities, velocities)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestBvpResidual:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=-250, max_value=250))
@@ -870,6 +908,26 @@ class TestBvpResidual:
         assert not math.isnan(solve_alpha_geodesic(1e160, 2e160, psi1, psi2, Template(noise, rho0)).bvp_residual())
 
 
+class _FlatChart:
+    """The flat chart's speed ``omega0 alpha'^2 + alpha^2 sum_nu w psi'^2`` on a
+    template's weights and ``omega0``: the reference for ``path_length`` on a
+    ``Template``, and, being no ``Template``, a chart on which ``path_length``
+    interpolates every column, as the reference does."""
+
+    def __init__(self, template):
+        self.weights, self.omega0 = template.weights, template.omega0
+
+    def speed(self, coords, vel) -> np.ndarray:
+        coords = np.asarray(coords, dtype=float)
+        vel = np.asarray(vel, dtype=float)
+        return self.omega0 * vel[..., 0] ** 2 + coords[..., 0] ** 2 * np.sum(self.weights * vel[..., 1:] ** 2, axis=-1)
+
+
+def _speed(chart):
+    """A chart's speed; a ``Template``'s is ``_FlatChart``'s."""
+    return _FlatChart(chart).speed if isinstance(chart, Template) else chart.speed
+
+
 def _gauss_points(sigmas, n_quad):
     """Every interval's Gauss-Legendre points, interval by interval, and their weights."""
     nodes, weights = np.polynomial.legendre.leggauss(n_quad)
@@ -880,12 +938,12 @@ def _gauss_points(sigmas, n_quad):
 
 def _reference_length(chart, path, n_quad):
     """Reference ``path_length`` on every coordinate column, from scipy and
-    ``chart.speed`` alone: ``CubicHermiteSpline`` on the path's node values
+    the chart's speed alone: ``CubicHermiteSpline`` on the path's node values
     and velocities, evaluated with a search for each point's piece at the
     Gauss-Legendre points of every interval."""
     spline = CubicHermiteSpline(path.sigmas, path.coords, path.velocities, axis=0)
     t, scale = _gauss_points(path.sigmas, n_quad)
-    speeds = np.maximum(np.asarray(chart.speed(spline(t), spline(t, 1)), dtype=float), 0.0)
+    speeds = np.maximum(np.asarray(_speed(chart)(spline(t), spline(t, 1)), dtype=float), 0.0)
     return float(np.sum(scale * np.sqrt(speeds)))
 
 
@@ -893,10 +951,10 @@ def _quad_length(chart, path):
     """The length of ``CubicHermiteSpline`` on the path's node values and
     velocities by ``scipy.integrate.quad`` on each interval: a reference
     with no Gauss rule and no Hermite table of the package's."""
-    spline = CubicHermiteSpline(path.sigmas, path.coords, path.velocities, axis=0)
+    spline, speed = CubicHermiteSpline(path.sigmas, path.coords, path.velocities, axis=0), _speed(chart)
 
     def root_speed(t):
-        return math.sqrt(max(float(chart.speed(spline(t), spline(t, 1))), 0.0))
+        return math.sqrt(max(float(speed(spline(t), spline(t, 1))), 0.0))
 
     pieces = [quad(root_speed, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0] for a, b in zip(path.sigmas[:-1], path.sigmas[1:])]
     return math.fsum(pieces)
@@ -925,25 +983,25 @@ class TestReducedPathLength:
 
     def test_closed_form_sample(self):
         noise, rho0, geo = self._geodesic(51)
-        self._check(AlphaPhaseChart(Template(noise, rho0)), sample_alpha_geodesic(geo, n_nodes=257), n_quad=16)
+        self._check(Template(noise, rho0), sample_alpha_geodesic(geo, n_nodes=257), n_quad=16)
 
     def test_shot(self):
         _, noise, rho0, rng = _band(5, seed=52)
         psi1, psi2 = _phase_pair(rng, 5, 1.2)
         shot = shoot_alpha_geodesic(0.7, 1.9, psi1, psi2, Template(noise, rho0))
-        self._check(AlphaPhaseChart(Template(noise, rho0)), shot)
+        self._check(Template(noise, rho0), shot)
 
     def test_warped_path(self):
         noise, rho0, geo = self._geodesic(54)
         sig = np.linspace(0.0, 1.0, 101)
         path = _closed_form_path(geo, sig, sig**2 * (3 - 2 * sig), 6.0 * sig * (1.0 - sig))
-        self._check(AlphaPhaseChart(Template(noise, rho0)), path, n_quad=16)
+        self._check(Template(noise, rho0), path, n_quad=16)
 
     @pytest.mark.parametrize("n_nodes", [3, 40])
     def test_full_rank_phase_block(self, n_nodes):
         # random phases and rates: the Gram's three directions all carry weight
         _, noise, rho0, rng = _band(6, seed=55)
-        self._check(AlphaPhaseChart(Template(noise, rho0)), _random_path(rng, np.linspace(0.0, 1.0, n_nodes), 7))
+        self._check(Template(noise, rho0), _random_path(rng, np.linspace(0.0, 1.0, n_nodes), 7))
 
     def test_model_chart_is_dense(self):
         grid, noise, rho0, _ = _band(6, seed=56)
@@ -961,7 +1019,7 @@ class TestReducedPathLength:
         coords = np.array([[1.0, 0.0, 0.0], [np.inf, 0.1, 0.2], [1.0, 0.2, 0.4]])
         path = GeodesicPath(np.linspace(0.0, 1.0, 3), coords, np.ones_like(coords))
         with pytest.raises(ValueError, match="finite"):
-            path_length(AlphaPhaseChart(Template(noise, np.ones(2))), path)
+            path_length(Template(noise, np.ones(2)), path)
 
 
 class TestPathLengthHomogeneity:
@@ -974,7 +1032,7 @@ class TestPathLengthHomogeneity:
     @example(600)
     def test_closed_form_path(self, k):
         noise, rho0, geo = TestReducedPathLength._geodesic(57)
-        chart = AlphaPhaseChart(Template(noise, rho0))
+        chart = Template(noise, rho0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             unit = solve_alpha_geodesic(1.0, 2.0, geo.psi1, geo.psi1 + geo.dpsi, Template(noise, rho0))
@@ -997,14 +1055,6 @@ def _random_rtol(sigmas):
     return HERMITE_RTOL + 1e-16 / np.min(np.diff(sigmas))
 
 
-class _EveryColumnChart:
-    """A chart's speed on a chart that is no ``AlphaPhaseChart``, so that
-    ``path_length`` interpolates every column, as the reference does."""
-
-    def __init__(self, chart):
-        self.speed = chart.speed
-
-
 def _check_hermite(chart, path, n_quad, rtol=HERMITE_RTOL):
     expected = _reference_length(chart, path, n_quad)
     assert path_length(chart, path, n_quad=n_quad) == pytest.approx(expected, rel=rtol, abs=0.0)
@@ -1020,13 +1070,13 @@ class TestPiecewiseEvaluation:
     def test_closed_form_sample(self, n_quad):
         noise, rho0, geo = TestReducedPathLength._geodesic(61)
         path = sample_alpha_geodesic(geo, n_nodes=257)
-        _check_hermite(AlphaPhaseChart(Template(noise, rho0)), path, n_quad)
+        _check_hermite(Template(noise, rho0), path, n_quad)
 
     def test_shot(self):
         _, noise, rho0, rng = _band(7, seed=62)
         psi1, psi2 = _phase_pair(rng, 7, 1.3)
         shot = shoot_alpha_geodesic(0.6, 1.7, psi1, psi2, Template(noise, rho0))
-        _check_hermite(AlphaPhaseChart(Template(noise, rho0)), shot, 8)
+        _check_hermite(Template(noise, rho0), shot, 8)
 
     def test_model_chart(self):
         grid, noise, rho0, _ = _band(6, seed=64)
@@ -1042,7 +1092,7 @@ class TestPiecewiseEvaluation:
         # each piece reads only its own two nodes, so two nodes are one cubic
         grid, noise, rho0, rng = _band(5, seed=65)
         sigmas = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 0.9, n_nodes - 2)), [1.0]])
-        _check_hermite(AlphaPhaseChart(Template(noise, rho0)), _random_path(rng, sigmas, 6), 8, _random_rtol(sigmas))
+        _check_hermite(Template(noise, rho0), _random_path(rng, sigmas, 6), 8, _random_rtol(sigmas))
         chart = ModelChart(KnownMagnitudeModel(grid.freqs, rho0, phase_coeffs=[0.0, 0.0]), noise)
         _check_hermite(chart, _random_path(rng, sigmas, 3), 8, _random_rtol(sigmas))
 
@@ -1057,10 +1107,10 @@ class TestPiecewiseEvaluation:
         noise = NoiseProfile(rng.uniform(0.5, 2.0, 3))
         sigmas = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, n_nodes - 2)), [1.0]])
         assume(np.all(np.diff(sigmas) > 0.0))
-        chart = AlphaPhaseChart(Template(noise, rng.uniform(0.2, 2.0, 3)))
+        chart = Template(noise, rng.uniform(0.2, 2.0, 3))
         path = _random_path(rng, sigmas, 4)
         _check_hermite(chart, path, n_quad, _random_rtol(sigmas))
-        _check_hermite(_EveryColumnChart(chart), path, n_quad, _random_rtol(sigmas))
+        _check_hermite(_FlatChart(chart), path, n_quad, _random_rtol(sigmas))
 
 
 def _clustered_geodesic():
@@ -1131,7 +1181,7 @@ class TestNotAKnot:
             _, noise, rho0, _ = _band(int(rng.integers(4, 33)), seed=740 + k)
             a1, a2 = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 2))
             psi1, psi2 = _phase_pair(rng, len(rho0), rng.uniform(0.02, 3.0))
-            chart = AlphaPhaseChart(Template(noise, rho0))
+            chart = Template(noise, rho0)
             if k % 2:
                 # criterion 5: the closed form sampled on 257 adaptive nodes
                 path = sample_alpha_geodesic(solve_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0)), n_nodes=257)
@@ -1160,7 +1210,7 @@ class TestCubicPathsAreExact:
         t, scale = _gauss_points(sigmas, n_quad)
         position = np.polynomial.polynomial.polyval(t, coeffs).T
         velocity = np.polynomial.polynomial.polyval(t, np.polynomial.polynomial.polyder(coeffs)).T
-        return float(np.sum(scale * np.sqrt(np.maximum(chart.speed(position, velocity), 0.0))))
+        return float(np.sum(scale * np.sqrt(np.maximum(_speed(chart)(position, velocity), 0.0))))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1174,7 +1224,7 @@ class TestCubicPathsAreExact:
         sigmas = np.linspace(0.0, 1.0, n_nodes)
         sigmas[1:-1] += rng.uniform(-0.3, 0.3, n_nodes - 2) / (n_nodes - 1)
         charts = [
-            (AlphaPhaseChart(Template(noise, rho0)), 6),
+            (Template(noise, rho0), 6),
             (ModelChart(KnownMagnitudeModel(grid.freqs, rho0, phase_coeffs=[0.0, 0.0]), noise), 3),
         ]
         for chart, n_columns in charts:
@@ -1193,7 +1243,7 @@ def test_non_finite_path_coordinates_named_on_every_chart(n_nodes):
     grid, noise, rho0, rng = _band(4, seed=75)
     sigmas = np.linspace(0.0, 1.0, n_nodes)
     cases = [
-        (AlphaPhaseChart(Template(noise, rho0)), np.column_stack([rng.uniform(0.5, 2.0, n_nodes), rng.normal(size=(n_nodes, 4))])),
+        (Template(noise, rho0), np.column_stack([rng.uniform(0.5, 2.0, n_nodes), rng.normal(size=(n_nodes, 4))])),
         (ModelChart(KnownMagnitudeModel(grid.freqs, rho0, phase_coeffs=[0.0, 0.0]), noise), rng.normal(size=(n_nodes, 3))),
     ]
     for chart, coords in cases:
@@ -1267,7 +1317,7 @@ class TestCoarseToFineShooting:
             warnings.simplefilter("error")
             geo = solve_alpha_geodesic(1e-20, 1.0, psi1, psi2, Template(noise, rho0))
             shot = shoot_alpha_geodesic(1e-20, 1.0, psi1, psi2, Template(noise, rho0))
-            length = path_length(AlphaPhaseChart(Template(noise, rho0)), shot, n_quad=8)
+            length = path_length(Template(noise, rho0), shot, n_quad=8)
         assert np.max(np.abs(shot.coords[:, 0] - geo.alpha_at(shot.sigmas))) <= 1e-6
         assert abs(length - geo.length) / geo.length <= 1e-6
 
@@ -1300,7 +1350,7 @@ class TestNearAntipodalShooting:
         shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, Template(noise, rho0))
         # criterion 6's two gaps and tolerance
         assert np.max(np.abs(shot.coords[:, 0] - geo.alpha_at(shot.sigmas))) <= 1e-6
-        length = path_length(AlphaPhaseChart(Template(noise, rho0)), shot, n_quad=8)
+        length = path_length(Template(noise, rho0), shot, n_quad=8)
         assert abs(length - geo.length) / geo.length <= 1e-6
 
     @pytest.mark.parametrize("delta", [math.pi])
@@ -1408,13 +1458,12 @@ class TestTinyStartLengths:
     def test_shot_and_closed_form_sample(self, alpha1):
         noise, rho0 = NoiseProfile.flat(1.0, 4), np.ones(4)
         template, psi1, psi2 = Template(noise, rho0), np.zeros(4), np.ones(4)
-        chart = AlphaPhaseChart(template)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             geo = solve_alpha_geodesic(alpha1, 1.0, psi1, psi2, template)
             shot = shoot_alpha_geodesic(alpha1, 1.0, psi1, psi2, template)
             for path, n_quad in ((shot, 8), (sample_alpha_geodesic(geo, n_nodes=257), 16)):
-                assert abs(path_length(chart, path, n_quad=n_quad) - geo.length) <= 1e-9 * geo.length
+                assert abs(path_length(template, path, n_quad=n_quad) - geo.length) <= 1e-9 * geo.length
 
 
 class TestAntipodalSampleLengths:
@@ -1428,7 +1477,7 @@ class TestAntipodalSampleLengths:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateGeodesicWarning)
             geo = solve_alpha_geodesic(0.7, 1.3, np.zeros(4), np.full(4, math.pi - gap), template)
-        length = path_length(AlphaPhaseChart(template), sample_alpha_geodesic(geo, n_nodes=257), n_quad=16)
+        length = path_length(template, sample_alpha_geodesic(geo, n_nodes=257), n_quad=16)
         assert abs(length - geo.length) <= 1e-10 * geo.length
 
 
@@ -1472,8 +1521,8 @@ class TestPathChartMismatch:
     @pytest.mark.parametrize(
         "chart, n_columns, expected",
         [
-            (AlphaPhaseChart(Template(NoiseProfile.flat(1.0, 1), np.ones(1))), 6, 2),
-            (AlphaPhaseChart(Template(NoiseProfile.flat(1.0, 3), np.ones(3))), 6, 4),
+            (Template(NoiseProfile.flat(1.0, 1), np.ones(1)), 6, 2),
+            (Template(NoiseProfile.flat(1.0, 3), np.ones(3)), 6, 4),
         ],
     )
     def test_coordinate_count_named(self, chart, n_columns, expected):

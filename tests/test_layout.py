@@ -15,8 +15,9 @@ PACKAGE_DIR = pathlib.Path(fisherband.__file__).parent
 SPANS_FILE = PACKAGE_DIR.parent.parent / "perfbench" / "spans.py"
 README = PACKAGE_DIR.parent.parent / "README.md"
 
-# Exported names that no CLI command, criterion, figure or spanned name reaches
-# yet, each with the ROADMAP item that gives it a route
+# Exported names, and public methods and properties of reached classes, that no
+# CLI command, criterion, figure or spanned name reaches yet, each with the
+# ROADMAP item that gives it a route
 ALLOWLIST = {
     "band.Observation": "item 11, the likelihood oracle",
     "band.log_likelihood": "item 11, the likelihood oracle",
@@ -28,6 +29,11 @@ ALLOWLIST = {
     "geodesics.embedding_coords": "item 2, geodesics from boundary data alone",
     "geodesics.spectrum_from_embedding": "item 2, geodesics from boundary data alone",
     "geodesics.straight_line_geodesic": "item 2, geodesics from boundary data alone",
+    # public methods and properties of reached classes
+    "band.SignalSpectrum.from_complex": "item 2, through spectrum_from_embedding",
+    "band.SignalSpectrum.to_complex": "item 11, through log_likelihood (and item 2, through embedding_coords)",
+    "geodesics.AlphaGeodesic.bvp_residual": "item 16, the removal PR",
+    "geodesics.AlphaGeodesic.velocity_at": "item 1, whose IVP oracle starts from velocity_at(0)",
 }
 
 
@@ -70,7 +76,7 @@ def test_scipy_is_a_test_dependency_alone():
 PATHS_WITHOUT_SCIPY = """
 import contextlib, io, sys
 import numpy as np
-from fisherband import (AlphaPhaseChart, GeodesicPath, KnownMagnitudeModel, ModelChart, NoiseProfile, Template,
+from fisherband import (GeodesicPath, KnownMagnitudeModel, ModelChart, NoiseProfile, Template,
                         build_grid, path_length)
 from fisherband.cli import main
 
@@ -81,7 +87,7 @@ model = KnownMagnitudeModel(build_grid(0.25, 0.4, 4).freqs, rho0, phase_coeffs=[
 coords, velocities = np.random.default_rng(0).uniform(0.5, 2.0, (2, 9, 5))
 lengths = [
     path_length(chart, GeodesicPath(np.linspace(0.0, 1.0, 9), coords[:, :width], velocities[:, :width]), n_quad=8)
-    for chart, width in [(AlphaPhaseChart(Template(noise, rho0)), 5), (ModelChart(model, noise), 3)]
+    for chart, width in [(Template(noise, rho0), 5), (ModelChart(model, noise), 3)]
 ]
 print(code, all(length > 0.0 for length in lengths), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
@@ -137,16 +143,33 @@ def test_known_magnitude_routes_take_a_validated_template():
     assert raw_pair == ["fisherband.distances.report"]
 
 
-def _reached_definitions() -> set:
-    """The package's top-level definitions, as (module, name), that the
-    definitions of cli, acceptance and figures and perfbench's spanned names
-    reference, directly or through other definitions."""
-    definitions, imported = {}, {}
-    for path in sorted(PACKAGE_DIR.glob("*.py")):
-        module, names = path.stem, {}
-        for node in ast.parse(path.read_text(), filename=str(path)).body:
+def _is_method(node) -> bool:
+    """A class body's method or property that an attribute of its name reaches: any but a dunder method."""
+    return isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+
+
+def _reached_definitions(sources=None) -> tuple[set, set]:
+    """The package's top-level definitions, as (module, name), and the methods
+    of its classes, as (module, "Class.name"), that the definitions of cli,
+    acceptance and figures and perfbench's spanned names reference, directly
+    or through other definitions; and the public methods and properties of
+    the reached classes.  A reached class reaches its body less its methods.
+    A method of a reached class is reached by an attribute of its name in
+    reached code, or by a string constant in reached code that calls
+    ``getattr``: the walk does not type the receiver, so either reaches every
+    method of that name.  ``sources`` maps module names to source text, in
+    place of the package's files."""
+    if sources is None:
+        sources = {path.stem: path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    definitions, imported, methods = {}, {}, {}
+    for module, text in sources.items():
+        names = {}
+        for node in ast.parse(text, filename=f"{module}.py").body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 definitions[module, node.name] = node
+                for item in filter(_is_method, node.body if isinstance(node, ast.ClassDef) else []):
+                    definitions[module, f"{node.name}.{item.name}"] = item
+                    methods.setdefault(item.name, set()).add((module, node.name))
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 definitions.update({(module, t.id): node for t in targets if isinstance(t, ast.Name)})
@@ -159,25 +182,46 @@ def _reached_definitions() -> set:
             module, name = imported[module][name]
         return (module, name) if (module, name) in definitions else None
 
+    def own_nodes(definition):
+        # a class's nodes less its methods, which attributes reach
+        if not isinstance(definition, ast.ClassDef):
+            return list(ast.walk(definition))
+        parts = [item for item in definition.body if not _is_method(item)]
+        return [node for part in parts + definition.bases + definition.decorator_list for node in ast.walk(part)]
+
     spans = ast.parse(SPANS_FILE.read_text())
     spanned = next(
         ast.literal_eval(node.value)
         for node in spans.body
         if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "SPANNED"
     )
-    todo = [key for key in definitions if key[0] in ("cli", "acceptance", "figures")]
+    todo = [key for key in definitions if key[0] in ("cli", "acceptance", "figures") and "." not in key[1]]
     todo += [(module, name) for module, names in spanned.items() for name in names]
     assert [key for key in todo if key not in definitions] == []
-    reached = set()
+    reached, attributes = set(), set()
     while todo:
         key = todo.pop()
-        if key not in reached:
-            reached.add(key)
-            skipped = _unreaching(definitions[key])
-            for node in ast.walk(definitions[key]):
-                if isinstance(node, ast.Name) and id(node) not in skipped and (hit := resolve(key[0], node.id)):
-                    todo.append(hit)
-    return reached
+        if key in reached:
+            continue
+        reached.add(key)
+        skipped, nodes = _unreaching(definitions[key]), own_nodes(definitions[key])
+        seen = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+        if any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr" for node in nodes):
+            seen |= {node.value for node in nodes if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+        attributes |= seen
+        for node in nodes:
+            if isinstance(node, ast.Name) and id(node) not in skipped and (hit := resolve(key[0], node.id)):
+                todo.append(hit)
+        # the methods of reached classes whose names reached code reads
+        todo += [(module, f"{cls}.{name}") for name in attributes for module, cls in methods.get(name, ()) if (module, cls) in reached]
+    public = {
+        (module, f"{cls}.{name}")
+        for name, owners in methods.items()
+        if not name.startswith("_")
+        for module, cls in owners
+        if (module, cls) in reached
+    }
+    return reached, public
 
 
 def _unreaching(definition) -> set:
@@ -195,13 +239,33 @@ def _unreaching(definition) -> set:
     return {id(name) for tree in skipped if tree is not None for name in ast.walk(tree) if isinstance(name, ast.Name)}
 
 
-def test_every_exported_name_has_a_route():
-    reached = _reached_definitions()
-    unreached = set()
+def _unreached(sources=None) -> set:
+    """Exported names, and public methods and properties of reached classes, that nothing reaches."""
+    reached, methods = _reached_definitions(sources)
+    unreached = {f"{module}.{name}" for module, name in methods - reached}
     for module in (acceptance, band, distances, figures, geodesics, metric, models):
         short = module.__name__.removeprefix("fisherband.")
         unreached |= {f"{short}.{name}" for name in module.__all__ if (short, name) not in reached}
+    return unreached
+
+
+def test_every_exported_name_has_a_route():
+    unreached = _unreached()
     # a test-only name either gains a route or goes
     assert sorted(unreached - ALLOWLIST.keys()) == []
     # and the allowlist only shrinks: a name that gains a route, or goes, leaves it
     assert sorted(ALLOWLIST.keys() - unreached) == []
+
+
+def test_a_method_only_tests_call_fails_the_walk():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    anchor = "    @property\n    def n_nodes(self) -> int:\n"
+    assert sources["geodesics"].count(anchor) == 1
+    planted = "    def planted(self):\n        return self.sigmas\n\n"
+    sources["geodesics"] = sources["geodesics"].replace(anchor, planted + anchor)
+    assert _unreached(sources) - _unreached() == {"geodesics.GeodesicPath.planted"}
+    # a string constant read through getattr reaches it, as to_json_dict reaches K and c
+    reader = '    names = ("alpha1", "alpha2", "k1",'
+    assert sources["geodesics"].count(reader) == 1
+    sources["geodesics"] = sources["geodesics"].replace(reader, reader.replace('"k1",', '"k1", "planted",'))
+    assert _unreached(sources) == _unreached()

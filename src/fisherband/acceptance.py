@@ -207,11 +207,11 @@ def criterion_6(seed, scale: str) -> CriterionResult:
         psi1, psi2 = _random_phase_pair(rng, noise.n_freqs)
         geo = solve_alpha_geodesic(a1, a2, psi1, psi2, template)
         shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, template)
-        psis = geo.psi1 + geo.phase_mix_at(shot.sigmas)[:, np.newaxis] * geo.dpsi
+        flow = geo.flow(shot.sigmas)
         shot_len = path_length(template, shot, n_quad=8)
         gaps.append((
-            np.max(np.abs(shot.coords[:, 0] - geo.alpha_at(shot.sigmas))),
-            np.max(np.abs(shot.coords[:, 1:] - psis)),
+            np.max(np.abs(shot.coords[:, 0] - flow.alpha)),
+            np.max(np.abs(shot.coords[:, 1:] - (geo.psi1 + flow.mix[:, np.newaxis] * geo.dpsi))),
             abs(shot_len - geo.length) / geo.length,
         ))
     worst_alpha, worst_psi, worst_len = np.max(gaps, axis=0)

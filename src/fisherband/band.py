@@ -581,7 +581,9 @@ def load_band_csv(path) -> tuple[FrequencyGrid, NoiseProfile, SignalSpectrum]:
     """
     with open(path, "r", newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("band CSV has no header row")
         if [h.strip() for h in header] != _CSV_HEADER:
             raise ValueError(f"unexpected CSV header {header!r}, want {_CSV_HEADER}")
         rows = []

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .band import NoiseProfile, check_aligned, in_range, readonly, row_blocks
+from .band import NoiseProfile, check_aligned, in_range, readonly, row_blocks, whole_number
 from .models import ParametricSignalModel
 
 __all__ = [
@@ -223,8 +223,9 @@ def monte_carlo_fisher(
     Returns the dense N x N estimate and the per-entry standard error of
     the mean.
     """
-    if n_samples < 1000:
-        raise ValueError("n_samples must be at least 1000")
+    n_samples = whole_number(n_samples)
+    if n_samples is None or n_samples < 1000:
+        raise ValueError("n_samples must be a whole number, at least 1000")
     phi, varphi, rho, mag_jac, phase_jac = _chart_data(model, xi, noise, rows=False)
     psi = np.asarray(model.phase_unwrapped(varphi), dtype=float)
     carrier = np.exp(1j * psi)

@@ -101,6 +101,20 @@ def test_criterion_6_smoke_one_dp_run_per_instance(monkeypatch):
     assert len(runs) == 10
 
 
+def test_criterion_6_evaluates_each_closed_form_once(monkeypatch):
+    # the alpha and phase gaps read one flow at the shot's nodes
+    calls = []
+    real = geodesics.AlphaGeodesic.flow
+
+    def counted(self, sigmas):
+        calls.append(len(sigmas))
+        return real(self, sigmas)
+
+    monkeypatch.setattr(geodesics.AlphaGeodesic, "flow", counted)
+    assert acceptance.criterion_6(SEED, "smoke").passed
+    assert len(calls) == 10
+
+
 @pytest.mark.parametrize(
     "criterion, n_instances",
     [(acceptance.criterion_5, 20), (acceptance.criterion_6, 10)],

@@ -643,6 +643,12 @@ class TestSerialization:
         with pytest.raises(ValueError, match="^band CSV has no data rows$"):
             load_band_csv(path)
 
+    def test_csv_empty_file_names_the_missing_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="^band CSV has no header row$"):
+            load_band_csv(path)
+
     def test_csv_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("nu,gamma0,rho\n0.25,1.0,1.0\n")

@@ -32,8 +32,6 @@ ALLOWLIST = {
     # public methods and properties of reached classes
     "band.SignalSpectrum.from_complex": "item 2, through spectrum_from_embedding",
     "band.SignalSpectrum.to_complex": "item 11, through log_likelihood (and item 2, through embedding_coords)",
-    "geodesics.AlphaGeodesic.bvp_residual": "item 16, the removal PR",
-    "geodesics.AlphaGeodesic.velocity_at": "item 1, whose IVP oracle starts from velocity_at(0)",
 }
 
 

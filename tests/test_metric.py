@@ -314,6 +314,15 @@ class TestMonteCarloFisher:
         with pytest.raises(ValueError):
             monte_carlo_fisher(model, model.xi, noise, 999, seed=0)
 
+    @pytest.mark.parametrize("n_samples", [2000.9, 2000.0, True, "2000"], ids=["fraction", "whole-float", "bool", "string"])
+    def test_sample_count_must_be_a_whole_number(self, n_samples):
+        # a float count drew int(n) samples and divided by n: the estimate came out low with no warning
+        grid = build_grid(0.25, 0.2, 2)
+        noise = NoiseProfile.flat(1.0, 2)
+        model = KnownMagnitudeModel(grid.freqs, np.ones(2), alpha=1.0, phase_coeffs=[0.0])
+        with pytest.raises(ValueError, match="^n_samples must be a whole number, at least 1000$"):
+            monte_carlo_fisher(model, model.xi, noise, n_samples, seed=0)
+
 
 class TestChristoffel:
     def test_known_mag_magnitude_family_vanishes(self):

@@ -7,6 +7,13 @@ Dormand-Prince 5(4) shot of the geodesic equations, quadrature path lengths,
 analytic limits).  ``run_acceptance_suite`` executes all of them
 deterministically for a given seed and returns a JSON-ready verdict; the CLI
 and the test suite both call into this module.
+
+The criteria over many random bands (3, 4 and 7) draw their instances one
+at a time, in a fixed order, but evaluate them as rows: ``_grouped`` keeps
+the draws of consecutive instances in padded buffers and stacks the rows of
+each bin count, so the distance routes run once per bin count and chunk,
+not once per instance, with every value the bits of its one-band call.  A
+new criterion over random bands takes the same route.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .distances import (
     distance_alpha,
     distance_full,
     distance_full_embedding,
+    known_mag_distances,
     large_phase_limits,
 )
 from .figures import FIGURE_CASES, run_figure_case
@@ -75,13 +83,59 @@ def _rng(seed, cid: int) -> np.random.Generator:
 
 
 def _random_band(rng, n_lo: int, n_hi: int):
-    """A band's bandwidth, noise and template on ``n_lo..n_hi`` bins; the caller
-    that reads frequencies builds its grid from the bandwidth and ``noise.n_freqs``."""
+    """A band's bandwidth, noise power ``gamma0`` and template ``rho0`` on
+    ``n_lo..n_hi`` bins, as raw draws: the caller validates them, as one
+    ``NoiseProfile`` or as rows of many, and the caller that reads
+    frequencies builds its grid from the bandwidth and ``len(gamma0)``."""
     n = int(rng.integers(n_lo, n_hi + 1))
     bandwidth = float(rng.uniform(0.1, 0.5))
-    noise = NoiseProfile(rng.uniform(0.5, 2.0, n))
+    gamma0 = rng.uniform(0.5, 2.0, n)
     rho0 = rng.uniform(0.1, 2.0, n)
-    return bandwidth, noise, rho0
+    return bandwidth, gamma0, rho0
+
+
+# Instances per chunk of ``_grouped``, so its buffers do not grow with the
+# instances.  Measured on the full-scale suite at seed 0, in fresh processes
+# that import the CLI (2-vCPU AVX-512 Xeon, Python 3.11, numpy 2.4): buffers
+# for all 1000 instances of c3 and c7 raised the peak RSS from 39.8-39.9 MB to
+# 41.4 MB, near the 2 MB that is 5% of it, and chunks of 250 to 40.0-40.1 MB;
+# a chunk still holds about four instances per bin count, so c3 and c7 each
+# take about 240 calls of the distance routes where they took 1000.
+_CHUNK = 250
+
+# The most bins of a grouped instance, the width of the padded buffers
+_MAX_BINS = 64
+
+
+def _grouped(n_cases: int, draw):
+    """``n_cases`` instances of ``draw()``, drawn in order, as rows of a bin count.
+
+    ``draw()`` returns one instance: a tuple of per-bin arrays, all of one
+    length of at most ``_MAX_BINS``, and floats.  Up to ``_CHUNK``
+    consecutive instances are written into padded buffers, one per entry,
+    which serve every chunk; per chunk and per bin count it holds, this
+    yields the instances' indices and each entry as rows, ``(rows, bins)``
+    for a per-bin array and ``(rows,)`` for a float.  The bin counts are
+    found by one mask each, as ``np.unique`` would load ``numpy.ma``.
+    """
+    size = min(_CHUNK, n_cases)
+    ns, buffers = np.empty(size, dtype=int), None
+    for lo in range(0, n_cases, _CHUNK):
+        count = min(_CHUNK, n_cases - lo)
+        for i in range(count):
+            values = draw()
+            if buffers is None:
+                buffers = [np.empty((size, _MAX_BINS) if np.ndim(v) else size) for v in values]
+            for buffer, value in zip(buffers, values):
+                if buffer.ndim == 2:
+                    ns[i] = n = len(value)
+                    buffer[i, :n] = value
+                else:
+                    buffer[i] = value
+        for n in range(1, _MAX_BINS + 1):
+            rows = np.flatnonzero(ns[:count] == n)
+            if rows.size:
+                yield lo + rows, [buffer[rows, :n] if buffer.ndim == 2 else buffer[rows] for buffer in buffers]
 
 
 def _random_alpha(rng) -> float:
@@ -128,27 +182,33 @@ def criterion_2(seed, scale: str) -> CriterionResult:
     )
 
 
-def _both_distances(a1, a2, psi1, psi2, template: Template) -> tuple[float, float]:
+def _both_distances(a1, a2, psi1, psi2, template: Template):
     """``distance_full`` between the spectra ``a rho0`` with phases ``psi``, and
-    ``distance_alpha`` of the same endpoint pair."""
+    ``d_alpha`` of the same endpoint pair: floats on one band, one value per
+    row on a row template with ``(rows,)`` attenuations."""
+    a1, a2 = np.asarray(a1), np.asarray(a2)
     rho0 = template.rho0
-    d_full = distance_full(SignalSpectrum(a1 * rho0, psi1), SignalSpectrum(a2 * rho0, psi2), template.noise)
-    return d_full, distance_alpha(a1, a2, psi1, psi2, template)
+    s1 = SignalSpectrum(a1[..., np.newaxis] * rho0, psi1)
+    s2 = SignalSpectrum(a2[..., np.newaxis] * rho0, psi2)
+    d_sub = known_mag_distances(template, a1, a2, psi1, psi2)[1]
+    return distance_full(s1, s2, template.noise), float(d_sub) if d_sub.ndim == 0 else d_sub
 
 
 def criterion_3(seed, scale: str) -> CriterionResult:
     rng = _rng(seed, 3)
     n_cases = 1000 if scale == "full" else 200
-    gaps = []
-    for _ in range(n_cases):
-        bandwidth, noise, rho0 = _random_band(rng, 4, 64)
-        freqs = build_grid(0.25, bandwidth, noise.n_freqs).freqs
+
+    def draw():
+        bandwidth, gamma0, rho0 = _random_band(rng, 4, 64)
+        freqs = build_grid(0.25, bandwidth, len(gamma0)).freqs
         a1, a2 = _random_alpha(rng), _random_alpha(rng)
         psi1 = _random_poly_phases(rng, freqs)
-        psi2 = _random_poly_phases(rng, freqs)
-        d_full, d_sub = _both_distances(a1, a2, psi1, psi2, Template(noise, rho0))
-        gaps.append(d_full - d_sub - 1e-12 * (1.0 + d_full))
-    gaps = np.array(gaps)
+        return gamma0, rho0, a1, a2, psi1, _random_poly_phases(rng, freqs)
+
+    gaps = np.empty(n_cases)
+    for rows, (gamma0, rho0, a1, a2, psi1, psi2) in _grouped(n_cases, draw):
+        d_full, d_sub = _both_distances(a1, a2, psi1, psi2, Template(NoiseProfile(gamma0), rho0))
+        gaps[rows] = d_full - d_sub - 1e-12 * (1.0 + d_full)
     return CriterionResult(
         3,
         "submanifold distance dominates the full distance",
@@ -161,15 +221,18 @@ def criterion_3(seed, scale: str) -> CriterionResult:
 
 def criterion_4(seed, scale: str) -> CriterionResult:
     rng = _rng(seed, 4)
-    errors = []
-    for _ in range(100):
-        bandwidth, noise, rho0 = _random_band(rng, 4, 64)
+
+    def draw():
+        bandwidth, gamma0, rho0 = _random_band(rng, 4, 64)
         a1, a2 = _random_alpha(rng), _random_alpha(rng)
-        psi1 = _random_poly_phases(rng, build_grid(0.25, bandwidth, noise.n_freqs).freqs)
+        psi1 = _random_poly_phases(rng, build_grid(0.25, bandwidth, len(gamma0)).freqs)
         shift = float(rng.uniform(-np.pi, np.pi))
-        psi2 = wrap_phase(psi1 + shift)
-        d_full, d_sub = _both_distances(a1, a2, psi1, psi2, Template(noise, rho0))
-        errors.append(abs(d_sub - d_full) / (1.0 + d_full))
+        return gamma0, rho0, a1, a2, psi1, wrap_phase(psi1 + shift)
+
+    errors = np.empty(100)
+    for rows, (gamma0, rho0, a1, a2, psi1, psi2) in _grouped(100, draw):
+        d_full, d_sub = _both_distances(a1, a2, psi1, psi2, Template(NoiseProfile(gamma0), rho0))
+        errors[rows] = np.abs(d_sub - d_full) / (1.0 + d_full)
     return _worst(4, "constant phase difference makes both distances equal", errors, 1e-12)
 
 
@@ -178,10 +241,10 @@ def criterion_5(seed, scale: str) -> CriterionResult:
     n_cases = 100 if scale == "full" else 20
     errors = []
     for _ in range(n_cases):
-        _, noise, rho0 = _random_band(rng, 8, 32)
-        template = Template(noise, rho0)
+        _, gamma0, rho0 = _random_band(rng, 8, 32)
+        template = Template(NoiseProfile(gamma0), rho0)
         a1, a2 = _random_alpha(rng), _random_alpha(rng)
-        psi1, psi2 = _random_phase_pair(rng, noise.n_freqs)
+        psi1, psi2 = _random_phase_pair(rng, len(gamma0))
         geo = solve_alpha_geodesic(a1, a2, psi1, psi2, template)
         path = sample_alpha_geodesic(geo, n_nodes=257)
         length = path_length(template, path, n_quad=16)
@@ -201,10 +264,10 @@ def criterion_6(seed, scale: str) -> CriterionResult:
     n_cases = 50 if scale == "full" else 10
     gaps = []  # (alpha, phase, relative length) per instance
     for _ in range(n_cases):
-        _, noise, rho0 = _random_band(rng, 4, 16)
-        template = Template(noise, rho0)
+        _, gamma0, rho0 = _random_band(rng, 4, 16)
+        template = Template(NoiseProfile(gamma0), rho0)
         a1, a2 = _random_alpha(rng), _random_alpha(rng)
-        psi1, psi2 = _random_phase_pair(rng, noise.n_freqs)
+        psi1, psi2 = _random_phase_pair(rng, len(gamma0))
         geo = solve_alpha_geodesic(a1, a2, psi1, psi2, template)
         shot = shoot_alpha_geodesic(a1, a2, psi1, psi2, template)
         flow = geo.flow(shot.sigmas)
@@ -229,15 +292,19 @@ def criterion_6(seed, scale: str) -> CriterionResult:
 
 def criterion_7(seed, scale: str) -> CriterionResult:
     rng = _rng(seed, 7)
-    errors = []
-    for _ in range(1000):
-        _, noise, _ = _random_band(rng, 4, 64)
-        n = noise.n_freqs
-        s1 = SignalSpectrum(rng.uniform(0.0, 3.0, n), wrap_phase(rng.uniform(-np.pi, np.pi, n)))
-        s2 = SignalSpectrum(rng.uniform(0.0, 3.0, n), wrap_phase(rng.uniform(-np.pi, np.pi, n)))
+
+    def draw():
+        _, gamma0, _ = _random_band(rng, 4, 64)
+        n = len(gamma0)
+        rho1, psi1 = rng.uniform(0.0, 3.0, n), wrap_phase(rng.uniform(-np.pi, np.pi, n))
+        rho2, psi2 = rng.uniform(0.0, 3.0, n), wrap_phase(rng.uniform(-np.pi, np.pi, n))
+        return gamma0, rho1, psi1, rho2, psi2
+
+    errors = np.empty(1000)
+    for rows, (gamma0, rho1, psi1, rho2, psi2) in _grouped(1000, draw):
+        s1, s2, noise = SignalSpectrum(rho1, psi1), SignalSpectrum(rho2, psi2), NoiseProfile(gamma0)
         polar = distance_full(s1, s2, noise)
-        embedded = distance_full_embedding(s1, s2, noise)
-        errors.append(abs(polar - embedded) / max(polar, 1e-300))
+        errors[rows] = np.abs(polar - distance_full_embedding(s1, s2, noise)) / np.maximum(polar, 1e-300)
     return _worst(7, "polar and embedding evaluations of the full distance agree", errors, 1e-12)
 
 
@@ -377,7 +444,8 @@ def criterion_12(seed, scale: str) -> CriterionResult:
 
 def criterion_13(seed, scale: str) -> CriterionResult:
     rng = _rng(seed, 13)
-    _, noise, rho0 = _random_band(rng, 32, 32)
+    _, gamma0, rho0 = _random_band(rng, 32, 32)
+    noise = NoiseProfile(gamma0)
     a1, a2 = 0.8, 1.6
     psi1 = wrap_phase(rng.uniform(-np.pi, np.pi, noise.n_freqs))
     psi2 = wrap_phase(rng.uniform(-np.pi, np.pi, noise.n_freqs))

@@ -15,6 +15,12 @@ row blocks and workspace of a batched pass.
 
 All containers are immutable (frozen dataclasses with read-only arrays), so
 every operation in the package is a pure function safe for concurrent use.
+They compare and hash by identity, as a container is its arrays' values and
+no elementwise ``==`` answers one bool.  ``NoiseProfile``, ``SignalSpectrum``
+and ``Template`` also hold ``(rows, bins)`` arrays, one band per row, for the
+routes that evaluate many bands at once (``Template.phase_gap`` and the
+distance routes that say so); every other route takes one band, and
+:func:`check_aligned` refuses a container of rows there by name.
 """
 
 from __future__ import annotations
@@ -77,8 +83,20 @@ def readonly(values, dtype=float, one_dim: bool = True) -> np.ndarray:
     return out
 
 
-def check_aligned(**lengths: int) -> int:
-    """The common length of the named band inputs; a mismatch names each one's length."""
+def check_aligned(**lengths) -> int:
+    """The common length of the named band inputs; a mismatch names each one's length.
+
+    An input is a length or a container of one band, read through its
+    ``n_freqs``.  A container of rows is refused with its name and shape, so
+    a route that takes one band calls this on every container it takes.
+    """
+    for name, value in lengths.items():
+        if not isinstance(value, numbers.Integral):
+            # a container's shape is its first array field's
+            shape = next(v.shape for v in vars(value).values() if isinstance(v, np.ndarray))
+            if len(shape) > 1:
+                raise ValueError(f"{name} holds rows of shape {shape}; this route takes one band")
+            lengths[name] = value.n_freqs
     if len(set(lengths.values())) != 1:
         raise ValueError("misaligned band lengths: " + ", ".join(f"{k} {n}" for k, n in lengths.items()))
     return next(iter(lengths.values()))
@@ -119,6 +137,14 @@ def pass_workspace(count: int, n_rows: int, n_bins: int) -> np.ndarray:
     buffer = np.empty(size + 7)
     skip = -buffer.ctypes.data % 64 // 8
     return buffer[skip : skip + size].reshape(shape)
+
+
+def _band_array(values) -> np.ndarray:
+    """A read-only float copy of a container's per-bin values: one band, or ``(rows, bins)``."""
+    out = readonly(values, one_dim=False)
+    if out.ndim not in (1, 2):
+        raise ValueError("expected a one-dimensional sequence, or (rows, bins) rows of one")
+    return out
 
 
 def in_range(values, lo=-math.inf, hi=math.inf, lo_closed=False, hi_closed=False) -> bool:
@@ -221,7 +247,7 @@ def wrap_phase(theta, out=None):
     return w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrequencyGrid:
     """Equispaced positive frequencies, one per bin, in increasing order.
 
@@ -289,19 +315,20 @@ def build_grid(nu0: float, bandwidth_B: float, n_freqs: int) -> FrequencyGrid:
     return FrequencyGrid(freqs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseProfile:
     """Known noise power gamma0(nu) per grid bin, all strictly positive, and
-    the per-bin metric weights ``2 / gamma0`` that every metric sum reads."""
+    the per-bin metric weights ``2 / gamma0`` that every metric sum reads; a
+    ``(rows, bins)`` gamma0 holds one profile per row."""
 
     gamma0: np.ndarray
     # per-bin metric weights 2 / gamma0, formed once, read-only
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        gamma0 = readonly(self.gamma0)
+        gamma0 = _band_array(self.gamma0)
         object.__setattr__(self, "gamma0", gamma0)
-        if len(gamma0) < 1:
+        if not gamma0.size:
             raise ValueError("noise profile is empty")
         if not in_range(gamma0, 0.0):
             raise ValueError("gamma0 must be strictly positive and finite")
@@ -318,22 +345,25 @@ class NoiseProfile:
 
     @property
     def n_freqs(self) -> int:
-        return len(self.gamma0)
+        return self.gamma0.shape[-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignalSpectrum:
-    """Magnitude rho >= 0 and wrapped phase psi in (-pi, pi] per grid bin."""
+    """Magnitude rho >= 0 and wrapped phase psi in (-pi, pi] per grid bin; a
+    ``(rows, bins)`` pair holds one spectrum per row."""
 
     rho: np.ndarray
     psi: np.ndarray
 
     def __post_init__(self):
-        rho = readonly(self.rho)
-        psi = readonly(self.psi)
+        rho = _band_array(self.rho)
+        psi = _band_array(self.psi)
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "psi", psi)
-        check_aligned(rho=len(rho), psi=len(psi))
+        check_aligned(rho=rho.shape[-1], psi=psi.shape[-1])
+        if rho.shape != psi.shape:
+            raise ValueError(f"misaligned rows: rho {rho.shape}, psi {psi.shape}")
         if not in_range(rho, 0.0, lo_closed=True):
             raise ValueError("rho must be finite and non-negative")
         if not in_range(psi, -math.pi, math.pi, hi_closed=True):
@@ -349,10 +379,10 @@ class SignalSpectrum:
 
     @property
     def n_freqs(self) -> int:
-        return len(self.rho)
+        return self.rho.shape[-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observation:
     """One complex observed value per grid bin."""
 
@@ -374,7 +404,7 @@ def log_likelihood(obs: Observation, spectrum: SignalSpectrum, noise: NoiseProfi
 
     Sum over bins of ``-ln(pi * gamma0) - |x - rho * exp(i psi)|^2 / gamma0``.
     """
-    check_aligned(obs=obs.n_freqs, spectrum=spectrum.n_freqs, noise=noise.n_freqs)
+    check_aligned(obs=obs.n_freqs, spectrum=spectrum, noise=noise)
     resid = obs.values - spectrum.to_complex()
     quad = (resid.real**2 + resid.imag**2) / noise.gamma0
     return float(np.sum(-np.log(np.pi * noise.gamma0) - quad))
@@ -387,7 +417,7 @@ def sample_observation(spectrum: SignalSpectrum, noise: NoiseProfile, seed) -> O
     variance gamma0/2, so E n = 0, E|n|^2 = gamma0 and E n^2 = 0.  Bitwise
     reproducible for equal seeds.
     """
-    n = check_aligned(spectrum=spectrum.n_freqs, noise=noise.n_freqs)
+    n = check_aligned(spectrum=spectrum, noise=noise)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, 2))
     scale = np.sqrt(0.5 * noise.gamma0)
@@ -395,58 +425,66 @@ def sample_observation(spectrum: SignalSpectrum, noise: NoiseProfile, seed) -> O
     return Observation(spectrum.to_complex() + noise_values)
 
 
-def _template_weights(noise: NoiseProfile, rho0) -> tuple[np.ndarray, np.ndarray]:
-    rho0 = np.asarray(rho0, dtype=float)
-    check_aligned(noise=noise.n_freqs, rho0=len(rho0))
+def _template_weights(noise: NoiseProfile, rho0: np.ndarray) -> np.ndarray:
+    """The weights ``(2/gamma0) rho0^2`` of a template of the noise's shape."""
+    check_aligned(noise=noise.n_freqs, rho0=rho0.shape[-1])
+    if rho0.shape != noise.gamma0.shape:
+        raise ValueError(f"misaligned rows: noise {noise.gamma0.shape}, rho0 {rho0.shape}")
     if not in_range(rho0, 0.0, lo_closed=True):
         raise ValueError("rho0 must be finite and non-negative")
-    return rho0, noise.weights * rho0**2
+    return noise.weights * rho0**2
 
 
 def band_energy(noise: NoiseProfile, rho0) -> float:
     """Band-weighted template energy: sum of (2/gamma0) * rho0^2."""
-    return float(np.sum(_template_weights(noise, rho0)[1]))
+    check_aligned(noise=noise)
+    return float(np.sum(_template_weights(noise, readonly(rho0))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Template:
     """A magnitude template rho0 validated against a noise profile.
 
     Holds the per-bin weights ``(2/gamma0) rho0^2`` and their sum, the band
     energy ``omega0``, which must be positive.  Every known-magnitude closed
-    form depends on the template only through these.
+    form depends on the template only through these.  A ``(rows, bins)``
+    rho0 on a noise of the same shape is one template per row, each checked
+    as one is, with a read-only ``(rows,)`` omega0.
     """
 
     noise: NoiseProfile
     rho0: np.ndarray
     weights: np.ndarray = field(init=False, repr=False)
-    omega0: float = field(init=False)
+    omega0: float | np.ndarray = field(init=False)
 
     def __post_init__(self):
+        rho0 = _band_array(self.rho0)
         with np.errstate(over="ignore"):
-            rho0, weights = _template_weights(self.noise, readonly(self.rho0))
-            omega0 = float(weights.sum())
-        if not math.isfinite(omega0):
+            weights = _template_weights(self.noise, rho0)
+            omega0 = weights.sum(axis=-1)
+        if not in_range(omega0):
             raise ValueError("template weights overflow: (2/gamma0) rho0^2 or their sum omega0 is not finite")
-        if not omega0 > 0.0:
-            if np.any(rho0 > 0.0):
+        if not omega0.min() > 0.0:
+            if np.any(rho0[omega0 <= 0.0] > 0.0):
                 raise ValueError("template energy must be positive, but (2/gamma0) rho0^2 underflows to zero")
             raise ValueError("template energy must be positive")
+        weights.flags.writeable = False
         object.__setattr__(self, "rho0", rho0)
-        object.__setattr__(self, "weights", readonly(weights))
-        object.__setattr__(self, "omega0", omega0)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "omega0", float(omega0) if omega0.ndim == 0 else readonly(omega0))
 
     @property
     def n_freqs(self) -> int:
-        return len(self.rho0)
+        return self.rho0.shape[-1]
 
     def phase_gap(self, psi1, psi2, *, work=None) -> tuple[np.ndarray, float | np.ndarray]:
         """Wrapped per-bin phase difference ``dpsi`` and its weighted RMS ``delta``, in [0, pi].
 
-        Bins run along the last axis and leading axes broadcast, one ``delta``
-        per row; either phase may be a scalar, constant over the bins, and
-        ``dpsi`` always has the bins' axis.  A one-dimensional gap gives a
-        float ``delta``.
+        Bins run along the last axis and leading axes broadcast, a row
+        template's rows among them, one ``delta`` per row; either phase may be
+        a scalar, constant over the bins, and ``dpsi`` always has the bins'
+        axis.  A one-dimensional gap gives a float ``delta``.  Rows that do not
+        broadcast are a ValueError naming the three shapes.
 
         ``work`` is two C-contiguous float arrays of ``dpsi``'s shape (another
         layout would change the order of the sums) that overlap neither each
@@ -458,7 +496,12 @@ class Template:
         psi2 = np.asarray(psi2, dtype=float)
         lengths = {name: psi.shape[-1] for name, psi in (("psi1", psi1), ("psi2", psi2)) if psi.ndim}
         check_aligned(**lengths, template=self.n_freqs)
-        shape = np.broadcast_shapes(psi1.shape, psi2.shape, self.rho0.shape)
+        try:
+            shape = np.broadcast_shapes(psi1.shape, psi2.shape, self.rho0.shape)
+        except ValueError:
+            raise ValueError(
+                f"rows do not broadcast: psi1 {psi1.shape}, psi2 {psi2.shape}, template {self.rho0.shape}"
+            ) from None
         if work is None:
             work = np.empty((2,) + shape)
         elif not (len(work) == 2 and not np.may_share_memory(*work) and all(
@@ -509,6 +552,7 @@ def phase_rms_diff(psi1, psi2, noise: NoiseProfile, rho0) -> float:
 
     The difference is wrapped bin by bin before squaring, hence the bound.
     """
+    check_aligned(noise=noise)
     return Template(noise, rho0).phase_gap(psi1, psi2)[1]
 
 
@@ -568,7 +612,7 @@ def write_csv(path, header, columns) -> None:
 
 
 def save_band_csv(path, grid: FrequencyGrid, noise: NoiseProfile, spectrum: SignalSpectrum) -> None:
-    check_aligned(grid=grid.n_freqs, noise=noise.n_freqs, spectrum=spectrum.n_freqs)
+    check_aligned(grid=grid.n_freqs, noise=noise, spectrum=spectrum)
     write_csv(path, _CSV_HEADER, [grid.freqs, noise.gamma0, spectrum.rho, spectrum.psi])
 
 

@@ -26,6 +26,12 @@ views of it.  The scalar functions take ``(alpha1, alpha2, psi1, psi2,
 template)``, with the band validated once as a
 :class:`~fisherband.band.Template`, and no grid: the band enters only through
 the template's ``omega0`` and ``delta``.
+
+:func:`known_mag_distances`, :func:`distance_full` and
+:func:`distance_full_embedding` also take containers of ``(rows, bins)``
+bands and give one value per row, each the bits of its one-band call, so a
+caller with many small bands evaluates them in a few calls; every other
+route takes one band and refuses rows by name.
 """
 
 from __future__ import annotations
@@ -89,11 +95,16 @@ def known_mag_distances(template: Template, alpha1, alpha2, psi1, psi2, *, work=
     ``work`` goes to :meth:`~fisherband.band.Template.phase_gap`, which says
     what it must be; every per-bin step runs in its two overwritten arrays, no
     output shares their memory, and the bits are those of a call without it.
+
+    A row template (one band per row) broadcasts its ``(rows,)`` ``omega0``
+    against the phase gap's rows; attenuations that do not broadcast against
+    those rows are a ValueError naming the shapes.
     """
     check_attenuation(alpha1, alpha2)
     alpha1 = np.asarray(alpha1, dtype=float)
     alpha2 = np.asarray(alpha2, dtype=float)
     dpsi, delta = template.phase_gap(psi1, psi2, work=work)
+    _check_rows(alpha1=alpha1.shape, alpha2=alpha2.shape, delta=np.shape(delta))
     # phase_gap leaves the gap's array free, and dpsi is read once, by the first step
     t = np.multiply(dpsi, 0.5, out=np.empty_like(dpsi) if work is None else work[0])
     np.tan(t, out=t)
@@ -106,42 +117,65 @@ def known_mag_distances(template: Template, alpha1, alpha2, psi1, psi2, *, work=
     h[..., 0] = np.multiply(template.weights, sin2, out=sin2).sum(axis=-1) / template.omega0
     h[..., 1] = half_delta * half_delta
     c, e = scaled_chord(alpha1[..., np.newaxis], alpha2[..., np.newaxis], h)
-    d = unscale(np.sqrt(template.omega0 * c), e)
+    d = unscale(np.sqrt(np.asarray(template.omega0)[..., np.newaxis] * c), e)
     return d[..., 0], d[..., 1], delta
 
 
-def distance_full(s1: SignalSpectrum, s2: SignalSpectrum, noise: NoiseProfile) -> float:
+def _check_rows(**shapes) -> None:
+    """Rows of the named shapes that do not broadcast are a ValueError naming each shape."""
+    try:
+        np.broadcast_shapes(*shapes.values())
+    except ValueError:
+        raise ValueError("rows do not broadcast: " + ", ".join(f"{k} {s}" for k, s in shapes.items())) from None
+
+
+def _root(total, e):
+    """``sqrt(total) * 2**e``, ``e`` keeping the bins' axis if it has one: a
+    float for one band, else one value per row."""
+    d = unscale(np.sqrt(total), np.squeeze(e, -1) if np.ndim(e) else e)
+    return float(d) if np.ndim(d) == 0 else d
+
+
+def distance_full(s1: SignalSpectrum, s2: SignalSpectrum, noise: NoiseProfile):
     """Distance on the full band manifold, polar form.
 
     ``sqrt(sum (2/gamma0) [rho2^2 + rho1^2 - 2 rho1 rho2 cos(psi2 - psi1)])``,
     evaluated per bin in half-angle form.  The power-of-two scale comes from
     the bins whose chord is not zero, so a large bin that is equal at both
     ends cannot push a small bin that moves below the double range.
+
+    One band gives a float.  Containers of ``(rows, bins)`` bands, whose rows
+    broadcast, give one distance per row, each with its own scale and the
+    bits of its one-band call; a row with no moving bin gives 0.
     """
     check_aligned(s1=s1.n_freqs, s2=s2.n_freqs, noise=noise.n_freqs)
+    _check_rows(s1=s1.rho.shape, s2=s2.rho.shape, noise=noise.gamma0.shape)
     half = np.sin(0.5 * wrap_phase(s2.psi - s1.psi))
     h = half * half
     moving = (s1.rho != s2.rho) | ((h > 0.0) & (s1.rho > 0.0))
     c, e = scaled_chord(np.where(moving, s1.rho, 0.0), np.where(moving, s2.rho, 0.0), h)
-    return unscale(math.sqrt(float((noise.weights * c).sum())), e)
+    return _root((noise.weights * c).sum(axis=-1), e)
 
 
-def distance_full_embedding(s1: SignalSpectrum, s2: SignalSpectrum, noise: NoiseProfile) -> float:
+def distance_full_embedding(s1: SignalSpectrum, s2: SignalSpectrum, noise: NoiseProfile):
     """Same distance through the real (Re, Im) embedding: the Mahalanobis
     form with the diagonal noise covariance.  Kept as an independent
-    evaluation route for cross-checks."""
+    evaluation route for cross-checks; it takes rows as
+    :func:`distance_full` does."""
     check_aligned(s1=s1.n_freqs, s2=s2.n_freqs, noise=noise.n_freqs)
+    _check_rows(s1=s1.rho.shape, s2=s2.rho.shape, noise=noise.gamma0.shape)
     # each bin in the power-of-two units of its larger magnitude, so z2 - z1 cannot overflow
     e = np.frexp(np.maximum(s1.rho, s2.rho))[1]
     diff = np.ldexp(s2.rho, -e) * np.exp(1j * s2.psi) - np.ldexp(s1.rho, -e) * np.exp(1j * s1.psi)
-    # then all in the units of the largest difference, taken from the bins that
-    # move alone, so that squares neither overflow nor underflow
+    # then each row in the units of its largest difference, taken from the bins
+    # that move alone, so that squares neither overflow nor underflow; a row
+    # that does not move is 0 in any unit
     moving = diff != 0.0
-    if not moving.any():
-        return 0.0
-    top = int((e + np.frexp(np.maximum(np.abs(diff.real), np.abs(diff.imag)))[1])[moving].max())
+    exps = e + np.frexp(np.maximum(np.abs(diff.real), np.abs(diff.imag)))[1]
+    top = np.where(moving, exps, np.iinfo(exps.dtype).min).max(axis=-1, keepdims=True)
+    top = np.where(moving.any(axis=-1, keepdims=True), top, 0)
     re, im = np.ldexp(diff.real, e - top), np.ldexp(diff.imag, e - top)
-    return unscale(math.sqrt(float((noise.weights * (re * re + im * im)).sum())), top)
+    return _root((noise.weights * (re * re + im * im)).sum(axis=-1), top)
 
 
 def distance_alpha(alpha1: float, alpha2: float, psi1, psi2, template: Template) -> float:
@@ -150,6 +184,7 @@ def distance_alpha(alpha1: float, alpha2: float, psi1, psi2, template: Template)
     ``sqrt(omega0) * sqrt(alpha2^2 + alpha1^2 - 2 alpha1 alpha2 cos delta)``
     with delta the weighted RMS wrapped phase difference.
     """
+    check_aligned(template=template)
     return float(known_mag_distances(template, alpha1, alpha2, psi1, psi2)[1])
 
 
@@ -162,6 +197,7 @@ def small_phase_equivalent(alpha1: float, alpha2: float, psi1, psi2, template: T
     as ``sqrt(omega0)`` times the chord with ``h = (delta/2)^2``, the limit of
     ``sin^2(delta/2)``, so it is homogeneous of degree one in the attenuations.
     """
+    check_aligned(template=template)
     delta = float(known_mag_distances(template, alpha1, alpha2, psi1, psi2)[2])
     c, e = scaled_chord(alpha1, alpha2, (0.5 * delta) ** 2)
     return unscale(math.sqrt(template.omega0 * c), e)
@@ -325,6 +361,7 @@ def report(
     proportional to it (relative residual below 1e-9), otherwise a
     :class:`ChartMismatchError` is raised.
     """
+    check_aligned(s1=s1, s2=s2, noise=noise)
     d_full = distance_full(s1, s2, noise)
     if rho0 is None:
         return DistanceReport(d_full=d_full)

@@ -79,7 +79,7 @@ class DegenerateGeodesicWarning(UserWarning):
     """The attenuation touches zero inside the path (antipodal phases)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeodesicPath:
     """Sampled curve: node parameters in [0, 1], with one coordinate row and one
     velocity row (the coordinates' derivatives in sigma) per node."""
@@ -119,6 +119,7 @@ class ModelChart:
     ``path_speed`` call for all rows of points."""
 
     def __init__(self, model: ParametricSignalModel, noise: NoiseProfile):
+        check_aligned(noise=noise)
         self.model = model
         self.noise = noise
 
@@ -128,6 +129,7 @@ class ModelChart:
 
 def embedding_coords(spectrum: SignalSpectrum) -> np.ndarray:
     """Interleaved (Re, Im) coordinates of a spectrum."""
+    check_aligned(spectrum=spectrum)
     z = spectrum.to_complex()
     out = np.empty(2 * len(z))
     out[0::2] = z.real
@@ -147,7 +149,7 @@ def straight_line_geodesic(mu1: SignalSpectrum, mu2: SignalSpectrum, n_nodes: in
     This is the geodesic of the full band manifold; converting any node back
     to a spectrum is ``spectrum_from_embedding(path.coords[j])``.
     """
-    check_aligned(mu1=mu1.n_freqs, mu2=mu2.n_freqs)
+    check_aligned(mu1=mu1, mu2=mu2)
     if n_nodes < 2:
         raise ValueError("n_nodes must be at least 2")
     x1 = embedding_coords(mu1)
@@ -175,7 +177,7 @@ class GeodesicFlow(NamedTuple):
     mix_rate: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlphaGeodesic:
     """Closed-form geodesic of the known-magnitude submanifold.
 
@@ -208,12 +210,12 @@ class AlphaGeodesic:
     moment: float = field(init=False)
     scale: int = field(init=False)
     # the boundary terms ``flow`` reads, derived with the constants, which ``dataclasses.replace`` recomputes
-    _ends: tuple = field(init=False, repr=False, compare=False)
-    _q1: float = field(init=False, repr=False, compare=False)
-    _q2: float = field(init=False, repr=False, compare=False)
-    _angles: tuple = field(init=False, repr=False, compare=False)
-    _crossing_inside: bool = field(init=False, repr=False, compare=False)
-    _mix_ends: tuple = field(init=False, repr=False, compare=False)
+    _ends: tuple = field(init=False, repr=False)
+    _q1: float = field(init=False, repr=False)
+    _q2: float = field(init=False, repr=False)
+    _angles: tuple = field(init=False, repr=False)
+    _crossing_inside: bool = field(init=False, repr=False)
+    _mix_ends: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         psi1, dpsi = readonly(self.psi1), readonly(self.dpsi)
@@ -331,6 +333,7 @@ def _boundary_geodesic(alpha1, alpha2, psi1, psi2, template: Template) -> AlphaG
     ``distance_alpha``; only the start phases are wrapped.  A scalar phase is
     constant over the bins, so both are broadcast to the template's bins.
     """
+    check_aligned(template=template)
     dpsi, delta = template.phase_gap(psi1, psi2)
     psi1, dpsi, _ = np.broadcast_arrays(wrap_phase(np.asarray(psi1, dtype=float)), dpsi, template.rho0)
     return AlphaGeodesic(float(alpha1), float(alpha2), delta, psi1, dpsi, template.omega0)
@@ -592,7 +595,7 @@ def path_length(chart, path: GeodesicPath, n_quad: int = 64) -> float:
     weights, position, velocity = _hermite_rule(n_quad)
     flat = isinstance(chart, Template)
     if flat:
-        expected = 1 + len(chart.weights)
+        expected = 1 + check_aligned(chart=chart)
         if coords.shape[1] != expected:
             raise ValueError(f"path has {coords.shape[1]} coordinates per node, the chart takes {expected}")
         exponent = math.frexp(float(np.max(np.abs(coords[:, 0]))))[1]
@@ -615,7 +618,7 @@ def path_length(chart, path: GeodesicPath, n_quad: int = 64) -> float:
     return unscale(length, exponent) if flat else length
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LdgResidual:
     """Geodesic-equation residuals of a sampled path at its interior nodes.
 
@@ -666,7 +669,7 @@ def ldg_residual(model: ParametricSignalModel, path: GeodesicPath, noise: NoiseP
 
     phi, varphi = model.split(path.coords)
     rho = np.asarray(model.magnitude(phi), dtype=float)
-    check_aligned(model=rho.shape[-1], noise=noise.n_freqs)
+    check_aligned(model=rho.shape[-1], noise=noise)
     psi = np.asarray(model.phase_unwrapped(varphi), dtype=float)
 
     d_rho = (rho[2:] - rho[:-2]) / (2.0 * h)

@@ -38,7 +38,7 @@ _MC_CHUNK_BYTES = 2**20
 _FD_STEP = 1e-5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FisherMatrix:
     """Block-diagonal information matrix of a magnitude/phase chart."""
 
@@ -90,7 +90,7 @@ class FisherMatrix:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChristoffelTensor:
     """Dense first-kind symbols, lowered index last: values[i, j, m].
 
@@ -157,7 +157,7 @@ def _chart_data(model: ParametricSignalModel, xi, noise: NoiseProfile, *, rows: 
         raise ValueError(f"expected one point of {model.n_params} parameters, got shape {np.shape(xi)}")
     phi, varphi = model.split(xi)
     rho = np.asarray(model.magnitude(phi), dtype=float)
-    check_aligned(model=rho.shape[-1], noise=noise.n_freqs)
+    check_aligned(model=rho.shape[-1], noise=noise)
     mag_jac = np.asarray(model.magnitude_jacobian(phi), dtype=float)
     phase_jac = np.asarray(model.phase_jacobian(varphi), dtype=float)
     for arr, name in ((rho, "magnitude"), (mag_jac, "magnitude jacobian"), (phase_jac, "phase jacobian")):

@@ -139,7 +139,7 @@ class ParametricSignalModel(abc.ABC):
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KnownMagnitudeModel(ParametricSignalModel):
     """Known magnitude template up to one attenuation, polynomial phase.
 

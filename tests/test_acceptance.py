@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import fisherband
-from fisherband import acceptance, band, geodesics
+from fisherband import SignalSpectrum, acceptance, band, geodesics
 from fisherband.acceptance import CRITERIA, CriterionResult, run_acceptance_suite
 
 SEED = 0
@@ -145,19 +145,26 @@ def test_nan_path_length_fails_criterion_5(monkeypatch):
     assert not result.passed, result
 
 
-@pytest.mark.parametrize("criterion", [acceptance.criterion_3, acceptance.criterion_4], ids=lambda c: c.__name__)
-def test_one_nan_distance_alpha_fails(criterion, monkeypatch):
-    # only the second call answers NaN; every other instance is a correct one
-    calls = []
-    real = acceptance.distance_alpha
+@pytest.mark.parametrize(
+    "criterion, n_instances", [(acceptance.criterion_3, 200), (acceptance.criterion_4, 100)], ids=["criterion_3", "criterion_4"]
+)
+def test_one_nan_distance_alpha_fails(criterion, n_instances, monkeypatch):
+    # only the second row of the first call of several rows answers a NaN d_alpha; every other instance is a correct one
+    rows, planted = [], []
+    real = acceptance.known_mag_distances
 
     def one_nan(*args, **kwargs):
-        calls.append(None)
-        return math.nan if len(calls) == 2 else real(*args, **kwargs)
+        d_full, d_alpha, delta = real(*args, **kwargs)
+        if not planted and len(d_alpha) > 1:
+            d_alpha = d_alpha.copy()
+            d_alpha[1] = math.nan
+            planted.append(len(rows))
+        rows.append(len(d_alpha))
+        return d_full, d_alpha, delta
 
-    monkeypatch.setattr(acceptance, "distance_alpha", one_nan)
+    monkeypatch.setattr(acceptance, "known_mag_distances", one_nan)
     result = criterion(SEED, "smoke")
-    assert len(calls) > 2
+    assert sum(rows) == n_instances and planted
     assert not result.passed, result
 
 
@@ -188,10 +195,10 @@ def test_random_band_keeps_the_draw_sequence(n_lo, n_hi):
     for seed in range(5):
         rng, former = np.random.default_rng([seed, 3]), np.random.default_rng([seed, 3])
         for _ in range(3):
-            bandwidth, noise, rho0 = acceptance._random_band(rng, n_lo, n_hi)
-            n, former_bandwidth, gamma0, former_rho0 = _former_band_draws(former, n_lo, n_hi)
-            assert noise.n_freqs == n and bandwidth == former_bandwidth
-            assert noise.gamma0.tobytes() == gamma0.tobytes() and rho0.tobytes() == former_rho0.tobytes()
+            bandwidth, gamma0, rho0 = acceptance._random_band(rng, n_lo, n_hi)
+            n, former_bandwidth, former_gamma0, former_rho0 = _former_band_draws(former, n_lo, n_hi)
+            assert len(gamma0) == n and bandwidth == former_bandwidth
+            assert gamma0.tobytes() == former_gamma0.tobytes() and rho0.tobytes() == former_rho0.tobytes()
             assert rng.bit_generator.state == former.bit_generator.state
         assert rng.random() == former.random()  # the draw that follows
 
@@ -204,3 +211,96 @@ def test_random_poly_phases_equal_polyval():
         degree = int(former.integers(0, 6))
         coeffs = np.concatenate([[former.uniform(-np.pi, np.pi)], former.normal(0.0, 4.0, degree)])
         assert psi.tobytes() == acceptance.wrap_phase(np.polynomial.polynomial.polyval(freqs, coeffs)).tobytes()
+
+
+# The per-instance loops of criteria 3, 4 and 7 before they grouped their
+# instances into rows: each instance is validated and evaluated by the
+# one-band routes, in draw order.
+
+
+def _per_instance_distances(a1, a2, psi1, psi2, template):
+    rho0 = template.rho0
+    d_full = fisherband.distance_full(SignalSpectrum(a1 * rho0, psi1), SignalSpectrum(a2 * rho0, psi2), template.noise)
+    return d_full, fisherband.distance_alpha(a1, a2, psi1, psi2, template)
+
+
+def _per_instance_criterion_3(seed, scale):
+    rng = acceptance._rng(seed, 3)
+    n_cases = 1000 if scale == "full" else 200
+    gaps = []
+    for _ in range(n_cases):
+        bandwidth, gamma0, rho0 = acceptance._random_band(rng, 4, 64)
+        freqs = band.build_grid(0.25, bandwidth, len(gamma0)).freqs
+        a1, a2 = acceptance._random_alpha(rng), acceptance._random_alpha(rng)
+        psi1 = acceptance._random_poly_phases(rng, freqs)
+        psi2 = acceptance._random_poly_phases(rng, freqs)
+        d_full, d_sub = _per_instance_distances(a1, a2, psi1, psi2, band.Template(band.NoiseProfile(gamma0), rho0))
+        gaps.append(d_full - d_sub - 1e-12 * (1.0 + d_full))
+    gaps = np.array(gaps)
+    return float(np.count_nonzero(~(gaps <= 0.0))), f"worst signed slack {np.max(gaps):.3e} over {n_cases} instances"
+
+
+def _per_instance_criterion_4(seed, scale):
+    rng = acceptance._rng(seed, 4)
+    errors = []
+    for _ in range(100):
+        bandwidth, gamma0, rho0 = acceptance._random_band(rng, 4, 64)
+        a1, a2 = acceptance._random_alpha(rng), acceptance._random_alpha(rng)
+        psi1 = acceptance._random_poly_phases(rng, band.build_grid(0.25, bandwidth, len(gamma0)).freqs)
+        shift = float(rng.uniform(-np.pi, np.pi))
+        psi2 = band.wrap_phase(psi1 + shift)
+        d_full, d_sub = _per_instance_distances(a1, a2, psi1, psi2, band.Template(band.NoiseProfile(gamma0), rho0))
+        errors.append(abs(d_sub - d_full) / (1.0 + d_full))
+    return float(np.max(errors)), ""
+
+
+def _per_instance_criterion_7(seed, scale):
+    rng = acceptance._rng(seed, 7)
+    errors = []
+    for _ in range(1000):
+        _, gamma0, _ = acceptance._random_band(rng, 4, 64)
+        noise, n = band.NoiseProfile(gamma0), len(gamma0)
+        s1 = SignalSpectrum(rng.uniform(0.0, 3.0, n), band.wrap_phase(rng.uniform(-np.pi, np.pi, n)))
+        s2 = SignalSpectrum(rng.uniform(0.0, 3.0, n), band.wrap_phase(rng.uniform(-np.pi, np.pi, n)))
+        polar = fisherband.distance_full(s1, s2, noise)
+        embedded = fisherband.distance_full_embedding(s1, s2, noise)
+        errors.append(abs(polar - embedded) / max(polar, 1e-300))
+    return float(np.max(errors)), ""
+
+
+@pytest.mark.parametrize("seed, scale", [(0, "smoke"), (1, "smoke"), (2, "smoke"), (0, "full")])
+@pytest.mark.parametrize(
+    "criterion, reference",
+    [
+        (acceptance.criterion_3, _per_instance_criterion_3),
+        (acceptance.criterion_4, _per_instance_criterion_4),
+        (acceptance.criterion_7, _per_instance_criterion_7),
+    ],
+    ids=["criterion_3", "criterion_4", "criterion_7"],
+)
+def test_grouped_criterion_equals_its_per_instance_loop(criterion, reference, seed, scale):
+    result = criterion(seed, scale)
+    measured, detail = reference(seed, scale)
+    assert result.measured.hex() == measured.hex() and result.detail == detail
+
+
+@pytest.mark.parametrize(
+    "criterion, n_instances, most_calls",
+    [(acceptance.criterion_3, 200, 70), (acceptance.criterion_7, 1000, 4 * 70)],
+    ids=["criterion_3", "criterion_7"],
+)
+def test_random_band_criteria_evaluate_rows(criterion, n_instances, most_calls, monkeypatch):
+    # one distance_full call per bin count (61 of them, 4..64) and chunk of 250 instances, not one per
+    # instance: criterion 3's 200 smoke instances are one chunk, criterion 7's 1000 (at every scale) four
+    rows = []
+    real = acceptance.distance_full
+
+    def counted(s1, s2, noise):
+        d = real(s1, s2, noise)
+        rows.append(np.size(d))
+        return d
+
+    monkeypatch.setattr(acceptance, "distance_full", counted)
+    assert criterion(SEED, "smoke").passed
+    assert sum(rows) == n_instances
+    assert len(rows) < most_calls

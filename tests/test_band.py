@@ -12,6 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fisherband as fb
+
 from fisherband import (
     BLOCK,
     FreeSpectrumModel,
@@ -340,15 +342,12 @@ class TestContainers:
         # a replaced profile forms its own
         assert dataclasses.replace(noise, gamma0=2.0 * gamma0).weights.tobytes() == (2.0 / (2.0 * gamma0)).tobytes()
 
-    def test_noise_equality_and_repr_read_gamma0_alone(self):
-        assert [(f.name, f.init, f.repr, f.compare) for f in dataclasses.fields(NoiseProfile)] == [
-            ("gamma0", True, True, True), ("weights", False, False, False)]
+    def test_noise_compares_by_identity_and_repr_reads_gamma0_alone(self):
+        assert [(f.name, f.init, f.repr) for f in dataclasses.fields(NoiseProfile)] == [
+            ("gamma0", True, True), ("weights", False, False)]
         assert repr(NoiseProfile([1.0, 2.0])) == "NoiseProfile(gamma0=array([1., 2.]))"
-        assert NoiseProfile([1.5]) == NoiseProfile([1.5]) and NoiseProfile([1.5]) != NoiseProfile([3.0])
         noise = NoiseProfile([1.0, 2.0])
-        assert noise == noise
-        with pytest.raises(TypeError):
-            hash(noise)  # its array field makes it unhashable
+        assert noise == noise and noise != NoiseProfile([1.0, 2.0]) and hash(noise) == hash(noise)
 
     def test_spectrum_invariants(self):
         with pytest.raises(ValueError):
@@ -972,3 +971,196 @@ class TestRangeChecks:
 
     def test_attenuation_arrays_accepted(self):
         check_attenuation(np.array([5e-324, 1e308]), np.array([]), 3, np.float64(2.0))
+
+
+class TestRows:
+    """``NoiseProfile``, ``SignalSpectrum`` and ``Template`` hold ``(rows, bins)``
+    bands, each row checked and formed as its one-band container is."""
+
+    def _rows(self, shape=(3, 6), seed=11):
+        rng = np.random.default_rng(seed)
+        return rng.uniform(0.5, 2.0, shape), rng.uniform(0.1, 2.0, shape), wrap_phase(rng.uniform(-4.0, 4.0, shape))
+
+    def test_rows_hold_their_one_band_containers(self):
+        gamma0, rho0, psi = self._rows()
+        noise, spectrum, template = NoiseProfile(gamma0), SignalSpectrum(rho0, psi), Template(NoiseProfile(gamma0), rho0)
+        assert noise.n_freqs == spectrum.n_freqs == template.n_freqs == 6
+        assert template.omega0.shape == (3,) and not template.omega0.flags.writeable
+        for k in range(3):
+            one = Template(NoiseProfile(gamma0[k]), rho0[k])
+            assert isinstance(one.omega0, float) and template.omega0[k] == one.omega0
+            assert noise.weights[k].tobytes() == one.noise.weights.tobytes()
+            assert template.weights[k].tobytes() == one.weights.tobytes()
+        assert np.array_equal(spectrum.to_complex(), rho0 * np.exp(1j * psi))
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([1.0, -1.0, 1.0], "rho0 must be finite and non-negative"),
+            ([0.0, 0.0, 0.0], "template energy must be positive"),
+            ([1e-200, 1e-200, 1e-200], "template energy must be positive, but (2/gamma0) rho0^2 underflows to zero"),
+            ([1e160, 1.0, 1.0], "template weights overflow: (2/gamma0) rho0^2 or their sum omega0 is not finite"),
+        ],
+    )
+    def test_each_template_row_is_checked(self, row, message):
+        rho0 = np.ones((3, 3))
+        rho0[1] = row
+        with _raises_exactly(message):
+            Template(NoiseProfile.flat(1.0, 3), row)
+        with _raises_exactly(message):
+            Template(NoiseProfile(np.ones((3, 3))), rho0)
+
+    def test_each_container_row_is_checked(self):
+        with _raises_exactly("gamma0 must be strictly positive and finite"):
+            NoiseProfile([[1.0, 1.0], [1.0, 0.0]])
+        with _raises_exactly("psi must lie in (-pi, pi]"):
+            SignalSpectrum(np.ones((2, 2)), [[0.0, 0.0], [0.0, 3.5]])
+        with _raises_exactly("noise profile is empty"):
+            NoiseProfile(np.ones((0, 3)))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: SignalSpectrum(np.ones((2, 4)), np.zeros((3, 4))), "misaligned rows: rho (2, 4), psi (3, 4)"),
+            (lambda: SignalSpectrum(np.ones((2, 4)), np.zeros(4)), "misaligned rows: rho (2, 4), psi (4,)"),
+            (lambda: SignalSpectrum(np.ones((2, 4)), np.zeros((2, 3))), "misaligned band lengths: rho 4, psi 3"),
+            (lambda: Template(NoiseProfile(np.ones((2, 4))), np.ones((3, 4))), "misaligned rows: noise (2, 4), rho0 (3, 4)"),
+            (lambda: Template(NoiseProfile(np.ones(4)), np.ones((2, 4))), "misaligned rows: noise (4,), rho0 (2, 4)"),
+            (lambda: NoiseProfile(np.ones((2, 2, 4))), "expected a one-dimensional sequence, or (rows, bins) rows of one"),
+            (lambda: SignalSpectrum(1.0, 0.0), "expected a one-dimensional sequence, or (rows, bins) rows of one"),
+        ],
+        ids=["spectrum-rows", "spectrum-one-band-psi", "spectrum-bins", "template-rows", "template-one-band-noise",
+             "three-axes", "scalars"],
+    )
+    def test_misaligned_rows_named(self, build, message):
+        with _raises_exactly(message):
+            build()
+
+    def test_row_template_phase_gap_equals_per_row(self):
+        gamma0, rho0, psi = self._rows()
+        template = Template(NoiseProfile(gamma0), rho0)
+        dpsi, delta = template.phase_gap(psi, 0.5)
+        assert dpsi.shape == (3, 6) and delta.shape == (3,)
+        for k in range(3):
+            row_dpsi, row_delta = Template(NoiseProfile(gamma0[k]), rho0[k]).phase_gap(psi[k], 0.5)
+            assert dpsi[k].tobytes() == row_dpsi.tobytes() and delta[k] == row_delta
+
+    @pytest.mark.parametrize(
+        "psi1_shape, psi2_shape",
+        [((2, 6), (6,)), ((3, 6), (2, 6))],
+        ids=["fewer-rows", "phases-disagree"],
+    )
+    def test_phase_gap_rows_that_do_not_broadcast_named(self, psi1_shape, psi2_shape):
+        gamma0, rho0, _ = self._rows()
+        template = Template(NoiseProfile(gamma0), rho0)
+        with _raises_exactly(f"rows do not broadcast: psi1 {psi1_shape}, psi2 {psi2_shape}, template (3, 6)"):
+            template.phase_gap(np.zeros(psi1_shape), np.zeros(psi2_shape))
+
+
+def _identity_instances(shape):
+    """Two separately built instances of every frozen dataclass that holds
+    arrays, with ``shape[-1]`` bins (coordinate columns for a path), keyed by
+    class name; the row-capable containers hold rows when ``shape`` has two axes."""
+    n = shape[-1]
+    freqs = build_grid(0.25, 0.4, n).freqs
+    model = KnownMagnitudeModel(freqs, np.ones(n), phase_coeffs=[0.1])
+    noise = NoiseProfile.flat(1.0, n)
+    sigmas = np.linspace(0.0, 1.0, 9)
+    path = fb.GeodesicPath(sigmas, np.ones((9, 2)), np.zeros((9, 2)))
+    one_band = {
+        "FrequencyGrid": lambda: FrequencyGrid(freqs),
+        "Observation": lambda: Observation(np.ones(n, dtype=complex)),
+        "GeodesicPath": lambda: fb.GeodesicPath(sigmas, np.ones((9, n)), np.zeros((9, n))),
+        "AlphaGeodesic": lambda: fb.AlphaGeodesic(1.0, 2.0, 0.5, np.zeros(n), np.full(n, 0.5), 1.0),
+        "KnownMagnitudeModel": lambda: KnownMagnitudeModel(freqs, np.ones(n)),
+        "FisherMatrix": lambda: fisher_matrix(model, model.xi, noise),
+        "ChristoffelTensor": lambda: fb.christoffel(model, model.xi, noise),
+        "LdgResidual": lambda: ldg_residual(model, path, noise),
+    }
+    rows = {
+        "NoiseProfile": lambda: NoiseProfile(np.ones(shape)),
+        "SignalSpectrum": lambda: SignalSpectrum(np.ones(shape), np.zeros(shape)),
+        "Template": lambda: Template(NoiseProfile(np.ones(shape)), np.ones(shape)),
+    }
+    builders = rows if len(shape) > 1 else one_band | rows
+    return {name: (build(), build()) for name, build in builders.items()}
+
+
+@pytest.mark.parametrize("shape", [(1,), (5,), (3, 5)], ids=["one-bin", "five-bins", "rows"])
+def test_array_dataclasses_compare_and_hash_by_identity(shape):
+    instances = _identity_instances(shape)
+    assert len(instances) == (3 if len(shape) > 1 else 11)
+    for name, (a, b) in instances.items():
+        assert dataclasses.is_dataclass(a) and type(a).__dataclass_params__.frozen, name
+        assert a == a and not a != a and a != b and not a == b, name
+        assert hash(a) == hash(a) and len({a, b}) == 2 and {a: name}[a] == name, name
+
+
+_ROWS = (2, 4)
+
+
+def _one_band_calls():
+    """Each public route that takes one band, called with one row container:
+    ``(route, the container's name, call)``."""
+    noise, spectrum = NoiseProfile.flat(1.0, 4), SignalSpectrum(np.ones(4), np.zeros(4))
+    template = Template(noise, np.ones(4))
+    rows_noise = NoiseProfile(np.ones(_ROWS))
+    rows_spectrum = SignalSpectrum(np.ones(_ROWS), np.zeros(_ROWS))
+    rows_template = Template(rows_noise, np.ones(_ROWS))
+    grid, obs = build_grid(0.25, 0.4, 4), Observation(np.ones(4, dtype=complex))
+    model = KnownMagnitudeModel(grid.freqs, np.ones(4), phase_coeffs=[0.1, 0.2])
+    xi = model.xi
+    path = fb.GeodesicPath(np.linspace(0.0, 1.0, 9), np.tile(xi, (9, 1)), np.zeros((9, 3)))
+    flat_path = fb.GeodesicPath(np.linspace(0.0, 1.0, 9), np.ones((9, 5)), np.zeros((9, 5)))
+    return [
+        ("log_likelihood", "spectrum", lambda: log_likelihood(obs, rows_spectrum, noise)),
+        ("log_likelihood", "noise", lambda: log_likelihood(obs, spectrum, rows_noise)),
+        ("sample_observation", "spectrum", lambda: sample_observation(rows_spectrum, noise, 0)),
+        ("sample_observation", "noise", lambda: sample_observation(spectrum, rows_noise, 0)),
+        ("band_energy", "noise", lambda: band_energy(rows_noise, np.ones(4))),
+        ("phase_rms_diff", "noise", lambda: phase_rms_diff(0.0, 1.0, rows_noise, np.ones(_ROWS))),
+        ("save_band_csv", "noise", lambda: save_band_csv(io.StringIO(), grid, rows_noise, spectrum)),
+        ("save_band_csv", "spectrum", lambda: save_band_csv(io.StringIO(), grid, noise, rows_spectrum)),
+        ("distance_alpha", "template", lambda: distance_alpha(1.0, 2.0, 0.0, 1.0, rows_template)),
+        ("small_phase_equivalent", "template", lambda: small_phase_equivalent(1.0, 2.0, 0.0, 1.0, rows_template)),
+        ("report", "s1", lambda: fb.report(rows_spectrum, spectrum, noise)),
+        ("report", "s2", lambda: fb.report(spectrum, rows_spectrum, noise)),
+        ("report", "noise", lambda: fb.report(spectrum, spectrum, rows_noise, np.ones(4))),
+        ("solve_alpha_geodesic", "template", lambda: solve_alpha_geodesic(1.0, 2.0, 0.0, 1.0, rows_template)),
+        ("shoot_alpha_geodesic", "template", lambda: shoot_alpha_geodesic(1.0, 2.0, 0.0, 1.0, rows_template)),
+        ("path_length", "chart", lambda: fb.path_length(rows_template, flat_path, n_quad=8)),
+        ("embedding_coords", "spectrum", lambda: fb.embedding_coords(rows_spectrum)),
+        ("straight_line_geodesic", "mu1", lambda: straight_line_geodesic(rows_spectrum, spectrum)),
+        ("straight_line_geodesic", "mu2", lambda: straight_line_geodesic(spectrum, rows_spectrum)),
+        ("ldg_residual", "noise", lambda: ldg_residual(model, path, rows_noise)),
+        ("ModelChart", "noise", lambda: fb.ModelChart(model, rows_noise)),
+        ("fisher_matrix", "noise", lambda: fisher_matrix(model, xi, rows_noise)),
+        ("path_speed", "noise", lambda: path_speed(model, xi, xi, rows_noise)),
+        ("christoffel", "noise", lambda: fb.christoffel(model, xi, rows_noise)),
+        ("christoffel_fd", "noise", lambda: fb.christoffel_fd(model, xi, rows_noise)),
+        ("monte_carlo_fisher", "noise", lambda: fb.monte_carlo_fisher(model, xi, rows_noise, 1000, seed=0)),
+    ]
+
+
+# the routes that take rows, one value per row
+_ROW_ROUTES = {"Template", "known_mag_distances", "distance_full", "distance_full_embedding"}
+
+
+@pytest.mark.parametrize("index", range(len(_one_band_calls())), ids=[f"{r}-{c}" for r, c, _ in _one_band_calls()])
+def test_one_band_route_names_a_row_container(index):
+    _, container, call = _one_band_calls()[index]
+    with _raises_exactly(f"{container} holds rows of shape {_ROWS}; this route takes one band"):
+        call()
+
+
+def test_every_one_band_route_is_covered():
+    # every exported callable with a container parameter, less the row routes, and path_length's unannotated chart
+    taking = {
+        name
+        for name in fb.__all__
+        if callable(getattr(fb, name)) and not (isinstance(getattr(fb, name), type) and issubclass(getattr(fb, name), Exception))
+        and any(t in str(p.annotation) for p in inspect.signature(getattr(fb, name)).parameters.values()
+                for t in ("NoiseProfile", "SignalSpectrum", "Template"))
+    }
+    covered = {route for route, _, _ in _one_band_calls()}
+    assert covered == (taking - _ROW_ROUTES) | {"path_length"}

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -786,3 +787,73 @@ class TestReport:
         )
         payload = rep.to_json_dict()
         assert set(payload) == {"d_full", "d_alpha", "omega0", "snr1", "gamma_ratio", "delta", "ratio"}
+
+
+class TestRowRoutes:
+    """The row routes on ``(rows, bins)`` bands: each row's value is the bits of its one-band call."""
+
+    def _rows(self, n_rows=9, n=12, seed=4):
+        # attenuations from 1e-300 to 1e300, one scale per row; row 1 does not
+        # move, and row 2 has a zero-magnitude bin
+        rng = np.random.default_rng(seed)
+        gamma0, rho0 = rng.uniform(0.5, 2.0, (n_rows, n)), rng.uniform(0.1, 2.0, (n_rows, n))
+        rho0[2, 3] = 0.0
+        a1 = np.geomspace(1e-300, 1e300, n_rows)
+        a2 = a1 * rng.uniform(0.2, 5.0, n_rows)
+        psi1, psi2 = wrap_phase(rng.uniform(-4.0, 4.0, (2, n_rows, n)))
+        a2[1], psi2[1] = a1[1], psi1[1]
+        return gamma0, rho0, a1, a2, psi1, psi2
+
+    @staticmethod
+    def _bits(value):
+        return float(value).hex()
+
+    @pytest.mark.parametrize("route", [distance_full, distance_full_embedding], ids=lambda f: f.__name__)
+    def test_full_distance_rows_equal_one_band_calls(self, route):
+        gamma0, rho0, a1, a2, psi1, psi2 = self._rows()
+        rho1, rho2 = a1[:, None] * rho0, a2[:, None] * rho0
+        d = route(SignalSpectrum(rho1, psi1), SignalSpectrum(rho2, psi2), NoiseProfile(gamma0))
+        assert d.shape == (9,) and d[1] == 0.0 and np.all(d[[0, 2, 3, 4, 5, 6, 7, 8]] > 0.0)
+        for k in range(9):
+            one = route(SignalSpectrum(rho1[k], psi1[k]), SignalSpectrum(rho2[k], psi2[k]), NoiseProfile(gamma0[k]))
+            assert isinstance(one, float) and self._bits(d[k]) == self._bits(one), k
+
+    @pytest.mark.parametrize("route", [distance_full, distance_full_embedding], ids=lambda f: f.__name__)
+    def test_one_band_spectra_on_row_noise(self, route):
+        gamma0, rho0, a1, a2, psi1, psi2 = self._rows()
+        s1, s2 = SignalSpectrum(a1[4] * rho0[2], psi1[0]), SignalSpectrum(a2[4] * rho0[2], psi2[0])
+        d = route(s1, s2, NoiseProfile(gamma0))
+        assert [self._bits(v) for v in d] == [self._bits(route(s1, s2, NoiseProfile(g))) for g in gamma0]
+
+    def test_kernel_rows_equal_one_band_calls(self):
+        gamma0, rho0, a1, a2, psi1, psi2 = self._rows()
+        rows = known_mag_distances(Template(NoiseProfile(gamma0), rho0), a1, a2, psi1, psi2)
+        assert all(column.shape == (9,) for column in rows)
+        assert rows[0][1] == rows[1][1] == rows[2][1] == 0.0
+        for k in range(9):
+            one = known_mag_distances(Template(NoiseProfile(gamma0[k]), rho0[k]), a1[k], a2[k], psi1[k], psi2[k])
+            assert [self._bits(column[k]) for column in rows] == [self._bits(v) for v in one], k
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda s, t, n: distance_full(s((2, 4)), s((3, 4)), n(4)), "rows do not broadcast: s1 (2, 4), s2 (3, 4), noise (4,)"),
+            (lambda s, t, n: distance_full_embedding(s(4), s(4), n((3, 4)))[0] + distance_full_embedding(s((2, 4)), s(4), n((3, 4))),
+             "rows do not broadcast: s1 (2, 4), s2 (4,), noise (3, 4)"),
+            (lambda s, t, n: known_mag_distances(t((2, 4)), np.ones(3), 1.0, 0.0, 1.0),
+             "rows do not broadcast: alpha1 (3,), alpha2 (), delta (2,)"),
+        ],
+        ids=["distance_full", "distance_full_embedding", "known_mag_distances"],
+    )
+    def test_rows_that_do_not_broadcast_named(self, call, message):
+        def spectrum(shape):
+            return SignalSpectrum(np.ones(shape), np.zeros(shape))
+
+        def template(shape):
+            return Template(NoiseProfile(np.ones(shape)), np.ones(shape))
+
+        def noise(shape):
+            return NoiseProfile(np.ones(shape))
+
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(spectrum, template, noise)
